@@ -242,7 +242,8 @@ func (r *runner) endToEnd() error {
 	ms.add("setup_s", median(r.setupField(func(s setupTiming) time.Duration { return s.total })).Seconds(), "s", int64(len(r.setups)),
 		"cold boot to the first correct answer on both paths, median of set-ups")
 	ms.add("throughput_sps", closed.rate(), "1/s", closed.t.ok,
-		fmt.Sprintf("correct sends/s, closed loop, %d callers, fast quartile of %d windows", w.callers, len(closed.ok)))
+		fmt.Sprintf("correct sends per CPU-second, closed loop, %d callers, fast quartile of %d windows", w.callers, len(closed.ok)))
+	ms.report("busy_share", closed.busyShare(), "ratio", int64(len(closed.ok)), "process CPU time over wall time in the closed loop")
 	ms.report("p50_us", us(p50), "us", n,
 		fmt.Sprintf("open loop, Poisson %.0f/s offered to %d senders, timed from due, fast quartile of %d windows' p50", w.rate, openSenders, windows))
 	ms.report("p99_us", us(p99), "us", n, fmt.Sprintf("same samples, fast quartile of %d windows' p99", windows))
@@ -428,6 +429,7 @@ func (r *runner) perLayer() error {
 	rootUS, serviceUS := us(root)/float64(nSpans), us(service)/float64(nSpans)
 	queueUS, decUS, encUS := histMeanUS(queue), histMeanUS(dec), histMeanUS(enc)
 	ms.add("trace.unattributed_us", rootUS-serviceUS-queueUS-decUS-encUS, "us", nSpans, "root span minus service, queue wait, decode and encode")
+	ms.add("go.busy_share", plain.busyShare(), "ratio", int64(len(plain.ok)), "process CPU time over wall time, untraced closed loop")
 	plainTput, tracedTput := plain.rate(), tracedRun.rate()
 	ms.add("trace.overhead_pct", (plainTput-tracedTput)/plainTput*100, "%", ok,
 		fmt.Sprintf("untraced %.0f/s against traced %.0f/s", plainTput, tracedTput))

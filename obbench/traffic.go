@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/obwire"
@@ -235,21 +236,52 @@ func fastQuartile(vals []float64, higherIsFaster bool) float64 {
 	return vals[int(q*float64(len(vals)-1)+0.5)]
 }
 
-// closedResult is a closed-loop phase: outcomes, and correct sends per
-// window.
+// closedResult is a closed-loop phase: outcomes, and correct sends and
+// process CPU time per window.
 type closedResult struct {
 	t      tally
 	ok     []int64
+	cpu    []time.Duration // process CPU time per window
 	winLen time.Duration
 }
 
-// rate is correct sends per second, the fast quartile over the windows.
+// rate is correct sends per second of the process's CPU time, the fast
+// quartile over the windows. With one P the stack can use one core, and a
+// closed loop keeps it busy, so on an otherwise idle host this is the
+// sends per second of wall time. Other processes on the host take the
+// core away from it for part of a window; counting the time the process
+// ran, not the time that passed, keeps that out of the figure, so runs
+// on a host shared with other load still agree. busyShare shows how much
+// of the wall time the process had.
 func (c closedResult) rate() float64 {
-	rates := make([]float64, len(c.ok))
+	rates := make([]float64, 0, len(c.ok))
 	for i, n := range c.ok {
-		rates[i] = float64(n) / c.winLen.Seconds()
+		if c.cpu[i] > 0 {
+			rates = append(rates, float64(n)/c.cpu[i].Seconds())
+		}
 	}
 	return fastQuartile(rates, true)
+}
+
+// busyShare is the process's CPU time over the phase's wall time: about 1
+// when the closed loop kept its one P busy on a host with a core to spare.
+// Less means the stack sat idle waiting on something, or the host gave
+// its core to other processes.
+func (c closedResult) busyShare() float64 {
+	var cpu time.Duration
+	for _, d := range c.cpu {
+		cpu += d
+	}
+	return cpu.Seconds() / (c.winLen * time.Duration(len(c.cpu))).Seconds()
+}
+
+// processCPU is the user and system CPU time the process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // closedLoop runs w.callers synchronous callers for d; each sends its next
@@ -265,6 +297,18 @@ func closedLoop(send sender, w *workloadSpec, seed, lane uint64, d time.Duration
 	var wg sync.WaitGroup
 	start := time.Now()
 	deadline := start.Add(d)
+	// The process's CPU time, read at the end of each window.
+	cpu := make([]time.Duration, nWin)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := processCPU()
+		for k := range nWin {
+			time.Sleep(time.Until(start.Add(time.Duration(k+1) * winLen)))
+			now := processCPU()
+			cpu[k], last = now-last, now
+		}
+	}()
 	for i := range states {
 		wg.Add(1)
 		go func() {
@@ -290,7 +334,7 @@ func closedLoop(send sender, w *workloadSpec, seed, lane uint64, d time.Duration
 		}()
 	}
 	wg.Wait()
-	res := closedResult{ok: make([]int64, nWin), winLen: winLen}
+	res := closedResult{ok: make([]int64, nWin), winLen: winLen, cpu: cpu}
 	for i := range states {
 		res.t.add(&states[i].t)
 		for k, n := range states[i].ok {
