@@ -1,8 +1,9 @@
 package obarch
 
-// One benchmark per figure/table of the paper (DESIGN.md §4). Each bench
-// regenerates its experiment and reports the headline number as a custom
-// metric, so `go test -bench=. -benchmem` reproduces the evaluation.
+// One benchmark per figure/table of the paper (the runners listed by
+// internal/experiments.All). Each bench regenerates its experiment and
+// reports the headline number as a custom metric, so
+// `go test -bench=. -benchmem` reproduces the evaluation.
 
 import (
 	"bytes"

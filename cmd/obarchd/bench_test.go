@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,39 +42,61 @@ func benchServer(b *testing.B, fast bool) (*httptest.Server, *serve.Pool) {
 	return httptest.NewServer(h), pool
 }
 
+// binaryServer stands up the obwire listener over the same tiny image
+// and answers its address; everything is torn down when b ends.
+func binaryServer(b *testing.B) string {
+	b.Helper()
+	sys := obarch.NewSystem(obarch.Options{})
+	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := obwire.Serve(l, pool, obwire.Options{})
+	b.Cleanup(func() {
+		s.Shutdown(context.Background())
+		pool.Close()
+	})
+	return l.Addr().String()
+}
+
+// countingConn counts the Write calls made on a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (w *countingConn) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
 // BenchmarkBinarySend measures the same tiny send over the obwire binary
 // transport: depth=1 is the synchronous round trip (one frame each way
 // per op, two syscalls of latency), depth=64 keeps a pipeline window
 // full so framing cost is measured with the syscalls amortised away. The
 // delta against BenchmarkHTTPSend/codec=fast is the net/http tax; the
 // 0-alloc assertion in CI covers client and server loops together,
-// since both run in this process.
+// since both run in this process. mux-depth=32 is the router's shape:
+// 32 goroutines sharing one MuxClient, with writes/send the share of a
+// client write syscall each send pays once concurrent sends coalesce.
 func BenchmarkBinarySend(b *testing.B) {
+	req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
 	for _, depth := range []int{1, 64} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			sys := obarch.NewSystem(obarch.Options{})
-			if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
-				b.Fatal(err)
-			}
-			snap, err := sys.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
-			defer pool.Close()
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := obwire.Serve(l, pool, obwire.Options{})
-			defer s.Shutdown(context.Background())
-			c, err := obwire.Dial(l.Addr().String())
+			c, err := obwire.Dial(binaryServer(b))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer c.Close()
 
-			req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
 			// One warm round trip populates the selector cache and the
 			// per-connection buffers on both sides.
 			if r, err := c.Do(req); err != nil || !r.OK() {
@@ -107,6 +131,46 @@ func BenchmarkBinarySend(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mux-depth=32", func(b *testing.B) {
+		const callers = 32
+		conn, err := net.Dial("tcp", binaryServer(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		wc := &countingConn{Conn: conn}
+		m, err := obwire.NewMuxClient(wc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		if r, err := m.Do(req); err != nil || !r.OK() {
+			b.Fatalf("warm send: %v %v", r, err)
+		}
+		// The callers start parked, so spawning them is not measured.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for next.Add(1) <= int64(b.N) {
+					if r, err := m.Do(req); err != nil || r.Status != obwire.StatusOK {
+						b.Errorf("send: %v %v", r, err)
+						return
+					}
+				}
+			}()
+		}
+		writes := wc.writes.Load()
+		b.ReportAllocs()
+		b.ResetTimer()
+		close(start)
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(wc.writes.Load()-writes)/float64(b.N), "writes/send")
+	})
 }
 
 // BenchmarkHTTPSend measures one tiny send through the full HTTP stack,

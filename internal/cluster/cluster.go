@@ -198,7 +198,7 @@ func (r *Router) Send(req serve.Request) (obwire.Response, error) {
 	r.sends.Add(1)
 	view := r.view.Load()
 	candidates := r.order(view, req.Key)
-	if len(candidates) == 0 {
+	if len(candidates.nodes) == 0 {
 		r.noBackend.Add(1)
 		return obwire.Response{}, ErrNoBackends
 	}
@@ -209,10 +209,11 @@ func (r *Router) Send(req serve.Request) (obwire.Response, error) {
 	var lastResp obwire.Response
 	var lastErr error
 	attempts := 0
-	for _, n := range candidates {
+	for k := range candidates.nodes {
 		if attempts >= budget {
 			break
 		}
+		n := candidates.at(k)
 		if !n.Routable() {
 			continue
 		}
@@ -256,23 +257,52 @@ func (r *Router) Send(req serve.Request) (obwire.Response, error) {
 	return obwire.Response{}, lastErr
 }
 
-// order answers the candidate list for one send: ring successors for a
-// keyed request, P2C-JSQ-first shuffle for a keyless one.
-func (r *Router) order(view *membership, key uint64) []*Node {
+// candidates is one send's routing and failover order, walked by index
+// so that building it allocates nothing.
+type candidates struct {
+	nodes []*Node // keyed: ring successors in order; keyless: the membership
+	first int     // keyless: the P2C pick; -1 when nodes is already in order
+	off   int     // keyless: where the walk over the other nodes starts
+}
+
+// at answers the k'th candidate. For a keyless send that is the P2C
+// pick, then every other node once, in rotation from off.
+func (c candidates) at(k int) *Node {
+	if c.first < 0 {
+		return c.nodes[k]
+	}
+	if k == 0 {
+		return c.nodes[c.first]
+	}
+	i := (c.off + k - 1) % (len(c.nodes) - 1)
+	if i >= c.first {
+		i++
+	}
+	return c.nodes[i]
+}
+
+// order answers the candidates for one send: ring successors for a
+// keyed request; for a keyless one, the shorter-queued of two random
+// nodes (power of two choices over polled depth plus our own
+// outstanding counts), then the rest from a random offset, so a dead
+// pick's failovers spread over the survivors instead of herding onto
+// one neighbour.
+func (r *Router) order(view *membership, key uint64) candidates {
 	if key != 0 {
-		return view.ring.successors(key)
+		return candidates{nodes: view.ring.successors(key), first: -1}
 	}
-	// Keyless: shuffle (spreads the herd), then make the first slot the
-	// shorter-queued of the first two — power of two choices over
-	// polled depth plus our own outstanding counts.
 	nodes := view.nodes
-	out := make([]*Node, len(nodes))
-	copy(out, nodes)
-	rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	if len(out) >= 2 && out[1].depth() < out[0].depth() {
-		out[0], out[1] = out[1], out[0]
+	if len(nodes) < 2 {
+		return candidates{nodes: nodes, first: -1}
 	}
-	return out
+	a, b := rand.IntN(len(nodes)), rand.IntN(len(nodes)-1)
+	if b >= a {
+		b++
+	}
+	if nodes[b].depth() < nodes[a].depth() {
+		a = b
+	}
+	return candidates{nodes: nodes, first: a, off: rand.IntN(len(nodes) - 1)}
 }
 
 // Join adds a node to the membership and starts its poller. The ring

@@ -376,6 +376,90 @@ func TestRouterSendsSpread(t *testing.T) {
 	}
 }
 
+// TestKeylessOrder pins the keyless candidate walk: the first candidate
+// is the shallower of two distinct nodes, so the deepest never leads,
+// and the walk then visits every other node exactly once. Over many
+// draws every non-deepest node leads and, from three nodes up, every
+// node is tried second.
+func TestKeylessOrder(t *testing.T) {
+	cfg := Config{ConnsPerNode: 1}
+	for size := 1; size <= 5; size++ {
+		nodes := make([]*Node, size)
+		for i := range nodes {
+			nodes[i] = newNode("", fmt.Sprintf("node%d", i), &cfg)
+			nodes[i].polledDepth.Store(int64(i)) // node size-1 is the deepest
+		}
+		r := &Router{}
+		view := &membership{nodes: nodes}
+		led := make(map[*Node]bool)
+		second := make(map[*Node]bool)
+		for draw := 0; draw < 500; draw++ {
+			c := r.order(view, 0)
+			if len(c.nodes) != size {
+				t.Fatalf("size %d: %d candidates", size, len(c.nodes))
+			}
+			seen := make(map[*Node]bool)
+			for k := range c.nodes {
+				n := c.at(k)
+				if seen[n] {
+					t.Fatalf("size %d: %s visited twice", size, n.BinAddr)
+				}
+				seen[n] = true
+			}
+			first := c.at(0)
+			if size > 1 && first == nodes[size-1] {
+				t.Fatalf("size %d: the deepest node led a P2C pick", size)
+			}
+			led[first] = true
+			if size > 1 {
+				second[c.at(1)] = true
+			}
+		}
+		if want := max(size-1, 1); len(led) != want {
+			t.Errorf("size %d: %d distinct leaders, want %d", size, len(led), want)
+		}
+		if size > 2 && len(second) != size {
+			t.Errorf("size %d: %d distinct second candidates, want %d", size, len(second), size)
+		}
+	}
+}
+
+// TestKeylessSendNoAlloc pins that routing a keyless send allocates
+// nothing: candidate selection, the mux connection and the backend's
+// obwire loop all run in this process and are all counted.
+func TestKeylessSendNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool reuse; allocation bar is enforced by the bench gate")
+	}
+	snap := answerSnapshot(t)
+	a := startTestNode(t, snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	b := startTestNode(t, snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	// Polls allocate; after the first one, keep them out of the window.
+	r := testRouter(t, []*testNode{a, b}, func(c *Config) { c.PollInterval = time.Hour })
+	deadline := time.Now().Add(5 * time.Second)
+	for ok, _, _ := r.Ready(); !ok; ok, _, _ = r.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("router never became ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	req := serve.Request{Receiver: word.FromInt(20), Selector: "answer"}
+	send := func() {
+		resp, err := r.Send(req)
+		if err != nil || !resp.OK() {
+			t.Fatalf("send: %v %v", resp, err)
+		}
+	}
+	// Warm: dial every node's connections and fill the per-connection
+	// buffers and selector caches on both sides.
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("keyless Router.Send: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestRouterKeyedAffinity pins that a keyed send lands on its ring
 // owner every time while the owner is healthy.
 func TestRouterKeyedAffinity(t *testing.T) {

@@ -62,8 +62,8 @@ const (
 	PrimGrow // grow: n — reallocates the receiver with a wider exponent (§2.2)
 )
 
-// Penalties are the cycle charges beyond the base issue rate. Defaults
-// follow DESIGN.md §5.
+// Penalties are the cycle charges beyond the base issue rate. A Config
+// that leaves them zero gets DefaultPenalties.
 type Penalties struct {
 	ICacheMiss int // instruction cache miss
 	CtxFault   int // context cache block fill from memory
@@ -71,7 +71,8 @@ type Penalties struct {
 	Branch     int // taken branch (delayed one clock, §3.6)
 }
 
-// DefaultPenalties per DESIGN.md.
+// DefaultPenalties price every modelled cycle count the experiments in
+// internal/experiments report.
 var DefaultPenalties = Penalties{ICacheMiss: 4, CtxFault: 32, ATLBMiss: 6, Branch: 1}
 
 // Event is one executed instruction, reported to the optional trace hook:

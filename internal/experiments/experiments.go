@@ -1,9 +1,9 @@
 // Package experiments regenerates every figure and quantitative claim of
 // the paper's evaluation (§5 plus the numeric claims of §2 and §3.6). Each
 // runner returns a Result of tables, charts and raw series; cmd/experiments
-// prints them and bench_test.go wraps them as benchmarks. The per-
-// experiment index lives in DESIGN.md §4 and measured-vs-paper numbers in
-// EXPERIMENTS.md.
+// prints them and bench_test.go wraps them as benchmarks. All lists the
+// runners in report order and ByID maps each id (fig10, t1, ...) to its
+// runner; the tables print each measured number beside the paper's.
 package experiments
 
 import (

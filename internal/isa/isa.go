@@ -4,8 +4,8 @@
 //
 // Encoding. Each instruction is op<8> A<8> B<8> C<8>. (The paper's figure 4
 // shows a 12-bit opcode, which does not fit three 8-bit operand descriptors
-// in a 32-bit word; we use an 8-bit opcode and note the deviation in
-// DESIGN.md.) A is the destination/result descriptor, B the first source —
+// in a 32-bit word; we use an 8-bit opcode, a deviation from the paper.)
+// A is the destination/result descriptor, B the first source —
 // the receiver for dispatch purposes — and C the second source.
 //
 // Operand descriptors (§3.4) use two addressing modes:

@@ -4,9 +4,10 @@
 // traffic at a backend node wants the opposite — one persistent
 // connection (or a small pool of them) carrying every in-flight send at
 // once. MuxClient provides that: Do is safe from any goroutine, sends
-// are written under a short lock and pipelined on the wire, and a
-// single reader goroutine delivers responses back to their callers in
-// the server's strict request order.
+// are appended under a short lock and pipelined on the wire — a burst of
+// concurrent sends shares one write, a lone send is written at once —
+// and a single reader goroutine delivers responses back to their
+// callers in the server's strict request order.
 package obwire
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -55,15 +57,19 @@ type muxWaiter struct {
 // serialise briefly to append their frame and enqueue a waiter; the
 // reader goroutine pairs responses with waiters in order. Depth is
 // whatever the callers' concurrency makes it — the cluster router's
-// natural pipelining.
+// natural pipelining. A send with nothing else in flight is flushed at
+// once; while other sends are in flight, the first to append yields so
+// the rest can append behind it, then writes the whole burst in one
+// syscall.
 type MuxClient struct {
 	c  net.Conn
 	bw *bufio.Writer
 
-	wmu    sync.Mutex
-	wbuf   []byte
-	nextID uint64
-	dead   error // set once, under wmu; all later sends fail fast
+	wmu      sync.Mutex
+	wbuf     []byte
+	nextID   uint64
+	flushing bool  // under wmu: a burst's flusher is yielding and will flush what bw holds
+	dead     error // set once, under wmu; all later sends fail fast
 
 	waiters chan muxWaiter
 	chPool  sync.Pool
@@ -127,9 +133,13 @@ func (m *MuxClient) fail(err error) {
 	m.c.Close()
 }
 
-// enqueue appends one frame and its waiter under the write lock. The
-// waiter is queued before the flush so the reader can never see a
-// response without its waiter.
+// enqueue appends one frame and its waiter under the write lock, in one
+// critical section, so wire order is waiter order. The waiter is queued
+// before the flush so the reader can never see a response without its
+// waiter. With other sends in flight their callers are likely about to
+// send again, so the first appender of a burst yields once before
+// flushing and later appenders leave their frames to it: the burst goes
+// out in one write instead of one per send.
 func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error) {
 	ch := m.chPool.Get().(chan muxReply)
 	m.wmu.Lock()
@@ -157,7 +167,15 @@ func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error)
 		m.wbuf = appendRequest(m.wbuf[:0], id, req)
 	}
 	_, err := m.bw.Write(m.wbuf)
-	if err == nil {
+	// While a burst's flusher is yielding, this frame goes out in its write.
+	if err == nil && !m.flushing {
+		if len(m.waiters) > 1 {
+			m.flushing = true
+			m.wmu.Unlock()
+			runtime.Gosched()
+			m.wmu.Lock()
+			m.flushing = false
+		}
 		err = m.bw.Flush()
 	}
 	m.wmu.Unlock()
