@@ -994,8 +994,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "checkpoints       taken=%d failures=%d generation=%d age_s=%.1f\n", taken, ckptFails, s.checkpointGen(), s.checkpointAge())
 		if s.bin != nil {
 			bst := s.bin.Stats()
-			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d frames_out=%d proto_errors=%d\n",
-				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesOut, bst.ProtoErrors)
+			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d frames_out=%d frames_inline=%d proto_errors=%d\n",
+				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
 		}
 		return
 	}
@@ -1058,6 +1058,7 @@ func (s *server) binaryStats() map[string]any {
 		"conns_active":   st.ConnsActive,
 		"frames_in":      st.FramesIn,
 		"frames_out":     st.FramesOut,
+		"frames_inline":  st.FramesInline,
 		"proto_errors":   st.ProtoErrors,
 	}
 }

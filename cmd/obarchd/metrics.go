@@ -127,6 +127,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeGauge(&b, "obarch_binary_conns_active", "Binary-transport connections currently open.", float64(bst.ConnsActive))
 		writeCounter(&b, "obarch_binary_frames_in_total", "Binary-transport request frames decoded and dispatched.", bst.FramesIn)
 		writeCounter(&b, "obarch_binary_frames_out_total", "Binary-transport response frames written.", bst.FramesOut)
+		writeCounter(&b, "obarch_binary_frames_inline_total", "Binary-transport request frames the connection reader ran to completion itself.", bst.FramesInline)
 		writeCounter(&b, "obarch_binary_proto_errors_total", "Malformed binary frames; each poisons exactly its own connection.", bst.ProtoErrors)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/obwire"
 	"repro/internal/serve"
+	"repro/internal/word"
 	"repro/internal/workload"
 )
 
@@ -260,5 +263,60 @@ func TestPprofGatedByDebugFlag(t *testing.T) {
 	}
 	if status, _ := get(t, ts, "/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline: status %d", status)
+	}
+}
+
+// TestBinaryStatsSurfaces pins that the obwire transport counters reach
+// every surface: the /stats binary block (JSON and text) and the
+// obarch_binary_* family in /metrics. A lone send into an idle
+// one-worker pool is run to completion by the connection's reader, so
+// it counts in frames_inline as well as frames_in and frames_out.
+func TestBinaryStatsSurfaces(t *testing.T) {
+	h, pool := newSuiteServer(t, 1, "")
+	defer pool.Close()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.bin = obwire.Serve(l, pool, obwire.Options{})
+	defer h.bin.Shutdown(t.Context())
+
+	m, err := obwire.DialMux(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	p := workload.Suite()[0]
+	if resp, err := m.Do(serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}); err != nil || !resp.OK() {
+		t.Fatalf("send: %+v, %v", resp, err)
+	}
+	// The writer counts a pong after every earlier answer, so once the
+	// ping returns the frame counters are final.
+	if err := m.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	_, body := get(t, ts, "/stats")
+	var st struct {
+		Binary map[string]any `json:"binary"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	for _, k := range []string{"frames_in", "frames_out", "frames_inline"} {
+		if v, _ := st.Binary[k].(float64); v != 1 {
+			t.Errorf("/stats binary.%s = %v, want 1", k, st.Binary[k])
+		}
+	}
+	if _, text := get(t, ts, "/stats?format=text"); !strings.Contains(text, "frames_in=1 frames_out=1 frames_inline=1 ") {
+		t.Errorf("/stats text binary line lacks frames_inline=1:\n%s", text)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	for _, want := range []string{"obarch_binary_frames_in_total 1\n", "obarch_binary_frames_inline_total 1\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
 	}
 }

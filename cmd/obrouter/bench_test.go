@@ -12,19 +12,21 @@ import (
 // BenchmarkRouterSend prices the front tier's routing layer: one send
 // through candidate selection, the node's mux connection, and the
 // backend's whole obwire loop. depth=1 is the sequential round-trip
-// (routing overhead atop BinarySend/depth=1); pipelined drives the
-// router from parallel callers, which is how concurrent client traffic
-// naturally pipelines onto the per-node mux connections.
+// (routing overhead atop BinarySend/depth=1); keyed is the same
+// round-trip with an affinity key, so the ring's successor lookup is on
+// the path; pipelined drives the router from parallel callers, which is
+// how concurrent client traffic naturally pipelines onto the per-node
+// mux connections.
 func BenchmarkRouterSend(b *testing.B) {
 	snap := doubleSnapshot(b)
-	run := func(b *testing.B, parallel bool) {
+	run := func(b *testing.B, key uint64, parallel bool) {
 		bk := startBackend(b, snap, serve.Config{Workers: 2, GCEvery: -1, Timeout: 10 * time.Second})
 		r := cluster.New(cluster.Config{
 			Nodes:        []cluster.NodeSpec{bk.spec()},
 			PollInterval: time.Second,
 		})
 		defer r.Close()
-		req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
+		req := serve.Request{Receiver: word.FromInt(21), Selector: "double", Key: key}
 		// One warm round trip dials the mux connection and populates the
 		// server-side selector cache.
 		if resp, err := r.Send(req); err != nil || !resp.OK() {
@@ -50,6 +52,7 @@ func BenchmarkRouterSend(b *testing.B) {
 			}
 		})
 	}
-	b.Run("depth=1", func(b *testing.B) { run(b, false) })
-	b.Run("pipelined", func(b *testing.B) { run(b, true) })
+	b.Run("depth=1", func(b *testing.B) { run(b, 0, false) })
+	b.Run("keyed", func(b *testing.B) { run(b, 7, false) })
+	b.Run("pipelined", func(b *testing.B) { run(b, 0, true) })
 }

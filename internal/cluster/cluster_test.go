@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +196,47 @@ func TestRingDeterministic(t *testing.T) {
 		}
 		if succ[0] != r1.owner(key) {
 			t.Fatalf("key %d: successors[0] is not the owner", key)
+		}
+	}
+}
+
+// walkSuccessors is the successor order as the walk defines it, built
+// per call: the reference the ring's precomputed table must match.
+func walkSuccessors(r *ring, key uint64) []*Node {
+	if len(r.points) == 0 {
+		return nil
+	}
+	h := splitmix64(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	out := make([]*Node, 0, len(r.nodes))
+	seen := make(map[*Node]struct{}, len(r.nodes))
+	for k := 0; k < len(r.points) && len(out) < len(r.nodes); k++ {
+		p := r.points[(i+k)%len(r.points)]
+		if _, dup := seen[p.node]; dup {
+			continue
+		}
+		seen[p.node] = struct{}{}
+		out = append(out, p.node)
+	}
+	return out
+}
+
+// TestRingSuccessorsMatchWalk pins the precomputed successor table to
+// the clockwise walk it replaces: the same order for every key, over
+// one to five nodes.
+func TestRingSuccessorsMatchWalk(t *testing.T) {
+	cfg := &Config{ConnsPerNode: 1}
+	for size := 1; size <= 5; size++ {
+		var nodes []*Node
+		for i := 0; i < size; i++ {
+			nodes = append(nodes, newNode(fmt.Sprintf("h%d", i), fmt.Sprintf("b%d", i), cfg))
+		}
+		r := newRing(nodes, 64)
+		for key := uint64(1); key <= 1000; key++ {
+			got, want := r.successors(key), walkSuccessors(r, key)
+			if !slices.Equal(got, want) {
+				t.Fatalf("size %d key %d: successors differ from the walk", size, key)
+			}
 		}
 	}
 }
@@ -457,6 +500,39 @@ func TestKeylessSendNoAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
 		t.Errorf("keyless Router.Send: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestKeyedSendNoAlloc is TestKeylessSendNoAlloc for keyed sends: the
+// ring lookup that orders a keyed send's candidates allocates nothing.
+func TestKeyedSendNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool reuse; allocation bar is enforced by the bench gate")
+	}
+	snap := answerSnapshot(t)
+	a := startTestNode(t, snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	b := startTestNode(t, snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	r := testRouter(t, []*testNode{a, b}, func(c *Config) { c.PollInterval = time.Hour })
+	deadline := time.Now().Add(5 * time.Second)
+	for ok, _, _ := r.Ready(); !ok; ok, _, _ = r.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("router never became ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	key := uint64(0)
+	send := func() {
+		key = key%8 + 1
+		resp, err := r.Send(serve.Request{Receiver: word.FromInt(20), Selector: "answer", Key: key})
+		if err != nil || !resp.OK() {
+			t.Fatalf("send: %v %v", resp, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("keyed Router.Send: %v allocs/op, want 0", allocs)
 	}
 }
 

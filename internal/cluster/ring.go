@@ -25,10 +25,15 @@ type ringPoint struct {
 }
 
 // ring is an immutable consistent-hash ring over a node set. Membership
-// changes build a new ring; readers hold whichever they loaded.
+// changes build a new ring; readers hold whichever they loaded. succ
+// holds every point's successor order, stride entries per point (one
+// per distinct node on the ring), so a keyed send looks its order up
+// instead of building it: Vnodes·N² pointers, built once per membership.
 type ring struct {
 	points []ringPoint
 	nodes  []*Node
+	succ   []*Node
+	stride int
 }
 
 // fnv64 is FNV-1a, used for vnode placement: stable across processes so
@@ -72,29 +77,44 @@ func newRing(nodes []*Node, vnodes int) *ring {
 		// Tie-break by address so equal hashes order deterministically.
 		return r.points[i].node.BinAddr < r.points[j].node.BinAddr
 	})
+	seen := make(map[*Node]bool, len(nodes))
+	for _, p := range r.points {
+		seen[p.node] = true
+	}
+	r.stride = len(seen)
+	// Walk clockwise from each point, keeping each node the first time
+	// it is met, until every node on the ring has been.
+	r.succ = make([]*Node, 0, len(r.points)*r.stride)
+	for i := range r.points {
+		clear(seen)
+		for k := 0; len(seen) < r.stride; k++ {
+			nd := r.points[(i+k)%len(r.points)].node
+			if !seen[nd] {
+				seen[nd] = true
+				r.succ = append(r.succ, nd)
+			}
+		}
+	}
 	return r
+}
+
+// home answers the index of the key's home point: the first point
+// clockwise from the key's place on the circle.
+func (r *ring) home(key uint64) int {
+	h := splitmix64(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return i % len(r.points)
 }
 
 // successors answers the distinct nodes in ring order starting at the
 // key's home node: the stable routing *and* failover order for the key.
-// The slice is freshly allocated and at most len(r.nodes) long.
+// The slice is the ring's own and must not be modified.
 func (r *ring) successors(key uint64) []*Node {
 	if len(r.points) == 0 {
 		return nil
 	}
-	h := splitmix64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]*Node, 0, len(r.nodes))
-	seen := make(map[*Node]struct{}, len(r.nodes))
-	for k := 0; k < len(r.points) && len(out) < len(r.nodes); k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if _, dup := seen[p.node]; dup {
-			continue
-		}
-		seen[p.node] = struct{}{}
-		out = append(out, p.node)
-	}
-	return out
+	i := r.home(key) * r.stride
+	return r.succ[i : i+r.stride : i+r.stride]
 }
 
 // owner answers just the key's home node.
@@ -102,7 +122,5 @@ func (r *ring) owner(key uint64) *Node {
 	if len(r.points) == 0 {
 		return nil
 	}
-	h := splitmix64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	return r.points[i%len(r.points)].node
+	return r.points[r.home(key)].node
 }

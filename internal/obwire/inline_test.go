@@ -1,0 +1,344 @@
+package obwire
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand/v2"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/flight"
+	"repro/internal/serve"
+	"repro/internal/word"
+	"repro/internal/workload"
+)
+
+// pingBase keeps the ping ids the ordering test writes apart from the
+// send ids the Client allocates.
+const pingBase = 1 << 40
+
+// wireItem is one answer the ordering test expects, in wire order: a
+// response to send id with value want, or a pong to ping id.
+type wireItem struct {
+	id   uint64
+	want int32
+	ping bool
+}
+
+// readAnswer reads the next frame off the Client's connection, a
+// response or a pong.
+func readAnswer(c *Client) (wireItem, Response, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		return wireItem{}, Response{}, err
+	}
+	b := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(c.br, b); err != nil {
+		return wireItem{}, Response{}, err
+	}
+	if len(b) == 9 && b[0] == framePong {
+		return wireItem{id: binary.LittleEndian.Uint64(b[1:]), ping: true}, Response{}, nil
+	}
+	r, err := decodeResponse(b)
+	return wireItem{id: r.ID}, r, err
+}
+
+// TestInlineLaneOrdering mixes lone sends (which an idle pool runs on
+// the connection's reader), bursts of 64 flushed in ragged pieces (which
+// mostly take the pipelined path, with lone arrivals landing while
+// earlier frames are still outstanding) and pings on one Client, and
+// requires every answer back in request order with the right value.
+func TestInlineLaneOrdering(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s, _ := startServer(t, serve.Config{Workers: workers, Timeout: 30 * time.Second}, Options{})
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(uint64(workers), 14))
+		var want []wireItem
+		send := func() {
+			v := int32(rng.IntN(1000))
+			id, err := c.Send(serve.Request{Receiver: word.FromInt(v), Selector: "answer"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, wireItem{id: id, want: v + 1})
+		}
+		ping := func() {
+			id := pingBase + uint64(len(want))
+			c.wbuf = appendPing(c.wbuf[:0], id)
+			if _, err := c.bw.Write(c.wbuf); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, wireItem{id: id, ping: true})
+		}
+		check := func() {
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range want {
+				got, r, err := readAnswer(c)
+				if err != nil {
+					t.Fatalf("workers=%d: read: %v", workers, err)
+				}
+				if got.ping != w.ping || got.id != w.id {
+					t.Fatalf("workers=%d: got frame %+v, want %+v", workers, got, w)
+				}
+				if !w.ping && (!r.OK() || r.Value.Int() != w.want) {
+					t.Fatalf("workers=%d: send %d answered %+v, want %d", workers, w.id, r, w.want)
+				}
+			}
+			want = want[:0]
+		}
+		for round := 0; round < 60; round++ {
+			switch round % 3 {
+			case 0:
+				send()
+			case 1:
+				ping()
+			default:
+				for i := 0; i < 64; i++ {
+					send()
+					if i%16 == 7 {
+						ping()
+					}
+					if rng.IntN(6) == 0 {
+						if err := c.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			check()
+		}
+		c.Close()
+		st := s.Stats()
+		if workers == 1 && st.FramesInline == 0 {
+			t.Errorf("workers=1: no frame took the inline lane (stats %+v)", st)
+		}
+	}
+}
+
+// TestInlineLaneLoneSend pins where a lone send into an idle one-worker
+// pool runs: on the reader, counted in frames_inline, and recorded in
+// the shard's flight ring as exec_start with no enqueue or dispatch.
+func TestInlineLaneLoneSend(t *testing.T) {
+	s, pool := startServer(t, serve.Config{Workers: 1}, Options{})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.Do(serve.Request{Receiver: word.FromInt(4), Selector: "answer"})
+	if err != nil || !r.OK() || r.Value.Int() != 5 {
+		t.Fatalf("answer: %+v, %v", r, err)
+	}
+	if st := s.Stats(); st.FramesIn != 1 || st.FramesInline != 1 {
+		t.Fatalf("stats %+v, want frames_in 1, frames_inline 1", st)
+	}
+	kinds := map[flight.Kind]int{}
+	for _, ev := range pool.FlightRecorder().Ring(0).Snapshot(nil) {
+		kinds[ev.Kind]++
+	}
+	if kinds[flight.KindExecStart] != 1 || kinds[flight.KindEnqueue] != 0 || kinds[flight.KindDispatch] != 0 {
+		t.Fatalf("flight events %v, want one exec_start and no enqueue or dispatch", kinds)
+	}
+}
+
+// TestInlineLaneKeepsParallelism: two heavy sends pipelined on one
+// connection into an idle two-worker pool must run on both workers at
+// once. The first arrives alone on an idle connection, but the pool's
+// other shard is idle too, so the reader must not run it itself.
+func TestInlineLaneKeepsParallelism(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps to run two workers at once")
+	}
+	m := core.New(core.Config{})
+	progs, err := workload.LoadSuite(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := serve.NewPool(snap, serve.Config{Workers: 2, Timeout: 30 * time.Second})
+	defer pool.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(l, pool, Options{})
+	defer s.Shutdown(context.Background())
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// The heaviest program, priced on this host.
+	p := progs[0]
+	var most time.Duration
+	for _, q := range progs {
+		r, err := c.Do(serve.Request{Receiver: word.FromInt(q.Size), Selector: q.Entry})
+		if err != nil || !r.OK() {
+			t.Fatalf("%s: %+v, %v", q.Name, r, err)
+		}
+		if r.Latency > most {
+			p, most = q, r.Latency
+		}
+	}
+	req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
+	start := time.Now()
+	if _, err := c.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond) // the first frame lands alone
+	if _, err := c.Send(req); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	for _, r := range []Response{a, b} {
+		if !r.OK() || r.Value.Int() != p.Check {
+			t.Fatalf("%s: %+v, want %d", p.Name, r, p.Check)
+		}
+	}
+	if a.Worker == b.Worker {
+		t.Fatalf("both sends ran on worker %d", a.Worker)
+	}
+	if sum := time.Duration(a.Latency + b.Latency); wall >= sum {
+		t.Fatalf("wall %v >= the sends' summed service %v: they ran one after the other", wall, sum)
+	}
+}
+
+// TestShutdownDuringInlineSend: Shutdown while the reader is executing a
+// frame itself answers that frame and drains the connection cleanly.
+func TestShutdownDuringInlineSend(t *testing.T) {
+	pool := serve.NewPool(answerSnapshot(t, 1), serve.Config{
+		Workers: 1,
+		Faults:  &serve.Faults{StallEvery: 1, Stall: 100 * time.Millisecond},
+	})
+	defer pool.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(l, pool, Options{})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Send(serve.Request{Receiver: word.FromInt(6), Selector: "answer"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Pending counts an inline execution: wait until the stalled send
+	// is on the machine.
+	deadline := time.Now().Add(5 * time.Second)
+	for pool.QueueDepths()[0] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("send never started executing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	r, err := c.Recv()
+	if err != nil || !r.OK() || r.Value.Int() != 7 {
+		t.Fatalf("inline send across Shutdown: %+v, %v", r, err)
+	}
+	<-done
+	st := s.Stats()
+	if st.FramesInline != 1 || st.FramesOut != 1 || st.ConnsActive != 0 || st.ProtoErrors != 0 {
+		t.Fatalf("stats after drain %+v, want the one frame inline and answered, no conns left", st)
+	}
+}
+
+// failWriter fails every write, as a connection whose peer vanished does.
+type failWriter struct{ net.Conn }
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// failFirstListener hands out its first connection with writes failing.
+type failFirstListener struct {
+	net.Listener
+	n int
+}
+
+func (l *failFirstListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil && l.n == 0 {
+		c = failWriter{c}
+	}
+	l.n++
+	return c, err
+}
+
+// TestInlineWriteErrorPoisonsOwnConn: a write error on the reader's own
+// answer closes that connection, not the server or its neighbours.
+func TestInlineWriteErrorPoisonsOwnConn(t *testing.T) {
+	pool := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
+	defer pool.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(&failFirstListener{Listener: l}, pool, Options{})
+	defer s.Shutdown(context.Background())
+
+	bad, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if _, err := bad.Do(serve.Request{Receiver: word.FromInt(1), Selector: "answer"}); err == nil {
+		t.Fatal("send on the broken connection was answered")
+	}
+
+	good, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	for i := int32(0); i < 3; i++ {
+		r, err := good.Do(serve.Request{Receiver: word.FromInt(i), Selector: "answer"})
+		if err != nil || !r.OK() || r.Value.Int() != i+1 {
+			t.Fatalf("neighbour send %d: %+v, %v", i, r, err)
+		}
+	}
+	// The pong follows every earlier answer's count.
+	if err := good.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	// The broken connection's answer counts as out: it reached the
+	// buffer, and the flush behind it failed.
+	if st.FramesIn != 4 || st.FramesInline != 4 || st.FramesOut != 4 || st.ProtoErrors != 0 {
+		t.Fatalf("stats %+v, want 4 frames in (all inline) and out, no protocol errors", st)
+	}
+}

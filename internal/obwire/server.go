@@ -53,21 +53,31 @@ const DefaultDrainGrace = 200 * time.Millisecond
 
 // Stats is a point-in-time snapshot of the transport counters, exported
 // by obarchd into the /stats "binary" block and the obarch_binary_*
-// Prometheus family.
+// Prometheus family. FramesOut counts responses once they are in a
+// connection's write buffer, ahead of the flush that sends them.
+// FramesInline counts the request frames a connection's reader answered
+// itself on the pool's inline lane; the rest of FramesIn went through
+// the pool's queues and the writer.
 type Stats struct {
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   uint64 `json:"conns_active"`
 	FramesIn      uint64 `json:"frames_in"`
 	FramesOut     uint64 `json:"frames_out"`
+	FramesInline  uint64 `json:"frames_inline"`
 	Pings         uint64 `json:"pings"`
 	ProtoErrors   uint64 `json:"proto_errors"`
 }
 
 // Server accepts obwire connections and feeds their frames to a
-// serve.Pool. Every connection runs one reader goroutine (read → decode
-// → Pool.Go) and one writer goroutine (await future → encode → write),
-// joined by an ordered in-flight channel: responses go out in request
-// order, many requests deep.
+// serve.Pool. Every connection runs one reader goroutine and one writer
+// goroutine. A frame that finds its connection with nothing outstanding,
+// no further bytes buffered behind it, and the pool idle (Pool.TryDo) is
+// run to completion by the reader: execute, encode, write, flush — one
+// goroutine per send. Every other frame takes the pipelined path: the
+// reader submits it with Pool.Go and queues its future on an ordered
+// in-flight channel, and the writer awaits each future in turn, encodes
+// and writes. Either way responses go out in request order, many
+// requests deep.
 type Server struct {
 	pool *serve.Pool
 	ln   net.Listener
@@ -83,6 +93,7 @@ type Server struct {
 	connsActive   atomic.Int64
 	framesIn      atomic.Uint64
 	framesOut     atomic.Uint64
+	framesInline  atomic.Uint64
 	pings         atomic.Uint64
 	protoErrors   atomic.Uint64
 }
@@ -120,6 +131,7 @@ func (s *Server) Stats() Stats {
 		ConnsActive:   uint64(active),
 		FramesIn:      s.framesIn.Load(),
 		FramesOut:     s.framesOut.Load(),
+		FramesInline:  s.framesInline.Load(),
 		Pings:         s.pings.Load(),
 		ProtoErrors:   s.protoErrors.Load(),
 	}
@@ -199,11 +211,67 @@ type pending struct {
 	ping bool
 }
 
-// serveConn is the per-connection reader half of the read→dispatch→write
-// loop: validate the magic, then read frames, decode them, and hand the
-// pool futures to the writer in order. Any protocol error stops the
-// reading — poisoning exactly this connection — while the writer drains
-// and answers everything already dispatched.
+// connOut is one connection's write side, shared by its reader and
+// writer. mu serialises use of bw and buf. outstanding counts the frames
+// and pings the reader has put on pend whose answers are not yet in bw;
+// while it is zero every earlier answer has been written and flushed, so
+// an answer the reader writes itself still goes out in request order.
+// broken is set by the first write error: nothing more is written.
+type connOut struct {
+	c           net.Conn
+	mu          sync.Mutex
+	bw          *bufio.Writer
+	buf         []byte
+	broken      bool
+	outstanding atomic.Int64
+}
+
+// put writes the frame in o.buf, counting it in n (when set) as soon
+// as it is in the buffer — so no client ever holds an answer the
+// counters have not seen — and then flushing when flush is set. Callers
+// hold o.mu.
+func (s *Server) put(o *connOut, n *atomic.Uint64, flush bool) bool {
+	if o.broken {
+		return false
+	}
+	_, err := o.bw.Write(o.buf)
+	if err == nil {
+		if n != nil {
+			n.Add(1)
+		}
+		if flush {
+			err = o.bw.Flush()
+		}
+	}
+	if err != nil {
+		o.broken = true
+		s.logf("obwire: %s: write: %v", o.c.RemoteAddr(), err)
+		return false
+	}
+	return true
+}
+
+// respond encodes and writes one response, counted in framesOut and
+// timed into EncodeLat. Callers hold o.mu.
+func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool) bool {
+	if o.broken {
+		return false
+	}
+	t0 := time.Now()
+	o.buf = appendResponse(o.buf[:0], id, res)
+	ok := s.put(o, &s.framesOut, flush)
+	if s.opts.EncodeLat != nil {
+		s.opts.EncodeLat.Observe(time.Since(t0))
+	}
+	return ok
+}
+
+// serveConn is the per-connection reader: validate the magic, then read
+// frames and decode them. A frame the reader can run to completion (see
+// Server) it answers itself; the rest it hands to the writer as pool
+// futures, in order. A protocol error, or a write error on the reader's
+// own answer, stops the reading — poisoning exactly this connection —
+// while the writer drains and answers everything already dispatched.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -222,7 +290,8 @@ func (s *Server) serveConn(c net.Conn) {
 
 	pend := make(chan pending, s.opts.Window)
 	writerDone := make(chan struct{})
-	go s.writeLoop(c, pend, writerDone)
+	out := &connOut{c: c, bw: bufio.NewWriterSize(c, 1<<16), buf: make([]byte, 0, 256)}
+	go s.writeLoop(out, pend, writerDone)
 
 	br := bufio.NewReaderSize(c, 1<<16)
 	var hdr [4]byte
@@ -272,6 +341,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 		if len(buf) == 9 && buf[0] == framePing {
 			s.pings.Add(1)
+			out.outstanding.Add(1)
 			pend <- pending{id: binary.LittleEndian.Uint64(buf[1:]), ping: true}
 			continue
 		}
@@ -287,10 +357,25 @@ func (s *Server) serveConn(c net.Conn) {
 			break
 		}
 		s.framesIn.Add(1)
+		// Nothing else in flight on this connection and nothing behind
+		// this frame: run it to completion here if the pool is idle.
+		if out.outstanding.Load() == 0 && br.Buffered() == 0 {
+			if res, ok := s.pool.TryDo(req); ok {
+				s.framesInline.Add(1)
+				out.mu.Lock()
+				ok = s.respond(out, id, res, true)
+				out.mu.Unlock()
+				if !ok {
+					break
+				}
+				continue
+			}
+		}
 		// Dispatch. Go never blocks: a full queue or in-flight ceiling
 		// completes the future immediately with ErrOverloaded, which the
 		// writer answers as StatusOverloaded — the same admission story
 		// as HTTP, over a cheaper wire.
+		out.outstanding.Add(1)
 		pend <- pending{id: id, fut: s.pool.Go(req)}
 	}
 	close(pend)
@@ -339,56 +424,36 @@ func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.
 	return id, req, nil
 }
 
-// writeLoop is the writer half: await each dispatched future in order,
-// encode its response into the one reusable buffer, and write it out,
-// flushing only when the pipeline runs dry — pipelined clients get
-// batched syscalls for free. A write error stops writing but not
-// waiting: the loop keeps draining futures so the reader can finish and
-// pooled result cells are always recycled.
-func (s *Server) writeLoop(c net.Conn, pend <-chan pending, done chan<- struct{}) {
+// writeLoop is the writer half of the pipelined path: await each
+// dispatched future in order, encode its response into the connection's
+// reusable buffer, and write it out, flushing only when the pipeline
+// runs dry — pipelined clients get batched syscalls for free. An answer
+// leaves outstanding only once it is in the buffer (and flushed, if it
+// was the last), which is what lets the reader answer the next frame
+// itself. A write error stops writing but not waiting: the loop keeps
+// draining futures so the reader can finish and pooled result cells are
+// always recycled.
+func (s *Server) writeLoop(o *connOut, pend <-chan pending, done chan<- struct{}) {
 	defer close(done)
-	defer c.Close()
-	bw := bufio.NewWriterSize(c, 1<<16)
-	buf := make([]byte, 0, 256)
-	broken := false
+	defer o.c.Close()
 	for p := range pend {
+		var res serve.Result
+		if !p.ping {
+			res = p.fut.Wait()
+		}
+		o.mu.Lock()
 		if p.ping {
-			if broken {
-				continue
-			}
-			buf = appendPong(buf[:0], p.id)
-			_, err := bw.Write(buf)
-			if err == nil && len(pend) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				broken = true
-				s.logf("obwire: %s: write: %v", c.RemoteAddr(), err)
-			}
-			continue
+			o.buf = appendPong(o.buf[:0], p.id)
+			s.put(o, nil, len(pend) == 0)
+		} else {
+			s.respond(o, p.id, res, len(pend) == 0)
 		}
-		res := p.fut.Wait()
-		if broken {
-			continue
-		}
-		t0 := time.Now()
-		buf = appendResponse(buf[:0], p.id, res)
-		_, err := bw.Write(buf)
-		if err == nil && len(pend) == 0 {
-			err = bw.Flush()
-		}
-		if s.opts.EncodeLat != nil {
-			s.opts.EncodeLat.Observe(time.Since(t0))
-		}
-		if err != nil {
-			broken = true
-			s.logf("obwire: %s: write: %v", c.RemoteAddr(), err)
-			continue
-		}
-		s.framesOut.Add(1)
+		o.outstanding.Add(-1)
+		o.mu.Unlock()
 	}
-	if !broken {
-		bw.Flush()
+	// The reader has exited, so the buffer is the writer's alone.
+	if !o.broken {
+		o.bw.Flush()
 	}
 }
 

@@ -42,7 +42,9 @@ type Faults struct {
 	Stall      time.Duration
 	// ClogEvery sleeps Clog at every Nth queue dispatch — before the
 	// driver serves the job, with the queue backing up behind it — the
-	// reproducible way to build queue pressure. 0 disables.
+	// reproducible way to build queue pressure. 0 disables. Clogs fire on
+	// queue dispatches only: the inline lane (Do, TryDo, and so an obwire
+	// frame reaching an idle pool) never queues, so it never clogs.
 	ClogEvery int
 	Clog      time.Duration
 	// RotateFailAt fails the forward stamp of shard index RotateFailAt-1

@@ -6,8 +6,8 @@
 // and worker goroutine. The machine, not the goroutine, is the unit of
 // sharding: a per-shard mutex serialises execution, normally held by the
 // worker, but a caller hitting an idle shard drives the machine inline on
-// its own goroutine (Do's fast path), skipping the queue's two scheduler
-// round-trips entirely.
+// its own goroutine (the inline lane behind Do and TryDo), skipping the
+// queue's two scheduler round-trips entirely.
 //
 // The request lifecycle is zero-allocation and lock-light end to end:
 //
@@ -497,7 +497,7 @@ func (mm *shardMetrics) snapshot() Metrics {
 // shard is one worker: a private machine behind a private queue. Machine
 // execution is serialised by execMu — normally held by the shard's worker
 // goroutine, but an idle shard's machine may be driven directly by a
-// caller (see Do's inline fast path). pending counts queued-but-
+// caller (see Pool.inline). pending counts queued-but-
 // unfinished jobs plus any inline execution — the JSQ depth signal.
 // inflight counts submitters inside the enqueue window (and inline
 // drivers for their whole execution), so Close can wait them out after
@@ -511,7 +511,7 @@ type shard struct {
 	inflight atomic.Int64
 
 	// col is the shard's incremental collector. It is only touched by
-	// whoever holds execMu (the worker, or an inline Do caller), like
+	// whoever holds execMu (the worker, or an inline-lane caller), like
 	// the machine it collects.
 	col gc.Collector
 
@@ -814,9 +814,9 @@ func (p *Pool) stampEnqueueBatch(s *shard, depth int64, reqs []Request, batch []
 	return base, int64(time.Since(p.epoch))
 }
 
-// enqInline marks a request that never queued: Do's inline fast path
-// executes on the caller's goroutine, so serveOne records the enqueue
-// and dispatch at the same instant with zero wait.
+// enqInline marks a request that never queued: the inline lane executes
+// on the caller's goroutine, so serveOne records exec_start and no queue
+// wait.
 const enqInline = int64(-1)
 
 // Go submits a request and returns a Future delivering its single result.
@@ -847,37 +847,78 @@ func (p *Pool) Go(req Request) *Future {
 	return f
 }
 
-// Do submits a request and waits for its result.
-//
-// When the destination shard is idle — its machine free and no queued work
-// outstanding — Do executes the request inline on the caller's goroutine
-// instead of bouncing it through the shard's queue, saving two scheduler
-// round-trips per request. The machine, not the goroutine, is the unit of
-// sharding: execMu keeps exactly one driver on it at a time, and the
-// pending check (made after the lock is won) ensures the inline path never
-// runs ahead of work the same caller already queued with Go. The inline
-// execution itself counts in pending, so the JSQ depth signal sees busy
-// shards whichever path drives them.
+// inline is the pool's one run-to-completion lane: when the shard is
+// idle — its machine free and no queued work outstanding — it executes
+// the request on the caller's goroutine instead of bouncing it through
+// the shard's queue, saving two scheduler round-trips. The machine, not
+// the goroutine, is the unit of sharding: execMu keeps exactly one
+// driver on it at a time, and the pending check (made after the lock is
+// won) ensures the inline lane never runs ahead of work the same caller
+// already queued with Go. The execution itself counts in pending, so the
+// JSQ depth signal sees busy shards whichever path drives them. The
+// caller holds s.inflight for the whole call — so Close, which waits the
+// counters out, still leaves no machine running once it returns — and
+// reports false, having executed nothing, when the shard is busy.
+func (p *Pool) inline(s *shard, req Request) (Result, bool) {
+	if !s.execMu.TryLock() {
+		return Result{}, false
+	}
+	if s.pending.Load() != 0 {
+		s.execMu.Unlock()
+		return Result{}, false
+	}
+	s.pending.Add(1)
+	res := p.serveOne(s, req, s.nextReqID(), enqInline)
+	s.pending.Add(-1)
+	s.execMu.Unlock()
+	return res, true
+}
+
+// TryDo executes a request on the caller's goroutine when that costs no
+// parallelism, and otherwise executes nothing and reports false, leaving
+// the caller to submit with Go. It runs the request through the same
+// inline lane as Do, but only when the request's shard is idle and no
+// other shard is — always the case on a one-worker pool — so a caller
+// feeding a pipeline, like an obwire connection reader, never takes on
+// work that an idle worker could run beside it.
+// Admission refusals and ErrClosed are answers: they come back with
+// true, as Do would return them.
+func (p *Pool) TryDo(req Request) (Result, bool) {
+	s, err := p.enter(req)
+	if err != nil {
+		return Result{Err: err}, true
+	}
+	var res Result
+	ran := false
+	if !p.otherIdle(s) {
+		res, ran = p.inline(s, req)
+	}
+	s.inflight.Add(-1)
+	p.release(1)
+	return res, ran
+}
+
+// otherIdle reports whether any shard but s has no work outstanding.
+func (p *Pool) otherIdle(s *shard) bool {
+	for _, o := range p.shards {
+		if o != s && o.pending.Load() == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Do submits a request and waits for its result. An idle shard runs it
+// inline on the caller's goroutine (see inline); a busy one queues it.
 func (p *Pool) Do(req Request) Result {
 	s, err := p.enter(req)
 	if err != nil {
 		return Result{Err: err}
 	}
-	if s.execMu.TryLock() {
-		if s.pending.Load() == 0 {
-			// s.inflight stays held for the whole inline execution, so
-			// Close (which waits the counters out before returning)
-			// still guarantees a quiescent pool: no machine is running
-			// once Close returns, inline drivers included.
-			s.pending.Add(1)
-			res := p.serveOne(s, req, s.nextReqID(), enqInline)
-			s.pending.Add(-1)
-			s.execMu.Unlock()
-			s.inflight.Add(-1)
-			p.release(1)
-			return res
-		}
-		s.execMu.Unlock()
+	if res, ok := p.inline(s, req); ok {
+		s.inflight.Add(-1)
+		p.release(1)
+		return res
 	}
 	f := p.newFuture()
 	d := s.pending.Add(1)
@@ -1223,7 +1264,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 		// One event marks execution beginning: dispatch for a queued
 		// request (pickup and exec start are the same instant here, and
 		// the arg carries the queue wait against the submitter's enqueue
-		// stamp), exec_start for Do's inline fast lane, which never
+		// stamp), exec_start for the inline lane, which never
 		// queued and so has no wait to report. All timestamps derive
 		// from the start reading above — the recorder adds no clock
 		// reads to the serving path.

@@ -431,3 +431,52 @@ func TestCloseWaitsForInlineDo(t *testing.T) {
 		t.Fatalf("machine stats empty after Close")
 	}
 }
+
+// TestTryDo pins when TryDo runs a request on the caller: only when the
+// request's shard is idle and no other shard is. Otherwise it executes
+// nothing and reports false; refusals are answers and report true.
+func TestTryDo(t *testing.T) {
+	req := func(key uint64) serve.Request {
+		return serve.Request{Receiver: word.FromInt(4), Selector: "answer", Key: key}
+	}
+	one := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
+	defer one.Close()
+	if res, ok := one.TryDo(req(0)); !ok || res.Err != nil || res.Value.Int() != 5 {
+		t.Fatalf("idle 1-worker pool: %+v, %v; want 5 run inline", res, ok)
+	}
+
+	// Both shards idle: running inline would leave a worker idle beside
+	// the caller.
+	two := serve.NewPool(answerSnapshot(t, 1), serve.Config{
+		Workers: 2,
+		Faults:  &serve.Faults{StallEvery: 1, Stall: 200 * time.Millisecond},
+	})
+	defer two.Close()
+	if _, ok := two.TryDo(req(2)); ok {
+		t.Fatal("TryDo ran inline with another shard idle")
+	}
+	if n := two.Metrics().Requests; n != 0 {
+		t.Fatalf("a declined TryDo executed %d requests", n)
+	}
+	// Shard 1 busy: shard 0 runs inline on the caller.
+	busy := two.Go(req(1))
+	for two.QueueDepths()[1] == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if res, ok := two.TryDo(req(2)); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
+		t.Fatalf("other shard busy: %+v, %v; want 5 from worker 0 inline", res, ok)
+	}
+	if res := busy.Wait(); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+
+	closedOff := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1, MaxInFlight: -1})
+	defer closedOff.Close()
+	if res, ok := closedOff.TryDo(req(0)); !ok || !errors.Is(res.Err, serve.ErrOverloaded) {
+		t.Fatalf("closed ceiling: %+v, %v; want ErrOverloaded answered", res, ok)
+	}
+	one.Close()
+	if res, ok := one.TryDo(req(0)); !ok || !errors.Is(res.Err, serve.ErrClosed) {
+		t.Fatalf("closed pool: %+v, %v; want ErrClosed answered", res, ok)
+	}
+}
