@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpwire"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/word"
@@ -79,20 +80,6 @@ func (b *binClient) drop() {
 	}
 }
 
-// statusOf maps a frame status onto the HTTP status the retryer already
-// classifies: the obwire statuses mirror the HTTP map one for one.
-func statusOf(r obwire.Response) int {
-	switch r.Status {
-	case obwire.StatusOK:
-		return http.StatusOK
-	case obwire.StatusOverloaded:
-		return http.StatusTooManyRequests
-	case obwire.StatusShed:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
-}
-
 // do is the synchronous round trip in the retryer's shape: value,
 // HTTP-equivalent status, error. Status 0 is a transport failure, which
 // also drops the connection so the retry redials.
@@ -106,7 +93,7 @@ func (b *binClient) do(req serve.Request) (int32, int, error) {
 		return 0, 0, err
 	}
 	if !r.OK() {
-		return 0, statusOf(r), fmt.Errorf("server error: %s", r.Err)
+		return 0, httpwire.Status(r.Status), fmt.Errorf("server error: %s", r.Err)
 	}
 	v, ok := r.Value.IntOK()
 	if !ok {
@@ -125,7 +112,7 @@ type binRun struct {
 	rounds   int
 	warm     bool
 	skew     float64
-	programs []program
+	programs []httpwire.ProgramInfo
 
 	rng    *rand.Rand
 	rt     *retryer
@@ -140,7 +127,7 @@ type binRun struct {
 // latency spans the whole pipeline residence, which is what the client
 // lived through.
 type inflightSend struct {
-	p  program
+	p  httpwire.ProgramInfo
 	t0 time.Time
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpwire"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/smalltalk"
@@ -67,7 +68,7 @@ func testBinRun(addr string, pipeline, rounds, retries int, c *binCounters) binR
 		addr:     addr,
 		pipeline: pipeline,
 		rounds:   rounds,
-		programs: []program{{Name: "answer", Entry: "answer", Size: 5, Warm: 5, Check: 6}},
+		programs: []httpwire.ProgramInfo{{Name: "answer", Entry: "answer", Size: 5, Warm: 5, Check: 6}},
 		rng:      rng,
 		rt:       &retryer{max: retries, base: time.Microsecond, rng: rng, c: &c.refusals, posts: &c.posts},
 		record:   func(time.Duration) { c.recorded.Add(1) },

@@ -73,32 +73,14 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpwire"
 	"repro/internal/stats"
 )
-
-type program struct {
-	Name  string `json:"name"`
-	Entry string `json:"entry"`
-	Size  int32  `json:"size"`
-	Warm  int32  `json:"warm"`
-	Check int32  `json:"check"`
-}
-
-type sendRequest struct {
-	Receiver int32  `json:"receiver"`
-	Selector string `json:"selector"`
-	Key      uint64 `json:"key,omitempty"`
-}
-
-type sendResponse struct {
-	Result any    `json:"result"`
-	Error  string `json:"error"`
-	Worker int    `json:"worker"`
-}
 
 // pickKey draws from the skewed keyspace: with probability skew the send
 // is keyed, and a keyed send is 80% the hot key, 20% one of seven warm
@@ -221,8 +203,8 @@ func main() {
 				return
 			}
 			// pending accumulates sends until a full batch is flushed.
-			var pending []sendRequest
-			var expect []program
+			var pending []httpwire.SendRequest
+			var expect []httpwire.ProgramInfo
 			flush := func() {
 				if len(pending) == 0 {
 					return
@@ -265,12 +247,13 @@ func main() {
 					if key != 0 {
 						keyed.Add(1)
 					}
+					req := httpwire.SendRequest{Receiver: json.Number(strconv.Itoa(int(recv))), Selector: p.Entry, Key: key}
 					if *batch == 1 {
 						t0 := time.Now()
 						// The recorded latency is what the client lived
 						// through: refused attempts and their backoffs
 						// included.
-						got, err := rt.send(*addr, sendRequest{Receiver: recv, Selector: p.Entry, Key: key})
+						got, err := rt.send(*addr, req)
 						record(time.Since(t0))
 						sent.Add(1)
 						if err != nil {
@@ -284,7 +267,7 @@ func main() {
 						}
 						continue
 					}
-					pending = append(pending, sendRequest{Receiver: recv, Selector: p.Entry, Key: key})
+					pending = append(pending, req)
 					expect = append(expect, p)
 					if len(pending) >= *batch {
 						flush()
@@ -659,7 +642,7 @@ func fetchRouting(addr string) (string, error) {
 	return out.Routing, nil
 }
 
-func fetchPrograms(addr string) ([]program, error) {
+func fetchPrograms(addr string) ([]httpwire.ProgramInfo, error) {
 	resp, err := http.Get(addr + "/programs")
 	if err != nil {
 		return nil, err
@@ -668,7 +651,7 @@ func fetchPrograms(addr string) ([]program, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /programs: status %d", resp.StatusCode)
 	}
-	var out []program
+	var out []httpwire.ProgramInfo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("decode /programs: %w", err)
 	}
@@ -681,7 +664,7 @@ func fetchPrograms(addr string) ([]program, error) {
 // never got an HTTP answer at all — a transport failure. The third
 // return is the server's Retry-After suggestion (0 when none), which
 // the retry loop honors as its backoff floor.
-func send(addr string, req sendRequest) (int32, int, time.Duration, error) {
+func send(addr string, req httpwire.SendRequest) (int32, int, time.Duration, error) {
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(addr+"/send", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -689,7 +672,7 @@ func send(addr string, req sendRequest) (int32, int, time.Duration, error) {
 	}
 	defer resp.Body.Close()
 	ra := retryAfter(resp.Header)
-	var out sendResponse
+	var out httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return 0, resp.StatusCode, ra, fmt.Errorf("decode /send: %w", err)
 	}
@@ -703,7 +686,7 @@ func send(addr string, req sendRequest) (int32, int, time.Duration, error) {
 	return int32(f), resp.StatusCode, ra, nil
 }
 
-func sendBatch(addr string, reqs []sendRequest) ([]sendResponse, error) {
+func sendBatch(addr string, reqs []httpwire.SendRequest) ([]httpwire.SendResponse, error) {
 	body, _ := json.Marshal(reqs)
 	resp, err := http.Post(addr+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -713,7 +696,7 @@ func sendBatch(addr string, reqs []sendRequest) ([]sendResponse, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("POST /batch: status %d", resp.StatusCode)
 	}
-	var out []sendResponse
+	var out []httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("decode /batch: %w", err)
 	}

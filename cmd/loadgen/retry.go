@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpwire"
 	"repro/internal/obwire"
 )
 
@@ -145,6 +146,6 @@ func (r *retryer) sendVia(via func() (int32, int, time.Duration, error)) (int32,
 }
 
 // send posts one HTTP request through the retry loop.
-func (r *retryer) send(addr string, req sendRequest) (int32, error) {
+func (r *retryer) send(addr string, req httpwire.SendRequest) (int32, error) {
 	return r.sendVia(func() (int32, int, time.Duration, error) { return send(addr, req) })
 }

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"math/rand/v2"
+
+	"repro/internal/httpwire"
 )
 
 func newRetryer(max int, base time.Duration) (*retryer, *refusalCounters, *atomic.Int64) {
@@ -107,7 +109,7 @@ func TestSendSurfacesRetryAfter(t *testing.T) {
 		fmt.Fprintln(w, `{"result":null,"error":"serve: pool overloaded","worker":0}`)
 	}))
 	defer ts.Close()
-	_, status, floor, err := send(ts.URL, sendRequest{Receiver: 1, Selector: "x"})
+	_, status, floor, err := send(ts.URL, httpwire.SendRequest{Receiver: "1", Selector: "x"})
 	if err == nil || status != http.StatusTooManyRequests {
 		t.Fatalf("refusal: status=%d err=%v", status, err)
 	}
@@ -134,7 +136,7 @@ func TestRetrySendEventuallySucceeds(t *testing.T) {
 	defer ts.Close()
 
 	rt, c, posts := newRetryer(3, time.Microsecond)
-	got, err := rt.send(ts.URL, sendRequest{Receiver: 1, Selector: "x"})
+	got, err := rt.send(ts.URL, httpwire.SendRequest{Receiver: "1", Selector: "x"})
 	if err != nil {
 		t.Fatalf("retried send failed: %v", err)
 	}
@@ -162,7 +164,7 @@ func TestRetrySendBudgetExhausted(t *testing.T) {
 	defer ts.Close()
 
 	rt, c, posts := newRetryer(2, time.Microsecond)
-	if _, err := rt.send(ts.URL, sendRequest{Receiver: 1, Selector: "x"}); err == nil {
+	if _, err := rt.send(ts.URL, httpwire.SendRequest{Receiver: "1", Selector: "x"}); err == nil {
 		t.Fatal("exhausted retries answered no error")
 	}
 	if posts.Load() != 3 || c.shed.Load() != 3 || c.retries.Load() != 2 {
@@ -181,7 +183,7 @@ func TestRetrySendMachineErrorNotRetried(t *testing.T) {
 	defer ts.Close()
 
 	rt, c, posts := newRetryer(3, time.Microsecond)
-	if _, err := rt.send(ts.URL, sendRequest{Receiver: 1, Selector: "x"}); err == nil {
+	if _, err := rt.send(ts.URL, httpwire.SendRequest{Receiver: "1", Selector: "x"}); err == nil {
 		t.Fatal("machine error answered no error")
 	}
 	if posts.Load() != 1 || c.retries.Load() != 0 || c.rejected.Load() != 0 || c.shed.Load() != 0 {
@@ -197,7 +199,7 @@ func TestRetrySendTransport(t *testing.T) {
 	ts.Close() // the URL now refuses connections
 
 	rt, c, posts := newRetryer(1, time.Microsecond)
-	if _, err := rt.send(ts.URL, sendRequest{Receiver: 1, Selector: "x"}); err == nil {
+	if _, err := rt.send(ts.URL, httpwire.SendRequest{Receiver: "1", Selector: "x"}); err == nil {
 		t.Fatal("dead endpoint answered no error")
 	}
 	if posts.Load() != 2 || c.transport.Load() != 2 || c.retries.Load() != 1 {

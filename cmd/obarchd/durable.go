@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpwire"
 	"repro/internal/image"
 	"repro/internal/serve"
 )
@@ -187,7 +188,7 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 			Path string `json:"path"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
+			httpwire.Error(w, http.StatusBadRequest, "bad request: "+err.Error())
 			return
 		}
 		if body.Path != "" {
@@ -195,7 +196,7 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if path == "" {
-		http.Error(w, `{"error":"no image path: POST {\"path\":...} or start obarchd with -image"}`, http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, `no image path: POST {"path":...} or start obarchd with -image`)
 		return
 	}
 	start := time.Now()
@@ -204,13 +205,13 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, serve.ErrRotating):
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusConflict)
+		httpwire.Error(w, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, serve.ErrClosed):
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusServiceUnavailable)
+		httpwire.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
 	case errors.Is(err, os.ErrNotExist):
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	default:
 		// A staging failure leaves the pool untouched (400); a mid-swap
@@ -220,12 +221,12 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		if s.pool.Metrics().RotateFailures > failsBefore {
 			status = http.StatusInternalServerError
 		}
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), status)
+		httpwire.Error(w, status, err.Error())
 		return
 	}
 	met := s.pool.Metrics()
 	log.Printf("obarchd: rotated onto %s in %v", path, time.Since(start).Round(time.Millisecond))
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
 		"path":       path,
 		"workers":    s.pool.Workers(),
 		"rotations":  met.Rotations,

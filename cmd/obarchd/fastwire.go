@@ -4,26 +4,25 @@
 // buffers per request; this codec parses the known shape directly out of
 // a pooled body buffer, interns selectors, and renders responses into a
 // pooled output buffer — byte-identical to what encoding/json produces
-// for the same values (proven by TestFastwireParity).
+// for the same values (proven by TestFastwireEncodeParity).
 //
 // The fast parser is deliberately narrow: anything it does not fully
-// recognise — escaped strings, unknown fields, numbers that need the
-// wordOf error text, malformed JSON — makes it bail, and the handler
-// falls back to the original encoding/json path, which either serves the
-// request or produces the exact error the old server produced. The fast
-// path therefore never accepts input the slow path would reject, and
-// never rejects input the slow path would accept.
+// recognise — escaped strings, unknown fields, out-of-range numbers,
+// malformed JSON — makes it bail, and the handler falls back to the
+// shared encoding/json decoder (httpwire.DecodeSend/DecodeBatch), which
+// either serves the request or produces the 400 obrouter would produce.
+// The fast path therefore never accepts input the slow path would
+// reject, and never rejects input the slow path would accept
+// (FuzzSendBody checks the first half).
 package main
 
 import (
-	"io"
 	"math"
-	"net/http"
 	"strconv"
 	"sync"
-	"time"
 	"unicode/utf8"
 
+	"repro/internal/httpwire"
 	"repro/internal/serve"
 	"repro/internal/word"
 )
@@ -67,37 +66,6 @@ func putCodec(c *codec) {
 	c.args = c.args[:0]
 	c.reqs = c.reqs[:0]
 	codecPool.Put(c)
-}
-
-// maxRequestBody caps how much of a /send or /batch body is buffered.
-// The old streaming decoder stopped at the first complete JSON value;
-// buffering to EOF without a cap would let one client OOM the daemon.
-// 8 MB comfortably holds a six-figure batch of sends.
-const maxRequestBody = 8 << 20
-
-// readBody drains the request body into the codec's reusable buffer.
-// Callers must have wrapped the body with http.MaxBytesReader, so the
-// read loop is bounded.
-func (c *codec) readBody(r *http.Request) ([]byte, error) {
-	b := c.body[:0]
-	if n := r.ContentLength; n > int64(cap(b)) && n < 1<<20 {
-		b = make([]byte, 0, n)
-	}
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			c.body = b
-			return b, nil
-		}
-		if err != nil {
-			c.body = b
-			return nil, err
-		}
-	}
 }
 
 // intern returns a selector string for the raw bytes without allocating
@@ -235,10 +203,10 @@ func (p *parser) number() (seg []byte, isFloat, ok bool) {
 	return p.b[start:p.pos], isFloat, true
 }
 
-// numberWord parses a number with wordOf's semantics: integer literals
+// numberWord parses a number as httpwire.DecodeSend does: integer literals
 // become SmallInts, fractional/exponent literals become Floats. Integers
 // outside the 32-bit machine word bail (the fallback produces the
-// descriptive 400 the old path produced).
+// descriptive 400).
 func (p *parser) numberWord() (word.Word, bool) {
 	seg, isFloat, ok := p.number()
 	if !ok {
@@ -379,9 +347,13 @@ func (p *parser) sendObject(c *codec) (serve.Request, bool) {
 		case "max_steps":
 			req.MaxSteps, ok = p.uintField()
 		case "timeout_ms":
+			// A negative or overflowing value bails: the fallback's
+			// 400 names it.
 			var ms int64
 			if ms, ok = p.intField(); ok {
-				req.Timeout = time.Duration(ms) * time.Millisecond
+				var err error
+				req.Timeout, err = httpwire.Timeout(ms)
+				ok = err == nil
 			}
 		default:
 			return req, false // unknown field: let encoding/json decide
@@ -525,7 +497,7 @@ func appendJSONFloat32(b []byte, v float32) ([]byte, bool) {
 	return b, true
 }
 
-// appendWord renders a machine value with jsonOf's mapping.
+// appendWord renders a machine value as httpwire.ResultResponse maps it.
 func appendWord(b []byte, v word.Word) ([]byte, bool) {
 	if i, ok := v.IntOK(); ok {
 		return strconv.AppendInt(b, int64(i), 10), true
@@ -545,9 +517,9 @@ func appendWord(b []byte, v word.Word) ([]byte, bool) {
 }
 
 // appendSendResponse renders one result byte-identically to
-// writeJSON(toResponse(res)) minus the trailing newline the caller adds.
-// ok=false means the value cannot be fast-encoded (non-finite float) and
-// the caller must fall back.
+// httpwire.WriteJSON(httpwire.ResultResponse(res)) minus the trailing
+// newline the caller adds. ok=false means the value cannot be
+// fast-encoded (non-finite float) and the caller must fall back.
 func appendSendResponse(b []byte, res serve.Result) ([]byte, bool) {
 	b = append(b, `{"result":`...)
 	if res.Err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpwire"
 	"repro/internal/serve"
 	"repro/internal/word"
 	"repro/internal/workload"
@@ -24,7 +25,7 @@ import (
 func jsonEncode(t *testing.T, res serve.Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(toResponse(res)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(httpwire.ResultResponse(res)); err != nil {
 		t.Fatalf("encoding/json: %v", err)
 	}
 	return buf.Bytes()
@@ -70,35 +71,73 @@ func TestFastwireEncodeParity(t *testing.T) {
 	}
 }
 
-// TestFastwireParseParity drives the fast parser and the encoding/json
-// path over the same bodies and compares the parsed requests; bodies the
-// fast parser refuses must be ones it is allowed to refuse (the fallback
-// still serves them), never misparse.
+// parseAccept are bodies the fast path must parse, identically to the
+// shared encoding/json decoder.
+var parseAccept = []string{
+	`{"receiver": 21, "selector": "double"}`,
+	`{"receiver":21,"selector":"double","args":[]}`,
+	`{"receiver": -7, "selector": "+", "args": [2, -3, 4]}`,
+	`{"receiver": 1.5, "selector": "sum", "args": [2.25, 1e3, -0.5]}`,
+	`{"selector": "double", "receiver": 21}`, // field order free
+	`{"receiver": 0, "selector": "run", "key": 12345678901234567890, "max_steps": 500, "timeout_ms": 250}`,
+	"\n\t {\"receiver\": 2 , \"selector\" : \"x\" } trailing ignored",
+	`{"receiver": 21, "selector": "naïve—sélector"}`, // UTF-8 selector, no escapes
+}
+
+// parseBail are bodies the fast path must refuse — escapes, unknown
+// fields, out of range numbers, malformed grammar — all still served (or
+// properly rejected) by the fallback.
+var parseBail = []string{
+	`{"receiver": 21, "selector": "dou\u0062le"}`,      // escape
+	`{"receiver": 21, "selector": "d", "extra": true}`, // unknown field
+	`{"receiver": 4294967296, "selector": "d"}`,        // beyond int32: the decoder's 400
+	`{"receiver": 007, "selector": "d"}`,               // not a JSON number
+	`{"receiver": .5, "selector": "d"}`,
+	`{"receiver": 21}`,                            // missing selector: descriptive 400
+	`{"selector": "double"}`,                      // missing receiver
+	`{"receiver": 21, `,                           // truncated
+	`[1, 2]`,                                      // wrong shape
+	`{"receiver": 1, "selector": "d", "key": -1}`, // negative uint
+	// Negative or overflowing timeouts: the fallback's 400 names them.
+	`{"receiver": 1, "selector": "d", "timeout_ms": -1}`,
+	`{"receiver": 1, "selector": "d", "timeout_ms": 9223372036855}`,
+	// Overflowing integers must bail, not wrap: 2^64+1 wraps a naive
+	// uint64 accumulator to 1.
+	`{"receiver": 18446744073709551617, "selector": "d"}`,
+	`{"receiver": 1, "selector": "d", "key": 36893488147419103232}`,
+	// Invalid UTF-8 in a selector: json.Unmarshal coerces it to
+	// U+FFFD, so the fast path must not pass the raw bytes through.
+	"{\"receiver\": 1, \"selector\": \"a\xffb\"}",
+}
+
+// sameRequest fails the test unless the fast parser's request equals the
+// reference decoder's field by field, args included.
+func sameRequest(t *testing.T, body []byte, got, want serve.Request) {
+	t.Helper()
+	if got.Receiver != want.Receiver || got.Selector != want.Selector ||
+		got.Key != want.Key || got.MaxSteps != want.MaxSteps || got.Timeout != want.Timeout {
+		t.Fatalf("%q: fast %+v != json %+v", body, got, want)
+	}
+	if len(got.Args) != len(want.Args) {
+		t.Fatalf("%q: fast args %v != json args %v", body, got.Args, want.Args)
+	}
+	for i := range got.Args {
+		if got.Args[i] != want.Args[i] {
+			t.Fatalf("%q: arg %d: fast %v != json %v", body, i, got.Args[i], want.Args[i])
+		}
+	}
+}
+
+// TestFastwireParseParity drives the fast parser and the shared
+// encoding/json decoder over the same bodies and compares the parsed
+// requests; bodies the fast parser refuses must be ones it is allowed to
+// refuse (the fallback still serves them), never misparse. FuzzSendBody
+// extends the accept half to arbitrary bodies.
 func TestFastwireParseParity(t *testing.T) {
 	c := getCodec()
 	defer putCodec(c)
-	jsonParse := func(body string) (serve.Request, error) {
-		var wire sendRequest
-		dec := json.NewDecoder(strings.NewReader(body))
-		dec.UseNumber()
-		if err := dec.Decode(&wire); err != nil {
-			return serve.Request{}, err
-		}
-		return toRequest(wire)
-	}
-	// Bodies the fast path must parse, identically to encoding/json.
-	accept := []string{
-		`{"receiver": 21, "selector": "double"}`,
-		`{"receiver":21,"selector":"double","args":[]}`,
-		`{"receiver": -7, "selector": "+", "args": [2, -3, 4]}`,
-		`{"receiver": 1.5, "selector": "sum", "args": [2.25, 1e3, -0.5]}`,
-		`{"selector": "double", "receiver": 21}`, // field order free
-		`{"receiver": 0, "selector": "run", "key": 12345678901234567890, "max_steps": 500, "timeout_ms": 250}`,
-		"\n\t {\"receiver\": 2 , \"selector\" : \"x\" } trailing ignored",
-		`{"receiver": 21, "selector": "naïve—sélector"}`, // UTF-8 selector, no escapes
-	}
-	for _, body := range accept {
-		want, err := jsonParse(body)
+	for _, body := range parseAccept {
+		want, err := httpwire.DecodeSend([]byte(body))
 		if err != nil {
 			t.Fatalf("%s: json path errored: %v", body, err)
 		}
@@ -107,47 +146,51 @@ func TestFastwireParseParity(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: fast parser bailed", body)
 		}
-		if got.Receiver != want.Receiver || got.Selector != want.Selector ||
-			got.Key != want.Key || got.MaxSteps != want.MaxSteps || got.Timeout != want.Timeout {
-			t.Fatalf("%s: fast %+v != json %+v", body, got, want)
-		}
-		if len(got.Args) != len(want.Args) {
-			t.Fatalf("%s: fast args %v != json args %v", body, got.Args, want.Args)
-		}
-		for i := range got.Args {
-			if got.Args[i] != want.Args[i] {
-				t.Fatalf("%s: arg %d: fast %v != json %v", body, i, got.Args[i], want.Args[i])
-			}
-		}
+		sameRequest(t, []byte(body), got, want)
 	}
-	// Bodies the fast path must refuse — escapes, unknown fields, out of
-	// range numbers, malformed grammar — all still served (or properly
-	// rejected) by the fallback.
-	bail := []string{
-		`{"receiver": 21, "selector": "dou\u0062le"}`,      // escape
-		`{"receiver": 21, "selector": "d", "extra": true}`, // unknown field
-		`{"receiver": 4294967296, "selector": "d"}`,        // beyond int32: wordOf's 400
-		`{"receiver": 007, "selector": "d"}`,               // not a JSON number
-		`{"receiver": .5, "selector": "d"}`,
-		`{"receiver": 21}`,                            // missing selector: descriptive 400
-		`{"selector": "double"}`,                      // missing receiver
-		`{"receiver": 21, `,                           // truncated
-		`[1, 2]`,                                      // wrong shape
-		`{"receiver": 1, "selector": "d", "key": -1}`, // negative uint
-		// Overflowing integers must bail, not wrap: 2^64+1 wraps a naive
-		// uint64 accumulator to 1.
-		`{"receiver": 18446744073709551617, "selector": "d"}`,
-		`{"receiver": 1, "selector": "d", "key": 36893488147419103232}`,
-		// Invalid UTF-8 in a selector: json.Unmarshal coerces it to
-		// U+FFFD, so the fast path must not pass the raw bytes through.
-		"{\"receiver\": 1, \"selector\": \"a\xffb\"}",
-	}
-	for _, body := range bail {
+	for _, body := range parseBail {
 		c.args = c.args[:0]
 		if _, ok := parseSend([]byte(body), c); ok {
 			t.Fatalf("%s: fast parser accepted a body it must hand to the fallback", body)
 		}
 	}
+}
+
+// FuzzSendBody holds the fast codec to the reference decoder on arbitrary
+// /send and /batch bodies: the reference never panics, and whenever
+// parseSend or parseBatch accepts a body, httpwire.DecodeSend or
+// DecodeBatch accepts it too and yields the same requests.
+func FuzzSendBody(f *testing.F) {
+	for _, body := range append(parseAccept, parseBail...) {
+		f.Add([]byte(body))
+		f.Add([]byte("[" + body + "]"))
+	}
+	for _, c := range loadParity(f) {
+		f.Add([]byte(c.Body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := getCodec()
+		defer putCodec(c)
+		want, err := httpwire.DecodeSend(body)
+		if got, ok := parseSend(body, c); ok {
+			if err != nil {
+				t.Fatalf("%q: fast parser accepted a body the reference refuses: %v", body, err)
+			}
+			sameRequest(t, body, got, want)
+		}
+		wantBatch, err := httpwire.DecodeBatch(body)
+		if got, ok := parseBatch(body, c); ok {
+			if err != nil {
+				t.Fatalf("%q: fast batch parser accepted a body the reference refuses: %v", body, err)
+			}
+			if len(got) != len(wantBatch) {
+				t.Fatalf("%q: fast batch has %d requests, reference %d", body, len(got), len(wantBatch))
+			}
+			for i := range got {
+				sameRequest(t, body, got[i], wantBatch[i])
+			}
+		}
+	})
 }
 
 // TestFastwireBatchParse checks the batch parser against the json path

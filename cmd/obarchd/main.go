@@ -55,10 +55,13 @@
 // buffers, the fixed send/batch wire shape is parsed and rendered by a
 // hand-written codec (selectors interned, responses byte-identical to
 // encoding/json), and anything the codec does not recognise falls back
-// to encoding/json so behaviour never changes (-fastwire=false forces
-// the fallback everywhere). Keyless requests are routed per -routing:
-// "jsq" (default) joins the shortest queue via power-of-two-choices,
-// "rr" is the blind round-robin ablation.
+// to the encoding/json decoder in internal/httpwire, the one obrouter
+// uses, so both codecs give the same answer. /send and /batch bodies are
+// capped at 8 MiB; a negative or overflowing timeout_ms is a 400; one
+// malformed /batch element refuses the whole batch with a 400 naming its
+// index. Keyless requests are routed per -routing: "jsq" (default) joins
+// the shortest queue via power-of-two-choices, "rr" is the blind
+// round-robin ablation.
 //
 // Binary transport. -binary-addr additionally serves the obwire
 // protocol (see internal/obwire): length-prefixed binary frames over
@@ -143,36 +146,19 @@
 //	                  half-open probe requires before trusting a node
 //
 // Cluster serving. cmd/obrouter fronts N obarchd nodes with the same
-// client wire shapes: affinity keys consistent-hash onto the node ring
-// over multiplexed obwire connections, keyless sends extend the pool's
+// client wire shapes, decoded and answered by the same internal/httpwire
+// code: affinity keys consistent-hash onto the node ring over
+// multiplexed obwire connections, keyless sends extend the pool's
 // power-of-two-choices JSQ to cluster level from polled queue_depths,
 // and per-node health state machines driven by the /readyz reasons
 // above (a node answering "draining" or "rotating" is unroutable but
 // not broken) plus in-band refusal statuses open per-node circuit
-// breakers and fail retryable refusals over to the next ring node.
-// Router endpoints, for clients that talk to the cluster rather than
-// one node:
-//
-//	POST /send         routed by key or cluster JSQ; retryable refusals
-//	                   (429/503/transport) fail over across the ring
-//	                   before any refusal escapes to the client; 502 on
-//	                   a terminal transport error, 503 + Retry-After
-//	                   when no backend is routable
-//	POST /batch        the array form, routed per-element concurrently
-//	POST /nodes/join   add a node to the ring live (409 if a member)
-//	POST /nodes/leave  remove a node; its in-flight sends finish
-//	GET  /stats        cluster block: per-node health/breaker/failover
-//	                   counters, routable count, quorum
-//	GET  /metrics      the obarch_cluster_* Prometheus family
-//	GET  /readyz       200 while a majority of backends is routable;
-//	                   503 "no-quorum" after losing the majority,
-//	                   "draining" during the router's own shutdown
+// breakers and fail retryable refusals over to the next ring node. Its
+// package doc lists the router's endpoints.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -190,11 +176,11 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpwire"
 	"repro/internal/image"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/word"
 	"repro/internal/workload"
 )
 
@@ -208,7 +194,6 @@ func main() {
 	suite := flag.Bool("suite", true, "load the built-in workload suite")
 	gcEvery := flag.Int("gcevery", 0, "collect per worker every N requests (0: default, <0: never)")
 	routing := flag.String("routing", serve.RoutingJSQ, `keyless request routing: "jsq" (join shortest queue) or "rr" (round-robin)`)
-	fastwire := flag.Bool("fastwire", true, "use the pooled hand-written wire codec (false: encoding/json everywhere)")
 	imagePath := flag.String("image", "", "machine image path: warm-boot from it when present (refuses extra source files; /programs still reflects -suite), persist to it on POST /save")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight HTTP requests")
 	slowlog := flag.Duration("slowlog", 100*time.Millisecond, "capture requests slower than this for GET /debug/slow (0: disabled)")
@@ -264,7 +249,6 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	h := newServer(pool, programs, snap, *imagePath)
-	h.fast = *fastwire
 	h.boot = boot
 	if *debug {
 		h.mountDebug()
@@ -522,37 +506,6 @@ func bootSnapshot(imagePath, ckptDir string, suite bool, srcPaths []string) (*ob
 	return snap, programs, info, nil
 }
 
-// sendRequest is the wire form of one message send.
-type sendRequest struct {
-	Receiver  json.Number   `json:"receiver"`
-	Selector  string        `json:"selector"`
-	Args      []json.Number `json:"args,omitempty"`
-	Key       uint64        `json:"key,omitempty"`
-	MaxSteps  uint64        `json:"max_steps,omitempty"`
-	TimeoutMS int64         `json:"timeout_ms,omitempty"`
-}
-
-// sendResponse is the wire form of a result. Result is always present on
-// success — a method answering nil yields "result": null with no error —
-// so clients distinguish success from failure by the error field alone.
-type sendResponse struct {
-	Result    any    `json:"result"`
-	Error     string `json:"error,omitempty"`
-	Worker    int    `json:"worker"`
-	Steps     uint64 `json:"steps"`
-	Cycles    uint64 `json:"cycles"`
-	LatencyUS int64  `json:"latency_us"`
-}
-
-// programInfo describes one loaded workload program.
-type programInfo struct {
-	Name  string `json:"name"`
-	Entry string `json:"entry"`
-	Size  int32  `json:"size"`
-	Warm  int32  `json:"warm"`
-	Check int32  `json:"check"`
-}
-
 // server is the HTTP face of a pool. Split from main so tests can drive it
 // through net/http/httptest. snap is the immutable serving snapshot;
 // imagePath, when set, is where POST /save persists it. fast selects the
@@ -651,24 +604,24 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // would refuse such a file anyway).
 func (s *server) handleSave(w http.ResponseWriter, _ *http.Request) {
 	if s.imagePath == "" {
-		http.Error(w, `{"error":"no image path configured; start obarchd with -image"}`, http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, "no image path configured; start obarchd with -image")
 		return
 	}
 	start := time.Now()
 	snap, err := s.pool.SnapshotLive()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusServiceUnavailable)
+		httpwire.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(s.imagePath), ".obarch-image-*")
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	defer os.Remove(tmp.Name())
 	if err := obarch.WriteImage(tmp, snap); err != nil {
 		tmp.Close()
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// Flush to stable storage before the rename makes the file current:
@@ -676,78 +629,38 @@ func (s *server) handleSave(w http.ResponseWriter, _ *http.Request) {
 	// the previous good image exactly when durability mattered.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	size, _ := tmp.Seek(0, 2)
 	if err := tmp.Close(); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// CreateTemp's 0600 is right for the staging file, not the artifact.
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if err := os.Rename(tmp.Name(), s.imagePath); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
 		"path":       s.imagePath,
 		"bytes":      size,
 		"elapsed_us": time.Since(start).Microseconds(),
 	})
 }
 
-// wordOf converts a JSON number to a machine value: integer literals
-// become SmallInts (rejected when they exceed the 32-bit word, however
-// large), literals written as floats ("1.5", "1e3") become Floats.
-func wordOf(n json.Number) (word.Word, error) {
-	if strings.ContainsAny(n.String(), ".eE") {
-		f, err := n.Float64()
-		if err != nil {
-			return word.Word{}, fmt.Errorf("bad number %q", n.String())
-		}
-		return word.FromFloat(float32(f)), nil
-	}
-	i, err := n.Int64()
-	if err != nil {
-		return word.Word{}, fmt.Errorf("integer %q outside the 32-bit machine word", n.String())
-	}
-	if int64(int32(i)) != i {
-		return word.Word{}, fmt.Errorf("integer %d outside the 32-bit machine word", i)
-	}
-	return word.FromInt(int32(i)), nil
-}
-
-// jsonOf converts a machine value to its JSON form.
-func jsonOf(v word.Word) any {
-	if i, ok := v.IntOK(); ok {
-		return i
-	}
-	if f, ok := v.FloatOK(); ok {
-		return f
-	}
-	switch v {
-	case word.True:
-		return true
-	case word.False:
-		return false
-	case word.Nil:
-		return nil
-	}
-	return v.String()
-}
-
 func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	c := getCodec()
 	defer putCodec(c)
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	body, err := c.readBody(r)
+	body, err := httpwire.ReadBody(w, r, c.body)
+	c.body = body
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	poolReq, fastOK := serve.Request{}, false
@@ -755,30 +668,18 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 		poolReq, fastOK = parseSend(body, c)
 	}
 	if !fastOK {
-		// Fallback: the original encoding/json path, for wire shapes the
+		// Fallback: the shared encoding/json decoder, for wire shapes the
 		// fast codec does not recognise — and for its error messages.
-		var req sendRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.UseNumber()
-		if err := dec.Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
-			return
-		}
-		if poolReq, err = toRequest(req); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		if poolReq, err = httpwire.DecodeSend(body); err != nil {
+			httpwire.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	s.decLat.Observe(time.Since(start))
 	res := s.pool.Do(poolReq)
 	enc := time.Now()
-	status := statusFor(res.Err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		// Both refusals are transient by construction — the queue was
-		// full, or this request sat past its own deadline — so tell the
-		// client when to come back instead of letting it hammer.
-		w.Header().Set("Retry-After", "1")
-	}
+	status := httpwire.Status(obwire.StatusFor(res.Err))
+	httpwire.RetryAfter(w, status)
 	if s.fast {
 		if out, ok := appendSendResponse(c.out[:0], res); ok {
 			c.out = append(out, '\n')
@@ -787,7 +688,7 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.httpLat.Observe(time.Since(start))
-	writeJSON(w, status, toResponse(res))
+	httpwire.WriteJSON(w, status, httpwire.ResultResponse(res))
 	s.encLat.Observe(time.Since(enc))
 }
 
@@ -804,64 +705,6 @@ func (s *server) writeRaw(w http.ResponseWriter, status int, body []byte, start,
 	s.encLat.Observe(time.Since(enc))
 }
 
-// statusFor maps a pool result to its HTTP status: overload refusals
-// are 429 (this node is saturated; back off and retry), deadline sheds
-// are 503 (the request died waiting in queue; retry, ideally elsewhere),
-// and every other machine error stays 422 — the request executed and
-// the machine said no, so retrying the same send buys nothing.
-func statusFor(err error) int {
-	switch {
-	case err == nil:
-		return http.StatusOK
-	case errors.Is(err, serve.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrExpired):
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
-}
-
-// toRequest converts one wire send into a pool request.
-func toRequest(req sendRequest) (serve.Request, error) {
-	if req.Selector == "" {
-		return serve.Request{}, fmt.Errorf("missing selector")
-	}
-	recv, err := wordOf(req.Receiver)
-	if err != nil {
-		return serve.Request{}, fmt.Errorf("receiver: %v", err)
-	}
-	args := make([]word.Word, len(req.Args))
-	for i, a := range req.Args {
-		if args[i], err = wordOf(a); err != nil {
-			return serve.Request{}, fmt.Errorf("arg %d: %v", i, err)
-		}
-	}
-	return serve.Request{
-		Receiver: recv,
-		Selector: req.Selector,
-		Args:     args,
-		Key:      req.Key,
-		MaxSteps: req.MaxSteps,
-		Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
-	}, nil
-}
-
-// toResponse converts one pool result into its wire form.
-func toResponse(res serve.Result) sendResponse {
-	resp := sendResponse{
-		Worker:    res.Worker,
-		Steps:     res.Steps,
-		Cycles:    res.Cycles,
-		LatencyUS: res.Latency.Microseconds(),
-	}
-	if res.Err != nil {
-		resp.Error = res.Err.Error()
-	} else {
-		resp.Result = jsonOf(res.Value)
-	}
-	return resp
-}
-
 // handleBatch executes an array of sends through the pool's sharded DoAll
 // path: one HTTP round-trip, one queue hand-off per shard sub-batch. The
 // response preserves request order; per-request failures are reported
@@ -870,10 +713,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	c := getCodec()
 	defer putCodec(c)
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	body, err := c.readBody(r)
+	body, err := httpwire.ReadBody(w, r, c.body)
+	c.body = body
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var reqs []serve.Request
@@ -882,21 +725,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		reqs, fastOK = parseBatch(body, c)
 	}
 	if !fastOK {
-		var wire []sendRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.UseNumber()
-		if err := dec.Decode(&wire); err != nil {
-			http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
+		if reqs, err = httpwire.DecodeBatch(body); err != nil {
+			httpwire.Error(w, http.StatusBadRequest, err.Error())
 			return
-		}
-		reqs = make([]serve.Request, len(wire))
-		for i, wr := range wire {
-			req, err := toRequest(wr)
-			if err != nil {
-				http.Error(w, fmt.Sprintf(`{"error":%q}`, fmt.Sprintf("request %d: %v", i, err)), http.StatusBadRequest)
-				return
-			}
-			reqs[i] = req
 		}
 	}
 	s.decLat.Observe(time.Since(start))
@@ -919,32 +750,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	out := make([]sendResponse, len(results))
+	out := make([]httpwire.SendResponse, len(results))
 	for i, res := range results {
-		out[i] = toResponse(res)
+		out[i] = httpwire.ResultResponse(res)
 	}
 	s.httpLat.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, out)
+	httpwire.WriteJSON(w, http.StatusOK, out)
 	s.encLat.Observe(time.Since(enc))
 }
 
 func (s *server) handlePrograms(w http.ResponseWriter, _ *http.Request) {
-	out := make([]programInfo, len(s.programs))
+	out := make([]httpwire.ProgramInfo, len(s.programs))
 	for i, p := range s.programs {
-		out[i] = programInfo{Name: p.Name, Entry: p.Entry, Size: p.Size, Warm: p.Warm, Check: p.Check}
+		out[i] = httpwire.ProgramInfo{Name: p.Name, Entry: p.Entry, Size: p.Size, Warm: p.Warm, Check: p.Check}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// percentiles renders a histogram's headline quantiles in microseconds.
-func percentiles(h stats.Histogram) map[string]any {
-	return map[string]any{
-		"count": h.Count(),
-		"p50":   h.Quantile(0.50).Microseconds(),
-		"p90":   h.Quantile(0.90).Microseconds(),
-		"p99":   h.Quantile(0.99).Microseconds(),
-		"p999":  h.Quantile(0.999).Microseconds(),
-	}
+	httpwire.WriteJSON(w, http.StatusOK, out)
 }
 
 // runtimeGauges samples the Go runtime — the host process's own health,
@@ -999,7 +819,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
 		"requests":         met.Requests,
 		"errors":           met.Errors,
 		"timeouts":         met.Timeouts,
@@ -1023,12 +843,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"unhealthy_shards": s.pool.UnhealthyShards(),
 		"ready":            s.notReady() == "",
 		"rotating":         s.pool.Rotating(),
-		"latency_us":       percentiles(service),
-		"service_us":       percentiles(service),
-		"queue_us":         percentiles(qwait),
-		"decode_us":        percentiles(dec),
-		"encode_us":        percentiles(enc),
-		"http_latency_us":  percentiles(hlat),
+		"latency_us":       httpwire.Percentiles(service),
+		"service_us":       httpwire.Percentiles(service),
+		"queue_us":         httpwire.Percentiles(qwait),
+		"decode_us":        httpwire.Percentiles(dec),
+		"encode_us":        httpwire.Percentiles(enc),
+		"http_latency_us":  httpwire.Percentiles(hlat),
 		"shards":           s.pool.ShardMetrics(),
 		"start_time":       s.start.UTC().Format(time.RFC3339Nano),
 		"uptime_s":         time.Since(s.start).Seconds(),
@@ -1075,13 +895,5 @@ func (s *server) checkpointStats() map[string]any {
 		"failures":   failures,
 		"generation": s.checkpointGen(),
 		"age_s":      s.checkpointAge(),
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("obarchd: encode response: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpwire"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -40,14 +41,14 @@ func newSuiteServer(t *testing.T, workers int, imagePath string) (*server, *serv
 	return newServer(pool, programs, snap, imagePath), pool
 }
 
-func postSend(t *testing.T, ts *httptest.Server, body string) (int, sendResponse) {
+func postSend(t *testing.T, ts *httptest.Server, body string) (int, httpwire.SendResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /send: %v", err)
 	}
 	defer resp.Body.Close()
-	var out sendResponse
+	var out httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode /send response: %v", err)
 	}
@@ -159,7 +160,7 @@ func TestServerProgramsAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /programs: %v", err)
 	}
-	var progs []programInfo
+	var progs []httpwire.ProgramInfo
 	if err := json.NewDecoder(resp.Body).Decode(&progs); err != nil {
 		t.Fatalf("decode /programs: %v", err)
 	}
@@ -214,7 +215,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out []sendResponse
+	var out []httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode /batch response: %v", err)
 	}
@@ -314,14 +315,14 @@ func TestServerSaveAndWarmBoot(t *testing.T) {
 }
 
 // postSendTo is postSend against an explicit test server.
-func postSendTo(t *testing.T, ts *httptest.Server, body string) (int, sendResponse) {
+func postSendTo(t *testing.T, ts *httptest.Server, body string) (int, httpwire.SendResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /send: %v", err)
 	}
 	defer resp.Body.Close()
-	var out sendResponse
+	var out httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode /send response: %v", err)
 	}
@@ -363,7 +364,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var out sendResponse
+			var out httpwire.SendResponse
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				errs <- err
 				return

@@ -106,6 +106,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsLabelRoundTrip checks that a label value with a quote and a
+// backslash in it is escaped exactly once: a scraper undoing the
+// exposition format's three escapes reads back the original image path.
+func TestMetricsLabelRoundTrip(t *testing.T) {
+	const path = `/img/a"b\c.img`
+	h, pool := newSuiteServer(t, 1, path)
+	defer pool.Close()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	_, body := get(t, ts, "/metrics")
+	const prefix = `obarch_image_info{path="`
+	i := strings.Index(body, prefix)
+	if i < 0 {
+		t.Fatalf("/metrics has no %s line", prefix)
+	}
+	var got strings.Builder
+	rest := body[i+len(prefix):]
+	for j := 0; ; j++ {
+		if j >= len(rest) || rest[j] == '\n' {
+			t.Fatalf("unterminated path label: %q", rest)
+		}
+		if rest[j] == '"' {
+			break
+		}
+		if rest[j] == '\\' && j+1 < len(rest) {
+			j++
+			switch rest[j] {
+			case '\\', '"':
+				got.WriteByte(rest[j])
+			case 'n':
+				got.WriteByte('\n')
+			default:
+				t.Fatalf("escape \\%c is not in the exposition format", rest[j])
+			}
+			continue
+		}
+		got.WriteByte(rest[j])
+	}
+	if got.String() != path {
+		t.Fatalf("path label reads back as %q, want %q", got.String(), path)
+	}
+}
+
 // TestStatsIdentityAndSpans checks the /stats additions: node identity,
 // image provenance, runtime gauges, and the per-stage span percentiles.
 func TestStatsIdentityAndSpans(t *testing.T) {

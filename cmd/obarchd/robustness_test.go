@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpwire"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -34,30 +34,6 @@ func newConfigServer(t *testing.T, cfg serve.Config) (*server, *serve.Pool) {
 	}
 	pool := serve.NewPool(snap, cfg)
 	return newServer(pool, programs, snap, ""), pool
-}
-
-// TestStatusFor pins the refusal-to-status contract, wrapped errors
-// included: overload is the client's cue to back off (429), a shed
-// deadline is the node's cue to try elsewhere (503), and everything the
-// machine itself rejected stays 422.
-func TestStatusFor(t *testing.T) {
-	cases := []struct {
-		err  error
-		want int
-	}{
-		{nil, http.StatusOK},
-		{serve.ErrOverloaded, http.StatusTooManyRequests},
-		{fmt.Errorf("shard 3: %w", serve.ErrOverloaded), http.StatusTooManyRequests},
-		{serve.ErrExpired, http.StatusServiceUnavailable},
-		{fmt.Errorf("queued 5ms: %w", serve.ErrExpired), http.StatusServiceUnavailable},
-		{serve.ErrPanic, http.StatusUnprocessableEntity},
-		{errors.New("doesNotUnderstand: quadruple"), http.StatusUnprocessableEntity},
-	}
-	for _, c := range cases {
-		if got := statusFor(c.err); got != c.want {
-			t.Errorf("statusFor(%v) = %d, want %d", c.err, got, c.want)
-		}
-	}
 }
 
 // TestParseChaos covers the -chaos grammar: the empty plan, every key,
@@ -121,7 +97,7 @@ func TestServerOverloadRefusal(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
-	var out sendResponse
+	var out httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode refusal body: %v", err)
 	}
@@ -236,7 +212,7 @@ func TestReadyzQuarantineHeavy(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("panicked send: status %d, want 422", resp.StatusCode)
 	}
-	var out sendResponse
+	var out httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode panicked send: %v", err)
 	}

@@ -1,8 +1,12 @@
 // Command obrouter is the cluster front tier: one HTTP face over N
 // obarchd nodes, speaking obwire to each over a small pool of
 // persistent multiplexed connections. Clients keep the single-node
-// wire shapes — POST /send and /batch bodies and responses are
-// byte-compatible with obarchd's — and gain the cluster semantics:
+// wire shapes: POST /send and /batch bodies are decoded, capped (8 MiB)
+// and answered by the same internal/httpwire code as obarchd's, so a
+// node and the router give the same status and body to the same request
+// — a malformed /batch element refuses the whole batch with a 400
+// naming its index, a negative timeout_ms is a 400 — and clients gain
+// the cluster semantics:
 //
 //   - Affinity keys consistent-hash onto the node ring (vnode ring,
 //     stable under membership change), so a key's quarantine history,
@@ -30,7 +34,9 @@
 //	                   failed over on retryable refusals; 502 when the
 //	                   send died on the wire with the budget spent,
 //	                   503 + Retry-After when no routable backend exists
-//	POST /batch        the array form, routed per-element concurrently
+//	POST /batch        the array form, routed per-element concurrently;
+//	                   per-element failures inline, a malformed element
+//	                   a 400 for the whole batch
 //	POST /nodes/join   {"http_addr": "...", "bin_addr": "..."} — add a
 //	                   node; it starts receiving traffic when it polls
 //	                   ready
@@ -66,10 +72,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpwire"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/stats"
-	"repro/internal/word"
 )
 
 func main() {
@@ -152,27 +158,6 @@ func parseNodes(s string) ([]cluster.NodeSpec, error) {
 	return specs, nil
 }
 
-// sendRequest mirrors obarchd's wire form of one message send, so a
-// client pointed at the router instead of a node changes nothing.
-type sendRequest struct {
-	Receiver  json.Number   `json:"receiver"`
-	Selector  string        `json:"selector"`
-	Args      []json.Number `json:"args,omitempty"`
-	Key       uint64        `json:"key,omitempty"`
-	MaxSteps  uint64        `json:"max_steps,omitempty"`
-	TimeoutMS int64         `json:"timeout_ms,omitempty"`
-}
-
-// sendResponse mirrors obarchd's result wire form.
-type sendResponse struct {
-	Result    any    `json:"result"`
-	Error     string `json:"error,omitempty"`
-	Worker    int    `json:"worker"`
-	Steps     uint64 `json:"steps"`
-	Cycles    uint64 `json:"cycles"`
-	LatencyUS int64  `json:"latency_us"`
-}
-
 // routerServer is the HTTP face of a cluster.Router, split from main so
 // tests drive it through httptest.
 type routerServer struct {
@@ -222,77 +207,10 @@ func (s *routerServer) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// wordOf mirrors obarchd's JSON-number-to-machine-word conversion.
-func wordOf(n json.Number) (word.Word, error) {
-	if strings.ContainsAny(n.String(), ".eE") {
-		f, err := n.Float64()
-		if err != nil {
-			return word.Word{}, fmt.Errorf("bad number %q", n.String())
-		}
-		return word.FromFloat(float32(f)), nil
-	}
-	i, err := n.Int64()
-	if err != nil {
-		return word.Word{}, fmt.Errorf("integer %q outside the 32-bit machine word", n.String())
-	}
-	if int64(int32(i)) != i {
-		return word.Word{}, fmt.Errorf("integer %d outside the 32-bit machine word", i)
-	}
-	return word.FromInt(int32(i)), nil
-}
-
-// jsonOf mirrors obarchd's machine-word-to-JSON conversion.
-func jsonOf(v word.Word) any {
-	if i, ok := v.IntOK(); ok {
-		return i
-	}
-	if f, ok := v.FloatOK(); ok {
-		return f
-	}
-	switch v {
-	case word.True:
-		return true
-	case word.False:
-		return false
-	case word.Nil:
-		return nil
-	}
-	return v.String()
-}
-
-// toRequest converts one wire send into a pool request.
-func toRequest(req sendRequest) (serve.Request, error) {
-	if req.Selector == "" {
-		return serve.Request{}, fmt.Errorf("missing selector")
-	}
-	recv, err := wordOf(req.Receiver)
-	if err != nil {
-		return serve.Request{}, err
-	}
-	out := serve.Request{
-		Receiver: recv,
-		Selector: req.Selector,
-		Key:      req.Key,
-		MaxSteps: req.MaxSteps,
-	}
-	if req.TimeoutMS > 0 {
-		out.Timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if len(req.Args) > 0 {
-		out.Args = make([]word.Word, len(req.Args))
-		for i, a := range req.Args {
-			if out.Args[i], err = wordOf(a); err != nil {
-				return serve.Request{}, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// httpStatus maps one routed outcome to its HTTP answer, preserving the
-// single-node status taxonomy: frame statuses map exactly as obarchd's
-// statusFor maps pool errors, ErrNoBackends and exhausted transport
-// errors become the cluster-level refusals.
+// httpStatus maps one routed outcome to its HTTP answer: the cluster's
+// own refusals first — no routable backend is 503, a send that died on
+// the wire with the failover budget spent is 502 — then the node's frame
+// status through the table a node uses for its own pool.
 func httpStatus(resp obwire.Response, err error) int {
 	switch {
 	case errors.Is(err, cluster.ErrNoBackends):
@@ -300,96 +218,62 @@ func httpStatus(resp obwire.Response, err error) int {
 	case err != nil:
 		return http.StatusBadGateway
 	}
-	switch resp.Status {
-	case obwire.StatusOK:
-		return http.StatusOK
-	case obwire.StatusOverloaded:
-		return http.StatusTooManyRequests
-	case obwire.StatusShed:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusUnprocessableEntity
+	return httpwire.Status(resp.Status)
 }
 
-// toResponse converts a routed outcome to the wire result.
-func toResponse(resp obwire.Response, err error) sendResponse {
-	if err != nil {
-		return sendResponse{Error: err.Error()}
-	}
-	out := sendResponse{
-		Error:     resp.Err,
-		Worker:    int(resp.Worker),
-		Steps:     resp.Steps,
-		Cycles:    resp.Cycles,
-		LatencyUS: resp.Latency.Microseconds(),
-	}
-	if resp.OK() {
-		out.Result = jsonOf(resp.Value)
-	}
-	return out
-}
-
-// route sends one request through the cluster and writes the HTTP
-// answer.
-func (s *routerServer) route(w http.ResponseWriter, req serve.Request) {
+// send routes one request through the cluster and returns its wire
+// result and HTTP status.
+func (s *routerServer) send(req serve.Request) (httpwire.SendResponse, int) {
 	t0 := time.Now()
 	resp, err := s.r.Send(req)
 	s.sendLat.Observe(time.Since(t0))
 	status := httpStatus(resp, err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		// Same contract as a single node: transient by construction, so
-		// tell the client when to come back.
-		w.Header().Set("Retry-After", "1")
+	if err != nil {
+		return httpwire.SendResponse{Error: err.Error()}, status
 	}
-	writeJSON(w, status, toResponse(resp, err))
+	return httpwire.FrameResponse(resp), status
 }
 
 func (s *routerServer) handleSend(w http.ResponseWriter, r *http.Request) {
-	var req sendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.UseNumber()
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
-		return
+	body, err := httpwire.ReadBody(w, r, nil)
+	var req serve.Request
+	if err == nil {
+		req, err = httpwire.DecodeSend(body)
 	}
-	poolReq, err := toRequest(req)
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.route(w, poolReq)
+	out, status := s.send(req)
+	httpwire.RetryAfter(w, status)
+	httpwire.WriteJSON(w, status, out)
 }
 
 // handleBatch routes each element of the array concurrently — elements
 // may land on different nodes — and answers the result array in request
-// order, per-element failures inline, matching the single-node shape.
+// order, per-element failures inline. A malformed element refuses the
+// whole batch with a 400 before anything is routed, as on a node.
 func (s *routerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var reqs []sendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.UseNumber()
-	if err := dec.Decode(&reqs); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, "bad request: "+err.Error()), http.StatusBadRequest)
+	body, err := httpwire.ReadBody(w, r, nil)
+	var reqs []serve.Request
+	if err == nil {
+		reqs, err = httpwire.DecodeBatch(body)
+	}
+	if err != nil {
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	out := make([]sendResponse, len(reqs))
+	out := make([]httpwire.SendResponse, len(reqs))
 	var wg sync.WaitGroup
-	for i := range reqs {
-		poolReq, err := toRequest(reqs[i])
-		if err != nil {
-			out[i] = sendResponse{Error: err.Error()}
-			continue
-		}
+	for i, req := range reqs {
 		wg.Add(1)
-		go func(i int, req serve.Request) {
+		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			resp, err := s.r.Send(req)
-			s.sendLat.Observe(time.Since(t0))
-			out[i] = toResponse(resp, err)
-		}(i, poolReq)
+			out[i], _ = s.send(req)
+		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	httpwire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *routerServer) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -398,18 +282,18 @@ func (s *routerServer) handleJoin(w http.ResponseWriter, r *http.Request) {
 		BinAddr  string `json:"bin_addr"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if spec.HTTPAddr == "" || spec.BinAddr == "" {
-		http.Error(w, `{"error":"http_addr and bin_addr are required"}`, http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, "http_addr and bin_addr are required")
 		return
 	}
 	if err := s.r.Join(cluster.NodeSpec{HTTPAddr: spec.HTTPAddr, BinAddr: spec.BinAddr}); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusConflict)
+		httpwire.Error(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"joined": spec.BinAddr, "nodes": len(s.r.Nodes())})
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{"joined": spec.BinAddr, "nodes": len(s.r.Nodes())})
 }
 
 func (s *routerServer) handleLeave(w http.ResponseWriter, r *http.Request) {
@@ -417,14 +301,14 @@ func (s *routerServer) handleLeave(w http.ResponseWriter, r *http.Request) {
 		BinAddr string `json:"bin_addr"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := s.r.Leave(spec.BinAddr); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusNotFound)
+		httpwire.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"left": spec.BinAddr, "nodes": len(s.r.Nodes())})
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{"left": spec.BinAddr, "nodes": len(s.r.Nodes())})
 }
 
 // handlePrograms proxies the workload listing from the first routable
@@ -445,37 +329,18 @@ func (s *routerServer) handlePrograms(w http.ResponseWriter, _ *http.Request) {
 		io.Copy(w, resp.Body)
 		return
 	}
-	http.Error(w, `{"error":"no routable backends"}`, http.StatusServiceUnavailable)
+	httpwire.Error(w, http.StatusServiceUnavailable, "no routable backends")
 }
 
 func (s *routerServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 	ok, routable, total := s.r.Ready()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
 		"cluster":    s.r.Stats(),
 		"ready":      ok && !s.draining.Load(),
 		"routable":   routable,
 		"nodes":      total,
-		"send_us":    percentiles(s.sendLat.Snapshot()),
+		"send_us":    httpwire.Percentiles(s.sendLat.Snapshot()),
 		"start_time": s.start.UTC().Format(time.RFC3339Nano),
 		"uptime_s":   time.Since(s.start).Seconds(),
 	})
-}
-
-func percentiles(h stats.Histogram) map[string]any {
-	return map[string]any{
-		"count": h.Count(),
-		"p50":   h.Quantile(0.50).Microseconds(),
-		"p90":   h.Quantile(0.90).Microseconds(),
-		"p99":   h.Quantile(0.99).Microseconds(),
-		"p999":  h.Quantile(0.999).Microseconds(),
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		log.Printf("obrouter: write response: %v", err)
-	}
 }

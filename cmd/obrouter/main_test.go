@@ -14,6 +14,7 @@ import (
 
 	obarch "repro"
 	"repro/internal/cluster"
+	"repro/internal/httpwire"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 )
@@ -187,7 +188,7 @@ func TestHTTPBatchThroughRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out []sendResponse
+	var out []httpwire.SendResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
