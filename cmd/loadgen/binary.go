@@ -1,12 +1,13 @@
 // The -transport binary client: the same workload replay, checksum
 // validation, refusal accounting, and backoff story as the HTTP path,
-// but over one persistent obwire connection per client. With -pipeline 1
-// each send is a synchronous round trip driven through the shared
-// retryer — frame statuses map onto the HTTP statuses the retry loop
-// already understands, so backoff behaviour carries over byte for byte.
-// With -pipeline N each client keeps up to N frames in flight and
-// refusals are counted in-band like batch entries: one refused frame is
-// one lost send, classified by status, never retried.
+// but over one persistent obwire.MuxClient per client. -pipeline N runs
+// N lanes, each a goroutine with one send in flight, all sharing that
+// connection, so up to N frames are in flight per client. With
+// -pipeline 1 the one lane drives each send through the shared retryer
+// — frame statuses map onto the HTTP statuses the retry loop already
+// understands, so backoff behaviour carries over byte for byte. With
+// -pipeline N > 1 refusals are counted in-band like batch entries: one
+// refused frame is one lost send, classified by status, never retried.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,20 +25,22 @@ import (
 	"repro/internal/word"
 )
 
-// binClient is one client's lazily-dialed obwire connection. A transport
-// error drops it; the next send redials — the reconnect half of the
-// retry story when the server is restarting. Consecutive dial failures
-// back off on the retryer's own capped exponential ladder before the
-// next attempt, so a client facing a dead address paces its redials
-// instead of spinning a tight connect loop against it.
+// binClient is one client's lazily-dialed obwire connection, shared by
+// its lanes. A send that dies on the connection drops it; the next send
+// on any lane redials it, once for all of them — the reconnect half of
+// the retry story when the server is restarting. Consecutive dial
+// failures back off on the retryer's own capped exponential ladder
+// before the next attempt, so a client facing a dead address paces its
+// redials instead of spinning a tight connect loop against it.
 type binClient struct {
 	addr  string
-	c     *obwire.Client
+	mu    sync.Mutex // held across a dial, so waiting lanes reuse its result
+	c     *obwire.MuxClient
 	fails int // consecutive dial failures; reset by a successful dial
 
 	// Injectable seams so the backoff schedule is unit-testable without
 	// a real listener or wall-clock sleeps.
-	dial  func(addr string) (*obwire.Client, error)
+	dial  func(addr string) (*obwire.MuxClient, error)
 	delay func(fails int) time.Duration
 	sleep func(time.Duration)
 }
@@ -47,49 +51,68 @@ type binClient struct {
 func newBinClient(addr string, rt *retryer) *binClient {
 	return &binClient{
 		addr:  addr,
-		dial:  obwire.Dial,
+		dial:  obwire.DialMux,
 		delay: func(fails int) time.Duration { return rt.backoffDelay(fails-1, 0) },
 		sleep: time.Sleep,
 	}
 }
 
-func (b *binClient) ensure() error {
+// conn answers the live connection, dialing one if there is none.
+func (b *binClient) conn() (*obwire.MuxClient, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.c != nil {
-		return nil
+		return b.c, nil
 	}
 	if b.fails > 0 {
-		// Every attempt after a failure waits out the ladder first: the
-		// previous tight-loop redial could hammer a restarting server
-		// with thousands of connects per second.
+		// Every attempt after a failure waits out the ladder first: a
+		// tight-loop redial could hammer a restarting server with
+		// thousands of connects per second.
 		b.sleep(b.delay(b.fails))
 	}
 	c, err := b.dial(b.addr)
 	if err != nil {
 		b.fails++
-		return err
+		return nil, err
 	}
 	b.fails = 0
 	b.c = c
-	return nil
+	return c, nil
 }
 
-func (b *binClient) drop() {
-	if b.c != nil {
-		b.c.Close()
+// drop closes c and forgets it, unless it is already gone: every lane
+// whose send died on c drops it, and only the first one does anything.
+func (b *binClient) drop(c *obwire.MuxClient) {
+	b.mu.Lock()
+	mine := b.c == c
+	if mine {
 		b.c = nil
 	}
+	b.mu.Unlock()
+	if mine {
+		c.Close()
+	}
+}
+
+// send runs one frame over the shared connection. An error is
+// connection-level: the connection is dropped, so the next send redials.
+func (b *binClient) send(req serve.Request) (obwire.Response, error) {
+	c, err := b.conn()
+	if err != nil {
+		return obwire.Response{}, err
+	}
+	r, err := c.Do(req)
+	if err != nil {
+		b.drop(c)
+	}
+	return r, err
 }
 
 // do is the synchronous round trip in the retryer's shape: value,
-// HTTP-equivalent status, error. Status 0 is a transport failure, which
-// also drops the connection so the retry redials.
+// HTTP-equivalent status, error. Status 0 is a transport failure.
 func (b *binClient) do(req serve.Request) (int32, int, error) {
-	if err := b.ensure(); err != nil {
-		return 0, 0, err
-	}
-	r, err := b.c.Do(req)
+	r, err := b.send(req)
 	if err != nil {
-		b.drop()
 		return 0, 0, err
 	}
 	if !r.OK() {
@@ -122,54 +145,42 @@ type binRun struct {
 	refusals                   *refusalCounters
 }
 
-// inflightSend is one pipelined frame awaiting its response: the program
-// whose checksum it must answer, and when it was sent — the recorded
-// latency spans the whole pipeline residence, which is what the client
-// lived through.
-type inflightSend struct {
-	p  httpwire.ProgramInfo
-	t0 time.Time
+// binSend is one send handed to a lane: the request, and the program
+// whose checksum it must answer.
+type binSend struct {
+	p   httpwire.ProgramInfo
+	req serve.Request
 }
 
-// run replays the suite over obwire. Depth 1 routes every send through
-// the retryer (backoff and reconnect included); deeper pipelines keep
-// the window full and classify refusals in-band.
+// run replays the suite over obwire: this goroutine picks each send's
+// key and hands it to the next free lane, and returns once every lane
+// has finished and the connection is closed.
 func (r binRun) run() {
-	bc := newBinClient(r.addr, r.rt)
-	defer bc.drop()
-
-	var q []inflightSend
-	// recvOne consumes the oldest in-flight response. A transport error
-	// loses the entire window: each lost send is a counted failure, the
-	// connection drops, and the next send redials.
-	recvOne := func() {
-		e := q[0]
-		q = q[1:]
-		resp, err := bc.c.Recv()
-		r.record(time.Since(e.t0))
-		if err != nil {
-			r.refusals.transport.Add(1)
-			r.failed.Add(int64(len(q) + 1))
-			fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %v (%d pipelined sends lost)\n", r.id, e.p.Name, err, len(q)+1)
-			q = q[:0]
-			bc.drop()
-			return
-		}
-		switch {
-		case !resp.OK():
-			// In-band refusal or machine error: counted by kind like a
-			// batch entry, one lost send, not retried.
-			r.refusals.classifyStatus(resp.Status)
-			r.failed.Add(1)
-			fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %s\n", r.id, e.p.Name, resp.Err)
-		case !r.warm:
-			if v, ok := resp.Value.IntOK(); !ok || v != e.p.Check {
-				r.failed.Add(1)
-				fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %v, want %d\n", r.id, e.p.Name, resp.Value, e.p.Check)
-			}
-		}
+	// A rand.Rand is not safe for concurrent use, so the redialer and
+	// each lane back off on their own streams, split off the client's.
+	split := func() *retryer {
+		rt := *r.rt
+		rt.rng = rand.New(rand.NewPCG(r.rng.Uint64(), r.rng.Uint64()))
+		return &rt
 	}
-
+	bc := newBinClient(r.addr, split())
+	var mu sync.Mutex // the client's latency recorder is not concurrent
+	record := func(d time.Duration) {
+		mu.Lock()
+		r.record(d)
+		mu.Unlock()
+	}
+	sends := make(chan binSend)
+	var wg sync.WaitGroup
+	for range min(r.pipeline, obwire.DefaultWindow) {
+		wg.Add(1)
+		go func(rt *retryer) {
+			defer wg.Done()
+			for s := range sends {
+				r.lane(bc, rt, record, s)
+			}
+		}(split())
+	}
 	for round := 0; round < r.rounds; round++ {
 		for _, p := range r.programs {
 			recv := p.Size
@@ -180,57 +191,57 @@ func (r binRun) run() {
 			if key != 0 {
 				r.keyed.Add(1)
 			}
-			req := serve.Request{Receiver: word.FromInt(recv), Selector: p.Entry, Key: key}
-
-			if r.pipeline <= 1 {
-				t0 := time.Now()
-				got, err := r.rt.sendVia(func() (int32, int, time.Duration, error) {
-					v, status, err := bc.do(req)
-					return v, status, 0, err // no Retry-After channel in-band; the ladder alone paces
-				})
-				r.record(time.Since(t0))
-				r.sent.Add(1)
-				if err != nil {
-					r.failed.Add(1)
-					fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %v\n", r.id, p.Name, err)
-					continue
-				}
-				if !r.warm && got != p.Check {
-					r.failed.Add(1)
-					fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %d, want %d\n", r.id, p.Name, got, p.Check)
-				}
-				continue
-			}
-
-			// Pipelined: redial if the last window died, enqueue, and
-			// pull one response whenever the window is full.
-			if err := bc.ensure(); err != nil {
-				r.refusals.transport.Add(1)
-				r.sent.Add(1)
-				r.posts.Add(1)
-				r.failed.Add(1)
-				fmt.Fprintf(os.Stderr, "loadgen: client %d dial: %v\n", r.id, err)
-				continue
-			}
-			if _, err := bc.c.Send(req); err != nil {
-				r.refusals.transport.Add(1)
-				r.sent.Add(1)
-				r.posts.Add(1)
-				r.failed.Add(int64(len(q) + 1))
-				fmt.Fprintf(os.Stderr, "loadgen: client %d %s: send: %v (%d pipelined sends lost)\n", r.id, p.Name, err, len(q)+1)
-				q = q[:0]
-				bc.drop()
-				continue
-			}
-			r.sent.Add(1)
-			r.posts.Add(1)
-			q = append(q, inflightSend{p: p, t0: time.Now()})
-			for len(q) >= r.pipeline {
-				recvOne()
-			}
+			sends <- binSend{p: p, req: serve.Request{Receiver: word.FromInt(recv), Selector: p.Entry, Key: key}}
 		}
 	}
-	for len(q) > 0 {
-		recvOne()
+	close(sends)
+	wg.Wait()
+	if bc.c != nil {
+		bc.c.Close()
+	}
+}
+
+// lane runs one send to completion and counts it exactly once. Depth 1
+// routes it through the retryer (backoff and reconnect included); deeper
+// pipelines count a refusal in-band and a transport error as one lost
+// send, never retried.
+func (r binRun) lane(bc *binClient, rt *retryer, record func(time.Duration), s binSend) {
+	r.sent.Add(1)
+	t0 := time.Now()
+	if r.pipeline <= 1 {
+		got, err := rt.sendVia(func() (int32, int, time.Duration, error) {
+			v, status, err := bc.do(s.req)
+			return v, status, 0, err // no Retry-After channel in-band; the ladder alone paces
+		})
+		record(time.Since(t0))
+		switch {
+		case err != nil:
+			r.failed.Add(1)
+			fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %v\n", r.id, s.p.Name, err)
+		case !r.warm && got != s.p.Check:
+			r.failed.Add(1)
+			fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %d, want %d\n", r.id, s.p.Name, got, s.p.Check)
+		}
+		return
+	}
+	r.posts.Add(1)
+	resp, err := bc.send(s.req)
+	record(time.Since(t0))
+	switch {
+	case err != nil:
+		r.refusals.transport.Add(1)
+		r.failed.Add(1)
+		fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %v\n", r.id, s.p.Name, err)
+	case !resp.OK():
+		// In-band refusal or machine error: counted by kind like a
+		// batch entry, one lost send, not retried.
+		r.refusals.classifyStatus(resp.Status)
+		r.failed.Add(1)
+		fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %s\n", r.id, s.p.Name, resp.Err)
+	case !r.warm:
+		if v, ok := resp.Value.IntOK(); !ok || v != s.p.Check {
+			r.failed.Add(1)
+			fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %v, want %d\n", r.id, s.p.Name, resp.Value, s.p.Check)
+		}
 	}
 }

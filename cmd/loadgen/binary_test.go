@@ -1,13 +1,18 @@
 // Refusal round-trip coverage for the binary transport: frame statuses
 // coming back over obwire must land in the same retry/pushback counters
-// the HTTP path feeds, in both client shapes — synchronous sends driven
-// through the retryer, and pipelined sends counted in-band.
+// the HTTP path feeds at both depths — synchronous sends driven through
+// the retryer, and pipelined lanes counted in-band.
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
+	"io"
 	"math/rand/v2"
 	"net"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,7 +26,7 @@ import (
 
 // startObwire boots a pool over a one-method image (answer = self + 1)
 // behind an obwire listener and returns the listener's address.
-func startObwire(t *testing.T, cfg serve.Config) string {
+func startObwire(t *testing.T, cfg serve.Config) (string, *serve.Pool) {
 	t.Helper()
 	m := core.New(core.Config{})
 	c, err := smalltalk.Compile(`
@@ -50,7 +55,7 @@ extend SmallInt [
 		s.Shutdown(ctx)
 		pool.Close()
 	})
-	return l.Addr().String()
+	return l.Addr().String(), pool
 }
 
 // binCounters is one test run's worth of the shared counters main wires
@@ -81,7 +86,7 @@ func testBinRun(addr string, pipeline, rounds, retries int, c *binCounters) binR
 // every checksum, counts every frame, and records every latency, with
 // the pushback counters untouched.
 func TestBinaryRunPipelined(t *testing.T) {
-	addr := startObwire(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	addr, _ := startObwire(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
 	var c binCounters
 	testBinRun(addr, 3, 8, 0, &c).run()
 
@@ -106,7 +111,7 @@ func TestBinaryRunPipelined(t *testing.T) {
 // admission: every StatusOverloaded frame must land in the rejected
 // counter and burn a retry, exactly as a 429 does over HTTP.
 func TestBinaryOverloadRetryPath(t *testing.T) {
-	addr := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
+	addr, _ := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
 	var c binCounters
 	testBinRun(addr, 1, 1, 2, &c).run()
 
@@ -134,7 +139,7 @@ func TestBinaryOverloadRetryPath(t *testing.T) {
 // admission: refusals arrive in-band, are classified by frame status,
 // and are never retried — the batch-mode contract on the binary wire.
 func TestBinaryOverloadPipelined(t *testing.T) {
-	addr := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
+	addr, _ := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
 	var c binCounters
 	testBinRun(addr, 4, 6, 3, &c).run()
 
@@ -152,6 +157,102 @@ func TestBinaryOverloadPipelined(t *testing.T) {
 	}
 }
 
+// cutFirstConn listens in front of the obwire server at addr. It hangs
+// up the first connection as soon as n frames have arrived on it, and
+// relays every later connection to addr. It answers its own address and
+// a count of the connections it accepted.
+func cutFirstConn(t *testing.T, addr string, n int) (string, *atomic.Int64) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var accepted atomic.Int64
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			if accepted.Add(1) == 1 {
+				go func() {
+					defer c.Close()
+					br := bufio.NewReader(c)
+					io.CopyN(io.Discard, br, int64(len(obwire.Magic)))
+					var hdr [4]byte
+					for range n {
+						if _, err := io.ReadFull(br, hdr[:]); err != nil {
+							return
+						}
+						io.CopyN(io.Discard, br, int64(binary.LittleEndian.Uint32(hdr[:])))
+					}
+				}()
+				continue
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				c.Close()
+				continue
+			}
+			go func() { io.Copy(up, c); up.Close() }()
+			go func() { io.Copy(c, up); c.Close() }()
+		}
+	}()
+	return l.Addr().String(), &accepted
+}
+
+// loadgenGoroutines counts live goroutines running loadgen's binary
+// client: its lanes and the MuxClient's reader.
+func loadgenGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "main.binRun.") || strings.Contains(g, "(*MuxClient).readLoop") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBinaryLanesRedialOnce kills the shared connection under four
+// pipelined lanes, each with its frame in flight. Each lane loses its
+// own send, every send is counted exactly once, the lanes redial once
+// between them rather than once each, and no goroutine of the client
+// outlives run.
+func TestBinaryLanesRedialOnce(t *testing.T) {
+	const lanes, rounds = 4, 40
+	addr, pool := startObwire(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	front, accepted := cutFirstConn(t, addr, lanes)
+	var c binCounters
+	testBinRun(front, lanes, rounds, 0, &c).run()
+
+	ok := int64(pool.Metrics().Requests)
+	if sent, failed := c.sent.Load(), c.failed.Load(); sent != rounds || sent != ok+failed {
+		t.Errorf("sent %d, ok %d, failed %d: want sent %d == ok + failed", sent, ok, failed, rounds)
+	}
+	if got := c.failed.Load(); got != lanes {
+		t.Errorf("failed %d, want %d (one in-flight send per lane)", got, lanes)
+	}
+	if got := c.refusals.transport.Load(); got != lanes {
+		t.Errorf("transport failures %d, want %d", got, lanes)
+	}
+	if got := c.recorded.Load(); got != rounds {
+		t.Errorf("recorded %d latencies, want %d", got, rounds)
+	}
+	if got := accepted.Load(); got != 2 {
+		t.Errorf("%d connections dialed, want 2 (the lanes redial once between them)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for loadgenGoroutines() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d client goroutines outlived run", loadgenGoroutines())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBinClientRedialBackoff pins the reconnect pacing: the first dial
 // goes straight out, every attempt after a failure waits out the capped
 // exponential ladder first, and one success resets the schedule — so a
@@ -162,12 +263,12 @@ func TestBinClientRedialBackoff(t *testing.T) {
 	alive := false
 	bc := &binClient{
 		addr: "test",
-		dial: func(string) (*obwire.Client, error) {
+		dial: func(string) (*obwire.MuxClient, error) {
 			dials++
 			if !alive {
 				return nil, context.DeadlineExceeded
 			}
-			return nil, nil // nil client is fine: ensure only stores it
+			return &obwire.MuxClient{}, nil // never used: conn only stores it
 		},
 		delay: func(fails int) time.Duration {
 			d := time.Millisecond << (fails - 1)
@@ -180,7 +281,7 @@ func TestBinClientRedialBackoff(t *testing.T) {
 	}
 
 	// First dial: immediate, no sleep.
-	if err := bc.ensure(); err == nil {
+	if _, err := bc.conn(); err == nil {
 		t.Fatal("dial against a dead server succeeded")
 	}
 	if dials != 1 || sleeps != 0 {
@@ -188,7 +289,7 @@ func TestBinClientRedialBackoff(t *testing.T) {
 	}
 	// Failures 2..5: each waits the ladder first, doubling then capping.
 	for i := 0; i < 4; i++ {
-		bc.ensure()
+		bc.conn()
 	}
 	want := []time.Duration{1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
 	if len(slept) != 4 {
@@ -201,7 +302,7 @@ func TestBinClientRedialBackoff(t *testing.T) {
 	}
 	// Recovery: one successful dial resets the ladder...
 	alive = true
-	if err := bc.ensure(); err != nil {
+	if _, err := bc.conn(); err != nil {
 		t.Fatalf("dial after recovery: %v", err)
 	}
 	if bc.fails != 0 {
@@ -210,7 +311,7 @@ func TestBinClientRedialBackoff(t *testing.T) {
 	// ...so the next failure starts from an immediate dial again.
 	alive, bc.c = false, nil
 	sleeps = 0
-	bc.ensure()
+	bc.conn()
 	if sleeps != 0 {
 		t.Fatal("first dial after a success slept; ladder was not reset")
 	}

@@ -18,8 +18,9 @@
 //
 // With -transport binary (plus -binary-addr HOST:PORT naming the
 // daemon's obwire listener) the workload rides the persistent binary
-// transport instead of HTTP: one connection per client, optionally
-// pipelined -pipeline N frames deep. At depth 1 every send is a
+// transport instead of HTTP: one connection per client, shared by
+// -pipeline N lanes that each keep one frame in flight, and redialed
+// once for all of them when it dies. At depth 1 every send is a
 // synchronous round trip through the same retry/backoff loop as HTTP
 // (frame statuses map onto 429/503/transport one for one); at depth >1
 // refusals are counted in-band like batch entries and not retried. The

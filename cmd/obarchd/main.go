@@ -51,17 +51,14 @@
 // (panics, stalls, dispatch clogs) for drills against exactly those
 // paths.
 //
-// The HTTP request path is a pooled fast lane: bodies land in recycled
-// buffers, the fixed send/batch wire shape is parsed and rendered by a
-// hand-written codec (selectors interned, responses byte-identical to
-// encoding/json), and anything the codec does not recognise falls back
-// to the encoding/json decoder in internal/httpwire, the one obrouter
-// uses, so both codecs give the same answer. /send and /batch bodies are
-// capped at 8 MiB; a negative or overflowing timeout_ms is a 400; one
-// malformed /batch element refuses the whole batch with a 400 naming its
-// index. Keyless requests are routed per -routing: "jsq" (default) joins
-// the shortest queue via power-of-two-choices, "rr" is the blind
-// round-robin ablation.
+// /send and /batch bodies are read, decoded and answered by
+// internal/httpwire on encoding/json, the same code obrouter uses, so a
+// node and the router give the same status and body to the same
+// request. Bodies are capped at 8 MiB; a negative or overflowing
+// timeout_ms is a 400; one malformed /batch element refuses the whole
+// batch with a 400 naming its index. Keyless requests are routed per
+// -routing: "jsq" (default) joins the shortest queue via
+// power-of-two-choices, "rr" is the blind round-robin ablation.
 //
 // Binary transport. -binary-addr additionally serves the obwire
 // protocol (see internal/obwire): length-prefixed binary frames over
@@ -508,9 +505,9 @@ func bootSnapshot(imagePath, ckptDir string, suite bool, srcPaths []string) (*ob
 
 // server is the HTTP face of a pool. Split from main so tests can drive it
 // through net/http/httptest. snap is the immutable serving snapshot;
-// imagePath, when set, is where POST /save persists it. fast selects the
-// pooled hand-written wire codec; httpLat records whole-handler latency
-// (decode, queueing, service, encode) for the /stats percentiles.
+// imagePath, when set, is where POST /save persists it. httpLat records
+// whole-handler latency (decode, queueing, service, encode) for the
+// /stats percentiles.
 // draining flips when shutdown begins, before the listener closes, so
 // /readyz steers load balancers away from a leaving node.
 type server struct {
@@ -519,7 +516,6 @@ type server struct {
 	snap      *obarch.Snapshot
 	imagePath string
 	mux       *http.ServeMux
-	fast      bool
 	boot      bootInfo
 	start     time.Time
 	draining  atomic.Bool
@@ -541,7 +537,7 @@ type server struct {
 }
 
 func newServer(pool *serve.Pool, programs []workload.Program, snap *obarch.Snapshot, imagePath string) *server {
-	s := &server{pool: pool, programs: programs, snap: snap, imagePath: imagePath, mux: http.NewServeMux(), fast: true, start: time.Now()}
+	s := &server{pool: pool, programs: programs, snap: snap, imagePath: imagePath, mux: http.NewServeMux(), start: time.Now()}
 	s.boot = bootInfo{ImagePath: imagePath, Mode: "compile", FormatVersion: image.FormatVersion}
 	s.mux.HandleFunc("POST /send", s.handleSend)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
@@ -655,53 +651,22 @@ func (s *server) handleSave(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	c := getCodec()
-	defer putCodec(c)
-	body, err := httpwire.ReadBody(w, r, c.body)
-	c.body = body
+	body, err := httpwire.ReadBody(w, r, nil)
+	var req serve.Request
+	if err == nil {
+		req, err = httpwire.DecodeSend(body)
+	}
 	if err != nil {
 		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	poolReq, fastOK := serve.Request{}, false
-	if s.fast {
-		poolReq, fastOK = parseSend(body, c)
-	}
-	if !fastOK {
-		// Fallback: the shared encoding/json decoder, for wire shapes the
-		// fast codec does not recognise — and for its error messages.
-		if poolReq, err = httpwire.DecodeSend(body); err != nil {
-			httpwire.Error(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
 	s.decLat.Observe(time.Since(start))
-	res := s.pool.Do(poolReq)
+	res := s.pool.Do(req)
 	enc := time.Now()
 	status := httpwire.Status(obwire.StatusFor(res.Err))
 	httpwire.RetryAfter(w, status)
-	if s.fast {
-		if out, ok := appendSendResponse(c.out[:0], res); ok {
-			c.out = append(out, '\n')
-			s.writeRaw(w, status, c.out, start, enc)
-			return
-		}
-	}
 	s.httpLat.Observe(time.Since(start))
 	httpwire.WriteJSON(w, status, httpwire.ResultResponse(res))
-	s.encLat.Observe(time.Since(enc))
-}
-
-// writeRaw sends a fast-encoded response body and records the handler
-// and encode-span latencies: enc is when the result came back from the
-// pool, so the encode span covers rendering plus the write itself.
-func (s *server) writeRaw(w http.ResponseWriter, status int, body []byte, start, enc time.Time) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	s.httpLat.Observe(time.Since(start))
-	if _, err := w.Write(body); err != nil {
-		log.Printf("obarchd: write response: %v", err)
-	}
 	s.encLat.Observe(time.Since(enc))
 }
 
@@ -711,45 +676,18 @@ func (s *server) writeRaw(w http.ResponseWriter, status int, body []byte, start,
 // inline, so the status is 200 whenever the batch itself was well-formed.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	c := getCodec()
-	defer putCodec(c)
-	body, err := httpwire.ReadBody(w, r, c.body)
-	c.body = body
+	body, err := httpwire.ReadBody(w, r, nil)
+	var reqs []serve.Request
+	if err == nil {
+		reqs, err = httpwire.DecodeBatch(body)
+	}
 	if err != nil {
 		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var reqs []serve.Request
-	fastOK := false
-	if s.fast {
-		reqs, fastOK = parseBatch(body, c)
-	}
-	if !fastOK {
-		if reqs, err = httpwire.DecodeBatch(body); err != nil {
-			httpwire.Error(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
 	s.decLat.Observe(time.Since(start))
 	results := s.pool.DoAll(reqs)
 	enc := time.Now()
-	if fastOK {
-		out := append(c.out[:0], '[')
-		encOK := true
-		for i, res := range results {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			if out, encOK = appendSendResponse(out, res); !encOK {
-				break
-			}
-		}
-		if encOK {
-			c.out = append(out, ']', '\n')
-			s.writeRaw(w, http.StatusOK, c.out, start, enc)
-			return
-		}
-	}
 	out := make([]httpwire.SendResponse, len(results))
 	for i, res := range results {
 		out[i] = httpwire.ResultResponse(res)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -360,6 +361,73 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 	for _, want := range []string{"obarch_binary_frames_in_total 1\n", "obarch_binary_frames_inline_total 1\n"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestServerStatsLatencyFields checks the /stats latency surface:
+// routing and the service and HTTP percentile blocks, in both JSON and
+// text form.
+func TestServerStatsLatencyFields(t *testing.T) {
+	h, pool := newSuiteServer(t, 2, "")
+	defer pool.Close()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	p := workload.Suite()[0]
+	for i := 0; i < 4; i++ {
+		status, out := postSendTo(t, ts, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry))
+		if status != http.StatusOK {
+			t.Fatalf("warm request %d: status %d (%s)", i, status, out.Error)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Requests uint64 `json:"requests"`
+		Routing  string `json:"routing"`
+		Latency  struct {
+			Count uint64 `json:"count"`
+			P50   int64  `json:"p50"`
+			P99   int64  `json:"p99"`
+		} `json:"latency_us"`
+		HTTPLatency struct {
+			Count uint64 `json:"count"`
+			P99   int64  `json:"p99"`
+		} `json:"http_latency_us"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	if st.Routing != serve.RoutingJSQ {
+		t.Fatalf("routing %q, want %q", st.Routing, serve.RoutingJSQ)
+	}
+	if st.Latency.Count != st.Requests || st.Latency.Count == 0 {
+		t.Fatalf("latency histogram count %d for %d requests", st.Latency.Count, st.Requests)
+	}
+	if st.HTTPLatency.Count != st.Requests {
+		t.Fatalf("http latency count %d for %d requests", st.HTTPLatency.Count, st.Requests)
+	}
+	if st.Latency.P99 < st.Latency.P50 {
+		t.Fatalf("p99 %d below p50 %d", st.Latency.P99, st.Latency.P50)
+	}
+	if st.HTTPLatency.P99 < st.Latency.P50 {
+		t.Fatalf("http p99 %d below service p50 %d", st.HTTPLatency.P99, st.Latency.P50)
+	}
+
+	text, err := http.Get(ts.URL + "/stats?format=text")
+	if err != nil {
+		t.Fatalf("GET /stats?format=text: %v", err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(text.Body)
+	text.Body.Close()
+	for _, want := range []string{"service latency", "http latency", "routing"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("text stats missing %q:\n%s", want, buf.String())
 		}
 	}
 }

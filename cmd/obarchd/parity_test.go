@@ -17,7 +17,7 @@ import (
 
 // parityCase is one row of internal/httpwire/testdata/parity.json: a
 // request, and the status and normalised body every HTTP edge — this
-// node with either codec, and obrouter — must answer it with.
+// node and obrouter — must answer it with.
 type parityCase struct {
 	Name      string `json:"name"`
 	Path      string `json:"path"`
@@ -49,10 +49,9 @@ func normalise(s string) string {
 	return strings.TrimSpace(varyingRE.ReplaceAllString(s, `"$1":0`))
 }
 
-// TestHTTPParityTable runs the shared parity table against this node
-// with the fast codec and with encoding/json only. The table's image
-// holds one method, SmallInt>>double; obrouter's run of the table uses
-// the same source.
+// TestHTTPParityTable runs the shared parity table against this node.
+// The table's image holds one method, SmallInt>>double; obrouter's run
+// of the table uses the same source.
 func TestHTTPParityTable(t *testing.T) {
 	sys := obarch.NewSystem(obarch.Options{})
 	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
@@ -62,23 +61,19 @@ func TestHTTPParityTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fast := range []bool{true, false} {
-		pool := serve.NewPool(snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
-		h := newServer(pool, nil, snap, "")
-		h.fast = fast
-		ts := httptest.NewServer(h)
-		for _, c := range loadParity(t) {
-			resp, err := http.Post(ts.URL+c.Path, "application/json", strings.NewReader(c.body()))
-			if err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if got := normalise(string(b)); resp.StatusCode != c.Status || got != c.Response {
-				t.Errorf("fast=%v %s: got %d %s, want %d %s", fast, c.Name, resp.StatusCode, got, c.Status, c.Response)
-			}
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	defer pool.Close()
+	ts := httptest.NewServer(newServer(pool, nil, snap, ""))
+	defer ts.Close()
+	for _, c := range loadParity(t) {
+		resp, err := http.Post(ts.URL+c.Path, "application/json", strings.NewReader(c.body()))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
 		}
-		ts.Close()
-		pool.Close()
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := normalise(string(b)); resp.StatusCode != c.Status || got != c.Response {
+			t.Errorf("%s: got %d %s, want %d %s", c.Name, resp.StatusCode, got, c.Status, c.Response)
+		}
 	}
 }

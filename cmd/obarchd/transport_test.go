@@ -95,50 +95,36 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 		}()
 	}
 	for g := 0; g < binClients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := obwire.Dial(l.Addr().String())
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer c.Close()
-			recvOne := func() bool {
-				resp, err := c.Recv()
-				if err != nil {
-					t.Errorf("client %d: recv: %v", g, err)
-					return false
-				}
-				classify(statusFromFrame(resp.Status))
-				return true
-			}
-			for r := 0; r < rounds; r++ {
-				for i, p := range progs {
+		c, err := obwire.DialMux(l.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		// window callers share the client's connection, so up to window
+		// frames are in flight on it.
+		var next atomic.Int64
+		for range window {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < rounds*len(progs); i = int(next.Add(1)) - 1 {
+					p := progs[i%len(progs)]
 					req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
-					if i%4 == 3 {
+					if i%len(progs)%4 == 3 {
 						// Expired before it can possibly dispatch: a
 						// guaranteed shed, answered in-band as StatusShed.
 						req.Timeout = time.Nanosecond
 					}
-					if _, err := c.Send(req); err != nil {
+					submitted.Add(1)
+					resp, err := c.Do(req)
+					if err != nil {
 						t.Errorf("client %d: send: %v", g, err)
 						return
 					}
-					submitted.Add(1)
-					for c.InFlight() >= window {
-						if !recvOne() {
-							return
-						}
-					}
+					classify(statusFromFrame(resp.Status))
 				}
-			}
-			for c.InFlight() > 0 {
-				if !recvOne() {
-					return
-				}
-			}
-		}(g)
+			}()
+		}
 	}
 	wg.Wait()
 	bin.Shutdown(t.Context())
@@ -202,7 +188,7 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 	}
 	bin := obwire.Serve(l, pool, obwire.Options{})
 
-	c, err := obwire.Dial(l.Addr().String())
+	c, err := obwire.DialMux(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +199,23 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 	// small so the work itself is cheap — the stall fault, not the
 	// program, is what holds the window open.
 	const inFlight = 32
+	type answer struct {
+		r   obwire.Response
+		err error
+	}
+	answers := make(chan answer, inFlight)
 	for i := 0; i < inFlight; i++ {
-		if _, err := c.Send(serve.Request{Receiver: word.FromInt(8), Selector: "benchRecurse"}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+		go func() {
+			r, err := c.Do(serve.Request{Receiver: word.FromInt(8), Selector: "benchRecurse"})
+			answers <- answer{r, err}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for bin.Stats().FramesIn < inFlight {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames reached the server", bin.Stats().FramesIn, inFlight)
 		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// The daemon's shutdown order: the HTTP listener is already gone
@@ -229,19 +228,22 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 		bin.Shutdown(t.Context())
 	}()
 
-	// Every pipelined frame must come back, in order, with a real
-	// status — none dropped, none stranded behind the closed listener.
+	// Every pipelined frame must come back with a real status — none
+	// dropped, none stranded behind the closed listener. MuxClient
+	// checks each answer's frame id against its send order.
+	seen := make(map[uint64]bool)
 	for i := 0; i < inFlight; i++ {
-		resp, err := c.Recv()
-		if err != nil {
-			t.Fatalf("recv %d during drain: %v (frame stranded)", i, err)
+		a := <-answers
+		if a.err != nil {
+			t.Fatalf("recv %d during drain: %v (frame stranded)", i, a.err)
 		}
-		if resp.ID != uint64(i) {
-			t.Fatalf("recv %d: frame id %d out of order", i, resp.ID)
+		if a.r.Status != obwire.StatusOK {
+			t.Fatalf("recv %d: status %d: %s", i, a.r.Status, a.r.Err)
 		}
-		if resp.Status != obwire.StatusOK {
-			t.Fatalf("recv %d: status %d: %s", i, resp.Status, resp.Err)
-		}
+		seen[a.r.ID] = true
+	}
+	if len(seen) != inFlight {
+		t.Fatalf("%d distinct frame ids answered, want %d", len(seen), inFlight)
 	}
 	select {
 	case <-done:

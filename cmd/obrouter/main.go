@@ -34,9 +34,10 @@
 //	                   failed over on retryable refusals; 502 when the
 //	                   send died on the wire with the budget spent,
 //	                   503 + Retry-After when no routable backend exists
-//	POST /batch        the array form, routed per-element concurrently;
-//	                   per-element failures inline, a malformed element
-//	                   a 400 for the whole batch
+//	POST /batch        the array form, routed per-element concurrently
+//	                   (64 elements at a time); per-element failures
+//	                   inline, a malformed element a 400 for the whole
+//	                   batch
 //	POST /nodes/join   {"http_addr": "...", "bin_addr": "..."} — add a
 //	                   node; it starts receiving traffic when it polls
 //	                   ready
@@ -159,9 +160,11 @@ func parseNodes(s string) ([]cluster.NodeSpec, error) {
 }
 
 // routerServer is the HTTP face of a cluster.Router, split from main so
-// tests drive it through httptest.
+// tests drive it through httptest. route is r.Send; tests wrap it to
+// watch the calls.
 type routerServer struct {
 	r        *cluster.Router
+	route    func(serve.Request) (obwire.Response, error)
 	mux      *http.ServeMux
 	start    time.Time
 	draining atomic.Bool
@@ -172,6 +175,7 @@ type routerServer struct {
 func newRouterServer(r *cluster.Router) *routerServer {
 	s := &routerServer{
 		r:     r,
+		route: r.Send,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 		proxy: &http.Client{Timeout: 5 * time.Second},
@@ -225,7 +229,7 @@ func httpStatus(resp obwire.Response, err error) int {
 // result and HTTP status.
 func (s *routerServer) send(req serve.Request) (httpwire.SendResponse, int) {
 	t0 := time.Now()
-	resp, err := s.r.Send(req)
+	resp, err := s.route(req)
 	s.sendLat.Observe(time.Since(t0))
 	status := httpStatus(resp, err)
 	if err != nil {
@@ -249,10 +253,15 @@ func (s *routerServer) handleSend(w http.ResponseWriter, r *http.Request) {
 	httpwire.WriteJSON(w, status, out)
 }
 
-// handleBatch routes each element of the array concurrently — elements
-// may land on different nodes — and answers the result array in request
-// order, per-element failures inline. A malformed element refuses the
-// whole batch with a 400 before anything is routed, as on a node.
+// batchFanout bounds how many elements of one /batch are routed at once:
+// a large batch runs on this many goroutines, not one per element.
+const batchFanout = 64
+
+// handleBatch routes the elements of the array concurrently, at most
+// batchFanout at a time — elements may land on different nodes — and
+// answers the result array in request order, per-element failures
+// inline. A malformed element refuses the whole batch with a 400 before
+// anything is routed, as on a node.
 func (s *routerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := httpwire.ReadBody(w, r, nil)
 	var reqs []serve.Request
@@ -264,12 +273,15 @@ func (s *routerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := make([]httpwire.SendResponse, len(reqs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, req := range reqs {
+	for range min(batchFanout, len(reqs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i], _ = s.send(req)
+			for i := next.Add(1) - 1; i < int64(len(reqs)); i = next.Add(1) - 1 {
+				out[i], _ = s.send(reqs[i])
+			}
 		}()
 	}
 	wg.Wait()

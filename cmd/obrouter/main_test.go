@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +203,72 @@ func TestHTTPBatchThroughRouter(t *testing.T) {
 		if r.Result != float64(2*i) {
 			t.Fatalf("batch[%d] = %v, want %d", i, r.Result, 2*i)
 		}
+	}
+}
+
+// TestHTTPBatchFanoutBounded sends a batch of 10^4 elements, one in
+// every hundred a machine error, and watches the router's sends: no
+// more than batchFanout run at once, the bound is reached, and every
+// answer and inline error stays at its element's index.
+func TestHTTPBatchFanoutBounded(t *testing.T) {
+	const n = 10000
+	snap := doubleSnapshot(t)
+	bk := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	r, _ := startRouter(t, bk)
+	rs := newRouterServer(r)
+	var mu sync.Mutex
+	live, high := 0, 0
+	rs.route = func(req serve.Request) (obwire.Response, error) {
+		mu.Lock()
+		live++
+		high = max(high, live)
+		mu.Unlock()
+		time.Sleep(100 * time.Microsecond) // hold the slot so the sends overlap
+		resp, err := r.Send(req)
+		mu.Lock()
+		live--
+		mu.Unlock()
+		return resp, err
+	}
+	web := httptest.NewServer(rs)
+	defer web.Close()
+
+	var body bytes.Buffer
+	body.WriteString(`[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			body.WriteString(",")
+		}
+		sel := "double"
+		if i%100 == 7 {
+			sel = "noSuchSelector"
+		}
+		fmt.Fprintf(&body, `{"receiver": %d, "selector": %q}`, i, sel)
+	}
+	body.WriteString(`]`)
+	resp, err := http.Post(web.URL+"/batch", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out []httpwire.SendResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != n {
+		t.Fatalf("%d results, want %d", len(out), n)
+	}
+	for i, r := range out {
+		if i%100 == 7 {
+			if !strings.Contains(r.Error, "noSuchSelector") || r.Result != nil {
+				t.Fatalf("batch[%d] = %+v, want the inline machine error", i, r)
+			}
+		} else if r.Error != "" || r.Result != float64(2*i) {
+			t.Fatalf("batch[%d] = %+v, want %d", i, r, 2*i)
+		}
+	}
+	if high != batchFanout {
+		t.Fatalf("%d sends ran at once, want the bound %d", high, batchFanout)
 	}
 }
 

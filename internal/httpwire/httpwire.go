@@ -5,9 +5,9 @@
 // gets the same answer to the same request because both tiers answer it
 // from this package.
 //
-// The JSON decoder here is the reference codec. obarchd's hand-written
-// fast codec bails to it on anything it does not fully recognise, and its
-// parity tests and fuzz target compare against it.
+// Decoding and encoding are encoding/json throughout: this is the one
+// codec for the HTTP wire, and FuzzDecodeSend keeps it honest on
+// arbitrary bodies.
 package httpwire
 
 import (
@@ -256,9 +256,13 @@ func RetryAfter(w http.ResponseWriter, status int) {
 	}
 }
 
-// Error answers status with the body {"error": msg}.
+// Error answers status with the body {"error": msg}, encoded like every
+// other response, so control bytes and invalid UTF-8 in msg still yield
+// valid JSON.
 func Error(w http.ResponseWriter, status int, msg string) {
-	http.Error(w, fmt.Sprintf(`{"error":%q}`, msg), status)
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
 }
 
 // WriteJSON answers status with v encoded by encoding/json.

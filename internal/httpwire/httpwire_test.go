@@ -1,9 +1,16 @@
 package httpwire
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -152,4 +159,145 @@ func TestExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestErrorIsJSON checks that an error body is valid JSON whatever the
+// message holds: a control byte is escaped, and invalid UTF-8 comes back
+// as U+FFFD, as encoding/json renders it.
+func TestErrorIsJSON(t *testing.T) {
+	msg := "bad \x01 byte and \xff tail"
+	w := httptest.NewRecorder()
+	Error(w, http.StatusBadRequest, msg)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	body := w.Body.Bytes()
+	if !json.Valid(body) {
+		t.Fatalf("body is not JSON: %q", body)
+	}
+	var got struct{ Error string }
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.ToValidUTF8(msg, "\uFFFD"); got.Error != want {
+		t.Fatalf("error %q, want %q", got.Error, want)
+	}
+}
+
+// sendBodies seed FuzzDecodeSend: bodies the decoder accepts first —
+// field order, whitespace, UTF-8, trailing bytes after the value — then
+// escapes, unknown fields, out-of-range and malformed numbers, wrong
+// shapes, bad timeouts and invalid UTF-8.
+var sendBodies = []string{
+	`{"receiver": 21, "selector": "double"}`,
+	`{"receiver":21,"selector":"double","args":[]}`,
+	`{"receiver": -7, "selector": "+", "args": [2, -3, 4]}`,
+	`{"receiver": 1.5, "selector": "sum", "args": [2.25, 1e3, -0.5]}`,
+	`{"selector": "double", "receiver": 21}`,
+	`{"receiver": 0, "selector": "run", "key": 12345678901234567890, "max_steps": 500, "timeout_ms": 250}`,
+	"\n\t {\"receiver\": 2 , \"selector\" : \"x\" } trailing ignored",
+	`{"receiver": 21, "selector": "naïve—sélector"}`,
+	`{"receiver": 21, "selector": "dou\u0062le"}`,
+	`{"receiver": 21, "selector": "d", "extra": true}`,
+	`{"receiver": 4294967296, "selector": "d"}`,
+	`{"receiver": 007, "selector": "d"}`,
+	`{"receiver": .5, "selector": "d"}`,
+	`{"receiver": 21}`,
+	`{"selector": "double"}`,
+	`{"receiver": 21, `,
+	`[1, 2]`,
+	`{"receiver": 1, "selector": "d", "key": -1}`,
+	`{"receiver": 1, "selector": "d", "timeout_ms": -1}`,
+	`{"receiver": 1, "selector": "d", "timeout_ms": 9223372036855}`,
+	`{"receiver": 18446744073709551617, "selector": "d"}`,
+	`{"receiver": 1, "selector": "d", "key": 36893488147419103232}`,
+	"{\"receiver\": 1, \"selector\": \"a\xffb\"}",
+}
+
+// numberOf renders a decoded machine value back as a JSON number: an
+// integer as itself, a float with an exponent so it decodes as a float
+// again. ok is false for a non-finite float, which JSON cannot carry.
+func numberOf(w word.Word) (json.Number, bool) {
+	if i, ok := w.IntOK(); ok {
+		return json.Number(strconv.FormatInt(int64(i), 10)), true
+	}
+	f, _ := w.FloatOK()
+	if math.IsInf(float64(f), 0) || math.IsNaN(float64(f)) {
+		return "", false
+	}
+	return json.Number(strconv.FormatFloat(float64(f), 'e', -1, 64)), true
+}
+
+// FuzzDecodeSend holds the /send and /batch body decoder to three
+// properties on arbitrary bodies: it never panics; a body it accepts,
+// re-encoded as a SendRequest, decodes to the same request; and wrapping
+// the body's first JSON value in [ ] makes a batch DecodeBatch accepts
+// exactly when DecodeSend accepts the body, with the same request.
+// DecodeSend ignores bytes after the first value, so the batch property
+// wraps that value alone.
+func FuzzDecodeSend(f *testing.F) {
+	for _, body := range sendBodies {
+		f.Add([]byte(body))
+		f.Add([]byte("[" + body + "]"))
+	}
+	raw, err := os.ReadFile("testdata/parity.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var parity []struct{ Body string }
+	if err := json.Unmarshal(raw, &parity); err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range parity {
+		f.Add([]byte(c.Body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeSend(body)
+
+		dec := json.NewDecoder(bytes.NewReader(body))
+		var first json.RawMessage
+		if dec.Decode(&first) != nil {
+			if err == nil {
+				t.Fatalf("%q: accepted a body with no JSON value", body)
+			}
+			return
+		}
+		batch, batchErr := DecodeBatch([]byte("[" + string(body[:dec.InputOffset()]) + "]"))
+		if (err == nil) != (batchErr == nil) {
+			t.Fatalf("%q: DecodeSend error %v, DecodeBatch error %v", body, err, batchErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(batch) != 1 || !reflect.DeepEqual(batch[0], req) {
+			t.Fatalf("%q: batch %+v, send %+v", body, batch, req)
+		}
+
+		wire := SendRequest{Selector: req.Selector, Key: req.Key, MaxSteps: req.MaxSteps, TimeoutMS: req.Timeout.Milliseconds()}
+		var ok bool
+		if wire.Receiver, ok = numberOf(req.Receiver); !ok {
+			return
+		}
+		for _, a := range req.Args {
+			n, ok := numberOf(a)
+			if !ok {
+				return
+			}
+			wire.Args = append(wire.Args, n)
+		}
+		again, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatalf("%q: re-encode %+v: %v", body, wire, err)
+		}
+		back, err := DecodeSend(again)
+		if err != nil {
+			t.Fatalf("%q: re-encoded as %s, refused: %v", body, again, err)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Fatalf("%q: re-encoded as %s, decodes to %+v, want %+v", body, again, back, req)
+		}
+	})
 }

@@ -2,9 +2,7 @@ package obwire
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand/v2"
 	"net"
 	"runtime"
@@ -19,7 +17,7 @@ import (
 )
 
 // pingBase keeps the ping ids the ordering test writes apart from the
-// send ids the Client allocates.
+// send ids rawConn allocates.
 const pingBase = 1 << 40
 
 // wireItem is one answer the ordering test expects, in wire order: a
@@ -30,65 +28,36 @@ type wireItem struct {
 	ping bool
 }
 
-// readAnswer reads the next frame off the Client's connection, a
-// response or a pong.
-func readAnswer(c *Client) (wireItem, Response, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return wireItem{}, Response{}, err
-	}
-	b := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(c.br, b); err != nil {
-		return wireItem{}, Response{}, err
-	}
-	if len(b) == 9 && b[0] == framePong {
-		return wireItem{id: binary.LittleEndian.Uint64(b[1:]), ping: true}, Response{}, nil
-	}
-	r, err := decodeResponse(b)
-	return wireItem{id: r.ID}, r, err
-}
-
 // TestInlineLaneOrdering mixes lone sends (which an idle pool runs on
 // the connection's reader), bursts of 64 flushed in ragged pieces (which
 // mostly take the pipelined path, with lone arrivals landing while
-// earlier frames are still outstanding) and pings on one Client, and
-// requires every answer back in request order with the right value.
+// earlier frames are still outstanding) and pings on one connection,
+// and requires every answer back in request order with the right value.
 func TestInlineLaneOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		s, _ := startServer(t, serve.Config{Workers: workers, Timeout: 30 * time.Second}, Options{})
-		c, err := Dial(s.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dialRaw(t, s.Addr().String())
 		rng := rand.New(rand.NewPCG(uint64(workers), 14))
 		var want []wireItem
 		send := func() {
 			v := int32(rng.IntN(1000))
-			id, err := c.Send(serve.Request{Receiver: word.FromInt(v), Selector: "answer"})
-			if err != nil {
-				t.Fatal(err)
-			}
+			id := c.send(serve.Request{Receiver: word.FromInt(v), Selector: "answer"})
 			want = append(want, wireItem{id: id, want: v + 1})
 		}
 		ping := func() {
 			id := pingBase + uint64(len(want))
-			c.wbuf = appendPing(c.wbuf[:0], id)
-			if _, err := c.bw.Write(c.wbuf); err != nil {
-				t.Fatal(err)
-			}
+			c.ping(id)
 			want = append(want, wireItem{id: id, ping: true})
 		}
 		check := func() {
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			c.flush(t)
 			for _, w := range want {
-				got, r, err := readAnswer(c)
+				r, pong, err := c.recv()
 				if err != nil {
 					t.Fatalf("workers=%d: read: %v", workers, err)
 				}
-				if got.ping != w.ping || got.id != w.id {
-					t.Fatalf("workers=%d: got frame %+v, want %+v", workers, got, w)
+				if pong != w.ping || r.ID != w.id {
+					t.Fatalf("workers=%d: got frame id %d (pong %v), want %+v", workers, r.ID, pong, w)
 				}
 				if !w.ping && (!r.OK() || r.Value.Int() != w.want) {
 					t.Fatalf("workers=%d: send %d answered %+v, want %d", workers, w.id, r, w.want)
@@ -109,9 +78,7 @@ func TestInlineLaneOrdering(t *testing.T) {
 						ping()
 					}
 					if rng.IntN(6) == 0 {
-						if err := c.Flush(); err != nil {
-							t.Fatal(err)
-						}
+						c.flush(t)
 					}
 				}
 			}
@@ -130,7 +97,7 @@ func TestInlineLaneOrdering(t *testing.T) {
 // the shard's flight ring as exec_start with no enqueue or dispatch.
 func TestInlineLaneLoneSend(t *testing.T) {
 	s, pool := startServer(t, serve.Config{Workers: 1}, Options{})
-	c, err := Dial(s.Addr().String())
+	c, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,19 +143,24 @@ func TestInlineLaneKeepsParallelism(t *testing.T) {
 	}
 	s := Serve(l, pool, Options{})
 	defer s.Shutdown(context.Background())
-	c, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	c := dialRaw(t, s.Addr().String())
+	do := func(req serve.Request) Response {
+		c.send(req)
+		c.flush(t)
+		r, _, err := c.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	defer c.Close()
 
 	// The heaviest program, priced on this host.
 	p := progs[0]
 	var most time.Duration
 	for _, q := range progs {
-		r, err := c.Do(serve.Request{Receiver: word.FromInt(q.Size), Selector: q.Entry})
-		if err != nil || !r.OK() {
-			t.Fatalf("%s: %+v, %v", q.Name, r, err)
+		r := do(serve.Request{Receiver: word.FromInt(q.Size), Selector: q.Entry})
+		if !r.OK() {
+			t.Fatalf("%s: %+v", q.Name, r)
 		}
 		if r.Latency > most {
 			p, most = q, r.Latency
@@ -196,21 +168,16 @@ func TestInlineLaneKeepsParallelism(t *testing.T) {
 	}
 	req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
 	start := time.Now()
-	if _, err := c.Send(req); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	c.send(req)
+	c.flush(t)
 	time.Sleep(time.Millisecond) // the first frame lands alone
-	if _, err := c.Send(req); err != nil {
-		t.Fatal(err)
-	}
-	a, err := c.Recv()
+	c.send(req)
+	c.flush(t)
+	a, _, err := c.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Recv()
+	b, _, err := c.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +208,9 @@ func TestShutdownDuringInlineSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Serve(l, pool, Options{})
-	c, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Send(serve.Request{Receiver: word.FromInt(6), Selector: "answer"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	c := dialRaw(t, s.Addr().String())
+	c.send(serve.Request{Receiver: word.FromInt(6), Selector: "answer"})
+	c.flush(t)
 	// Pending counts an inline execution: wait until the stalled send
 	// is on the machine.
 	deadline := time.Now().Add(5 * time.Second)
@@ -268,7 +227,7 @@ func TestShutdownDuringInlineSend(t *testing.T) {
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	r, err := c.Recv()
+	r, _, err := c.recv()
 	if err != nil || !r.OK() || r.Value.Int() != 7 {
 		t.Fatalf("inline send across Shutdown: %+v, %v", r, err)
 	}
@@ -311,7 +270,7 @@ func TestInlineWriteErrorPoisonsOwnConn(t *testing.T) {
 	s := Serve(&failFirstListener{Listener: l}, pool, Options{})
 	defer s.Shutdown(context.Background())
 
-	bad, err := Dial(s.Addr().String())
+	bad, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
-// The multiplexed client: many goroutines sharing one pipelined obwire
-// connection. The single-goroutine Client is the right shape for a load
-// generator that owns its connection; a front tier routing concurrent
-// traffic at a backend node wants the opposite — one persistent
-// connection (or a small pool of them) carrying every in-flight send at
-// once. MuxClient provides that: Do is safe from any goroutine, sends
-// are appended under a short lock and pipelined on the wire — a burst of
-// concurrent sends shares one write, a lone send is written at once —
-// and a single reader goroutine delivers responses back to their
-// callers in the server's strict request order.
+// The client: MuxClient, many goroutines sharing one pipelined obwire
+// connection. Do is safe from any goroutine; each call appends its frame
+// under a short lock and waits for its own answer, so the pipeline depth
+// is however many callers are in flight at once. A burst of concurrent
+// sends shares one write, a lone send is written at once, and a single
+// reader goroutine delivers responses back to their callers in the
+// server's strict request order. The cluster router keeps a few of these
+// per node; loadgen's binary transport shares one per client across its
+// -pipeline lanes.
 package obwire
 
 import (

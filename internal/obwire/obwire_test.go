@@ -1,9 +1,12 @@
 package obwire
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -53,6 +56,63 @@ func startServer(t *testing.T, cfg serve.Config, opts Options) (*Server, *serve.
 		pool.Close()
 	})
 	return s, pool
+}
+
+// rawConn speaks obwire frame by frame, for tests that must control
+// exactly which bytes reach the server and when: frames are buffered
+// until flush writes them in one go, and answers are read one at a time.
+type rawConn struct {
+	net.Conn
+	br   *bufio.Reader
+	out  []byte
+	next uint64
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &rawConn{Conn: c, br: bufio.NewReader(c), out: []byte(Magic)}
+}
+
+// send buffers one send frame and answers its id.
+func (c *rawConn) send(req serve.Request) uint64 {
+	id := c.next
+	c.next++
+	c.out = appendRequest(c.out, id, req)
+	return id
+}
+
+// ping buffers one ping frame.
+func (c *rawConn) ping(id uint64) { c.out = appendPing(c.out, id) }
+
+// flush writes every buffered frame.
+func (c *rawConn) flush(t *testing.T) {
+	t.Helper()
+	if _, err := c.Write(c.out); err != nil {
+		t.Fatal(err)
+	}
+	c.out = c.out[:0]
+}
+
+// recv reads the next answer: a result, or a pong whose id lands in ID.
+func (c *rawConn) recv() (r Response, pong bool, err error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		return r, false, err
+	}
+	b := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(c.br, b); err != nil {
+		return r, false, err
+	}
+	if len(b) == 9 && b[0] == framePong {
+		return Response{ID: binary.LittleEndian.Uint64(b[1:])}, true, nil
+	}
+	r, err = decodeResponse(b)
+	return r, false, err
 }
 
 // TestRequestFrameRoundTrip pins the request codec: every field —
@@ -137,7 +197,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 // listener answers a send, with the pool's accounting attached.
 func TestDoRoundTrip(t *testing.T) {
 	s, pool := startServer(t, serve.Config{Workers: 2}, Options{})
-	c, err := Dial(s.Addr().String())
+	c, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,31 +226,22 @@ func TestDoRoundTrip(t *testing.T) {
 // every response arrives in send order with the right answer.
 func TestPipelinedOrdering(t *testing.T) {
 	s, _ := startServer(t, serve.Config{Workers: 4}, Options{})
-	c, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialRaw(t, s.Addr().String())
 
 	const depth, total = 32, 512
-	recv := 0
-	for i := 0; recv < total; {
-		for ; i < total && c.InFlight() < depth; i++ {
-			if _, err := c.Send(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "answer"}); err != nil {
-				t.Fatalf("send %d: %v", i, err)
-			}
+	sent := 0
+	for recv := 0; recv < total; recv++ {
+		for ; sent < total && sent < recv+depth; sent++ {
+			c.send(serve.Request{Receiver: word.FromInt(int32(sent)), Selector: "answer"})
 		}
-		r, err := c.Recv()
+		c.flush(t)
+		r, _, err := c.recv()
 		if err != nil {
 			t.Fatalf("recv %d: %v", recv, err)
 		}
-		if !r.OK() || r.Value.Int() != int32(recv)+1 {
-			t.Fatalf("response %d: %+v, want %d", recv, r, recv+1)
+		if r.ID != uint64(recv) || !r.OK() || r.Value.Int() != int32(recv)+1 {
+			t.Fatalf("response %d: %+v, want id %d value %d", recv, r, recv, recv+1)
 		}
-		recv++
-	}
-	if c.InFlight() != 0 {
-		t.Fatalf("%d frames still in flight", c.InFlight())
 	}
 }
 
@@ -199,7 +250,7 @@ func TestPipelinedOrdering(t *testing.T) {
 // and the connection stays healthy for when capacity returns.
 func TestRefusalStatus(t *testing.T) {
 	s, _ := startServer(t, serve.Config{Workers: 1, MaxInFlight: -1}, Options{})
-	c, err := Dial(s.Addr().String())
+	c, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +272,7 @@ func TestRefusalStatus(t *testing.T) {
 // connection survives it.
 func TestMachineErrorStatus(t *testing.T) {
 	s, _ := startServer(t, serve.Config{Workers: 1}, Options{})
-	c, err := Dial(s.Addr().String())
+	c, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +299,7 @@ func TestPoisonedConnections(t *testing.T) {
 
 	probe := func(when string) {
 		t.Helper()
-		c, err := Dial(s.Addr().String())
+		c, err := DialMux(s.Addr().String())
 		if err != nil {
 			t.Fatalf("%s: dial: %v", when, err)
 		}
@@ -320,20 +371,12 @@ func TestShutdownAnswersInFlight(t *testing.T) {
 	s := Serve(l, pool, Options{})
 	addr := s.Addr().String()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialRaw(t, addr)
 	const n = 16
 	for i := 0; i < n; i++ {
-		if _, err := c.Send(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "answer"}); err != nil {
-			t.Fatal(err)
-		}
+		c.send(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "answer"})
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	c.flush(t)
 	// Give the reader a moment to dispatch, then drain.
 	time.Sleep(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -342,7 +385,7 @@ func TestShutdownAnswersInFlight(t *testing.T) {
 
 	got := 0
 	for i := 0; i < n; i++ {
-		r, err := c.Recv()
+		r, _, err := c.recv()
 		if err != nil {
 			break // frames past the drain cut are allowed to be lost
 		}
@@ -354,7 +397,8 @@ func TestShutdownAnswersInFlight(t *testing.T) {
 	if got == 0 {
 		t.Fatal("no dispatched frame was answered across the drain")
 	}
-	if _, err := Dial(addr); err == nil {
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }

@@ -15,8 +15,7 @@
 //
 // A connection opens with the 4-byte magic "OBW1" from the client. Every
 // frame after that is a little-endian u32 payload length followed by the
-// payload. Values use the fastwire image encoding: a machine word is its
-// tag byte plus 4 payload bytes.
+// payload. A machine word is its tag byte plus 4 payload bytes.
 //
 // Request payload (client → server):
 //
@@ -82,8 +81,8 @@ const (
 	framePong = 0x04
 )
 
-// Frame-level statuses, mirroring the HTTP map (see statusFor in
-// cmd/obarchd): retry semantics carry over unchanged.
+// Frame-level statuses, mirroring the HTTP map (see httpwire.Status):
+// retry semantics carry over unchanged.
 const (
 	StatusOK           = 0x00 // 200: Value holds the answer
 	StatusMachineError = 0x01 // 422: the send failed; do not retry
@@ -215,6 +214,29 @@ func appendResponse(b []byte, id uint64, res serve.Result) []byte {
 	}
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
 	return b
+}
+
+// decodeResponse decodes one result frame payload. The error message,
+// present only on non-OK statuses, is the single allocation.
+func decodeResponse(b []byte) (Response, error) {
+	d := dec{b: b}
+	if t := d.u8(); t != frameResult && !d.bad {
+		return Response{}, fmt.Errorf("obwire: unknown response frame type 0x%02x", t)
+	}
+	r := Response{
+		ID:     d.u64(),
+		Status: d.u8(),
+		Value:  d.word(),
+	}
+	r.Worker = d.u32()
+	r.Steps = d.u64()
+	r.Cycles = d.u64()
+	r.Latency = time.Duration(d.u64())
+	r.Err = string(d.bytes(int(d.u16())))
+	if err := d.done(); err != nil {
+		return Response{}, err
+	}
+	return r, nil
 }
 
 // dec is a poisoning little-endian reader over one frame payload,

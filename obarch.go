@@ -34,10 +34,10 @@
 // pool.DoAll, which shards the request slice across workers and
 // pipelines per-shard sub-batches — one wait-group signal per sub-batch
 // instead of a channel round-trip per request. cmd/obarchd wraps the
-// pool as an HTTP/JSON server (POST /send, POST /batch) with a pooled
-// hand-written wire codec, and cmd/loadgen replays the workload suite
-// against it as concurrent traffic, batched or unbatched (-batch K),
-// keyless or with a skewed keyspace (-skew).
+// pool as an HTTP/JSON server (POST /send, POST /batch) and an obwire
+// binary listener, and cmd/loadgen replays the workload suite against it
+// as concurrent traffic, batched or unbatched (-batch K), keyless or
+// with a skewed keyspace (-skew).
 //
 // The experiment harness regenerating every figure and table of the paper
 // is exposed through Experiments and RunExperiment; the cmd/ directory
