@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/httpwire"
 	"repro/internal/serve"
 )
 
@@ -49,21 +52,28 @@ func normalise(s string) string {
 	return strings.TrimSpace(varyingRE.ReplaceAllString(s, `"$1":0`))
 }
 
+// newParityServer is the node the parity table runs against: one worker
+// over an image holding SmallInt>>double.
+func newParityServer(tb testing.TB) *server {
+	tb.Helper()
+	sys := obarch.NewSystem(obarch.Options{})
+	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	tb.Cleanup(pool.Close)
+	return newServer(pool, nil, snap, "")
+}
+
 // TestHTTPParityTable runs the shared parity table against this node.
 // The table's image holds one method, SmallInt>>double; obrouter's run
 // of the table uses the same source.
 func TestHTTPParityTable(t *testing.T) {
-	sys := obarch.NewSystem(obarch.Options{})
-	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := serve.NewPool(snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
-	defer pool.Close()
-	ts := httptest.NewServer(newServer(pool, nil, snap, ""))
+	ts := httptest.NewServer(newParityServer(t))
 	defer ts.Close()
 	for _, c := range loadParity(t) {
 		resp, err := http.Post(ts.URL+c.Path, "application/json", strings.NewReader(c.body()))
@@ -76,4 +86,63 @@ func TestHTTPParityTable(t *testing.T) {
 			t.Errorf("%s: got %d %s, want %d %s", c.Name, resp.StatusCode, got, c.Status, c.Response)
 		}
 	}
+}
+
+// FuzzSendBody holds this node's /send and /batch handlers to the shared
+// body decoder on arbitrary bodies: each answers 400 exactly when
+// httpwire refuses the body, and otherwise answers JSON — one result for
+// /send, one result per decoded request for /batch. It is seeded with
+// the bodies FuzzDecodeSend uses, bare and in [ ], then the parity rows.
+func FuzzSendBody(f *testing.F) {
+	raw, err := os.ReadFile("../../internal/httpwire/testdata/send_bodies.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		body, err := strconv.Unquote(line)
+		if err != nil {
+			f.Fatalf("send_bodies.txt: %q: %v", line, err)
+		}
+		f.Add([]byte(body))
+		f.Add([]byte("[" + body + "]"))
+	}
+	for _, c := range loadParity(f) {
+		f.Add([]byte(c.Body))
+	}
+	srv := newParityServer(f)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, sendErr := httpwire.DecodeSend(body)
+		w := post("/send", body)
+		if (w.Code == http.StatusBadRequest) != (sendErr != nil) {
+			t.Fatalf("%q: /send answered %d, decoder error %v", body, w.Code, sendErr)
+		}
+		var one httpwire.SendResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &one); err != nil {
+			t.Fatalf("%q: /send answered %d with %q: %v", body, w.Code, w.Body.Bytes(), err)
+		}
+
+		reqs, batchErr := httpwire.DecodeBatch(body)
+		w = post("/batch", body)
+		if (w.Code == http.StatusBadRequest) != (batchErr != nil) {
+			t.Fatalf("%q: /batch answered %d, decoder error %v", body, w.Code, batchErr)
+		}
+		if batchErr != nil {
+			return
+		}
+		var many []httpwire.SendResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &many); err != nil {
+			t.Fatalf("%q: /batch answered %q: %v", body, w.Body.Bytes(), err)
+		}
+		if len(many) != len(reqs) {
+			t.Fatalf("%q: /batch answered %d results for %d requests", body, len(many), len(reqs))
+		}
+	})
 }

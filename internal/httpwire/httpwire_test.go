@@ -187,34 +187,26 @@ func TestErrorIsJSON(t *testing.T) {
 	}
 }
 
-// sendBodies seed FuzzDecodeSend: bodies the decoder accepts first —
-// field order, whitespace, UTF-8, trailing bytes after the value — then
-// escapes, unknown fields, out-of-range and malformed numbers, wrong
-// shapes, bad timeouts and invalid UTF-8.
-var sendBodies = []string{
-	`{"receiver": 21, "selector": "double"}`,
-	`{"receiver":21,"selector":"double","args":[]}`,
-	`{"receiver": -7, "selector": "+", "args": [2, -3, 4]}`,
-	`{"receiver": 1.5, "selector": "sum", "args": [2.25, 1e3, -0.5]}`,
-	`{"selector": "double", "receiver": 21}`,
-	`{"receiver": 0, "selector": "run", "key": 12345678901234567890, "max_steps": 500, "timeout_ms": 250}`,
-	"\n\t {\"receiver\": 2 , \"selector\" : \"x\" } trailing ignored",
-	`{"receiver": 21, "selector": "naïve—sélector"}`,
-	`{"receiver": 21, "selector": "dou\u0062le"}`,
-	`{"receiver": 21, "selector": "d", "extra": true}`,
-	`{"receiver": 4294967296, "selector": "d"}`,
-	`{"receiver": 007, "selector": "d"}`,
-	`{"receiver": .5, "selector": "d"}`,
-	`{"receiver": 21}`,
-	`{"selector": "double"}`,
-	`{"receiver": 21, `,
-	`[1, 2]`,
-	`{"receiver": 1, "selector": "d", "key": -1}`,
-	`{"receiver": 1, "selector": "d", "timeout_ms": -1}`,
-	`{"receiver": 1, "selector": "d", "timeout_ms": 9223372036855}`,
-	`{"receiver": 18446744073709551617, "selector": "d"}`,
-	`{"receiver": 1, "selector": "d", "key": 36893488147419103232}`,
-	"{\"receiver\": 1, \"selector\": \"a\xffb\"}",
+// loadSendBodies reads the seed bodies the /send fuzz targets share,
+// one Go-quoted string per line; lines starting with # are comments.
+func loadSendBodies(tb testing.TB, path string) []string {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var bodies []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		body, err := strconv.Unquote(line)
+		if err != nil {
+			tb.Fatalf("%s: %q: %v", path, line, err)
+		}
+		bodies = append(bodies, body)
+	}
+	return bodies
 }
 
 // numberOf renders a decoded machine value back as a JSON number: an
@@ -239,7 +231,7 @@ func numberOf(w word.Word) (json.Number, bool) {
 // DecodeSend ignores bytes after the first value, so the batch property
 // wraps that value alone.
 func FuzzDecodeSend(f *testing.F) {
-	for _, body := range sendBodies {
+	for _, body := range loadSendBodies(f, "testdata/send_bodies.txt") {
 		f.Add([]byte(body))
 		f.Add([]byte("[" + body + "]"))
 	}
