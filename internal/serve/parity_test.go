@@ -1,6 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -170,4 +175,83 @@ func TestRoutingValidation(t *testing.T) {
 		}
 	}()
 	serve.NewPool(snap, serve.Config{Routing: "least-loaded"})
+}
+
+var update = flag.Bool("update", false, "regenerate testdata/accounting.golden.json")
+
+// accountingGoldenPath is the checked-in modelled accounting of the
+// default pool: for each row, the summed core.Stats and every answer of
+// runSequence. It pins the COM behaviour against history, so host-level
+// mechanism (routing, result cells, the flight recorder, the panic
+// barriers) can change without a second implementation kept alive to
+// compare against. Regenerate it only on a deliberate modelled change:
+//
+//	go test ./internal/serve -run TestAccountingGolden -update
+const accountingGoldenPath = "testdata/accounting.golden.json"
+
+// goldenRow is one fixture entry.
+type goldenRow struct {
+	Name    string     `json:"name"`
+	Stats   core.Stats `json:"stats"`
+	Answers []int32    `json:"answers"`
+}
+
+// TestAccountingGolden runs the deterministic sequence through each
+// configuration and compares the modelled accounting and the answers
+// with the fixture, byte for byte. Rows with more than one worker are
+// keyed: a keyless send lands on a JSQ probe's random pick, and with it
+// the cache state of whichever machine served it.
+func TestAccountingGolden(t *testing.T) {
+	rows := []struct {
+		name  string
+		cfg   serve.Config
+		keyed bool
+	}{
+		{"workers=1 keyless", serve.Config{Workers: 1}, false},
+		{"workers=2 keyed", serve.Config{Workers: 2, Batch: 4}, true},
+		{"workers=4 keyed", serve.Config{Workers: 4, Batch: 4}, true},
+		{"workers=2 keyed, faults armed-but-empty", serve.Config{Workers: 2, Batch: 4, Faults: &serve.Faults{Seed: 99}}, true},
+		{"workers=2 keyed, in-flight ceiling 2^30", serve.Config{Workers: 2, Batch: 4, MaxInFlight: 1 << 30}, true},
+	}
+	var got []goldenRow
+	for _, r := range rows {
+		st, vals := runSequence(t, r.cfg, r.keyed)
+		got = append(got, goldenRow{Name: r.name, Stats: st, Answers: vals})
+	}
+	buf, err := json.MarshalIndent(got, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(accountingGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(accountingGoldenPath, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d bytes to %s", len(buf), accountingGoldenPath)
+		return
+	}
+	golden, err := os.ReadFile(accountingGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/serve -run TestAccountingGolden -update` to create it)", err)
+	}
+	if bytes.Equal(buf, golden) {
+		return
+	}
+	var want []goldenRow
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatalf("fixture unreadable: %v", err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("fixture has %d rows, the test runs %d", len(want), len(got))
+	}
+	for i := range got {
+		if want[i].Name != got[i].Name {
+			t.Fatalf("row %d: fixture names %q, the test runs %q", i, want[i].Name, got[i].Name)
+		}
+		assertParity(t, got[i].Name+" (fixture vs now)", want[i].Stats, got[i].Stats, want[i].Answers, got[i].Answers)
+	}
+	t.Fatal("fixture bytes differ from a fresh encoding of equal rows")
 }
