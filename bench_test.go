@@ -384,40 +384,31 @@ func tinySnapshot(b *testing.B) *core.Snapshot {
 }
 
 // BenchmarkPoolDoParallel measures the contended Do path — GOMAXPROCS
-// client goroutines hammering a GOMAXPROCS-worker pool with tiny sends —
-// for the pooled request lifecycle against the legacy per-call-channel
-// lifecycle. The acceptance bar for PR 5 is 0 allocs/op on the pooled
-// path; the µs/send gap against the legacy sub-bench is the lifecycle's
-// contention cost (it only opens up when clients actually run in
-// parallel — on a 1-core host both paths collapse to the inline fast
-// path).
+// client goroutines hammering a GOMAXPROCS-worker pool with tiny sends.
+// The acceptance bar is 0 allocs/op. The sub-bench keeps the name it had
+// beside the per-call-channel lifecycle it was measured against, so the
+// CI gate's row names hold.
 func BenchmarkPoolDoParallel(b *testing.B) {
 	snap := tinySnapshot(b)
-	for _, lifecycle := range []struct {
-		name   string
-		legacy bool
-	}{{"pooled", false}, {"legacy", true}} {
-		b.Run("lifecycle="+lifecycle.name, func(b *testing.B) {
-			pool := serve.NewPool(snap, serve.Config{
-				Workers:         runtime.GOMAXPROCS(0),
-				QueueDepth:      256,
-				GCEvery:         -1,
-				LegacyLifecycle: lifecycle.legacy,
-			})
-			defer pool.Close()
-			req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if res := pool.Do(req); res.Err != nil {
-						b.Error(res.Err)
-						return
-					}
-				}
-			})
+	b.Run("lifecycle=pooled", func(b *testing.B) {
+		pool := serve.NewPool(snap, serve.Config{
+			Workers:    runtime.GOMAXPROCS(0),
+			QueueDepth: 256,
+			GCEvery:    -1,
 		})
-	}
+		defer pool.Close()
+		req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if res := pool.Do(req); res.Err != nil {
+					b.Error(res.Err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkFlightRecord measures the flight recorder's raw write path —
@@ -435,78 +426,62 @@ func BenchmarkFlightRecord(b *testing.B) {
 }
 
 // BenchmarkPoolGo measures the queued submission path — Go then Wait, so
-// every request takes the full enqueue/worker/deliver round-trip — for
-// both lifecycles. This is where the pooled future replaces the per-call
-// make(chan Result, 1): the pooled sub-bench must report 0 allocs/op.
+// every request takes the full enqueue/worker/deliver round-trip through
+// a pooled future. It must report 0 allocs/op.
 func BenchmarkPoolGo(b *testing.B) {
 	snap := tinySnapshot(b)
-	for _, lifecycle := range []struct {
-		name   string
-		legacy bool
-	}{{"pooled", false}, {"legacy", true}} {
-		b.Run("lifecycle="+lifecycle.name, func(b *testing.B) {
-			pool := serve.NewPool(snap, serve.Config{
-				Workers:         1,
-				QueueDepth:      256,
-				GCEvery:         -1,
-				LegacyLifecycle: lifecycle.legacy,
-			})
-			defer pool.Close()
-			req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
-			// Warm the cell pool.
+	b.Run("lifecycle=pooled", func(b *testing.B) {
+		pool := serve.NewPool(snap, serve.Config{
+			Workers:    1,
+			QueueDepth: 256,
+			GCEvery:    -1,
+		})
+		defer pool.Close()
+		req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
+		// Warm the cell pool.
+		if res := pool.Go(req).Wait(); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if res := pool.Go(req).Wait(); res.Err != nil {
 				b.Fatal(res.Err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res := pool.Go(req).Wait(); res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkPoolGoBurst measures the contended queued path: bursts of 16
 // pipelined submissions per wait, so the shard queue is deep, the worker
-// drains batches, and every request takes the pooled-cell hand-off. This
-// is the µs/send number to compare against the PR 4 per-call-channel
-// lifecycle (reproduced by the legacy sub-bench), which paid two heap
-// allocations and a channel round-trip per queued request.
+// drains batches, and every request takes the pooled-cell hand-off.
 func BenchmarkPoolGoBurst(b *testing.B) {
 	snap := tinySnapshot(b)
-	for _, lifecycle := range []struct {
-		name   string
-		legacy bool
-	}{{"pooled", false}, {"legacy", true}} {
-		b.Run("lifecycle="+lifecycle.name, func(b *testing.B) {
-			pool := serve.NewPool(snap, serve.Config{
-				Workers:         runtime.GOMAXPROCS(0),
-				QueueDepth:      256,
-				GCEvery:         -1,
-				LegacyLifecycle: lifecycle.legacy,
-			})
-			defer pool.Close()
-			req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
-			const burst = 16
-			var futs [burst]*serve.Future
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range futs {
-					futs[j] = pool.Go(req)
-				}
-				for _, f := range futs {
-					if res := f.Wait(); res.Err != nil {
-						b.Fatal(res.Err)
-					}
+	b.Run("lifecycle=pooled", func(b *testing.B) {
+		pool := serve.NewPool(snap, serve.Config{
+			Workers:    runtime.GOMAXPROCS(0),
+			QueueDepth: 256,
+			GCEvery:    -1,
+		})
+		defer pool.Close()
+		req := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
+		const burst = 16
+		var futs [burst]*serve.Future
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range futs {
+				futs[j] = pool.Go(req)
+			}
+			for _, f := range futs {
+				if res := f.Wait(); res.Err != nil {
+					b.Fatal(res.Err)
 				}
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/send")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/send")
+	})
 }
 
 // BenchmarkShedPath measures the overload refusal itself: admission is
@@ -533,13 +508,11 @@ func BenchmarkShedPath(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutingSkewed compares round-robin against join-shortest-queue
-// under the traffic shape JSQ exists for: a hot affinity key pins a
-// pipeline of expensive sends (the 1506-instruction arith program) onto
-// shard 0 while the measured client sends keyless tiny requests.
-// Round-robin keeps steering a quarter of the keyless sends into the hot
-// shard's queue, where each waits out tens of microseconds of arith; JSQ
-// probes two depth counters and dodges it. The headline metric is the
+// BenchmarkRoutingSkewed measures join-shortest-queue routing under the
+// traffic shape it exists for: a hot affinity key pins a pipeline of
+// expensive sends (the 1506-instruction arith program) onto shard 0
+// while the measured client sends keyless tiny requests. JSQ probes two
+// depth counters and dodges the hot shard. The headline metric is the
 // keyless client's p99 latency.
 func BenchmarkRoutingSkewed(b *testing.B) {
 	sys := NewSystem(Options{})
@@ -561,49 +534,45 @@ func BenchmarkRoutingSkewed(b *testing.B) {
 		b.Fatal(err)
 	}
 	const workers = 4
-	for _, mode := range []string{serve.RoutingRR, serve.RoutingJSQ} {
-		b.Run("routing="+mode, func(b *testing.B) {
-			pool := serve.NewPool(snap, serve.Config{
-				Workers:    workers,
-				QueueDepth: 256,
-				Routing:    mode,
-				GCEvery:    -1,
-			})
-			defer pool.Close()
-			keyless := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
-			hot := serve.Request{Receiver: word.FromInt(arith.Warm), Selector: arith.Entry, Key: workers} // pins shard 0
-
-			// A bounded pipeline of keyed arith keeps shard 0's queue
-			// non-empty for the whole measurement: every 4th iteration
-			// submits one (waiting out the oldest once two are in
-			// flight), so the backlog pressure is deterministic and
-			// identical for both routing policies — and independent of
-			// how many cores the host has. Only the keyless Do is timed.
-			var backlog []*serve.Future
-			var hist stats.Histogram
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%4 == 0 {
-					if len(backlog) == 2 {
-						backlog[0].Wait()
-						backlog = append(backlog[:0], backlog[1])
-					}
-					backlog = append(backlog, pool.Go(hot))
-				}
-				t0 := time.Now()
-				if res := pool.Do(keyless); res.Err != nil {
-					b.Fatal(res.Err)
-				}
-				hist.Observe(time.Since(t0))
-			}
-			b.StopTimer()
-			for _, f := range backlog {
-				f.Wait()
-			}
-			b.ReportMetric(float64(hist.Quantile(0.50).Nanoseconds())/1e3, "p50_us")
-			b.ReportMetric(float64(hist.Quantile(0.99).Nanoseconds())/1e3, "p99_us")
+	b.Run("routing=jsq", func(b *testing.B) {
+		pool := serve.NewPool(snap, serve.Config{
+			Workers:    workers,
+			QueueDepth: 256,
+			GCEvery:    -1,
 		})
-	}
+		defer pool.Close()
+		keyless := serve.Request{Receiver: word.FromInt(21), Selector: "double"}
+		hot := serve.Request{Receiver: word.FromInt(arith.Warm), Selector: arith.Entry, Key: workers} // pins shard 0
+
+		// A bounded pipeline of keyed arith keeps shard 0's queue
+		// non-empty for the whole measurement: every 4th iteration
+		// submits one (waiting out the oldest once two are in flight),
+		// so the backlog pressure is deterministic and independent of
+		// how many cores the host has. Only the keyless Do is timed.
+		var backlog []*serve.Future
+		var hist stats.Histogram
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%4 == 0 {
+				if len(backlog) == 2 {
+					backlog[0].Wait()
+					backlog = append(backlog[:0], backlog[1])
+				}
+				backlog = append(backlog, pool.Go(hot))
+			}
+			t0 := time.Now()
+			if res := pool.Do(keyless); res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			hist.Observe(time.Since(t0))
+		}
+		b.StopTimer()
+		for _, f := range backlog {
+			f.Wait()
+		}
+		b.ReportMetric(float64(hist.Quantile(0.50).Nanoseconds())/1e3, "p50_us")
+		b.ReportMetric(float64(hist.Quantile(0.99).Nanoseconds())/1e3, "p99_us")
+	})
 }
 
 // BenchmarkWarmStart compares the two ways to stand up a worker machine

@@ -7,7 +7,7 @@
 //	obarchd -addr :8373 &
 //	loadgen -addr http://localhost:8373 -clients 8 -rounds 4
 //	loadgen -addr http://localhost:8373 -clients 8 -rounds 4 -batch 16
-//	loadgen -addr http://localhost:8373 -skew 0.5 -routing jsq
+//	loadgen -addr http://localhost:8373 -skew 0.5
 //
 // With -batch K each client groups K sends into one POST /batch request,
 // driving the pool's sharded DoAll fast path; the summary then reports
@@ -31,11 +31,8 @@
 // deliberately skewed keyspace — 80% of keyed sends share one hot key,
 // the rest spread over seven warm keys — pinning a disproportionate load
 // onto a few shards while the remaining keyless sends float. That is the
-// traffic shape join-shortest-queue routing exists for: against a
-// `-routing jsq` server the keyless sends dodge the hot shards and tail
-// latency drops versus `-routing rr` under the identical load. -routing
-// asserts (via /stats) that the server is actually running the policy
-// being measured, so A/B numbers cannot be mislabelled.
+// traffic shape the server's join-shortest-queue routing exists for: the
+// keyless sends dodge the hot shards.
 //
 // When the server pushes back — 429 at admission, 503 for a deadline
 // shed, or a failed connection — the send retries up to -retries times
@@ -108,7 +105,6 @@ func main() {
 	pipeline := flag.Int("pipeline", 1, "in-flight frames per client with -transport binary (1: synchronous round trips with retries)")
 	save := flag.Bool("save", false, "POST /save after the run, persisting the server's machine image")
 	skew := flag.Float64("skew", 0, "fraction of sends carrying a skewed affinity key (0: all keyless)")
-	routing := flag.String("routing", "", `assert the server's keyless routing policy ("jsq" or "rr") before running`)
 	retries := flag.Int("retries", 3, "retry budget per send for 429/503/transport refusals (0: fail fast)")
 	backoff := flag.Duration("backoff", 5*time.Millisecond, "first retry backoff; doubles per attempt with full jitter, capped at 1s")
 	out := flag.String("out", "", "write the full run result (config, percentiles, error counts, server stage spans) as JSON to this file")
@@ -116,17 +112,6 @@ func main() {
 	p99Budget := flag.Duration("p99budget", 0, "fail the run if the client-observed p99 exceeds this (0: no budget)")
 	flag.Parse()
 
-	if *routing != "" {
-		got, err := fetchRouting(*addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen: routing check:", err)
-			os.Exit(1)
-		}
-		if got != *routing {
-			fmt.Fprintf(os.Stderr, "loadgen: server routes %q, want %q (restart obarchd with -routing %s)\n", got, *routing, *routing)
-			os.Exit(1)
-		}
-	}
 	programs, err := fetchPrograms(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -151,9 +136,9 @@ func main() {
 	if *pipeline < 1 {
 		*pipeline = 1
 	}
-	// The control plane (program list, routing checks, rotation drills,
-	// /stats, /save) always speaks HTTP to -addr; -transport only picks
-	// the wire the workload itself rides.
+	// The control plane (program list, rotation drills, /stats, /save)
+	// always speaks HTTP to -addr; -transport only picks the wire the
+	// workload itself rides.
 	binary := *transport == "binary"
 	switch {
 	case *transport != "http" && !binary:
@@ -319,9 +304,6 @@ func main() {
 		reqLabel = "frames"
 	}
 	fmt.Printf("mode: %s\n", mode)
-	if *routing != "" {
-		fmt.Printf("routing: %s (verified via /stats)\n", *routing)
-	}
 	if *skew > 0 {
 		fmt.Printf("keyspace: %.0f%% keyed (hot-key skewed), %d of %d sends carried keys\n",
 			*skew*100, keyed.Load(), n)
@@ -401,7 +383,7 @@ func main() {
 		artifact := runArtifact{
 			Config: runConfig{
 				Addr: *addr, Clients: *clients, Rounds: *rounds, Program: *name,
-				Warm: *warm, Batch: *batch, Skew: *skew, Routing: *routing,
+				Warm: *warm, Batch: *batch, Skew: *skew,
 				Transport: *transport, BinaryAddr: *binaryAddr, Pipeline: *pipeline,
 				Retries: *retries, BackoffMS: float64(backoff.Microseconds()) / 1e3,
 				ExpectRotation: *expectRotation,
@@ -463,7 +445,6 @@ type runConfig struct {
 	Warm      bool    `json:"warm,omitempty"`
 	Batch     int     `json:"batch"`
 	Skew      float64 `json:"skew,omitempty"`
-	Routing   string  `json:"routing,omitempty"`
 	Retries   int     `json:"retries"`
 	BackoffMS float64 `json:"backoff_ms"`
 
@@ -512,7 +493,6 @@ type serverView struct {
 	StartTime      string            `json:"start_time,omitempty"`
 	UptimeS        float64           `json:"uptime_s,omitempty"`
 	Image          json.RawMessage   `json:"image,omitempty"`
-	Routing        string            `json:"routing,omitempty"`
 	Workers        int               `json:"workers,omitempty"`
 	Requests       uint64            `json:"requests,omitempty"`
 	Rotations      uint64            `json:"rotations,omitempty"`
@@ -619,28 +599,6 @@ func postSave(addr string) error {
 	}
 	fmt.Printf("saved image: %d bytes to %s\n", out.Bytes, out.Path)
 	return nil
-}
-
-// fetchRouting reads the server's keyless routing policy from /stats.
-func fetchRouting(addr string) (string, error) {
-	resp, err := http.Get(addr + "/stats")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /stats: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Routing string `json:"routing"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("decode /stats: %w", err)
-	}
-	if out.Routing == "" {
-		return "", fmt.Errorf("server reports no routing policy (pre-JSQ obarchd?)")
-	}
-	return out.Routing, nil
 }
 
 func fetchPrograms(addr string) ([]httpwire.ProgramInfo, error) {

@@ -56,9 +56,8 @@
 // node and the router give the same status and body to the same
 // request. Bodies are capped at 8 MiB; a negative or overflowing
 // timeout_ms is a 400; one malformed /batch element refuses the whole
-// batch with a 400 naming its index. Keyless requests are routed per
-// -routing: "jsq" (default) joins the shortest queue via
-// power-of-two-choices, "rr" is the blind round-robin ablation.
+// batch with a 400 naming its index. Keyless requests join the shortest
+// queue via power-of-two-choices.
 //
 // Binary transport. -binary-addr additionally serves the obwire
 // protocol (see internal/obwire): length-prefixed binary frames over
@@ -87,9 +86,6 @@
 // returns the full event chain and per-request machine accounting of
 // every request that crossed the -slowlog threshold; and -debug mounts
 // net/http/pprof under /debug/pprof for CPU/heap/goroutine profiles.
-// -flight=false ablates the recorder (and with it the stage spans and
-// slow capture); the modelled machine accounting is bit-identical either
-// way.
 //
 // Endpoints:
 //
@@ -110,7 +106,7 @@
 //	                  mid-swap failure (pool rolled back)
 //	GET  /programs    the loaded workload programs (name, size, entry, check)
 //	GET  /stats       aggregated pool metrics (add ?format=text for a table);
-//	                  includes the routing policy, per-shard queue depths,
+//	                  includes per-shard queue depths,
 //	                  node identity (start_time, uptime_s, image provenance),
 //	                  Go runtime gauges, and fixed-bucket percentiles per
 //	                  stage: "latency_us"/"service_us" is machine service
@@ -190,12 +186,10 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request wall-clock timeout")
 	suite := flag.Bool("suite", true, "load the built-in workload suite")
 	gcEvery := flag.Int("gcevery", 0, "collect per worker every N requests (0: default, <0: never)")
-	routing := flag.String("routing", serve.RoutingJSQ, `keyless request routing: "jsq" (join shortest queue) or "rr" (round-robin)`)
 	imagePath := flag.String("image", "", "machine image path: warm-boot from it when present (refuses extra source files; /programs still reflects -suite), persist to it on POST /save")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight HTTP requests")
 	slowlog := flag.Duration("slowlog", 100*time.Millisecond, "capture requests slower than this for GET /debug/slow (0: disabled)")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof")
-	flight := flag.Bool("flight", true, "record request lifecycle events in the per-shard flight recorder")
 	maxInFlight := flag.Int("maxinflight", 0, "pool-wide cap on admitted-but-unfinished requests (0: unlimited, <0: refuse everything)")
 	chaos := flag.String("chaos", "", `deterministic fault plan, e.g. "seed=42,panic=100,stall=50:2ms,clog=64:1ms" (empty: none)`)
 	checkpoint := flag.Duration("checkpoint", 0, "capture a live checkpoint every DUR (0: disabled; requires -checkpoint-dir)")
@@ -204,9 +198,6 @@ func main() {
 	watch := flag.Duration("watch", 0, "poll the -image path every DUR and rotate onto it when it changes (0: disabled)")
 	flag.Parse()
 
-	if *routing != serve.RoutingJSQ && *routing != serve.RoutingRR {
-		log.Fatalf("obarchd: -routing %q: want %q or %q", *routing, serve.RoutingJSQ, serve.RoutingRR)
-	}
 	faults, err := parseChaos(*chaos)
 	if err != nil {
 		log.Fatalf("obarchd: -chaos: %v", err)
@@ -223,16 +214,14 @@ func main() {
 	}
 
 	pool := serve.NewPool(snap, serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		MaxSteps:         *maxSteps,
-		Timeout:          *timeout,
-		GCEvery:          *gcEvery,
-		Routing:          *routing,
-		NoFlightRecorder: !*flight,
-		SlowThreshold:    *slowlog,
-		MaxInFlight:      *maxInFlight,
-		Faults:           faults,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		MaxSteps:      *maxSteps,
+		Timeout:       *timeout,
+		GCEvery:       *gcEvery,
+		SlowThreshold: *slowlog,
+		MaxInFlight:   *maxInFlight,
+		Faults:        faults,
 	})
 	if faults != nil {
 		log.Printf("obarchd: chaos armed: %s", *chaos)
@@ -738,7 +727,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "http latency      %s\n", hlat.String())
 		fmt.Fprintf(w, "decode            %s\n", dec.String())
 		fmt.Fprintf(w, "encode            %s\n", enc.String())
-		fmt.Fprintf(w, "routing           %s\n", s.pool.Routing())
 		fmt.Fprintf(w, "in flight         %d\n", s.pool.InFlight())
 		ready := "true"
 		if reason := s.notReady(); reason != "" {
@@ -775,7 +763,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"gcs":              met.GCs,
 		"gc_pause_us":      met.GCPause.Microseconds(),
 		"workers":          s.pool.Workers(),
-		"routing":          s.pool.Routing(),
 		"queue_depths":     s.pool.QueueDepths(),
 		"in_flight":        s.pool.InFlight(),
 		"unhealthy_shards": s.pool.UnhealthyShards(),
@@ -792,7 +779,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime_s":         time.Since(s.start).Seconds(),
 		"image":            s.boot,
 		"runtime":          runtimeGauges(),
-		"flight_recorder":  s.pool.FlightRecorder() != nil,
 		"slowlog_us":       s.pool.SlowThreshold().Microseconds(),
 		"checkpoint":       s.checkpointStats(),
 		"checkpoint_age_s": s.checkpointAge(),

@@ -51,7 +51,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	httpwire.Flag(&b, "obarch_ready", "1 while /readyz answers 200, 0 while new traffic should go elsewhere.", s.notReady() == "")
 	httpwire.Gauge(&b, "obarch_start_time_seconds", "Unix time the daemon started.", float64(s.start.UnixNano())/1e9)
 	httpwire.Gauge(&b, "obarch_uptime_seconds", "Seconds since the daemon started.", time.Since(s.start).Seconds())
-	httpwire.Flag(&b, "obarch_flight_recorder", "1 when the flight recorder is live, 0 when ablated.", s.pool.FlightRecorder() != nil)
 	httpwire.Gauge(&b, "obarch_slow_captures", "Slow-request captures currently retained.", float64(len(s.pool.SlowRequests())))
 	httpwire.Header(&b, "obarch_image_info", "Serving image provenance: 1, labelled with path, load mode, and format version.", "gauge")
 	fmt.Fprintf(&b, "obarch_image_info{path=%s,mode=%s,version=\"%d\"} 1\n",

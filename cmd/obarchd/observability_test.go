@@ -63,7 +63,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf("obarch_requests_total %d", n),
 		"obarch_errors_total 0",
 		"obarch_workers 2",
-		"obarch_flight_recorder 1",
 		`obarch_image_info{path="",mode="compile",version="1"} 1`,
 		`obarch_queue_depth{worker="0"} 0`,
 		`obarch_queue_depth{worker="1"} 0`,
@@ -187,8 +186,7 @@ func TestStatsIdentityAndSpans(t *testing.T) {
 		EncodeUS struct {
 			Count uint64 `json:"count"`
 		} `json:"encode_us"`
-		FlightRecorder bool  `json:"flight_recorder"`
-		SlowlogUS      int64 `json:"slowlog_us"`
+		SlowlogUS int64 `json:"slowlog_us"`
 	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("decode /stats: %v", err)
@@ -211,9 +209,6 @@ func TestStatsIdentityAndSpans(t *testing.T) {
 	}
 	if st.DecodeUS.Count != n || st.EncodeUS.Count != n {
 		t.Errorf("codec span counts = %d/%d, want %d", st.DecodeUS.Count, st.EncodeUS.Count, n)
-	}
-	if !st.FlightRecorder {
-		t.Error("flight_recorder should be on by default")
 	}
 	// Sequential /send traffic runs the inline fast lane, so queue_us
 	// stays empty — that is the lane working, not a missing stat.
@@ -365,9 +360,8 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 	}
 }
 
-// TestServerStatsLatencyFields checks the /stats latency surface:
-// routing and the service and HTTP percentile blocks, in both JSON and
-// text form.
+// TestServerStatsLatencyFields checks the /stats latency surface: the
+// service and HTTP percentile blocks, in both JSON and text form.
 func TestServerStatsLatencyFields(t *testing.T) {
 	h, pool := newSuiteServer(t, 2, "")
 	defer pool.Close()
@@ -388,7 +382,6 @@ func TestServerStatsLatencyFields(t *testing.T) {
 	defer resp.Body.Close()
 	var st struct {
 		Requests uint64 `json:"requests"`
-		Routing  string `json:"routing"`
 		Latency  struct {
 			Count uint64 `json:"count"`
 			P50   int64  `json:"p50"`
@@ -401,9 +394,6 @@ func TestServerStatsLatencyFields(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decode /stats: %v", err)
-	}
-	if st.Routing != serve.RoutingJSQ {
-		t.Fatalf("routing %q, want %q", st.Routing, serve.RoutingJSQ)
 	}
 	if st.Latency.Count != st.Requests || st.Latency.Count == 0 {
 		t.Fatalf("latency histogram count %d for %d requests", st.Latency.Count, st.Requests)
@@ -425,7 +415,7 @@ func TestServerStatsLatencyFields(t *testing.T) {
 	var buf bytes.Buffer
 	buf.ReadFrom(text.Body)
 	text.Body.Close()
-	for _, want := range []string{"service latency", "http latency", "routing"} {
+	for _, want := range []string{"service latency", "http latency"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("text stats missing %q:\n%s", want, buf.String())
 		}

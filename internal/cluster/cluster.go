@@ -20,6 +20,15 @@
 // correctness bug, not resilience). The failover budget bounds the
 // walk, so a cluster-wide brownout degrades into fast refusals instead
 // of retry storms.
+//
+// Delivery contract: Router.Send is at-least-once under transport
+// failover. A transport error leaves unknown whether the node ran the
+// frame before its connection died, and the send moves on to the next
+// candidate, so one request can execute on two nodes
+// (TestRouterFailoverOnKill and ci/clusterkill.sh drive this path). A
+// refusal ran nothing, so failing it over runs the request at most once
+// (TestRouterShedFailsOver). Successes and machine errors are returned
+// as they are and never resent.
 package cluster
 
 import (

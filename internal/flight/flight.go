@@ -154,8 +154,7 @@ type pad [64]byte
 // Ring is one shard's event buffer. Writers may be concurrent (the shard
 // driver under its exec lock plus, in principle, any instrumented path);
 // each reserves a slot with one atomic cursor bump and publishes it with
-// a stamp store. A nil *Ring is valid and records nothing — that is the
-// recorder ablation.
+// a stamp store.
 type Ring struct {
 	_      pad
 	cursor atomic.Uint64
@@ -168,9 +167,6 @@ type Ring struct {
 
 // Record writes one event stamped now.
 func (r *Ring) Record(k Kind, req, arg uint64) {
-	if r == nil {
-		return
-	}
 	r.RecordAt(k, req, arg, int64(time.Since(r.epoch)))
 }
 
@@ -178,9 +174,6 @@ func (r *Ring) Record(k Kind, req, arg uint64) {
 // since the recorder's epoch), letting hot paths reuse a clock reading
 // they already paid for.
 func (r *Ring) RecordAt(k Kind, req, arg uint64, ts int64) {
-	if r == nil {
-		return
-	}
 	c := r.cursor.Add(1) - 1
 	s := &r.slots[c&r.mask]
 	// Invalidate before the payload, publish after: a reader that sees
@@ -193,20 +186,13 @@ func (r *Ring) RecordAt(k Kind, req, arg uint64, ts int64) {
 }
 
 // Now returns the current recorder timestamp — nanoseconds since the
-// epoch on the monotonic clock — for pairing with RecordAt. A nil ring
-// answers 0.
+// epoch on the monotonic clock — for pairing with RecordAt.
 func (r *Ring) Now() int64 {
-	if r == nil {
-		return 0
-	}
 	return int64(time.Since(r.epoch))
 }
 
 // TS converts an absolute time into a recorder timestamp.
 func (r *Ring) TS(t time.Time) int64 {
-	if r == nil {
-		return 0
-	}
 	return int64(t.Sub(r.epoch))
 }
 
@@ -215,9 +201,6 @@ func (r *Ring) TS(t time.Time) int64 {
 // skipped (never returned torn); the snapshot is a best-effort recent
 // window, not a barrier.
 func (r *Ring) Snapshot(dst []Event) []Event {
-	if r == nil {
-		return dst
-	}
 	cur := r.cursor.Load()
 	n := uint64(len(r.slots))
 	start := uint64(0)
@@ -250,7 +233,7 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 // EventsFor returns the valid events carrying the given request id,
 // oldest first.
 func (r *Ring) EventsFor(req uint64) []Event {
-	if r == nil || req == 0 {
+	if req == 0 {
 		return nil
 	}
 	all := r.Snapshot(nil)
@@ -300,36 +283,17 @@ func New(shards, size int) *Recorder {
 	return rec
 }
 
-// Ring returns shard i's ring; out-of-range answers nil (which records
-// nothing), so a nil-safe caller needs no bounds bookkeeping.
-func (rec *Recorder) Ring(i int) *Ring {
-	if rec == nil || i < 0 || i >= len(rec.rings) {
-		return nil
-	}
-	return rec.rings[i]
-}
+// Ring returns shard i's ring.
+func (rec *Recorder) Ring(i int) *Ring { return rec.rings[i] }
 
 // Shards returns the number of rings.
-func (rec *Recorder) Shards() int {
-	if rec == nil {
-		return 0
-	}
-	return len(rec.rings)
-}
+func (rec *Recorder) Shards() int { return len(rec.rings) }
 
 // Epoch returns the wall-clock instant recorder timestamps count from.
-func (rec *Recorder) Epoch() time.Time {
-	if rec == nil {
-		return time.Time{}
-	}
-	return rec.epoch
-}
+func (rec *Recorder) Epoch() time.Time { return rec.epoch }
 
 // Events snapshots every shard's ring, merged oldest-timestamp first.
 func (rec *Recorder) Events() []Event {
-	if rec == nil {
-		return nil
-	}
 	var out []Event
 	for _, r := range rec.rings {
 		out = r.Snapshot(out)

@@ -3,7 +3,6 @@ package flight
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -27,28 +26,6 @@ func TestKindString(t *testing.T) {
 		if got := k.String(); got != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, s)
 		}
-	}
-}
-
-func TestNilRingIsNoOp(t *testing.T) {
-	var r *Ring
-	r.Record(KindEnqueue, 1, 2)
-	r.RecordAt(KindEnqueue, 1, 2, 3)
-	if got := r.Snapshot(nil); got != nil {
-		t.Errorf("nil ring Snapshot = %v, want nil", got)
-	}
-	if got := r.EventsFor(1); got != nil {
-		t.Errorf("nil ring EventsFor = %v, want nil", got)
-	}
-	if r.Now() != 0 || r.TS(time.Now()) != 0 {
-		t.Error("nil ring clock should answer 0")
-	}
-	var rec *Recorder
-	if rec.Ring(0) != nil || rec.Shards() != 0 || rec.Events() != nil {
-		t.Error("nil recorder should answer empty everywhere")
-	}
-	if !rec.Epoch().IsZero() {
-		t.Error("nil recorder epoch should be zero")
 	}
 }
 
@@ -87,9 +64,6 @@ func TestRingSizeRounding(t *testing.T) {
 	}
 	if n := len(New(1, 0).Ring(0).slots); n != DefaultRingSize {
 		t.Errorf("size 0 gave %d slots, want DefaultRingSize=%d", n, DefaultRingSize)
-	}
-	if rec.Ring(-1) != nil || rec.Ring(1) != nil {
-		t.Error("out-of-range Ring should answer nil")
 	}
 }
 

@@ -49,6 +49,20 @@
 // its own connection: the server counts it, stops reading, answers what
 // it already dispatched, and closes. The daemon and every other
 // connection keep serving.
+//
+// # Delivery
+//
+// The server runs each request frame at most once. The connection
+// reader decodes a frame once and hands it to the pool once — Pool.TryDo
+// when the pool is idle, Pool.Go otherwise — and the pool never retries
+// it; the frame's one response carries that outcome, and frames
+// dispatched before a drain are still answered
+// (TestShutdownAnswersInFlight). A malformed frame runs nothing.
+//
+// MuxClient never resends. A send whose connection dies before its
+// answer arrives fails with ErrClientClosed whether or not the server
+// ran it (TestMuxDeadConnectionFailsFast); retrying is the caller's
+// decision.
 package obwire
 
 import (

@@ -9,8 +9,7 @@ import (
 
 // TestRequestLifecycleZeroAlloc pins the tentpole bar outside the bench
 // suite: a warm pool serves Do (inline and queued) and Go without
-// touching the Go heap. The legacy lifecycle is measured alongside to
-// prove the ablation still allocates — i.e. the pool is what removed it.
+// touching the Go heap.
 func TestRequestLifecycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool reuse; allocation bar is enforced by the bench gate")
@@ -40,16 +39,5 @@ func TestRequestLifecycleZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("Go+Wait allocates %.2f objects per call, want 0", avg)
-	}
-
-	legacy := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, LegacyLifecycle: true})
-	defer legacy.Close()
-	if res := legacy.Go(req).Wait(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		legacy.Go(req).Wait()
-	}); avg == 0 {
-		t.Fatal("legacy lifecycle reports 0 allocs; the ablation is not measuring the old path")
 	}
 }

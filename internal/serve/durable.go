@@ -69,9 +69,7 @@ func (p *Pool) SnapshotLive() (*core.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: live snapshot: %w", err)
 	}
-	if fr := p.shards[0].fr; fr != nil {
-		fr.Record(flight.KindCheckpoint, 0, uint64(time.Since(t0)))
-	}
+	p.shards[0].fr.Record(flight.KindCheckpoint, 0, uint64(time.Since(t0)))
 	return snap, nil
 }
 
@@ -122,9 +120,7 @@ func (p *Pool) Rotate(next *core.Snapshot) error {
 		}
 		t0 := time.Now()
 		s.swapMachine(next)
-		if s.fr != nil {
-			s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
-		}
+		s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
 		s.execMu.Unlock()
 	}
 	p.rotations.Add(1)
@@ -141,9 +137,7 @@ func (p *Pool) rollback(prev []*core.Snapshot) {
 		s.execMu.Lock()
 		t0 := time.Now()
 		s.swapMachine(snap)
-		if s.fr != nil {
-			s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
-		}
+		s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
 		s.execMu.Unlock()
 	}
 }

@@ -146,15 +146,17 @@ func (p *Pool) quarantine(s *shard, id uint64, lat time.Duration, start time.Tim
 	t0 := time.Now()
 	p.restamp(s)
 	cost := time.Since(t0)
-	if fr := s.fr; fr != nil {
-		ts := fr.TS(start) + int64(lat)
-		code := uint64(flight.PanicReal)
-		if chaosHit {
-			code = flight.PanicChaos
-		}
-		fr.RecordAt(flight.KindPanic, id, code, ts)
-		fr.RecordAt(flight.KindRestamp, id, uint64(cost), ts+int64(cost))
+	ts := s.fr.TS(start) + int64(lat)
+	s.fr.RecordAt(flight.KindPanic, id, panicCode(chaosHit), ts)
+	s.fr.RecordAt(flight.KindRestamp, id, uint64(cost), ts+int64(cost))
+}
+
+// panicCode is a KindPanic event's arg: injected or real.
+func panicCode(chaosHit bool) uint64 {
+	if chaosHit {
+		return flight.PanicChaos
 	}
+	return flight.PanicReal
 }
 
 // restamp swaps the shard's machine for a fresh clone of its stamping
@@ -194,16 +196,10 @@ func (p *Pool) driverPanic(s *shard, j job, r any) {
 	s.unhealthy.Store(true)
 	p.restamp(s)
 	err := fmt.Errorf("%w: %v", ErrPanic, r)
-	if fr := s.fr; fr != nil {
-		_, chaosHit := r.(chaosPanic)
-		code := uint64(flight.PanicReal)
-		if chaosHit {
-			code = flight.PanicChaos
-		}
-		now := fr.Now()
-		fr.RecordAt(flight.KindPanic, j.id, code, now)
-		fr.RecordAt(flight.KindRestamp, j.id, 0, now)
-	}
+	_, chaosHit := r.(chaosPanic)
+	now := s.fr.Now()
+	s.fr.RecordAt(flight.KindPanic, j.id, panicCode(chaosHit), now)
+	s.fr.RecordAt(flight.KindRestamp, j.id, 0, now)
 	s.pending.Add(-1)
 	if j.wg != nil {
 		p.release(int64(len(j.batch)))

@@ -16,10 +16,13 @@ import (
 // exec_start→exec_end, and queue waits feed the queue-wait histogram.
 func TestFlightEventsUnderTraffic(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 2, Routing: serve.RoutingRR})
+	pool := serve.NewPool(snap, serve.Config{Workers: 2})
 	defer pool.Close()
 	p := progs[0]
 	req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
+	// Keys 1 and 2 pin shards 1 and 0, so DoAll's split is fixed.
+	k1, k2 := req, req
+	k1.Key, k2.Key = 1, 2
 
 	if res := pool.Do(req); res.Err != nil {
 		t.Fatalf("Do: %v", res.Err)
@@ -27,16 +30,13 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	if res := pool.Go(req).Wait(); res.Err != nil {
 		t.Fatalf("Go: %v", res.Err)
 	}
-	for _, res := range pool.DoAll([]serve.Request{req, req, req}) {
+	for _, res := range pool.DoAll([]serve.Request{k1, k2, k1}) {
 		if res.Err != nil {
 			t.Fatalf("DoAll: %v", res.Err)
 		}
 	}
 
 	rec := pool.FlightRecorder()
-	if rec == nil {
-		t.Fatal("recorder should be on by default")
-	}
 	if rec.Shards() != 2 {
 		t.Fatalf("recorder has %d shards, want 2", rec.Shards())
 	}
@@ -46,9 +46,9 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 		kinds[ev.Kind]++
 	}
 	// Do ran inline (idle pool): one exec_start. Go queued one request;
-	// DoAll's three keyless requests split round-robin across the two
-	// shards into two sub-batches, each stamping one enqueue — three
-	// enqueues, four dispatches. Every request ended: five exec_ends.
+	// DoAll's three keyed requests split across the two shards into two
+	// sub-batches, each stamping one enqueue — three enqueues, four
+	// dispatches. Every request ended: five exec_ends.
 	if kinds[flight.KindExecStart] != 1 {
 		t.Errorf("exec_start count = %d, want 1: %v", kinds[flight.KindExecStart], kinds)
 	}
@@ -92,30 +92,6 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	}
 	if ends != 5 {
 		t.Errorf("chained exec_ends = %d, want 5", ends)
-	}
-}
-
-// TestNoFlightRecorderAblation: the ablated pool serves identically (the
-// parity test proves accounting; this pins the API surface) and answers
-// nil/empty everywhere observability is asked for.
-func TestNoFlightRecorderAblation(t *testing.T) {
-	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 2, NoFlightRecorder: true})
-	defer pool.Close()
-	p := progs[0]
-	req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
-	if res := pool.Do(req); res.Err != nil {
-		t.Fatalf("Do: %v", res.Err)
-	}
-	if res := pool.Go(req).Wait(); res.Err != nil {
-		t.Fatalf("Go: %v", res.Err)
-	}
-	if pool.FlightRecorder() != nil {
-		t.Error("ablated pool should have a nil recorder")
-	}
-	if h := pool.QueueWaitHistogram(); h.Count() != 0 {
-		n := h.Count()
-		t.Errorf("ablated pool observed %d queue waits, want 0", n)
 	}
 }
 

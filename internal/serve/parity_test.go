@@ -17,9 +17,9 @@ import (
 // mixing Do, Go and DoAll, two rounds over every suite program at
 // measured size — sequentially through a fresh pool built with cfg, and
 // returns the summed machine-level accounting after Close plus every
-// answer. Submission is single-threaded, so shard assignment (and with
-// it every modelled cache state) depends only on the routing policy and
-// the keys, never on scheduling.
+// answer. Submission is single-threaded, so with one shard, or with every
+// request keyed, shard assignment (and with it every modelled cache
+// state) depends only on the keys, never on scheduling.
 func runSequence(t *testing.T, cfg serve.Config, keyed bool) (core.Stats, []int32) {
 	t.Helper()
 	snap, progs := suiteSnapshot(t)
@@ -71,110 +71,24 @@ func assertParity(t *testing.T, label string, sa, sb core.Stats, va, vb []int32)
 	}
 }
 
-// TestLifecycleParity proves the pooled request lifecycle (recycled
-// futures, atomic closed flag, seqlock metrics) models the exact same
-// machines as the legacy per-call-channel lifecycle: bit-identical
-// core.Stats on every counter, identical answers. Routing is fixed to
-// round-robin so the only variable is the lifecycle.
-func TestLifecycleParity(t *testing.T) {
-	cfg := serve.Config{Workers: 2, Routing: serve.RoutingRR, Batch: 4}
-	legacy := cfg
-	legacy.LegacyLifecycle = true
-	sa, va := runSequence(t, cfg, false)
-	sb, vb := runSequence(t, legacy, false)
-	assertParity(t, "pooled vs legacy lifecycle", sa, sb, va, vb)
-}
-
-// TestRoutingParityKeyed proves JSQ and round-robin are host-level
-// placement only: with affinity keys pinning every request, the two
-// policies assign identical work to identical machines and the modelled
-// core.Stats match bit for bit.
-func TestRoutingParityKeyed(t *testing.T) {
-	rr := serve.Config{Workers: 4, Routing: serve.RoutingRR, Batch: 4}
-	jsq := serve.Config{Workers: 4, Routing: serve.RoutingJSQ, Batch: 4}
-	sa, va := runSequence(t, rr, true)
-	sb, vb := runSequence(t, jsq, true)
-	assertParity(t, "rr vs jsq (keyed)", sa, sb, va, vb)
-}
-
-// TestRoutingParitySingleShard: with one shard there is nothing to
-// route, so keyless traffic must also model identically across policies
-// (and across lifecycles, closing the matrix).
-func TestRoutingParitySingleShard(t *testing.T) {
-	rr := serve.Config{Workers: 1, Routing: serve.RoutingRR}
-	jsq := serve.Config{Workers: 1, Routing: serve.RoutingJSQ, LegacyLifecycle: true}
-	sa, va := runSequence(t, rr, false)
-	sb, vb := runSequence(t, jsq, false)
-	assertParity(t, "rr vs jsq (single shard)", sa, sb, va, vb)
-}
-
-// TestFlightRecorderParity proves the flight recorder is pure
-// observation: with the recorder on (default) and ablated
-// (NoFlightRecorder), the modelled core.Stats are bit-identical on every
-// counter and every answer matches. Run for both lifecycles so the
-// recorder's submit-path stamps are covered on each.
-func TestFlightRecorderParity(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		cfg := serve.Config{Workers: 2, Routing: serve.RoutingRR, Batch: 4, LegacyLifecycle: legacy}
-		ablated := cfg
-		ablated.NoFlightRecorder = true
-		sa, va := runSequence(t, cfg, false)
-		sb, vb := runSequence(t, ablated, false)
-		label := "recorder on vs ablated (pooled)"
-		if legacy {
-			label = "recorder on vs ablated (legacy)"
-		}
-		assertParity(t, label, sa, sb, va, vb)
-	}
-}
-
 // TestRecoveryAndChaosParity proves the robustness machinery is pure
-// mechanism: with recovery ablated (NoRecovery), with an armed-but-empty
-// fault plan (chaos off), and with a never-reached admission ceiling,
-// the modelled core.Stats are bit-identical to the default pool on every
-// counter and every answer matches — the same bar the recorder and
-// lifecycle ablations already meet.
+// mechanism: with an armed-but-empty fault plan (chaos off) and with a
+// never-reached admission ceiling, the modelled core.Stats are
+// bit-identical to the default pool on every counter and every answer
+// matches. TestAccountingGolden pins the same rows against history.
 func TestRecoveryAndChaosParity(t *testing.T) {
-	base := serve.Config{Workers: 2, Routing: serve.RoutingRR, Batch: 4}
-	sa, va := runSequence(t, base, false)
-
-	ablated := base
-	ablated.NoRecovery = true
-	sb, vb := runSequence(t, ablated, false)
-	assertParity(t, "recovery barriers on vs ablated", sa, sb, va, vb)
+	base := serve.Config{Workers: 2, Batch: 4}
+	sa, va := runSequence(t, base, true)
 
 	armed := base
 	armed.Faults = &serve.Faults{Seed: 99} // armed plan, no fault cadences
-	sc, vc := runSequence(t, armed, false)
-	assertParity(t, "chaos armed-but-empty vs off", sa, sc, va, vc)
+	sb, vb := runSequence(t, armed, true)
+	assertParity(t, "chaos armed-but-empty vs off", sa, sb, va, vb)
 
 	ceiling := base
 	ceiling.MaxInFlight = 1 << 30
-	sd, vd := runSequence(t, ceiling, false)
-	assertParity(t, "admission ceiling armed vs off", sa, sd, va, vd)
-}
-
-// TestRoutingValidation pins the Config.Routing contract: both named
-// policies and the empty default construct, anything else panics.
-func TestRoutingValidation(t *testing.T) {
-	snap, _ := suiteSnapshot(t)
-	for _, routing := range []string{"", serve.RoutingJSQ, serve.RoutingRR} {
-		pool := serve.NewPool(snap, serve.Config{Workers: 1, Routing: routing})
-		want := routing
-		if want == "" {
-			want = serve.RoutingJSQ
-		}
-		if got := pool.Routing(); got != want {
-			t.Fatalf("Routing() = %q for config %q", got, routing)
-		}
-		pool.Close()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown routing policy did not panic")
-		}
-	}()
-	serve.NewPool(snap, serve.Config{Routing: "least-loaded"})
+	sc, vc := runSequence(t, ceiling, true)
+	assertParity(t, "admission ceiling armed vs off", sa, sc, va, vc)
 }
 
 var update = flag.Bool("update", false, "regenerate testdata/accounting.golden.json")

