@@ -13,45 +13,114 @@ import (
 	"repro/internal/word"
 )
 
-// runSequence drives a fixed, fully deterministic request sequence —
-// mixing Do, Go and DoAll, two rounds over every suite program at
-// measured size — sequentially through a fresh pool built with cfg, and
-// returns the summed machine-level accounting after Close plus every
-// answer. Submission is single-threaded, so with one shard, or with every
-// request keyed, shard assignment (and with it every modelled cache
-// state) depends only on the keys, never on scheduling.
-func runSequence(t *testing.T, cfg serve.Config, keyed bool) (core.Stats, []int32) {
+// Submission paths of one sequence step.
+const (
+	viaDo = iota
+	viaGo
+	viaDoAll
+)
+
+// seqStep is one step of the deterministic sequence: n copies of req,
+// submitted through Do, Go (one call each) or one DoAll.
+type seqStep struct {
+	req serve.Request
+	n   int
+	via int
+}
+
+// sequenceSteps returns the suite snapshot and the fixed request
+// sequence: two rounds over every suite program at measured size,
+// program i submitted through Do, Go or DoAll (of two copies) by i mod 3,
+// and keyed i+1 when keyed.
+func sequenceSteps(t testing.TB, keyed bool) (*core.Snapshot, []seqStep) {
 	t.Helper()
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, cfg)
-	var vals []int32
-	collect := func(res serve.Result) {
-		got, err := res.Int()
+	var steps []seqStep
+	for round := 0; round < 2; round++ {
+		for i, p := range progs {
+			st := seqStep{req: serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}, n: 1, via: i % 3}
+			if keyed {
+				st.req.Key = uint64(i + 1)
+			}
+			if st.via == viaDoAll {
+				st.n = 2
+			}
+			steps = append(steps, st)
+		}
+	}
+	return snap, steps
+}
+
+// withVia returns a copy of steps with every submission moved to one path.
+func withVia(steps []seqStep, via int) []seqStep {
+	out := append([]seqStep(nil), steps...)
+	for i := range out {
+		out[i].via = via
+	}
+	return out
+}
+
+// submitStep runs one step on pool and returns its answers in order. It
+// reports failures with t.Errorf, so submitters may run concurrently.
+func submitStep(t testing.TB, pool *serve.Pool, st seqStep) []int32 {
+	var res []serve.Result
+	switch st.via {
+	case viaDo:
+		for k := 0; k < st.n; k++ {
+			res = append(res, pool.Do(st.req))
+		}
+	case viaGo:
+		for k := 0; k < st.n; k++ {
+			res = append(res, pool.Go(st.req).Wait())
+		}
+	default:
+		reqs := make([]serve.Request, st.n)
+		for k := range reqs {
+			reqs[k] = st.req
+		}
+		res = pool.DoAll(reqs)
+	}
+	vals := make([]int32, 0, len(res))
+	for _, r := range res {
+		got, err := r.Int()
 		if err != nil {
-			t.Fatalf("sequence request: %v", err)
+			t.Errorf("sequence request: %v", err)
 		}
 		vals = append(vals, got)
 	}
-	for round := 0; round < 2; round++ {
-		for i, p := range progs {
-			req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
-			if keyed {
-				req.Key = uint64(i + 1)
-			}
-			switch i % 3 {
-			case 0:
-				collect(pool.Do(req))
-			case 1:
-				collect(pool.Go(req).Wait())
-			default:
-				for _, res := range pool.DoAll([]serve.Request{req, req}) {
-					collect(res)
-				}
-			}
+	return vals
+}
+
+// runSteps submits steps in order from one goroutine through a fresh
+// pool built from snap with cfg, calling after (when non-nil) once each
+// step is answered, and returns the summed machine-level accounting
+// after Close plus every answer. With one shard, or with every request
+// keyed, shard assignment (and with it every modelled cache state)
+// depends only on the keys, never on scheduling.
+func runSteps(t *testing.T, snap *core.Snapshot, cfg serve.Config, steps []seqStep, after func(*serve.Pool)) (core.Stats, []int32) {
+	t.Helper()
+	pool := serve.NewPool(snap, cfg)
+	var vals []int32
+	for _, st := range steps {
+		vals = append(vals, submitStep(t, pool, st)...)
+		if after != nil {
+			after(pool)
 		}
 	}
 	pool.Close()
+	if t.Failed() {
+		t.FailNow()
+	}
 	return pool.MachineStats(), vals
+}
+
+// runSequence drives the deterministic sequence — mixing Do, Go and
+// DoAll — through a fresh pool built with cfg and returns the summed
+// machine-level accounting after Close plus every answer.
+func runSequence(t *testing.T, cfg serve.Config, keyed bool) (core.Stats, []int32) {
+	t.Helper()
+	snap, steps := sequenceSteps(t, keyed)
+	return runSteps(t, snap, cfg, steps, nil)
 }
 
 // assertParity compares two runs bit for bit: every modelled counter in
@@ -68,6 +137,114 @@ func assertParity(t *testing.T, label string, sa, sb core.Stats, va, vb []int32)
 		if va[i] != vb[i] {
 			t.Fatalf("%s: answer %d diverges: %d vs %d", label, i, va[i], vb[i])
 		}
+	}
+}
+
+// TestLifecycleParity proves the request lifecycle is host-level
+// mechanism only: the sequence submitted wholly through Do (the inline
+// lane or a queued job), wholly through Go (pooled result cells, each
+// released by Wait and reused by the next Go) or wholly through DoAll
+// (per-shard sub-batches) models the same machines as the mixed
+// sequence — bit-identical core.Stats on every counter, identical
+// answers.
+func TestLifecycleParity(t *testing.T) {
+	snap, steps := sequenceSteps(t, true)
+	cfg := serve.Config{Workers: 2, Batch: 4}
+	sa, va := runSteps(t, snap, cfg, steps, nil)
+	for _, v := range []struct {
+		name string
+		via  int
+	}{{"Do", viaDo}, {"Go", viaGo}, {"DoAll", viaDoAll}} {
+		sb, vb := runSteps(t, snap, cfg, withVia(steps, v.via), nil)
+		assertParity(t, "mixed vs "+v.name+" only", sa, sb, va, vb)
+	}
+}
+
+// TestRoutingParityKeyed proves affinity keys are placement only: on
+// four workers, the keyed sequence submitted one step at a time models
+// the same machines as the same requests pipelined — every one handed to
+// Go before any is waited for, so later requests meet deep queues, which
+// a keyless JSQ pick reacts to and a keyed request must not. Shifting
+// every key by the worker count changes nothing either.
+func TestRoutingParityKeyed(t *testing.T) {
+	const workers = 4
+	snap, steps := sequenceSteps(t, true)
+	cfg := serve.Config{Workers: workers, Batch: 4}
+	sa, va := runSteps(t, snap, cfg, steps, nil)
+
+	shifted := append([]seqStep(nil), steps...)
+	for i := range shifted {
+		shifted[i].req.Key += workers
+	}
+	sb, vb := runSteps(t, snap, cfg, shifted, nil)
+	assertParity(t, "keys vs keys+workers", sa, sb, va, vb)
+
+	pool := serve.NewPool(snap, cfg)
+	var futs []*serve.Future
+	deep := false
+	for _, st := range steps {
+		for k := 0; k < st.n; k++ {
+			futs = append(futs, pool.Go(st.req))
+		}
+		for _, d := range pool.QueueDepths() {
+			deep = deep || d > 0
+		}
+	}
+	var vc []int32
+	for _, f := range futs {
+		got, err := f.Wait().Int()
+		if err != nil {
+			t.Fatalf("pipelined request: %v", err)
+		}
+		vc = append(vc, got)
+	}
+	pool.Close()
+	if !deep {
+		t.Fatal("pipelined submission never found a queued request")
+	}
+	assertParity(t, "one at a time vs pipelined", sa, pool.MachineStats(), va, vc)
+}
+
+// TestRoutingParitySingleShard: with one shard there is nothing to
+// route, so keyless and keyed traffic model identically, and across
+// lifecycles too (keyless mixed vs keyed Go only), closing the matrix.
+func TestRoutingParitySingleShard(t *testing.T) {
+	cfg := serve.Config{Workers: 1}
+	snap, keyless := sequenceSteps(t, false)
+	_, keyed := sequenceSteps(t, true)
+	sa, va := runSteps(t, snap, cfg, keyless, nil)
+	sb, vb := runSteps(t, snap, cfg, keyed, nil)
+	assertParity(t, "keyless vs keyed (single shard)", sa, sb, va, vb)
+	sc, vc := runSteps(t, snap, cfg, withVia(keyed, viaGo), nil)
+	assertParity(t, "keyless mixed vs keyed Go only (single shard)", sa, sc, va, vc)
+}
+
+// TestFlightRecorderParity proves the flight recorder is pure
+// observation: a pool whose rings wrap every few events (FlightRingSize
+// 8) and a pool whose recorder is read back after every step model the
+// same machines as the default pool — bit-identical core.Stats on every
+// counter, identical answers — through the mixed sequence and through Go
+// alone, so the recorder's submit-path stamps are covered on each path.
+func TestFlightRecorderParity(t *testing.T) {
+	snap, mixed := sequenceSteps(t, true)
+	base := serve.Config{Workers: 2, Batch: 4}
+	tiny := base
+	tiny.FlightRingSize = 8
+	for _, seq := range []struct {
+		name  string
+		steps []seqStep
+	}{{"mixed", mixed}, {"Go only", withVia(mixed, viaGo)}} {
+		sa, va := runSteps(t, snap, base, seq.steps, nil)
+		sb, vb := runSteps(t, snap, tiny, seq.steps, nil)
+		assertParity(t, "default ring vs 8-slot ring ("+seq.name+")", sa, sb, va, vb)
+		events := 0
+		sc, vc := runSteps(t, snap, base, seq.steps, func(p *serve.Pool) {
+			events += len(p.FlightRecorder().Events())
+		})
+		if events == 0 {
+			t.Fatalf("%s: the recorder held no events after any step", seq.name)
+		}
+		assertParity(t, "unread vs read after every step ("+seq.name+")", sa, sc, va, vc)
 	}
 }
 
