@@ -25,16 +25,16 @@ import (
 // accounted is every accounting surface the fast paths could plausibly
 // disturb.
 type accounted struct {
-	sum    int32
-	stats  core.Stats
-	icache cache.Stats
-	itlbC  cache.Stats
-	itlb   itlb.Stats
-	atlb   cache.Stats
-	team   memory.TeamStats
-	alloc  memory.AllocStats
-	gc     gc.Stats
-	live   int
+	Sum    int32             `json:"checksum"`
+	Stats  core.Stats        `json:"stats"`
+	ICache cache.Stats       `json:"icache"`
+	ITLBC  cache.Stats       `json:"itlb_cache"`
+	ITLB   itlb.Stats        `json:"itlb"`
+	ATLB   cache.Stats       `json:"atlb"`
+	Team   memory.TeamStats  `json:"team"`
+	Alloc  memory.AllocStats `json:"alloc"`
+	GC     gc.Stats          `json:"gc"`
+	Live   int               `json:"live"`
 }
 
 // runAccounted executes one program on a fresh machine — plus a final
@@ -55,51 +55,51 @@ func runAccounted(t *testing.T, p Program, cfg core.Config) accounted {
 	}
 	gcStats := gc.Collect(m)
 	return accounted{
-		sum:    sum,
-		stats:  m.Stats,
-		icache: m.IC.Stats,
-		itlbC:  m.ITLB.CacheStats(),
-		itlb:   m.ITLB.Stats,
-		atlb:   m.Team.ATLBStats(),
-		team:   m.Team.Stats,
-		alloc:  m.Space.Stats,
-		gc:     gcStats,
-		live:   m.Space.LiveCount(),
+		Sum:    sum,
+		Stats:  m.Stats,
+		ICache: m.IC.Stats,
+		ITLBC:  m.ITLB.CacheStats(),
+		ITLB:   m.ITLB.Stats,
+		ATLB:   m.Team.ATLBStats(),
+		Team:   m.Team.Stats,
+		Alloc:  m.Space.Stats,
+		GC:     gcStats,
+		Live:   m.Space.LiveCount(),
 	}
 }
 
 // diffAccounted asserts two runs modelled the same machine.
 func diffAccounted(t *testing.T, want int32, a, b accounted, aName, bName string) {
 	t.Helper()
-	if a.sum != want || b.sum != want {
-		t.Fatalf("checksums: %s %d, %s %d, want %d", aName, a.sum, bName, b.sum, want)
+	if a.Sum != want || b.Sum != want {
+		t.Fatalf("checksums: %s %d, %s %d, want %d", aName, a.Sum, bName, b.Sum, want)
 	}
-	if a.stats != b.stats {
-		t.Errorf("core.Stats diverge:\n %s %+v\n %s %+v", aName, a.stats, bName, b.stats)
+	if a.Stats != b.Stats {
+		t.Errorf("core.Stats diverge:\n %s %+v\n %s %+v", aName, a.Stats, bName, b.Stats)
 	}
-	if a.icache != b.icache {
-		t.Errorf("icache stats diverge:\n %s %+v\n %s %+v", aName, a.icache, bName, b.icache)
+	if a.ICache != b.ICache {
+		t.Errorf("icache stats diverge:\n %s %+v\n %s %+v", aName, a.ICache, bName, b.ICache)
 	}
-	if a.itlbC != b.itlbC {
-		t.Errorf("ITLB cache stats diverge:\n %s %+v\n %s %+v", aName, a.itlbC, bName, b.itlbC)
+	if a.ITLBC != b.ITLBC {
+		t.Errorf("ITLB cache stats diverge:\n %s %+v\n %s %+v", aName, a.ITLBC, bName, b.ITLBC)
 	}
-	if a.itlb != b.itlb {
-		t.Errorf("ITLB lookup stats diverge:\n %s %+v\n %s %+v", aName, a.itlb, bName, b.itlb)
+	if a.ITLB != b.ITLB {
+		t.Errorf("ITLB lookup stats diverge:\n %s %+v\n %s %+v", aName, a.ITLB, bName, b.ITLB)
 	}
-	if a.atlb != b.atlb {
-		t.Errorf("ATLB stats diverge:\n %s %+v\n %s %+v", aName, a.atlb, bName, b.atlb)
+	if a.ATLB != b.ATLB {
+		t.Errorf("ATLB stats diverge:\n %s %+v\n %s %+v", aName, a.ATLB, bName, b.ATLB)
 	}
-	if a.team != b.team {
-		t.Errorf("translation stats diverge:\n %s %+v\n %s %+v", aName, a.team, bName, b.team)
+	if a.Team != b.Team {
+		t.Errorf("translation stats diverge:\n %s %+v\n %s %+v", aName, a.Team, bName, b.Team)
 	}
-	if a.alloc != b.alloc {
-		t.Errorf("AllocStats diverge:\n %s %+v\n %s %+v", aName, a.alloc, bName, b.alloc)
+	if a.Alloc != b.Alloc {
+		t.Errorf("AllocStats diverge:\n %s %+v\n %s %+v", aName, a.Alloc, bName, b.Alloc)
 	}
-	if a.gc != b.gc {
-		t.Errorf("gc stats diverge:\n %s %+v\n %s %+v", aName, a.gc, bName, b.gc)
+	if a.GC != b.GC {
+		t.Errorf("gc stats diverge:\n %s %+v\n %s %+v", aName, a.GC, bName, b.GC)
 	}
-	if a.live != b.live {
-		t.Errorf("live counts diverge: %s %d, %s %d", aName, a.live, bName, b.live)
+	if a.Live != b.Live {
+		t.Errorf("live counts diverge: %s %d, %s %d", aName, a.Live, bName, b.Live)
 	}
 }
 
