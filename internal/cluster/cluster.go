@@ -422,6 +422,11 @@ func (r *Router) pollOnce(n *Node) {
 			r.logf("cluster: %s: probe ping: %v", n.BinAddr, err)
 			return
 		}
+		// Refresh the JSQ load signal before the breaker closes: the
+		// depth polled before the node went down is stale, and a stale
+		// nonzero one would keep keyless traffic off the node until the
+		// next poll.
+		r.pollDepth(n)
 		n.pollOK()
 		r.logf("cluster: %s: probe succeeded, breaker closed", n.BinAddr)
 		return
