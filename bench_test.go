@@ -331,38 +331,6 @@ func BenchmarkPoolThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolBatchThroughput measures the sharded DoAll path: each op
-// submits one batch and waits for all its results, so ns/op divided by
-// the batch size is the amortised cost per send — the number to compare
-// against BenchmarkPoolThroughput's queue-and-reply round trips.
-func BenchmarkPoolBatchThroughput(b *testing.B) {
-	snap, p := poolSnapshot(b)
-	for _, batch := range []int{16, 64} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			pool := serve.NewPool(snap, serve.Config{
-				Workers:    runtime.GOMAXPROCS(0),
-				QueueDepth: 256,
-				Batch:      batch,
-			})
-			defer pool.Close()
-			reqs := make([]serve.Request, batch)
-			for i := range reqs {
-				reqs[i] = serve.Request{Receiver: word.FromInt(p.Warm), Selector: p.Entry}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, res := range pool.DoAll(reqs) {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
-		})
-	}
-}
-
 // tinySnapshot compiles a minimal one-method image and warms it: a send
 // of "double" costs a handful of interpreted instructions, so pool
 // benchmarks against it measure the serving transport — routing, queue

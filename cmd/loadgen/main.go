@@ -10,11 +10,14 @@
 //	loadgen -addr http://localhost:8373 -skew 0.5
 //
 // With -batch K each client groups K sends into one POST /batch request,
-// driving the pool's sharded DoAll fast path; the summary then reports
-// sends/s alongside request throughput so batched and unbatched runs
-// compare directly. The program list (entry selectors, measured sizes,
-// expected checksums) is fetched from the server's /programs endpoint, so
-// loadgen also works against a server that loaded custom sources.
+// which the server runs as ordinary pool sends, at most 64 in flight at
+// once; the summary then reports sends/s alongside request throughput so
+// batched and unbatched runs compare directly. A batch on its own never
+// fills a shard's queue: refusals inside a batch appear only when
+// concurrent traffic together exceeds the server's -queue on one shard.
+// The program list (entry selectors, measured sizes, expected checksums)
+// is fetched from the server's /programs endpoint, so loadgen also works
+// against a server that loaded custom sources.
 //
 // With -transport binary (plus -binary-addr HOST:PORT naming the
 // daemon's obwire listener) the workload rides the persistent binary

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -19,10 +20,11 @@ import (
 	"repro/internal/workload"
 )
 
-// benchServer stands up the HTTP face over a tiny one-method image so the
-// benchmark measures the HTTP request path — routing, decode, pool
-// hand-off, encode — rather than the interpreter.
-func benchServer(b *testing.B) (*httptest.Server, *serve.Pool) {
+// benchServer stands up the HTTP face over a tiny one-method image and a
+// pool of the given width, so the benchmark measures the HTTP request
+// path — routing, decode, pool hand-off, encode — rather than the
+// interpreter.
+func benchServer(b *testing.B, workers int) (*httptest.Server, *serve.Pool) {
 	b.Helper()
 	sys := obarch.NewSystem(obarch.Options{})
 	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
@@ -35,7 +37,7 @@ func benchServer(b *testing.B) (*httptest.Server, *serve.Pool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+	pool := serve.NewPool(snap, serve.Config{Workers: workers, GCEvery: -1, Timeout: 10 * time.Second})
 	return httptest.NewServer(newServer(pool, []workload.Program{}, snap, "")), pool
 }
 
@@ -139,7 +141,7 @@ func BenchmarkBinarySend(b *testing.B) {
 // hand-off. Set against BenchmarkBinarySend/depth=1 it prices the HTTP
 // wire; it is informational and not gated.
 func BenchmarkHTTPSend(b *testing.B) {
-	ts, pool := benchServer(b)
+	ts, pool := benchServer(b, 1)
 	defer pool.Close()
 	defer ts.Close()
 	client := ts.Client()
@@ -164,5 +166,43 @@ func BenchmarkHTTPSend(b *testing.B) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+	}
+}
+
+// BenchmarkHTTPBatch measures POST /batch: each op is one HTTP round trip
+// carrying batch tiny sends, so ns/send is the per-send cost once the
+// HTTP wire is amortised across the batch. It is informational and not
+// gated.
+func BenchmarkHTTPBatch(b *testing.B) {
+	for _, batch := range []int{16, 64} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(b *testing.B) {
+				ts, pool := benchServer(b, workers)
+				defer pool.Close()
+				defer ts.Close()
+				client := ts.Client()
+				body := "[" + strings.Repeat(`{"receiver": 21, "selector": "double"},`, batch-1) + `{"receiver": 21, "selector": "double"}]`
+				url := ts.URL + "/batch"
+				post := func() {
+					resp, err := client.Post(url, "application/json", strings.NewReader(body))
+					if err != nil {
+						b.Fatal(err)
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						b.Fatalf("status %d", resp.StatusCode)
+					}
+				}
+				post() // warm the connection and selector caches
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					post()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/send")
+			})
+		}
 	}
 }

@@ -94,9 +94,13 @@
 //	                  when refused at admission, 503 + Retry-After when shed
 //	                  after its deadline expired in queue
 //	POST /batch       [{"receiver": 21, "selector": "double"}, ...] — executed
-//	                  through the pool's sharded DoAll fast path; the response
-//	                  is the result array in request order, with per-request
-//	                  failures (overload refusals included) reported inline
+//	                  as pool sends, at most 64 in flight at once
+//	                  (httpwire.BatchWindow); the response is the result
+//	                  array in request order, with per-request failures
+//	                  reported inline. Overload refusals appear only when
+//	                  concurrent traffic together exceeds -queue on one
+//	                  shard (or -maxinflight); they are inline and
+//	                  retryable, as on the router
 //	POST /save        persist the pool's live state to the -image path,
 //	                  captured at a request-boundary quiescence
 //	POST /rotate      swap the pool onto a new image with zero downtime;
@@ -654,14 +658,16 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 	enc := time.Now()
 	status := httpwire.Status(obwire.StatusFor(res.Err))
 	httpwire.RetryAfter(w, status)
-	s.httpLat.Observe(time.Since(start))
 	httpwire.WriteJSON(w, status, httpwire.ResultResponse(res))
-	s.encLat.Observe(time.Since(enc))
+	end := time.Now()
+	s.encLat.Observe(end.Sub(enc))
+	s.httpLat.Observe(end.Sub(start))
 }
 
-// handleBatch executes an array of sends through the pool's sharded DoAll
-// path: one HTTP round-trip, one queue hand-off per shard sub-batch. The
-// response preserves request order; per-request failures are reported
+// handleBatch executes an array of sends as a sliding window of pool
+// futures: element i is submitted with Go once element i-BatchWindow has
+// been waited for, so at most httpwire.BatchWindow elements are in flight.
+// The response preserves request order; per-request failures are reported
 // inline, so the status is 200 whenever the batch itself was well-formed.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -675,15 +681,23 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.decLat.Observe(time.Since(start))
-	results := s.pool.DoAll(reqs)
-	enc := time.Now()
-	out := make([]httpwire.SendResponse, len(results))
-	for i, res := range results {
-		out[i] = httpwire.ResultResponse(res)
+	const win = httpwire.BatchWindow
+	var window [win]*serve.Future
+	out := make([]httpwire.SendResponse, len(reqs))
+	for i, req := range reqs {
+		if i >= win {
+			out[i-win] = httpwire.ResultResponse(window[i%win].Wait())
+		}
+		window[i%win] = s.pool.Go(req)
 	}
-	s.httpLat.Observe(time.Since(start))
+	for i := max(0, len(reqs)-win); i < len(reqs); i++ {
+		out[i] = httpwire.ResultResponse(window[i%win].Wait())
+	}
+	enc := time.Now()
 	httpwire.WriteJSON(w, http.StatusOK, out)
-	s.encLat.Observe(time.Since(enc))
+	end := time.Now()
+	s.encLat.Observe(end.Sub(enc))
+	s.httpLat.Observe(end.Sub(start))
 }
 
 func (s *server) handlePrograms(w http.ResponseWriter, _ *http.Request) {

@@ -246,6 +246,60 @@ func TestServerBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerBatchWindow pins the /batch contract on a node: one batch of
+// 10^4 same-key elements, every hundredth a machine error, on a 1-worker
+// pool at the default queue depth. Every answer and inline error lands
+// at its element's index, and nothing is refused: at most
+// httpwire.BatchWindow elements are in flight, and the window is no
+// deeper than the queue, so one batch alone never overflows its shard.
+func TestServerBatchWindow(t *testing.T) {
+	const n = 10000
+	h := newParityServer(t)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	var body bytes.Buffer
+	body.WriteString(`[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			body.WriteString(",")
+		}
+		sel := "double"
+		if i%100 == 7 {
+			sel = "noSuchSelector"
+		}
+		fmt.Fprintf(&body, `{"receiver": %d, "selector": %q, "key": 5}`, i, sel)
+	}
+	body.WriteString(`]`)
+	resp, err := http.Post(ts.URL+"/batch", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var out []httpwire.SendResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != n {
+		t.Fatalf("%d results, want %d", len(out), n)
+	}
+	for i, r := range out {
+		if i%100 == 7 {
+			if !strings.Contains(r.Error, "noSuchSelector") || r.Result != nil {
+				t.Fatalf("batch[%d] = %+v, want the inline machine error", i, r)
+			}
+		} else if r.Error != "" || r.Result != float64(2*i) {
+			t.Fatalf("batch[%d] = %+v, want %d", i, r, 2*i)
+		}
+	}
+	if met := h.pool.Metrics(); met.Rejected != 0 || met.Requests != n {
+		t.Fatalf("pool served %d and refused %d, want %d and 0", met.Requests, met.Rejected, n)
+	}
+}
+
 // TestServerSaveAndWarmBoot is the persistence acceptance path: POST /save
 // writes the image, a second daemon cold-boots from that file (no
 // compile), and the disk-booted pool serves the whole suite with correct

@@ -34,8 +34,9 @@
 //	                   failed over on retryable refusals; 502 when the
 //	                   send died on the wire with the budget spent,
 //	                   503 + Retry-After when no routable backend exists
-//	POST /batch        the array form, routed per-element concurrently
-//	                   (64 elements at a time); per-element failures
+//	POST /batch        the array form, routed per-element concurrently,
+//	                   at most 64 elements at a time (httpwire.BatchWindow,
+//	                   the same window a node uses); per-element failures
 //	                   inline, a malformed element a 400 for the whole
 //	                   batch
 //	POST /nodes/join   {"http_addr": "...", "bin_addr": "..."} — add a
@@ -253,13 +254,9 @@ func (s *routerServer) handleSend(w http.ResponseWriter, r *http.Request) {
 	httpwire.WriteJSON(w, status, out)
 }
 
-// batchFanout bounds how many elements of one /batch are routed at once:
-// a large batch runs on this many goroutines, not one per element.
-const batchFanout = 64
-
-// handleBatch routes the elements of the array concurrently, at most
-// batchFanout at a time — elements may land on different nodes — and
-// answers the result array in request order, per-element failures
+// handleBatch routes the elements of the array concurrently on
+// httpwire.BatchWindow goroutines — elements may land on different nodes
+// — and answers the result array in request order, per-element failures
 // inline. A malformed element refuses the whole batch with a 400 before
 // anything is routed, as on a node.
 func (s *routerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -275,7 +272,7 @@ func (s *routerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	out := make([]httpwire.SendResponse, len(reqs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(batchFanout, len(reqs)) {
+	for range min(httpwire.BatchWindow, len(reqs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -207,8 +207,8 @@ func TestHTTPBatchThroughRouter(t *testing.T) {
 }
 
 // TestHTTPBatchFanoutBounded sends a batch of 10^4 elements, one in
-// every hundred a machine error, and watches the router's sends: no
-// more than batchFanout run at once, the bound is reached, and every
+// every hundred a machine error, and watches the router's sends: no more
+// than httpwire.BatchWindow run at once, the bound is reached, and every
 // answer and inline error stays at its element's index.
 func TestHTTPBatchFanoutBounded(t *testing.T) {
 	const n = 10000
@@ -267,8 +267,8 @@ func TestHTTPBatchFanoutBounded(t *testing.T) {
 			t.Fatalf("batch[%d] = %+v, want %d", i, r, 2*i)
 		}
 	}
-	if high != batchFanout {
-		t.Fatalf("%d sends ran at once, want the bound %d", high, batchFanout)
+	if high != httpwire.BatchWindow {
+		t.Fatalf("%d sends ran at once, want the bound %d", high, httpwire.BatchWindow)
 	}
 }
 

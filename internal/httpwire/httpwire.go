@@ -31,6 +31,17 @@ import (
 // memory; 8 MiB comfortably holds a six-figure batch of sends.
 const MaxBody = 8 << 20
 
+// BatchWindow bounds how many elements of one /batch are in flight at
+// once, on a node and on the router alike: a node keeps at most this
+// many pool futures outstanding, and the router routes the batch on this
+// many goroutines, not one per element. Elements enter the window in
+// request order and answers come back in request order. The window is
+// no deeper than a pool's default queue, so one batch alone never
+// overflows a shard: a refusal inside a batch means concurrent traffic
+// filled the shard's queue (or the in-flight ceiling), and it is
+// reported inline and retryable.
+const BatchWindow = 64
+
 // SendRequest is the wire form of one message send.
 type SendRequest struct {
 	Receiver  json.Number   `json:"receiver"`

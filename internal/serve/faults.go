@@ -201,18 +201,6 @@ func (p *Pool) driverPanic(s *shard, j job, r any) {
 	s.fr.RecordAt(flight.KindPanic, j.id, panicCode(chaosHit), now)
 	s.fr.RecordAt(flight.KindRestamp, j.id, 0, now)
 	s.pending.Add(-1)
-	if j.wg != nil {
-		p.release(int64(len(j.batch)))
-		for _, i := range j.batch {
-			// Entries served before the panic keep their results; the
-			// rest — never touched, still zero — take the panic error.
-			if j.out[i].Err == nil && j.out[i].Latency == 0 {
-				j.out[i] = Result{Err: err, Worker: s.id}
-			}
-		}
-		j.wg.Done()
-		return
-	}
-	p.release(1)
+	p.release()
 	j.fut.complete(Result{Err: err, Worker: s.id})
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/word"
 )
 
-// TestFlightEventsUnderTraffic drives all three submission paths and
-// checks the recorder holds the chains they should have left: queued
-// requests show enqueue→dispatch→exec_end, inline requests show
+// TestFlightEventsUnderTraffic drives Do, Go and pipelined Go and checks
+// the recorder holds the chains they should have left: queued requests
+// show enqueue→dispatch→exec_end, inline requests show
 // exec_start→exec_end, and queue waits feed the queue-wait histogram.
 func TestFlightEventsUnderTraffic(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
@@ -20,7 +20,7 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	defer pool.Close()
 	p := progs[0]
 	req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
-	// Keys 1 and 2 pin shards 1 and 0, so DoAll's split is fixed.
+	// Keys 1 and 2 pin shards 1 and 0.
 	k1, k2 := req, req
 	k1.Key, k2.Key = 1, 2
 
@@ -30,9 +30,9 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	if res := pool.Go(req).Wait(); res.Err != nil {
 		t.Fatalf("Go: %v", res.Err)
 	}
-	for _, res := range pool.DoAll([]serve.Request{k1, k2, k1}) {
-		if res.Err != nil {
-			t.Fatalf("DoAll: %v", res.Err)
+	for _, f := range []*serve.Future{pool.Go(k1), pool.Go(k2), pool.Go(k1)} {
+		if res := f.Wait(); res.Err != nil {
+			t.Fatalf("pipelined Go: %v", res.Err)
 		}
 	}
 
@@ -45,15 +45,14 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	for _, ev := range evs {
 		kinds[ev.Kind]++
 	}
-	// Do ran inline (idle pool): one exec_start. Go queued one request;
-	// DoAll's three keyed requests split across the two shards into two
-	// sub-batches, each stamping one enqueue — three enqueues, four
-	// dispatches. Every request ended: five exec_ends.
+	// Do ran inline (idle pool): one exec_start. Go queued one request
+	// and the pipelined Go three more, each stamping its own enqueue —
+	// four enqueues, four dispatches. Every request ended: five exec_ends.
 	if kinds[flight.KindExecStart] != 1 {
 		t.Errorf("exec_start count = %d, want 1: %v", kinds[flight.KindExecStart], kinds)
 	}
-	if kinds[flight.KindEnqueue] != 3 {
-		t.Errorf("enqueue count = %d, want 3: %v", kinds[flight.KindEnqueue], kinds)
+	if kinds[flight.KindEnqueue] != 4 {
+		t.Errorf("enqueue count = %d, want 4: %v", kinds[flight.KindEnqueue], kinds)
 	}
 	if kinds[flight.KindDispatch] != 4 {
 		t.Errorf("dispatch count = %d, want 4: %v", kinds[flight.KindDispatch], kinds)

@@ -17,11 +17,12 @@ import (
 const (
 	viaDo = iota
 	viaGo
-	viaDoAll
+	viaPipelined
 )
 
 // seqStep is one step of the deterministic sequence: n copies of req,
-// submitted through Do, Go (one call each) or one DoAll.
+// submitted through Do, Go (each waited before the next is submitted) or
+// pipelined Go (all submitted, then all waited).
 type seqStep struct {
 	req serve.Request
 	n   int
@@ -30,8 +31,8 @@ type seqStep struct {
 
 // sequenceSteps returns the suite snapshot and the fixed request
 // sequence: two rounds over every suite program at measured size,
-// program i submitted through Do, Go or DoAll (of two copies) by i mod 3,
-// and keyed i+1 when keyed.
+// program i submitted through Do, Go or pipelined Go (of two copies) by
+// i mod 3, and keyed i+1 when keyed.
 func sequenceSteps(t testing.TB, keyed bool) (*core.Snapshot, []seqStep) {
 	t.Helper()
 	snap, progs := suiteSnapshot(t)
@@ -42,7 +43,7 @@ func sequenceSteps(t testing.TB, keyed bool) (*core.Snapshot, []seqStep) {
 			if keyed {
 				st.req.Key = uint64(i + 1)
 			}
-			if st.via == viaDoAll {
+			if st.via == viaPipelined {
 				st.n = 2
 			}
 			steps = append(steps, st)
@@ -74,11 +75,13 @@ func submitStep(t testing.TB, pool *serve.Pool, st seqStep) []int32 {
 			res = append(res, pool.Go(st.req).Wait())
 		}
 	default:
-		reqs := make([]serve.Request, st.n)
-		for k := range reqs {
-			reqs[k] = st.req
+		futs := make([]*serve.Future, st.n)
+		for k := range futs {
+			futs[k] = pool.Go(st.req)
 		}
-		res = pool.DoAll(reqs)
+		for _, f := range futs {
+			res = append(res, f.Wait())
+		}
 	}
 	vals := make([]int32, 0, len(res))
 	for _, r := range res {
@@ -115,7 +118,7 @@ func runSteps(t *testing.T, snap *core.Snapshot, cfg serve.Config, steps []seqSt
 }
 
 // runSequence drives the deterministic sequence — mixing Do, Go and
-// DoAll — through a fresh pool built with cfg and returns the summed
+// pipelined Go — through a fresh pool built with cfg and returns the summed
 // machine-level accounting after Close plus every answer.
 func runSequence(t *testing.T, cfg serve.Config, keyed bool) (core.Stats, []int32) {
 	t.Helper()
@@ -143,18 +146,18 @@ func assertParity(t *testing.T, label string, sa, sb core.Stats, va, vb []int32)
 // TestLifecycleParity proves the request lifecycle is host-level
 // mechanism only: the sequence submitted wholly through Do (the inline
 // lane or a queued job), wholly through Go (pooled result cells, each
-// released by Wait and reused by the next Go) or wholly through DoAll
-// (per-shard sub-batches) models the same machines as the mixed
-// sequence — bit-identical core.Stats on every counter, identical
-// answers.
+// released by Wait and reused by the next Go) or wholly through
+// pipelined Go (several cells outstanding at once) models the same
+// machines as the mixed sequence — bit-identical core.Stats on every
+// counter, identical answers.
 func TestLifecycleParity(t *testing.T) {
 	snap, steps := sequenceSteps(t, true)
-	cfg := serve.Config{Workers: 2, Batch: 4}
+	cfg := serve.Config{Workers: 2}
 	sa, va := runSteps(t, snap, cfg, steps, nil)
 	for _, v := range []struct {
 		name string
 		via  int
-	}{{"Do", viaDo}, {"Go", viaGo}, {"DoAll", viaDoAll}} {
+	}{{"Do", viaDo}, {"Go", viaGo}, {"pipelined Go", viaPipelined}} {
 		sb, vb := runSteps(t, snap, cfg, withVia(steps, v.via), nil)
 		assertParity(t, "mixed vs "+v.name+" only", sa, sb, va, vb)
 	}
@@ -169,7 +172,7 @@ func TestLifecycleParity(t *testing.T) {
 func TestRoutingParityKeyed(t *testing.T) {
 	const workers = 4
 	snap, steps := sequenceSteps(t, true)
-	cfg := serve.Config{Workers: workers, Batch: 4}
+	cfg := serve.Config{Workers: workers}
 	sa, va := runSteps(t, snap, cfg, steps, nil)
 
 	shifted := append([]seqStep(nil), steps...)
@@ -227,7 +230,7 @@ func TestRoutingParitySingleShard(t *testing.T) {
 // alone, so the recorder's submit-path stamps are covered on each path.
 func TestFlightRecorderParity(t *testing.T) {
 	snap, mixed := sequenceSteps(t, true)
-	base := serve.Config{Workers: 2, Batch: 4}
+	base := serve.Config{Workers: 2}
 	tiny := base
 	tiny.FlightRingSize = 8
 	for _, seq := range []struct {
@@ -254,7 +257,7 @@ func TestFlightRecorderParity(t *testing.T) {
 // bit-identical to the default pool on every counter and every answer
 // matches. TestAccountingGolden pins the same rows against history.
 func TestRecoveryAndChaosParity(t *testing.T) {
-	base := serve.Config{Workers: 2, Batch: 4}
+	base := serve.Config{Workers: 2}
 	sa, va := runSequence(t, base, true)
 
 	armed := base
@@ -299,10 +302,10 @@ func TestAccountingGolden(t *testing.T) {
 		keyed bool
 	}{
 		{"workers=1 keyless", serve.Config{Workers: 1}, false},
-		{"workers=2 keyed", serve.Config{Workers: 2, Batch: 4}, true},
-		{"workers=4 keyed", serve.Config{Workers: 4, Batch: 4}, true},
-		{"workers=2 keyed, faults armed-but-empty", serve.Config{Workers: 2, Batch: 4, Faults: &serve.Faults{Seed: 99}}, true},
-		{"workers=2 keyed, in-flight ceiling 2^30", serve.Config{Workers: 2, Batch: 4, MaxInFlight: 1 << 30}, true},
+		{"workers=2 keyed", serve.Config{Workers: 2}, true},
+		{"workers=4 keyed", serve.Config{Workers: 4}, true},
+		{"workers=2 keyed, faults armed-but-empty", serve.Config{Workers: 2, Faults: &serve.Faults{Seed: 99}}, true},
+		{"workers=2 keyed, in-flight ceiling 2^30", serve.Config{Workers: 2, MaxInFlight: 1 << 30}, true},
 	}
 	var got []goldenRow
 	for _, r := range rows {

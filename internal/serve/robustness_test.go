@@ -186,9 +186,9 @@ func TestPoolInFlightCeiling(t *testing.T) {
 	if res := closed.Go(quick).Wait(); !errors.Is(res.Err, serve.ErrOverloaded) {
 		t.Fatalf("Go under a closed ceiling returned %v", res.Err)
 	}
-	for _, res := range closed.DoAll([]serve.Request{quick, quick, quick}) {
-		if !errors.Is(res.Err, serve.ErrOverloaded) {
-			t.Fatalf("DoAll under a closed ceiling returned %v", res.Err)
+	for _, f := range []*serve.Future{closed.Go(quick), closed.Go(quick), closed.Go(quick)} {
+		if res := f.Wait(); !errors.Is(res.Err, serve.ErrOverloaded) {
+			t.Fatalf("pipelined Go under a closed ceiling returned %v", res.Err)
 		}
 	}
 	if met := closed.Metrics(); met.Rejected != 5 || met.Requests != 0 {
@@ -289,7 +289,6 @@ func TestChaosSoak(t *testing.T) {
 	pool := serve.NewPool(snap, serve.Config{
 		Workers:    workers,
 		QueueDepth: 8,
-		Batch:      4,
 		GCEvery:    16,
 		Faults: &serve.Faults{
 			Seed:       42,
@@ -339,9 +338,9 @@ func TestChaosSoak(t *testing.T) {
 						classify(pool.Go(req).Wait())
 					default:
 						submitted.Add(2)
-						for _, res := range pool.DoAll([]serve.Request{req, req}) {
-							classify(res)
-						}
+						a, b := pool.Go(req), pool.Go(req)
+						classify(a.Wait())
+						classify(b.Wait())
 					}
 				}
 				// A burst far past the shallow queues: most of these are

@@ -20,7 +20,7 @@ func TestJSQRoutingStress(t *testing.T) {
 	}
 	snap, progs := suiteSnapshot(t)
 	const workers = 4
-	pool := serve.NewPool(snap, serve.Config{Workers: workers, Batch: 4})
+	pool := serve.NewPool(snap, serve.Config{Workers: workers})
 	defer pool.Close()
 
 	const (

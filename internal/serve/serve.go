@@ -34,14 +34,13 @@
 // stops attracting blind traffic. Routing is host-level placement only:
 // the modelled machines see the same work wherever it lands.
 //
-// Under load, workers drain up to Config.Batch queued requests per
-// wakeup, and DoAll submits whole request slices as per-shard sub-batches
-// that pipeline across shards (one wait-group signal per sub-batch
-// instead of one hand-off per request). Each request carries an optional
-// step budget and wall-clock timeout; a request that traps, times out or
-// exhausts its budget is aborted and the machine is reused, with the
-// abandoned context chain reclaimed by a periodic per-shard garbage
-// collection.
+// Under load, each worker drains up to 16 queued requests per wakeup,
+// amortising the channel receive and scheduler round-trip across queued
+// work. A caller with many requests pipelines them through Go and waits
+// each Future in turn. Each request carries an optional step budget and
+// wall-clock timeout; a request that traps, times out or exhausts its
+// budget is aborted and the machine is reused, with the abandoned context
+// chain reclaimed by a periodic per-shard garbage collection.
 //
 // The pool degrades instead of collapsing when pushed past capacity,
 // and heals itself when a worker is lost:
@@ -80,7 +79,7 @@
 // snapshotted — its event chain, spans, and the exact core.Stats delta it
 // cost the machine — into a bounded ring readable with SlowRequests.
 //
-// Delivery contract. A request accepted by Do, Go, TryDo or DoAll runs
+// Delivery contract. A request accepted by Do, Go or TryDo runs
 // on a machine at most once: the pool never retries, and every accepted
 // request lands in exactly one of Metrics.Requests, Rejected or
 // SheddedExpired (TestChaosSoak checks that conservation under seeded
@@ -171,13 +170,6 @@ type Config struct {
 	// for a full-heap walk. 0 uses gc.DefaultSweepChunk; negative sweeps
 	// the whole heap in one step (the PR 2 stop-the-world behaviour).
 	GCChunk int
-	// Batch bounds how many queued requests one worker drains per wakeup
-	// and how large the per-shard sub-batches DoAll enqueues are. Larger
-	// batches amortise channel and scheduling overhead under load while
-	// sub-batching keeps a big burst from monopolising a shard's queue
-	// against interleaved single requests. 0 uses the default of 16; 1
-	// disables batching.
-	Batch int
 	// FlightRingSize is each shard's event-ring slot count, rounded up
 	// to a power of two. 0 uses flight.DefaultRingSize.
 	FlightRingSize int
@@ -205,8 +197,11 @@ type Config struct {
 
 const (
 	defaultGCEvery  = 512
-	defaultBatch    = 16
 	defaultSlowKeep = 32
+
+	// drainBatch bounds how many queued requests one worker serves per
+	// wakeup.
+	drainBatch = 16
 )
 
 // ErrClosed is returned for requests submitted after Close.
@@ -368,24 +363,15 @@ func (f *Future) complete(res Result) {
 	f.done <- struct{}{}
 }
 
-// job is one unit of queued work: either a single request with its result
-// cell, or a DoAll sub-batch — a set of indexes into a shared request
-// slice whose results land in the shared result slice, signalled through
-// the batch's wait group. id and enq carry the flight-recorder identity:
-// the request id (for a sub-batch, the first request's — the rest follow
-// consecutively) and the enqueue timestamp in recorder nanoseconds.
+// job is one unit of queued work: a request with its result cell. id and
+// enq carry the flight-recorder identity: the request id and the enqueue
+// timestamp in recorder nanoseconds.
 type job struct {
 	req Request
 	fut *Future
 
 	id  uint64
 	enq int64
-
-	// Batch mode (wg != nil): serve reqs[i] into out[i] for i in batch.
-	batch []int
-	reqs  []Request
-	out   []Result
-	wg    *sync.WaitGroup
 }
 
 // metricsPad keeps one shard's writer-hot counters off the cache lines of
@@ -569,9 +555,6 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 	if cfg.GCEvery == 0 {
 		cfg.GCEvery = defaultGCEvery
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = defaultBatch
-	}
 	if cfg.Faults != nil {
 		f := *cfg.Faults // callers must not mutate an armed plan
 		cfg.Faults = &f
@@ -632,29 +615,29 @@ func (p *Pool) shardFor(req Request) *shard {
 	return sa
 }
 
-// admit claims n slots under the pool's in-flight ceiling, refusing with
+// admit claims a slot under the pool's in-flight ceiling, refusing with
 // ErrOverloaded when the ceiling is closed (MaxInFlight < 0) or the
 // claim would cross it. With no ceiling configured this is a single
 // predictable branch — the unlimited pool pays nothing for the feature.
-func (p *Pool) admit(n int64) error {
+func (p *Pool) admit() error {
 	if p.maxIF == 0 {
 		return nil
 	}
 	if p.maxIF < 0 {
 		return ErrOverloaded
 	}
-	if v := p.ifTotal.Add(n); v > p.maxIF {
-		p.ifTotal.Add(-n)
+	if v := p.ifTotal.Add(1); v > p.maxIF {
+		p.ifTotal.Add(-1)
 		return ErrOverloaded
 	}
 	return nil
 }
 
-// release returns n admitted slots, once per admitted request: at
+// release returns an admitted slot, once per admitted request: at
 // completion, or at the rejection/refusal that un-admitted it.
-func (p *Pool) release(n int64) {
+func (p *Pool) release() {
 	if p.maxIF > 0 {
-		p.ifTotal.Add(-n)
+		p.ifTotal.Add(-1)
 	}
 }
 
@@ -668,7 +651,7 @@ func (p *Pool) enter(req Request) (*shard, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := p.admit(1); err != nil {
+	if err := p.admit(); err != nil {
 		p.rejectedPool.Add(1)
 		return nil, err
 	}
@@ -676,7 +659,7 @@ func (p *Pool) enter(req Request) (*shard, error) {
 	s.inflight.Add(1)
 	if p.closed.Load() {
 		s.inflight.Add(-1)
-		p.release(1)
+		p.release()
 		return nil, ErrClosed
 	}
 	return s, nil
@@ -690,21 +673,19 @@ func (p *Pool) reject(s *shard, id uint64, depth int64) {
 	s.fr.Record(flight.KindReject, id, uint64(depth))
 }
 
-// reqIDs reserves n consecutive pool-unique request ids and returns the
-// first: the shard index in the top bits over a per-shard sequence, so
-// id allocation never contends across shards and an id names its shard
-// for free.
-func (s *shard) reqIDs(n uint64) uint64 {
-	return uint64(s.id)<<48 | (s.reqSeq.Add(n)-n+1)&(1<<48-1)
+// reqID reserves a pool-unique request id: the shard index in the top
+// bits over a per-shard sequence, so id allocation never contends across
+// shards and an id names its shard for free.
+func (s *shard) reqID() uint64 {
+	return uint64(s.id)<<48 | s.reqSeq.Add(1)&(1<<48-1)
 }
 
-// stampEnqueue reserves n request ids — one for a single request, more
-// for a DoAll sub-batch — and records one enqueue event carrying the
-// first; depth is the shard backlog the work joined. The event's
-// timestamp anchors the queue-wait span and the shed path's deadline
-// arithmetic.
-func (s *shard) stampEnqueue(depth int64, n int) (uint64, int64) {
-	id := s.reqIDs(uint64(n))
+// stampEnqueue reserves a request id and records the enqueue event
+// carrying it; depth is the shard backlog the request joined. The
+// event's timestamp anchors the queue-wait span and the shed path's
+// deadline arithmetic.
+func (s *shard) stampEnqueue(depth int64) (uint64, int64) {
+	id := s.reqID()
 	enq := s.fr.Now()
 	s.fr.RecordAt(flight.KindEnqueue, id, uint64(depth), enq)
 	return id, enq
@@ -721,21 +702,29 @@ const enqInline = int64(-1)
 // Future immediately with ErrOverloaded instead of parking the caller
 // behind a backlog it cannot see.
 func (p *Pool) Go(req Request) *Future {
-	f := newFuture()
 	s, err := p.enter(req)
 	if err != nil {
+		f := newFuture()
 		f.complete(Result{Err: err})
 		return f
 	}
+	return p.enqueue(s, req)
+}
+
+// enqueue queues a request that passed enter onto its shard and releases
+// the shard's in-flight counter. A full queue completes the returned
+// Future at once with ErrOverloaded.
+func (p *Pool) enqueue(s *shard, req Request) *Future {
+	f := newFuture()
 	d := s.pending.Add(1)
-	id, enq := s.stampEnqueue(d, 1)
+	id, enq := s.stampEnqueue(d)
 	select {
 	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
 	default:
 		// Queue full: shed at the door. s.inflight is still held, so the
 		// queue cannot close under this window even though the send lost.
 		s.pending.Add(-1)
-		p.release(1)
+		p.release()
 		p.reject(s, id, d)
 		f.complete(Result{Err: ErrOverloaded, Worker: s.id})
 	}
@@ -764,7 +753,7 @@ func (p *Pool) inline(s *shard, req Request) (Result, bool) {
 		return Result{}, false
 	}
 	s.pending.Add(1)
-	res := p.serveOne(s, req, s.reqIDs(1), enqInline)
+	res := p.serveOne(s, req, s.reqID(), enqInline)
 	s.pending.Add(-1)
 	s.execMu.Unlock()
 	return res, true
@@ -790,7 +779,7 @@ func (p *Pool) TryDo(req Request) (Result, bool) {
 		res, ran = p.inline(s, req)
 	}
 	s.inflight.Add(-1)
-	p.release(1)
+	p.release()
 	return res, ran
 }
 
@@ -813,104 +802,10 @@ func (p *Pool) Do(req Request) Result {
 	}
 	if res, ok := p.inline(s, req); ok {
 		s.inflight.Add(-1)
-		p.release(1)
+		p.release()
 		return res
 	}
-	f := newFuture()
-	d := s.pending.Add(1)
-	id, enq := s.stampEnqueue(d, 1)
-	select {
-	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
-	default:
-		s.pending.Add(-1)
-		p.release(1)
-		p.reject(s, id, d)
-		f.complete(Result{Err: ErrOverloaded, Worker: s.id})
-	}
-	s.inflight.Add(-1)
-	return f.Wait()
-}
-
-// DoAll executes a batch and waits for every result, preserving request
-// order. The batch is sharded: requests are grouped by destination worker
-// (affinity keys respected, keyless requests joining the shorter queue)
-// and each group is enqueued as sub-batches of at most cfg.Batch requests,
-// interleaved round-robin across shards so every worker starts its share
-// immediately and sub-batches pipeline behind one another instead of one
-// result hand-off per request. Admission applies per sub-batch: a full
-// shard queue or a reached in-flight ceiling fails that sub-batch's
-// requests with ErrOverloaded in place while the rest of the batch
-// proceeds.
-func (p *Pool) DoAll(reqs []Request) []Result {
-	out := make([]Result, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	groups := make([][]int, len(p.shards))
-	for i, req := range reqs {
-		s := p.shardFor(req)
-		groups[s.id] = append(groups[s.id], i)
-	}
-	var wg sync.WaitGroup
-	closed := false
-	for remaining := true; remaining; {
-		remaining = false
-		for si, idxs := range groups {
-			if len(idxs) == 0 {
-				continue
-			}
-			n := min(p.cfg.Batch, len(idxs))
-			s := p.shards[si]
-			s.inflight.Add(1)
-			if closed || p.closed.Load() {
-				s.inflight.Add(-1)
-				closed = true
-				for _, i := range idxs {
-					out[i] = Result{Err: ErrClosed}
-				}
-				groups[si] = nil
-				continue
-			}
-			if err := p.admit(int64(n)); err != nil {
-				// The ceiling refuses whole sub-batches; the batch's
-				// remaining sub-batches still try their own shards.
-				s.inflight.Add(-1)
-				s.met.rejected.Add(uint64(n))
-				for _, i := range idxs[:n] {
-					out[i] = Result{Err: err, Worker: s.id}
-				}
-				groups[si] = idxs[n:]
-				if len(groups[si]) > 0 {
-					remaining = true
-				}
-				continue
-			}
-			wg.Add(1)
-			d := s.pending.Add(1)
-			// One enqueue event covers the sub-batch; its requests take
-			// consecutive ids starting at the recorded one.
-			id, enq := s.stampEnqueue(d, n)
-			select {
-			case s.queue <- job{reqs: reqs, out: out, batch: idxs[:n], wg: &wg, id: id, enq: enq}:
-			default:
-				wg.Done()
-				s.pending.Add(-1)
-				p.release(int64(n))
-				s.met.rejected.Add(uint64(n))
-				s.fr.Record(flight.KindReject, id, uint64(d))
-				for _, i := range idxs[:n] {
-					out[i] = Result{Err: ErrOverloaded, Worker: s.id}
-				}
-			}
-			s.inflight.Add(-1)
-			groups[si] = idxs[n:]
-			if len(groups[si]) > 0 {
-				remaining = true
-			}
-		}
-	}
-	wg.Wait()
-	return out
+	return p.enqueue(s, req).Wait()
 }
 
 // Close drains the queues, stops every worker and waits for them. Requests
@@ -1049,14 +944,14 @@ func (p *Pool) MachineStats() core.Stats {
 }
 
 // worker drains one shard's queue. Each wakeup serves the job that woke
-// it and then drains up to Batch-1 more without blocking, amortising the
-// channel receive and scheduler round-trip across queued work.
+// it and then drains up to drainBatch-1 more without blocking, amortising
+// the channel receive and scheduler round-trip across queued work.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
 	for j := range s.queue {
 		s.execMu.Lock()
 		p.dispatch(s, j)
-		for n := 1; n < p.cfg.Batch; n++ {
+		for n := 1; n < drainBatch; n++ {
 			select {
 			case j2, ok := <-s.queue:
 				if !ok {
@@ -1065,7 +960,7 @@ func (p *Pool) worker(s *shard) {
 				}
 				p.dispatch(s, j2)
 			default:
-				n = p.cfg.Batch // queue momentarily empty; block in range again
+				n = drainBatch // queue momentarily empty; block in range again
 			}
 		}
 		s.execMu.Unlock()
@@ -1086,27 +981,17 @@ func (p *Pool) dispatch(s *shard, j job) {
 	p.serveJob(s, j)
 }
 
-// serveJob dispatches one queue entry — a single request or a sub-batch —
-// and retires its pending count and ceiling slots. Callers hold the
-// shard's execMu.
+// serveJob dispatches one queue entry and retires its pending count and
+// ceiling slot. Callers hold the shard's execMu.
 func (p *Pool) serveJob(s *shard, j job) {
 	if c := s.chaos; c != nil {
 		c.beforeDispatch()
-	}
-	if j.wg != nil {
-		for k, i := range j.batch {
-			j.out[i] = p.serveOne(s, j.reqs[i], j.id+uint64(k), j.enq)
-		}
-		s.pending.Add(-1)
-		p.release(int64(len(j.batch)))
-		j.wg.Done()
-		return
 	}
 	res := p.serveOne(s, j.req, j.id, j.enq)
 	// Retire the depth count before publishing the result: once every
 	// submitted request has been collected, QueueDepths is exactly zero.
 	s.pending.Add(-1)
-	p.release(1)
+	p.release()
 	j.fut.complete(res)
 }
 

@@ -177,25 +177,32 @@ extend SmallInt [
 	}
 }
 
-func TestPoolDoAllAndClose(t *testing.T) {
+// TestPoolPipelinedGoAndClose submits every suite program with Go before
+// waiting for any, then closes the pool: Close is idempotent, and Do and
+// Go after it both answer ErrClosed.
+func TestPoolPipelinedGoAndClose(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
 	pool := serve.NewPool(snap, serve.Config{Workers: 2})
 
 	reqs := make([]serve.Request, len(progs))
+	futs := make([]*serve.Future, len(progs))
 	for i, p := range progs {
 		reqs[i] = serve.Request{Receiver: word.FromInt(p.Warm), Selector: p.Entry}
+		futs[i] = pool.Go(reqs[i])
 	}
-	results := pool.DoAll(reqs)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("DoAll %s: %v", progs[i].Name, res.Err)
+	for i, f := range futs {
+		if res := f.Wait(); res.Err != nil {
+			t.Fatalf("Go %s: %v", progs[i].Name, res.Err)
 		}
 	}
 
 	pool.Close()
 	pool.Close() // idempotent
 	if res := pool.Do(reqs[0]); !errors.Is(res.Err, serve.ErrClosed) {
-		t.Fatalf("request after Close returned %v, want ErrClosed", res.Err)
+		t.Fatalf("Do after Close returned %v, want ErrClosed", res.Err)
+	}
+	if res := pool.Go(reqs[1]).Wait(); !errors.Is(res.Err, serve.ErrClosed) {
+		t.Fatalf("Go after Close returned %v, want ErrClosed", res.Err)
 	}
 
 	// Quiescent after Close: machine stats are aggregated and consistent
@@ -279,30 +286,30 @@ func TestPoolIncrementalGCUnderLoad(t *testing.T) {
 	}
 }
 
-// TestPoolDoAllShardedBatches drives a large mixed batch — keyed and
-// keyless requests across every suite program — through the sub-batched
-// DoAll path and validates that every result lands at its request's index
-// with the right checksum, and that keyed requests respected affinity.
-func TestPoolDoAllShardedBatches(t *testing.T) {
+// TestPoolPipelinedGoSharded pipelines a large mixed run — keyed and
+// keyless requests across every suite program, all submitted with Go
+// before any is waited for — across four shards, and validates that
+// every result comes back through its own request's Future with the
+// right checksum, and that keyed requests respected affinity.
+func TestPoolPipelinedGoSharded(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 4, Batch: 8})
+	pool := serve.NewPool(snap, serve.Config{Workers: 4, QueueDepth: 96})
 	defer pool.Close()
 
 	const n = 96
 	reqs := make([]serve.Request, n)
+	futs := make([]*serve.Future, n)
 	for i := range reqs {
 		p := progs[i%len(progs)]
 		reqs[i] = serve.Request{Receiver: word.FromInt(p.Warm), Selector: p.Entry}
 		if i%3 == 0 {
 			reqs[i].Key = uint64(i%5 + 1)
 		}
-	}
-	results := pool.DoAll(reqs)
-	if len(results) != n {
-		t.Fatalf("got %d results for %d requests", len(results), n)
+		futs[i] = pool.Go(reqs[i])
 	}
 	keyWorker := map[uint64]int{}
-	for i, res := range results {
+	for i, f := range futs {
+		res := f.Wait()
 		p := progs[i%len(progs)]
 		if res.Err != nil {
 			t.Fatalf("request %d (%s): %v", i, p.Name, res.Err)
@@ -324,53 +331,12 @@ func TestPoolDoAllShardedBatches(t *testing.T) {
 	}
 }
 
-// TestPoolDoAllMatchesDo asserts the batched path computes exactly what
-// the single-request path computes, program by program at measured size.
-func TestPoolDoAllMatchesDo(t *testing.T) {
+// TestPoolMixedDoGoPipelined hammers one pool with Do, Go beside Do, and
+// pipelined Go from concurrent clients; run under -race this exercises
+// the inline fast-path handoff between callers and workers.
+func TestPoolMixedDoGoPipelined(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 2, Batch: 4})
-	defer pool.Close()
-
-	reqs := make([]serve.Request, len(progs))
-	for i, p := range progs {
-		reqs[i] = serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}
-	}
-	batched := pool.DoAll(reqs)
-	for i, p := range progs {
-		single := pool.Do(reqs[i])
-		bGot, bErr := batched[i].Int()
-		sGot, sErr := single.Int()
-		if bErr != nil || sErr != nil {
-			t.Fatalf("%s: batched err %v, single err %v", p.Name, bErr, sErr)
-		}
-		if bGot != sGot || bGot != p.Check {
-			t.Fatalf("%s: batched %d, single %d, want %d", p.Name, bGot, sGot, p.Check)
-		}
-	}
-}
-
-// TestPoolDoAllAfterClose fills every slot with ErrClosed.
-func TestPoolDoAllAfterClose(t *testing.T) {
-	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 1})
-	pool.Close()
-	results := pool.DoAll([]serve.Request{
-		{Receiver: word.FromInt(progs[0].Warm), Selector: progs[0].Entry},
-		{Receiver: word.FromInt(progs[1].Warm), Selector: progs[1].Entry},
-	})
-	for i, res := range results {
-		if !errors.Is(res.Err, serve.ErrClosed) {
-			t.Fatalf("result %d after Close: %v, want ErrClosed", i, res.Err)
-		}
-	}
-}
-
-// TestPoolMixedDoGoDoAll hammers one pool with all three submission paths
-// from concurrent clients; run under -race this exercises the inline
-// fast-path handoff between callers and workers.
-func TestPoolMixedDoGoDoAll(t *testing.T) {
-	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 2, Batch: 4})
+	pool := serve.NewPool(snap, serve.Config{Workers: 2})
 	defer pool.Close()
 
 	var wg sync.WaitGroup
@@ -395,9 +361,10 @@ func TestPoolMixedDoGoDoAll(t *testing.T) {
 						t.Errorf("Go: %v", res.Err)
 					}
 				default:
-					for _, res := range pool.DoAll([]serve.Request{req, req, req}) {
-						if res.Err != nil {
-							t.Errorf("DoAll: %v", res.Err)
+					futs := []*serve.Future{pool.Go(req), pool.Go(req), pool.Go(req)}
+					for _, f := range futs {
+						if res := f.Wait(); res.Err != nil {
+							t.Errorf("pipelined Go: %v", res.Err)
 						}
 					}
 				}

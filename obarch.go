@@ -29,10 +29,9 @@
 // power-of-two-choices. The request lifecycle is zero-allocation:
 // results travel in pooled, recycled Futures rather than per-call
 // channels, and pool.Metrics() aggregates latency and machine accounting
-// across workers from per-shard lock-free counters. Batches go through
-// pool.DoAll, which shards the request slice across workers and
-// pipelines per-shard sub-batches — one wait-group signal per sub-batch
-// instead of a channel round-trip per request. cmd/obarchd wraps the
+// across workers from per-shard lock-free counters. A caller with many
+// requests pipelines them through pool.Go and waits each Future in turn.
+// cmd/obarchd wraps the
 // pool as an HTTP/JSON server (POST /send, POST /batch) and an obwire
 // binary listener, and cmd/loadgen replays the workload suite against it
 // as concurrent traffic, batched or unbatched (-batch K), keyless or
