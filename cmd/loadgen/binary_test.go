@@ -17,45 +17,35 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/httpwire"
+	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
-	"repro/internal/smalltalk"
 )
 
-// startObwire boots a pool over a one-method image (answer = self + 1)
-// behind an obwire listener and returns the listener's address.
-func startObwire(t *testing.T, cfg serve.Config) (string, *serve.Pool) {
+// startNode runs a real node on loopback listeners over a one-method
+// image (answer = self + 1) and drains it when t ends.
+func startNode(t *testing.T, cfg serve.Config) *node.Node {
 	t.Helper()
-	m := core.New(core.Config{})
-	c, err := smalltalk.Compile(`
-extend SmallInt [
-	method answer [ ^self + 1 ]
-]`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if err := smalltalk.LoadCOM(m, c); err != nil {
+	sys := obarch.NewSystem(obarch.Options{})
+	if err := sys.Load(`extend SmallInt [ method answer [ ^self + 1 ] ]`); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	snap, err := m.Snapshot()
+	snap, err := sys.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	pool := serve.NewPool(snap, cfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := node.New(snap, nil, node.BootInfo{}, node.Config{Pool: cfg, Addr: "127.0.0.1:0", BinaryAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := obwire.Serve(l, pool, obwire.Options{})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		s.Shutdown(ctx)
-		pool.Close()
+		n.Shutdown(ctx)
 	})
-	return l.Addr().String(), pool
+	return n
 }
 
 // binCounters is one test run's worth of the shared counters main wires
@@ -86,7 +76,7 @@ func testBinRun(addr string, pipeline, rounds, retries int, c *binCounters) binR
 // every checksum, counts every frame, and records every latency, with
 // the pushback counters untouched.
 func TestBinaryRunPipelined(t *testing.T) {
-	addr, _ := startObwire(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	addr := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
 	testBinRun(addr, 3, 8, 0, &c).run()
 
@@ -111,7 +101,7 @@ func TestBinaryRunPipelined(t *testing.T) {
 // admission: every StatusOverloaded frame must land in the rejected
 // counter and burn a retry, exactly as a 429 does over HTTP.
 func TestBinaryOverloadRetryPath(t *testing.T) {
-	addr, _ := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
+	addr := startNode(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
 	testBinRun(addr, 1, 1, 2, &c).run()
 
@@ -139,7 +129,7 @@ func TestBinaryOverloadRetryPath(t *testing.T) {
 // admission: refusals arrive in-band, are classified by frame status,
 // and are never retried — the batch-mode contract on the binary wire.
 func TestBinaryOverloadPipelined(t *testing.T) {
-	addr, _ := startObwire(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
+	addr := startNode(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
 	testBinRun(addr, 4, 6, 3, &c).run()
 
@@ -223,12 +213,12 @@ func loadgenGoroutines() int {
 // outlives run.
 func TestBinaryLanesRedialOnce(t *testing.T) {
 	const lanes, rounds = 4, 40
-	addr, pool := startObwire(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
-	front, accepted := cutFirstConn(t, addr, lanes)
+	n := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	front, accepted := cutFirstConn(t, n.BinaryAddr(), lanes)
 	var c binCounters
 	testBinRun(front, lanes, rounds, 0, &c).run()
 
-	ok := int64(pool.Metrics().Requests)
+	ok := int64(n.Pool().Metrics().Requests)
 	if sent, failed := c.sent.Load(), c.failed.Load(); sent != rounds || sent != ok+failed {
 		t.Errorf("sent %d, ok %d, failed %d: want sent %d == ok + failed", sent, ok, failed, rounds)
 	}

@@ -1,69 +1,28 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/word"
-	"repro/internal/workload"
 )
 
-// benchServer stands up the HTTP face over a tiny one-method image and a
-// pool of the given width, so the benchmark measures the HTTP request
-// path — routing, decode, pool hand-off, encode — rather than the
-// interpreter.
-func benchServer(b *testing.B, workers int) (*httptest.Server, *serve.Pool) {
+// startBenchNode serves the tiny one-method image from a pool of the
+// given width, so the benchmarks measure the request path — routing,
+// decode, pool hand-off, encode — rather than the interpreter.
+func startBenchNode(b *testing.B, workers int) *node.Node {
 	b.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.SendInt(21, "double"); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := serve.NewPool(snap, serve.Config{Workers: workers, GCEvery: -1, Timeout: 10 * time.Second})
-	return httptest.NewServer(newServer(pool, []workload.Program{}, snap, "")), pool
-}
-
-// binaryServer stands up the obwire listener over the same tiny image
-// and answers its address; everything is torn down when b ends.
-func binaryServer(b *testing.B) string {
-	b.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := obwire.Serve(l, pool, obwire.Options{})
-	b.Cleanup(func() {
-		s.Shutdown(context.Background())
-		pool.Close()
-	})
-	return l.Addr().String()
+	return startNode(b, doubleSnapshot(b), nil, node.Config{Pool: serve.Config{Workers: workers, GCEvery: -1, Timeout: 10 * time.Second}})
 }
 
 // countingConn counts the Write calls made on a connection.
@@ -93,7 +52,7 @@ func BenchmarkBinarySend(b *testing.B) {
 		callers int
 	}{{"depth=1", 1}, {"depth=64", 64}, {"mux-depth=32", 32}} {
 		b.Run(bc.name, func(b *testing.B) {
-			conn, err := net.Dial("tcp", binaryServer(b))
+			conn, err := net.Dial("tcp", startBenchNode(b, 1).BinaryAddr())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -141,14 +100,11 @@ func BenchmarkBinarySend(b *testing.B) {
 // hand-off. Set against BenchmarkBinarySend/depth=1 it prices the HTTP
 // wire; it is informational and not gated.
 func BenchmarkHTTPSend(b *testing.B) {
-	ts, pool := benchServer(b, 1)
-	defer pool.Close()
-	defer ts.Close()
-	client := ts.Client()
+	client := &http.Client{}
 	const body = `{"receiver": 21, "selector": "double"}`
-	url := ts.URL + "/send"
+	target := url(startBenchNode(b, 1)) + "/send"
 	// One warm request to populate connection and selector caches.
-	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	resp, err := client.Post(target, "application/json", strings.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +116,7 @@ func BenchmarkHTTPSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(url, "application/json", strings.NewReader(body))
+		resp, err := client.Post(target, "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,14 +133,11 @@ func BenchmarkHTTPBatch(b *testing.B) {
 	for _, batch := range []int{16, 64} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(b *testing.B) {
-				ts, pool := benchServer(b, workers)
-				defer pool.Close()
-				defer ts.Close()
-				client := ts.Client()
+				client := &http.Client{}
 				body := "[" + strings.Repeat(`{"receiver": 21, "selector": "double"},`, batch-1) + `{"receiver": 21, "selector": "double"}]`
-				url := ts.URL + "/batch"
+				target := url(startBenchNode(b, workers)) + "/batch"
 				post := func() {
-					resp, err := client.Post(url, "application/json", strings.NewReader(body))
+					resp, err := client.Post(target, "application/json", strings.NewReader(body))
 					if err != nil {
 						b.Fatal(err)
 					}

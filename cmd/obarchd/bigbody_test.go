@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -12,12 +11,9 @@ import (
 // TestRequestBodyCap pins the buffered-body bound: a body over
 // httpwire.MaxBody is refused instead of being buffered to EOF.
 func TestRequestBodyCap(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startParityNode(t)
 	huge := `{"receiver": 21, "selector": "` + strings.Repeat("x", httpwire.MaxBody) + `"}`
-	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(huge))
+	resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatalf("POST huge body: %v", err)
 	}

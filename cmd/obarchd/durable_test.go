@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,29 +12,16 @@ import (
 
 	"repro"
 	"repro/internal/image"
+	"repro/internal/node"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
 // writeSuiteImage compiles the workload suite (plus any extra source) and
 // persists it as an image file, returning the path and the snapshot.
-func writeSuiteImage(t *testing.T, dir, name, extraSrc string) (string, *obarch.Snapshot) {
+func writeSuiteImage(t *testing.T, dir, name string, extraSrc ...string) (string, *obarch.Snapshot) {
 	t.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	for _, p := range workload.Suite() {
-		if err := sys.Load(p.Src); err != nil {
-			t.Fatalf("load %s: %v", p.Name, err)
-		}
-	}
-	if extraSrc != "" {
-		if err := sys.Load(extraSrc); err != nil {
-			t.Fatalf("load extra source: %v", err)
-		}
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
+	snap := suiteSnapshot(t, extraSrc...)
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
@@ -54,10 +40,10 @@ func writeSuiteImage(t *testing.T, dir, name, extraSrc string) (string, *obarch.
 // checkpoint generation is rejected (one rung) and the next generation
 // boots; with no valid checkpoints the -image file boots warm; with the
 // image also corrupted the boot compiles from source — and each outcome
-// is recorded in the bootInfo provenance.
+// is recorded in the BootInfo provenance.
 func TestRecoveryLadderBoot(t *testing.T) {
 	dir := t.TempDir()
-	imagePath, snap := writeSuiteImage(t, dir, "com.img", "")
+	imagePath, snap := writeSuiteImage(t, dir, "com.img")
 	ckptDir := filepath.Join(dir, "ckpt")
 	for gen := uint64(1); gen <= 2; gen++ {
 		if _, err := image.WriteCheckpoint(ckptDir, gen, snap); err != nil {
@@ -75,7 +61,7 @@ func TestRecoveryLadderBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, programs, boot, err := bootSnapshot(imagePath, ckptDir, true, nil)
+	got, programs, boot, err := node.Boot(imagePath, ckptDir, true, nil)
 	if err != nil {
 		t.Fatalf("ladder boot: %v", err)
 	}
@@ -87,7 +73,7 @@ func TestRecoveryLadderBoot(t *testing.T) {
 	}
 
 	// Rung 2: no checkpoint dir given — warm boot from the image file.
-	_, _, boot, err = bootSnapshot(imagePath, filepath.Join(dir, "empty-ckpt"), true, nil)
+	_, _, boot, err = node.Boot(imagePath, filepath.Join(dir, "empty-ckpt"), true, nil)
 	if err != nil {
 		t.Fatalf("warm boot: %v", err)
 	}
@@ -101,7 +87,7 @@ func TestRecoveryLadderBoot(t *testing.T) {
 	raw[len(raw)/2] ^= 0x01
 	os.WriteFile(imagePath, raw, 0o644)
 	os.RemoveAll(ckptDir + "/gen-000000000001") // leave only the corrupt gen
-	_, _, boot, err = bootSnapshot(imagePath, ckptDir, true, nil)
+	_, _, boot, err = node.Boot(imagePath, ckptDir, true, nil)
 	if err != nil {
 		t.Fatalf("compile-rung boot: %v", err)
 	}
@@ -116,23 +102,19 @@ func TestRecoveryLadderBoot(t *testing.T) {
 // answering 400 with the pool untouched.
 func TestRotateEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	oldPath, oldSnap := writeSuiteImage(t, dir, "old.img", "")
+	oldPath, oldSnap := writeSuiteImage(t, dir, "old.img")
 	newPath, _ := writeSuiteImage(t, dir, "new.img", `
 extend SmallInt [
 	method rotmark [ ^self + 99 ]
 ]`)
-	pool := serve.NewPool(oldSnap, serve.Config{Workers: 2, Timeout: 30 * time.Second})
-	defer pool.Close()
-	h := newServer(pool, workload.Suite(), oldSnap, oldPath)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startNode(t, oldSnap, workload.Suite(), node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}, ImagePath: oldPath})
 
 	// The boot image does not understand rotmark.
-	if status, _ := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`); status != http.StatusUnprocessableEntity {
+	if status, _ := postSend(t, n, `{"receiver": 1, "selector": "rotmark"}`); status != http.StatusUnprocessableEntity {
 		t.Fatalf("pre-rotation rotmark: status %d, want 422", status)
 	}
 
-	resp, err := http.Post(ts.URL+"/rotate", "application/json", strings.NewReader(fmt.Sprintf(`{"path": %q}`, newPath)))
+	resp, err := http.Post(url(n)+"/rotate", "application/json", strings.NewReader(fmt.Sprintf(`{"path": %q}`, newPath)))
 	if err != nil {
 		t.Fatalf("POST /rotate: %v", err)
 	}
@@ -151,9 +133,9 @@ extend SmallInt [
 
 	// New behaviour on every shard (keyed probes pin each one), old suite
 	// still intact.
-	for i := 0; i < pool.Workers(); i++ {
-		body := fmt.Sprintf(`{"receiver": 1, "selector": "rotmark", "key": %d}`, pool.Workers()+i)
-		status, res := postSendTo(t, ts, body)
+	for i := 0; i < n.Pool().Workers(); i++ {
+		body := fmt.Sprintf(`{"receiver": 1, "selector": "rotmark", "key": %d}`, n.Pool().Workers()+i)
+		status, res := postSend(t, n, body)
 		if status != http.StatusOK {
 			t.Fatalf("post-rotation rotmark on shard %d: status %d (%s)", i, status, res.Error)
 		}
@@ -162,7 +144,7 @@ extend SmallInt [
 		}
 	}
 	p := workload.Suite()[0]
-	if status, _ := postSendTo(t, ts, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)); status != http.StatusOK {
+	if status, _ := postSend(t, n, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)); status != http.StatusOK {
 		t.Fatalf("suite program broken after rotation: status %d", status)
 	}
 
@@ -172,7 +154,7 @@ extend SmallInt [
 		fmt.Sprintf(`{"path": %q}`, filepath.Join(dir, "absent.img")),
 		fmt.Sprintf(`{"path": %q}`, mustJunkFile(t, dir)),
 	} {
-		resp, err := http.Post(ts.URL+"/rotate", "application/json", strings.NewReader(body))
+		resp, err := http.Post(url(n)+"/rotate", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +163,7 @@ extend SmallInt [
 			t.Fatalf("bad-image rotate: status %d, want 400", resp.StatusCode)
 		}
 	}
-	if status, _ := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`); status != http.StatusOK {
+	if status, _ := postSend(t, n, `{"receiver": 1, "selector": "rotmark"}`); status != http.StatusOK {
 		t.Fatal("pool stopped serving after refused rotations")
 	}
 
@@ -190,7 +172,7 @@ extend SmallInt [
 		Rotations      uint64 `json:"rotations"`
 		RotateFailures uint64 `json:"rotate_failures"`
 	}
-	getJSON(t, ts, "/stats", &st)
+	getJSON(t, n, "/stats", &st)
 	if st.Rotations != 1 || st.RotateFailures != 0 {
 		t.Fatalf("stats rotations=%d failures=%d, want 1, 0", st.Rotations, st.RotateFailures)
 	}
@@ -205,9 +187,9 @@ func mustJunkFile(t *testing.T, dir string) string {
 	return path
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
+func getJSON(t *testing.T, n *node.Node, path string, v any) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(url(n) + path)
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
@@ -222,21 +204,18 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
 // the failure counter must tick.
 func TestRotateEndpointRollback(t *testing.T) {
 	dir := t.TempDir()
-	_, oldSnap := writeSuiteImage(t, dir, "old.img", "")
+	_, oldSnap := writeSuiteImage(t, dir, "old.img")
 	newPath, _ := writeSuiteImage(t, dir, "new.img", `
 extend SmallInt [
 	method rotmark [ ^self + 99 ]
 ]`)
-	pool := serve.NewPool(oldSnap, serve.Config{
+	n := startNode(t, oldSnap, workload.Suite(), node.Config{Pool: serve.Config{
 		Workers: 3,
 		Timeout: 30 * time.Second,
 		Faults:  &serve.Faults{RotateFailAt: 2},
-	})
-	defer pool.Close()
-	ts := httptest.NewServer(newServer(pool, workload.Suite(), oldSnap, ""))
-	defer ts.Close()
+	}})
 
-	resp, err := http.Post(ts.URL+"/rotate", "application/json", strings.NewReader(fmt.Sprintf(`{"path": %q}`, newPath)))
+	resp, err := http.Post(url(n)+"/rotate", "application/json", strings.NewReader(fmt.Sprintf(`{"path": %q}`, newPath)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +224,9 @@ extend SmallInt [
 		t.Fatalf("failed rotation: status %d, want 500", resp.StatusCode)
 	}
 	// Rolled back: rotmark still unknown everywhere.
-	for i := 0; i < pool.Workers(); i++ {
-		body := fmt.Sprintf(`{"receiver": 1, "selector": "rotmark", "key": %d}`, pool.Workers()+i)
-		if status, _ := postSendTo(t, ts, body); status != http.StatusUnprocessableEntity {
+	for i := 0; i < n.Pool().Workers(); i++ {
+		body := fmt.Sprintf(`{"receiver": 1, "selector": "rotmark", "key": %d}`, n.Pool().Workers()+i)
+		if status, _ := postSend(t, n, body); status != http.StatusUnprocessableEntity {
 			t.Fatalf("shard %d serves the new image after rollback (status %d)", i, status)
 		}
 	}
@@ -255,7 +234,7 @@ extend SmallInt [
 		Rotations      uint64 `json:"rotations"`
 		RotateFailures uint64 `json:"rotate_failures"`
 	}
-	getJSON(t, ts, "/stats", &st)
+	getJSON(t, n, "/stats", &st)
 	if st.Rotations != 0 || st.RotateFailures != 1 {
 		t.Fatalf("stats rotations=%d failures=%d, want 0, 1", st.Rotations, st.RotateFailures)
 	}
@@ -265,19 +244,17 @@ extend SmallInt [
 // rotation is blocked mid-swap (the pool held at quiescence), /readyz
 // answers 503 "rotating"; once the swap completes it answers 200.
 func TestReadyzRotating(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	snap := suiteSnapshot(t)
+	n := startNode(t, snap, workload.Suite(), node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}})
 
-	release := pool.Quiesce()
+	release := n.Pool().Quiesce()
 	done := make(chan error, 1)
-	go func() { done <- pool.Rotate(h.snap) }()
+	go func() { done <- n.Pool().Rotate(snap) }()
 	// The rotation is now parked on shard 0's execMu with the rotating
 	// flag up; readiness must say so.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/readyz")
+		resp, err := http.Get(url(n) + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +273,7 @@ func TestReadyzRotating(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("rotation failed: %v", err)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err := http.Get(url(n) + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,19 +288,17 @@ func TestReadyzRotating(t *testing.T) {
 // instructions traffic executed — not the frozen boot snapshot.
 func TestSaveCapturesLiveState(t *testing.T) {
 	imagePath := filepath.Join(t.TempDir(), "com.img")
-	h, pool := newSuiteServer(t, 1, imagePath)
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	snap := suiteSnapshot(t)
+	n := startNode(t, snap, workload.Suite(), node.Config{Pool: serve.Config{Workers: 1, Timeout: 30 * time.Second}, ImagePath: imagePath})
 
-	bootInstr := h.snap.Stats().Instructions
+	bootInstr := snap.Stats().Instructions
 	p := workload.Suite()[0]
 	for i := 0; i < 4; i++ {
-		if status, _ := postSend(t, ts, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)); status != http.StatusOK {
+		if status, _ := postSend(t, n, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)); status != http.StatusOK {
 			t.Fatalf("request %d failed", i)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/save", "application/json", nil)
+	resp, err := http.Post(url(n)+"/save", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,32 +321,49 @@ func TestSaveCapturesLiveState(t *testing.T) {
 	}
 }
 
+// ckptBlock is the /stats checkpoint block.
+type ckptBlock struct {
+	Taken      uint64  `json:"taken"`
+	Failures   uint64  `json:"failures"`
+	Generation int64   `json:"generation"`
+	AgeS       float64 `json:"age_s"`
+}
+
+func checkpointBlock(t *testing.T, n *node.Node) ckptBlock {
+	t.Helper()
+	var st struct {
+		Checkpoint ckptBlock `json:"checkpoint"`
+	}
+	statsOf(t, n, &st)
+	return st.Checkpoint
+}
+
 // TestCheckpointerLoop runs the background checkpointer against a live
-// pool: generations accumulate, pruning holds the keep bound, Stop takes
-// a final checkpoint, generation numbering continues across restarts,
-// and the age/generation stats surface through the server.
+// pool: generations accumulate, pruning holds the keep bound, the drain
+// takes a final checkpoint, generation numbering continues across
+// restarts, and the age/generation stats surface through /stats.
 func TestCheckpointerLoop(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-
-	ckpt, err := newCheckpointer(pool, dir, 2, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	snap := suiteSnapshot(t)
+	cfg := node.Config{
+		Pool:           serve.Config{Workers: 2, Timeout: 30 * time.Second},
+		Checkpoint:     20 * time.Millisecond,
+		CheckpointDir:  dir,
+		CheckpointKeep: 2,
 	}
-	h.ckpt = ckpt
-	go ckpt.run()
+	n := startNode(t, snap, workload.Suite(), cfg)
 	deadline := time.Now().Add(5 * time.Second)
-	for ckpt.taken.Load() < 3 {
+	for st := checkpointBlock(t, n); st.Taken < 3; st = checkpointBlock(t, n) {
 		if time.Now().After(deadline) {
-			t.Fatalf("checkpointer took only %d checkpoints (failures: %d)", ckpt.taken.Load(), ckpt.failures.Load())
+			t.Fatalf("checkpointer took only %d checkpoints (failures: %d)", st.Taken, st.Failures)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ckpt.Stop()
-	taken := ckpt.taken.Load()
-	if taken < 4 { // the final Stop checkpoint is included
-		t.Fatalf("taken = %d after Stop, want the final capture counted", taken)
+	n.Shutdown(t.Context())
+	st := checkpointBlock(t, n)
+	taken := st.Taken
+	if taken < 4 { // the drain's final checkpoint is included
+		t.Fatalf("taken = %d after Shutdown, want the final capture counted", taken)
 	}
 	gens, err := image.ListGenerations(dir)
 	if err != nil {
@@ -383,11 +375,8 @@ func TestCheckpointerLoop(t *testing.T) {
 	if gens[len(gens)-1] != taken {
 		t.Fatalf("newest generation %d, want %d (one per capture)", gens[len(gens)-1], taken)
 	}
-	if age := h.checkpointAge(); age < 0 {
-		t.Fatalf("checkpointAge = %v after captures, want >= 0", age)
-	}
-	if gen := h.checkpointGen(); gen != int64(taken) {
-		t.Fatalf("checkpointGen = %d, want %d", gen, taken)
+	if st.AgeS < 0 || st.Generation != int64(taken) {
+		t.Fatalf("checkpoint block = %+v after captures, want age >= 0 and generation %d", st, taken)
 	}
 	// Every surviving generation is loadable.
 	for _, gen := range gens {
@@ -396,30 +385,24 @@ func TestCheckpointerLoop(t *testing.T) {
 		}
 	}
 
-	// A restarted checkpointer continues the numbering and primes the
-	// age gauge from the newest manifest instead of reporting "never".
-	ckpt2, err := newCheckpointer(pool, dir, 2, time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	// A restarted checkpointer primes the age gauge from the newest
+	// manifest instead of reporting "never", and continues the numbering:
+	// its drain writes the next generation.
+	cfg.Checkpoint = time.Hour
+	n2 := startNode(t, snap, workload.Suite(), cfg)
+	if st := checkpointBlock(t, n2); st.Generation != int64(taken) || st.AgeS < 0 || st.Taken != 0 {
+		t.Fatalf("restarted checkpointer not primed: %+v, want generation %d", st, taken)
 	}
-	if ckpt2.nextGen != taken+1 {
-		t.Fatalf("restarted checkpointer starts at gen %d, want %d", ckpt2.nextGen, taken+1)
-	}
-	if ckpt2.lastGen.Load() != int64(taken) || ckpt2.lastNS.Load() == 0 {
-		t.Fatalf("restarted checkpointer not primed: gen=%d ns=%d", ckpt2.lastGen.Load(), ckpt2.lastNS.Load())
+	n2.Shutdown(t.Context())
+	if gens, err := image.ListGenerations(dir); err != nil || gens[len(gens)-1] != taken+1 {
+		t.Fatalf("restarted checkpointer wrote generations %v (%v), want newest %d", gens, err, taken+1)
 	}
 }
 
-// TestCheckpointAgeSentinel pins the -1 sentinels: a server without a
+// TestCheckpointAgeSentinel pins the -1 sentinels: a node without a
 // checkpointer answers -1 everywhere, in /stats too.
 func TestCheckpointAgeSentinel(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	if age := h.checkpointAge(); age != -1 {
-		t.Fatalf("checkpointAge without checkpointer = %v, want -1", age)
-	}
+	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
 	var st struct {
 		AgeS       float64 `json:"checkpoint_age_s"`
 		Checkpoint struct {
@@ -431,7 +414,7 @@ func TestCheckpointAgeSentinel(t *testing.T) {
 			RecoveryLadder      int   `json:"recovery_ladder"`
 		} `json:"image"`
 	}
-	getJSON(t, ts, "/stats", &st)
+	getJSON(t, n, "/stats", &st)
 	if st.AgeS != -1 || st.Checkpoint.Enabled || st.Checkpoint.Generation != -1 {
 		t.Fatalf("stats checkpoint block = %+v, want disabled sentinels", st)
 	}
@@ -444,16 +427,8 @@ func TestCheckpointAgeSentinel(t *testing.T) {
 // on disk rotates the pool onto it without any request against /rotate.
 func TestWatchRotates(t *testing.T) {
 	dir := t.TempDir()
-	oldPath, oldSnap := writeSuiteImage(t, dir, "com.img", "")
-	pool := serve.NewPool(oldSnap, serve.Config{Workers: 2, Timeout: 30 * time.Second})
-	defer pool.Close()
-	h := newServer(pool, workload.Suite(), oldSnap, oldPath)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	h.watchStop = make(chan struct{})
-	defer close(h.watchStop)
-	go h.watchImage(10*time.Millisecond, h.watchStop)
+	oldPath, oldSnap := writeSuiteImage(t, dir, "com.img")
+	n := startNode(t, oldSnap, workload.Suite(), node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}, ImagePath: oldPath, Watch: 10 * time.Millisecond})
 
 	// Build the replacement elsewhere, then move it over the watched
 	// path (atomic, like a real deploy would).
@@ -467,7 +442,7 @@ extend SmallInt [
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
+		status, res := postSend(t, n, `{"receiver": 1, "selector": "rotmark"}`)
 		if status == http.StatusOK {
 			if got, ok := res.Result.(float64); !ok || got != 100 {
 				t.Fatalf("rotmark answered %v, want 100", res.Result)
@@ -479,9 +454,9 @@ extend SmallInt [
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if met := pool.Metrics(); met.Rotations < 1 {
-		t.Fatalf("rotations = %d after watch rotation", met.Rotations)
-	}
+	// A swapped shard answers before the last shard's swap lands and
+	// the rotation counts, so wait for the count.
+	waitRotations(t, n.Pool(), "after watch rotation")
 }
 
 // TestWatchRetriesTornWrite pins the baseline-advance rule: a poll that
@@ -492,16 +467,8 @@ extend SmallInt [
 // would classify the completed image as already-seen and never retry.
 func TestWatchRetriesTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	oldPath, oldSnap := writeSuiteImage(t, dir, "com.img", "")
-	pool := serve.NewPool(oldSnap, serve.Config{Workers: 2, Timeout: 30 * time.Second})
-	defer pool.Close()
-	h := newServer(pool, workload.Suite(), oldSnap, oldPath)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	h.watchStop = make(chan struct{})
-	defer close(h.watchStop)
-	go h.watchImage(10*time.Millisecond, h.watchStop)
+	oldPath, oldSnap := writeSuiteImage(t, dir, "com.img")
+	n := startNode(t, oldSnap, workload.Suite(), node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}, ImagePath: oldPath, Watch: 10 * time.Millisecond})
 	time.Sleep(30 * time.Millisecond) // let the watcher record its baseline
 
 	// The finished deploy, built off to the side.
@@ -539,7 +506,7 @@ extend SmallInt [
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
+		status, res := postSend(t, n, `{"receiver": 1, "selector": "rotmark"}`)
 		if status == http.StatusOK {
 			if got, ok := res.Result.(float64); !ok || got != 100 {
 				t.Fatalf("rotmark answered %v, want 100", res.Result)
@@ -551,7 +518,17 @@ extend SmallInt [
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if met := pool.Metrics(); met.Rotations < 1 {
-		t.Fatalf("rotations = %d after torn-write recovery", met.Rotations)
+	// A swapped shard answers before the last shard's swap lands and
+	// the rotation counts, so wait for the count.
+	waitRotations(t, n.Pool(), "after torn-write recovery")
+}
+
+// waitRotations waits up to 5s for pool to count a completed rotation.
+func waitRotations(t *testing.T, pool *serve.Pool, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); pool.Metrics().Rotations < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rotations = %d %s", pool.Metrics().Rotations, when)
+		}
 	}
 }

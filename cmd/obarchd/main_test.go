@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,33 +17,86 @@ import (
 
 	"repro"
 	"repro/internal/httpwire"
+	"repro/internal/node"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
-// newSuiteServer builds the handler over a pool serving the full workload
-// suite, exactly as `obarchd` with default flags would. imagePath wires
-// the POST /save endpoint; empty disables it.
-func newSuiteServer(t *testing.T, workers int, imagePath string) (*server, *serve.Pool) {
-	t.Helper()
+// suiteSnapshot compiles the workload suite plus any extra source into a
+// snapshot, as a cold `obarchd` boot does.
+func suiteSnapshot(tb testing.TB, extraSrc ...string) *obarch.Snapshot {
+	tb.Helper()
 	sys := obarch.NewSystem(obarch.Options{})
-	programs := workload.Suite()
-	for _, p := range programs {
-		if err := sys.Load(p.Src); err != nil {
-			t.Fatalf("load %s: %v", p.Name, err)
+	if _, err := workload.LoadSuite(sys.M); err != nil {
+		tb.Fatal(err)
+	}
+	for _, src := range extraSrc {
+		if err := sys.Load(src); err != nil {
+			tb.Fatalf("load extra source: %v", err)
 		}
 	}
 	snap, err := sys.Snapshot()
 	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+		tb.Fatalf("snapshot: %v", err)
 	}
-	pool := serve.NewPool(snap, serve.Config{Workers: workers, Timeout: 30 * time.Second})
-	return newServer(pool, programs, snap, imagePath), pool
+	return snap
 }
 
-func postSend(t *testing.T, ts *httptest.Server, body string) (int, httpwire.SendResponse) {
+// startNode serves snap on loopback listeners, HTTP and obwire, and
+// drains the node when tb ends.
+func startNode(tb testing.TB, snap *obarch.Snapshot, programs []workload.Program, cfg node.Config) *node.Node {
+	tb.Helper()
+	cfg.Addr, cfg.BinaryAddr = "127.0.0.1:0", "127.0.0.1:0"
+	n, err := node.New(snap, programs, node.BootInfo{}, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		n.Shutdown(ctx)
+	})
+	return n
+}
+
+// startSuiteNode is startNode over the full workload suite with pool
+// configuration pc, as `obarchd` with default flags serves it.
+func startSuiteNode(tb testing.TB, pc serve.Config) *node.Node {
+	tb.Helper()
+	return startNode(tb, suiteSnapshot(tb), workload.Suite(), node.Config{Pool: pc})
+}
+
+// doubleSnapshot is an image holding one method, SmallInt>>double.
+func doubleSnapshot(tb testing.TB) *obarch.Snapshot {
+	tb.Helper()
+	sys := obarch.NewSystem(obarch.Options{})
+	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// statsOf decodes the node's /stats into v through its handler, which
+// answers after Shutdown too.
+func statsOf(t *testing.T, n *node.Node, v any) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
+	w := httptest.NewRecorder()
+	n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	if err := json.Unmarshal(w.Body.Bytes(), v); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+}
+
+// url answers the node's HTTP base URL.
+func url(n *node.Node) string { return "http://" + n.Addr() }
+
+func postSend(t *testing.T, n *node.Node, body string) (int, httpwire.SendResponse) {
+	t.Helper()
+	resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /send: %v", err)
 	}
@@ -58,10 +111,7 @@ func postSend(t *testing.T, ts *httptest.Server, body string) (int, httpwire.Sen
 // TestServerEndToEndConcurrent is the acceptance run: 8 concurrent HTTP
 // clients replay the full workload suite and validate every checksum.
 func TestServerEndToEndConcurrent(t *testing.T) {
-	h, pool := newSuiteServer(t, 4, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 4, Timeout: 30 * time.Second})
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -71,7 +121,7 @@ func TestServerEndToEndConcurrent(t *testing.T) {
 			defer wg.Done()
 			for _, p := range workload.Suite() {
 				body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-				status, out := postSend(t, ts, body)
+				status, out := postSend(t, n, body)
 				if status != http.StatusOK {
 					t.Errorf("client %d: %s: status %d (%s)", g, p.Name, status, out.Error)
 					return
@@ -91,7 +141,7 @@ func TestServerEndToEndConcurrent(t *testing.T) {
 	wg.Wait()
 
 	// The stats endpoint reflects the traffic.
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(url(n) + "/stats")
 	if err != nil {
 		t.Fatalf("GET /stats: %v", err)
 	}
@@ -113,13 +163,10 @@ func TestServerEndToEndConcurrent(t *testing.T) {
 }
 
 func TestServerSendWithArgsAndErrors(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
 
 	// Primitive send with an argument.
-	status, out := postSend(t, ts, `{"receiver": 40, "selector": "+", "args": [2]}`)
+	status, out := postSend(t, n, `{"receiver": 40, "selector": "+", "args": [2]}`)
 	if status != http.StatusOK {
 		t.Fatalf("40 + 2: status %d (%s)", status, out.Error)
 	}
@@ -128,19 +175,19 @@ func TestServerSendWithArgsAndErrors(t *testing.T) {
 	}
 
 	// doesNotUnderstand surfaces as a machine error, not a transport one.
-	status, out = postSend(t, ts, `{"receiver": 1, "selector": "noSuchSelector"}`)
+	status, out = postSend(t, n, `{"receiver": 1, "selector": "noSuchSelector"}`)
 	if status != http.StatusUnprocessableEntity || out.Error == "" {
 		t.Fatalf("unknown selector: status %d, error %q", status, out.Error)
 	}
 
 	// A per-request step budget bounds a heavy request.
-	status, out = postSend(t, ts, `{"receiver": 800, "selector": "benchArith", "max_steps": 50}`)
+	status, out = postSend(t, n, `{"receiver": 800, "selector": "benchArith", "max_steps": 50}`)
 	if status != http.StatusUnprocessableEntity || !strings.Contains(out.Error, "step limit") {
 		t.Fatalf("tiny budget: status %d, error %q", status, out.Error)
 	}
 
 	// Malformed JSON is a 400.
-	resp, err := http.Post(ts.URL+"/send", "application/json", bytes.NewReader([]byte(`{`)))
+	resp, err := http.Post(url(n)+"/send", "application/json", bytes.NewReader([]byte(`{`)))
 	if err != nil {
 		t.Fatalf("POST bad JSON: %v", err)
 	}
@@ -151,12 +198,9 @@ func TestServerSendWithArgsAndErrors(t *testing.T) {
 }
 
 func TestServerProgramsAndHealth(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
 
-	resp, err := http.Get(ts.URL + "/programs")
+	resp, err := http.Get(url(n) + "/programs")
 	if err != nil {
 		t.Fatalf("GET /programs: %v", err)
 	}
@@ -169,7 +213,7 @@ func TestServerProgramsAndHealth(t *testing.T) {
 		t.Fatalf("/programs listed %d programs, want %d", len(progs), len(workload.Suite()))
 	}
 
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(url(n) + "/healthz")
 	if err != nil {
 		t.Fatalf("GET /healthz: %v", err)
 	}
@@ -178,7 +222,7 @@ func TestServerProgramsAndHealth(t *testing.T) {
 		t.Fatalf("/healthz status %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(ts.URL + "/stats?format=text")
+	resp, err = http.Get(url(n) + "/stats?format=text")
 	if err != nil {
 		t.Fatalf("GET /stats?format=text: %v", err)
 	}
@@ -194,10 +238,7 @@ func TestServerProgramsAndHealth(t *testing.T) {
 // validates order preservation, per-request checksums, and inline error
 // reporting for a failing entry in the middle of an otherwise good batch.
 func TestServerBatchEndpoint(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
 
 	programs := workload.Suite()
 	var batch []map[string]any
@@ -207,7 +248,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	batch = append(batch, map[string]any{"receiver": 1, "selector": "noSuchSelector"})
 	body, _ := json.Marshal(batch)
 
-	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url(n)+"/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /batch: %v", err)
 	}
@@ -236,7 +277,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	}
 
 	// Malformed batches are rejected wholesale.
-	resp2, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`[{"receiver": 1}]`))
+	resp2, err := http.Post(url(n)+"/batch", "application/json", strings.NewReader(`[{"receiver": 1}]`))
 	if err != nil {
 		t.Fatalf("POST bad /batch: %v", err)
 	}
@@ -253,14 +294,12 @@ func TestServerBatchEndpoint(t *testing.T) {
 // httpwire.BatchWindow elements are in flight, and the window is no
 // deeper than the queue, so one batch alone never overflows its shard.
 func TestServerBatchWindow(t *testing.T) {
-	const n = 10000
-	h := newParityServer(t)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	const count = 10000
+	n := startParityNode(t)
 
 	var body bytes.Buffer
 	body.WriteString(`[`)
-	for i := 0; i < n; i++ {
+	for i := 0; i < count; i++ {
 		if i > 0 {
 			body.WriteString(",")
 		}
@@ -271,7 +310,7 @@ func TestServerBatchWindow(t *testing.T) {
 		fmt.Fprintf(&body, `{"receiver": %d, "selector": %q, "key": 5}`, i, sel)
 	}
 	body.WriteString(`]`)
-	resp, err := http.Post(ts.URL+"/batch", "application/json", &body)
+	resp, err := http.Post(url(n)+"/batch", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +322,8 @@ func TestServerBatchWindow(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != n {
-		t.Fatalf("%d results, want %d", len(out), n)
+	if len(out) != count {
+		t.Fatalf("%d results, want %d", len(out), count)
 	}
 	for i, r := range out {
 		if i%100 == 7 {
@@ -295,8 +334,8 @@ func TestServerBatchWindow(t *testing.T) {
 			t.Fatalf("batch[%d] = %+v, want %d", i, r, 2*i)
 		}
 	}
-	if met := h.pool.Metrics(); met.Rejected != 0 || met.Requests != n {
-		t.Fatalf("pool served %d and refused %d, want %d and 0", met.Requests, met.Rejected, n)
+	if met := n.Pool().Metrics(); met.Rejected != 0 || met.Requests != count {
+		t.Fatalf("pool served %d and refused %d, want %d and 0", met.Requests, met.Rejected, count)
 	}
 }
 
@@ -306,12 +345,9 @@ func TestServerBatchWindow(t *testing.T) {
 // checksums.
 func TestServerSaveAndWarmBoot(t *testing.T) {
 	imagePath := filepath.Join(t.TempDir(), "com.img")
-	h, pool := newSuiteServer(t, 2, imagePath)
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startNode(t, suiteSnapshot(t), workload.Suite(), node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}, ImagePath: imagePath})
 
-	resp, err := http.Post(ts.URL+"/save", "application/json", nil)
+	resp, err := http.Post(url(n)+"/save", "application/json", nil)
 	if err != nil {
 		t.Fatalf("POST /save: %v", err)
 	}
@@ -330,21 +366,18 @@ func TestServerSaveAndWarmBoot(t *testing.T) {
 		t.Fatalf("/save reported %d bytes at %s; stat: %v", saved.Bytes, saved.Path, err)
 	}
 
-	// Boot a second server from the image, exactly as `obarchd -image`
+	// Boot a second node from the image, exactly as `obarchd -image`
 	// does, and replay the suite against it.
-	snap, programs, boot, err := bootSnapshot(imagePath, "", true, nil)
+	snap, programs, boot, err := node.Boot(imagePath, "", true, nil)
 	if err != nil {
 		t.Fatalf("boot from image: %v", err)
 	}
 	if boot.Mode != "warm" || boot.ImagePath != imagePath || boot.FormatVersion == 0 {
 		t.Fatalf("boot info = %+v, want a warm boot from %s", boot, imagePath)
 	}
-	pool2 := serve.NewPool(snap, serve.Config{Workers: 2, Timeout: 30 * time.Second})
-	defer pool2.Close()
-	ts2 := httptest.NewServer(newServer(pool2, programs, snap, imagePath))
-	defer ts2.Close()
+	n2 := startNode(t, snap, programs, node.Config{Pool: serve.Config{Workers: 2, Timeout: 30 * time.Second}, ImagePath: imagePath})
 	for _, p := range workload.Suite() {
-		status, out := postSendTo(t, ts2, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry))
+		status, out := postSend(t, n2, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry))
 		if status != http.StatusOK {
 			t.Fatalf("disk boot: %s: status %d (%s)", p.Name, status, out.Error)
 		}
@@ -353,12 +386,9 @@ func TestServerSaveAndWarmBoot(t *testing.T) {
 		}
 	}
 
-	// A server without -image rejects /save instead of writing anywhere.
-	h3, pool3 := newSuiteServer(t, 1, "")
-	defer pool3.Close()
-	ts3 := httptest.NewServer(h3)
-	defer ts3.Close()
-	resp3, err := http.Post(ts3.URL+"/save", "application/json", nil)
+	// A node without -image rejects /save instead of writing anywhere.
+	n3 := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
+	resp3, err := http.Post(url(n3)+"/save", "application/json", nil)
 	if err != nil {
 		t.Fatalf("POST /save (no path): %v", err)
 	}
@@ -368,41 +398,15 @@ func TestServerSaveAndWarmBoot(t *testing.T) {
 	}
 }
 
-// postSendTo is postSend against an explicit test server.
-func postSendTo(t *testing.T, ts *httptest.Server, body string) (int, httpwire.SendResponse) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /send: %v", err)
-	}
-	defer resp.Body.Close()
-	var out httpwire.SendResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode /send response: %v", err)
-	}
-	return resp.StatusCode, out
-}
-
 // TestServerGracefulShutdown exercises the SIGTERM path end to end:
-// serveAndDrain must stop the listener, let in-flight HTTP requests
-// finish, drain the pool's queues, and leave the pool closed — with every
+// Shutdown must stop the listeners, let in-flight HTTP requests finish,
+// drain the pool's queues, and leave the pool closed — with every
 // accepted request served rather than dropped.
 func TestServerGracefulShutdown(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: h}
-	sig := make(chan os.Signal, 1)
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		h.serveAndDrain(srv, l, 10*time.Second, sig)
-	}()
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
+	pool := n.Pool()
 
-	// Keep a batch of requests in flight while the signal lands.
-	base := "http://" + l.Addr().String()
+	// Keep a batch of requests in flight while the drain begins.
 	p := workload.Suite()[0]
 	const inflight = 16
 	var wg sync.WaitGroup
@@ -412,7 +416,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-			resp, err := http.Post(base+"/send", "application/json", strings.NewReader(body))
+			resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(body))
 			if err != nil {
 				errs <- err
 				return
@@ -428,10 +432,10 @@ func TestServerGracefulShutdown(t *testing.T) {
 			}
 		}()
 	}
-	// Signal only after every request is visible to the pool (queued or
+	// Drain only after every request is visible to the pool (queued or
 	// already served): http.Server.Shutdown closes connections that have
-	// not yet delivered request bytes, so signalling earlier would race
-	// the posts themselves rather than exercise the drain path.
+	// not yet delivered request bytes, so draining earlier would race the
+	// posts themselves rather than exercise the drain path.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		accepted := int(pool.Metrics().Requests)
@@ -446,18 +450,15 @@ func TestServerGracefulShutdown(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sig <- os.Interrupt
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n.Shutdown(ctx)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("in-flight request during shutdown: %v", err)
 	}
 
-	select {
-	case <-served:
-	case <-time.After(15 * time.Second):
-		t.Fatal("serveAndDrain did not return after the signal")
-	}
 	// The pool is closed and drained: accepted work was served, new work
 	// is refused.
 	if res := pool.Do(serve.Request{Receiver: obarch.Int(1), Selector: "+", Args: []obarch.Value{obarch.Int(1)}}); !errors.Is(res.Err, serve.ErrClosed) {

@@ -5,35 +5,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/word"
 	"repro/internal/workload"
 )
 
-// driveTraffic replays the suite once against the test server so every
+// driveTraffic replays the suite once against the node so every
 // observability surface has live data behind it.
-func driveTraffic(t *testing.T, ts *httptest.Server) {
+func driveTraffic(t *testing.T, n *node.Node) {
 	t.Helper()
 	for _, p := range workload.Suite() {
 		body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-		if status, out := postSend(t, ts, body); status != http.StatusOK {
+		if status, out := postSend(t, n, body); status != http.StatusOK {
 			t.Fatalf("%s: status %d (%s)", p.Name, status, out.Error)
 		}
 	}
 }
 
-func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
+func get(t *testing.T, n *node.Node, path string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(url(n) + path)
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
@@ -48,27 +46,24 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
 // TestMetricsEndpoint scrapes /metrics under live traffic and checks the
 // exposition carries real counts in every family the daemon promises.
 func TestMetricsEndpoint(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	driveTraffic(t, ts)
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
+	driveTraffic(t, n)
 
-	status, body := get(t, ts, "/metrics")
+	status, body := get(t, n, "/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("/metrics status %d", status)
 	}
-	n := len(workload.Suite())
+	count := len(workload.Suite())
 	wantLines := []string{
-		fmt.Sprintf("obarch_requests_total %d", n),
+		fmt.Sprintf("obarch_requests_total %d", count),
 		"obarch_errors_total 0",
 		"obarch_workers 2",
 		`obarch_image_info{path="",mode="compile",version="1"} 1`,
 		`obarch_queue_depth{worker="0"} 0`,
 		`obarch_queue_depth{worker="1"} 0`,
-		fmt.Sprintf(`obarch_service_latency_seconds_bucket{le="+Inf"} %d`, n),
-		fmt.Sprintf("obarch_service_latency_seconds_count %d", n),
-		fmt.Sprintf(`obarch_http_latency_seconds_bucket{le="+Inf"} %d`, n),
+		fmt.Sprintf(`obarch_service_latency_seconds_bucket{le="+Inf"} %d`, count),
+		fmt.Sprintf("obarch_service_latency_seconds_count %d", count),
+		fmt.Sprintf(`obarch_http_latency_seconds_bucket{le="+Inf"} %d`, count),
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(body, want+"\n") {
@@ -95,7 +90,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("/metrics: %d HELP lines vs %d TYPE lines", h, ty)
 	}
 	if ct := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
+		resp, err := http.Get(url(n) + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +106,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // exposition format's three escapes reads back the original image path.
 func TestMetricsLabelRoundTrip(t *testing.T) {
 	const path = `/img/a"b\c.img`
-	h, pool := newSuiteServer(t, 1, path)
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	_, body := get(t, ts, "/metrics")
+	n := startNode(t, suiteSnapshot(t), workload.Suite(), node.Config{Pool: serve.Config{Workers: 1, Timeout: 30 * time.Second}, ImagePath: path})
+	_, body := get(t, n, "/metrics")
 	const prefix = `obarch_image_info{path="`
 	i := strings.Index(body, prefix)
 	if i < 0 {
@@ -152,13 +144,10 @@ func TestMetricsLabelRoundTrip(t *testing.T) {
 // TestStatsIdentityAndSpans checks the /stats additions: node identity,
 // image provenance, runtime gauges, and the per-stage span percentiles.
 func TestStatsIdentityAndSpans(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	driveTraffic(t, ts)
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
+	driveTraffic(t, n)
 
-	status, body := get(t, ts, "/stats")
+	status, body := get(t, n, "/stats")
 	if status != http.StatusOK {
 		t.Fatalf("/stats status %d", status)
 	}
@@ -203,12 +192,12 @@ func TestStatsIdentityAndSpans(t *testing.T) {
 	if st.Runtime.Goroutines <= 0 || st.Runtime.HeapAllocBytes == 0 {
 		t.Errorf("runtime gauges = %+v", st.Runtime)
 	}
-	n := uint64(len(workload.Suite()))
-	if st.ServiceUS.Count != n {
-		t.Errorf("service_us count = %d, want %d", st.ServiceUS.Count, n)
+	count := uint64(len(workload.Suite()))
+	if st.ServiceUS.Count != count {
+		t.Errorf("service_us count = %d, want %d", st.ServiceUS.Count, count)
 	}
-	if st.DecodeUS.Count != n || st.EncodeUS.Count != n {
-		t.Errorf("codec span counts = %d/%d, want %d", st.DecodeUS.Count, st.EncodeUS.Count, n)
+	if st.DecodeUS.Count != count || st.EncodeUS.Count != count {
+		t.Errorf("codec span counts = %d/%d, want %d", st.DecodeUS.Count, st.EncodeUS.Count, count)
 	}
 	// Sequential /send traffic runs the inline fast lane, so queue_us
 	// stays empty — that is the lane working, not a missing stat.
@@ -217,35 +206,13 @@ func TestStatsIdentityAndSpans(t *testing.T) {
 	}
 }
 
-// newSlowServer is newSuiteServer over a pool whose slow threshold is
-// armed at 1ns, so every request is captured — `obarchd -slowlog 1ns`.
-func newSlowServer(t *testing.T) (*server, *serve.Pool) {
-	t.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	programs := workload.Suite()
-	for _, p := range programs {
-		if err := sys.Load(p.Src); err != nil {
-			t.Fatalf("load %s: %v", p.Name, err)
-		}
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	pool := serve.NewPool(snap, serve.Config{Workers: 2, Timeout: 30 * time.Second, SlowThreshold: time.Nanosecond})
-	return newServer(pool, programs, snap, ""), pool
-}
-
 // TestDebugSlowEndpoint arms a 1ns threshold so every request is slow,
 // then checks /debug/slow returns captures with decoded event chains.
 func TestDebugSlowEndpoint(t *testing.T) {
-	h, pool := newSlowServer(t)
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	driveTraffic(t, ts)
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second, SlowThreshold: time.Nanosecond})
+	driveTraffic(t, n)
 
-	status, body := get(t, ts, "/debug/slow")
+	status, body := get(t, n, "/debug/slow")
 	if status != http.StatusOK {
 		t.Fatalf("/debug/slow status %d", status)
 	}
@@ -257,7 +224,10 @@ func TestDebugSlowEndpoint(t *testing.T) {
 			Stats struct {
 				Instructions uint64
 			} `json:"stats"`
-			Chain []slowEvent `json:"chain"`
+			Chain []struct {
+				Kind string `json:"kind"`
+				Req  uint64 `json:"req"`
+			} `json:"chain"`
 		} `json:"captures"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
@@ -287,20 +257,18 @@ func TestDebugSlowEndpoint(t *testing.T) {
 }
 
 // TestPprofGatedByDebugFlag: the profiler is absent by default and
-// mounted by mountDebug, as the -debug flag does.
+// mounted by Config.Debug, as the -debug flag does.
 func TestPprofGatedByDebugFlag(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	if status, _ := get(t, ts, "/debug/pprof/"); status != http.StatusNotFound {
+	snap := suiteSnapshot(t)
+	n := startNode(t, snap, nil, node.Config{Pool: serve.Config{Workers: 1}})
+	if status, _ := get(t, n, "/debug/pprof/"); status != http.StatusNotFound {
 		t.Errorf("/debug/pprof/ without -debug: status %d, want 404", status)
 	}
-	h.mountDebug()
-	if status, body := get(t, ts, "/debug/pprof/"); status != http.StatusOK || !strings.Contains(body, "goroutine") {
+	n = startNode(t, snap, nil, node.Config{Pool: serve.Config{Workers: 1}, Debug: true})
+	if status, body := get(t, n, "/debug/pprof/"); status != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ with -debug: status %d", status)
 	}
-	if status, _ := get(t, ts, "/debug/pprof/cmdline"); status != http.StatusOK {
+	if status, _ := get(t, n, "/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline: status %d", status)
 	}
 }
@@ -311,18 +279,8 @@ func TestPprofGatedByDebugFlag(t *testing.T) {
 // one-worker pool is run to completion by the connection's reader, so
 // it counts in frames_inline as well as frames_in and frames_out.
 func TestBinaryStatsSurfaces(t *testing.T) {
-	h, pool := newSuiteServer(t, 1, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.bin = obwire.Serve(l, pool, obwire.Options{})
-	defer h.bin.Shutdown(t.Context())
-
-	m, err := obwire.DialMux(l.Addr().String())
+	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
+	m, err := obwire.DialMux(n.BinaryAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +295,7 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, body := get(t, ts, "/stats")
+	_, body := get(t, n, "/stats")
 	var st struct {
 		Binary map[string]any `json:"binary"`
 	}
@@ -349,10 +307,10 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 			t.Errorf("/stats binary.%s = %v, want 1", k, st.Binary[k])
 		}
 	}
-	if _, text := get(t, ts, "/stats?format=text"); !strings.Contains(text, "frames_in=1 frames_out=1 frames_inline=1 ") {
+	if _, text := get(t, n, "/stats?format=text"); !strings.Contains(text, "frames_in=1 frames_out=1 frames_inline=1 ") {
 		t.Errorf("/stats text binary line lacks frames_inline=1:\n%s", text)
 	}
-	_, metrics := get(t, ts, "/metrics")
+	_, metrics := get(t, n, "/metrics")
 	for _, want := range []string{"obarch_binary_frames_in_total 1\n", "obarch_binary_frames_inline_total 1\n"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
@@ -363,19 +321,16 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 // TestServerStatsLatencyFields checks the /stats latency surface: the
 // service and HTTP percentile blocks, in both JSON and text form.
 func TestServerStatsLatencyFields(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
 
 	p := workload.Suite()[0]
 	for i := 0; i < 4; i++ {
-		status, out := postSendTo(t, ts, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry))
+		status, out := postSend(t, n, fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry))
 		if status != http.StatusOK {
 			t.Fatalf("warm request %d: status %d (%s)", i, status, out.Error)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(url(n) + "/stats")
 	if err != nil {
 		t.Fatalf("GET /stats: %v", err)
 	}
@@ -408,7 +363,7 @@ func TestServerStatsLatencyFields(t *testing.T) {
 		t.Fatalf("http p99 %d below service p50 %d", st.HTTPLatency.P99, st.Latency.P50)
 	}
 
-	text, err := http.Get(ts.URL + "/stats?format=text")
+	text, err := http.Get(url(n) + "/stats?format=text")
 	if err != nil {
 		t.Fatalf("GET /stats?format=text: %v", err)
 	}

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/httpwire"
+	"repro/internal/node"
 	"repro/internal/serve"
 )
 
@@ -52,31 +52,20 @@ func normalise(s string) string {
 	return strings.TrimSpace(varyingRE.ReplaceAllString(s, `"$1":0`))
 }
 
-// newParityServer is the node the parity table runs against: one worker
+// startParityNode is the node the parity table runs against: one worker
 // over an image holding SmallInt>>double.
-func newParityServer(tb testing.TB) *server {
+func startParityNode(tb testing.TB) *node.Node {
 	tb.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
-		tb.Fatal(err)
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pool := serve.NewPool(snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
-	tb.Cleanup(pool.Close)
-	return newServer(pool, nil, snap, "")
+	return startNode(tb, doubleSnapshot(tb), nil, node.Config{Pool: serve.Config{Workers: 1, Timeout: 10 * time.Second}})
 }
 
 // TestHTTPParityTable runs the shared parity table against this node.
 // The table's image holds one method, SmallInt>>double; obrouter's run
 // of the table uses the same source.
 func TestHTTPParityTable(t *testing.T) {
-	ts := httptest.NewServer(newParityServer(t))
-	defer ts.Close()
+	n := startParityNode(t)
 	for _, c := range loadParity(t) {
-		resp, err := http.Post(ts.URL+c.Path, "application/json", strings.NewReader(c.body()))
+		resp, err := http.Post(url(n)+c.Path, "application/json", strings.NewReader(c.body()))
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -112,7 +101,7 @@ func FuzzSendBody(f *testing.F) {
 	for _, c := range loadParity(f) {
 		f.Add([]byte(c.Body))
 	}
-	srv := newParityServer(f)
+	srv := startParityNode(f)
 	post := func(path string, body []byte) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,31 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"repro"
 	"repro/internal/httpwire"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
-
-// newConfigServer is newSuiteServer with the pool config under test
-// control — the overload and chaos tests need ceilings and fault plans
-// the default server never arms.
-func newConfigServer(t *testing.T, cfg serve.Config) (*server, *serve.Pool) {
-	t.Helper()
-	sys := obarch.NewSystem(obarch.Options{})
-	programs := workload.Suite()
-	for _, p := range programs {
-		if err := sys.Load(p.Src); err != nil {
-			t.Fatalf("load %s: %v", p.Name, err)
-		}
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	pool := serve.NewPool(snap, cfg)
-	return newServer(pool, programs, snap, ""), pool
-}
 
 // TestParseChaos covers the -chaos grammar: the empty plan, every key,
 // and the malformed specs that must refuse at boot rather than arm a
@@ -79,14 +59,11 @@ func TestParseChaos(t *testing.T) {
 // Retry-After, /readyz flips to 503 "overloaded", and /stats and
 // /metrics both account the rejection.
 func TestServerOverloadRefusal(t *testing.T) {
-	h, pool := newConfigServer(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 30 * time.Second})
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	n := startSuiteNode(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 30 * time.Second})
 
 	p := workload.Suite()[0]
 	body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /send: %v", err)
 	}
@@ -105,7 +82,7 @@ func TestServerOverloadRefusal(t *testing.T) {
 		t.Errorf("refusal error = %q, want it to name the overload", out.Error)
 	}
 
-	rr, err := http.Get(ts.URL + "/readyz")
+	rr, err := http.Get(url(n) + "/readyz")
 	if err != nil {
 		t.Fatalf("GET /readyz: %v", err)
 	}
@@ -121,7 +98,7 @@ func TestServerOverloadRefusal(t *testing.T) {
 		t.Errorf("/readyz reason = %q, want \"overloaded\"", got)
 	}
 
-	sr, err := http.Get(ts.URL + "/stats")
+	sr, err := http.Get(url(n) + "/stats")
 	if err != nil {
 		t.Fatalf("GET /stats: %v", err)
 	}
@@ -137,7 +114,7 @@ func TestServerOverloadRefusal(t *testing.T) {
 		t.Error("/stats reports ready under closed admission")
 	}
 
-	mr, err := http.Get(ts.URL + "/metrics")
+	mr, err := http.Get(url(n) + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
@@ -154,37 +131,60 @@ func TestServerOverloadRefusal(t *testing.T) {
 	}
 }
 
-// TestReadyzDrainFlip: a healthy node is ready; the moment the drain
-// flag is up (what serveAndDrain sets before closing the listener) the
-// probe answers 503 "draining" while /healthz keeps reporting liveness.
+// TestReadyzDrainFlip: a healthy node is ready; once Shutdown has begun
+// — a request held in the pool keeps the drain open — the probe answers
+// 503 "draining" while /healthz keeps reporting liveness. The listeners
+// are already closed then, so the probes go through the node's handler.
 func TestReadyzDrainFlip(t *testing.T) {
-	h, pool := newSuiteServer(t, 2, "")
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
+	n := startSuiteNode(t, serve.Config{Workers: 2, Timeout: 30 * time.Second})
 	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("read %s body: %v", path, err)
-		}
-		return resp.StatusCode, strings.TrimSpace(string(b))
+		w := httptest.NewRecorder()
+		n.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w.Code, strings.TrimSpace(w.Body.String())
 	}
 	if status, body := get("/readyz"); status != http.StatusOK || body != "ready" {
 		t.Fatalf("healthy /readyz = %d %q, want 200 \"ready\"", status, body)
 	}
-	h.draining.Store(true)
-	if status, body := get("/readyz"); status != http.StatusServiceUnavailable || body != "draining" {
+
+	release := n.Pool().Quiesce()
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(`{"receiver": 1, "selector": "+", "args": [1]}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for depth := 0; depth == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("the held request never reached the pool")
+		}
+		for _, d := range n.Pool().QueueDepths() {
+			depth += d
+		}
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		n.Shutdown(context.Background())
+	}()
+	for status, _ := get("/readyz"); status == http.StatusOK; status, _ = get("/readyz") {
+		time.Sleep(time.Millisecond) // Shutdown flips the flag before anything else
+	}
+	status, body := get("/readyz")
+	healthz, _ := get("/healthz")
+	release()
+	<-drained
+	if err := <-sent; err != nil {
+		t.Errorf("request held across the drain: %v", err)
+	}
+	if status != http.StatusServiceUnavailable || body != "draining" {
 		t.Fatalf("draining /readyz = %d %q, want 503 \"draining\"", status, body)
 	}
-	if status, _ := get("/healthz"); status != http.StatusOK {
-		t.Fatalf("draining /healthz = %d, want 200: drain must not look like death", status)
+	if healthz != http.StatusOK {
+		t.Fatalf("draining /healthz = %d, want 200: drain must not look like death", healthz)
 	}
 }
 
@@ -193,18 +193,15 @@ func TestReadyzDrainFlip(t *testing.T) {
 // shard goes unhealthy, and with the majority of shards (1 of 1) in
 // quarantine churn /readyz steers traffic away.
 func TestReadyzQuarantineHeavy(t *testing.T) {
-	h, pool := newConfigServer(t, serve.Config{
+	n := startSuiteNode(t, serve.Config{
 		Workers: 1,
 		Faults:  &serve.Faults{PanicEvery: 1},
 		Timeout: 30 * time.Second,
 	})
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
 
 	p := workload.Suite()[0]
 	body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-	resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
+	resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /send: %v", err)
 	}
@@ -220,7 +217,7 @@ func TestReadyzQuarantineHeavy(t *testing.T) {
 		t.Errorf("panicked send error = %q, want it to name the panic", out.Error)
 	}
 
-	rr, err := http.Get(ts.URL + "/readyz")
+	rr, err := http.Get(url(n) + "/readyz")
 	if err != nil {
 		t.Fatalf("GET /readyz: %v", err)
 	}
@@ -232,7 +229,7 @@ func TestReadyzQuarantineHeavy(t *testing.T) {
 	if got := strings.TrimSpace(string(reason)); rr.StatusCode != http.StatusServiceUnavailable || got != "quarantine-heavy" {
 		t.Fatalf("/readyz after panic = %d %q, want 503 \"quarantine-heavy\"", rr.StatusCode, got)
 	}
-	met := pool.Metrics()
+	met := n.Pool().Metrics()
 	if met.Panics != 1 || met.Restamps != 1 {
 		t.Errorf("panics/restamps = %d/%d, want 1/1", met.Panics, met.Restamps)
 	}

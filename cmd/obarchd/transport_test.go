@@ -7,15 +7,14 @@ package main
 
 import (
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/word"
@@ -30,7 +29,7 @@ import (
 // also hammers the shared decode/encode histograms and transport
 // counters from both wires at once.
 func TestMixedTransportChaosSoak(t *testing.T) {
-	h, pool := newConfigServer(t, serve.Config{
+	n := startSuiteNode(t, serve.Config{
 		Workers:    2,
 		QueueDepth: 2,
 		Timeout:    30 * time.Second,
@@ -42,14 +41,6 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 			Clog:       300 * time.Microsecond,
 		},
 	})
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := obwire.Serve(l, pool, obwire.Options{DecodeLat: &h.decLat, EncodeLat: &h.encLat})
 
 	progs := workload.Suite()
 	var submitted, completed, machineFailed, rejected, shed atomic.Int64
@@ -82,7 +73,7 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for _, p := range progs {
 					body := fmt.Sprintf(`{"receiver": %d, "selector": %q}`, p.Size, p.Entry)
-					resp, err := http.Post(ts.URL+"/send", "application/json", strings.NewReader(body))
+					resp, err := http.Post(url(n)+"/send", "application/json", strings.NewReader(body))
 					if err != nil {
 						t.Errorf("POST /send: %v", err)
 						return
@@ -95,7 +86,7 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 		}()
 	}
 	for g := 0; g < binClients; g++ {
-		c, err := obwire.DialMux(l.Addr().String())
+		c, err := obwire.DialMux(n.BinaryAddr())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -127,9 +118,9 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	bin.Shutdown(t.Context())
+	n.Shutdown(t.Context())
 
-	met := pool.Metrics()
+	met := n.Pool().Metrics()
 	if got, want := completed.Load()+machineFailed.Load(), int64(met.Requests); got != want {
 		t.Errorf("executed accounting drifted: %d classified vs %d metrics requests", got, want)
 	}
@@ -148,7 +139,7 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 		t.Error("hair-trigger deadlines produced no sheds; the soak exercised nothing")
 	}
 
-	bs := bin.Stats()
+	bs := binaryStats(t, n)
 	binSubmitted := submitted.Load() - int64(httpClients*rounds*len(progs))
 	if got := int64(bs.FramesIn); got != binSubmitted {
 		t.Errorf("binary frames_in %d, want %d", got, binSubmitted)
@@ -162,15 +153,15 @@ func TestMixedTransportChaosSoak(t *testing.T) {
 }
 
 // TestDrainAnswersInFlightBinaryFrames pins the shutdown ordering the
-// daemon promises: the HTTP listener closing first must not strand the
-// binary side — every frame already pipelined into the obwire window
-// when graceful drain begins is answered and flushed before the
-// connection closes. Stall faults keep the pool slow enough that the
+// node promises: draining the HTTP listener must not strand the binary
+// side — every frame already pipelined into the obwire window when
+// Shutdown begins is answered and flushed before the connection closes,
+// and only then is the pool closed. Stall faults keep the pool slow enough that the
 // window is genuinely in flight (dispatched, unanswered) at drain time;
 // under -race this also exercises the drain path against the serving
 // path.
 func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
-	h, pool := newConfigServer(t, serve.Config{
+	n := startSuiteNode(t, serve.Config{
 		Workers:    1,
 		QueueDepth: 64,
 		Timeout:    30 * time.Second,
@@ -180,15 +171,8 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 			Stall:      2 * time.Millisecond,
 		},
 	})
-	defer pool.Close()
-	ts := httptest.NewServer(h)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := obwire.Serve(l, pool, obwire.Options{})
 
-	c, err := obwire.DialMux(l.Addr().String())
+	c, err := obwire.DialMux(n.BinaryAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,21 +195,17 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for bin.Stats().FramesIn < inFlight {
+	for binaryStats(t, n).FramesIn < inFlight {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d frames reached the server", bin.Stats().FramesIn, inFlight)
+			t.Fatalf("only %d of %d frames reached the server", binaryStats(t, n).FramesIn, inFlight)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// The daemon's shutdown order: the HTTP listener is already gone
-	// before the binary listener drains. Closing the test server hard
-	// proves the binary drain owes nothing to the HTTP side.
-	ts.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		bin.Shutdown(t.Context())
+		n.Shutdown(t.Context())
 	}()
 
 	// Every pipelined frame must come back with a real status — none
@@ -248,16 +228,25 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("binary shutdown never finished after answering the window")
+		t.Fatal("Shutdown never finished after answering the window")
 	}
 
-	bs := bin.Stats()
+	bs := binaryStats(t, n)
 	if bs.FramesIn != inFlight || bs.FramesOut != inFlight {
 		t.Fatalf("frames in/out = %d/%d, want %d/%d", bs.FramesIn, bs.FramesOut, inFlight, inFlight)
 	}
 	if bs.ProtoErrors != 0 {
 		t.Fatalf("proto_errors %d during graceful drain", bs.ProtoErrors)
 	}
+}
+
+func binaryStats(t *testing.T, n *node.Node) obwire.Stats {
+	t.Helper()
+	var st struct {
+		Binary obwire.Stats `json:"binary"`
+	}
+	statsOf(t, n, &st)
+	return st.Binary
 }
 
 // statusFromFrame maps an obwire frame status onto the HTTP status the

@@ -18,11 +18,10 @@ import (
 // how concurrent client traffic naturally pipelines onto the per-node
 // mux connections.
 func BenchmarkRouterSend(b *testing.B) {
-	snap := doubleSnapshot(b)
 	run := func(b *testing.B, key uint64, parallel bool) {
-		bk := startBackend(b, snap, serve.Config{Workers: 2, GCEvery: -1, Timeout: 10 * time.Second})
+		n := startNode(b, serve.Config{Workers: 2, GCEvery: -1, Timeout: 10 * time.Second})
 		r := cluster.New(cluster.Config{
-			Nodes:        []cluster.NodeSpec{bk.spec()},
+			Nodes:        []cluster.NodeSpec{nodeSpec(n)},
 			PollInterval: time.Second,
 		})
 		defer r.Close()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,18 +15,12 @@ import (
 	obarch "repro"
 	"repro/internal/cluster"
 	"repro/internal/httpwire"
+	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
+	"repro/internal/word"
+	"repro/internal/workload"
 )
-
-// backend is one in-process obarchd stand-in: a pool on a doubling
-// image, an obwire listener, and a minimal control plane (/readyz,
-// /stats, /programs).
-type backend struct {
-	pool *serve.Pool
-	srv  *obwire.Server
-	web  *httptest.Server
-}
 
 func doubleSnapshot(t testing.TB) *obarch.Snapshot {
 	t.Helper()
@@ -42,44 +35,28 @@ func doubleSnapshot(t testing.TB) *obarch.Snapshot {
 	return snap
 }
 
-func startBackend(t testing.TB, snap *obarch.Snapshot, cfg serve.Config) *backend {
+// startNode runs a real node on loopback listeners, serving the doubling
+// image with pool configuration cfg, and drains it when t ends.
+func startNode(t testing.TB, cfg serve.Config) *node.Node {
 	t.Helper()
-	bk := &backend{pool: serve.NewPool(snap, cfg)}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	programs := []workload.Program{{Name: "double", Entry: "double"}}
+	n, err := node.New(doubleSnapshot(t), programs, node.BootInfo{}, node.Config{Pool: cfg, Addr: "127.0.0.1:0", BinaryAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk.srv = obwire.Serve(l, bk.pool, obwire.Options{})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, `{"queue_depths":[0],"in_flight":0}`)
-	})
-	mux.HandleFunc("/programs", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `[{"name":"double","entry":"double"}]`)
-	})
-	bk.web = httptest.NewServer(mux)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		bk.srv.Shutdown(ctx)
-		cancel()
-		bk.pool.Close()
-		bk.web.Close()
+		defer cancel()
+		n.Shutdown(ctx)
 	})
-	return bk
+	return n
 }
 
-func (bk *backend) spec() cluster.NodeSpec {
-	return cluster.NodeSpec{
-		HTTPAddr: bk.web.Listener.Addr().String(),
-		BinAddr:  bk.srv.Addr().String(),
-	}
+func nodeSpec(n *node.Node) cluster.NodeSpec {
+	return cluster.NodeSpec{HTTPAddr: n.Addr(), BinAddr: n.BinaryAddr()}
 }
 
-func startRouter(t testing.TB, backends ...*backend) (*cluster.Router, *httptest.Server) {
+func startRouter(t testing.TB, nodes ...*node.Node) (*cluster.Router, *httptest.Server) {
 	t.Helper()
 	cfg := cluster.Config{
 		PollInterval:  25 * time.Millisecond,
@@ -87,8 +64,8 @@ func startRouter(t testing.TB, backends ...*backend) (*cluster.Router, *httptest
 		Cooldown:      100 * time.Millisecond,
 		Vnodes:        16,
 	}
-	for _, bk := range backends {
-		cfg.Nodes = append(cfg.Nodes, bk.spec())
+	for _, n := range nodes {
+		cfg.Nodes = append(cfg.Nodes, nodeSpec(n))
 	}
 	r := cluster.New(cfg)
 	web := httptest.NewServer(newRouterServer(r))
@@ -134,9 +111,8 @@ func TestParseNodes(t *testing.T) {
 // single-node wire shape in, routed over obwire, the single-node wire
 // shape out.
 func TestHTTPSendThroughRouter(t *testing.T) {
-	snap := doubleSnapshot(t)
-	a := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
-	b := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	a := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	b := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
 	_, web := startRouter(t, a, b)
 
 	resp, out := postSend(t, web.URL, `{"receiver": 21, "selector": "double"}`)
@@ -170,9 +146,8 @@ func TestHTTPSendThroughRouter(t *testing.T) {
 // TestHTTPBatchThroughRouter routes an array body, elements landing
 // wherever the balancer sends them, results in request order.
 func TestHTTPBatchThroughRouter(t *testing.T) {
-	snap := doubleSnapshot(t)
-	a := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
-	b := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	a := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	b := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
 	_, web := startRouter(t, a, b)
 
 	var body bytes.Buffer
@@ -212,9 +187,7 @@ func TestHTTPBatchThroughRouter(t *testing.T) {
 // answer and inline error stays at its element's index.
 func TestHTTPBatchFanoutBounded(t *testing.T) {
 	const n = 10000
-	snap := doubleSnapshot(t)
-	bk := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
-	r, _ := startRouter(t, bk)
+	r, _ := startRouter(t, startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second}))
 	rs := newRouterServer(r)
 	var mu sync.Mutex
 	live, high := 0, 0
@@ -275,8 +248,7 @@ func TestHTTPBatchFanoutBounded(t *testing.T) {
 // TestRouterObservability exercises /stats, /metrics, /readyz,
 // /healthz, and /programs: the obarchd-parity surface.
 func TestRouterObservability(t *testing.T) {
-	snap := doubleSnapshot(t)
-	a := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	a := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
 	_, web := startRouter(t, a)
 
 	for i := 0; i < 10; i++ {
@@ -354,16 +326,13 @@ func TestRouterObservability(t *testing.T) {
 // TestRouterReadyzQuorum pins the quorum answer: alive with a majority
 // routable, 503 "no-quorum" once the majority is gone.
 func TestRouterReadyzQuorum(t *testing.T) {
-	snap := doubleSnapshot(t)
-	a := startBackend(t, snap, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	a := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
 	r, web := startRouter(t, a)
 
-	// Kill the only backend; the poller opens its breaker.
+	// Take the only node down; the router loses its quorum.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	a.srv.Shutdown(ctx)
+	a.Shutdown(ctx)
 	cancel()
-	a.web.CloseClientConnections()
-	a.web.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -400,12 +369,11 @@ func TestRouterReadyzQuorum(t *testing.T) {
 
 // TestNodesJoinLeaveHTTP drives membership over the admin endpoints.
 func TestNodesJoinLeaveHTTP(t *testing.T) {
-	snap := doubleSnapshot(t)
-	a := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
-	b := startBackend(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	a := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	b := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
 	r, web := startRouter(t, a)
 
-	spec := b.spec()
+	spec := nodeSpec(b)
 	body := fmt.Sprintf(`{"http_addr": %q, "bin_addr": %q}`, spec.HTTPAddr, spec.BinAddr)
 	resp, err := http.Post(web.URL+"/nodes/join", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -440,5 +408,40 @@ func TestNodesJoinLeaveHTTP(t *testing.T) {
 	// Traffic still flows on the survivor.
 	if resp, out := postSend(t, web.URL, `{"receiver": 3, "selector": "double"}`); resp.StatusCode != http.StatusOK || out["result"] != float64(6) {
 		t.Fatalf("send after leave: %d %v", resp.StatusCode, out)
+	}
+}
+
+// TestPolledDepthCountsQueueOnce pins the router's JSQ load signal
+// against a real node with an in-flight ceiling. k requests held in the
+// queues of a quiesced pool appear in the node's /stats twice — summed
+// in queue_depths and again in in_flight — and the router must count
+// them once.
+func TestPolledDepthCountsQueueOnce(t *testing.T) {
+	const k = 5
+	n := startNode(t, serve.Config{Workers: 2, MaxInFlight: 100, Timeout: 10 * time.Second})
+	r, _ := startRouter(t, n)
+	pool := n.Pool()
+	release := pool.Quiesce()
+	futures := make([]*serve.Future, k)
+	for i := range futures {
+		futures[i] = pool.Go(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "double", Key: uint64(i) + 1})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Stats().Nodes[0].QueueDepth < k {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("no poll saw the %d queued requests", k)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	got := r.Stats().Nodes[0].QueueDepth
+	release()
+	for i, f := range futures {
+		if res := f.Wait(); res.Err != nil {
+			t.Errorf("request %d: %v", i, res.Err)
+		}
+	}
+	if got != k {
+		t.Fatalf("router depth for a node holding %d requests = %d, want %d", k, got, k)
 	}
 }

@@ -31,7 +31,7 @@ type parityCase struct {
 var varyingRE = regexp.MustCompile(`"(latency_us|cycles|worker)":-?\d+`)
 
 // TestHTTPParityTable runs the shared parity table through the router
-// over one obwire node serving the table's image (SmallInt>>double).
+// over one real node serving the table's image (SmallInt>>double).
 func TestHTTPParityTable(t *testing.T) {
 	raw, err := os.ReadFile("../../internal/httpwire/testdata/parity.json")
 	if err != nil {
@@ -41,8 +41,7 @@ func TestHTTPParityTable(t *testing.T) {
 	if err := json.Unmarshal(raw, &cases); err != nil {
 		t.Fatal(err)
 	}
-	bk := startBackend(t, doubleSnapshot(t), serve.Config{Workers: 1, Timeout: 10 * time.Second})
-	_, web := startRouter(t, bk)
+	_, web := startRouter(t, startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second}))
 	for _, c := range cases {
 		body := strings.Repeat(" ", c.LeadSpace) + c.Body
 		resp, err := http.Post(web.URL+c.Path, "application/json", strings.NewReader(body))

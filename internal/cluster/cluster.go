@@ -464,8 +464,10 @@ func (r *Router) checkReady(n *Node) error {
 	return nil
 }
 
-// pollDepth refreshes the node's JSQ load signal from its /stats:
-// queued work plus in-flight sends.
+// pollDepth refreshes the node's JSQ load signal from its /stats: the
+// sum of its queue depths. A shard's depth already counts every request
+// queued on it or executing; the node's in_flight counts those same
+// requests again whenever -maxinflight sets a ceiling, so it is not added.
 func (r *Router) pollDepth(n *Node) {
 	resp, err := r.cfg.HTTPClient.Get("http://" + n.HTTPAddr + "/stats")
 	if err != nil {
@@ -474,12 +476,11 @@ func (r *Router) pollDepth(n *Node) {
 	defer resp.Body.Close()
 	var st struct {
 		QueueDepths []int `json:"queue_depths"`
-		InFlight    int   `json:"in_flight"`
 	}
 	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) != nil {
 		return
 	}
-	depth := int64(st.InFlight)
+	var depth int64
 	for _, d := range st.QueueDepths {
 		depth += int64(d)
 	}

@@ -94,8 +94,8 @@ type Node struct {
 	rr    atomic.Uint64
 
 	// polledDepth is the node's queue backlog from the last /stats poll
-	// (queue depths summed plus in-flight); outstanding is the router's
-	// own in-flight count against this node. Their sum is the JSQ load
+	// (its queue depths summed); outstanding is the router's own
+	// in-flight count against this node. Their sum is the JSQ load
 	// signal: the poll supplies the node's view, outstanding keeps it
 	// current between polls.
 	polledDepth atomic.Int64

@@ -4,7 +4,8 @@
 // SnapshotLive and Rotate synchronise on the same per-shard execMu the
 // serving path already holds, so none of this adds locking, branches, or
 // allocations to a request.
-package main
+
+package node
 
 import (
 	"encoding/json"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/httpwire"
 	"repro/internal/image"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // checkpointer periodically captures the pool's live state into
@@ -128,41 +130,34 @@ func (c *checkpointer) Stop() {
 	<-c.done
 }
 
-// checkpointAge answers the seconds since the newest successful
-// checkpoint, or -1 when there is none (or no checkpointer at all) —
-// the sentinel /stats and /metrics export.
-func (s *server) checkpointAge() float64 {
-	if s.ckpt == nil {
-		return -1
-	}
-	ns := s.ckpt.lastNS.Load()
-	if ns == 0 {
-		return -1
-	}
-	return time.Since(time.Unix(0, ns)).Seconds()
+// ckptStats is the checkpointer's export for /stats and /metrics. A
+// generation or age of -1 means there is no checkpoint (or no
+// checkpointer at all) — the "never checkpointed" sentinel a dashboard
+// can alert on. Fields are in the order /stats has always listed them.
+type ckptStats struct {
+	AgeS       float64 `json:"age_s"`
+	Enabled    bool    `json:"enabled"`
+	Failures   uint64  `json:"failures"`
+	Generation int64   `json:"generation"`
+	Taken      uint64  `json:"taken"`
 }
 
-// checkpointGen answers the newest checkpoint's generation, -1 when none.
-func (s *server) checkpointGen() int64 {
-	if s.ckpt == nil {
-		return -1
+func (n *Node) checkpointStats() ckptStats {
+	c := n.ckpt
+	if c == nil {
+		return ckptStats{AgeS: -1, Generation: -1}
 	}
-	return s.ckpt.lastGen.Load()
-}
-
-// checkpointCounts answers (taken, failures) for export; zeros without a
-// checkpointer.
-func (s *server) checkpointCounts() (uint64, uint64) {
-	if s.ckpt == nil {
-		return 0, 0
+	st := ckptStats{AgeS: -1, Enabled: true, Failures: c.failures.Load(), Generation: c.lastGen.Load(), Taken: c.taken.Load()}
+	if ns := c.lastNS.Load(); ns != 0 {
+		st.AgeS = time.Since(time.Unix(0, ns)).Seconds()
 	}
-	return s.ckpt.taken.Load(), s.ckpt.failures.Load()
+	return st
 }
 
 // stageRotate loads and fully validates the image at path — hostile-input
 // decoding, section CRCs, the works — entirely off the serving hot path,
 // then rotates the pool onto it shard-by-shard.
-func (s *server) stageRotate(path string) error {
+func (n *Node) stageRotate(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("stage %s: %w", path, err)
@@ -172,7 +167,7 @@ func (s *server) stageRotate(path string) error {
 	if err != nil {
 		return fmt.Errorf("stage %s: %w", path, err)
 	}
-	return s.pool.Rotate(snap)
+	return n.pool.Rotate(snap)
 }
 
 // handleRotate is POST /rotate: swap the serving pool onto a new image
@@ -181,8 +176,8 @@ func (s *server) stageRotate(path string) error {
 // the "reload what's on disk" operator move. 409 while another rotation
 // is mid-swap, 400 for an unreadable or invalid image (the pool is
 // untouched), 500 for a mid-swap failure (the pool rolled back).
-func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
-	path := s.imagePath
+func (n *Node) handleRotate(w http.ResponseWriter, r *http.Request) {
+	path := n.imagePath
 	if r.ContentLength != 0 {
 		var body struct {
 			Path string `json:"path"`
@@ -200,8 +195,8 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	failsBefore := s.pool.Metrics().RotateFailures
-	err := s.stageRotate(path)
+	failsBefore := n.pool.Metrics().RotateFailures
+	err := n.stageRotate(path)
 	switch {
 	case err == nil:
 	case errors.Is(err, serve.ErrRotating):
@@ -218,17 +213,17 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		// failure rolled it back (500). Only the latter bumps the
 		// rotate-failure counter, so split on its delta.
 		status := http.StatusBadRequest
-		if s.pool.Metrics().RotateFailures > failsBefore {
+		if n.pool.Metrics().RotateFailures > failsBefore {
 			status = http.StatusInternalServerError
 		}
 		httpwire.Error(w, status, err.Error())
 		return
 	}
-	met := s.pool.Metrics()
+	met := n.pool.Metrics()
 	log.Printf("obarchd: rotated onto %s in %v", path, time.Since(start).Round(time.Millisecond))
 	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
 		"path":       path,
-		"workers":    s.pool.Workers(),
+		"workers":    n.pool.Workers(),
 		"rotations":  met.Rotations,
 		"elapsed_us": time.Since(start).Microseconds(),
 	})
@@ -246,11 +241,11 @@ func (s *server) handleRotate(w http.ResponseWriter, r *http.Request) {
 // must stay "changed" so the next tick retries; advancing the baseline
 // first would dismiss the completed image as already-seen and never
 // rotate onto it.
-func (s *server) watchImage(interval time.Duration, stop <-chan struct{}) {
+func (n *Node) watchImage(interval time.Duration, stop <-chan struct{}) {
 	var lastMod time.Time
 	var lastSize int64
 	primed := false
-	if fi, err := os.Stat(s.imagePath); err == nil {
+	if fi, err := os.Stat(n.imagePath); err == nil {
 		lastMod, lastSize, primed = fi.ModTime(), fi.Size(), true
 	}
 	t := time.NewTicker(interval)
@@ -261,18 +256,18 @@ func (s *server) watchImage(interval time.Duration, stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		fi, err := os.Stat(s.imagePath)
+		fi, err := os.Stat(n.imagePath)
 		if err != nil {
 			continue // absent or unreadable; keep serving what we have
 		}
 		if primed && fi.ModTime().Equal(lastMod) && fi.Size() == lastSize {
 			continue
 		}
-		if err := s.stageRotate(s.imagePath); err != nil {
+		if err := n.stageRotate(n.imagePath); err != nil {
 			// Baseline untouched: the file still reads as changed, so
 			// the next tick retries — a torn write is a transient, not a
 			// verdict on the image.
-			log.Printf("obarchd: watch: rotate onto %s: %v", s.imagePath, err)
+			log.Printf("obarchd: watch: rotate onto %s: %v", n.imagePath, err)
 			continue
 		}
 		// Committed: adopt what we just rotated onto as the baseline
@@ -280,6 +275,120 @@ func (s *server) watchImage(interval time.Duration, stop <-chan struct{}) {
 		// an image, so serving it is the right adoption).
 		primed = true
 		lastMod, lastSize = fi.ModTime(), fi.Size()
-		log.Printf("obarchd: watch: rotated onto changed image %s", s.imagePath)
+		log.Printf("obarchd: watch: rotated onto changed image %s", n.imagePath)
 	}
+}
+
+// BootInfo is the serving snapshot's provenance — how this node came to
+// hold its image — reported by /stats and /metrics so a cluster can tell
+// its members apart.
+type BootInfo struct {
+	// ImagePath is the -image path, empty when none was configured.
+	ImagePath string `json:"path,omitempty"`
+	// Mode is the recovery-ladder rung the boot took: "checkpoint" when
+	// the snapshot was recovered from a checkpoint generation, "warm"
+	// when it was loaded from the persisted -image file, "compile" when
+	// it was compiled from source.
+	Mode string `json:"mode"`
+	// FormatVersion is the on-disk image codec version this build
+	// speaks (the version a warm boot read and POST /save writes).
+	FormatVersion int `json:"format_version"`
+	// RecoveredGeneration is the checkpoint generation the boot
+	// recovered, -1 on the lower rungs.
+	RecoveredGeneration int64 `json:"recovered_generation"`
+	// RecoveryLadder counts the rungs rejected on the way to Mode:
+	// corrupt or torn checkpoint generations skipped, plus an unreadable
+	// -image file fallen through. 0 is a first-rung boot.
+	RecoveryLadder int `json:"recovery_ladder"`
+}
+
+// compileBoot is the provenance of a boot that compiled from source: the
+// bottom rung, no generation recovered, no rung rejected.
+func compileBoot(imagePath string) BootInfo {
+	return BootInfo{ImagePath: imagePath, Mode: "compile", FormatVersion: image.FormatVersion, RecoveredGeneration: -1}
+}
+
+// Boot produces the serving snapshot by descending the recovery
+// ladder: the newest valid checkpoint generation under ckptDir first
+// (corrupt or torn generations are rejected and cost one rung each),
+// then the -image file (warm start — no compile, warm ITLB; an
+// unreadable image now falls through instead of failing the boot), then
+// compile-from-source. The returned BootInfo records the rung taken and
+// the rungs rejected.
+func Boot(imagePath, ckptDir string, suite bool, srcPaths []string) (*obarch.Snapshot, []workload.Program, BootInfo, error) {
+	info := compileBoot(imagePath)
+	var programs []workload.Program
+	if suite {
+		programs = workload.Suite()
+	}
+	if ckptDir != "" {
+		snap, m, rejected, err := image.RecoverLatest(ckptDir)
+		info.RecoveryLadder += len(rejected)
+		for _, gen := range rejected {
+			log.Printf("obarchd: recovery: checkpoint gen %d rejected (corrupt or torn); falling to next rung", gen)
+		}
+		switch {
+		case err == nil:
+			if len(srcPaths) != 0 {
+				return nil, nil, info, fmt.Errorf("cannot load source files over checkpoint state in %s; clear it or drop the file arguments", ckptDir)
+			}
+			info.Mode = "checkpoint"
+			info.RecoveredGeneration = int64(m.Generation)
+			log.Printf("obarchd: recovered checkpoint gen %d from %s (captured %s)", m.Generation, ckptDir, time.Unix(0, m.CreatedUnixNS).UTC().Format(time.RFC3339))
+			return snap, programs, info, nil
+		case errors.Is(err, image.ErrNoCheckpoint):
+			log.Printf("obarchd: recovery: no valid checkpoint in %s; falling to -image", ckptDir)
+		default:
+			return nil, nil, info, fmt.Errorf("checkpoint dir %s: %w", ckptDir, err)
+		}
+	}
+	if imagePath != "" {
+		f, err := os.Open(imagePath)
+		switch {
+		case err == nil:
+			defer f.Close()
+			// A warm boot serves exactly what the image holds; silently
+			// dropping extra sources (or advertising programs the image
+			// was saved without) would misrepresent the pool, so refuse
+			// the combination instead.
+			if len(srcPaths) != 0 {
+				return nil, nil, info, fmt.Errorf("cannot load source files over an existing image %s; delete it or drop the file arguments", imagePath)
+			}
+			start := time.Now()
+			snap, err := obarch.ReadImage(f)
+			if err != nil {
+				// The image rung failed: one more rung down, compile.
+				info.RecoveryLadder++
+				log.Printf("obarchd: recovery: image %s rejected (%v); falling to compile", imagePath, err)
+				break
+			}
+			log.Printf("obarchd: warm boot from %s in %v", imagePath, time.Since(start).Round(time.Microsecond))
+			info.Mode = "warm"
+			return snap, programs, info, nil
+		case os.IsNotExist(err):
+			log.Printf("obarchd: image %s absent; cold boot (POST /save to create it)", imagePath)
+		default:
+			return nil, nil, info, err
+		}
+	}
+	sys := obarch.NewSystem(obarch.Options{})
+	if suite {
+		if _, err := workload.LoadSuite(sys.M); err != nil {
+			return nil, nil, info, err
+		}
+	}
+	for _, path := range srcPaths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, info, err
+		}
+		if err := sys.Load(string(src)); err != nil {
+			return nil, nil, info, fmt.Errorf("load %s: %w", path, err)
+		}
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		return nil, nil, info, err
+	}
+	return snap, programs, info, nil
 }

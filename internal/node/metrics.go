@@ -1,14 +1,14 @@
-// Prometheus text exposition, the slow-request debug endpoint, and the
-// pprof mount — obarchd's deep-observability surface. Everything here
-// renders from the same lock-free sources the hot path writes (seqlock
-// metrics snapshots, the flight recorder's rings, atomic histogram
-// buckets): scraping adds no locking anywhere a request runs.
-package main
+// Prometheus text exposition and the slow-request debug endpoint — the
+// node's deep-observability surface. Everything here renders from the
+// same lock-free sources the hot path writes (seqlock metrics snapshots,
+// the flight recorder's rings, atomic histogram buckets): scraping adds
+// no locking anywhere a request runs.
+
+package node
 
 import (
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"strings"
 	"time"
@@ -20,8 +20,8 @@ import (
 // handleMetrics is GET /metrics: the pool's counters, the node's
 // identity, the Go runtime's health, and the per-stage latency
 // histograms, as Prometheus text exposition (version 0.0.4).
-func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	met := s.pool.Metrics()
+func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	met := n.pool.Metrics()
 	var b strings.Builder
 
 	httpwire.Counter(&b, "obarch_requests_total", "Requests served by the machine pool.", met.Requests)
@@ -41,38 +41,38 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	httpwire.Header(&b, "obarch_gc_pause_seconds_total", "Wall-clock time shards spent on collection work.", "counter")
 	fmt.Fprintf(&b, "obarch_gc_pause_seconds_total %g\n", met.GCPause.Seconds())
 
-	httpwire.Gauge(&b, "obarch_workers", "Worker machines in the pool.", float64(s.pool.Workers()))
+	httpwire.Gauge(&b, "obarch_workers", "Worker machines in the pool.", float64(n.pool.Workers()))
 	httpwire.Header(&b, "obarch_queue_depth", "Pending requests per worker shard.", "gauge")
-	for i, d := range s.pool.QueueDepths() {
+	for i, d := range n.pool.QueueDepths() {
 		fmt.Fprintf(&b, "obarch_queue_depth{worker=\"%d\"} %d\n", i, d)
 	}
-	httpwire.Gauge(&b, "obarch_in_flight", "Admitted-but-unfinished requests across the pool.", float64(s.pool.InFlight()))
-	httpwire.Gauge(&b, "obarch_unhealthy_shards", "Shards whose last request panicked and whose fresh machine is unprobed.", float64(s.pool.UnhealthyShards()))
-	httpwire.Flag(&b, "obarch_ready", "1 while /readyz answers 200, 0 while new traffic should go elsewhere.", s.notReady() == "")
-	httpwire.Gauge(&b, "obarch_start_time_seconds", "Unix time the daemon started.", float64(s.start.UnixNano())/1e9)
-	httpwire.Gauge(&b, "obarch_uptime_seconds", "Seconds since the daemon started.", time.Since(s.start).Seconds())
-	httpwire.Gauge(&b, "obarch_slow_captures", "Slow-request captures currently retained.", float64(len(s.pool.SlowRequests())))
+	httpwire.Gauge(&b, "obarch_in_flight", "Admitted-but-unfinished requests across the pool.", float64(n.pool.InFlight()))
+	httpwire.Gauge(&b, "obarch_unhealthy_shards", "Shards whose last request panicked and whose fresh machine is unprobed.", float64(n.pool.UnhealthyShards()))
+	httpwire.Flag(&b, "obarch_ready", "1 while /readyz answers 200, 0 while new traffic should go elsewhere.", n.notReady() == "")
+	httpwire.Gauge(&b, "obarch_start_time_seconds", "Unix time the daemon started.", float64(n.start.UnixNano())/1e9)
+	httpwire.Gauge(&b, "obarch_uptime_seconds", "Seconds since the daemon started.", time.Since(n.start).Seconds())
+	httpwire.Gauge(&b, "obarch_slow_captures", "Slow-request captures currently retained.", float64(len(n.pool.SlowRequests())))
 	httpwire.Header(&b, "obarch_image_info", "Serving image provenance: 1, labelled with path, load mode, and format version.", "gauge")
 	fmt.Fprintf(&b, "obarch_image_info{path=%s,mode=%s,version=\"%d\"} 1\n",
-		httpwire.Label(s.boot.ImagePath), httpwire.Label(s.boot.Mode), s.boot.FormatVersion)
+		httpwire.Label(n.boot.ImagePath), httpwire.Label(n.boot.Mode), n.boot.FormatVersion)
 
 	// Durability: the recovery rung the boot took, and the checkpointer's
 	// freshness. -1 gauges are the "never"/"not this rung" sentinels.
-	httpwire.Gauge(&b, "obarch_recovered_generation", "Checkpoint generation recovered at boot; -1 when boot took a lower rung.", float64(s.boot.RecoveredGeneration))
-	httpwire.Gauge(&b, "obarch_recovery_ladder", "Recovery rungs rejected at boot before one held (corrupt checkpoints, unreadable image).", float64(s.boot.RecoveryLadder))
-	taken, ckptFails := s.checkpointCounts()
-	httpwire.Counter(&b, "obarch_checkpoints_total", "Live checkpoints captured by the background checkpointer.", taken)
-	httpwire.Counter(&b, "obarch_checkpoint_failures_total", "Checkpoint attempts that failed (snapshot refused or write error).", ckptFails)
-	httpwire.Gauge(&b, "obarch_checkpoint_age_seconds", "Seconds since the newest checkpoint; -1 when none exists.", s.checkpointAge())
-	httpwire.Gauge(&b, "obarch_checkpoint_generation", "Newest checkpoint generation; -1 when none exists.", float64(s.checkpointGen()))
-	httpwire.Flag(&b, "obarch_rotating", "1 while a live image rotation is mid-swap.", s.pool.Rotating())
+	httpwire.Gauge(&b, "obarch_recovered_generation", "Checkpoint generation recovered at boot; -1 when boot took a lower rung.", float64(n.boot.RecoveredGeneration))
+	httpwire.Gauge(&b, "obarch_recovery_ladder", "Recovery rungs rejected at boot before one held (corrupt checkpoints, unreadable image).", float64(n.boot.RecoveryLadder))
+	ckpt := n.checkpointStats()
+	httpwire.Counter(&b, "obarch_checkpoints_total", "Live checkpoints captured by the background checkpointer.", ckpt.Taken)
+	httpwire.Counter(&b, "obarch_checkpoint_failures_total", "Checkpoint attempts that failed (snapshot refused or write error).", ckpt.Failures)
+	httpwire.Gauge(&b, "obarch_checkpoint_age_seconds", "Seconds since the newest checkpoint; -1 when none exists.", ckpt.AgeS)
+	httpwire.Gauge(&b, "obarch_checkpoint_generation", "Newest checkpoint generation; -1 when none exists.", float64(ckpt.Generation))
+	httpwire.Flag(&b, "obarch_rotating", "1 while a live image rotation is mid-swap.", n.pool.Rotating())
 
 	// Binary transport: connection and frame counters for the obwire
 	// listener. Absent entirely when -binary-addr is off, so dashboards
 	// can distinguish "disabled" from "idle". The decode/encode spans
 	// share obarch_decode_seconds/obarch_encode_seconds with HTTP.
-	if s.bin != nil {
-		bst := s.bin.Stats()
+	if n.bin != nil {
+		bst := n.bin.Stats()
 		httpwire.Counter(&b, "obarch_binary_conns_total", "Binary-transport connections accepted.", bst.ConnsAccepted)
 		httpwire.Gauge(&b, "obarch_binary_conns_active", "Binary-transport connections currently open.", float64(bst.ConnsActive))
 		httpwire.Counter(&b, "obarch_binary_frames_in_total", "Binary-transport request frames decoded and dispatched.", bst.FramesIn)
@@ -91,11 +91,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	httpwire.Header(&b, "go_gc_pause_seconds_total", "Host GC stop-the-world pause time.", "counter")
 	fmt.Fprintf(&b, "go_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 
-	httpwire.Histogram(&b, "obarch_service_latency_seconds", "Machine service time per request.", s.pool.LatencyHistogram())
-	httpwire.Histogram(&b, "obarch_queue_wait_seconds", "Queue wait of queued requests (the inline fast lane never waits).", s.pool.QueueWaitHistogram())
-	httpwire.Histogram(&b, "obarch_http_latency_seconds", "Whole HTTP handler: decode, queueing, service, encode.", s.httpLat.Snapshot())
-	httpwire.Histogram(&b, "obarch_decode_seconds", "HTTP request read and parse span.", s.decLat.Snapshot())
-	httpwire.Histogram(&b, "obarch_encode_seconds", "HTTP response encode and write span.", s.encLat.Snapshot())
+	httpwire.Histogram(&b, "obarch_service_latency_seconds", "Machine service time per request.", n.pool.LatencyHistogram())
+	httpwire.Histogram(&b, "obarch_queue_wait_seconds", "Queue wait of queued requests (the inline fast lane never waits).", n.pool.QueueWaitHistogram())
+	httpwire.Histogram(&b, "obarch_http_latency_seconds", "Whole HTTP handler: decode, queueing, service, encode.", n.httpLat.Snapshot())
+	httpwire.Histogram(&b, "obarch_decode_seconds", "HTTP request read and parse span.", n.decLat.Snapshot())
+	httpwire.Histogram(&b, "obarch_encode_seconds", "HTTP response encode and write span.", n.encLat.Snapshot())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
@@ -123,8 +123,8 @@ type slowEntry struct {
 // handleSlow is GET /debug/slow: the retained slow-request captures,
 // oldest first, each with its spans, per-request machine accounting, and
 // decoded flight-recorder chain.
-func (s *server) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	slow := s.pool.SlowRequests()
+func (n *Node) handleSlow(w http.ResponseWriter, _ *http.Request) {
+	slow := n.pool.SlowRequests()
 	entries := make([]slowEntry, len(slow))
 	for i, c := range slow {
 		entries[i] = slowEntry{SlowCapture: c}
@@ -140,18 +140,7 @@ func (s *server) handleSlow(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	httpwire.WriteJSON(w, http.StatusOK, map[string]any{
-		"threshold_us": s.pool.SlowThreshold().Microseconds(),
+		"threshold_us": n.pool.SlowThreshold().Microseconds(),
 		"captures":     entries,
 	})
-}
-
-// mountDebug exposes net/http/pprof under /debug/pprof — CPU profiles,
-// heap, goroutine and blocking dumps. Only wired with -debug: profiling
-// is for operators, not the open internet.
-func (s *server) mountDebug() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }

@@ -295,7 +295,7 @@ func TestMachineErrorStatus(t *testing.T) {
 // kill exactly their own connection — counted as protocol errors — while
 // the daemon keeps serving new connections.
 func TestPoisonedConnections(t *testing.T) {
-	s, _ := startServer(t, serve.Config{Workers: 1}, Options{MaxFrame: 1 << 12})
+	s, _ := startServer(t, serve.Config{Workers: 1}, Options{})
 
 	probe := func(when string) {
 		t.Helper()

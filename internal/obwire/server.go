@@ -17,19 +17,15 @@ import (
 	"repro/internal/word"
 )
 
-// Options tunes a Server. The zero value serves with the defaults and no
-// span sinks.
+// Options tunes a Server. The zero value serves with no span sinks and
+// no diagnostics. Frames are capped at DefaultMaxFrame bytes (a length
+// prefix beyond the cap poisons the connection before a payload byte is
+// read) and DefaultWindow in flight per connection (the reader parks at
+// the cap, so a runaway pipeliner is throttled by TCP backpressure);
+// Shutdown lets readers consume in-transit frames for DefaultDrainGrace.
 type Options struct {
-	// MaxFrame caps a frame payload in bytes; DefaultMaxFrame when 0. A
-	// length prefix beyond the cap is a protocol error: the connection
-	// is poisoned before a single payload byte is read.
-	MaxFrame int
-	// Window caps in-flight frames per connection; DefaultWindow when 0.
-	// The reader parks at the cap, so a runaway pipeliner is throttled
-	// by TCP backpressure rather than unbounded server memory.
-	Window int
 	// DecodeLat and EncodeLat, when set, receive the per-frame decode
-	// and encode+write spans — obarchd passes its existing /stats
+	// and encode+write spans — internal/node passes its HTTP /stats
 	// histograms so both transports share one family.
 	DecodeLat *stats.ConcurrentHistogram
 	EncodeLat *stats.ConcurrentHistogram
@@ -37,22 +33,18 @@ type Options struct {
 	// errors, accept failures). Per-frame refusals are not logged; they
 	// are answered in-band and counted by the pool like HTTP refusals.
 	Logf func(format string, v ...any)
-	// DrainGrace is how long Shutdown lets each reader keep consuming
-	// frames already on the wire before it stops accepting more;
-	// DefaultDrainGrace when 0. Kicking readers off the socket
-	// immediately would strand frames a pipelining client had already
-	// sent — and closing with unread data RSTs the connection, clobbering
-	// even the responses already flushed back.
-	DrainGrace time.Duration
 }
 
 // DefaultDrainGrace bounds how long a draining reader waits for in-transit
 // frames to land. Long enough for anything already written by a client to
-// cross a real network; short enough that shutdown stays snappy.
+// cross a real network; short enough that shutdown stays snappy. Kicking
+// readers off the socket at once would strand frames a pipelining client
+// had already sent — and closing with unread data RSTs the connection,
+// clobbering even the responses already flushed back.
 const DefaultDrainGrace = 200 * time.Millisecond
 
 // Stats is a point-in-time snapshot of the transport counters, exported
-// by obarchd into the /stats "binary" block and the obarch_binary_*
+// by a node into the /stats "binary" block and the obarch_binary_*
 // Prometheus family. FramesOut counts responses once they are in a
 // connection's write buffer, ahead of the flush that sends them.
 // FramesInline counts the request frames a connection's reader answered
@@ -102,15 +94,6 @@ type Server struct {
 // pool, and returns immediately; Shutdown stops it. The listener is
 // owned by the Server from here on.
 func Serve(l net.Listener, pool *serve.Pool, opts Options) *Server {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
-	}
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.DrainGrace <= 0 {
-		opts.DrainGrace = DefaultDrainGrace
-	}
 	s := &Server{pool: pool, ln: l, opts: opts, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -138,14 +121,14 @@ func (s *Server) Stats() Stats {
 }
 
 // Shutdown closes the accept loop and drains live connections: each
-// reader gets DrainGrace to finish consuming frames already in transit
-// (then its blocking read is cut off), already-dispatched frames are
-// answered and flushed, and the writers close their connections. If ctx
-// expires first the stragglers are closed hard.
+// reader gets DefaultDrainGrace to finish consuming frames already in
+// transit (then its blocking read is cut off), already-dispatched frames
+// are answered and flushed, and the writers close their connections. If
+// ctx expires first the stragglers are closed hard.
 func (s *Server) Shutdown(ctx context.Context) {
 	s.closed.Store(true)
 	s.ln.Close()
-	deadline := time.Now().Add(s.opts.DrainGrace)
+	deadline := time.Now().Add(DefaultDrainGrace)
 	s.mu.Lock()
 	for c := range s.conns {
 		// Not time.Now(): frames a client pipelined before the drain may
@@ -285,10 +268,10 @@ func (s *Server) serveConn(c net.Conn) {
 	// map would never have been handed a drain deadline — give it one
 	// here so it cannot hold the drain open past the grace.
 	if s.closed.Load() {
-		c.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
+		c.SetReadDeadline(time.Now().Add(DefaultDrainGrace))
 	}
 
-	pend := make(chan pending, s.opts.Window)
+	pend := make(chan pending, DefaultWindow)
 	writerDone := make(chan struct{})
 	out := &connOut{c: c, bw: bufio.NewWriterSize(c, 1<<16), buf: make([]byte, 0, 256)}
 	go s.writeLoop(out, pend, writerDone)
@@ -322,9 +305,9 @@ func (s *Server) serveConn(c net.Conn) {
 			break
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		if n < 1 || n > s.opts.MaxFrame {
+		if n < 1 || n > DefaultMaxFrame {
 			s.protoErrors.Add(1)
-			s.logf("obwire: %s: frame length %d outside (0, %d]", c.RemoteAddr(), n, s.opts.MaxFrame)
+			s.logf("obwire: %s: frame length %d outside (0, %d]", c.RemoteAddr(), n, DefaultMaxFrame)
 			break
 		}
 		if cap(buf) < n {
