@@ -1,7 +1,7 @@
-// Refusal round-trip coverage for the binary transport: frame statuses
-// coming back over obwire must land in the same retry/pushback counters
-// the HTTP path feeds at both depths — synchronous sends driven through
-// the retryer, and pipelined lanes counted in-band.
+// Lane coverage on both wires against real nodes: frame statuses coming
+// back over obwire land in the retry/pushback counters at both depths
+// (depth-1 sends retried, pipelined lanes counted in-band), and HTTP
+// lanes run the same loop.
 package main
 
 import (
@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -56,19 +57,18 @@ type binCounters struct {
 	recorded                   atomic.Int64
 }
 
-func testBinRun(addr string, pipeline, rounds, retries int, c *binCounters) binRun {
-	rng := rand.New(rand.NewPCG(1, 2))
-	return binRun{
-		id:       0,
-		addr:     addr,
+// testClient is one client replaying a one-program suite (answer 5 → 6)
+// on pipeline lanes, feeding c.
+func testClient(pipeline, rounds, retries int, c *binCounters) *client {
+	return &client{
 		pipeline: pipeline,
+		retries:  retries,
 		rounds:   rounds,
 		programs: []httpwire.ProgramInfo{{Name: "answer", Entry: "answer", Size: 5, Warm: 5, Check: 6}},
-		rng:      rng,
-		rt:       &retryer{max: retries, base: time.Microsecond, rng: rng, c: &c.refusals, posts: &c.posts},
+		rng:      rand.New(rand.NewPCG(1, 2)),
+		rt:       retryer{base: time.Microsecond, c: &c.refusals, posts: &c.posts},
 		record:   func(time.Duration) { c.recorded.Add(1) },
-		sent:     &c.sent, posts: &c.posts, failed: &c.failed, keyed: &c.keyed,
-		refusals: &c.refusals,
+		sent:     &c.sent, failed: &c.failed, keyed: &c.keyed,
 	}
 }
 
@@ -78,7 +78,7 @@ func testBinRun(addr string, pipeline, rounds, retries int, c *binCounters) binR
 func TestBinaryRunPipelined(t *testing.T) {
 	addr := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
-	testBinRun(addr, 3, 8, 0, &c).run()
+	testClient(3, 8, 0, &c).runBinary(addr)
 
 	if got := c.sent.Load(); got != 8 {
 		t.Errorf("sent %d, want 8", got)
@@ -97,13 +97,43 @@ func TestBinaryRunPipelined(t *testing.T) {
 	}
 }
 
+// TestHTTPLanesPipelined runs three lanes over HTTP against a real node:
+// the same loop as the binary lanes, every checksum valid, every send
+// one POST /send.
+func TestHTTPLanesPipelined(t *testing.T) {
+	const rounds = 8
+	n := startNode(t, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	// Three lanes can leave a dialed connection that never carried a
+	// request; the node's drain waits on such a connection for seconds
+	// unless the client hangs it up first.
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
+	var c binCounters
+	cl := testClient(3, rounds, 3, &c)
+	cl.programs = append(cl.programs, httpwire.ProgramInfo{Name: "answer41", Entry: "answer", Size: 41, Warm: 41, Check: 42})
+	cl.run(httpSender("http://" + n.Addr()))
+
+	want := int64(rounds * len(cl.programs))
+	if sent, posts := c.sent.Load(), c.posts.Load(); sent != want || posts != want {
+		t.Errorf("sent %d, posts %d, want both %d", sent, posts, want)
+	}
+	if got := c.failed.Load(); got != 0 {
+		t.Errorf("failed %d, want 0 (every checksum valid)", got)
+	}
+	if got := c.recorded.Load(); got != want {
+		t.Errorf("recorded %d latencies, want %d", got, want)
+	}
+	if got := int64(n.Pool().Metrics().Requests); got != want {
+		t.Errorf("node served %d requests, want %d", got, want)
+	}
+}
+
 // TestBinaryOverloadRetryPath drives a depth-1 send against closed
 // admission: every StatusOverloaded frame must land in the rejected
 // counter and burn a retry, exactly as a 429 does over HTTP.
 func TestBinaryOverloadRetryPath(t *testing.T) {
 	addr := startNode(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
-	testBinRun(addr, 1, 1, 2, &c).run()
+	testClient(1, 1, 2, &c).runBinary(addr)
 
 	if got := c.refusals.rejected.Load(); got != 3 {
 		t.Errorf("rejected %d, want 3 (first attempt + 2 retries)", got)
@@ -131,7 +161,7 @@ func TestBinaryOverloadRetryPath(t *testing.T) {
 func TestBinaryOverloadPipelined(t *testing.T) {
 	addr := startNode(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second}).BinaryAddr()
 	var c binCounters
-	testBinRun(addr, 4, 6, 3, &c).run()
+	testClient(4, 6, 3, &c).runBinary(addr)
 
 	if got := c.sent.Load(); got != 6 {
 		t.Errorf("sent %d, want 6", got)
@@ -192,14 +222,14 @@ func cutFirstConn(t *testing.T, addr string, n int) (string, *atomic.Int64) {
 	return l.Addr().String(), &accepted
 }
 
-// loadgenGoroutines counts live goroutines running loadgen's binary
-// client: its lanes and the MuxClient's reader.
+// loadgenGoroutines counts live goroutines running a loadgen client:
+// its lanes and, over obwire, the MuxClient's reader.
 func loadgenGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "main.binRun.") || strings.Contains(g, "(*MuxClient).readLoop") {
+		if strings.Contains(g, "loadgen.(*client).lane(") || strings.Contains(g, "(*MuxClient).readLoop") {
 			n++
 		}
 	}
@@ -216,7 +246,22 @@ func TestBinaryLanesRedialOnce(t *testing.T) {
 	n := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
 	front, accepted := cutFirstConn(t, n.BinaryAddr(), lanes)
 	var c binCounters
-	testBinRun(front, lanes, rounds, 0, &c).run()
+	cl := testClient(lanes, rounds, 0, &c)
+	// The first latency is recorded on a lane while the run is in flight:
+	// no lane can exit before every send has been handed out, so the leak
+	// check below must see all of them here, or it proves nothing.
+	var inFlight int
+	record := cl.record
+	cl.record = func(d time.Duration) {
+		if c.recorded.Load() == 0 {
+			inFlight = loadgenGoroutines()
+		}
+		record(d)
+	}
+	cl.runBinary(front)
+	if inFlight < lanes {
+		t.Errorf("counted %d client goroutines mid-run, want at least %d lanes", inFlight, lanes)
+	}
 
 	ok := int64(n.Pool().Metrics().Requests)
 	if sent, failed := c.sent.Load(), c.failed.Load(); sent != rounds || sent != ok+failed {
@@ -312,7 +357,7 @@ func TestBinClientRedialBackoff(t *testing.T) {
 // refused sends and dead connections alike.
 func TestBinClientSharesRetryerLadder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
-	rt := &retryer{max: 0, base: 8 * time.Millisecond, rng: rng, c: &refusalCounters{}, posts: &atomic.Int64{}}
+	rt := &retryer{base: 8 * time.Millisecond, rng: rng, c: &refusalCounters{}, posts: &atomic.Int64{}}
 	bc := newBinClient("127.0.0.1:1", rt)
 	for fails := 1; fails <= 12; fails++ {
 		ceil := 8 * time.Millisecond << (fails - 1)
@@ -327,23 +372,38 @@ func TestBinClientSharesRetryerLadder(t *testing.T) {
 	}
 }
 
-// TestClassifyStatus pins the frame-status half of the classification
-// contract: overload and shed count by kind, everything else is a real
-// failure and stays unclassified.
+// TestClassifyStatus pins the one classifier both wires share: overload
+// and shed count by frame status, a transport error counts as such, and
+// those three are retryable; everything else is a real failure and stays
+// unclassified.
 func TestClassifyStatus(t *testing.T) {
 	var c refusalCounters
-	c.classifyStatus(obwire.StatusOverloaded)
-	c.classifyStatus(obwire.StatusShed)
-	c.classifyStatus(obwire.StatusShed)
-	c.classifyStatus(obwire.StatusMachineError)
-	c.classifyStatus(obwire.StatusOK)
+	for _, tc := range []struct {
+		status uint8
+		err    error
+		retry  bool
+	}{
+		{obwire.StatusOverloaded, nil, true},
+		{obwire.StatusShed, nil, true},
+		{obwire.StatusShed, nil, true},
+		{obwire.StatusMachineError, nil, false},
+		{obwire.StatusOK, nil, false},
+		{obwire.StatusOK, io.ErrUnexpectedEOF, true},
+	} {
+		if got := c.refused(tc.status, tc.err); got != tc.retry {
+			t.Errorf("refused(%d, %v) = %v, want %v", tc.status, tc.err, got, tc.retry)
+		}
+	}
 	if got := c.rejected.Load(); got != 1 {
 		t.Errorf("rejected %d, want 1", got)
 	}
 	if got := c.shed.Load(); got != 2 {
 		t.Errorf("shed %d, want 2", got)
 	}
-	if got := c.transport.Load() + c.retries.Load(); got != 0 {
-		t.Errorf("transport+retries = %d, want 0", got)
+	if got := c.transport.Load(); got != 1 {
+		t.Errorf("transport %d, want 1", got)
+	}
+	if got := c.retries.Load(); got != 0 {
+		t.Errorf("retries %d, want 0 (classifying takes no retry)", got)
 	}
 }

@@ -1,34 +1,39 @@
 // Command loadgen replays the workload suite against a running obarchd as
-// concurrent HTTP traffic, validates every checksum, and reports
-// throughput and latency percentiles (from the same fixed-bucket
-// histogram the server uses, merged across clients — no lock on the
-// recording path).
+// concurrent traffic, validates every checksum, and reports throughput and
+// latency percentiles (from the same fixed-bucket histogram the server
+// uses, merged across clients — no lock on the recording path).
 //
-//	obarchd -addr :8373 &
+//	obarchd -addr :8373 -binary-addr :8374 &
 //	loadgen -addr http://localhost:8373 -clients 8 -rounds 4
+//	loadgen -addr http://localhost:8373 -transport binary -binary-addr localhost:8374 -pipeline 4
 //	loadgen -addr http://localhost:8373 -clients 8 -rounds 4 -batch 16
 //	loadgen -addr http://localhost:8373 -skew 0.5
 //
-// With -batch K each client groups K sends into one POST /batch request,
-// which the server runs as ordinary pool sends, at most 64 in flight at
-// once; the summary then reports sends/s alongside request throughput so
-// batched and unbatched runs compare directly. A batch on its own never
-// fills a shard's queue: refusals inside a batch appear only when
-// concurrent traffic together exceeds the server's -queue on one shard.
-// The program list (entry selectors, measured sizes, expected checksums)
-// is fetched from the server's /programs endpoint, so loadgen also works
-// against a server that loaded custom sources.
+// Each client runs -pipeline N lanes, each a goroutine with one send in
+// flight, on either wire: POST /send (-transport http, the default) or
+// frames over one persistent obwire connection per client (-transport
+// binary, with -binary-addr naming the daemon's obwire listener), which
+// the lanes redial once between them when it dies. Both wires answer in
+// obwire frame statuses and share one retry loop. At depth 1 a refused
+// send (admission refusal, deadline shed, or failed connection) retries
+// up to -retries times on exponential backoff with full jitter starting
+// at -backoff (capped at 1s, never sooner than the server's Retry-After),
+// so a drill against an overloaded or chaos-armed server measures
+// recovery instead of dissolving into a retry storm. At depth >1 a
+// refusal is counted in-band, one lost send, and never retried. Every
+// refusal and retry is counted by kind in the report and -out artifact.
 //
-// With -transport binary (plus -binary-addr HOST:PORT naming the
-// daemon's obwire listener) the workload rides the persistent binary
-// transport instead of HTTP: one connection per client, shared by
-// -pipeline N lanes that each keep one frame in flight, and redialed
-// once for all of them when it dies. At depth 1 every send is a
-// synchronous round trip through the same retry/backoff loop as HTTP
-// (frame statuses map onto 429/503/transport one for one); at depth >1
-// refusals are counted in-band like batch entries and not retried. The
-// control plane — /programs, /rotate, /stats, /save — always speaks
-// HTTP to -addr.
+// With -batch K (HTTP at depth 1 only) each client groups K sends into
+// one POST /batch request, which the server runs as ordinary pool sends,
+// at most 64 in flight at once; the summary then reports sends/s
+// alongside request throughput so batched and unbatched runs compare
+// directly. A batch on its own never fills a shard's queue: refusals
+// inside a batch appear only when concurrent traffic together exceeds
+// the server's -queue on one shard, and they are counted in-band, not
+// retried. The program list (entry selectors, measured sizes, expected
+// checksums) is fetched from the server's /programs endpoint, so loadgen
+// also works against a server that loaded custom sources. The control
+// plane (/programs, /rotate, /stats, /save) always speaks HTTP to -addr.
 //
 // With -skew F, a fraction F of sends carry an affinity key drawn from a
 // deliberately skewed keyspace — 80% of keyed sends share one hot key,
@@ -36,14 +41,6 @@
 // onto a few shards while the remaining keyless sends float. That is the
 // traffic shape the server's join-shortest-queue routing exists for: the
 // keyless sends dodge the hot shards.
-//
-// When the server pushes back — 429 at admission, 503 for a deadline
-// shed, or a failed connection — the send retries up to -retries times
-// on exponential backoff with full jitter starting at -backoff (capped
-// at 1s), so a drill against an overloaded or chaos-armed server
-// measures recovery instead of dissolving into a retry storm. Every
-// refusal and retry is counted by kind in the report and -out artifact.
-// Batched refusals arrive in-band per send and are counted, not retried.
 //
 // With -save, loadgen finishes a run by POSTing /save, asking the server
 // to persist its machine image to the path it was started with (-image),
@@ -80,7 +77,10 @@ import (
 	"time"
 
 	"repro/internal/httpwire"
+	"repro/internal/obwire"
+	"repro/internal/serve"
 	"repro/internal/stats"
+	"repro/internal/word"
 )
 
 // pickKey draws from the skewed keyspace: with probability skew the send
@@ -105,7 +105,7 @@ func main() {
 	batch := flag.Int("batch", 1, "sends per POST /batch request (1: one POST /send per send)")
 	transport := flag.String("transport", "http", `wire transport: "http" (POST /send, /batch) or "binary" (persistent obwire frames)`)
 	binaryAddr := flag.String("binary-addr", "", "obwire HOST:PORT for -transport binary (the daemon's -binary-addr)")
-	pipeline := flag.Int("pipeline", 1, "in-flight frames per client with -transport binary (1: synchronous round trips with retries)")
+	pipeline := flag.Int("pipeline", 1, "lanes per client, each with one send in flight, on either transport (1: retried round trips; >1: refusals counted, not retried)")
 	save := flag.Bool("save", false, "POST /save after the run, persisting the server's machine image")
 	skew := flag.Float64("skew", 0, "fraction of sends carrying a skewed affinity key (0: all keyless)")
 	retries := flag.Int("retries", 3, "retry budget per send for 429/503/transport refusals (0: fail fast)")
@@ -115,8 +115,8 @@ func main() {
 	p99Budget := flag.Duration("p99budget", 0, "fail the run if the client-observed p99 exceeds this (0: no budget)")
 	flag.Parse()
 
-	programs, err := fetchPrograms(*addr)
-	if err != nil {
+	var programs []httpwire.ProgramInfo
+	if err := getJSON(*addr+"/programs", &programs); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -153,18 +153,19 @@ func main() {
 	case binary && *batch > 1:
 		fmt.Fprintln(os.Stderr, "loadgen: -batch applies to the http transport; use -pipeline with -transport binary")
 		os.Exit(1)
+	case *batch > 1 && *pipeline > 1:
+		fmt.Fprintln(os.Stderr, "loadgen: -batch and -pipeline exclude each other; a batch already keeps many sends in flight")
+		os.Exit(1)
 	}
 
 	var (
 		wg       sync.WaitGroup
 		sent     atomic.Int64 // individual sends
-		posts    atomic.Int64 // HTTP requests
+		posts    atomic.Int64 // attempts: HTTP requests or frames
 		failed   atomic.Int64
 		keyed    atomic.Int64
 		refusals refusalCounters
 	)
-	// Per-client latency histograms, merged after the run: the recording
-	// path is a plain array increment, no shared state.
 	hists := make([]stats.Histogram, *clients)
 	maxLats := make([]time.Duration, *clients)
 	start := time.Now()
@@ -172,98 +173,29 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(c), 0x9e3779b97f4a7c15))
-			rt := &retryer{max: *retries, base: *backoff, rng: rng, c: &refusals, posts: &posts}
-			hist := &hists[c]
-			record := func(lat time.Duration) {
-				hist.Observe(lat)
-				if lat > maxLats[c] {
-					maxLats[c] = lat
-				}
+			cl := &client{
+				id: c, pipeline: *pipeline, retries: *retries, rounds: *rounds,
+				warm: *warm, skew: *skew, programs: programs,
+				rng: rand.New(rand.NewPCG(uint64(c), 0x9e3779b97f4a7c15)),
+				rt:  retryer{base: *backoff, c: &refusals, posts: &posts},
+				// Per-client latency histograms, merged after the run:
+				// the recording path is a plain array increment.
+				record: func(lat time.Duration) {
+					hists[c].Observe(lat)
+					if lat > maxLats[c] {
+						maxLats[c] = lat
+					}
+				},
+				sent: &sent, failed: &failed, keyed: &keyed,
 			}
-			if binary {
-				binRun{
-					id: c, addr: *binaryAddr, pipeline: *pipeline,
-					rounds: *rounds, warm: *warm, skew: *skew, programs: programs,
-					rng: rng, rt: rt, record: record,
-					sent: &sent, posts: &posts, failed: &failed, keyed: &keyed,
-					refusals: &refusals,
-				}.run()
-				return
+			switch {
+			case *batch > 1:
+				cl.runBatch(*addr, *batch)
+			case binary:
+				cl.runBinary(*binaryAddr)
+			default:
+				cl.run(httpSender(*addr))
 			}
-			// pending accumulates sends until a full batch is flushed.
-			var pending []httpwire.SendRequest
-			var expect []httpwire.ProgramInfo
-			flush := func() {
-				if len(pending) == 0 {
-					return
-				}
-				t0 := time.Now()
-				got, err := sendBatch(*addr, pending)
-				record(time.Since(t0))
-				posts.Add(1)
-				sent.Add(int64(len(pending)))
-				if err != nil {
-					failed.Add(int64(len(pending)))
-					fmt.Fprintf(os.Stderr, "loadgen: client %d batch: %v\n", c, err)
-				} else {
-					for i, p := range expect {
-						switch {
-						case got[i].Error != "":
-							// Batch refusals arrive in-band under HTTP
-							// 200 and are not retried — a refused batch
-							// entry is one lost send, counted by kind.
-							refusals.classify(got[i].Error)
-							failed.Add(1)
-							fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %s\n", c, p.Name, got[i].Error)
-						case !*warm:
-							if f, ok := got[i].Result.(float64); !ok || int32(f) != p.Check {
-								failed.Add(1)
-								fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %v, want %d\n", c, p.Name, got[i].Result, p.Check)
-							}
-						}
-					}
-				}
-				pending, expect = pending[:0], expect[:0]
-			}
-			for r := 0; r < *rounds; r++ {
-				for _, p := range programs {
-					recv := p.Size
-					if *warm {
-						recv = p.Warm
-					}
-					key := pickKey(rng, *skew)
-					if key != 0 {
-						keyed.Add(1)
-					}
-					req := httpwire.SendRequest{Receiver: json.Number(strconv.Itoa(int(recv))), Selector: p.Entry, Key: key}
-					if *batch == 1 {
-						t0 := time.Now()
-						// The recorded latency is what the client lived
-						// through: refused attempts and their backoffs
-						// included.
-						got, err := rt.send(*addr, req)
-						record(time.Since(t0))
-						sent.Add(1)
-						if err != nil {
-							failed.Add(1)
-							fmt.Fprintf(os.Stderr, "loadgen: client %d %s: %v\n", c, p.Name, err)
-							continue
-						}
-						if !*warm && got != p.Check {
-							failed.Add(1)
-							fmt.Fprintf(os.Stderr, "loadgen: client %d %s: checksum %d, want %d\n", c, p.Name, got, p.Check)
-						}
-						continue
-					}
-					pending = append(pending, req)
-					expect = append(expect, p)
-					if len(pending) >= *batch {
-						flush()
-					}
-				}
-			}
-			flush()
 		}(c)
 	}
 	// The rotation drill runs concurrently with the clients: wait until
@@ -297,7 +229,7 @@ func main() {
 			maxLat = maxLats[c]
 		}
 	}
-	mode := "unbatched (POST /send)"
+	mode := fmt.Sprintf("unbatched (POST /send, pipeline %d)", *pipeline)
 	reqLabel := "http requests"
 	if *batch > 1 {
 		mode = fmt.Sprintf("batched ×%d (POST /batch)", *batch)
@@ -344,9 +276,10 @@ func main() {
 	// The server's view of the same traffic: per-stage span percentiles
 	// from the flight recorder, plus the node's identity. A pre-PR-6
 	// server answers /stats without these fields; report what's there.
-	srv, err := fetchStageStats(*addr)
-	if err != nil {
+	srv := new(serverView)
+	if err := getJSON(*addr+"/stats", srv); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen: server stats:", err)
+		srv = nil
 	} else {
 		printStage := func(name string, sp *stagePercentiles) {
 			if sp != nil && sp.Count > 0 {
@@ -563,22 +496,20 @@ func postRotate(addr string) *rotationReport {
 	}
 }
 
-// fetchStageStats reads the server's identity and per-stage percentiles
-// from /stats.
-func fetchStageStats(addr string) (*serverView, error) {
-	resp, err := http.Get(addr + "/stats")
+// getJSON decodes the answer to GET url into v.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /stats: status %d", resp.StatusCode)
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	var out serverView
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode /stats: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("decode %s: %w", url, err)
 	}
-	return &out, nil
+	return nil
 }
 
 // postSave asks the server to persist its machine image and reports what
@@ -604,48 +535,53 @@ func postSave(addr string) error {
 	return nil
 }
 
-func fetchPrograms(addr string) ([]httpwire.ProgramInfo, error) {
-	resp, err := http.Get(addr + "/programs")
-	if err != nil {
-		return nil, err
+// httpSender is the client's sender over HTTP: it POSTs /send to addr
+// and maps the answer's status back onto the frame status it stands for,
+// the inverse of httpwire.Status, so both wires share one retry loop and
+// one refusal taxonomy. 200 is StatusOK, 429 StatusOverloaded, 503
+// StatusShed, and anything else StatusMachineError. A 429 or 503 stays a
+// refusal whatever its body; a 200 whose result is missing, non-numeric
+// or undecodable is a machine error. The server's Retry-After comes back
+// as the backoff floor.
+func httpSender(addr string) sender {
+	return func(req serve.Request) (obwire.Response, time.Duration, error) {
+		body, _ := json.Marshal(wireRequest(req))
+		resp, err := http.Post(addr+"/send", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return obwire.Response{}, 0, err
+		}
+		defer resp.Body.Close()
+		var out httpwire.SendResponse
+		decodeErr := json.NewDecoder(resp.Body).Decode(&out)
+		r := obwire.Response{Status: obwire.StatusMachineError, Err: out.Error}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			f, ok := out.Result.(float64)
+			switch {
+			case decodeErr != nil:
+				r.Err = fmt.Sprintf("decode /send: %v", decodeErr)
+			case !ok:
+				r.Err = fmt.Sprintf("non-numeric result %v", out.Result)
+			default:
+				r = obwire.Response{Status: obwire.StatusOK, Value: word.FromInt(int32(f))}
+			}
+		case http.StatusTooManyRequests:
+			r.Status = obwire.StatusOverloaded
+		case http.StatusServiceUnavailable:
+			r.Status = obwire.StatusShed
+		}
+		if !r.OK() && r.Err == "" {
+			r.Err = fmt.Sprintf("POST /send: status %d", resp.StatusCode)
+		}
+		return r, retryAfter(resp.Header), nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /programs: status %d", resp.StatusCode)
-	}
-	var out []httpwire.ProgramInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode /programs: %w", err)
-	}
-	return out, nil
 }
 
-// send posts one message send and reports the HTTP status alongside the
-// result, so the retry loop can tell an admission refusal (429) or a
-// deadline shed (503) from a machine error. Status 0 means the request
-// never got an HTTP answer at all — a transport failure. The third
-// return is the server's Retry-After suggestion (0 when none), which
-// the retry loop honors as its backoff floor.
-func send(addr string, req httpwire.SendRequest) (int32, int, time.Duration, error) {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(addr+"/send", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	ra := retryAfter(resp.Header)
-	var out httpwire.SendResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, resp.StatusCode, ra, fmt.Errorf("decode /send: %w", err)
-	}
-	if out.Error != "" {
-		return 0, resp.StatusCode, ra, fmt.Errorf("server error: %s", out.Error)
-	}
-	f, ok := out.Result.(float64)
-	if !ok {
-		return 0, resp.StatusCode, ra, fmt.Errorf("non-numeric result %v", out.Result)
-	}
-	return int32(f), resp.StatusCode, ra, nil
+// wireRequest is req in /send's JSON form; loadgen's receivers are
+// SmallInts and its sends carry no arguments.
+func wireRequest(req serve.Request) httpwire.SendRequest {
+	recv, _ := req.Receiver.IntOK()
+	return httpwire.SendRequest{Receiver: json.Number(strconv.Itoa(int(recv))), Selector: req.Selector, Key: req.Key}
 }
 
 func sendBatch(addr string, reqs []httpwire.SendRequest) ([]httpwire.SendResponse, error) {

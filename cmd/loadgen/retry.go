@@ -1,9 +1,10 @@
-// Client-side backoff: when obarchd pushes back (429 at admission, 503
-// for a deadline shed, or the connection itself fails), hammering the
-// same node straight away is how a load test turns into a retry storm.
-// Refused sends instead retry on exponential backoff with full jitter,
-// and every form of pushback is counted so the run report and -out
-// artifact show how hard the server defended itself.
+// Client-side backoff: when obarchd pushes back (an admission refusal, a
+// deadline shed, or the connection itself fails), hammering the same node
+// straight away is how a load test turns into a retry storm. Refused
+// sends instead retry on exponential backoff with full jitter, and every
+// form of pushback is counted so the run report and -out artifact show
+// how hard the server defended itself. Both wires speak one taxonomy, the
+// obwire frame status: the HTTP sender maps its answers onto it.
 package main
 
 import (
@@ -13,15 +14,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/httpwire"
 	"repro/internal/obwire"
+	"repro/internal/serve"
 )
 
 // refusalCounters aggregates every client's view of server pushback.
 type refusalCounters struct {
 	retries   atomic.Int64 // backoff-then-retry cycles actually taken
-	rejected  atomic.Int64 // 429 admission refusals observed
-	shed      atomic.Int64 // 503 deadline sheds observed
+	rejected  atomic.Int64 // admission refusals observed (429, StatusOverloaded)
+	shed      atomic.Int64 // deadline sheds observed (503, StatusShed)
 	transport atomic.Int64 // connection-level failures observed
 }
 
@@ -38,26 +39,34 @@ func (c *refusalCounters) classify(msg string) {
 	}
 }
 
-// classifyStatus is classify's binary-transport counterpart: pipelined
-// obwire refusals arrive as frame statuses rather than error text.
-func (c *refusalCounters) classifyStatus(status uint8) {
-	switch status {
-	case obwire.StatusOverloaded:
+// refused sorts one attempt's outcome, on either wire, into the counters
+// and reports whether backing off and retrying can help: admission
+// refusals and sheds are transient by construction, and a transport
+// error usually means the node is restarting. Everything else (a machine
+// error, a malformed answer) would fail identically again and stays
+// unclassified.
+func (c *refusalCounters) refused(status uint8, err error) bool {
+	switch {
+	case err != nil:
+		c.transport.Add(1)
+	case status == obwire.StatusOverloaded:
 		c.rejected.Add(1)
-	case obwire.StatusShed:
+	case status == obwire.StatusShed:
 		c.shed.Add(1)
+	default:
+		return false
 	}
+	return true
 }
 
-// retryer drives one client's refused sends through the backoff loop.
-// rng is the client's own deterministic stream (shared with its key
-// picker), so a seeded run jitters reproducibly.
+// retryer drives one lane's refused sends through the backoff loop. rng
+// is the lane's own deterministic stream, split off its client's, so a
+// seeded run jitters reproducibly.
 type retryer struct {
-	max   int           // retries after the first attempt
 	base  time.Duration // first backoff; doubles per attempt
 	rng   interface{ Int64N(int64) int64 }
 	c     *refusalCounters
-	posts *atomic.Int64 // every HTTP attempt, retries included
+	posts *atomic.Int64 // every attempt on either wire, retries included
 }
 
 // maxRetryAfter caps how long a server-suggested Retry-After can hold
@@ -104,48 +113,19 @@ func retryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// retryable classifies one attempt's outcome into the refusal counters
-// and reports whether backing off and retrying can help: admission
-// refusals and sheds are transient by construction, transport errors
-// usually mean the node is restarting, and everything else (machine
-// errors, malformed responses) would just fail identically again.
-func (r *retryer) retryable(status int, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case status == http.StatusTooManyRequests:
-		r.c.rejected.Add(1)
-		return true
-	case status == http.StatusServiceUnavailable:
-		r.c.shed.Add(1)
-		return true
-	case status == 0:
-		r.c.transport.Add(1)
-		return true
-	}
-	return false
-}
-
-// sendVia drives one attempt function through the retry loop: refusals
-// back off and retry until they stick or the budget runs out, and the
-// returned error is the last attempt's. The attempt reports an
-// HTTP-equivalent status (0 for transport failure), which is how the
-// binary transport shares this loop and its counters with the HTTP one,
-// plus the server's Retry-After suggestion (0 when none) as the backoff
-// floor for the next attempt.
-func (r *retryer) sendVia(via func() (int32, int, time.Duration, error)) (int32, error) {
+// send drives one request through the retry loop: every attempt is
+// counted and classified, a refusal backs off and retries until it
+// sticks or the retries run out, and the last attempt's answer comes
+// back. The server's Retry-After, when it names one, is the next
+// backoff's floor.
+func (r *retryer) send(via sender, req serve.Request, retries int) (obwire.Response, error) {
 	for attempt := 0; ; attempt++ {
-		val, status, floor, err := via()
+		resp, floor, err := via(req)
 		r.posts.Add(1)
-		if !r.retryable(status, err) || attempt >= r.max {
-			return val, err
+		if !r.c.refused(resp.Status, err) || attempt >= retries {
+			return resp, err
 		}
 		r.c.retries.Add(1)
 		time.Sleep(r.backoffDelay(attempt, floor))
 	}
-}
-
-// send posts one HTTP request through the retry loop.
-func (r *retryer) send(addr string, req httpwire.SendRequest) (int32, error) {
-	return r.sendVia(func() (int32, int, time.Duration, error) { return send(addr, req) })
 }

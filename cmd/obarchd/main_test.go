@@ -364,6 +364,11 @@ func TestServerSaveAndWarmBoot(t *testing.T) {
 	}
 	if fi, err := os.Stat(imagePath); err != nil || fi.Size() != saved.Bytes || saved.Bytes == 0 {
 		t.Fatalf("/save reported %d bytes at %s; stat: %v", saved.Bytes, saved.Path, err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("saved image mode %v, want 0644", fi.Mode().Perm())
+	}
+	if staged, _ := filepath.Glob(filepath.Join(filepath.Dir(imagePath), ".obarch-image-*")); len(staged) != 0 {
+		t.Fatalf("/save left staging files behind: %v", staged)
 	}
 
 	// Boot a second node from the image, exactly as `obarchd -image`

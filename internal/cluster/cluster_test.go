@@ -123,12 +123,6 @@ func (n *testNode) kill() {
 	}
 }
 
-func (n *testNode) setReady(ready bool, reason string) {
-	n.mu.Lock()
-	n.ready, n.reason = ready, reason
-	n.mu.Unlock()
-}
-
 func (n *testNode) spec() NodeSpec { return NodeSpec{HTTPAddr: n.httpAddr, BinAddr: n.binAddr} }
 
 func testRouter(t *testing.T, backends []*testNode, tune func(*Config)) *Router {

@@ -431,56 +431,6 @@ func (m *Machine) translate(op isa.Opcode, bClass, cClass word.Class) (itlb.Entr
 	return e, err
 }
 
-// readOperand fetches an operand value: context words through the context
-// cache, constants from the current method's table (the constant
-// generator, which is free). The interpreter itself runs on predecoded
-// plans (readPlan); this descriptor-driven form serves the tools and
-// tests that feed raw operands.
-func (m *Machine) readOperand(o isa.Operand) (word.Word, error) {
-	switch {
-	case o.IsNone():
-		return word.Word{}, trapf("decode", "missing operand")
-	case o.IsConst():
-		lits := m.IP.Method.Literals
-		idx := o.ConstIndex()
-		if idx >= len(lits) {
-			return word.Word{}, trapf("decode", "constant %d outside table of %d", idx, len(lits))
-		}
-		return lits[idx], nil
-	default:
-		off := o.CtxOffset()
-		if off >= m.Cfg.CtxWords {
-			return word.Word{}, trapf("decode", "context offset %d outside %d-word context", off, m.Cfg.CtxWords)
-		}
-		m.Stats.CtxOperandRefs++
-		if o.CtxNext() {
-			return m.Ctx.ReadNext(off), nil
-		}
-		return m.Ctx.ReadCur(off), nil
-	}
-}
-
-// writeOperand stores a result; only context operands are writable.
-func (m *Machine) writeOperand(o isa.Operand, w word.Word) error {
-	if o.IsNone() {
-		return nil // results may be discarded
-	}
-	if o.IsConst() {
-		return trapf("decode", "constant operand is not writable")
-	}
-	off := o.CtxOffset()
-	if off >= m.Cfg.CtxWords {
-		return trapf("decode", "context offset %d outside %d-word context", off, m.Cfg.CtxWords)
-	}
-	m.Stats.CtxOperandRefs++
-	if o.CtxNext() {
-		m.Ctx.WriteNext(off, w)
-	} else {
-		m.Ctx.WriteCur(off, w)
-	}
-	return nil
-}
-
 // effAddr computes the virtual address a context operand names — the
 // movea semantics used for result pointers.
 func (m *Machine) effAddr(o isa.Operand) (fpa.Addr, error) {

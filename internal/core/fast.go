@@ -14,12 +14,12 @@ import (
 // ITLB. Both are pure simulator accelerations: a site hit replays exactly
 // the bookkeeping the associative probe would have performed (see
 // cache.HitLine), so modelled cycles, hit ratios and replacement decisions
-// are bit-identical to the decoded path. Config.NoInlineCache disables the
-// site caches for the parity tests that prove it.
+// are bit-identical to probing the caches on every step. Config.NoInlineCache
+// disables the site caches for the parity tests that prove it.
 
 // Operand plans classify an operand descriptor once, at predecode time.
-// The two invalid modes keep the decoded path's trap behaviour: a bad
-// descriptor traps when executed, not when loaded.
+// The two invalid modes defer the trap: a bad descriptor traps when
+// executed, not when loaded.
 const (
 	pNone     uint8 = iota // absent operand
 	pCur                   // word off of the current context
@@ -126,8 +126,9 @@ func (m *Machine) planOperand(meth *object.Method, o isa.Operand) plan {
 	}
 }
 
-// readPlan fetches an operand through its plan — the fast-path twin of
-// readOperand, with identical accounting and identical trap messages.
+// readPlan fetches an operand through its plan: context words through the
+// context cache (one CtxOperandRefs each), constants resolved at predecode
+// time (the constant generator is free).
 func (m *Machine) readPlan(p *plan) (word.Word, error) {
 	switch p.mode {
 	case pCur:
@@ -147,8 +148,8 @@ func (m *Machine) readPlan(p *plan) (word.Word, error) {
 	}
 }
 
-// writePlan stores a result through its plan — the fast-path twin of
-// writeOperand.
+// writePlan stores a result through its plan; only context operands are
+// writable, and an absent one discards the result.
 func (m *Machine) writePlan(p *plan, w word.Word) error {
 	switch p.mode {
 	case pCur:

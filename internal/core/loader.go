@@ -56,13 +56,6 @@ func (m *Machine) InstallMethod(cls *object.Class, meth *object.Method) error {
 	return nil
 }
 
-// MethodAt returns the installed method whose code segment starts at the
-// given absolute base.
-func (m *Machine) MethodAt(base memory.AbsAddr) (*object.Method, bool) {
-	meth, ok := m.methodsByBase[base]
-	return meth, ok
-}
-
 // ripWord encodes a CodePtr as a single pointer word into the method's
 // code area — "the pointer encodes both the method object and the offset
 // within the method" (§4).
@@ -146,15 +139,4 @@ func (m *Machine) NewInstance(cls *object.Class, indexed int) (word.Word, error)
 		return word.Word{}, err
 	}
 	return m.pointerWord(addr), nil
-}
-
-// methodSegmentOf returns the absolute base of the segment holding the
-// method's code, for diagnostics.
-func (m *Machine) methodSegmentOf(meth *object.Method) (memory.AbsAddr, bool) {
-	for base, mm := range m.methodsByBase {
-		if mm == meth {
-			return base, true
-		}
-	}
-	return 0, false
 }

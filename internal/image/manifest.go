@@ -204,6 +204,33 @@ func WriteCheckpoint(dir string, gen uint64, snap *core.Snapshot) (Manifest, err
 	return m, nil
 }
 
+// WriteFile durably replaces path with an image of snap and reports the
+// bytes written. The image goes to a temporary file in path's directory,
+// which is synced, set to mode 0644 and renamed over path; the directory
+// is then synced too. A crash at any point leaves either the old file or
+// the whole new one under path, and once WriteFile returns nil the new
+// name survives power loss wherever the filesystem syncs directories.
+func WriteFile(path string, snap *core.Snapshot) (int64, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".obarch-image-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name()) // fails harmlessly once the rename has run
+	if err := tmp.Close(); err != nil {
+		return 0, err
+	}
+	n, err := writeFileSynced(tmp.Name(), func(w io.Writer) error { return Write(w, snap) })
+	if err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	syncDir(dir)
+	return n, nil
+}
+
 // writeFileSynced creates path, streams fill into it, fsyncs, chmods to
 // the 0644 an artifact wants, and reports the bytes written.
 func writeFileSynced(path string, fill func(io.Writer) error) (int64, error) {

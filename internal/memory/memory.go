@@ -700,15 +700,6 @@ func (t *Team) Bind(key fpa.SegKey, d *Descriptor) {
 	t.atlb.Invalidate(key.Pack())
 }
 
-// Unbind removes a virtual name.
-func (t *Team) Unbind(key fpa.SegKey) {
-	if d, ok := t.table[key]; ok && d.Seg != nil {
-		t.dropSegKey(d.Seg, key)
-	}
-	delete(t.table, key)
-	t.atlb.Invalidate(key.Pack())
-}
-
 func (t *Team) dropSegKey(seg *Segment, key fpa.SegKey) {
 	keys := t.bySeg[seg]
 	for i, k := range keys {

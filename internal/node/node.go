@@ -115,14 +115,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
 
 	"repro"
 	"repro/internal/httpwire"
+	"repro/internal/image"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/stats"
@@ -345,10 +344,10 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHT
 // quiesces to a request boundary, so the image reflects every mutation
 // traffic has made, and a save under concurrent load can never catch a
 // machine mid-send (the race the old boot-snapshot save only avoided by
-// never saving live state at all). The write goes through a temp file
-// and an atomic rename, so a crash mid-save can never leave a truncated
-// image where the next boot would read it (and the codec's section CRCs
-// would refuse such a file anyway).
+// never saving live state at all). image.WriteFile replaces the file
+// durably (temp file, fsync, rename, directory fsync), so a crash mid-save
+// can never leave a truncated image where the next boot would read it,
+// and a 200 means the new image survives power loss.
 func (n *Node) handleSave(w http.ResponseWriter, _ *http.Request) {
 	if n.imagePath == "" {
 		httpwire.Error(w, http.StatusBadRequest, "no image path configured; start obarchd with -image")
@@ -360,36 +359,8 @@ func (n *Node) handleSave(w http.ResponseWriter, _ *http.Request) {
 		httpwire.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(n.imagePath), ".obarch-image-*")
+	size, err := image.WriteFile(n.imagePath, snap)
 	if err != nil {
-		httpwire.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	defer os.Remove(tmp.Name())
-	if err := obarch.WriteImage(tmp, snap); err != nil {
-		tmp.Close()
-		httpwire.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// Flush to stable storage before the rename makes the file current:
-	// otherwise a crash can persist the rename but not the data, wiping
-	// the previous good image exactly when durability mattered.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		httpwire.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	size, _ := tmp.Seek(0, 2)
-	if err := tmp.Close(); err != nil {
-		httpwire.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	// CreateTemp's 0600 is right for the staging file, not the artifact.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		httpwire.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if err := os.Rename(tmp.Name(), n.imagePath); err != nil {
 		httpwire.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}

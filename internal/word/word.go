@@ -149,9 +149,6 @@ func (w Word) IsAtom() bool { return w.Tag == TagAtom }
 // IsPointer reports whether the word is an object pointer.
 func (w Word) IsPointer() bool { return w.Tag == TagPointer }
 
-// IsInstruction reports whether the word is an instruction.
-func (w Word) IsInstruction() bool { return w.Tag == TagInstruction }
-
 // IsNil reports whether the word is the nil atom.
 func (w Word) IsNil() bool { return w.Tag == TagAtom && w.Bits == AtomNil }
 

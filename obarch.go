@@ -34,8 +34,9 @@
 // cmd/obarchd wraps the
 // pool as an HTTP/JSON server (POST /send, POST /batch) and an obwire
 // binary listener, and cmd/loadgen replays the workload suite against it
-// as concurrent traffic, batched or unbatched (-batch K), keyless or
-// with a skewed keyspace (-skew).
+// as concurrent traffic over either wire, on -pipeline N lanes per client
+// or batched (-batch K, HTTP only), keyless or with a skewed keyspace
+// (-skew).
 //
 // The experiment harness regenerating every figure and table of the paper
 // is exposed through Experiments and RunExperiment; the cmd/ directory
