@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gc"
 	"repro/internal/isa"
+	"repro/internal/memory"
 	"repro/internal/object"
 	"repro/internal/smalltalk"
 	"repro/internal/word"
@@ -244,20 +245,30 @@ func TestIncrementalCollectMatchesFull(t *testing.T) {
 	}
 }
 
+// Collecting garbageMachine(25) leaves these statistics. They were read
+// while the map-backed space still existed and collected identically.
+var (
+	pinnedCollect = gc.Stats{Marked: 9, SweptObjects: 25, RecycledContexts: 0, Live: 9}
+	pinnedAlloc   = memory.AllocStats{
+		Allocs: [memory.NumKinds]uint64{26, 0, 0, 8},
+		Frees:  [memory.NumKinds]uint64{25, 0, 0, 0},
+		Words:  [memory.NumKinds]uint64{208, 0, 0, 8},
+	}
+	pinnedLive = 9
+)
+
 func TestCollectParityLegacySpace(t *testing.T) {
-	// The slab-backed and map-backed spaces must collect identically.
-	mSlab, _ := garbageMachine(t, core.Config{}, 25)
-	mLegacy, _ := garbageMachine(t, core.Config{LegacySpace: true}, 25)
-	stSlab := gc.Collect(mSlab)
-	stLegacy := gc.Collect(mLegacy)
-	if stSlab != stLegacy {
-		t.Fatalf("gc stats diverge:\n slab   %+v\n legacy %+v", stSlab, stLegacy)
-	}
-	if mSlab.Space.Stats != mLegacy.Space.Stats {
-		t.Fatalf("alloc stats diverge:\n slab   %+v\n legacy %+v", mSlab.Space.Stats, mLegacy.Space.Stats)
-	}
-	if mSlab.Space.LiveCount() != mLegacy.Space.LiveCount() {
-		t.Fatalf("live counts diverge: %d vs %d", mSlab.Space.LiveCount(), mLegacy.Space.LiveCount())
+	for _, cfg := range []core.Config{{}, {LegacySpace: true}} {
+		m, _ := garbageMachine(t, cfg, 25)
+		if st := gc.Collect(m); st != pinnedCollect {
+			t.Fatalf("gc stats diverge:\n pinned %+v\n now    %+v", pinnedCollect, st)
+		}
+		if m.Space.Stats != pinnedAlloc {
+			t.Fatalf("alloc stats diverge:\n pinned %+v\n now    %+v", pinnedAlloc, m.Space.Stats)
+		}
+		if got := m.Space.LiveCount(); got != pinnedLive {
+			t.Fatalf("live count %d, pinned %d", got, pinnedLive)
+		}
 	}
 }
 

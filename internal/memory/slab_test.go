@@ -1,8 +1,14 @@
 package memory
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/fpa"
 	"repro/internal/word"
@@ -41,35 +47,173 @@ func drive(s *Space, steps []step) []AbsAddr {
 	return bases
 }
 
-func TestSlabLegacyBaseParity(t *testing.T) {
-	prop := func(steps []step) bool {
-		slabBases := drive(NewSpace(), steps)
-		legacyBases := drive(NewLegacySpace(), steps)
-		if len(slabBases) != len(legacyBases) {
-			return false
+// driveGoldenPath pins what drive() observes for a fixed set of seeded
+// step sequences — every base address handed out, the AllocStats and the
+// live count — plus the tail a clone produces after a fixed history. It
+// was generated while the PR 2 map-backed allocator still existed and
+// matched it exactly, so it is the reference the slab allocator answers
+// to. Regenerate only on a deliberate allocator change:
+//
+//	go test ./internal/memory -run TestSlabLegacyBaseParity -update
+const driveGoldenPath = "testdata/drive.golden.json"
+
+var update = flag.Bool("update", false, "regenerate testdata/drive.golden.json")
+
+// driveRun is what one drive() call leaves behind.
+type driveRun struct {
+	Bases []AbsAddr  `json:"bases"`
+	Stats AllocStats `json:"stats"`
+	Live  int        `json:"live"`
+}
+
+// driveRow is one seeded sequence's fixture entry.
+type driveRow struct {
+	Seed int64 `json:"seed"`
+	driveRun
+}
+
+type driveFixture struct {
+	Sequences []driveRow `json:"sequences"`
+	// CloneTail is cloneTail run on a clone of a space that ran
+	// cloneHistory.
+	CloneTail driveRun `json:"clone_tail"`
+}
+
+// driveSeeds is how many seeded sequences the fixture holds.
+const driveSeeds = 60
+
+// seededSteps returns the step sequence for one seed: up to 63 steps,
+// one in three a free, kinds drawn across their whole range and sizes
+// half from the whole range, half small, so many size classes recycle.
+func seededSteps(seed int64) []step {
+	r := rand.New(rand.NewSource(seed))
+	steps := make([]step, r.Intn(64))
+	for i := range steps {
+		size := r.Intn(1 << 16)
+		if r.Intn(2) == 0 {
+			size = r.Intn(64)
 		}
-		for i := range slabBases {
-			if slabBases[i] != legacyBases[i] {
-				t.Logf("alloc %d: slab base %#x, legacy base %#x", i, slabBases[i], legacyBases[i])
-				return false
-			}
+		steps[i] = step{
+			Size:  uint16(size),
+			Kind:  uint8(r.Intn(1 << 8)),
+			Free:  r.Intn(3) == 0,
+			Index: uint8(r.Intn(1 << 8)),
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	return steps
+}
+
+// runSteps drives a space and collects what the fixture records.
+func runSteps(s *Space, steps []step) driveRun {
+	bases := drive(s, steps)
+	return driveRun{Bases: bases, Stats: s.Stats, Live: s.LiveCount()}
+}
+
+var (
+	cloneHistory = []step{
+		{Size: 31}, {Size: 8}, {Size: 8}, {Free: true, Index: 1},
+		{Size: 700}, {Free: true, Index: 0}, {Size: 31}, {Size: 2047},
+	}
+	cloneTail = []step{{Size: 8}, {Size: 31}, {Free: true, Index: 0}, {Size: 30}, {Size: 500}}
+)
+
+// buildDriveFixture runs every fixture sequence on spaces from newSpace.
+func buildDriveFixture(newSpace func() *Space) driveFixture {
+	var f driveFixture
+	for seed := int64(1); seed <= driveSeeds; seed++ {
+		f.Sequences = append(f.Sequences, driveRow{Seed: seed, driveRun: runSteps(newSpace(), seededSteps(seed))})
+	}
+	s := newSpace()
+	drive(s, cloneHistory)
+	c, _ := s.Clone()
+	f.CloneTail = runSteps(c, cloneTail)
+	return f
+}
+
+var driveGoldenOnce sync.Once
+
+// loadDriveFixture reads the fixture, first rewriting it from the slab
+// allocator under -update.
+func loadDriveFixture(t *testing.T) driveFixture {
+	t.Helper()
+	var werr error
+	if *update {
+		driveGoldenOnce.Do(func() {
+			buf, err := json.MarshalIndent(buildDriveFixture(NewSpace), "", "\t")
+			if err == nil {
+				err = os.MkdirAll(filepath.Dir(driveGoldenPath), 0o755)
+			}
+			if err == nil {
+				err = os.WriteFile(driveGoldenPath, append(buf, '\n'), 0o644)
+			}
+			werr = err
+		})
+	}
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	buf, err := os.ReadFile(driveGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/memory -run TestSlabLegacyBaseParity -update` to create it)", err)
+	}
+	var f driveFixture
+	if err := json.Unmarshal(buf, &f); err != nil {
+		t.Fatalf("fixture unreadable: %v", err)
+	}
+	if len(f.Sequences) != driveSeeds {
+		t.Fatalf("fixture has %d sequences, want %d", len(f.Sequences), driveSeeds)
+	}
+	return f
+}
+
+// diffBases reports the first base address that differs from the fixture.
+func diffBases(t *testing.T, what string, want, got []AbsAddr) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s: %d allocations, fixture has %d", what, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Errorf("%s: alloc %d at base %#x, fixture %#x", what, i, got[i], want[i])
+			return
+		}
 	}
 }
 
-func TestSlabLegacyStatsParity(t *testing.T) {
-	prop := func(steps []step) bool {
-		sl, lg := NewSpace(), NewLegacySpace()
-		drive(sl, steps)
-		drive(lg, steps)
-		return sl.Stats == lg.Stats && sl.LiveCount() == lg.LiveCount()
+// TestSlabLegacyBaseParity: the slab allocator hands out exactly the base
+// addresses the map-backed allocator did, in the same order, for every
+// fixture sequence.
+func TestSlabLegacyBaseParity(t *testing.T) {
+	f := loadDriveFixture(t)
+	for _, sp := range []struct {
+		name string
+		new  func() *Space
+	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
+		for _, row := range f.Sequences {
+			got := drive(sp.new(), seededSteps(row.Seed))
+			diffBases(t, fmt.Sprintf("%s seed %d", sp.name, row.Seed), row.Bases, got)
+		}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+}
+
+// TestSlabLegacyStatsParity: after every fixture sequence the slab
+// allocator's AllocStats and live count are the map-backed allocator's.
+func TestSlabLegacyStatsParity(t *testing.T) {
+	f := loadDriveFixture(t)
+	for _, sp := range []struct {
+		name string
+		new  func() *Space
+	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
+		for _, row := range f.Sequences {
+			got := runSteps(sp.new(), seededSteps(row.Seed))
+			if got.Stats != row.Stats {
+				t.Errorf("%s seed %d: stats diverge:\n fixture %+v\n now     %+v", sp.name, row.Seed, row.Stats, got.Stats)
+			}
+			if got.Live != row.Live {
+				t.Errorf("%s seed %d: live count %d, fixture %d", sp.name, row.Seed, got.Live, row.Live)
+			}
+		}
 	}
 }
 
@@ -292,26 +436,20 @@ func TestSlabCloneIndependence(t *testing.T) {
 }
 
 func TestCloneParityBothPaths(t *testing.T) {
-	// After identical histories, a clone of either representation must
-	// behave identically: same future bases, same stats.
-	steps := []step{
-		{Size: 31}, {Size: 8}, {Size: 8}, {Free: true, Index: 1},
-		{Size: 700}, {Free: true, Index: 0}, {Size: 31}, {Size: 2047},
-	}
-	sl, lg := NewSpace(), NewLegacySpace()
-	drive(sl, steps)
-	drive(lg, steps)
-	slc, _ := sl.Clone()
-	lgc, _ := lg.Clone()
-	tail := []step{{Size: 8}, {Size: 31}, {Free: true, Index: 0}, {Size: 30}, {Size: 500}}
-	sb := drive(slc, tail)
-	lb := drive(lgc, tail)
-	for i := range sb {
-		if sb[i] != lb[i] {
-			t.Fatalf("post-clone alloc %d: slab %#x, legacy %#x", i, sb[i], lb[i])
+	// After a fixed history, a clone must go on exactly as the fixture
+	// recorded: same future bases, same stats, same live count.
+	f := loadDriveFixture(t)
+	for _, sp := range []struct {
+		name string
+		new  func() *Space
+	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
+		s := sp.new()
+		drive(s, cloneHistory)
+		c, _ := s.Clone()
+		got := runSteps(c, cloneTail)
+		diffBases(t, sp.name+" post-clone", f.CloneTail.Bases, got.Bases)
+		if got.Stats != f.CloneTail.Stats || got.Live != f.CloneTail.Live {
+			t.Errorf("%s post-clone: stats %+v live %d, fixture %+v live %d", sp.name, got.Stats, got.Live, f.CloneTail.Stats, f.CloneTail.Live)
 		}
-	}
-	if slc.Stats != lgc.Stats {
-		t.Fatalf("post-clone stats diverge:\n slab %+v\n legacy %+v", slc.Stats, lgc.Stats)
 	}
 }
