@@ -187,25 +187,16 @@ func BenchmarkFithInterpreter(b *testing.B) {
 	}
 }
 
-// Memory-system benches: the slab-backed absolute space against the
-// legacy map-backed path it replaced. The acceptance bars for PR 3 are
-// ≥2× on the allocation path and ≥3× on the clone.
-
-// newSpace builds a slab or legacy absolute space.
-func newSpace(legacy bool) *memory.Space {
-	if legacy {
-		return memory.NewLegacySpace()
-	}
-	return memory.NewSpace()
-}
+// Memory-system benches: the slab-backed absolute space. The sub-bench
+// names stay "slab" so result rows compare across history.
 
 // BenchmarkAlloc measures steady-state allocator churn in the paper's
 // dominant shape: context-sized segments recycled through the free lists
 // (§2.3 — 85% of allocations are contexts), with a sprinkling of object
-// allocations on the side. Both sub-benches run the identical sequence;
-// the slab path differs only in host-level representation.
+// allocations on the side.
 func BenchmarkAlloc(b *testing.B) {
-	run := func(b *testing.B, space *memory.Space) {
+	b.Run("slab", func(b *testing.B) {
+		space := memory.NewSpace()
 		const depth = 64
 		segs := make([]*memory.Segment, 0, depth)
 		b.ReportAllocs()
@@ -223,21 +214,18 @@ func BenchmarkAlloc(b *testing.B) {
 				segs = segs[:0]
 			}
 		}
-	}
-	b.Run("slab", func(b *testing.B) { run(b, newSpace(false)) })
-	b.Run("legacy", func(b *testing.B) { run(b, newSpace(true)) })
+	})
 }
 
 // BenchmarkClone measures Space.Clone on an image-shaped heap: thousands
 // of live segments of mixed sizes and kinds plus pooled free segments.
 // The measured space is itself a clone, exactly as in serving — a
 // snapshot freezes one clone and workers are stamped from it — which is
-// the layout the slab path is built for: whole-slab memcpy, verbatim page
-// table, one bulk copy of the contiguous segment-header arena. The legacy
-// path deep-copies segment by segment through a pointer map either way.
+// the layout the slab space is built for: whole-slab memcpy, verbatim
+// page table, one bulk copy of the contiguous segment-header arena.
 func BenchmarkClone(b *testing.B) {
-	build := func(legacy bool) *memory.Space {
-		space := newSpace(legacy)
+	b.Run("slab", func(b *testing.B) {
+		space := memory.NewSpace()
 		// A served heap's shape: pooled contexts (32 words), a majority
 		// of small live objects (the suite's Points are 2 words, its
 		// arrays 8), and method/table segments.
@@ -258,20 +246,15 @@ func BenchmarkClone(b *testing.B) {
 		for _, seg := range dead {
 			space.Free(seg)
 		}
-		return space
-	}
-	for _, path := range []string{"slab", "legacy"} {
-		b.Run(path, func(b *testing.B) {
-			snap, _ := build(path == "legacy").Clone()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if ns, _ := snap.Clone(); ns == nil {
-					b.Fatal("nil clone")
-				}
+		snap, _ := space.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ns, _ := snap.Clone(); ns == nil {
+				b.Fatal("nil clone")
 			}
-		})
-	}
+		}
+	})
 }
 
 // Serving benches: the concurrent pool against the single-machine baseline.

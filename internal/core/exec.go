@@ -157,15 +157,11 @@ func (m *Machine) Step() error {
 	// Step 1: fetch through the instruction cache — the site's inline
 	// line handle first, one associative probe when it has gone stale.
 	ihit := false
-	if !m.Cfg.NoInlineCache {
-		if s.iline != nil {
-			_, ihit = m.IC.HitLine(s.iline, s.iaddr)
-		}
-		if !ihit {
-			s.iline, ihit = m.IC.TouchLine(s.iaddr)
-		}
-	} else {
-		ihit = m.IC.Touch(s.iaddr)
+	if s.iline != nil {
+		_, ihit = m.IC.HitLine(s.iline, s.iaddr)
+	}
+	if !ihit {
+		s.iline, ihit = m.IC.TouchLine(s.iaddr)
 	}
 	if !ihit {
 		m.Stats.Cycles += uint64(m.Cfg.Penalties.ICacheMiss)
@@ -276,7 +272,7 @@ func (m *Machine) Step() error {
 	// when it still names the same classes and its ITLB line survives.
 	var entry itlb.Entry
 	hit := false
-	if s.icOK && s.icGen == m.icGen && s.icB == bClass && s.icC == cClass && !m.Cfg.NoITLB && !m.Cfg.NoInlineCache {
+	if s.icOK && s.icGen == m.icGen && s.icB == bClass && s.icC == cClass && !m.Cfg.NoITLB {
 		entry, hit = m.ITLB.HitLine(s.icLine, s.icKey)
 	}
 	if !hit {
@@ -286,7 +282,7 @@ func (m *Machine) Step() error {
 		if err != nil {
 			return err
 		}
-		if ln != nil && !m.Cfg.NoInlineCache {
+		if ln != nil {
 			s.icB, s.icC, s.icKey, s.icLine = bClass, cClass, packed, ln
 			s.icGen, s.icOK = m.icGen, true
 		}

@@ -14,8 +14,7 @@ import (
 // ITLB. Both are pure simulator accelerations: a site hit replays exactly
 // the bookkeeping the associative probe would have performed (see
 // cache.HitLine), so modelled cycles, hit ratios and replacement decisions
-// are bit-identical to probing the caches on every step. Config.NoInlineCache
-// disables the site caches for the parity tests that prove it.
+// are bit-identical to probing the caches on every step.
 
 // Operand plans classify an operand descriptor once, at predecode time.
 // The two invalid modes defer the trap: a bad descriptor traps when

@@ -24,11 +24,11 @@
 // inline-cache hit replays exactly the bookkeeping of the associative
 // probe it short-circuits (recency stamp, clock advance, hit counter; see
 // cache.HitLine), and a stale site falls back to the probe, which then
-// counts the access. The machine simulated is therefore bit-identical
-// whether the fast path is on or off — Config.NoInlineCache disables it,
-// and the accounting-parity tests in package workload run the full suite
-// both ways (ITLB enabled and the NoITLB ablation) asserting identical
-// Stats, ITLB counters and checksums.
+// counts the access. The machine simulated is therefore the one the
+// paper describes, whatever the inline caches hold: package workload's
+// TestFastPathStatsParity runs every suite program on a fresh machine and
+// on a snapshot clone whose inline caches start cold, and its
+// machine.golden.json pins the accounting of both against history.
 package core
 
 import (
@@ -97,27 +97,6 @@ type Config struct {
 	MaxSteps   uint64 // safety limit per Run; 0 means the default
 	NoITLB     bool   // ablation: perform full method lookup on every dispatch
 	Privileged bool   // initial PS privilege (allows the as instruction)
-
-	// NoInlineCache disables the per-site inline caches in front of the
-	// ITLB and the instruction cache, forcing every access down the
-	// associative-probe path. Semantics and modelled statistics are
-	// identical either way (the parity tests prove it); the flag exists
-	// for those tests and for timing ablations of the simulator itself.
-	NoInlineCache bool
-
-	// LegacySpace selects the PR 2 map-backed absolute space (map
-	// segment lookup, by-size reuse map, unconditional zero-fill,
-	// per-segment clone) instead of the slab-backed allocator. Base
-	// addresses and every modelled statistic are identical either way —
-	// the memory stats-parity tests prove it; the flag exists for those
-	// tests and for host-level timing ablations.
-	LegacySpace bool
-
-	// ZeroFillContexts restores zero-filling of recycled context
-	// segments on the slab path (which elides it: a fresh context is
-	// initialised by clearing its context-cache block, never by reading
-	// the segment). The legacy path always fills.
-	ZeroFillContexts bool
 
 	// OnEvent, when set, receives every executed instruction.
 	OnEvent func(Event)
@@ -379,13 +358,7 @@ func (p CodePtr) Valid() bool { return p.Method != nil }
 // New builds a machine with a fresh image and bootstrapped primitives.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
-	var space *memory.Space
-	if cfg.LegacySpace {
-		space = memory.NewLegacySpace()
-	} else {
-		space = memory.NewSpace()
-		space.ZeroFillContexts = cfg.ZeroFillContexts
-	}
+	space := memory.NewSpace()
 	img := object.NewImage()
 	m := &Machine{
 		Cfg:           cfg,

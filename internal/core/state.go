@@ -93,9 +93,6 @@ type MachineState struct {
 // state (the golden-image and determinism tests lean on this).
 func (s *Snapshot) ExportState() (*MachineState, error) {
 	m := s.frozen
-	if m.Cfg.LegacySpace {
-		return nil, fmt.Errorf("core: machines on the legacy map-backed space are not serialisable")
-	}
 
 	// Methods referenced outside every dictionary — displaced by
 	// redefinition but still held by the code index or a warm ITLB line —
@@ -219,9 +216,6 @@ func validateConfig(cfg Config) error {
 	if err := cfg.ICache.Validate(); err != nil {
 		return fmt.Errorf("core: icache: %w", err)
 	}
-	if cfg.LegacySpace {
-		return fmt.Errorf("core: legacy-space images are not loadable")
-	}
 	return nil
 }
 
@@ -249,9 +243,6 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 	}
 	if st.Team.ATLBEntries != cfg.ATLB.Entries || st.Team.ATLBAssoc != cfg.ATLB.Assoc {
 		return nil, fmt.Errorf("core: ATLB geometry %d×%d disagrees with config %+v", st.Team.ATLBEntries, st.Team.ATLBAssoc, cfg.ATLB)
-	}
-	if st.Space.ZeroFillContexts != cfg.ZeroFillContexts {
-		return nil, fmt.Errorf("core: space zero-fill flag disagrees with config")
 	}
 	if st.Free.Words != cfg.CtxWords {
 		return nil, fmt.Errorf("core: %d-word pooled contexts disagree with %d-word config", st.Free.Words, cfg.CtxWords)

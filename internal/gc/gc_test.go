@@ -246,7 +246,8 @@ func TestIncrementalCollectMatchesFull(t *testing.T) {
 }
 
 // Collecting garbageMachine(25) leaves these statistics. They were read
-// while the map-backed space still existed and collected identically.
+// while the map-backed allocator the slab one replaced still existed and
+// collected identically.
 var (
 	pinnedCollect = gc.Stats{Marked: 9, SweptObjects: 25, RecycledContexts: 0, Live: 9}
 	pinnedAlloc   = memory.AllocStats{
@@ -257,18 +258,16 @@ var (
 	pinnedLive = 9
 )
 
-func TestCollectParityLegacySpace(t *testing.T) {
-	for _, cfg := range []core.Config{{}, {LegacySpace: true}} {
-		m, _ := garbageMachine(t, cfg, 25)
-		if st := gc.Collect(m); st != pinnedCollect {
-			t.Fatalf("gc stats diverge:\n pinned %+v\n now    %+v", pinnedCollect, st)
-		}
-		if m.Space.Stats != pinnedAlloc {
-			t.Fatalf("alloc stats diverge:\n pinned %+v\n now    %+v", pinnedAlloc, m.Space.Stats)
-		}
-		if got := m.Space.LiveCount(); got != pinnedLive {
-			t.Fatalf("live count %d, pinned %d", got, pinnedLive)
-		}
+func TestCollectMatchesPinnedStats(t *testing.T) {
+	m, _ := garbageMachine(t, core.Config{}, 25)
+	if st := gc.Collect(m); st != pinnedCollect {
+		t.Fatalf("gc stats diverge:\n pinned %+v\n now    %+v", pinnedCollect, st)
+	}
+	if m.Space.Stats != pinnedAlloc {
+		t.Fatalf("alloc stats diverge:\n pinned %+v\n now    %+v", pinnedAlloc, m.Space.Stats)
+	}
+	if got := m.Space.LiveCount(); got != pinnedLive {
+		t.Fatalf("live count %d, pinned %d", got, pinnedLive)
 	}
 }
 

@@ -281,8 +281,10 @@ func encConfig(e *enc, cfg core.Config) {
 	e.u64(cfg.MaxSteps)
 	e.bool(cfg.NoITLB)
 	e.bool(cfg.Privileged)
-	e.bool(cfg.NoInlineCache)
-	e.bool(cfg.ZeroFillContexts)
+	// Two reserved bytes: the retired inline-cache and context zero-fill
+	// ablation switches, always 0.
+	e.u8(0)
+	e.u8(0)
 }
 
 func decConfig(d *dec) core.Config {
@@ -307,8 +309,8 @@ func decConfig(d *dec) core.Config {
 	cfg.MaxSteps = d.u64()
 	cfg.NoITLB = d.bool()
 	cfg.Privileged = d.bool()
-	cfg.NoInlineCache = d.bool()
-	cfg.ZeroFillContexts = d.bool()
+	d.reserved("config's no-inline-cache")
+	d.reserved("config's context zero-fill")
 	return cfg
 }
 
@@ -362,7 +364,7 @@ func decAllocStats(d *dec) memory.AllocStats {
 
 func encSpace(e *enc, st *memory.SpaceState) {
 	e.u64(uint64(st.NextBase))
-	e.bool(st.ZeroFillContexts)
+	e.u8(0) // reserved: the retired context zero-fill switch
 	encAllocStats(e, st.Stats)
 	e.i64(int64(st.Live))
 	e.bool(st.Compacted)
@@ -401,7 +403,7 @@ func encSpace(e *enc, st *memory.SpaceState) {
 func decSpace(d *dec) *memory.SpaceState {
 	st := &memory.SpaceState{}
 	st.NextBase = memory.AbsAddr(d.u64())
-	st.ZeroFillContexts = d.bool()
+	d.reserved("space's context zero-fill")
 	st.Stats = decAllocStats(d)
 	st.Live = int(d.i64())
 	st.Compacted = d.bool()

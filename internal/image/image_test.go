@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"hash/crc32"
 	"os"
@@ -218,13 +219,47 @@ func TestImageDeterministic(t *testing.T) {
 	}
 }
 
-// TestImageRejectsLegacySpace: the map-backed ablation has no stable
-// segment ids and must refuse to serialise rather than write garbage.
-func TestImageRejectsLegacySpace(t *testing.T) {
+// reservedBytes returns the offsets of the image's three reserved bytes,
+// each with the offset of its section's header: the config section's last
+// two payload bytes and the byte after the space section's NextBase.
+func reservedBytes(img []byte) (offs, headers []int) {
+	const hdr, secHdr = 24, 16
+	configLen := int(binary.LittleEndian.Uint64(img[hdr+4:]))
+	config := hdr + secHdr
+	space := config + configLen
+	return []int{config + configLen - 2, config + configLen - 1, space + secHdr + 8},
+		[]int{hdr, hdr, space}
+}
+
+// fixSectionCRC recomputes the CRC of the section whose header starts at
+// sec, so a deliberate payload edit is judged by the decoder, not the CRC.
+func fixSectionCRC(img []byte, sec int) []byte {
+	n := int(binary.LittleEndian.Uint64(img[sec+4:]))
+	binary.LittleEndian.PutUint32(img[sec+12:], crc32.ChecksumIEEE(img[sec+16:sec+16+n]))
+	return img
+}
+
+// TestImageRejectsReservedBytes: the bytes that once held the inline-cache
+// and context zero-fill ablation switches are written as 0, and an image
+// that sets any of them is refused with a descriptive error.
+func TestImageRejectsReservedBytes(t *testing.T) {
 	p := workload.Arith()
-	snap := snapshotOf(t, p, core.Config{LegacySpace: true})
-	if err := Write(&bytes.Buffer{}, snap); err == nil {
-		t.Fatal("legacy-space snapshot serialised without error")
+	snap := snapshotOf(t, p, core.Config{})
+	_, img := roundTrip(t, snap)
+	offs, headers := reservedBytes(img)
+	for i, off := range offs {
+		if img[off] != 0 {
+			t.Fatalf("reserved byte %d at offset %d is %#x, want 0", i, off, img[off])
+		}
+		if _, err := Read(bytes.NewReader(fixSectionCRC(bytes.Clone(img), headers[i]))); err != nil {
+			t.Fatalf("reserved byte %d: an image with its CRC recomputed unchanged fails: %v", i, err)
+		}
+		set := bytes.Clone(img)
+		set[off] = 1
+		_, err := Read(bytes.NewReader(fixSectionCRC(set, headers[i])))
+		if err == nil || !contains(err, "retired") {
+			t.Errorf("reserved byte %d set: %v, want the retired-switch refusal", i, err)
+		}
 	}
 }
 

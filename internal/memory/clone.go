@@ -13,12 +13,10 @@ import (
 
 // SegMap maps segments of a cloned space's source to their clones, so
 // callers (descriptor tables, free lists, method indexes) can rewrite
-// their own segment pointers. On the slab path the mapping is an O(1)
-// slice lookup through the position-stable segment id; the legacy path
-// keeps the PR 2 pointer map.
+// their own segment pointers. The mapping is an O(1) slice lookup through
+// the position-stable segment id.
 type SegMap struct {
 	arena []Segment
-	m     map[*Segment]*Segment
 }
 
 // Of returns the clone of a source segment; nil maps to nil.
@@ -26,26 +24,19 @@ func (sm SegMap) Of(seg *Segment) *Segment {
 	if seg == nil {
 		return nil
 	}
-	if sm.m != nil {
-		return sm.m[seg]
-	}
 	return &sm.arena[seg.id]
 }
 
 // Clone returns an independent deep copy of absolute space together with
 // the segment map callers use to rewrite their own segment pointers.
 //
-// On the slab path the clone is a bulk operation: each slab is copied with
+// The clone is a bulk operation: each slab is copied with
 // one allocation and one memcpy, the dense page table and window index are
 // copied verbatim (segment ids are position-stable across the clone), and
 // the segment headers are rebuilt into one contiguous array whose entries
 // re-point their Data at the cloned slabs by offset — no per-segment
-// allocation, no pointer-map probes. The legacy path keeps the PR 2
-// per-segment deep copy.
+// allocation, no pointer-map probes.
 func (s *Space) Clone() (*Space, SegMap) {
-	if s.legacy {
-		return s.cloneLegacy()
-	}
 	// The page table's doubling slack past the base high-water mark is
 	// all zeros; the clone re-grows on demand instead of copying it.
 	hw := uint64(s.nextBase)
@@ -53,13 +44,12 @@ func (s *Space) Clone() (*Space, SegMap) {
 		hw = uint64(len(s.table))
 	}
 	ns := &Space{
-		windows:          append([]int32(nil), s.windows...),
-		table:            append([]int32(nil), s.table[:hw]...),
-		live:             s.live,
-		orderDead:        s.orderDead,
-		nextBase:         s.nextBase,
-		ZeroFillContexts: s.ZeroFillContexts,
-		Stats:            s.Stats,
+		windows:   append([]int32(nil), s.windows...),
+		table:     append([]int32(nil), s.table[:hw]...),
+		live:      s.live,
+		orderDead: s.orderDead,
+		nextBase:  s.nextBase,
+		Stats:     s.Stats,
 	}
 	ns.slabs = make([]slab, len(s.slabs))
 	for i, sl := range s.slabs {
@@ -119,50 +109,6 @@ func (s *Space) Clone() (*Space, SegMap) {
 		ns.free[cls] = nl
 	}
 	return ns, SegMap{arena: arr}
-}
-
-// cloneLegacy is the PR 2 per-segment deep copy through a pointer map.
-func (s *Space) cloneLegacy() (*Space, SegMap) {
-	segMap := make(map[*Segment]*Segment, len(s.order))
-	ns := &Space{
-		legacy:           true,
-		segs:             make(map[AbsAddr]*Segment, len(s.segs)),
-		order:            make([]*Segment, 0, len(s.order)),
-		orderDead:        s.orderDead,
-		compacted:        true,
-		nextBase:         s.nextBase,
-		reuse:            make(map[uint64][]*Segment, len(s.reuse)),
-		ZeroFillContexts: s.ZeroFillContexts,
-		Stats:            s.Stats,
-	}
-	cloneSeg := func(seg *Segment) *Segment {
-		cp := &Segment{}
-		*cp = *seg
-		cp.Data = make([]word.Word, len(seg.Data), cap(seg.Data))
-		copy(cp.Data, seg.Data)
-		segMap[seg] = cp
-		return cp
-	}
-	for _, seg := range s.order {
-		ns.order = append(ns.order, cloneSeg(seg))
-	}
-	for base, seg := range s.segs {
-		ns.segs[base] = segMap[seg]
-	}
-	for size, list := range s.reuse {
-		nl := make([]*Segment, len(list))
-		for i, seg := range list {
-			cp, ok := segMap[seg]
-			if !ok {
-				// Freed and compacted out of the scan list; reachable
-				// only through the reuse map.
-				cp = cloneSeg(seg)
-			}
-			nl[i] = cp
-		}
-		ns.reuse[size] = nl
-	}
-	return ns, SegMap{m: segMap}
 }
 
 // Clone returns an independent copy of the team space over the given

@@ -41,14 +41,12 @@
 // Context segments recycled through the free lists skip the zero-fill the
 // allocator otherwise performs: the machine initialises a fresh context by
 // clearing its context-cache block (§2.3), never by reading the segment, so
-// the fill is pure host-side overhead on the hottest allocation path. The
-// ZeroFillContexts switch restores it for ablations.
+// the fill is pure host-side overhead on the hottest allocation path.
 //
-// NewLegacySpace builds the PR 2 map-backed allocator instead. Both paths
-// assign identical base addresses and recycle segments in an identical
-// order, so every modelled statistic (AllocStats, ATLB/hierarchy counters,
-// GC stats) is bit-identical between them — the stats-parity suite in
-// package workload proves it on the full workload suite.
+// The slab allocator replaced a map-backed one and assigns the same base
+// addresses, in the same reuse order, with the same statistics;
+// testdata/drive.golden.json pins that behaviour from the days both
+// existed side by side.
 package memory
 
 import (
@@ -112,8 +110,8 @@ type Segment struct {
 	// when the context is recycled.
 	Captured bool
 
-	// id is the segment's index in the space's all-segments slice (slab
-	// path only); slab is the index of the slab backing Data. inOrder
+	// id is the segment's index in the space's all-segments slice; slab
+	// is the index of the slab backing Data. inOrder
 	// records membership in the allocation-order scan list, so a segment
 	// compacted out after a Free is re-listed when it is recycled.
 	id      int32
@@ -182,13 +180,9 @@ const numFreeClasses = 64
 // Space is absolute space: an aligned segment allocator plus the global
 // segment index. Segments are aligned on multiples of their (power of two
 // rounded) size, as §3.1 requires, so base|offset == base+offset. See the
-// package comment for the slab layout; a Space built by NewLegacySpace uses
-// the PR 2 map-backed representation instead (retained as an ablation and
-// as the baseline the stats-parity suite compares against).
+// package comment for the slab layout.
 type Space struct {
-	legacy bool
-
-	// Slab representation. Segment headers live in two stores: headers,
+	// Segment headers live in two stores: headers,
 	// a contiguous arena laid down by Clone (position == id), and extra,
 	// individually allocated headers for segments carved after the space
 	// was cloned (ids continue past the arena). A snapshot's space is
@@ -202,18 +196,13 @@ type Space struct {
 	free    [numFreeClasses][]*Segment
 	live    int
 
-	// Legacy representation.
-	segs  map[AbsAddr]*Segment  // live segments by base
-	reuse map[uint64][]*Segment // freed segments by rounded size
-
 	// order is the scan list: every listed segment in allocation order,
 	// freed entries included until compaction removes them. orderDead
 	// counts the freed entries still listed; when they outnumber the
 	// live ones the list is compacted (amortised O(1) per Free), fixing
-	// the unbounded dead-entry walk of the PR 2 scan path. On the slab
-	// path the list stays implicit — id order IS allocation order — and
-	// is only materialised by the first compaction (compacted flag); the
-	// legacy path always keeps it explicit, as PR 2 did.
+	// the unbounded dead-entry walk of the PR 2 scan path. The list
+	// stays implicit — id order IS allocation order — and is only
+	// materialised by the first compaction (compacted flag).
 	order     []*Segment
 	orderDead int
 	compacted bool
@@ -225,11 +214,6 @@ type Space struct {
 	// deferred so the sweep's snapshot stays valid.
 	gcActive bool
 
-	// ZeroFillContexts restores the zero-fill of recycled context
-	// segments that the slab path elides (ablation switch; the legacy
-	// path always fills, as PR 2 did).
-	ZeroFillContexts bool
-
 	Stats AllocStats
 }
 
@@ -237,21 +221,6 @@ type Space struct {
 // allocated so it can serve as a null of sorts in tables.
 func NewSpace() *Space {
 	return &Space{nextBase: 1} // keep 0 unused; first alloc aligns past it
-}
-
-// NewLegacySpace returns an empty absolute space using the PR 2 map-backed
-// allocator: segment lookup through a map, reuse through a by-size map,
-// per-word zero-fill on every allocation, and per-segment deep clone. It
-// exists as the baseline of the stats-parity suite and for ablations.
-func NewLegacySpace() *Space {
-	return &Space{
-		legacy:           true,
-		segs:             make(map[AbsAddr]*Segment),
-		reuse:            make(map[uint64][]*Segment),
-		nextBase:         1,
-		compacted:        true, // the legacy scan list is always explicit
-		ZeroFillContexts: true,
-	}
 }
 
 // numSegs returns how many segments the space has ever carved.
@@ -280,7 +249,7 @@ func pow2ceil(n uint64) uint64 {
 // Alloc carves a new aligned segment of the given size (at least 1 word),
 // class and kind. Freed segments of the same rounded size are reused —
 // this is the "single free list" fast path for contexts. Recycled context
-// segments are handed back without zero-fill (see ZeroFillContexts).
+// segments are handed back without zero-fill (see the package comment).
 func (s *Space) Alloc(size uint64, class word.Class, kind Kind) *Segment {
 	if size == 0 {
 		size = 1
@@ -294,7 +263,7 @@ func (s *Space) Alloc(size uint64, class word.Class, kind Kind) *Segment {
 		seg.Kind = kind
 		seg.Mark = s.gcActive
 		seg.Data = seg.Data[:size]
-		if s.legacy || s.ZeroFillContexts || kind != KindContext {
+		if kind != KindContext {
 			for i := range seg.Data {
 				seg.Data[i] = word.Uninit
 			}
@@ -304,46 +273,26 @@ func (s *Space) Alloc(size uint64, class word.Class, kind Kind) *Segment {
 	}
 	base := (s.nextBase + AbsAddr(rounded) - 1) &^ (AbsAddr(rounded) - 1)
 	s.nextBase = base + AbsAddr(rounded)
-	var seg *Segment
-	if s.legacy {
-		seg = &Segment{
-			Base:  base,
-			Data:  make([]word.Word, size, rounded),
-			Class: class,
-			Kind:  kind,
-		}
-	} else {
-		// carve first: it creates the slab and its window entry, which
-		// the slab index below reads.
-		data := s.carve(base, size, rounded)
-		seg = &Segment{
-			Base:  base,
-			Data:  data,
-			Class: class,
-			Kind:  kind,
-			id:    int32(s.numSegs()),
-			slab:  s.windows[base>>slabShift] - 1,
-		}
-		s.extra = append(s.extra, seg)
+	// carve first: it creates the slab and its window entry, which the
+	// slab index below reads.
+	data := s.carve(base, size, rounded)
+	seg := &Segment{
+		Base:  base,
+		Data:  data,
+		Class: class,
+		Kind:  kind,
+		Mark:  s.gcActive,
+		id:    int32(s.numSegs()),
+		slab:  s.windows[base>>slabShift] - 1,
 	}
-	seg.Mark = s.gcActive
+	s.extra = append(s.extra, seg)
 	s.install(seg)
 	return seg
 }
 
-// popFree pops the most recently freed segment of the rounded size, if any.
-// Both representations recycle LIFO per size class, so the sequence of
-// bases an allocation pattern observes is identical between them.
+// popFree pops the most recently freed segment of the rounded size, if any:
+// segments recycle LIFO per size class.
 func (s *Space) popFree(rounded uint64) *Segment {
-	if s.legacy {
-		free := s.reuse[rounded]
-		if n := len(free); n > 0 {
-			seg := free[n-1]
-			s.reuse[rounded] = free[:n-1]
-			return seg
-		}
-		return nil
-	}
 	cls := bits.TrailingZeros64(rounded)
 	list := s.free[cls]
 	if n := len(list); n > 0 {
@@ -356,15 +305,11 @@ func (s *Space) popFree(rounded uint64) *Segment {
 
 // install indexes a (re)allocated segment and lists it for scans.
 func (s *Space) install(seg *Segment) {
-	if s.legacy {
-		s.segs[seg.Base] = seg
-	} else {
-		if uint64(seg.Base) >= uint64(len(s.table)) {
-			s.growTable(uint64(seg.Base) + 1)
-		}
-		s.table[seg.Base] = seg.id + 1
-		s.live++
+	if uint64(seg.Base) >= uint64(len(s.table)) {
+		s.growTable(uint64(seg.Base) + 1)
 	}
+	s.table[seg.Base] = seg.id + 1
+	s.live++
 	if seg.inOrder {
 		s.orderDead-- // was listed as a dead entry; live again
 	} else {
@@ -437,15 +382,10 @@ func (s *Space) Free(seg *Segment) {
 	s.Stats.Frees[seg.Kind]++
 	seg.Data = seg.Data[:cap(seg.Data)]
 	rounded := pow2ceil(uint64(cap(seg.Data)))
-	if s.legacy {
-		delete(s.segs, seg.Base)
-		s.reuse[rounded] = append(s.reuse[rounded], seg)
-	} else {
-		s.table[seg.Base] = 0
-		s.live--
-		cls := bits.TrailingZeros64(rounded)
-		s.free[cls] = append(s.free[cls], seg)
-	}
+	s.table[seg.Base] = 0
+	s.live--
+	cls := bits.TrailingZeros64(rounded)
+	s.free[cls] = append(s.free[cls], seg)
 	s.orderDead++
 	s.maybeCompact()
 }
@@ -453,8 +393,7 @@ func (s *Space) Free(seg *Segment) {
 // maybeCompact drops freed entries from the scan list once they outnumber
 // the live ones, so long-running servers do not walk dead entries forever.
 // Deferred while an incremental collection is sweeping (the sweep snapshot
-// holds its own references). On the slab path the first compaction
-// materialises the until-then implicit (id-ordered) list.
+// holds its own references). The first compaction materialises the until-then implicit (id-ordered) list.
 func (s *Space) maybeCompact() {
 	n := s.scanLen()
 	if s.gcActive || n < compactMin || s.orderDead*2 <= n {
@@ -503,15 +442,10 @@ func (s *Space) SetGCActive(on bool) {
 // GCActive reports whether an incremental collection is in progress.
 func (s *Space) GCActive() bool { return s.gcActive }
 
-// ByBase returns the live segment with the given base address. On the slab
-// path this is one bounds check and one dense-table load — the O(1)
-// resolution the context cache's fault-in and the collector's marking lean
-// on.
+// ByBase returns the live segment with the given base address: one bounds
+// check and one dense-table load — the O(1) resolution the context cache's
+// fault-in and the collector's marking lean on.
 func (s *Space) ByBase(base AbsAddr) (*Segment, bool) {
-	if s.legacy {
-		seg, ok := s.segs[base]
-		return seg, ok
-	}
 	if uint64(base) >= uint64(len(s.table)) {
 		return nil, false
 	}
@@ -549,9 +483,6 @@ func (s *Space) AppendLive(dst []*Segment) []*Segment {
 
 // LiveCount returns the number of live segments.
 func (s *Space) LiveCount() int {
-	if s.legacy {
-		return len(s.segs)
-	}
 	return s.live
 }
 

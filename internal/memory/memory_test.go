@@ -73,40 +73,29 @@ func TestContextZeroFillElision(t *testing.T) {
 	// Recycled context segments skip the zero-fill: the machine
 	// initialises a fresh context by clearing its context-cache block,
 	// never by reading the segment, so the fill is elided on the hottest
-	// allocation path. The ablation switch restores it; the legacy space
-	// always fills.
-	for _, tc := range []struct {
-		name    string
-		space   *Space
-		cleared bool
-	}{
-		{"slab", NewSpace(), false},
-		{"slab/zerofill", func() *Space { s := NewSpace(); s.ZeroFillContexts = true; return s }(), true},
-		{"legacy", NewLegacySpace(), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := tc.space.Alloc(32, 0, KindContext)
-			a.Data[3] = word.FromInt(99)
-			tc.space.Free(a)
-			b := tc.space.Alloc(32, 0, KindContext)
-			if b.Base != a.Base {
-				t.Fatalf("freed context not reused")
-			}
-			if got := b.Data[3].IsUninit(); got != tc.cleared {
-				t.Fatalf("cleared = %v, want %v", got, tc.cleared)
-			}
-			// Reused object segments are always cleared, whatever the
-			// switch says.
-			tc.space.Free(b)
-			c := tc.space.Alloc(32, 0, KindObject)
-			if c.Base != a.Base {
-				t.Fatalf("freed segment not reused for object")
-			}
-			if !c.Data[3].IsUninit() {
-				t.Fatal("reused object segment not cleared")
-			}
-		})
-	}
+	// allocation path.
+	t.Run("slab", func(t *testing.T) {
+		s := NewSpace()
+		a := s.Alloc(32, 0, KindContext)
+		a.Data[3] = word.FromInt(99)
+		s.Free(a)
+		b := s.Alloc(32, 0, KindContext)
+		if b.Base != a.Base {
+			t.Fatalf("freed context not reused")
+		}
+		if b.Data[3].IsUninit() {
+			t.Fatal("recycled context was zero-filled")
+		}
+		// Reused object segments are always cleared.
+		s.Free(b)
+		c := s.Alloc(32, 0, KindObject)
+		if c.Base != a.Base {
+			t.Fatalf("freed segment not reused for object")
+		}
+		if !c.Data[3].IsUninit() {
+			t.Fatal("reused object segment not cleared")
+		}
+	})
 }
 
 func TestSpaceDoubleFreeIgnored(t *testing.T) {

@@ -14,11 +14,11 @@ import (
 	"repro/internal/word"
 )
 
-// The slab-backed and legacy map-backed allocators must be observationally
-// identical apart from host-level speed: same base addresses, same reuse
-// order, same statistics. These tests drive both representations through
-// the same sequences and compare them, plus cover the slab-only machinery
-// (dedicated slabs, page-table growth, scan-list compaction, bulk clone).
+// The slab allocator must hand out the base addresses, in the reuse order
+// and with the statistics, that the map-backed allocator it replaced did.
+// These tests drive it through the fixture's sequences and compare, plus
+// cover the slab machinery itself (dedicated slabs, page-table growth,
+// scan-list compaction, bulk clone).
 
 // step is one allocator operation in a generated sequence: allocate a
 // segment of Size words, or free the (Index mod live)th live segment.
@@ -185,34 +185,22 @@ func diffBases(t *testing.T, what string, want, got []AbsAddr) {
 // addresses the map-backed allocator did, in the same order, for every
 // fixture sequence.
 func TestSlabLegacyBaseParity(t *testing.T) {
-	f := loadDriveFixture(t)
-	for _, sp := range []struct {
-		name string
-		new  func() *Space
-	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
-		for _, row := range f.Sequences {
-			got := drive(sp.new(), seededSteps(row.Seed))
-			diffBases(t, fmt.Sprintf("%s seed %d", sp.name, row.Seed), row.Bases, got)
-		}
+	for _, row := range loadDriveFixture(t).Sequences {
+		got := drive(NewSpace(), seededSteps(row.Seed))
+		diffBases(t, fmt.Sprintf("seed %d", row.Seed), row.Bases, got)
 	}
 }
 
 // TestSlabLegacyStatsParity: after every fixture sequence the slab
 // allocator's AllocStats and live count are the map-backed allocator's.
 func TestSlabLegacyStatsParity(t *testing.T) {
-	f := loadDriveFixture(t)
-	for _, sp := range []struct {
-		name string
-		new  func() *Space
-	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
-		for _, row := range f.Sequences {
-			got := runSteps(sp.new(), seededSteps(row.Seed))
-			if got.Stats != row.Stats {
-				t.Errorf("%s seed %d: stats diverge:\n fixture %+v\n now     %+v", sp.name, row.Seed, row.Stats, got.Stats)
-			}
-			if got.Live != row.Live {
-				t.Errorf("%s seed %d: live count %d, fixture %d", sp.name, row.Seed, got.Live, row.Live)
-			}
+	for _, row := range loadDriveFixture(t).Sequences {
+		got := runSteps(NewSpace(), seededSteps(row.Seed))
+		if got.Stats != row.Stats {
+			t.Errorf("seed %d: stats diverge:\n fixture %+v\n now     %+v", row.Seed, row.Stats, got.Stats)
+		}
+		if got.Live != row.Live {
+			t.Errorf("seed %d: live count %d, fixture %d", row.Seed, got.Live, row.Live)
 		}
 	}
 }
@@ -436,20 +424,21 @@ func TestSlabCloneIndependence(t *testing.T) {
 }
 
 func TestCloneParityBothPaths(t *testing.T) {
-	// After a fixed history, a clone must go on exactly as the fixture
-	// recorded: same future bases, same stats, same live count.
-	f := loadDriveFixture(t)
-	for _, sp := range []struct {
-		name string
-		new  func() *Space
-	}{{"slab", NewSpace}, {"legacy", NewLegacySpace}} {
-		s := sp.new()
-		drive(s, cloneHistory)
-		c, _ := s.Clone()
-		got := runSteps(c, cloneTail)
-		diffBases(t, sp.name+" post-clone", f.CloneTail.Bases, got.Bases)
-		if got.Stats != f.CloneTail.Stats || got.Live != f.CloneTail.Live {
-			t.Errorf("%s post-clone: stats %+v live %d, fixture %+v live %d", sp.name, got.Stats, got.Live, f.CloneTail.Stats, f.CloneTail.Live)
+	// After a fixed history, a clone and the space it was cloned from
+	// must each go on exactly as the fixture recorded: same future bases,
+	// same stats, same live count.
+	want := loadDriveFixture(t).CloneTail
+	s := NewSpace()
+	drive(s, cloneHistory)
+	c, _ := s.Clone()
+	for _, path := range []struct {
+		name  string
+		space *Space
+	}{{"clone", c}, {"source", s}} {
+		got := runSteps(path.space, cloneTail)
+		diffBases(t, path.name+" post-clone", want.Bases, got.Bases)
+		if got.Stats != want.Stats || got.Live != want.Live {
+			t.Errorf("%s post-clone: stats %+v live %d, fixture %+v live %d", path.name, got.Stats, got.Live, want.Stats, want.Live)
 		}
 	}
 }

@@ -49,22 +49,20 @@ type FreeClassState struct {
 
 // SpaceState is the complete serialisable state of a slab-backed Space.
 type SpaceState struct {
-	NextBase         AbsAddr
-	ZeroFillContexts bool
-	Stats            AllocStats
-	Live             int
-	Compacted        bool
-	OrderDead        int
-	Slabs            []SlabState
-	Windows          []int32
-	Table            []int32
-	Segments         []SegmentState
-	Free             []FreeClassState
-	Order            []int32 // allocation-order scan list; nil until first compaction
+	NextBase  AbsAddr
+	Stats     AllocStats
+	Live      int
+	Compacted bool
+	OrderDead int
+	Slabs     []SlabState
+	Windows   []int32
+	Table     []int32
+	Segments  []SegmentState
+	Free      []FreeClassState
+	Order     []int32 // allocation-order scan list; nil until first compaction
 }
 
-// SegIndex returns the position-stable id of a segment of a slab-backed
-// space — the index ImportSpace preserves. Layers above the space export
+// SegIndex returns the position-stable id of a segment — the index ImportSpace preserves. Layers above the space export
 // their segment pointers through it.
 func (s *Space) SegIndex(seg *Segment) int32 {
 	if seg == nil {
@@ -81,26 +79,20 @@ func (s *Space) SegAt(id int32) (*Segment, bool) {
 	return s.segByID(id), true
 }
 
-// ExportState flattens the space. Only the slab representation is
-// serialisable; the legacy map-backed ablation is not (its segments have
-// no stable ids), and a space mid-collection is refused because the
-// sweeper's snapshot cannot travel.
+// ExportState flattens the space. A space mid-collection is refused
+// because the sweeper's snapshot cannot travel.
 func (s *Space) ExportState() (*SpaceState, error) {
-	if s.legacy {
-		return nil, fmt.Errorf("memory: legacy map-backed space is not serialisable")
-	}
 	if s.gcActive {
 		return nil, fmt.Errorf("memory: space has an incremental collection in progress")
 	}
 	st := &SpaceState{
-		NextBase:         s.nextBase,
-		ZeroFillContexts: s.ZeroFillContexts,
-		Stats:            s.Stats,
-		Live:             s.live,
-		Compacted:        s.compacted,
-		OrderDead:        s.orderDead,
-		Windows:          slices.Clone(s.windows),
-		Table:            slices.Clone(s.table),
+		NextBase:  s.nextBase,
+		Stats:     s.Stats,
+		Live:      s.live,
+		Compacted: s.compacted,
+		OrderDead: s.orderDead,
+		Windows:   slices.Clone(s.windows),
+		Table:     slices.Clone(s.table),
 	}
 	st.Slabs = make([]SlabState, len(s.slabs))
 	for i, sl := range s.slabs {
@@ -149,14 +141,13 @@ func (s *Space) ExportState() (*SpaceState, error) {
 // returns freshly cloned arrays.
 func ImportSpace(st *SpaceState) (*Space, error) {
 	s := &Space{
-		nextBase:         st.NextBase,
-		ZeroFillContexts: st.ZeroFillContexts,
-		Stats:            st.Stats,
-		live:             st.Live,
-		compacted:        st.Compacted,
-		orderDead:        st.OrderDead,
-		windows:          st.Windows,
-		table:            st.Table,
+		nextBase:  st.NextBase,
+		Stats:     st.Stats,
+		live:      st.Live,
+		compacted: st.Compacted,
+		orderDead: st.OrderDead,
+		windows:   st.Windows,
+		table:     st.Table,
 	}
 	s.slabs = make([]slab, len(st.Slabs))
 	for i, sl := range st.Slabs {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -8,19 +9,21 @@ import (
 	"repro/internal/gc"
 	"repro/internal/itlb"
 	"repro/internal/memory"
+	"repro/internal/object"
 )
 
 // The interpreter fast path (predecoded code, per-site inline caches in
 // front of the instruction cache and the ITLB, zero-allocation dispatch)
 // and the memory-system fast path (slab-backed absolute space, dense page
-// table, size-class free lists, zero-fill elision) must be pure simulator
-// accelerations: the machine modelled is bit-identical with each of them
-// on or off. These tests run the full workload suite across the ablations
-// and assert identical checksums and identical modelled statistics on
-// every accounting surface — core.Stats, ITLB lookup and cache counters,
-// the instruction cache, the ATLB, translation counts and the allocator's
-// AllocStats. Any divergence in cycles, hit ratios or replacement
-// behaviour fails loudly.
+// table, size-class free lists, zero-fill elision, bulk clone) must be
+// pure simulator accelerations: the machine modelled is the same whatever
+// state they are in. These tests run the full workload suite along
+// different paths through them and assert identical checksums and
+// identical modelled statistics on every accounting surface — core.Stats,
+// ITLB lookup and cache counters, the instruction cache, the ATLB,
+// translation counts and the allocator's AllocStats. Any divergence in
+// cycles, hit ratios or replacement behaviour fails loudly.
+// TestMachineAccountingGolden pins the same surfaces against history.
 
 // accounted is every accounting surface the fast paths could plausibly
 // disturb.
@@ -49,10 +52,23 @@ func runAccounted(t *testing.T, p Program, cfg core.Config) accounted {
 	if err := WarmCOM(m, p); err != nil {
 		t.Fatalf("%s warmup: %v", p.Name, err)
 	}
+	return measure(t, m, p)
+}
+
+// measure runs the program's measured send on a warmed machine and returns
+// the full accounting.
+func measure(t *testing.T, m *core.Machine, p Program) accounted {
+	t.Helper()
 	sum, err := RunCOM(m, p)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
+	return account(m, sum)
+}
+
+// account collects a machine's garbage and returns its full accounting,
+// with sum as the checksum.
+func account(m *core.Machine, sum int32) accounted {
 	gcStats := gc.Collect(m)
 	return accounted{
 		Sum:    sum,
@@ -103,6 +119,16 @@ func diffAccounted(t *testing.T, want int32, a, b accounted, aName, bName string
 	}
 }
 
+// coldSites is how many executed instructions the cold run of
+// TestFastPathStatsParity lets pass between drops of every site array.
+const coldSites = 64
+
+// TestFastPathStatsParity: the per-site inline caches change no modelled
+// number. Each program runs once as usual and once with every method's
+// predecoded site array dropped every coldSites instructions, so its sites
+// keep re-predecoding and re-learning their inline caches against a warm
+// instruction cache and ITLB. Both runs must account identically, with the
+// ITLB and without it.
 func TestFastPathStatsParity(t *testing.T) {
 	for _, noITLB := range []bool{false, true} {
 		for _, p := range Suite() {
@@ -111,28 +137,84 @@ func TestFastPathStatsParity(t *testing.T) {
 				name += "/noitlb"
 			}
 			t.Run(name, func(t *testing.T) {
-				fast := runAccounted(t, p, core.Config{NoITLB: noITLB})
-				seed := runAccounted(t, p, core.Config{NoITLB: noITLB, NoInlineCache: true})
-				diffAccounted(t, p.Check, fast, seed, "fast", "seed")
+				warm := runAccounted(t, p, core.Config{NoITLB: noITLB})
+				var meths []*object.Method
+				events := 0
+				m, err := NewCOM(p, core.Config{NoITLB: noITLB, OnEvent: func(core.Event) {
+					if events++; events%coldSites == 0 {
+						for _, meth := range meths {
+							meth.Fast = nil
+						}
+					}
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Image.EachClass(func(c *object.Class) {
+					c.Methods(func(meth *object.Method) { meths = append(meths, meth) })
+				})
+				if err := WarmCOM(m, p); err != nil {
+					t.Fatal(err)
+				}
+				diffAccounted(t, p.Check, warm, measure(t, m, p), "warm", "cold")
 			})
 		}
 	}
 }
 
-// TestMemoryFastPathStatsParity pins the PR 3 claim: the slab-backed
-// absolute space — with and without the zero-fill elision — models exactly
-// the machine the PR 2 map-backed space modelled, across the whole suite
-// and through a full collection.
+// TestMemoryFastPathStatsParity: the two ways a warmed space is copied —
+// Space.Clone's bulk slab and header-arena copy, and a rebuild from its
+// exported state through ImportSpace — leave spaces that allocate,
+// recycle and collect identically. A collection before the snapshot puts
+// freed segments, free lists and a compacted scan list in both copies.
 func TestMemoryFastPathStatsParity(t *testing.T) {
 	for _, p := range Suite() {
 		t.Run(p.Name, func(t *testing.T) {
-			slab := runAccounted(t, p, core.Config{})
-			legacy := runAccounted(t, p, core.Config{LegacySpace: true})
-			filled := runAccounted(t, p, core.Config{ZeroFillContexts: true})
-			diffAccounted(t, p.Check, slab, legacy, "slab", "legacy")
-			diffAccounted(t, p.Check, slab, filled, "slab", "zerofill")
+			m, err := NewCOM(p, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := WarmCOM(m, p); err != nil {
+					t.Fatal(err)
+				}
+				gc.Collect(m)
+			}
+			snap, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := snap.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := core.ImportSnapshot(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cloned, rebuilt := snap.NewMachine(), restored.NewMachine()
+			var sums [2]int32
+			for i, m := range []*core.Machine{cloned, rebuilt} {
+				if sums[i], err = RunCOM(m, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The accounting does not see addresses; the heap's bases in
+			// scan order, before the collection, show any difference in
+			// the order segments were reused.
+			if a, b := liveBases(cloned), liveBases(rebuilt); !slices.Equal(a, b) {
+				t.Errorf("live heaps diverge in base or scan order (cloned %d segments, restored %d)", len(a), len(b))
+			}
+			diffAccounted(t, p.Check, account(cloned, sums[0]), account(rebuilt, sums[1]), "cloned", "restored")
 		})
 	}
+}
+
+// liveBases lists the base of every live segment in scan order.
+func liveBases(m *core.Machine) []memory.AbsAddr {
+	var out []memory.AbsAddr
+	m.Space.Live(func(seg *memory.Segment) { out = append(out, seg.Base) })
+	return out
 }
 
 // TestFastPathZeroAllocs pins the zero-allocation claim for the
