@@ -41,7 +41,10 @@
 //	                   batch
 //	POST /nodes/join   {"http_addr": "...", "bin_addr": "..."} — add a
 //	                   node; it starts receiving traffic when it polls
-//	                   ready
+//	                   ready. 400 unless both addresses are host:port
+//	                   with a port in 1–65535, 409 for a node already
+//	                   joined; obrouter admits its -nodes list the same
+//	                   way, so either refusal fails startup
 //	POST /nodes/leave  {"bin_addr": "..."} — remove a node; in-flight
 //	                   sends finish, new sends stop immediately
 //	GET  /programs     proxied from the first routable node
@@ -92,16 +95,7 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	flag.Parse()
 
-	specs, err := parseNodes(*nodes)
-	if err != nil {
-		log.Fatalf("obrouter: -nodes: %v", err)
-	}
-	if len(specs) == 0 {
-		log.Fatalf("obrouter: -nodes is required (HTTPADDR=BINADDR,...)")
-	}
-
-	r := cluster.New(cluster.Config{
-		Nodes:          specs,
+	r, err := newRouter(*nodes, cluster.Config{
 		ConnsPerNode:   *conns,
 		PollInterval:   *poll,
 		FailThreshold:  *failThreshold,
@@ -110,6 +104,9 @@ func main() {
 		Vnodes:         *vnodes,
 		Logf:           log.Printf,
 	})
+	if err != nil {
+		log.Fatalf("obrouter: -nodes: %v", err)
+	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -125,7 +122,7 @@ func main() {
 			log.Fatalf("obrouter: %v", err)
 		}
 	}()
-	log.Printf("obrouter: serving on %s over %d nodes", l.Addr(), len(specs))
+	log.Printf("obrouter: serving on %s over %d nodes", l.Addr(), len(r.Nodes()))
 
 	<-sig
 	log.Printf("obrouter: draining (budget %v)", *drain)
@@ -139,8 +136,29 @@ func main() {
 	log.Printf("obrouter: stopped")
 }
 
+// newRouter builds the router over the -nodes list. Each node is admitted
+// through Router.Join, the path POST /nodes/join takes, so a malformed
+// address or a duplicate fails startup instead of joining.
+func newRouter(nodes string, cfg cluster.Config) (*cluster.Router, error) {
+	specs, err := parseNodes(nodes)
+	if err != nil {
+		return nil, err
+	}
+	if len(specs) == 0 {
+		return nil, errors.New("at least one node is required (HTTPADDR=BINADDR,...)")
+	}
+	r := cluster.New(cfg)
+	for _, spec := range specs {
+		if err := r.Join(spec); err != nil {
+			r.Close()
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
 // parseNodes parses the -nodes flag: comma-separated HTTPADDR=BINADDR
-// pairs.
+// pairs. The addresses themselves are checked by Router.Join.
 func parseNodes(s string) ([]cluster.NodeSpec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -152,7 +170,7 @@ func parseNodes(s string) ([]cluster.NodeSpec, error) {
 			continue
 		}
 		httpAddr, binAddr, ok := strings.Cut(part, "=")
-		if !ok || httpAddr == "" || binAddr == "" {
+		if !ok {
 			return nil, fmt.Errorf("node %q: want HTTPADDR=BINADDR", part)
 		}
 		specs = append(specs, cluster.NodeSpec{HTTPAddr: httpAddr, BinAddr: binAddr})
@@ -294,12 +312,12 @@ func (s *routerServer) handleJoin(w http.ResponseWriter, r *http.Request) {
 		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if spec.HTTPAddr == "" || spec.BinAddr == "" {
-		httpwire.Error(w, http.StatusBadRequest, "http_addr and bin_addr are required")
-		return
-	}
 	if err := s.r.Join(cluster.NodeSpec{HTTPAddr: spec.HTTPAddr, BinAddr: spec.BinAddr}); err != nil {
-		httpwire.Error(w, http.StatusConflict, err.Error())
+		status := http.StatusConflict
+		if errors.Is(err, cluster.ErrInvalidNode) {
+			status = http.StatusBadRequest
+		}
+		httpwire.Error(w, status, err.Error())
 		return
 	}
 	httpwire.WriteJSON(w, http.StatusOK, map[string]any{"joined": spec.BinAddr, "nodes": len(s.r.Nodes())})

@@ -445,3 +445,137 @@ func TestPolledDepthCountsQueueOnce(t *testing.T) {
 		t.Fatalf("router depth for a node holding %d requests = %d, want %d", k, got, k)
 	}
 }
+
+// decodeRefusal asserts body is the httpwire error JSON and returns its
+// message.
+func decodeRefusal(t *testing.T, body []byte) string {
+	t.Helper()
+	var e struct {
+		Error string `json:"error"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&e); err != nil || e.Error == "" {
+		t.Fatalf("refusal body %q is not the error JSON (%v)", body, err)
+	}
+	return e.Error
+}
+
+// TestNodesJoinRefusals: POST /nodes/join refuses an address that is not
+// host:port with a port in 1–65535 with 400, and a node already joined
+// with 409, each time leaving the membership as it was.
+func TestNodesJoinRefusals(t *testing.T) {
+	a := startNode(t, serve.Config{Workers: 1, Timeout: 10 * time.Second})
+	r, web := startRouter(t, a)
+	good := nodeSpec(a)
+	for _, tc := range []struct {
+		name, httpAddr, binAddr string
+		want                    int
+	}{
+		{"no port", "x", "y", http.StatusBadRequest},
+		{"bad host:port", "127.0.0.1", good.BinAddr, http.StatusBadRequest},
+		{"non-numeric port", good.HTTPAddr, "127.0.0.1:http", http.StatusBadRequest},
+		{"port 0", "127.0.0.1:0", "127.0.0.1:9", http.StatusBadRequest},
+		{"port 65536", "127.0.0.1:8", "127.0.0.1:65536", http.StatusBadRequest},
+		{"no host", ":8373", "127.0.0.1:9", http.StatusBadRequest},
+		{"missing bin_addr", good.HTTPAddr, "", http.StatusBadRequest},
+		{"duplicate", good.HTTPAddr, good.BinAddr, http.StatusConflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"http_addr": %q, "bin_addr": %q}`, tc.httpAddr, tc.binAddr)
+			resp, err := http.Post(web.URL+"/nodes/join", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("join %s: %d %s, want %d", body, resp.StatusCode, buf.Bytes(), tc.want)
+			}
+			decodeRefusal(t, buf.Bytes())
+			if nodes := r.Nodes(); len(nodes) != 1 || nodes[0].BinAddr != good.BinAddr {
+				t.Fatalf("membership changed by a refused join: %d nodes", len(nodes))
+			}
+		})
+	}
+}
+
+// TestNodesFlagAdmitsThroughJoin: obrouter's -nodes list goes through
+// Router.Join, so a duplicate or a malformed address fails startup.
+func TestNodesFlagAdmitsThroughJoin(t *testing.T) {
+	cfg := cluster.Config{PollInterval: time.Hour}
+	for _, bad := range []string{
+		"127.0.0.1:1=127.0.0.1:2,127.0.0.1:1=127.0.0.1:2",
+		"127.0.0.1:1=127.0.0.1:2,x=y",
+		"",
+	} {
+		if r, err := newRouter(bad, cfg); err == nil {
+			r.Close()
+			t.Errorf("-nodes %q started a router with %d nodes", bad, len(r.Nodes()))
+		}
+	}
+	r, err := newRouter("127.0.0.1:1=127.0.0.1:2,127.0.0.1:3=127.0.0.1:4", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := len(r.Nodes()); n != 2 {
+		t.Fatalf("%d nodes, want 2", n)
+	}
+}
+
+// FuzzNodesJoinLeave drives POST /nodes/join and /nodes/leave with
+// arbitrary addresses and raw bodies against a closed router, so no
+// poller starts and nothing dials. A join answers 400 unless both
+// addresses pass NodeSpec.Validate and 409 (router closed) when they
+// do; a leave answers 400 or 404; every refusal is the error JSON.
+func FuzzNodesJoinLeave(f *testing.F) {
+	f.Add("127.0.0.1:8373", "127.0.0.1:9373", []byte(`{"bin_addr": "127.0.0.1:9373"}`))
+	f.Add("x", "y", []byte(`{"http_addr": "x", "bin_addr": "y"}`))
+	f.Add("127.0.0.1:0", "[::1]:65535", []byte(`{"http_addr": 5}`))
+	f.Add(":80", "host:65536", []byte(`not json`))
+	f.Add("h:+1", "[::1:2", []byte(``))
+	r := cluster.New(cluster.Config{})
+	r.Close()
+	s := newRouterServer(r)
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w
+	}
+	f.Fuzz(func(t *testing.T, httpAddr, binAddr string, raw []byte) {
+		refusal := func(w *httptest.ResponseRecorder, allowed ...int) {
+			t.Helper()
+			for _, code := range allowed {
+				if w.Code == code {
+					decodeRefusal(t, w.Body.Bytes())
+					return
+				}
+			}
+			t.Fatalf("status %d %s, want one of %v", w.Code, w.Body.Bytes(), allowed)
+		}
+		var spec struct {
+			HTTPAddr string `json:"http_addr"`
+			BinAddr  string `json:"bin_addr"`
+		}
+		spec.HTTPAddr, spec.BinAddr = httpAddr, binAddr
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Decode what the handler will see: invalid UTF-8 comes back
+		// replaced.
+		if err := json.Unmarshal(body, &spec); err != nil {
+			t.Fatal(err)
+		}
+		want := http.StatusConflict
+		if len(body) > 4096 || (cluster.NodeSpec{HTTPAddr: spec.HTTPAddr, BinAddr: spec.BinAddr}).Validate() != nil {
+			want = http.StatusBadRequest
+		}
+		refusal(post("/nodes/join", body), want)
+		refusal(post("/nodes/join", raw), http.StatusBadRequest, http.StatusConflict)
+		refusal(post("/nodes/leave", body), http.StatusBadRequest, http.StatusNotFound)
+		refusal(post("/nodes/leave", raw), http.StatusBadRequest, http.StatusNotFound)
+	})
+}

@@ -37,7 +37,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,11 +55,41 @@ import (
 // half-open probe to succeed.
 var ErrNoBackends = errors.New("cluster: no routable backends")
 
+// ErrInvalidNode is wrapped by Join's refusal of a NodeSpec whose
+// addresses are not both host:port with a numeric port in 1–65535: a node
+// that can never be reached must not join and count against the quorum.
+var ErrInvalidNode = errors.New("cluster: invalid node address")
+
 // NodeSpec names one backend: its HTTP control plane and obwire data
 // plane addresses.
 type NodeSpec struct {
 	HTTPAddr string
 	BinAddr  string
+}
+
+// Validate reports whether both addresses are host:port with a non-empty
+// host and a numeric port in 1–65535; a refusal wraps ErrInvalidNode.
+func (s NodeSpec) Validate() error {
+	for _, a := range [...]struct{ name, addr string }{{"http_addr", s.HTTPAddr}, {"bin_addr", s.BinAddr}} {
+		if err := checkHostPort(a.addr); err != nil {
+			return fmt.Errorf("%w: %s %q: %v", ErrInvalidNode, a.name, a.addr, err)
+		}
+	}
+	return nil
+}
+
+func checkHostPort(addr string) error {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return err
+	}
+	if host == "" {
+		return errors.New("missing host")
+	}
+	if n, err := strconv.ParseUint(port, 10, 16); err != nil || n == 0 {
+		return fmt.Errorf("port %q is not a number in 1-65535", port)
+	}
+	return nil
 }
 
 // Config tunes a Router. Zero values take the documented defaults.
@@ -317,7 +349,12 @@ func (r *Router) order(view *membership, key uint64) candidates {
 // Join adds a node to the membership and starts its poller. The ring
 // reshapes; keys that move start landing on the new node as soon as it
 // polls healthy. In-flight sends finish on the membership they loaded.
+// A spec that fails Validate, a BinAddr already in the membership and a
+// closed router are refused with the membership unchanged.
 func (r *Router) Join(spec NodeSpec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
