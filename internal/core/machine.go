@@ -24,11 +24,11 @@
 // inline-cache hit replays exactly the bookkeeping of the associative
 // probe it short-circuits (recency stamp, clock advance, hit counter; see
 // cache.HitLine), and a stale site falls back to the probe, which then
-// counts the access. The machine simulated is therefore the one the
-// paper describes, whatever the inline caches hold: package workload's
-// TestFastPathStatsParity runs every suite program on a fresh machine and
-// on a snapshot clone whose inline caches start cold, and its
-// machine.golden.json pins the accounting of both against history.
+// counts the access. The machine simulated is therefore the same whatever
+// the inline caches hold: package workload's TestFastPathStatsParity runs
+// every suite program with warm inline caches and with every site array
+// dropped every 64 instructions, and its machine.golden.json pins the
+// accounting against history.
 package core
 
 import (

@@ -42,11 +42,6 @@
 // allocator otherwise performs: the machine initialises a fresh context by
 // clearing its context-cache block (§2.3), never by reading the segment, so
 // the fill is pure host-side overhead on the hottest allocation path.
-//
-// The slab allocator replaced a map-backed one and assigns the same base
-// addresses, in the same reuse order, with the same statistics;
-// testdata/drive.golden.json pins that behaviour from the days both
-// existed side by side.
 package memory
 
 import (
@@ -199,8 +194,8 @@ type Space struct {
 	// order is the scan list: every listed segment in allocation order,
 	// freed entries included until compaction removes them. orderDead
 	// counts the freed entries still listed; when they outnumber the
-	// live ones the list is compacted (amortised O(1) per Free), fixing
-	// the unbounded dead-entry walk of the PR 2 scan path. The list
+	// live ones the list is compacted (amortised O(1) per Free), so
+	// scans never walk an unbounded run of dead entries. The list
 	// stays implicit — id order IS allocation order — and is only
 	// materialised by the first compaction (compacted flag).
 	order     []*Segment

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/fpa"
@@ -50,9 +49,9 @@ func drive(s *Space, steps []step) []AbsAddr {
 // driveGoldenPath pins what drive() observes for a fixed set of seeded
 // step sequences — every base address handed out, the AllocStats and the
 // live count — plus the tail a clone produces after a fixed history. It
-// was generated while the PR 2 map-backed allocator still existed and
-// matched it exactly, so it is the reference the slab allocator answers
-// to. Regenerate only on a deliberate allocator change:
+// was generated while the map-backed allocator the slab one replaced
+// still existed and matched it exactly, so it is the reference the slab
+// allocator answers to. Regenerate only on a deliberate allocator change:
 //
 //	go test ./internal/memory -run TestSlabLegacyBaseParity -update
 const driveGoldenPath = "testdata/drive.golden.json"
@@ -117,40 +116,33 @@ var (
 	cloneTail = []step{{Size: 8}, {Size: 31}, {Free: true, Index: 0}, {Size: 30}, {Size: 500}}
 )
 
-// buildDriveFixture runs every fixture sequence on spaces from newSpace.
-func buildDriveFixture(newSpace func() *Space) driveFixture {
+// buildDriveFixture runs every fixture sequence on fresh spaces.
+func buildDriveFixture() driveFixture {
 	var f driveFixture
 	for seed := int64(1); seed <= driveSeeds; seed++ {
-		f.Sequences = append(f.Sequences, driveRow{Seed: seed, driveRun: runSteps(newSpace(), seededSteps(seed))})
+		f.Sequences = append(f.Sequences, driveRow{Seed: seed, driveRun: runSteps(NewSpace(), seededSteps(seed))})
 	}
-	s := newSpace()
+	s := NewSpace()
 	drive(s, cloneHistory)
 	c, _ := s.Clone()
 	f.CloneTail = runSteps(c, cloneTail)
 	return f
 }
 
-var driveGoldenOnce sync.Once
-
-// loadDriveFixture reads the fixture, first rewriting it from the slab
-// allocator under -update.
+// loadDriveFixture reads the fixture, first rewriting it under -update.
 func loadDriveFixture(t *testing.T) driveFixture {
 	t.Helper()
-	var werr error
 	if *update {
-		driveGoldenOnce.Do(func() {
-			buf, err := json.MarshalIndent(buildDriveFixture(NewSpace), "", "\t")
-			if err == nil {
-				err = os.MkdirAll(filepath.Dir(driveGoldenPath), 0o755)
-			}
-			if err == nil {
-				err = os.WriteFile(driveGoldenPath, append(buf, '\n'), 0o644)
-			}
-			werr = err
-		})
-	}
-	if werr != nil {
-		t.Fatal(werr)
+		buf, err := json.MarshalIndent(buildDriveFixture(), "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(driveGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(driveGoldenPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	buf, err := os.ReadFile(driveGoldenPath)
 	if err != nil {
