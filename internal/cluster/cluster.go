@@ -15,11 +15,13 @@
 // Failover policy follows the refusal taxonomy end to end: transport
 // errors and shed responses (StatusShed — the work expired unexecuted)
 // fail over to the next candidate; overload refusals (StatusOverloaded
-// — refused at admission, nothing ran) likewise; machine errors never
-// do (the send executed and failed — retrying it elsewhere would be a
-// correctness bug, not resilience). The failover budget bounds the
-// walk, so a cluster-wide brownout degrades into fast refusals instead
-// of retry storms.
+// — refused at admission, nothing ran) likewise, and a full connection
+// window (obwire.ErrWindowFull — nothing was sent) counts as one,
+// keeping its healthy connection; machine errors never do (the send
+// executed and failed — retrying it elsewhere would be a correctness
+// bug, not resilience). The failover budget bounds the walk, so a
+// cluster-wide brownout degrades into fast refusals instead of retry
+// storms.
 //
 // Delivery contract: Router.Send is at-least-once under transport
 // failover. A transport error leaves unknown whether the node ran the

@@ -778,6 +778,94 @@ func TestRouterShedFailsOver(t *testing.T) {
 	}
 }
 
+// TestRouterWindowFullIsRefusal: with one connection per node, a slow
+// send holds DefaultWindow-1 answers behind it, so one more send finds
+// the connection's window full. That send is a refusal on a healthy
+// connection, not a dead node: it fails over as a refusal, the
+// connection stays up, every in-flight send is answered by its own node,
+// no transport failover happens and the node stays routable.
+func TestRouterWindowFullIsRefusal(t *testing.T) {
+	snap := answerSnapshot(t)
+	// Executions are counted per shard: after warm-1 warm-up sends on
+	// the key's shard, the router's first send is its warm'th execution
+	// and stalls; the window's other sends run before the next stall.
+	const warm, stall = 2048, 3 * time.Second
+	slow := startTestNode(t, snap, serve.Config{Workers: 2, QueueDepth: 2 * obwire.DefaultWindow, Timeout: 30 * time.Second,
+		Faults: &serve.Faults{StallEvery: warm, Stall: stall}})
+	other := startTestNode(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
+	r := testRouter(t, []*testNode{slow, other}, func(c *Config) { c.ConnsPerNode = 1 })
+	node := r.Nodes()[0]
+	if node.BinAddr != slow.binAddr {
+		node = r.Nodes()[1]
+	}
+	conn := func() *obwire.MuxClient {
+		node.slots[0].mu.Lock()
+		defer node.slots[0].mu.Unlock()
+		return node.slots[0].c
+	}
+	key := uint64(1) // 0 is keyless
+	for r.view.Load().ring.owner(key) != node {
+		key++
+	}
+	for i := 1; i < warm; i++ {
+		if res := slow.pool.Do(serve.Request{Receiver: word.FromInt(1), Selector: "answer", Key: key}); res.Err != nil {
+			t.Fatalf("warm-up send %d: %v", i, res.Err)
+		}
+	}
+	waitFramesIn := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(stall)
+		for slow.srv.Stats().FramesIn < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("the node read %d of %d frames", slow.srv.Stats().FramesIn, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var wg sync.WaitGroup
+	send := func(recv int32) {
+		defer wg.Done()
+		resp, err := r.Send(serve.Request{Receiver: word.FromInt(recv), Selector: "answer", Key: key})
+		if err != nil || !resp.OK() || resp.Value.Int() != recv+1 {
+			t.Errorf("send %d: %+v, %v; want %d", recv, resp, err, recv+1)
+		}
+	}
+	start := time.Now()
+	wg.Add(1)
+	go send(0)
+	waitFramesIn(1)
+	for i := int32(1); i < obwire.DefaultWindow; i++ {
+		wg.Add(1)
+		go send(i)
+	}
+	waitFramesIn(obwire.DefaultWindow)
+	full := conn()
+
+	wg.Add(1)
+	send(-1) // finds the window full and fails over
+	if time.Since(start) >= stall {
+		t.Fatalf("the window filled after the %v stall had ended: the host is too slow for this test", stall)
+	}
+	wg.Wait()
+
+	st := r.Stats()
+	if st.FailoversTransport != 0 || st.FailoversRefusal != 1 {
+		t.Errorf("failovers: transport %d, refusal %d; want 0 and 1", st.FailoversTransport, st.FailoversRefusal)
+	}
+	if ns := node.Stats(); !node.Routable() || ns.TransportErrs != 0 || ns.BreakerOpens != 0 || ns.Rejected != 1 || ns.Completed != obwire.DefaultWindow {
+		t.Errorf("window-full node: routable %v, %+v; want 1 rejected and %d completed", node.Routable(), ns, obwire.DefaultWindow)
+	}
+	if conn() != full || full.Err() != nil {
+		t.Errorf("the window-full connection was replaced or closed (err %v)", full.Err())
+	}
+	for _, ns := range st.Nodes {
+		if ns.BinAddr == other.binAddr && ns.Completed != 1 {
+			t.Errorf("the other node completed %d sends, want the 1 that failed over", ns.Completed)
+		}
+	}
+}
+
 // TestProbeCooldownPacing pins that an open breaker is probed once per
 // cooldown, not once per poll tick: a failed half-open probe must
 // re-arm the cooldown clock, or a long outage turns into a poll-rate

@@ -29,6 +29,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -280,7 +281,9 @@ func (n *Node) beginProbe() bool {
 // Do forwards one request over the node's connection pool. A returned
 // error is transport-level: the send may or may not have executed, and
 // the slot it used has been dropped for redial. In-band refusals come
-// back in the Response.
+// back in the Response, and so does a full connection window: nothing
+// was sent on a healthy connection, so it is answered StatusOverloaded
+// and the connection kept.
 func (n *Node) Do(req serve.Request) (obwire.Response, error) {
 	n.outstanding.Add(1)
 	defer n.outstanding.Add(-1)
@@ -291,6 +294,9 @@ func (n *Node) Do(req serve.Request) (obwire.Response, error) {
 		return obwire.Response{}, err
 	}
 	resp, err := c.Do(req)
+	if errors.Is(err, obwire.ErrWindowFull) {
+		return obwire.Response{Status: obwire.StatusOverloaded, Err: err.Error()}, nil
+	}
 	if err != nil {
 		slot.dropped(c)
 		return obwire.Response{}, err
@@ -300,7 +306,8 @@ func (n *Node) Do(req serve.Request) (obwire.Response, error) {
 
 // ping proves the data plane: one obwire ping through a live
 // connection (dialing one if needed). Used by the half-open probe so a
-// breaker only closes when the node serves frames, not just HTTP.
+// breaker only closes when the node serves frames, not just HTTP. A
+// full window fails the probe but keeps the connection.
 func (n *Node) ping(timeout time.Duration) error {
 	slot := n.slots[n.rr.Add(1)%uint64(len(n.slots))]
 	c, err := slot.client(n.BinAddr)
@@ -308,7 +315,9 @@ func (n *Node) ping(timeout time.Duration) error {
 		return err
 	}
 	if err := c.Ping(timeout); err != nil {
-		slot.dropped(c)
+		if !errors.Is(err, obwire.ErrWindowFull) {
+			slot.dropped(c)
+		}
 		return err
 	}
 	return nil

@@ -16,14 +16,19 @@ import (
 // stages the receiver and arguments in the next context exactly as a
 // compiled caller would, dispatches, and runs to completion. It returns
 // the value the method returned.
+//
+// A selector the image never interned names no method, so it is
+// answered with the doesNotUnderstand trap a failed lookup raises,
+// without interning it: a stream of unknown selectors grows neither the
+// atom table nor the dynamic opcode space.
 func (m *Machine) Send(receiver word.Word, selector string, args ...word.Word) (word.Word, error) {
-	sel, ok := m.Image.Atoms.Lookup(selector)
-	if !ok {
-		sel = m.Image.Atoms.Intern(selector)
-	}
-	op, err := m.OpcodeFor(sel)
-	if err != nil {
-		return word.Word{}, err
+	sel, known := m.Image.Atoms.Lookup(selector)
+	var op isa.Opcode
+	if known {
+		var err error
+		if op, err = m.OpcodeFor(sel); err != nil {
+			return word.Word{}, err
+		}
 	}
 	if 4+1+len(args) > m.Cfg.CtxWords {
 		return word.Word{}, trapf("resources", "%d arguments exceed the context", len(args))
@@ -39,6 +44,9 @@ func (m *Machine) Send(receiver word.Word, selector string, args ...word.Word) (
 		if cClass, err = m.classOfWord(args[0]); err != nil {
 			return word.Word{}, err
 		}
+	}
+	if !known {
+		return word.Word{}, notUnderstood(m.classFor(bClass), selector)
 	}
 	entry, err := m.translate(op, bClass, cClass)
 	if err != nil {
@@ -386,13 +394,18 @@ func (m *Machine) fullLookup(op isa.Opcode, bClass word.Class) (itlb.Entry, int,
 	cls := m.classFor(bClass)
 	meth, cost, found := object.Lookup(cls, sel)
 	if !found {
-		return itlb.Entry{}, cost.Cycles(), trapf("doesNotUnderstand",
-			"%s does not understand %s", cls.Name, m.Image.Atoms.Name(sel))
+		return itlb.Entry{}, cost.Cycles(), notUnderstood(cls, m.Image.Atoms.Name(sel))
 	}
 	if meth.Primitive != PrimNone {
 		return itlb.Entry{Primitive: true, PrimID: meth.Primitive, Method: meth}, cost.Cycles(), nil
 	}
 	return itlb.Entry{Method: meth}, cost.Cycles(), nil
+}
+
+// notUnderstood is the trap a send raises when no class on the
+// receiver's chain binds its selector.
+func notUnderstood(cls *object.Class, selector string) *Trap {
+	return trapf("doesNotUnderstand", "%s does not understand %s", cls.Name, selector)
 }
 
 // translateLine resolves (opcode, classes) through the ITLB — or with a

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,6 +240,42 @@ func TestDoesNotUnderstand(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "SmallInt") || !strings.Contains(err.Error(), "frobnicate") {
 		t.Fatalf("unhelpful trap message: %v", err)
+	}
+}
+
+// TestUnknownSelectorsDoNotGrowMachine: a root send of a selector the
+// image never interned answers the same doesNotUnderstand trap as one
+// the image knows but no class binds, and interns nothing — 400 bogus
+// selectors, more than the 192 dynamic opcodes, leave the atom table as
+// it was and the opcode space free for the next real selector.
+func TestUnknownSelectorsDoNotGrowMachine(t *testing.T) {
+	m := New(Config{})
+	m.Image.Atoms.Intern("knownButUnbound")
+	_, err := m.Send(word.FromInt(5), "knownButUnbound")
+	if want := "com: doesNotUnderstand trap: SmallInt does not understand knownButUnbound"; err == nil || err.Error() != want {
+		t.Fatalf("interned selector: err = %v, want %q", err, want)
+	}
+	atoms := m.Image.Atoms.Len()
+	for i := 0; i < 400; i++ {
+		recv, class := word.FromInt(int32(i)), "SmallInt"
+		if i%2 == 1 {
+			recv, class = word.FromFloat(1.5), "Float"
+		}
+		sel := fmt.Sprintf("bogus%d:", i)
+		_, err := m.Send(recv, sel, word.FromInt(1))
+		var trap *Trap
+		if !errors.As(err, &trap) || trap.Kind != "doesNotUnderstand" || trap.Msg != class+" does not understand "+sel {
+			t.Fatalf("send %d: err = %v, want %s does not understand %s", i, err, class, sel)
+		}
+	}
+	if got := m.Image.Atoms.Len(); got != atoms {
+		t.Fatalf("atom table grew from %d to %d entries", atoms, got)
+	}
+	if _, err := m.OpcodeFor(m.Image.Atoms.Intern("realSelector")); err != nil {
+		t.Fatalf("dynamic opcode for a real selector: %v", err)
+	}
+	if got := sendInt(t, m, 1, "+", word.FromInt(2)); got != word.FromInt(3) {
+		t.Fatalf("1 + 2 = %v", got)
 	}
 }
 

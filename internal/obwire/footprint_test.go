@@ -1,0 +1,129 @@
+package obwire
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/serve"
+	"repro/internal/word"
+)
+
+// liveHeap answers the Go heap still reachable after two collections
+// (the second clears what sync.Pools kept from the first).
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestConnFootprint pins what holding a connection costs: 32 client/
+// server pairs, each after one tiny send, hold at most 80 KiB of live
+// heap apiece. A request carrying 64 KiB of arguments on every pair then
+// leaves each pair under the same bound, so no scratch buffer keeps the
+// size of the largest frame it has carried.
+func TestConnFootprint(t *testing.T) {
+	const pairs, bound = 32, 80 << 10
+	s, _ := startServer(t, serve.Config{Workers: 1, Timeout: 30 * time.Second}, Options{})
+	// One pair first, so the pool's lazy state and sync.Pools are warm.
+	warm, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if r, err := warm.Do(serve.Request{Receiver: word.FromInt(1), Selector: "answer"}); err != nil || !r.OK() {
+		t.Fatalf("warm-up send: %+v, %v", r, err)
+	}
+
+	before := liveHeap()
+	clients := make([]*MuxClient, pairs)
+	for i := range clients {
+		m, err := DialMux(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		clients[i] = m
+		if r, err := m.Do(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "answer"}); err != nil || r.Value.Int() != int32(i)+1 {
+			t.Fatalf("pair %d: %+v, %v", i, r, err)
+		}
+	}
+	perPair := func() int64 { return (int64(liveHeap()) - int64(before)) / pairs }
+	if got := perPair(); got > bound {
+		t.Fatalf("%d pairs hold %d B of live heap each, want at most %d", pairs, got, bound)
+	} else {
+		t.Logf("%d B of live heap per pair after one tiny send", got)
+	}
+
+	// 13108 five-byte words: a request frame of just over 64 KiB.
+	big := serve.Request{Receiver: word.FromInt(1), Selector: "answer", Args: make([]word.Word, 13108)}
+	for i := range big.Args {
+		big.Args[i] = word.FromInt(int32(i))
+	}
+	for i, m := range clients {
+		if r, err := m.Do(big); err != nil || r.Status != StatusMachineError {
+			t.Fatalf("pair %d: 64 KiB request answered %+v, %v; want a machine error", i, r, err)
+		}
+	}
+	big.Args = nil
+	if got := perPair(); got > bound {
+		t.Fatalf("after a 64 KiB request, %d pairs hold %d B of live heap each, want at most %d", pairs, got, bound)
+	} else {
+		t.Logf("%d B of live heap per pair after a 64 KiB request", got)
+	}
+}
+
+// TestLargeFrameRoundTrip sends a selector of about 10 KiB — a request
+// frame bigger than the connection's 4 KiB buffers — and requires its
+// doesNotUnderstand answer, which names the selector and so is just as
+// large, to come back whole; then a tiny send on the same connection.
+func TestLargeFrameRoundTrip(t *testing.T) {
+	s, _ := startServer(t, serve.Config{Workers: 1, Timeout: 30 * time.Second}, Options{})
+	m, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sel := strings.Repeat("noSuchSelector", 10<<10/len("noSuchSelector"))
+	r, err := m.Do(serve.Request{Receiver: word.FromInt(1), Selector: sel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != StatusMachineError || !strings.Contains(r.Err, "doesNotUnderstand") || !strings.Contains(r.Err, sel) {
+		t.Fatalf("10 KiB selector answered status %d, %d-byte error %.80q…", r.Status, len(r.Err), r.Err)
+	}
+	if r, err := m.Do(serve.Request{Receiver: word.FromInt(41), Selector: "answer"}); err != nil || r.Value.Int() != 42 {
+		t.Fatalf("tiny send after the large frame: %+v, %v", r, err)
+	}
+}
+
+// TestMuxWindowBurst fills a MuxClient's whole window at once:
+// DefaultWindow callers released together, far more than 4 KiB of
+// frames in each direction, and every caller gets its own answer back.
+func TestMuxWindowBurst(t *testing.T) {
+	s, _ := startServer(t, serve.Config{Workers: 2, QueueDepth: 2 * DefaultWindow, Timeout: 30 * time.Second}, Options{})
+	m, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < DefaultWindow; i++ {
+		wg.Add(1)
+		go func(recv int32) {
+			defer wg.Done()
+			<-start
+			r, err := m.Do(serve.Request{Receiver: word.FromInt(recv), Selector: "answer"})
+			if err != nil || !r.OK() || r.Value.Int() != recv+1 {
+				t.Errorf("send %d: %+v, %v; want %d", recv, r, err, recv+1)
+			}
+		}(int32(i))
+	}
+	close(start)
+	wg.Wait()
+}

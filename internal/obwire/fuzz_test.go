@@ -3,6 +3,9 @@ package obwire
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,4 +52,68 @@ func FuzzDecodeFrames(f *testing.F) {
 			t.Fatalf("decoded request re-encodes differently:\n got %x\nwant %x", again, data)
 		}
 	})
+}
+
+// FuzzServeStream holds the server's stream reader — the length-prefix
+// loop in serveConn that every connection's bytes pass through — against
+// hostile streams: the fuzzed bytes follow the magic on a live
+// connection, which then half-closes. Whatever arrives, the server must
+// answer or poison the connection and close it within the deadline,
+// never panic or hang, and afterwards answer a send on a fresh
+// connection.
+func FuzzServeStream(f *testing.F) {
+	tiny := func(id uint64) []byte {
+		return appendRequest(nil, id, serve.Request{Receiver: word.FromInt(int32(id)), Selector: "answer"})
+	}
+	var stream []byte // tiny sends up to a frame that straddles 4 KiB
+	for id := uint64(0); len(stream) < connBufSize-100; id++ {
+		stream = append(stream, tiny(id)...)
+	}
+	stream = appendRequest(stream, 1000, serve.Request{Receiver: word.FromInt(1), Selector: strings.Repeat("s", 300)})
+	stream = appendPing(stream, 1001)
+	f.Add(stream)
+	f.Add(appendRequest(nil, 0, serve.Request{Receiver: word.FromInt(1), Selector: strings.Repeat("answer", 1000)}))
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add(append(tiny(0), 0, 0, 0, 0))
+	f.Add(appendU32(nil, DefaultMaxFrame+1))
+	f.Add(appendU32(nil, 0xffffffff))
+	f.Add(append(appendU32(nil, DefaultMaxFrame), frameSend, 1, 2, 3))
+	f.Add(tiny(7)[:30])
+	f.Add(appendPing(appendPing(appendPing(nil, 1), 2), 3))
+	f.Add(append(appendPing(tiny(0), 1), tiny(2)...))
+	f.Add([]byte{})
+
+	s, _ := startServer(f, serve.Config{Workers: 1, Timeout: 5 * time.Second}, Options{})
+	addr := s.Addr().String()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		// A write error is the server hanging up mid-stream, which a
+		// poisoned stream may do; only a timeout is a failure.
+		if _, err := c.Write(append([]byte(Magic), data...)); isTimeout(err) {
+			t.Fatalf("server stopped reading without closing: %v", err)
+		}
+		c.(*net.TCPConn).CloseWrite()
+		if _, err := io.Copy(io.Discard, c); isTimeout(err) {
+			t.Fatalf("server never closed the stream: %v", err)
+		}
+
+		m, err := DialMux(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if r, err := m.Do(serve.Request{Receiver: word.FromInt(41), Selector: "answer"}); err != nil || r.Value.Int() != 42 {
+			t.Fatalf("fresh connection answered %+v, %v; want 42", r, err)
+		}
+	})
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -31,11 +31,13 @@ type wireItem struct {
 // TestInlineLaneOrdering mixes lone sends (which an idle pool runs on
 // the connection's reader), bursts of 64 flushed in ragged pieces (which
 // mostly take the pipelined path, with lone arrivals landing while
-// earlier frames are still outstanding) and pings on one connection,
-// and requires every answer back in request order with the right value.
+// earlier frames are still outstanding), bursts of 128 — over 6 KiB of
+// frames, more than the connection's 4 KiB buffers, flushed in pieces
+// that often straddle them — and pings on one connection, and requires
+// every answer back in request order with the right value.
 func TestInlineLaneOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		s, _ := startServer(t, serve.Config{Workers: workers, Timeout: 30 * time.Second}, Options{})
+		s, _ := startServer(t, serve.Config{Workers: workers, QueueDepth: 256, Timeout: 30 * time.Second}, Options{})
 		c := dialRaw(t, s.Addr().String())
 		rng := rand.New(rand.NewPCG(uint64(workers), 14))
 		var want []wireItem
@@ -65,22 +67,27 @@ func TestInlineLaneOrdering(t *testing.T) {
 			}
 			want = want[:0]
 		}
-		for round := 0; round < 60; round++ {
-			switch round % 3 {
+		burst := func(frames, ragged int) {
+			for i := 0; i < frames; i++ {
+				send()
+				if i%16 == 7 {
+					ping()
+				}
+				if rng.IntN(ragged) == 0 {
+					c.flush(t)
+				}
+			}
+		}
+		for round := 0; round < 80; round++ {
+			switch round % 4 {
 			case 0:
 				send()
 			case 1:
 				ping()
+			case 2:
+				burst(64, 6)
 			default:
-				for i := 0; i < 64; i++ {
-					send()
-					if i%16 == 7 {
-						ping()
-					}
-					if rng.IntN(6) == 0 {
-						c.flush(t)
-					}
-				}
+				burst(128, 48)
 			}
 			check()
 		}

@@ -43,13 +43,15 @@ type muxReply struct {
 	err  error
 }
 
-// muxWaiter is one in-flight send awaiting its response. The reader
-// matches waiters to responses FIFO — valid because the server answers
-// strictly in request order, pongs included.
+// muxWaiter is one in-flight send awaiting its response: 16 bytes, so
+// a connection's DefaultWindow slots cost 16 KiB. The reader matches
+// waiters to responses FIFO — valid because the server answers strictly
+// in request order, pongs included — and counts the id it expects next
+// instead of storing one per waiter, which holds because waiters are
+// queued under wmu in id order.
 type muxWaiter struct {
-	id   uint64
-	ping bool
 	ch   chan muxReply
+	ping bool
 }
 
 // MuxClient is a goroutine-safe pipelined obwire connection. Writers
@@ -90,8 +92,8 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(c net.Conn) (*MuxClient, error) {
 	m := &MuxClient{
 		c:          c,
-		bw:         bufio.NewWriterSize(c, 1<<16),
-		wbuf:       make([]byte, 0, 256),
+		bw:         bufio.NewWriterSize(c, connBufSize),
+		wbuf:       make([]byte, 0, scratchSize),
 		waiters:    make(chan muxWaiter, DefaultWindow),
 		readerDone: make(chan struct{}),
 	}
@@ -152,7 +154,7 @@ func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error)
 	// holding wmu would deadlock against the reader's drain path, and a
 	// saturated window is better answered as a retryable refusal anyway.
 	select {
-	case m.waiters <- muxWaiter{id: m.nextID, ping: ping, ch: ch}:
+	case m.waiters <- muxWaiter{ch: ch, ping: ping}:
 	default:
 		m.wmu.Unlock()
 		m.chPool.Put(ch)
@@ -166,6 +168,7 @@ func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error)
 		m.wbuf = appendRequest(m.wbuf[:0], id, req)
 	}
 	_, err := m.bw.Write(m.wbuf)
+	m.wbuf = trimScratch(m.wbuf)
 	// While a burst's flusher is yielding, this frame goes out in its write.
 	if err == nil && !m.flushing {
 		if len(m.waiters) > 1 {
@@ -234,10 +237,12 @@ func (m *MuxClient) Ping(timeout time.Duration) error {
 // no caller hangs.
 func (m *MuxClient) readLoop() {
 	defer close(m.readerDone)
-	br := bufio.NewReaderSize(m.c, 1<<16)
+	br := bufio.NewReaderSize(m.c, connBufSize)
 	var hdr [4]byte
-	rbuf := make([]byte, 0, 256)
+	rbuf := make([]byte, 0, scratchSize)
+	var next uint64 // the id of the oldest waiter
 	for {
+		rbuf = trimScratch(rbuf)
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			m.drain(err)
 			return
@@ -271,9 +276,10 @@ func (m *MuxClient) readLoop() {
 			m.drain(fmt.Errorf("obwire: unsolicited response id %d", id))
 			return
 		}
-		if reply.err == nil && (w.id != id || w.ping != pong) {
-			reply.err = fmt.Errorf("obwire: response id %d, want %d (responses must arrive in send order)", id, w.id)
+		if reply.err == nil && (id != next || w.ping != pong) {
+			reply.err = fmt.Errorf("obwire: response id %d, want %d (responses must arrive in send order)", id, next)
 		}
+		next++
 		if reply.err != nil {
 			w.ch <- reply
 			m.drain(reply.err)

@@ -19,7 +19,7 @@ import (
 
 // answerSnapshot compiles an image whose answer method adds val — the
 // same fixture the serve tests use.
-func answerSnapshot(t *testing.T, val int) *core.Snapshot {
+func answerSnapshot(t testing.TB, val int) *core.Snapshot {
 	t.Helper()
 	m := core.New(core.Config{})
 	c, err := smalltalk.Compile(fmt.Sprintf(`
@@ -41,7 +41,7 @@ extend SmallInt [
 
 // startServer boots a pool on the answer image and serves it over
 // obwire on a loopback listener.
-func startServer(t *testing.T, cfg serve.Config, opts Options) (*Server, *serve.Pool) {
+func startServer(t testing.TB, cfg serve.Config, opts Options) (*Server, *serve.Pool) {
 	t.Helper()
 	pool := serve.NewPool(answerSnapshot(t, 1), cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -185,13 +185,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// pending is one dispatched frame awaiting its response write. A ping
-// has no future; the writer answers it with a pong in its queued order,
+// pending is one dispatched frame awaiting its response write: 16
+// bytes, so a connection's DefaultWindow slots cost 16 KiB. A ping has
+// a nil future; the writer answers it with a pong in its queued order,
 // which is exactly what makes a pong a proof of loop liveness.
 type pending struct {
-	id   uint64
-	fut  *serve.Future
-	ping bool
+	id  uint64
+	fut *serve.Future
 }
 
 // connOut is one connection's write side, shared by its reader and
@@ -218,6 +218,7 @@ func (s *Server) put(o *connOut, n *atomic.Uint64, flush bool) bool {
 		return false
 	}
 	_, err := o.bw.Write(o.buf)
+	o.buf = trimScratch(o.buf)
 	if err == nil {
 		if n != nil {
 			n.Add(1)
@@ -273,10 +274,10 @@ func (s *Server) serveConn(c net.Conn) {
 
 	pend := make(chan pending, DefaultWindow)
 	writerDone := make(chan struct{})
-	out := &connOut{c: c, bw: bufio.NewWriterSize(c, 1<<16), buf: make([]byte, 0, 256)}
+	out := &connOut{c: c, bw: bufio.NewWriterSize(c, connBufSize), buf: make([]byte, 0, scratchSize)}
 	go s.writeLoop(out, pend, writerDone)
 
-	br := bufio.NewReaderSize(c, 1<<16)
+	br := bufio.NewReaderSize(c, connBufSize)
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:]) != Magic {
 		if err == nil {
@@ -288,13 +289,14 @@ func (s *Server) serveConn(c net.Conn) {
 		return
 	}
 
-	// Per-connection reusable state: the frame buffer grows to the
-	// largest frame seen and stays; selectors are interned so repeat
-	// sends of the same message cost no allocation.
-	buf := make([]byte, 0, 512)
-	sels := make(map[string]string, 64)
+	// Per-connection reusable state: the frame buffer grows to fit a
+	// frame (see trimScratch); selectors are interned so repeat sends of
+	// the same message cost no allocation.
+	buf := make([]byte, 0, scratchSize)
+	sels := make(map[string]string)
 
 	for {
+		buf = trimScratch(buf)
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			// EOF is the client hanging up; a deadline during Shutdown
 			// is the drain kicking us out. Neither is a protocol error.
@@ -325,7 +327,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if len(buf) == 9 && buf[0] == framePing {
 			s.pings.Add(1)
 			out.outstanding.Add(1)
-			pend <- pending{id: binary.LittleEndian.Uint64(buf[1:]), ping: true}
+			pend <- pending{id: binary.LittleEndian.Uint64(buf[1:])}
 			continue
 		}
 
@@ -421,11 +423,11 @@ func (s *Server) writeLoop(o *connOut, pend <-chan pending, done chan<- struct{}
 	defer o.c.Close()
 	for p := range pend {
 		var res serve.Result
-		if !p.ping {
+		if p.fut != nil {
 			res = p.fut.Wait()
 		}
 		o.mu.Lock()
-		if p.ping {
+		if p.fut == nil {
 			o.buf = appendPong(o.buf[:0], p.id)
 			s.put(o, nil, len(pend) == 0)
 		} else {

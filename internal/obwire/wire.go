@@ -6,7 +6,7 @@
 // The paper's thesis is that a message send should cost what the
 // hardware allows; PR 5 measured that ~97% of an HTTP send's latency is
 // net/http itself. obwire is the remedy: a connection is dialed once,
-// frames reuse pooled buffers end to end, and the server's
+// each end reuses its own buffers for every frame, and the server's
 // read→dispatch→write loop runs at zero allocations per send in steady
 // state (argument-carrying sends cost one slice; the pipelined
 // zero-argument fast path costs nothing).
@@ -63,6 +63,20 @@
 // answer arrives fails with ErrClientClosed whether or not the server
 // ran it (TestMuxDeadConnectionFailsFast); retrying is the caller's
 // decision.
+//
+// # Memory
+//
+// A connection's memory follows its frames, not its worst case. A
+// client/server pair holds four 4 KiB bufio buffers (the client's writer
+// and reader, the server's reader and writer), two DefaultWindow-slot
+// channels of 16-byte entries (16 KiB each), and a few small scratch
+// buffers: about 57 KiB of live heap per pair (TestConnFootprint bounds
+// it at 80 KiB). A 4 KiB buffer holds about 80 tiny send frames, so a
+// deeper burst costs one more syscall per 4 KiB. A frame larger than
+// 4 KiB goes around the bufio buffers and is read into, or encoded in, a
+// scratch buffer of its own size, which is dropped once the frame is
+// done: a large frame costs one allocation of its size, and the
+// connection does not keep that size.
 package obwire
 
 import (
@@ -109,11 +123,34 @@ const (
 // real while keeping a hostile length prefix from ballooning a buffer.
 const DefaultMaxFrame = 1 << 20
 
-// DefaultWindow is the per-connection in-flight frame cap: the reader
-// parks once this many dispatched requests await their response writes,
-// which bounds per-connection memory no matter how hard a client
-// pipelines.
+// DefaultWindow is the per-connection in-flight frame cap: the server's
+// reader parks once this many dispatched requests await their response
+// writes, and a MuxClient refuses the next send with ErrWindowFull. With
+// 16-byte window slots and no scratch buffer keeping the size of a large
+// frame, that bounds per-connection memory no matter how hard a client
+// pipelines: about 57 KiB of live heap per client/server pair, 32 KiB of
+// it the two windows (see the package doc's Memory section).
 const DefaultWindow = 1024
+
+// connBufSize sizes the bufio reader and writer at each end of a
+// connection: net/http's default, about 80 tiny send frames. A larger
+// frame bypasses the buffer.
+const connBufSize = 4 << 10
+
+// scratchSize is the initial capacity of a connection's frame encode and
+// decode buffers, which fits any tiny send.
+const scratchSize = 256
+
+// trimScratch answers a scratch buffer ready for the next frame: b
+// itself, unless it grew past connBufSize for a large frame, in which
+// case a fresh one of scratchSize — so a connection never keeps the
+// size of the largest frame it has carried.
+func trimScratch(b []byte) []byte {
+	if cap(b) > connBufSize {
+		return make([]byte, 0, scratchSize)
+	}
+	return b
+}
 
 // StatusFor maps a pool error onto the frame status, mirroring the HTTP
 // map: nil is OK, admission refusals are Overloaded, queue-expiry sheds
