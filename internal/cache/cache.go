@@ -3,14 +3,23 @@
 // instruction cache, and the trace-driven cache simulations of §5 all share
 // this model.
 //
-// A cache is organised as Entries/Assoc sets of Assoc lines each. Keys are
-// opaque 64-bit values; the set index is derived from a mixed hash of the
-// key so that structured keys (opcode×class, segment names, instruction
+// A cache is organised as Entries/Assoc sets of Assoc lines each, held in
+// one flat line array: way w of set s is line s*Assoc + w. Keys are opaque
+// 64-bit values; the set index is derived from a mixed hash of the key so
+// that structured keys (opcode×class, segment names, instruction
 // addresses) spread evenly, mirroring the hashed associative memories the
 // paper assumes.
+//
+// A line carries no valid bit: it is empty exactly when its recency stamp
+// is 0. Every placement and hit advances the LRU clock before stamping, so
+// a held line's stamp is at least 1, and every invalidation and flush
+// zeroes the whole line.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes a cache.
 type Config struct {
@@ -61,15 +70,14 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Line is one cache line. Lines are exposed (opaquely) so that callers can
-// hold stable references to them: the sets never reallocate, so a *Line
-// taken from LookupLine or InsertLine stays valid for the cache's lifetime
-// and can back an inline cache in front of the associative probe (see
-// HitLine). All fields stay private; a line's contents are only reachable
-// through cache methods.
+// hold stable references to them: the line array never reallocates, so a
+// *Line taken from LookupLine or InsertLine stays valid for the cache's
+// lifetime and can back an inline cache in front of the associative probe
+// (see HitLine). All fields stay private; a line's contents are only
+// reachable through cache methods. A stamp of 0 marks the line empty.
 type Line[V any] struct {
 	key   uint64
 	value V
-	valid bool
 	stamp uint64
 }
 
@@ -77,29 +85,27 @@ type Line[V any] struct {
 // The zero value is not usable; construct with New.
 type Cache[V any] struct {
 	cfg   Config
-	sets  [][]Line[V]
-	mask  uint64
+	lines []Line[V]
+	mask  uint64 // sets - 1
+	shift uint   // log2(assoc)
 	clock uint64
 	Stats Stats
 }
 
-// New builds a cache from the configuration. It panics on an invalid
-// configuration, which is always a programming error in this codebase.
+// New builds a cache from the configuration: one zeroed line array of
+// Entries lines, every line empty. It panics on an invalid configuration,
+// which is always a programming error in this codebase.
 func New[V any](cfg Config) *Cache[V] {
 	sets, assoc, err := cfg.normalize()
 	if err != nil {
 		panic(err)
 	}
-	c := &Cache[V]{cfg: cfg, mask: uint64(sets - 1)}
-	// One contiguous backing array for all lines: set slices are views
-	// into it, so probes and inline-cache line chases stay in one dense
-	// region instead of hopping across per-set heap allocations.
-	backing := make([]Line[V], sets*assoc)
-	c.sets = make([][]Line[V], sets)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
+	return &Cache[V]{
+		cfg:   cfg,
+		lines: make([]Line[V], sets*assoc),
+		mask:  uint64(sets - 1),
+		shift: uint(bits.TrailingZeros(uint(assoc))),
 	}
-	return c
 }
 
 // Entries returns the total line count.
@@ -110,34 +116,28 @@ func (c *Cache[V]) Config() Config { return c.cfg }
 
 // Clone returns an independent copy of the cache: same geometry, same
 // lines, same recency order and statistics. When mapVal is non-nil it is
-// applied to every valid line's value, letting callers rewrite pointers
+// applied to every held line's value, letting callers rewrite pointers
 // into a cloned object graph (the machine snapshot facility does this for
 // ITLB method fields). A nil mapVal copies values as-is.
 func (c *Cache[V]) Clone(mapVal func(V) V) *Cache[V] {
-	nc := &Cache[V]{cfg: c.cfg, mask: c.mask, clock: c.clock, Stats: c.Stats}
-	assoc := len(c.sets[0])
-	backing := make([]Line[V], len(c.sets)*assoc)
-	nc.sets = make([][]Line[V], len(c.sets))
-	for i, set := range c.sets {
-		ns := backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
-		copy(ns, set)
-		if mapVal != nil {
-			for j := range ns {
-				if ns[j].valid {
-					ns[j].value = mapVal(ns[j].value)
-				}
+	nc := *c
+	nc.lines = make([]Line[V], len(c.lines))
+	copy(nc.lines, c.lines)
+	if mapVal != nil {
+		for i := range nc.lines {
+			if nc.lines[i].stamp != 0 {
+				nc.lines[i].value = mapVal(nc.lines[i].value)
 			}
 		}
-		nc.sets[i] = ns
 	}
-	return nc
+	return &nc
 }
 
 // Assoc returns the effective associativity.
-func (c *Cache[V]) Assoc() int { return len(c.sets[0]) }
+func (c *Cache[V]) Assoc() int { return 1 << c.shift }
 
 // Sets returns the number of sets.
-func (c *Cache[V]) Sets() int { return len(c.sets) }
+func (c *Cache[V]) Sets() int { return int(c.mask) + 1 }
 
 // mix is a 64-bit finalizer (splitmix64) giving structured keys a uniform
 // set distribution.
@@ -150,29 +150,24 @@ func mix(x uint64) uint64 {
 	return x
 }
 
+// setFor returns the lines of the key's set. Associativity is a power of
+// two (it divides the power-of-two Entries), so the set's first line is a
+// shift away from its index.
 func (c *Cache[V]) setFor(key uint64) []Line[V] {
 	idx := key
 	if c.cfg.HashSets {
 		idx = mix(key)
 	}
-	return c.sets[idx&c.mask]
+	lo := (idx & c.mask) << c.shift
+	hi := lo + 1<<c.shift
+	return c.lines[lo:hi:hi]
 }
 
 // Lookup probes the cache. On a hit it refreshes the line's recency and
 // returns the value. Statistics are updated either way.
 func (c *Cache[V]) Lookup(key uint64) (V, bool) {
-	set := c.setFor(key)
-	c.clock++
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i].stamp = c.clock
-			c.Stats.Hits++
-			return set[i].value, true
-		}
-	}
-	c.Stats.Misses++
-	var zero V
-	return zero, false
+	v, _, ok := c.LookupLine(key)
+	return v, ok
 }
 
 // Peek probes without touching statistics or recency. It exists for
@@ -180,7 +175,7 @@ func (c *Cache[V]) Lookup(key uint64) (V, bool) {
 func (c *Cache[V]) Peek(key uint64) (V, bool) {
 	set := c.setFor(key)
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			return set[i].value, true
 		}
 	}
@@ -196,12 +191,12 @@ func (c *Cache[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 	c.Stats.Inserts++
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			set[i].value = v
 			set[i].stamp = c.clock
 			return 0, evictedVal, false
 		}
-		if !set[i].valid {
+		if set[i].stamp == 0 {
 			victim = i
 			break
 		}
@@ -209,88 +204,66 @@ func (c *Cache[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 			victim = i
 		}
 	}
-	if set[victim].valid {
+	if set[victim].stamp != 0 {
 		evictedKey, evictedVal, evicted = set[victim].key, set[victim].value, true
 		c.Stats.Evictions++
 	}
-	set[victim] = Line[V]{key: key, value: v, valid: true, stamp: c.clock}
+	set[victim] = Line[V]{key: key, value: v, stamp: c.clock}
 	return evictedKey, evictedVal, evicted
 }
 
 // Touch performs the standard cache-simulation access: look up the key,
 // and on a miss insert it. It returns whether the access hit. This is the
 // single operation driving the trace simulations of §5.
-//
-// Touch probes the set once: the scan that detects the hit also selects
-// the victim, so a miss does not re-hash and re-scan the same set the way
-// a Lookup-then-Insert pair would. Counters advance exactly as that pair
-// would advance them (hit: Hits; miss: Misses, Inserts, and Evictions when
-// a valid line is displaced), and the relative recency order — all the LRU
-// replacement ever consults — is identical.
 func (c *Cache[V]) Touch(key uint64) bool {
-	set := c.setFor(key)
-	c.clock++
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i].stamp = c.clock
-			c.Stats.Hits++
-			return true
-		}
-		if !set[victim].valid {
-			continue
-		}
-		if !set[i].valid || set[i].stamp < set[victim].stamp {
-			victim = i
-		}
-	}
-	c.Stats.Misses++
-	c.Stats.Inserts++
-	if set[victim].valid {
-		c.Stats.Evictions++
-	}
-	set[victim] = Line[V]{key: key, valid: true, stamp: c.clock}
-	return false
+	_, hit := c.TouchLine(key)
+	return hit
 }
 
 // TouchLine is Touch returning also the line now holding the key, so the
 // caller can service later accesses to the same key through HitLine
 // without re-probing the set.
+//
+// It probes the set once: the scan that detects the hit also selects the
+// victim — the first empty line, else the least recently used one (an
+// empty line's stamp of 0 ranks below every held line's) — so a miss does
+// not re-hash and re-scan the same set the way a Lookup-then-Insert pair
+// would. Counters advance exactly as that pair would advance them (hit:
+// Hits; miss: Misses, Inserts, and Evictions when a held line is
+// displaced), and the relative recency order — all the LRU replacement
+// ever consults — is identical.
 func (c *Cache[V]) TouchLine(key uint64) (*Line[V], bool) {
 	set := c.setFor(key)
 	c.clock++
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			set[i].stamp = c.clock
 			c.Stats.Hits++
 			return &set[i], true
 		}
-		if !set[victim].valid {
-			continue
-		}
-		if !set[i].valid || set[i].stamp < set[victim].stamp {
+		if set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
 	c.Stats.Misses++
 	c.Stats.Inserts++
-	if set[victim].valid {
+	if set[victim].stamp != 0 {
 		c.Stats.Evictions++
 	}
-	set[victim] = Line[V]{key: key, valid: true, stamp: c.clock}
+	set[victim] = Line[V]{key: key, stamp: c.clock}
 	return &set[victim], false
 }
 
 // LookupLine is Lookup returning also a stable reference to the hit line.
-// Sets never reallocate, so the pointer stays valid for the cache's
-// lifetime; pair it with HitLine to build an inline cache in front of the
-// associative probe.
+// The line array never reallocates, so the pointer stays valid for the
+// cache's lifetime; pair it with HitLine to build an inline cache in front
+// of the associative probe.
 func (c *Cache[V]) LookupLine(key uint64) (V, *Line[V], bool) {
 	set := c.setFor(key)
 	c.clock++
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			set[i].stamp = c.clock
 			c.Stats.Hits++
 			return set[i].value, &set[i], true
@@ -307,7 +280,7 @@ func (c *Cache[V]) InsertLine(key uint64, v V) *Line[V] {
 	c.Insert(key, v)
 	set := c.setFor(key)
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			return &set[i]
 		}
 	}
@@ -323,7 +296,7 @@ func (c *Cache[V]) InsertLine(key uint64, v V) *Line[V] {
 // been evicted or rebound the call does nothing and reports false, and the
 // caller falls back to the associative path (which then counts the access).
 func (c *Cache[V]) HitLine(ln *Line[V], key uint64) (V, bool) {
-	if !ln.valid || ln.key != key {
+	if ln.key != key || ln.stamp == 0 {
 		var zero V
 		return zero, false
 	}
@@ -337,7 +310,7 @@ func (c *Cache[V]) HitLine(ln *Line[V], key uint64) (V, bool) {
 func (c *Cache[V]) Invalidate(key uint64) bool {
 	set := c.setFor(key)
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].key == key && set[i].stamp != 0 {
 			set[i] = Line[V]{}
 			return true
 		}
@@ -349,12 +322,10 @@ func (c *Cache[V]) Invalidate(key uint64) bool {
 // It is used when segment descriptors are rebound (object growth aliasing).
 func (c *Cache[V]) InvalidateIf(drop func(key uint64, v V) bool) int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && drop(set[i].key, set[i].value) {
-				set[i] = Line[V]{}
-				n++
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.stamp != 0 && drop(ln.key, ln.value) {
+			*ln = Line[V]{}
+			n++
 		}
 	}
 	return n
@@ -362,11 +333,7 @@ func (c *Cache[V]) InvalidateIf(drop func(key uint64, v V) bool) int {
 
 // Flush empties the cache but keeps statistics.
 func (c *Cache[V]) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line[V]{}
-		}
-	}
+	clear(c.lines)
 	c.Stats.Flushes++
 }
 
@@ -374,14 +341,12 @@ func (c *Cache[V]) Flush() {
 // warmup trace before the measurement trace).
 func (c *Cache[V]) ResetStats() { c.Stats = Stats{} }
 
-// Len returns the number of valid lines currently held.
+// Len returns the number of lines currently held.
 func (c *Cache[V]) Len() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].stamp != 0 {
+			n++
 		}
 	}
 	return n

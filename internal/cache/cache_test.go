@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -238,5 +239,47 @@ func TestStatsArithmetic(t *testing.T) {
 	}
 	if (Stats{}).HitRatio() != 0 {
 		t.Fatal("empty ratio not 0")
+	}
+}
+
+// TestImportRefusesImpossibleStamps: a held line's stamp lies in 1..clock.
+// A stamp of 0 would load as an empty line, and one past the clock would
+// outrank the next access, so the loaded cache would evict differently
+// from the one that was saved.
+func TestImportRefusesImpossibleStamps(t *testing.T) {
+	cfg := Config{Entries: 8, Assoc: 2}
+	for _, stamp := range []uint64{0, 6} {
+		lines := []LineState[int]{
+			{Index: 1, Key: 1, Value: 1, Stamp: 3},
+			{Index: 4, Key: 2, Value: 2, Stamp: stamp},
+		}
+		_, err := Import(cfg, Stats{}, 5, lines, nil)
+		if err == nil || !strings.Contains(err.Error(), "line 4 ") {
+			t.Fatalf("stamp %d of clock 5: err = %v, want a refusal naming line 4", stamp, err)
+		}
+	}
+	lines := []LineState[int]{{Index: 1, Key: 1, Value: 1, Stamp: 1}, {Index: 4, Key: 2, Value: 2, Stamp: 5}}
+	if _, err := Import(cfg, Stats{}, 5, lines, nil); err != nil {
+		t.Fatalf("stamps 1 and clock refused: %v", err)
+	}
+}
+
+// TestCloneIsIndependent: Clone maps the held lines' values, and only
+// those, into a copy that shares no lines with its source.
+func TestCloneIsIndependent(t *testing.T) {
+	c := New[int](Config{Entries: 8, Assoc: 2})
+	c.Insert(1, 10)
+	c.Insert(2, 20)
+	mapped := 0
+	nc := c.Clone(func(v int) int { mapped++; return v + 1 })
+	if v, _ := nc.Peek(1); v != 11 || mapped != 2 {
+		t.Fatalf("mapped clone value = %d after %d calls, want 11 after 2", v, mapped)
+	}
+	nc.Flush()
+	if v, ok := c.Peek(2); !ok || v != 20 {
+		t.Fatalf("source after clone flush: %d,%v", v, ok)
+	}
+	if nc.Stats.Inserts != 2 || nc.Len() != 0 {
+		t.Fatalf("clone stats %+v len %d", nc.Stats, nc.Len())
 	}
 }

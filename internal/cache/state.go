@@ -8,9 +8,9 @@ import "fmt"
 // snapshotted machine would have made, so the warm ITLB/icache working set
 // survives a restart bit-identically.
 
-// LineState is the serialisable state of one valid cache line. Index is
-// its set-major position (set*assoc + way); invalid lines carry no state
-// (Invalidate zeroes them), so exports are sparse — an icache that has
+// LineState is the serialisable state of one held cache line. Index is
+// its position in the line array (set*assoc + way); empty lines carry no
+// state (Invalidate zeroes them), so exports are sparse — an icache that has
 // only seen a loader touch a fraction of its 4096 lines serialises just
 // that fraction.
 type LineState[V any] struct {
@@ -28,37 +28,38 @@ func (c Config) Validate() error {
 	return err
 }
 
-// Export returns the LRU clock and every valid line in set-major order.
+// Export returns the LRU clock and every held line in set-major order.
 // Together with Config and Stats this is the cache's complete observable
 // state.
 func (c *Cache[V]) Export() (clock uint64, lines []LineState[V]) {
-	assoc := len(c.sets[0])
-	for i, set := range c.sets {
-		for j := range set {
-			if ln := &set[j]; ln.valid {
-				lines = append(lines, LineState[V]{Index: uint32(i*assoc + j), Key: ln.key, Value: ln.value, Stamp: ln.stamp})
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.stamp != 0 {
+			lines = append(lines, LineState[V]{Index: uint32(i), Key: ln.key, Value: ln.value, Stamp: ln.stamp})
 		}
 	}
 	return c.clock, lines
 }
 
 // Import rebuilds a cache from exported state. Line indexes must be
-// strictly increasing (as Export emits them) and within the geometry;
-// mapVal, when non-nil, rewrites each line's value into the importer's
-// object graph (the image loader uses it to swap method indexes back to
-// method pointers).
+// strictly increasing (as Export emits them) and within the geometry, and
+// every stamp must lie in 1..clock: a stamp of 0 would read as an empty
+// line, and one past the clock would rank a loaded line younger than the
+// next access, so the loaded cache would evict differently from the one
+// that was saved. mapVal, when non-nil, rewrites each line's value into
+// the importer's object graph (the image loader uses it to swap method
+// indexes back to method pointers).
 func Import[V any](cfg Config, stats Stats, clock uint64, lines []LineState[V], mapVal func(V) (V, error)) (*Cache[V], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := New[V](cfg)
-	assoc := len(c.sets[0])
-	total := len(c.sets) * assoc
 	last := -1
 	for _, ls := range lines {
-		if int(ls.Index) <= last || int(ls.Index) >= total {
-			return nil, fmt.Errorf("cache: line index %d out of order or beyond %d lines", ls.Index, total)
+		if int(ls.Index) <= last || int(ls.Index) >= len(c.lines) {
+			return nil, fmt.Errorf("cache: line index %d out of order or beyond %d lines", ls.Index, len(c.lines))
+		}
+		if ls.Stamp == 0 || ls.Stamp > clock {
+			return nil, fmt.Errorf("cache: line %d has stamp %d outside 1..%d", ls.Index, ls.Stamp, clock)
 		}
 		last = int(ls.Index)
 		v := ls.Value
@@ -68,7 +69,7 @@ func Import[V any](cfg Config, stats Stats, clock uint64, lines []LineState[V], 
 				return nil, err
 			}
 		}
-		c.sets[ls.Index/uint32(assoc)][ls.Index%uint32(assoc)] = Line[V]{key: ls.Key, value: v, valid: true, stamp: ls.Stamp}
+		c.lines[ls.Index] = Line[V]{key: ls.Key, value: v, stamp: ls.Stamp}
 	}
 	c.clock = clock
 	c.Stats = stats

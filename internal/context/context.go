@@ -41,13 +41,13 @@ const (
 // size, so a single free list suffices and allocation or release is one
 // memory reference through the hardware FP register (§2.3). We keep the
 // list as a stack of segments and charge the single reference per
-// operation; the MemoryRefs counter is that charge.
+// operation; the MemoryRefs counter is that charge. Membership is the
+// segments' own Pooled flag.
 type FreeList struct {
-	space  *memory.Space
-	words  int
-	free   []*memory.Segment
-	onList map[*memory.Segment]bool
-	class  word.Class
+	space *memory.Space
+	words int
+	free  []*memory.Segment
+	class word.Class
 
 	// Stats
 	Allocs     uint64
@@ -62,7 +62,7 @@ func NewFreeList(space *memory.Space, words int, class word.Class) *FreeList {
 	if words <= 0 {
 		words = DefaultWords
 	}
-	return &FreeList{space: space, words: words, class: class, onList: make(map[*memory.Segment]bool)}
+	return &FreeList{space: space, words: words, class: class}
 }
 
 // Words returns the fixed context length.
@@ -78,7 +78,7 @@ func (f *FreeList) Alloc() *memory.Segment {
 	if n := len(f.free); n > 0 {
 		seg := f.free[n-1]
 		f.free = f.free[:n-1]
-		delete(f.onList, seg)
+		seg.Pooled = false
 		f.Recycles++
 		return seg
 	}
@@ -88,28 +88,28 @@ func (f *FreeList) Alloc() *memory.Segment {
 // Free pushes a context back on the list with one memory reference.
 // Double frees are ignored.
 func (f *FreeList) Free(seg *memory.Segment) {
-	if f.onList[seg] {
+	if seg.Pooled {
 		return
 	}
 	f.Frees++
 	f.MemoryRefs++
 	f.free = append(f.free, seg)
-	f.onList[seg] = true
+	seg.Pooled = true
 }
 
 // Contains reports whether the segment is currently pooled.
-func (f *FreeList) Contains(seg *memory.Segment) bool { return f.onList[seg] }
+func (f *FreeList) Contains(seg *memory.Segment) bool { return seg.Pooled }
 
 // Clone returns an independent copy of the free list over a cloned space:
-// pooled segments are rewritten through segMap, statistics carry over. Part
-// of the machine snapshot facility.
+// pooled segments are rewritten through segMap (their Pooled flags
+// travelled with the space clone), statistics carry over. Part of the
+// machine snapshot facility.
 func (f *FreeList) Clone(space *memory.Space, segMap memory.SegMap) *FreeList {
 	nf := &FreeList{
 		space:      space,
 		words:      f.words,
 		class:      f.class,
 		free:       make([]*memory.Segment, len(f.free)),
-		onList:     make(map[*memory.Segment]bool, len(f.onList)),
 		Allocs:     f.Allocs,
 		Recycles:   f.Recycles,
 		Frees:      f.Frees,
@@ -117,9 +117,6 @@ func (f *FreeList) Clone(space *memory.Space, segMap memory.SegMap) *FreeList {
 	}
 	for i, seg := range f.free {
 		nf.free[i] = segMap.Of(seg)
-	}
-	for seg := range f.onList {
-		nf.onList[segMap.Of(seg)] = true
 	}
 	return nf
 }

@@ -62,7 +62,7 @@ func ImportFreeList(st *FreeListState, space *memory.Space) (*FreeList, error) {
 		if !ok {
 			return nil, fmt.Errorf("context: free list names segment %d", id)
 		}
-		if f.onList[seg] {
+		if seg.Pooled {
 			return nil, fmt.Errorf("context: segment %d pooled twice", id)
 		}
 		// Pooled contexts are live (never space-freed — that also keeps
@@ -73,7 +73,7 @@ func ImportFreeList(st *FreeListState, space *memory.Space) (*FreeList, error) {
 			return nil, fmt.Errorf("context: pooled segment %d is not a live %d-word context", id, st.Words)
 		}
 		f.free[i] = seg
-		f.onList[seg] = true
+		seg.Pooled = true
 	}
 	return f, nil
 }

@@ -107,8 +107,8 @@ func (m *Machine) clone() *Machine {
 		// Fast-path state stays machine-local: cloned methods carry no
 		// predecoded sites (Method.Clone drops them), so the clone
 		// predecodes and re-learns its inline caches against its own
-		// ITLB. The context segments' Captured flags travelled with the
-		// space clone above.
+		// ITLB. The context segments' Captured and Pooled flags
+		// travelled with the space clone above.
 		argBuf: make([]word.Word, 0, m.Cfg.CtxWords),
 
 		ctxNameCounter: m.ctxNameCounter,

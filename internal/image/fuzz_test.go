@@ -51,6 +51,11 @@ func FuzzReadImage(f *testing.F) {
 	forged[29] = 0xff
 	forged[30] = 0xff
 	f.Add(forged)
+	// Icache lines with impossible recency stamps (0 and clock+1), their
+	// section CRC recomputed: the cache importer must refuse them.
+	for _, bad := range badStampImages(f, img) {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))

@@ -82,7 +82,7 @@ var sectionNames = [...]string{
 // Fixed record widths of the bulk-encoded arrays.
 const (
 	segRec  = 8 + 8 + 8 + 2 + 1 + 3 + 4 // SegmentState
-	itlbRec = 4 + 8 + 8 + 1 + 2 + 4     // itlb.LineState (sparse: valid lines only)
+	itlbRec = 4 + 8 + 8 + 1 + 2 + 4     // itlb.LineState (sparse: held lines only)
 	lineRec = 4 + 8 + 8                 // cache.LineState[struct{}] (sparse)
 )
 
@@ -675,7 +675,7 @@ func decITLB(d *dec) itlb.State {
 }
 
 // encStructLines encodes a value-free cache (icache, hierarchy levels):
-// clock, stats, and the valid lines only — sparse, as cache.Export emits
+// clock, stats, and the held lines only — sparse, as cache.Export emits
 // them — so a 4096-line icache costs bytes only for the lines the machine
 // has actually warmed.
 func encStructLines(e *enc, clock uint64, stats cache.Stats, lines []cache.LineState[struct{}]) {

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -259,6 +260,51 @@ func TestImageRejectsReservedBytes(t *testing.T) {
 		_, err := Read(bytes.NewReader(fixSectionCRC(set, headers[i])))
 		if err == nil || !contains(err, "retired") {
 			t.Errorf("reserved byte %d set: %v, want the retired-switch refusal", i, err)
+		}
+	}
+}
+
+// badStampImages returns two copies of img whose first icache line carries
+// an impossible recency stamp: 0, which would load as an empty line, and
+// the icache clock + 1, which would outrank the next access. The icache
+// section is re-encoded with the package's own encoder and its CRC
+// recomputed, so the refusal comes from the cache importer.
+func badStampImages(tb testing.TB, img []byte) [][]byte {
+	tb.Helper()
+	const hdr, secHdr = 24, 16
+	sec := hdr
+	for id := 1; id < secICache; id++ {
+		sec += secHdr + int(binary.LittleEndian.Uint64(img[sec+4:]))
+	}
+	n := int(binary.LittleEndian.Uint64(img[sec+4:]))
+	d := &dec{b: img[sec+secHdr : sec+secHdr+n]}
+	clock, stats, lines := decStructLines(d)
+	if d.err != nil || len(lines) == 0 {
+		tb.Fatalf("icache section: %d lines, err %v", len(lines), d.err)
+	}
+	var out [][]byte
+	for _, stamp := range []uint64{0, clock + 1} {
+		bad := slices.Clone(lines)
+		bad[0].Stamp = stamp
+		var e enc
+		encStructLines(&e, clock, stats, bad)
+		edited := append(bytes.Clone(img[:sec+secHdr]), e.b...)
+		edited = append(edited, img[sec+secHdr+n:]...)
+		out = append(out, fixSectionCRC(edited, sec))
+	}
+	return out
+}
+
+// TestImageRefusesImpossibleICacheStamps: an icache line stamped 0 or
+// past the icache clock is refused, naming the line, instead of loading
+// as an empty line or as one the loaded machine would evict out of order.
+func TestImageRefusesImpossibleICacheStamps(t *testing.T) {
+	p := workload.Arith()
+	_, img := roundTrip(t, snapshotOf(t, p, core.Config{}))
+	for i, bad := range badStampImages(t, img) {
+		_, err := Read(bytes.NewReader(bad))
+		if err == nil || !contains(err, "icache: cache: line ") || !contains(err, "has stamp") {
+			t.Errorf("image %d with an impossible icache stamp: %v, want the stamp refusal", i, err)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // codec. Method fields are exported as indexes into the image's method
 // table (assigned by the caller) so the on-disk form carries no pointers;
 // the importer swaps the indexes back. Replacement state travels through
-// cache.Export/Import — sparse, valid lines only — so a loaded machine's
+// cache.Export/Import — sparse, held lines only — so a loaded machine's
 // first dispatch hits exactly where the snapshotted machine's would have.
 
 // LineState is one exported (valid) ITLB line. Index is the set-major
@@ -90,7 +90,7 @@ func ImportState(st State, methodOf func(int32) (*object.Method, error)) (*ITLB,
 	return &ITLB{c: c, Stats: st.Stats}, nil
 }
 
-// EachMethod calls fn for every distinct method held by a valid line, in
+// EachMethod calls fn for every distinct method held by a line, in
 // set-major line order. The image exporter uses it to ensure displaced
 // methods still referenced by warm translations land in the method table.
 func (t *ITLB) EachMethod(fn func(*object.Method)) {

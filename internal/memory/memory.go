@@ -104,6 +104,10 @@ type Segment struct {
 	// one field instead of probing a side table; the machine clears it
 	// when the context is recycled.
 	Captured bool
+	// Pooled marks a context segment waiting on the context free list.
+	// Like Captured it lives on the segment, so the free list keeps no
+	// side table and the flag travels with a space clone.
+	Pooled bool
 
 	// id is the segment's index in the space's all-segments slice; slab
 	// is the index of the slab backing Data. inOrder
