@@ -18,8 +18,11 @@
 #     (the kill phase itself cannot balance — the dead node took its
 #     counters with it, which is exactly why this phase exists),
 #   - the node comes back: after a restart from the same image the
-#     router's half-open probe (readyz + an obwire ping) recovers it to
-#     healthy, and it demonstrably receives traffic again.
+#     router's half-open probe (an obwire ping on the router's control
+#     connection, whose pong must say ready) recovers it to healthy, and
+#     it demonstrably receives traffic again. The router reads each
+#     node's health and queue depth only from pongs; the drill's own
+#     curl of a node's /readyz is just its wait for the node to boot.
 #
 # Exit 0 only if every assertion holds. Any failure dumps all daemon
 # logs for the postmortem.

@@ -277,7 +277,8 @@ func TestPprofGatedByDebugFlag(t *testing.T) {
 // every surface: the /stats binary block (JSON and text) and the
 // obarch_binary_* family in /metrics. A lone send into an idle
 // one-worker pool is run to completion by the connection's reader, so
-// it counts in frames_inline as well as frames_in and frames_out.
+// it counts in frames_inline as well as frames_in and frames_out; the
+// ping after it counts in pings.
 func TestBinaryStatsSurfaces(t *testing.T) {
 	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
 	m, err := obwire.DialMux(n.BinaryAddr())
@@ -291,7 +292,7 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 	}
 	// The writer counts a pong after every earlier answer, so once the
 	// ping returns the frame counters are final.
-	if err := m.Ping(5 * time.Second); err != nil {
+	if _, _, err := m.Ping(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,16 +303,16 @@ func TestBinaryStatsSurfaces(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/stats: %v", err)
 	}
-	for _, k := range []string{"frames_in", "frames_out", "frames_inline"} {
+	for _, k := range []string{"frames_in", "frames_out", "frames_inline", "pings"} {
 		if v, _ := st.Binary[k].(float64); v != 1 {
 			t.Errorf("/stats binary.%s = %v, want 1", k, st.Binary[k])
 		}
 	}
-	if _, text := get(t, n, "/stats?format=text"); !strings.Contains(text, "frames_in=1 frames_out=1 frames_inline=1 ") {
-		t.Errorf("/stats text binary line lacks frames_inline=1:\n%s", text)
+	if _, text := get(t, n, "/stats?format=text"); !strings.Contains(text, "frames_in=1 frames_out=1 frames_inline=1 pings=1 ") {
+		t.Errorf("/stats text binary line lacks frames_inline=1 pings=1:\n%s", text)
 	}
 	_, metrics := get(t, n, "/metrics")
-	for _, want := range []string{"obarch_binary_frames_in_total 1\n", "obarch_binary_frames_inline_total 1\n"} {
+	for _, want := range []string{"obarch_binary_frames_in_total 1\n", "obarch_binary_frames_inline_total 1\n", "obarch_binary_pings_total 1\n"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 		}

@@ -1,6 +1,7 @@
 // Command obrouter is the cluster front tier: one HTTP face over N
 // obarchd nodes, speaking obwire to each over a small pool of
-// persistent multiplexed connections. Clients keep the single-node
+// persistent multiplexed connections plus one control connection for
+// health pings. Clients keep the single-node
 // wire shapes: POST /send and /batch bodies are decoded, capped (8 MiB)
 // and answered by the same internal/httpwire code as obarchd's, so a
 // node and the router give the same status and body to the same request
@@ -12,14 +13,15 @@
 //     stable under membership change), so a key's quarantine history,
 //     pinned worker, and cache warmth stay on one node. Keyless sends
 //     join the shortest queue cluster-wide via power-of-two-choices
-//     over each node's polled queue depths.
+//     over each node's polled queue depth.
 //   - Per-node health state machines (healthy → suspect → down →
-//     half-open probe) fuse the slow signals — /readyz and /stats
-//     polls — with the fast ones: transport errors and in-band
+//     half-open probe) fuse the slow signal — an obwire ping every
+//     -poll, whose pong carries the node's queue depth and /readyz
+//     reason — with the fast ones: transport errors and in-band
 //     refusals on the data path. Sustained hard failures open a
 //     per-node circuit breaker; after a cooldown, one half-open probe
-//     (readyz + an obwire ping, so the data plane is proven too)
-//     closes it again.
+//     (a ping whose pong says ready) closes it again. A node's HTTP
+//     address is used only to proxy /programs.
 //   - Retryable outcomes — transport errors, admission refusals (429),
 //     sheds (503) — fail over to the next candidate node within a
 //     budget; machine errors (422) never do (the send executed).
@@ -40,11 +42,12 @@
 //	                   inline, a malformed element a 400 for the whole
 //	                   batch
 //	POST /nodes/join   {"http_addr": "...", "bin_addr": "..."} — add a
-//	                   node; it starts receiving traffic when it polls
-//	                   ready. 400 unless both addresses are host:port
-//	                   with a port in 1–65535, 409 for a node already
-//	                   joined; obrouter admits its -nodes list the same
-//	                   way, so either refusal fails startup
+//	                   node; it joins healthy and receives traffic at
+//	                   once, until a poll says otherwise. 400 unless
+//	                   both addresses are host:port with a port in
+//	                   1–65535, 409 for a node already joined; obrouter
+//	                   admits its -nodes list the same way, so either
+//	                   refusal fails startup
 //	POST /nodes/leave  {"bin_addr": "..."} — remove a node; in-flight
 //	                   sends finish, new sends stop immediately
 //	GET  /programs     proxied from the first routable node
@@ -87,7 +90,7 @@ func main() {
 	addr := flag.String("addr", ":8374", "listen address")
 	nodes := flag.String("nodes", "", "backend nodes as HTTPADDR=BINADDR,... (e.g. 127.0.0.1:8373=127.0.0.1:9373)")
 	conns := flag.Int("conns", 2, "obwire connections per node")
-	poll := flag.Duration("poll", 500*time.Millisecond, "health/depth poll interval per node")
+	poll := flag.Duration("poll", 500*time.Millisecond, "health ping interval per node (each pong carries the node's queue depth)")
 	failThreshold := flag.Int("failthreshold", 3, "consecutive hard failures that open a node's breaker")
 	cooldown := flag.Duration("cooldown", 2*time.Second, "breaker-open time before the half-open probe")
 	budget := flag.Int("failover-budget", 0, "max routing attempts per send (0: node count)")

@@ -186,6 +186,18 @@ func (c *Cache[V]) Peek(key uint64) (V, bool) {
 // Insert places a key/value pair, evicting the LRU line of the set when
 // full. It returns the evicted key and value, if any.
 func (c *Cache[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evicted bool) {
+	if _, old := c.insert(key, v); old.stamp != 0 {
+		return old.key, old.value, true
+	}
+	return 0, evictedVal, false
+}
+
+// insert places a key/value pair in one scan of its set, as TouchLine
+// probes: a line already holding the key, wherever it sits in the set,
+// takes the new value; otherwise the victim is the first empty line,
+// else the least recently used one. It answers the line now holding the
+// key and the other key's line it displaced (stamp 0 when none was).
+func (c *Cache[V]) insert(key uint64, v V) (*Line[V], Line[V]) {
 	set := c.setFor(key)
 	c.clock++
 	c.Stats.Inserts++
@@ -194,22 +206,18 @@ func (c *Cache[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 		if set[i].key == key && set[i].stamp != 0 {
 			set[i].value = v
 			set[i].stamp = c.clock
-			return 0, evictedVal, false
-		}
-		if set[i].stamp == 0 {
-			victim = i
-			break
+			return &set[i], Line[V]{}
 		}
 		if set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
-	if set[victim].stamp != 0 {
-		evictedKey, evictedVal, evicted = set[victim].key, set[victim].value, true
+	old := set[victim]
+	if old.stamp != 0 {
 		c.Stats.Evictions++
 	}
 	set[victim] = Line[V]{key: key, value: v, stamp: c.clock}
-	return evictedKey, evictedVal, evicted
+	return &set[victim], old
 }
 
 // Touch performs the standard cache-simulation access: look up the key,
@@ -277,14 +285,8 @@ func (c *Cache[V]) LookupLine(key uint64) (V, *Line[V], bool) {
 // InsertLine is Insert returning the line now holding the key (and
 // discarding the eviction report).
 func (c *Cache[V]) InsertLine(key uint64, v V) *Line[V] {
-	c.Insert(key, v)
-	set := c.setFor(key)
-	for i := range set {
-		if set[i].key == key && set[i].stamp != 0 {
-			return &set[i]
-		}
-	}
-	return nil // unreachable: Insert always places the key
+	ln, _ := c.insert(key, v)
+	return ln
 }
 
 // HitLine replays the hit bookkeeping on a line previously returned by

@@ -125,6 +125,36 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestInsertFindsKeyPastEmptyLine: a re-insert of a key held in a later
+// way than an empty one updates that line instead of placing a second
+// copy, so an Invalidate afterwards leaves no stale hit behind. Insert
+// and InsertLine both go this way.
+func TestInsertFindsKeyPastEmptyLine(t *testing.T) {
+	for _, name := range []string{"Insert", "InsertLine"} {
+		c := New[int](Config{Entries: 2, Assoc: 2})
+		c.Insert(1, 11)
+		c.Insert(2, 2)
+		c.Invalidate(1) // way 0 is now empty, key 2 sits in way 1
+		if name == "Insert" {
+			if _, _, evicted := c.Insert(2, 22); evicted {
+				t.Errorf("%s: re-inserting a held key evicted a line", name)
+			}
+		} else if ln := c.InsertLine(2, 22); ln != &c.lines[1] {
+			t.Errorf("%s: answered a line other than the one holding key 2", name)
+		}
+		if n := c.Len(); n != 1 {
+			t.Errorf("%s: Len = %d after re-inserting a held key, want 1", name, n)
+		}
+		if v, ok := c.Peek(2); !ok || v != 22 {
+			t.Errorf("%s: Peek(2) = %d, %v; want 22", name, v, ok)
+		}
+		c.Invalidate(2)
+		if v, ok := c.Peek(2); ok {
+			t.Errorf("%s: Peek(2) hit a stale %d after Invalidate", name, v)
+		}
+	}
+}
+
 func TestInvalidateIf(t *testing.T) {
 	c := New[int](Config{Entries: 8, Assoc: 0})
 	for i := 0; i < 6; i++ {

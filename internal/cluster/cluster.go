@@ -5,12 +5,13 @@
 // refusals — so one node dying mid-traffic is a routing event, not a
 // client-visible outage.
 //
-// The Router speaks obwire to its backends (one small pool of
-// multiplexed connections per node) and polls each node's HTTP control
-// plane: /readyz for health, /stats for queue depths. Signals from the
-// data path (transport errors, in-band refusals) feed the same health
-// machine, so a killed node is suspected on the first lost frame rather
-// than at the next poll tick.
+// The Router reaches its backends over obwire alone: a small pool of
+// multiplexed connections per node for sends, and one control connection
+// per node that it pings every PollInterval. The pong carries the node's
+// queue depth and not-ready reason. Signals from the data path
+// (transport errors, in-band refusals) feed the same health machine, so
+// a killed node is suspected on the first lost frame rather than at the
+// next poll tick.
 //
 // Failover policy follows the refusal taxonomy end to end: transport
 // errors and shed responses (StatusShed — the work expired unexecuted)
@@ -34,15 +35,11 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
-	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,8 +59,9 @@ var ErrNoBackends = errors.New("cluster: no routable backends")
 // that can never be reached must not join and count against the quorum.
 var ErrInvalidNode = errors.New("cluster: invalid node address")
 
-// NodeSpec names one backend: its HTTP control plane and obwire data
-// plane addresses.
+// NodeSpec names one backend: its HTTP control plane address, which
+// the router itself never dials (obrouter proxies /programs to it), and
+// its obwire address, which carries the sends and the health pings.
 type NodeSpec struct {
 	HTTPAddr string
 	BinAddr  string
@@ -102,8 +100,7 @@ type Config struct {
 	// one connection saturates far beyond a node's serving capacity,
 	// the second rides through a single conn dying).
 	ConnsPerNode int
-	// PollInterval spaces the per-node /readyz + /stats polls
-	// (default 500ms).
+	// PollInterval spaces the per-node health pings (default 500ms).
 	PollInterval time.Duration
 	// FailThreshold is how many consecutive hard failures move a
 	// suspect node down (default 3).
@@ -116,13 +113,11 @@ type Config struct {
 	FailoverBudget int
 	// Vnodes is the consistent-hash points per node (default 64).
 	Vnodes int
-	// PingTimeout bounds the half-open probe's obwire ping (default 1s).
+	// PingTimeout bounds every health check: each poll and each
+	// half-open probe is one obwire ping (default 1s).
 	PingTimeout time.Duration
-	// Logf, when set, receives health transitions and poll errors.
+	// Logf, when set, receives health transitions and probe errors.
 	Logf func(format string, v ...any)
-	// HTTPClient polls the control planes; a short-timeout default
-	// client when nil.
-	HTTPClient *http.Client
 }
 
 func (c *Config) withDefaults() {
@@ -143,9 +138,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.PingTimeout <= 0 {
 		c.PingTimeout = time.Second
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 2 * time.Second}
 	}
 }
 
@@ -349,8 +341,10 @@ func (r *Router) order(view *membership, key uint64) candidates {
 }
 
 // Join adds a node to the membership and starts its poller. The ring
-// reshapes; keys that move start landing on the new node as soon as it
-// polls healthy. In-flight sends finish on the membership they loaded.
+// reshapes, and keys that move land on the new node at once: a node
+// joins healthy, and its first poll, which runs immediately, takes it
+// out again if its pong says it is not ready. In-flight sends finish on
+// the membership they loaded.
 // A spec that fails Validate, a BinAddr already in the membership and a
 // closed router are refused with the membership unchanged.
 func (r *Router) Join(spec NodeSpec) error {
@@ -401,9 +395,6 @@ func (r *Router) Leave(binAddr string) error {
 		close(stop)
 		delete(r.pollers, gone)
 	}
-	gone.mu.Lock()
-	gone.removed = true
-	gone.mu.Unlock()
 	// Close the pool once in-flight work drains — without dropping it.
 	go func(n *Node) {
 		deadline := time.Now().Add(30 * time.Second)
@@ -423,13 +414,16 @@ func (r *Router) startPoller(n *Node) {
 	go r.pollLoop(n, stop)
 }
 
-// pollLoop drives the node's slow health signals: /readyz and /stats on
-// every tick while the node is up, and the half-open probe once a down
-// node's cooldown elapses. The first poll runs immediately so a fresh
-// router converges before its first send.
+// pollLoop drives the node's slow health signal: a ping on every tick
+// while the node is up, and the half-open probe once a down node's
+// cooldown elapses. The first poll runs immediately so a fresh router
+// converges before its first send. The loop closes the control
+// connection when it stops, in case a poll redialed it after Leave or
+// Close tore the node's connections down.
 func (r *Router) pollLoop(n *Node, stop chan struct{}) {
 	t := time.NewTicker(r.cfg.PollInterval)
 	defer t.Stop()
+	defer n.ctl.close()
 	for {
 		r.pollOnce(n)
 		select {
@@ -440,90 +434,37 @@ func (r *Router) pollLoop(n *Node, stop chan struct{}) {
 	}
 }
 
-// pollOnce runs one health check. Down nodes are probed (half-open)
-// only after the cooldown — no traffic, not even polls, hammers an
-// open breaker.
+// pollOnce runs one health check, one ping. Any pong refreshes the JSQ
+// load signal. Down nodes are probed (half-open) only after the cooldown
+// — no traffic, not even polls, hammers an open breaker — and only a pong
+// that says ready closes the breaker: a process that accepts TCP but
+// cannot serve frames stays down.
 func (r *Router) pollOnce(n *Node) {
-	if n.State() == StateDown {
-		if !n.beginProbe() {
-			return
-		}
-		// Half-open: the node must answer ready over HTTP *and* serve an
-		// obwire ping before the breaker closes — a process that accepts
-		// TCP but cannot serve frames stays down.
-		if err := r.checkReady(n); err != nil {
-			n.fail()
-			r.logf("cluster: %s: probe readyz: %v", n.BinAddr, err)
-			return
-		}
-		if err := n.ping(r.cfg.PingTimeout); err != nil {
-			n.fail()
-			r.logf("cluster: %s: probe ping: %v", n.BinAddr, err)
-			return
-		}
-		// Refresh the JSQ load signal before the breaker closes: the
-		// depth polled before the node went down is stale, and a stale
-		// nonzero one would keep keyless traffic off the node until the
-		// next poll.
-		r.pollDepth(n)
+	probe := n.State() == StateDown
+	if probe && !n.beginProbe() {
+		return
+	}
+	depth, reason, err := n.ping(r.cfg.PingTimeout)
+	if err == nil {
+		n.polledDepth.Store(depth)
+	}
+	switch {
+	case probe && err == nil && reason == "":
 		n.pollOK()
 		r.logf("cluster: %s: probe succeeded, breaker closed", n.BinAddr)
-		return
-	}
-	if err := r.checkReady(n); err != nil {
-		var nr notReadyError
-		if errors.As(err, &nr) {
-			n.pollNotReady(nr.reason)
-		} else {
-			n.pollFailed()
+	case probe:
+		n.fail()
+		if err == nil {
+			err = errors.New("not ready: " + reason)
 		}
-		return
+		r.logf("cluster: %s: probe: %v", n.BinAddr, err)
+	case err != nil:
+		n.pollFailed()
+	case reason != "":
+		n.pollNotReady(reason)
+	default:
+		n.pollOK()
 	}
-	n.pollOK()
-	r.pollDepth(n)
-}
-
-// notReadyError is a /readyz 503 with its body's reason.
-type notReadyError struct{ reason string }
-
-func (e notReadyError) Error() string { return "not ready: " + e.reason }
-
-// checkReady polls the node's /readyz: nil when 200, notReadyError on a
-// refusal, a transport error otherwise.
-func (r *Router) checkReady(n *Node) error {
-	resp, err := r.cfg.HTTPClient.Get("http://" + n.HTTPAddr + "/readyz")
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return notReadyError{reason: strings.TrimSpace(string(body))}
-	}
-	return nil
-}
-
-// pollDepth refreshes the node's JSQ load signal from its /stats: the
-// sum of its queue depths. A shard's depth already counts every request
-// queued on it or executing; the node's in_flight counts those same
-// requests again whenever -maxinflight sets a ceiling, so it is not added.
-func (r *Router) pollDepth(n *Node) {
-	resp, err := r.cfg.HTTPClient.Get("http://" + n.HTTPAddr + "/stats")
-	if err != nil {
-		return // readyz just passed; a stats blip is not a health signal
-	}
-	defer resp.Body.Close()
-	var st struct {
-		QueueDepths []int `json:"queue_depths"`
-	}
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) != nil {
-		return
-	}
-	var depth int64
-	for _, d := range st.QueueDepths {
-		depth += int64(d)
-	}
-	n.polledDepth.Store(depth)
 }
 
 // Stats is the router's cluster block: per-node rows plus the routing

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"slices"
 	"sort"
 	"sync"
@@ -13,23 +11,19 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/obwire"
 	"repro/internal/serve"
 	"repro/internal/smalltalk"
 	"repro/internal/word"
 )
 
-// testNode is one in-process backend: a pool on the answer image, an
-// obwire listener, and an httptest control plane whose /readyz answer
-// the test can flip.
+// testNode is one in-process backend: a pool on the answer image and
+// its obwire listener. Its HTTP address is a closed port, so every
+// health signal the router reads comes over obwire.
 type testNode struct {
-	pool *serve.Pool
-	srv  *obwire.Server
-	web  *httptest.Server
-
-	mu       sync.Mutex
-	ready    bool
-	reason   string
+	pool     *serve.Pool
+	srv      *obwire.Server
 	binAddr  string
 	httpAddr string
 }
@@ -56,40 +50,26 @@ extend SmallInt [
 
 func startTestNode(t *testing.T, snap *core.Snapshot, cfg serve.Config) *testNode {
 	t.Helper()
-	n := &testNode{ready: true}
-	n.pool = serve.NewPool(snap, cfg)
+	n := &testNode{pool: serve.NewPool(snap, cfg), httpAddr: closedAddr(t)}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.srv = obwire.Serve(l, n.pool, obwire.Options{})
 	n.binAddr = l.Addr().String()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		n.mu.Lock()
-		ready, reason := n.ready, n.reason
-		n.mu.Unlock()
-		if !ready {
-			http.Error(w, reason, http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		depths := n.pool.QueueDepths()
-		fmt.Fprintf(w, `{"queue_depths":[`)
-		for i, d := range depths {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprint(w, d)
-		}
-		fmt.Fprintf(w, `],"in_flight":0}`)
-	})
-	n.web = httptest.NewServer(mux)
-	n.httpAddr = n.web.Listener.Addr().String()
 	t.Cleanup(func() { n.stop(t) })
 	return n
+}
+
+// closedAddr answers a loopback address nothing listens on.
+func closedAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
 }
 
 func (n *testNode) stop(t *testing.T) {
@@ -101,13 +81,10 @@ func (n *testNode) stop(t *testing.T) {
 		n.srv = nil
 		n.pool.Close()
 	}
-	if n.web != nil {
-		n.web.Close()
-		n.web = nil
-	}
 }
 
-// kill simulates SIGKILL: listeners vanish, nothing drains gracefully.
+// kill simulates SIGKILL: the listener vanishes, nothing drains
+// gracefully.
 func (n *testNode) kill() {
 	if n.srv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -115,11 +92,6 @@ func (n *testNode) kill() {
 		cancel()
 		n.srv = nil
 		n.pool.Close()
-	}
-	if n.web != nil {
-		n.web.CloseClientConnections()
-		n.web.Close()
-		n.web = nil
 	}
 }
 
@@ -578,8 +550,8 @@ func TestRouterFailoverOnKill(t *testing.T) {
 		send(i)
 	}
 
-	// SIGKILL node b: its listeners vanish, in-flight conns break.
-	binAddr, httpAddr := b.binAddr, b.httpAddr
+	// SIGKILL node b: its listener vanishes, in-flight conns break.
+	binAddr := b.binAddr
 	b.kill()
 	for i := 0; i < 200; i++ {
 		send(1000 + i) // every send must still succeed via failover
@@ -597,33 +569,17 @@ func TestRouterFailoverOnKill(t *testing.T) {
 		}
 	}
 
-	// Resurrect the node on its old addresses (the drill's restart).
+	// Resurrect the node on its old address (the drill's restart).
 	l, err := net.Listen("tcp", binAddr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", binAddr, err)
 	}
 	pool2 := serve.NewPool(snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
 	srv2 := obwire.Serve(l, pool2, obwire.Options{})
-	hl, err := net.Listen("tcp", httpAddr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", httpAddr, err)
-	}
-	web2 := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		switch req.URL.Path {
-		case "/readyz":
-			fmt.Fprintln(w, "ok")
-		case "/stats":
-			fmt.Fprint(w, `{"queue_depths":[0],"in_flight":0}`)
-		default:
-			http.NotFound(w, req)
-		}
-	})}
-	go web2.Serve(hl)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		srv2.Shutdown(ctx)
 		pool2.Close()
-		web2.Shutdown(ctx)
 		cancel()
 	})
 
@@ -749,7 +705,10 @@ func TestRouterShedFailsOver(t *testing.T) {
 	snap := answerSnapshot(t)
 	refusing := startTestNode(t, snap, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second})
 	healthy := startTestNode(t, snap, serve.Config{Workers: 2, Timeout: 10 * time.Second})
-	r := testRouter(t, []*testNode{refusing, healthy}, nil)
+	// The refusing node's pongs say overloaded, and sustained overloaded
+	// polls do open the breaker (TestReadinessOverObwire). Only the first
+	// poll runs here, so the breaker sees the data path's refusals alone.
+	r := testRouter(t, []*testNode{refusing, healthy}, func(c *Config) { c.PollInterval = time.Hour })
 
 	for i := 0; i < 100; i++ {
 		resp, err := r.Send(serve.Request{Receiver: word.FromInt(int32(i)), Selector: "answer"})
@@ -904,4 +863,152 @@ func TestProbeCooldownPacing(t *testing.T) {
 	if row.BreakerOpens < row.Probes {
 		t.Fatalf("opens %d < probes %d: a failed probe should re-open the breaker", row.BreakerOpens, row.Probes)
 	}
+}
+
+// waitRow polls the router's row for the node at binAddr until ok holds,
+// and answers that row.
+func waitRow(t *testing.T, r *Router, binAddr, what string, ok func(NodeStats) bool) NodeStats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, row := range r.Stats().Nodes {
+			if row.BinAddr == binAddr && ok(row) {
+				return row
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %s never %s: %+v", binAddr, what, r.Stats().Nodes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReadinessOverObwire drives every not-ready reason from a real pool
+// and obwire server to the router. The node's HTTP address is a closed
+// port, so each reason and the queue depth can reach the router only in
+// a pong, and each is sorted as pollNotReady's taxonomy says: overloaded
+// and quarantine-heavy open the breaker, draining and rotating make the
+// node unroutable without opening it.
+func TestReadinessOverObwire(t *testing.T) {
+	snap := answerSnapshot(t)
+	req := serve.Request{Receiver: word.FromInt(1), Selector: "answer"}
+	down := StateDown.String()
+	only := func(t *testing.T, cfg serve.Config, tune func(*Config)) (*testNode, *Router, *Node) {
+		t.Helper()
+		b := startTestNode(t, snap, cfg)
+		r := testRouter(t, []*testNode{b}, tune)
+		return b, r, r.Nodes()[0]
+	}
+
+	t.Run("overloaded", func(t *testing.T) {
+		b, r, n := only(t, serve.Config{Workers: 1, MaxInFlight: -1, Timeout: 10 * time.Second}, nil)
+		row := waitRow(t, r, b.binAddr, "down", func(row NodeStats) bool { return row.State == down })
+		if row.NotReadyReason != "overloaded" || row.BreakerOpens == 0 || n.Routable() {
+			t.Fatalf("overloaded node: routable %v, %+v; want reason overloaded and the breaker open", n.Routable(), row)
+		}
+	})
+
+	t.Run("draining", func(t *testing.T) {
+		// Shutdown closes the control connection DefaultDrainGrace after
+		// it begins, so this case polls by hand instead of waiting on
+		// the poll loop's ticks.
+		b, r, n := only(t, serve.Config{Workers: 1, Timeout: 10 * time.Second}, func(c *Config) { c.PollInterval = time.Hour })
+		r.pollOnce(n)
+		if !n.Routable() {
+			t.Fatalf("ready node unroutable: %+v", n.Stats())
+		}
+		deadline := time.Now().Add(obwire.DefaultDrainGrace)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			b.srv.Shutdown(ctx)
+		}()
+		defer func() { <-done }()
+		for n.Stats().NotReadyReason != "draining" {
+			if time.Now().After(deadline) {
+				t.Fatalf("no pong said draining within the drain grace: %+v", n.Stats())
+			}
+			r.pollOnce(n)
+		}
+		if row := n.Stats(); n.Routable() || row.State == down || row.BreakerOpens != 0 {
+			t.Fatalf("draining node: routable %v, %+v; want unroutable with the breaker closed", n.Routable(), row)
+		}
+	})
+
+	t.Run("rotating", func(t *testing.T) {
+		b, r, n := only(t, serve.Config{Workers: 1, Timeout: 10 * time.Second,
+			Faults: &serve.Faults{StallEvery: 1, Stall: time.Second}}, nil)
+		sent := make(chan serve.Result, 1)
+		go func() { sent <- b.pool.Do(req) }()
+		// Rotate stamps the shard under its execution lock, which the
+		// stalled send holds from its exec_start or dispatch event on.
+		executing := func() bool {
+			for _, e := range b.pool.FlightRecorder().Events() {
+				if e.Kind == flight.KindExecStart || e.Kind == flight.KindDispatch {
+					return true
+				}
+			}
+			return false
+		}
+		for deadline := time.Now().Add(5 * time.Second); !executing(); {
+			if time.Now().After(deadline) {
+				t.Fatal("the send never began executing")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		rotated := make(chan error, 1)
+		go func() { rotated <- b.pool.Rotate(snap) }()
+		row := waitRow(t, r, b.binAddr, "rotating", func(row NodeStats) bool { return row.NotReadyReason == "rotating" })
+		if n.Routable() || row.State == down || row.BreakerOpens != 0 {
+			t.Errorf("rotating node: routable %v, %+v; want unroutable with the breaker closed", n.Routable(), row)
+		}
+		if err := <-rotated; err != nil {
+			t.Fatalf("rotate: %v", err)
+		}
+		if res := <-sent; res.Err != nil {
+			t.Fatalf("stalled send: %v", res.Err)
+		}
+		waitRow(t, r, b.binAddr, "ready after the rotation", func(row NodeStats) bool { return row.NotReadyReason == "" })
+		if !n.Routable() {
+			t.Fatalf("node unroutable after the rotation: %+v", n.Stats())
+		}
+	})
+
+	t.Run("quarantine-heavy", func(t *testing.T) {
+		b, r, n := only(t, serve.Config{Workers: 1, Timeout: 10 * time.Second, Faults: &serve.Faults{PanicEvery: 1}}, nil)
+		if resp, err := r.Send(req); err != nil || resp.Status != obwire.StatusMachineError {
+			t.Fatalf("send into a panicking worker: %+v, %v; want a machine error", resp, err)
+		}
+		row := waitRow(t, r, b.binAddr, "down", func(row NodeStats) bool { return row.State == down })
+		if row.NotReadyReason != "quarantine-heavy" || row.BreakerOpens == 0 || n.Routable() {
+			t.Fatalf("quarantined node: routable %v, %+v; want reason quarantine-heavy and the breaker open", n.Routable(), row)
+		}
+	})
+
+	t.Run("queue depth", func(t *testing.T) {
+		const k = 5
+		b, r, _ := only(t, serve.Config{Workers: 2, Timeout: 10 * time.Second}, nil)
+		release := sync.OnceFunc(b.pool.Quiesce())
+		defer release()
+		futures := make([]*serve.Future, k)
+		for i := range futures {
+			futures[i] = b.pool.Go(req)
+		}
+		waitRow(t, r, b.binAddr, fmt.Sprintf("at queue depth %d", k), func(row NodeStats) bool { return row.QueueDepth == k })
+		release()
+		for i, f := range futures {
+			if res := f.Wait(); res.Err != nil {
+				t.Fatalf("queued send %d: %v", i, res.Err)
+			}
+		}
+		row := waitRow(t, r, b.binAddr, "at queue depth 0", func(row NodeStats) bool { return row.QueueDepth == 0 })
+		if row.State != StateHealthy.String() || row.NotReadyReason != "" || row.PollFails != 0 {
+			t.Fatalf("idle node after its queue drained: %+v; want healthy, ready, no poll failures", row)
+		}
+		if b.srv.Stats().Pings == 0 {
+			t.Fatal("the node counted none of the router's pings")
+		}
+	})
 }

@@ -1,6 +1,7 @@
-// Per-node state: the obwire connection pool a node is reached
-// through, and the health state machine + circuit breaker that decide
-// whether it should be reached at all.
+// Per-node state: the obwire connections a node is reached through —
+// ConnsPerNode for sends and one for health pings — and the health state
+// machine + circuit breaker that decide whether it should be reached at
+// all.
 //
 // A node's health is a four-state machine:
 //
@@ -10,8 +11,9 @@
 //	   └────────────── healthy ◀──probe ok──────── probing
 //
 // Failure signals come from two directions. The poller drives the slow
-// loop: /readyz answering anything but 200 (or not answering) is a
-// fail, 200 is an ok. The data path drives the fast loop: a transport
+// loop: a ping whose pong says ready is an ok; no pong at all is a fail,
+// and so is a pong with a reason other than draining or rotating (see
+// pollNotReady). The data path drives the fast loop: a transport
 // error on a forward is a fail the moment it happens — a dead node is
 // suspected on the first lost send, not half a second later when the
 // poller notices. In-band refusals (status 2 overloaded, status 3
@@ -22,10 +24,10 @@
 //
 // Down is the breaker open: the router stops sending anything, so a
 // failing node never accumulates a queue of doomed requests. After
-// Cooldown the poller moves the node to probing (half-open) and the
-// next /readyz probe — backed by an obwire ping so the data plane is
-// proven too, not just the control socket — either closes the breaker
-// (healthy) or re-arms it (down, fresh cooldown).
+// Cooldown the poller moves the node to probing (half-open) and sends
+// one ping: a pong that says ready — served by the node's obwire loop
+// itself, so the data plane is proven, not just the socket — closes the
+// breaker (healthy); anything else re-arms it (down, fresh cooldown).
 package cluster
 
 import (
@@ -71,12 +73,13 @@ func (s State) String() string {
 }
 
 // Node is one obarchd backend: its two addresses, its obwire
-// connection pool, its health machine, and its counters. All methods
-// are safe for concurrent use; the data path touches only atomics and
-// a short per-slot dial lock.
+// connections, its health machine, and its counters. All methods are
+// safe for concurrent use; the data path touches only atomics and a
+// short per-slot dial lock.
 type Node struct {
-	// HTTPAddr is the node's control plane (host:port): /readyz,
-	// /stats, /programs. BinAddr is its obwire data plane.
+	// HTTPAddr is the node's HTTP control plane (host:port), which
+	// obrouter proxies /programs to. BinAddr is its obwire listener,
+	// which carries the sends and the health pings.
 	HTTPAddr string
 	BinAddr  string
 
@@ -86,16 +89,16 @@ type Node struct {
 	mu          sync.Mutex // guards transitions and the fields below
 	consecFails int
 	downSince   time.Time
-	notReady    string // last /readyz refusal reason ("" when ready)
-	removed     bool   // left the ring; poller stopped, conns closing
+	notReady    string // last pong's not-ready reason ("" when ready)
 
 	draining atomic.Bool
 
 	slots []*connSlot
 	rr    atomic.Uint64
+	ctl   connSlot // the health pings' own connection
 
-	// polledDepth is the node's queue backlog from the last /stats poll
-	// (its queue depths summed); outstanding is the router's own
+	// polledDepth is the node's queue backlog from the last pong (its
+	// queue depths summed); outstanding is the router's own
 	// in-flight count against this node. Their sum is the JSQ load
 	// signal: the poll supplies the node's view, outstanding keeps it
 	// current between polls.
@@ -111,7 +114,7 @@ type Node struct {
 	opens      atomic.Uint64 // breaker openings (entered StateDown)
 	probes     atomic.Uint64 // half-open probes attempted
 	recoveries atomic.Uint64 // breaker closings (probe succeeded)
-	pollFails  atomic.Uint64 // /readyz polls that failed or refused
+	pollFails  atomic.Uint64 // polls that got no pong or a not-ready one
 }
 
 // connSlot is one persistent mux connection to the node, lazily dialed
@@ -220,7 +223,7 @@ func (n *Node) open() {
 	n.opens.Add(1)
 }
 
-// pollOK records a ready poll or a successful probe: the machine
+// pollOK records a ready pong or a successful probe: the machine
 // returns to healthy from anywhere, closing the breaker if it was
 // half-open.
 func (n *Node) pollOK() {
@@ -241,7 +244,7 @@ func (n *Node) pollOK() {
 	}
 }
 
-// pollNotReady records a /readyz refusal with its reason. Draining and
+// pollNotReady records a pong's not-ready reason. Draining and
 // rotating nodes are leaving or mid-swap: unroutable, but deliberately
 // so — the breaker is not charged. Every other reason (overloaded,
 // quarantine-heavy, or anything new) is a failure signal.
@@ -258,7 +261,7 @@ func (n *Node) pollNotReady(reason string) {
 	}
 }
 
-// pollFailed records a poll that got no answer at all.
+// pollFailed records a poll that got no pong at all.
 func (n *Node) pollFailed() {
 	n.pollFails.Add(1)
 	n.fail()
@@ -304,23 +307,20 @@ func (n *Node) Do(req serve.Request) (obwire.Response, error) {
 	return resp, nil
 }
 
-// ping proves the data plane: one obwire ping through a live
-// connection (dialing one if needed). Used by the half-open probe so a
-// breaker only closes when the node serves frames, not just HTTP. A
-// full window fails the probe but keeps the connection.
-func (n *Node) ping(timeout time.Duration) error {
-	slot := n.slots[n.rr.Add(1)%uint64(len(n.slots))]
-	c, err := slot.client(n.BinAddr)
+// ping sends one health ping on the node's control connection, dialing
+// it if needed, and answers the pong's queue depth and not-ready reason.
+// The connection carries nothing else, so a ping never waits behind
+// sends, and a failed ping drops only it.
+func (n *Node) ping(timeout time.Duration) (int64, string, error) {
+	c, err := n.ctl.client(n.BinAddr)
 	if err != nil {
-		return err
+		return 0, "", err
 	}
-	if err := c.Ping(timeout); err != nil {
-		if !errors.Is(err, obwire.ErrWindowFull) {
-			slot.dropped(c)
-		}
-		return err
+	depth, reason, err := c.Ping(timeout)
+	if err != nil {
+		n.ctl.dropped(c)
 	}
-	return nil
+	return depth, reason, err
 }
 
 // client hands out the slot's connection, dialing when there is none.
@@ -366,16 +366,23 @@ func (s *connSlot) dropped(c *obwire.MuxClient) {
 	c.Close()
 }
 
-// closeConns tears the pool down (node removed or router stopping).
+// closeConns tears the connections down (node removed or router
+// stopping).
 func (n *Node) closeConns() {
 	for _, s := range n.slots {
-		s.mu.Lock()
-		if s.c != nil {
-			s.c.Close()
-			s.c = nil
-		}
-		s.mu.Unlock()
+		s.close()
 	}
+	n.ctl.close()
+}
+
+// close closes the slot's connection, if it holds one.
+func (s *connSlot) close() {
+	s.mu.Lock()
+	if s.c != nil {
+		s.c.Close()
+		s.c = nil
+	}
+	s.mu.Unlock()
 }
 
 // NodeStats is one node's row in the router's /stats cluster block.

@@ -78,6 +78,7 @@ func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		httpwire.Counter(&b, "obarch_binary_frames_in_total", "Binary-transport request frames decoded and dispatched.", bst.FramesIn)
 		httpwire.Counter(&b, "obarch_binary_frames_out_total", "Binary-transport response frames written.", bst.FramesOut)
 		httpwire.Counter(&b, "obarch_binary_frames_inline_total", "Binary-transport request frames the connection reader ran to completion itself.", bst.FramesInline)
+		httpwire.Counter(&b, "obarch_binary_pings_total", "Binary-transport pings answered with a pong: a cluster router's health polls.", bst.Pings)
 		httpwire.Counter(&b, "obarch_binary_proto_errors_total", "Malformed binary frames; each poisons exactly its own connection.", bst.ProtoErrors)
 	}
 

@@ -101,10 +101,12 @@
 //	                  3 (shed, as 503 — retry elsewhere) carry the error
 //	                  text; /stats gains a "binary" block and /metrics an
 //	                  obarch_binary_* family for its transport counters
-//	obwire ping       liveness frame answered in queue order — a pong
-//	                  proves the read→dispatch→write loop itself is
-//	                  serving, which is what the cluster router's
-//	                  half-open probe requires before trusting a node
+//	obwire ping       health frame answered in queue order with a pong
+//	                  carrying the pool's summed queue depth and the
+//	                  /readyz reason ("" while ready); a pong proves the
+//	                  read→dispatch→write loop itself is serving. The
+//	                  cluster router's every poll and half-open probe is
+//	                  one ping; "pings" in the binary block counts them
 package node
 
 import (
@@ -304,24 +306,14 @@ func (n *Node) BinaryAddr() string {
 }
 
 // notReady answers why this node should not receive new traffic, or ""
-// while it should. Checked in severity order: a draining node is leaving
-// no matter what the pool says; a rotating node serves correctly but a
-// balancer should prefer a steadier peer until the swap lands; an
-// overloaded pool refuses admission anyway; and when quarantine
-// re-stamps are churning through more than half the shards, capacity is
-// not what the balancer thinks it is.
+// while it should: "draining" once Shutdown begins, since a leaving node
+// is leaving no matter what the pool says, and the pool's own reason
+// otherwise.
 func (n *Node) notReady() string {
-	switch {
-	case n.draining.Load():
+	if n.draining.Load() {
 		return "draining"
-	case n.pool.Rotating():
-		return "rotating"
-	case n.pool.Overloaded():
-		return "overloaded"
-	case 2*n.pool.UnhealthyShards() > n.pool.Workers():
-		return "quarantine-heavy"
 	}
-	return ""
+	return n.pool.NotReady()
 }
 
 // handleReady is GET /readyz: 200 "ready" while the node should receive
@@ -483,8 +475,8 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "checkpoints       taken=%d failures=%d generation=%d age_s=%.1f\n", ckpt.Taken, ckpt.Failures, ckpt.Generation, ckpt.AgeS)
 		if n.bin != nil {
 			bst := n.bin.Stats()
-			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d frames_out=%d frames_inline=%d proto_errors=%d\n",
-				n.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
+			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d frames_out=%d frames_inline=%d pings=%d proto_errors=%d\n",
+				n.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.Pings, bst.ProtoErrors)
 		}
 		return
 	}
@@ -546,6 +538,7 @@ func (n *Node) binaryStats() map[string]any {
 		"frames_in":      st.FramesIn,
 		"frames_out":     st.FramesOut,
 		"frames_inline":  st.FramesInline,
+		"pings":          st.Pings,
 		"proto_errors":   st.ProtoErrors,
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"repro/internal/word"
 )
 
-// FuzzDecodeFrames holds the hostile-input line of both frame decoders a
+// FuzzDecodeFrames holds the hostile-input line of every frame decoder a
 // peer can reach: the server's decodeRequest and the client's
-// decodeResponse. Whatever payload arrives — junk, truncations, forged
-// lengths, the other side's frames — each must return an error or a
-// value, never panic; and a request that decodes must re-encode to the
-// very bytes it came from, so the codec drops nothing it accepted.
+// decodeResponse and decodePong. Whatever payload arrives — junk,
+// truncations, forged lengths, the other side's frames — each must
+// return an error or a value, never panic; and a request or pong that
+// decodes must re-encode to the very bytes it came from, so the codec
+// drops nothing it accepted.
 func FuzzDecodeFrames(f *testing.F) {
 	payload := func(frame []byte) []byte { return frame[4:] } // strip the length prefix
 	f.Add(payload(appendRequest(nil, 1, serve.Request{Receiver: word.FromInt(21), Selector: "double"})))
@@ -34,7 +35,12 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(payload(appendResponse(nil, 8, serve.Result{Err: serve.ErrOverloaded})))
 	f.Add(payload(appendResponse(nil, 9, serve.Result{Err: errors.New("doesNotUnderstand: #foo")})))
 	f.Add(payload(appendPing(nil, 3)))
-	f.Add(payload(appendPong(nil, 3)))
+	for _, reason := range []string{"", "draining", "rotating", "overloaded", "quarantine-heavy"} {
+		f.Add(payload(appendPong(nil, 3, 17, reason)))
+	}
+	pong := payload(appendPong(nil, 4, 1<<40, "rotating"))
+	f.Add(pong[:len(pong)-3])               // reason cut short
+	f.Add(append(pong[:17:17], 0xff, 0xff)) // reason length past the frame
 	f.Add([]byte{})
 	f.Add([]byte{frameSend})
 	f.Add([]byte{frameResult})
@@ -42,6 +48,11 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := decodeResponse(data); err == nil && r.Value.Tag >= word.NumTags {
 			t.Fatalf("decodeResponse accepted tag %d", r.Value.Tag)
+		}
+		if id, depth, reason, err := decodePong(data); err == nil {
+			if again := payload(appendPong(nil, id, depth, reason)); !bytes.Equal(again, data) {
+				t.Fatalf("decoded pong re-encodes differently:\n got %x\nwant %x", again, data)
+			}
 		}
 		s := &Server{}
 		id, req, err := s.decodeRequest(data, make(map[string]string))

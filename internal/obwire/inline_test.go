@@ -298,7 +298,7 @@ func TestInlineWriteErrorPoisonsOwnConn(t *testing.T) {
 		}
 	}
 	// The pong follows every earlier answer's count.
-	if err := good.Ping(5 * time.Second); err != nil {
+	if _, _, err := good.Ping(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()

@@ -4,9 +4,10 @@
 // is however many callers are in flight at once. A burst of concurrent
 // sends shares one write, a lone send is written at once, and a single
 // reader goroutine delivers responses back to their callers in the
-// server's strict request order. The cluster router keeps a few of these
-// per node; loadgen's binary transport shares one per client across its
-// -pipeline lanes.
+// server's strict request order. The cluster router keeps ConnsPerNode
+// of these per node for sends and one more for its health pings;
+// loadgen's binary transport shares one per client across its -pipeline
+// lanes.
 package obwire
 
 import (
@@ -36,11 +37,14 @@ var ErrClientClosed = errors.New("obwire: client closed")
 // path; refusing keeps the failure mode visible and retryable.)
 var ErrWindowFull = errors.New("obwire: connection window full")
 
-// muxReply is one delivered response: the decoded frame, or the
-// connection-level error that killed the send.
+// muxReply is one delivered answer: the decoded result frame, or a
+// pong's depth and reason, or the connection-level error that killed the
+// send.
 type muxReply struct {
-	resp Response
-	err  error
+	resp     Response
+	depth    int64
+	notReady string
+	err      error
 }
 
 // muxWaiter is one in-flight send awaiting its response: 16 bytes, so
@@ -206,30 +210,30 @@ func (m *MuxClient) Do(req serve.Request) (Response, error) {
 // Ping round-trips one ping frame through the server's whole
 // read→dispatch→write loop, ordered behind every send already in
 // flight — so a pong bounds the loop's current backlog, not just the
-// socket's liveness. The deadline caps the wait; a timeout kills the
-// connection (its pong can no longer be matched FIFO).
-func (m *MuxClient) Ping(timeout time.Duration) error {
+// socket's liveness. It answers what the pong carries: the server pool's
+// summed queue depth and its not-ready reason, "" while it is ready. The
+// deadline caps the wait; a timeout kills the connection (its pong can
+// no longer be matched FIFO).
+func (m *MuxClient) Ping(timeout time.Duration) (depth int64, notReady string, err error) {
 	ch, err := m.enqueue(true, serve.Request{})
 	if err != nil {
-		return err
+		return 0, "", err
 	}
-	var timer *time.Timer
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		expired = timer.C
+		timer := time.NewTimer(timeout)
 		defer timer.Stop()
+		expired = timer.C
 	}
+	var r muxReply
 	select {
-	case r := <-ch:
-		m.chPool.Put(ch)
-		return r.err
+	case r = <-ch:
 	case <-expired:
 		m.fail(fmt.Errorf("obwire: ping timed out after %v", timeout))
-		r := <-ch // the reader always drains every waiter
-		m.chPool.Put(ch)
-		return r.err
+		r = <-ch // the reader always drains every waiter
 	}
+	m.chPool.Put(ch)
+	return r.depth, r.notReady, r.err
 }
 
 // readLoop pairs responses with waiters in FIFO order and, on any
@@ -262,9 +266,9 @@ func (m *MuxClient) readLoop() {
 		}
 		var reply muxReply
 		var id uint64
-		var pong bool
-		if len(rbuf) == 9 && rbuf[0] == framePong {
-			id, pong = binary.LittleEndian.Uint64(rbuf[1:]), true
+		pong := rbuf[0] == framePong
+		if pong {
+			id, reply.depth, reply.notReady, reply.err = decodePong(rbuf)
 		} else {
 			reply.resp, reply.err = decodeResponse(rbuf)
 			id = reply.resp.ID

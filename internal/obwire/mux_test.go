@@ -72,8 +72,8 @@ func TestMuxPing(t *testing.T) {
 		if err != nil || !resp.OK() {
 			t.Fatalf("send %d: %v (status %d)", i, err, resp.Status)
 		}
-		if err := m.Ping(time.Second); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
+		if depth, notReady, err := m.Ping(time.Second); err != nil || depth != 0 || notReady != "" {
+			t.Fatalf("ping %d: depth %d, reason %q, %v; want an idle, ready pool", i, depth, notReady, err)
 		}
 	}
 	st := s.Stats()
@@ -103,7 +103,7 @@ func TestMuxRefusalsInBand(t *testing.T) {
 	if resp.Status != StatusOverloaded {
 		t.Fatalf("status = %d, want %d (maintenance mode refuses everything)", resp.Status, StatusOverloaded)
 	}
-	if err := m.Ping(time.Second); err != nil {
+	if _, _, err := m.Ping(time.Second); err != nil {
 		t.Fatalf("connection unusable after in-band refusal: %v", err)
 	}
 }
@@ -177,7 +177,7 @@ func TestMuxPingTimeout(t *testing.T) {
 	}
 	defer m.Close()
 	start := time.Now()
-	if err := m.Ping(100 * time.Millisecond); err == nil {
+	if _, _, err := m.Ping(100 * time.Millisecond); err == nil {
 		t.Fatal("ping against a mute server returned nil")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -295,7 +295,7 @@ func TestMuxCloseWhileFlusherYields(t *testing.T) {
 				for i := 0; ; i++ {
 					var err error
 					if (g+i)%5 == 0 {
-						err = m.Ping(10 * time.Second)
+						_, _, err = m.Ping(10 * time.Second)
 					} else {
 						var resp Response
 						recv := int32(g*100000 + i)

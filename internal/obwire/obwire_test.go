@@ -108,8 +108,9 @@ func (c *rawConn) recv() (r Response, pong bool, err error) {
 	if _, err := io.ReadFull(c.br, b); err != nil {
 		return r, false, err
 	}
-	if len(b) == 9 && b[0] == framePong {
-		return Response{ID: binary.LittleEndian.Uint64(b[1:])}, true, nil
+	if len(b) > 0 && b[0] == framePong {
+		id, _, _, err := decodePong(b)
+		return Response{ID: id}, true, err
 	}
 	r, err = decodeResponse(b)
 	return r, false, err

@@ -428,7 +428,8 @@ func (s *Server) writeLoop(o *connOut, pend <-chan pending, done chan<- struct{}
 		}
 		o.mu.Lock()
 		if p.fut == nil {
-			o.buf = appendPong(o.buf[:0], p.id)
+			depth, notReady := s.health()
+			o.buf = appendPong(o.buf[:0], p.id, depth, notReady)
 			s.put(o, nil, len(pend) == 0)
 		} else {
 			s.respond(o, p.id, res, len(pend) == 0)
@@ -440,6 +441,18 @@ func (s *Server) writeLoop(o *connOut, pend <-chan pending, done chan<- struct{}
 	if !o.broken {
 		o.bw.Flush()
 	}
+}
+
+// health answers what a pong carries: the pool's queue depths summed
+// and its not-ready reason, "draining" instead once Shutdown begins.
+func (s *Server) health() (depth int64, notReady string) {
+	for _, d := range s.pool.QueueDepths() {
+		depth += int64(d)
+	}
+	if notReady = s.pool.NotReady(); s.closed.Load() {
+		notReady = "draining"
+	}
+	return depth, notReady
 }
 
 var errEmptySelector = errors.New("obwire: empty selector")

@@ -13,7 +13,7 @@
 //
 // # Framing
 //
-// A connection opens with the 4-byte magic "OBW1" from the client. Every
+// A connection opens with the 4-byte magic "OBW2" from the client. Every
 // frame after that is a little-endian u32 payload length followed by the
 // payload. A machine word is its tag byte plus 4 payload bytes.
 //
@@ -39,6 +39,11 @@
 //	u64 cycles
 //	u64 service latency in ns
 //	u16 error message length + bytes (empty on StatusOK)
+//
+// A ping is u8 type (framePing) and u64 frame id. Its pong, answered in
+// request order like a result, is u8 type (framePong), u64 frame id, u64
+// queue depth (the pool's queue depths summed) and u16 not-ready reason
+// length + bytes (empty while ready).
 //
 // Frame-level statuses mirror the HTTP status map one for one, so a
 // client's backoff logic carries over unchanged: StatusOK is 200,
@@ -91,20 +96,20 @@ import (
 
 // Magic opens every connection, client first. A listener that reads
 // anything else closes immediately — a cheap guard against stray HTTP
-// clients and port scanners wedging a frame parser.
-const Magic = "OBW1"
+// clients and port scanners wedging a frame parser. Its digit is the
+// protocol version, so a mismatched pair fails at the handshake.
+const Magic = "OBW2"
 
 // Frame types.
 const (
 	frameSend   = 0x01
 	frameResult = 0x02
-	// framePing/framePong are the in-band health probe: a ping is
+	// framePing/framePong are the in-band health check: a ping is
 	// answered with a pong carrying the same frame id, ordered with the
 	// results like any other frame — so a pong proves the connection's
 	// whole read→dispatch→write loop is alive, not just the TCP socket.
-	// The cluster front tier leans on this: a node whose pings stop
-	// coming back is suspect long before a request has to die finding
-	// out.
+	// The pong also carries what the cluster router steers by, taken
+	// when it is written: the pool's queue depth and not-ready reason.
 	framePing = 0x03
 	framePong = 0x04
 )
@@ -228,10 +233,25 @@ func appendPing(b []byte, id uint64) []byte {
 }
 
 // appendPong encodes one pong frame — length prefix included — onto b.
-func appendPong(b []byte, id uint64) []byte {
-	b = appendU32(b, 9) // type + id
+func appendPong(b []byte, id uint64, depth int64, notReady string) []byte {
+	b = appendU32(b, uint32(19+len(notReady))) // type + id + depth + reason
 	b = append(b, framePong)
-	return appendU64(b, id)
+	b = appendU64(b, id)
+	b = appendU64(b, uint64(depth))
+	b = appendU16(b, uint16(len(notReady)))
+	return append(b, notReady...)
+}
+
+// decodePong decodes one pong frame payload. The reason, sent only while
+// the node is not ready, is the single allocation.
+func decodePong(b []byte) (id uint64, depth int64, notReady string, err error) {
+	d := dec{b: b}
+	if d.u8() != framePong {
+		d.fail()
+	}
+	id, depth = d.u64(), int64(d.u64())
+	notReady = string(d.bytes(int(d.u16())))
+	return id, depth, notReady, d.done()
 }
 
 // appendResponse encodes one result frame — length prefix included —

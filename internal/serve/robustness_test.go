@@ -177,8 +177,8 @@ func TestPoolInFlightCeiling(t *testing.T) {
 
 	closed := serve.NewPool(snap, serve.Config{Workers: 1, MaxInFlight: -1})
 	defer closed.Close()
-	if !closed.Overloaded() {
-		t.Error("admission-closed pool does not report overloaded")
+	if reason := closed.NotReady(); reason != "overloaded" {
+		t.Errorf("admission-closed pool reports %q, want overloaded", reason)
 	}
 	if res := closed.Do(quick); !errors.Is(res.Err, serve.ErrOverloaded) {
 		t.Fatalf("Do under a closed ceiling returned %v", res.Err)
@@ -202,8 +202,8 @@ func TestPoolInFlightCeiling(t *testing.T) {
 			t.Fatalf("request %d under an open ceiling: got %d, %v", i, got, err)
 		}
 	}
-	if open.Overloaded() {
-		t.Error("quiescent pool reports overloaded")
+	if reason := open.NotReady(); reason != "" {
+		t.Errorf("quiescent pool reports %q, want ready", reason)
 	}
 	if n := open.InFlight(); n != 0 {
 		t.Errorf("quiescent pool reports %d in flight", n)

@@ -857,17 +857,6 @@ func (p *Pool) InFlight() int64 {
 	return p.ifTotal.Load()
 }
 
-// Overloaded reports whether admission is currently refusing keyless
-// capacity: the ceiling is closed (MaxInFlight < 0) or the in-flight
-// count sits at it. A pool without a ceiling never reports overloaded —
-// full queues are per-shard and transient. The readiness signal.
-func (p *Pool) Overloaded() bool {
-	if p.maxIF < 0 {
-		return true
-	}
-	return p.maxIF > 0 && p.ifTotal.Load() >= p.maxIF
-}
-
 // UnhealthyShards counts shards whose most recent execution panicked and
 // that have not served a success since their re-stamp — the
 // quarantine-heavy readiness signal.
@@ -879,6 +868,27 @@ func (p *Pool) UnhealthyShards() int {
 		}
 	}
 	return n
+}
+
+// NotReady answers why the pool should get no new work, or "" while it
+// should, in severity order: "rotating" while a live rotation is
+// mid-swap (the pool serves, but a balancer should prefer a steadier
+// peer); "overloaded" while admission refuses keyless capacity — the
+// MaxInFlight ceiling is closed or reached (full queues are per-shard
+// and transient, so they do not count); "quarantine-heavy" while panic
+// re-stamps churn through more than half the shards. A node's /readyz
+// and the obwire pong both answer it, each putting "draining" first once
+// its own shutdown begins.
+func (p *Pool) NotReady() string {
+	switch {
+	case p.Rotating():
+		return "rotating"
+	case p.maxIF < 0 || p.maxIF > 0 && p.ifTotal.Load() >= p.maxIF:
+		return "overloaded"
+	case 2*p.UnhealthyShards() > len(p.shards):
+		return "quarantine-heavy"
+	}
+	return ""
 }
 
 // QueueDepths returns each shard's instantaneous backlog — queued jobs
