@@ -11,11 +11,8 @@
 package obwire
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -47,12 +44,13 @@ type muxReply struct {
 	err      error
 }
 
-// muxWaiter is one in-flight send awaiting its response: 16 bytes, so
-// a connection's DefaultWindow slots cost 16 KiB. The reader matches
-// waiters to responses FIFO — valid because the server answers strictly
-// in request order, pongs included — and counts the id it expects next
-// instead of storing one per waiter, which holds because waiters are
-// queued under wmu in id order.
+// muxWaiter is one in-flight send awaiting its response: 16 bytes, so a
+// connection's window costs 64 B at its windowInit slots and 16 KiB
+// grown to DefaultWindow. The reader matches waiters to responses FIFO —
+// valid because the server answers strictly in request order, pongs
+// included — and counts the id it expects next instead of storing one
+// per waiter, which holds because waiters are queued under wmu in id
+// order.
 type muxWaiter struct {
 	ch   chan muxReply
 	ping bool
@@ -65,18 +63,20 @@ type muxWaiter struct {
 // natural pipelining. A send with nothing else in flight is flushed at
 // once; while other sends are in flight, the first to append yields so
 // the rest can append behind it, then writes the whole burst in one
-// syscall.
+// syscall. Frames are encoded straight into the connection's output
+// buffer, and the reader decodes responses in place in its input buffer;
+// both buffers, and the window of waiters, grow only as deep as the
+// traffic goes (see the package doc's Memory section).
 type MuxClient struct {
-	c  net.Conn
-	bw *bufio.Writer
+	c net.Conn
 
 	wmu      sync.Mutex
-	wbuf     []byte
+	out      frameWriter // under wmu
 	nextID   uint64
-	flushing bool  // under wmu: a burst's flusher is yielding and will flush what bw holds
+	flushing bool  // under wmu: a burst's flusher is yielding and will flush what out holds
 	dead     error // set once, under wmu; all later sends fail fast
 
-	waiters chan muxWaiter
+	waiters window[muxWaiter]
 	chPool  sync.Pool
 
 	readerDone chan struct{}
@@ -96,16 +96,13 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(c net.Conn) (*MuxClient, error) {
 	m := &MuxClient{
 		c:          c,
-		bw:         bufio.NewWriterSize(c, connBufSize),
-		wbuf:       make([]byte, 0, scratchSize),
-		waiters:    make(chan muxWaiter, DefaultWindow),
+		out:        newFrameWriter(c),
 		readerDone: make(chan struct{}),
 	}
+	m.waiters.init()
 	m.chPool.New = func() any { return make(chan muxReply, 1) }
-	if _, err := m.bw.WriteString(Magic); err != nil {
-		c.Close()
-		return nil, err
-	}
+	// The magic rides the first frame's write.
+	m.out.buf = append(m.out.buf, Magic...)
 	go m.readLoop()
 	return m, nil
 }
@@ -157,32 +154,30 @@ func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error)
 	// The waiter slot is claimed non-blockingly: parking here while
 	// holding wmu would deadlock against the reader's drain path, and a
 	// saturated window is better answered as a retryable refusal anyway.
-	select {
-	case m.waiters <- muxWaiter{ch: ch, ping: ping}:
-	default:
+	if !m.waiters.tryPush(muxWaiter{ch: ch, ping: ping}) {
 		m.wmu.Unlock()
 		m.chPool.Put(ch)
 		return nil, ErrWindowFull
 	}
 	id := m.nextID
 	m.nextID++
+	b := m.out.frame()
 	if ping {
-		m.wbuf = appendPing(m.wbuf[:0], id)
+		b = appendPing(b, id)
 	} else {
-		m.wbuf = appendRequest(m.wbuf[:0], id, req)
+		b = appendRequest(b, id, req)
 	}
-	_, err := m.bw.Write(m.wbuf)
-	m.wbuf = trimScratch(m.wbuf)
+	err := m.out.put(b, false)
 	// While a burst's flusher is yielding, this frame goes out in its write.
 	if err == nil && !m.flushing {
-		if len(m.waiters) > 1 {
+		if m.waiters.len() > 1 {
 			m.flushing = true
 			m.wmu.Unlock()
 			runtime.Gosched()
 			m.wmu.Lock()
 			m.flushing = false
 		}
-		err = m.bw.Flush()
+		err = m.out.flush()
 	}
 	m.wmu.Unlock()
 	if err != nil {
@@ -241,26 +236,11 @@ func (m *MuxClient) Ping(timeout time.Duration) (depth int64, notReady string, e
 // no caller hangs.
 func (m *MuxClient) readLoop() {
 	defer close(m.readerDone)
-	br := bufio.NewReaderSize(m.c, connBufSize)
-	var hdr [4]byte
-	rbuf := make([]byte, 0, scratchSize)
+	fr := newFrameReader(m.c)
 	var next uint64 // the id of the oldest waiter
 	for {
-		rbuf = trimScratch(rbuf)
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			m.drain(err)
-			return
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		if n < 1 || n > DefaultMaxFrame {
-			m.drain(fmt.Errorf("obwire: response frame length %d", n))
-			return
-		}
-		if cap(rbuf) < n {
-			rbuf = make([]byte, 0, n)
-		}
-		rbuf = rbuf[:n]
-		if _, err := io.ReadFull(br, rbuf); err != nil {
+		rbuf, err := fr.next()
+		if err != nil {
 			m.drain(err)
 			return
 		}
@@ -273,10 +253,8 @@ func (m *MuxClient) readLoop() {
 			reply.resp, reply.err = decodeResponse(rbuf)
 			id = reply.resp.ID
 		}
-		var w muxWaiter
-		select {
-		case w = <-m.waiters:
-		default:
+		w, ok := m.waiters.tryPop()
+		if !ok {
 			m.drain(fmt.Errorf("obwire: unsolicited response id %d", id))
 			return
 		}
@@ -302,11 +280,10 @@ func (m *MuxClient) drain(err error) {
 	terminal := m.dead
 	m.wmu.Unlock()
 	for {
-		select {
-		case w := <-m.waiters:
-			w.ch <- muxReply{err: fmt.Errorf("%w: %w", ErrClientClosed, terminal)}
-		default:
+		w, ok := m.waiters.tryPop()
+		if !ok {
 			return
 		}
+		w.ch <- muxReply{err: fmt.Errorf("%w: %w", ErrClientClosed, terminal)}
 	}
 }

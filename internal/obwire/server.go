@@ -1,7 +1,6 @@
 package obwire
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -61,13 +60,15 @@ type Stats struct {
 }
 
 // Server accepts obwire connections and feeds their frames to a
-// serve.Pool. Every connection runs one reader goroutine and one writer
-// goroutine. A frame that finds its connection with nothing outstanding,
-// no further bytes buffered behind it, and the pool idle (Pool.TryDo) is
-// run to completion by the reader: execute, encode, write, flush — one
+// serve.Pool. Every connection runs one reader goroutine, which decodes
+// each frame in place in its input buffer, and one writer goroutine;
+// both encode answers into the connection's one output buffer. A frame
+// that finds its connection with nothing outstanding, no further bytes
+// buffered behind it, and the pool idle (Pool.TryDo) is run to
+// completion by the reader: execute, encode, write, flush — one
 // goroutine per send. Every other frame takes the pipelined path: the
 // reader submits it with Pool.Go and queues its future on an ordered
-// in-flight channel, and the writer awaits each future in turn, encodes
+// in-flight window, and the writer awaits each future in turn, encodes
 // and writes. Either way responses go out in request order, many
 // requests deep.
 type Server struct {
@@ -186,48 +187,41 @@ func (s *Server) acceptLoop() {
 }
 
 // pending is one dispatched frame awaiting its response write: 16
-// bytes, so a connection's DefaultWindow slots cost 16 KiB. A ping has
-// a nil future; the writer answers it with a pong in its queued order,
-// which is exactly what makes a pong a proof of loop liveness.
+// bytes, so a connection's window costs 64 B at its windowInit slots and
+// 16 KiB grown to DefaultWindow. A ping has a nil future; the writer
+// answers it with a pong in its queued order, which is exactly what
+// makes a pong a proof of loop liveness.
 type pending struct {
 	id  uint64
 	fut *serve.Future
 }
 
 // connOut is one connection's write side, shared by its reader and
-// writer. mu serialises use of bw and buf. outstanding counts the frames
-// and pings the reader has put on pend whose answers are not yet in bw;
-// while it is zero every earlier answer has been written and flushed, so
-// an answer the reader writes itself still goes out in request order.
-// broken is set by the first write error: nothing more is written.
+// writer. pend is the window of dispatched frames the writer answers in
+// order. mu serialises use of w. outstanding counts the frames and pings
+// the reader has put on pend whose answers are not yet in w; while it is
+// zero every earlier answer has been written and flushed, so an answer
+// the reader writes itself still goes out in request order. broken is
+// set by the first write error: nothing more is written.
 type connOut struct {
 	c           net.Conn
+	pend        window[pending]
 	mu          sync.Mutex
-	bw          *bufio.Writer
-	buf         []byte
+	w           frameWriter
 	broken      bool
 	outstanding atomic.Int64
 }
 
-// put writes the frame in o.buf, counting it in n (when set) as soon
-// as it is in the buffer — so no client ever holds an answer the
-// counters have not seen — and then flushing when flush is set. Callers
-// hold o.mu.
-func (s *Server) put(o *connOut, n *atomic.Uint64, flush bool) bool {
-	if o.broken {
-		return false
+// put takes back o.w's buffer with one more frame appended, b, counting
+// the frame in n (when set) as soon as it is in the buffer — so no
+// client ever holds an answer the counters have not seen — and writing
+// the buffer out when flush is set or it is full. Callers hold o.mu and
+// encode nothing once o.broken is set.
+func (s *Server) put(o *connOut, b []byte, n *atomic.Uint64, flush bool) bool {
+	if n != nil {
+		n.Add(1)
 	}
-	_, err := o.bw.Write(o.buf)
-	o.buf = trimScratch(o.buf)
-	if err == nil {
-		if n != nil {
-			n.Add(1)
-		}
-		if flush {
-			err = o.bw.Flush()
-		}
-	}
-	if err != nil {
+	if err := o.w.put(b, flush); err != nil {
 		o.broken = true
 		s.logf("obwire: %s: write: %v", o.c.RemoteAddr(), err)
 		return false
@@ -242,8 +236,7 @@ func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool) bo
 		return false
 	}
 	t0 := time.Now()
-	o.buf = appendResponse(o.buf[:0], id, res)
-	ok := s.put(o, &s.framesOut, flush)
+	ok := s.put(o, appendResponse(o.w.frame(), id, res), &s.framesOut, flush)
 	if s.opts.EncodeLat != nil {
 		s.opts.EncodeLat.Observe(time.Since(t0))
 	}
@@ -272,54 +265,35 @@ func (s *Server) serveConn(c net.Conn) {
 		c.SetReadDeadline(time.Now().Add(DefaultDrainGrace))
 	}
 
-	pend := make(chan pending, DefaultWindow)
 	writerDone := make(chan struct{})
-	out := &connOut{c: c, bw: bufio.NewWriterSize(c, connBufSize), buf: make([]byte, 0, scratchSize)}
-	go s.writeLoop(out, pend, writerDone)
+	out := &connOut{c: c, w: newFrameWriter(c)}
+	out.pend.init()
+	go s.writeLoop(out, writerDone)
 
-	br := bufio.NewReaderSize(c, connBufSize)
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:]) != Magic {
+	fr := newFrameReader(c)
+	if magic, err := fr.read(len(Magic)); err != nil || string(magic) != Magic {
 		if err == nil {
 			s.protoErrors.Add(1)
-			s.logf("obwire: %s: bad magic %q", c.RemoteAddr(), hdr[:])
+			s.logf("obwire: %s: bad magic %q", c.RemoteAddr(), magic)
 		}
-		close(pend)
+		out.pend.close()
 		<-writerDone
 		return
 	}
 
-	// Per-connection reusable state: the frame buffer grows to fit a
-	// frame (see trimScratch); selectors are interned so repeat sends of
-	// the same message cost no allocation.
-	buf := make([]byte, 0, scratchSize)
+	// Selectors are interned so repeat sends of the same message cost no
+	// allocation.
 	sels := make(map[string]string)
 
 	for {
-		buf = trimScratch(buf)
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			// EOF is the client hanging up; a deadline during Shutdown
-			// is the drain kicking us out. Neither is a protocol error.
-			if err != io.EOF && !s.closed.Load() {
+		buf, err := fr.next()
+		if err != nil {
+			// EOF is the client hanging up; a read cut off during
+			// Shutdown is the drain kicking us out. Neither is a protocol
+			// error; a length prefix out of range always is.
+			if err != io.EOF && (!s.closed.Load() || errors.Is(err, errFrameLength)) {
 				s.protoErrors.Add(1)
 				s.logf("obwire: %s: read: %v", c.RemoteAddr(), err)
-			}
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		if n < 1 || n > DefaultMaxFrame {
-			s.protoErrors.Add(1)
-			s.logf("obwire: %s: frame length %d outside (0, %d]", c.RemoteAddr(), n, DefaultMaxFrame)
-			break
-		}
-		if cap(buf) < n {
-			buf = make([]byte, 0, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if !s.closed.Load() {
-				s.protoErrors.Add(1)
-				s.logf("obwire: %s: truncated frame: %v", c.RemoteAddr(), err)
 			}
 			break
 		}
@@ -327,7 +301,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if len(buf) == 9 && buf[0] == framePing {
 			s.pings.Add(1)
 			out.outstanding.Add(1)
-			pend <- pending{id: binary.LittleEndian.Uint64(buf[1:])}
+			out.pend.push(pending{id: binary.LittleEndian.Uint64(buf[1:])})
 			continue
 		}
 
@@ -344,7 +318,7 @@ func (s *Server) serveConn(c net.Conn) {
 		s.framesIn.Add(1)
 		// Nothing else in flight on this connection and nothing behind
 		// this frame: run it to completion here if the pool is idle.
-		if out.outstanding.Load() == 0 && br.Buffered() == 0 {
+		if out.outstanding.Load() == 0 && fr.buffered() == 0 {
 			if res, ok := s.pool.TryDo(req); ok {
 				s.framesInline.Add(1)
 				out.mu.Lock()
@@ -361,9 +335,9 @@ func (s *Server) serveConn(c net.Conn) {
 		// writer answers as StatusOverloaded — the same admission story
 		// as HTTP, over a cheaper wire.
 		out.outstanding.Add(1)
-		pend <- pending{id: id, fut: s.pool.Go(req)}
+		out.pend.push(pending{id: id, fut: s.pool.Go(req)})
 	}
-	close(pend)
+	out.pend.close()
 	<-writerDone
 }
 
@@ -411,35 +385,41 @@ func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.
 
 // writeLoop is the writer half of the pipelined path: await each
 // dispatched future in order, encode its response into the connection's
-// reusable buffer, and write it out, flushing only when the pipeline
+// output buffer, and write it out, flushing only when the pipeline
 // runs dry — pipelined clients get batched syscalls for free. An answer
 // leaves outstanding only once it is in the buffer (and flushed, if it
 // was the last), which is what lets the reader answer the next frame
 // itself. A write error stops writing but not waiting: the loop keeps
 // draining futures so the reader can finish and pooled result cells are
 // always recycled.
-func (s *Server) writeLoop(o *connOut, pend <-chan pending, done chan<- struct{}) {
+func (s *Server) writeLoop(o *connOut, done chan<- struct{}) {
 	defer close(done)
 	defer o.c.Close()
-	for p := range pend {
+	for {
+		p, ok := o.pend.pop()
+		if !ok {
+			break
+		}
 		var res serve.Result
 		if p.fut != nil {
 			res = p.fut.Wait()
 		}
+		last := o.pend.len() == 0
 		o.mu.Lock()
 		if p.fut == nil {
-			depth, notReady := s.health()
-			o.buf = appendPong(o.buf[:0], p.id, depth, notReady)
-			s.put(o, nil, len(pend) == 0)
+			if !o.broken {
+				depth, notReady := s.health()
+				s.put(o, appendPong(o.w.frame(), p.id, depth, notReady), nil, last)
+			}
 		} else {
-			s.respond(o, p.id, res, len(pend) == 0)
+			s.respond(o, p.id, res, last)
 		}
 		o.outstanding.Add(-1)
 		o.mu.Unlock()
 	}
 	// The reader has exited, so the buffer is the writer's alone.
 	if !o.broken {
-		o.bw.Flush()
+		o.w.flush()
 	}
 }
 

@@ -71,17 +71,25 @@
 //
 // # Memory
 //
-// A connection's memory follows its frames, not its worst case. A
-// client/server pair holds four 4 KiB bufio buffers (the client's writer
-// and reader, the server's reader and writer), two DefaultWindow-slot
-// channels of 16-byte entries (16 KiB each), and a few small scratch
-// buffers: about 57 KiB of live heap per pair (TestConnFootprint bounds
-// it at 80 KiB). A 4 KiB buffer holds about 80 tiny send frames, so a
-// deeper burst costs one more syscall per 4 KiB. A frame larger than
-// 4 KiB goes around the bufio buffers and is read into, or encoded in, a
-// scratch buffer of its own size, which is dropped once the frame is
-// done: a large frame costs one allocation of its size, and the
-// connection does not keep that size.
+// A connection holds what its traffic uses. Each end keeps one window,
+// the ordered queue of its in-flight frames (the client's waiters, the
+// server's dispatched frames awaiting their answers), and two buffers: a
+// frame reader, which hands each frame out in place for decoding, and an
+// output buffer, which frames are encoded straight into. A window starts
+// at windowInit 16-byte slots and doubles whenever a send finds it full,
+// up to DefaultWindow (16 KiB). A buffer starts at scratchSize bytes and
+// doubles, up to connBufSize, when a read fills it or a burst outgrows
+// it. Neither shrinks back, so a connection keeps what its deepest burst
+// needed, and the caps bound that. TestConnFootprint reads about 4.5 KB
+// of live heap per client/server pair after one send or one ping (its
+// bound is 16 KiB), and about 59 KB per pair grown by a full
+// DefaultWindow burst (bound 80 KiB). A cluster router's connections,
+// with one or two sends in flight, stay at the small end.
+//
+// A frame that does not fit connBufSize is read into, or encoded in, a
+// buffer of its own size, which is dropped for a fresh scratchSize one
+// once the frame is done: a large frame costs one allocation of its
+// size, and the connection does not keep that size.
 package obwire
 
 import (
@@ -130,32 +138,23 @@ const DefaultMaxFrame = 1 << 20
 
 // DefaultWindow is the per-connection in-flight frame cap: the server's
 // reader parks once this many dispatched requests await their response
-// writes, and a MuxClient refuses the next send with ErrWindowFull. With
-// 16-byte window slots and no scratch buffer keeping the size of a large
-// frame, that bounds per-connection memory no matter how hard a client
-// pipelines: about 57 KiB of live heap per client/server pair, 32 KiB of
-// it the two windows (see the package doc's Memory section).
+// writes, and a MuxClient refuses the next send with ErrWindowFull. Each
+// end's window grows toward the cap only as deep as its traffic
+// pipelines, so the cap bounds a connection's memory no matter how hard
+// a client pipelines: at most 16 KiB of 16-byte slots per end (see the
+// package doc's Memory section).
 const DefaultWindow = 1024
 
-// connBufSize sizes the bufio reader and writer at each end of a
-// connection: net/http's default, about 80 tiny send frames. A larger
-// frame bypasses the buffer.
+// connBufSize caps the frame reader and the output buffer at each end of
+// a connection: net/http's default, about 80 tiny send frames, so a deep
+// burst costs one syscall per 4 KiB. A frame larger than this gets a
+// buffer of its own size for as long as it is in flight.
 const connBufSize = 4 << 10
 
-// scratchSize is the initial capacity of a connection's frame encode and
-// decode buffers, which fits any tiny send.
+// scratchSize is the size each end's frame reader and output buffer
+// start at, and drop back to once a frame larger than connBufSize is
+// done: room for a few tiny frames.
 const scratchSize = 256
-
-// trimScratch answers a scratch buffer ready for the next frame: b
-// itself, unless it grew past connBufSize for a large frame, in which
-// case a fresh one of scratchSize — so a connection never keeps the
-// size of the largest frame it has carried.
-func trimScratch(b []byte) []byte {
-	if cap(b) > connBufSize {
-		return make([]byte, 0, scratchSize)
-	}
-	return b
-}
 
 // StatusFor maps a pool error onto the frame status, mirroring the HTTP
 // map: nil is OK, admission refusals are Overloaded, queue-expiry sheds
