@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/image"
 	"repro/internal/node"
 	"repro/internal/obwire"
 	"repro/internal/serve"
@@ -58,7 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		fmt.Sprintf("obarch_requests_total %d", count),
 		"obarch_errors_total 0",
 		"obarch_workers 2",
-		`obarch_image_info{path="",mode="compile",version="1"} 1`,
+		fmt.Sprintf(`obarch_image_info{path="",mode="compile",version="%d"} 1`, image.FormatVersion),
 		`obarch_queue_depth{worker="0"} 0`,
 		`obarch_queue_depth{worker="1"} 0`,
 		fmt.Sprintf(`obarch_service_latency_seconds_bucket{le="+Inf"} %d`, count),
@@ -186,7 +187,7 @@ func TestStatsIdentityAndSpans(t *testing.T) {
 	if st.UptimeS <= 0 {
 		t.Errorf("uptime_s = %v", st.UptimeS)
 	}
-	if st.Image.Mode != "compile" || st.Image.FormatVersion != 1 {
+	if st.Image.Mode != "compile" || st.Image.FormatVersion != image.FormatVersion {
 		t.Errorf("image provenance = %+v", st.Image)
 	}
 	if st.Runtime.Goroutines <= 0 || st.Runtime.HeapAllocBytes == 0 {

@@ -47,7 +47,8 @@ const (
 	// for deadline/interrupt traps, AbortError for everything else.
 	KindAbort
 	// KindGCStart is an incremental collection slice beginning on the
-	// shard. Arg is the sweep chunk bound (0: unbounded).
+	// shard. Arg is the slice's sweep bound: gc.DefaultSweepChunk plus
+	// the segments the request just served allocated, so never 0.
 	KindGCStart
 	// KindGCEnd is that slice finishing. Arg is the number of segments
 	// still pending in the cycle's sweep (0: the cycle completed).

@@ -13,8 +13,10 @@
 // between steps: segments it allocates are born marked (allocate-black,
 // see memory.Space.SetGCActive) and segments it frees are skipped by the
 // sweep, so an interleaved cycle reclaims exactly what a stop-the-world
-// cycle started at the same moment would have. Collect runs a whole cycle
-// in one call and is bit-identical to the PR 2 collector.
+// cycle started at the same moment would have. A serving shard paces the
+// sweep by Baker's allocation tax: each Step covers DefaultSweepChunk
+// plus the segments the request before it allocated. Collect runs a whole
+// cycle in one call.
 package gc
 
 import (
@@ -56,8 +58,8 @@ type Stats struct {
 	Live             int
 }
 
-// DefaultSweepChunk is the sweep slice an incremental Step covers by
-// default: about one slab's worth of context-sized segments.
+// DefaultSweepChunk is the untaxed part of a serving shard's sweep slice:
+// about one slab's worth of context-sized segments.
 const DefaultSweepChunk = memory.SlabWords / 32
 
 // Collector runs mark–sweep cycles with an incremental sweep. The zero

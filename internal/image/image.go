@@ -53,8 +53,10 @@ import (
 
 // FormatVersion is the version of this codec's on-disk layout. Any change
 // to the section layout or field encodings must bump it; Read rejects
-// other versions.
-const FormatVersion = 1
+// other versions. Version 2 dropped the space section's page table and
+// its live and dead-entry counts, which the loader rebuilds from the
+// segment headers.
+const FormatVersion = 2
 
 // magic identifies an obarch machine image.
 var magic = [8]byte{'O', 'B', 'A', 'R', 'I', 'M', 'G', 0}
@@ -366,16 +368,13 @@ func encSpace(e *enc, st *memory.SpaceState) {
 	e.u64(uint64(st.NextBase))
 	e.u8(0) // reserved: the retired context zero-fill switch
 	encAllocStats(e, st.Stats)
-	e.i64(int64(st.Live))
 	e.bool(st.Compacted)
-	e.i64(int64(st.OrderDead))
 	e.u32(uint32(len(st.Slabs)))
 	for _, sl := range st.Slabs {
 		e.u64(uint64(sl.Base))
 		e.words(sl.Data)
 	}
 	e.i32s(st.Windows)
-	e.i32s(st.Table)
 	// Segment headers are the bulkiest fixed-width records after the slab
 	// words themselves; both directions handle them as one block.
 	e.u32(uint32(len(st.Segments)))
@@ -405,9 +404,7 @@ func decSpace(d *dec) *memory.SpaceState {
 	st.NextBase = memory.AbsAddr(d.u64())
 	d.reserved("space's context zero-fill")
 	st.Stats = decAllocStats(d)
-	st.Live = int(d.i64())
 	st.Compacted = d.bool()
-	st.OrderDead = int(d.i64())
 	n := d.sliceLen(8 + 4)
 	st.Slabs = make([]memory.SlabState, 0, n)
 	for i := 0; i < n; i++ {
@@ -415,7 +412,6 @@ func decSpace(d *dec) *memory.SpaceState {
 		st.Slabs = append(st.Slabs, memory.SlabState{Base: base, Data: d.words()})
 	}
 	st.Windows = d.i32s()
-	st.Table = d.i32s()
 	n = d.sliceLen(segRec)
 	if raw := d.take(segRec * n); raw != nil {
 		st.Segments = make([]memory.SegmentState, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -271,28 +272,78 @@ func TestImageRejectsReservedBytes(t *testing.T) {
 // recomputed, so the refusal comes from the cache importer.
 func badStampImages(tb testing.TB, img []byte) [][]byte {
 	tb.Helper()
+	var out [][]byte
+	for _, pastClock := range []bool{false, true} {
+		out = append(out, editSection(img, secICache, func(d *dec, e *enc) {
+			clock, stats, lines := decStructLines(d)
+			if d.err != nil || len(lines) == 0 {
+				tb.Fatalf("icache section: %d lines, err %v", len(lines), d.err)
+			}
+			bad := slices.Clone(lines)
+			bad[0].Stamp = 0
+			if pastClock {
+				bad[0].Stamp = clock + 1
+			}
+			encStructLines(e, clock, stats, bad)
+		}))
+	}
+	return out
+}
+
+// sharedBaseImage returns img with a second live segment moved onto the
+// base of another live one of its slab and size, its section CRC
+// recomputed: the space importer must refuse it rather than let the page
+// table hide one of the two from the collector's marking.
+func sharedBaseImage(tb testing.TB, img []byte) []byte {
+	tb.Helper()
+	return editSection(img, secSpace, func(d *dec, e *enc) {
+		st := decSpace(d)
+		if d.err != nil {
+			tb.Fatalf("space section: %v", d.err)
+		}
+		first := map[[2]uint64]int{} // slab, capacity → first live segment
+		for i, sg := range st.Segments {
+			if sg.Freed {
+				continue
+			}
+			k := [2]uint64{uint64(sg.Slab), sg.Cap}
+			if j, ok := first[k]; ok {
+				st.Segments[i].Base = st.Segments[j].Base
+				encSpace(e, st)
+				return
+			}
+			first[k] = i
+		}
+		tb.Fatal("no two live segments share a slab and a size")
+	})
+}
+
+// editSection returns a copy of img whose section id is re-encoded by
+// edit, with the section's CRC recomputed, so the edit is judged by the
+// decoder and the importers, not by the checksum.
+func editSection(img []byte, id int, edit func(d *dec, e *enc)) []byte {
 	const hdr, secHdr = 24, 16
 	sec := hdr
-	for id := 1; id < secICache; id++ {
+	for i := 1; i < id; i++ {
 		sec += secHdr + int(binary.LittleEndian.Uint64(img[sec+4:]))
 	}
 	n := int(binary.LittleEndian.Uint64(img[sec+4:]))
-	d := &dec{b: img[sec+secHdr : sec+secHdr+n]}
-	clock, stats, lines := decStructLines(d)
-	if d.err != nil || len(lines) == 0 {
-		tb.Fatalf("icache section: %d lines, err %v", len(lines), d.err)
+	var e enc
+	edit(&dec{b: img[sec+secHdr : sec+secHdr+n]}, &e)
+	edited := append(bytes.Clone(img[:sec+secHdr]), e.b...)
+	binary.LittleEndian.PutUint64(edited[sec+4:], uint64(len(e.b)))
+	edited = append(edited, img[sec+secHdr+n:]...)
+	return fixSectionCRC(edited, sec)
+}
+
+// TestImageRefusesSharedBase: two live segments on one base fail the load
+// with the space importer's refusal.
+func TestImageRefusesSharedBase(t *testing.T) {
+	_, img := roundTrip(t, snapshotOf(t, workload.Arith(), core.Config{}))
+	_, err := Read(bytes.NewReader(sharedBaseImage(t, img)))
+	if err == nil || !contains(err, "both live at base") {
+		t.Fatalf("image with two live segments on one base: %v, want the shared-base refusal", err)
 	}
-	var out [][]byte
-	for _, stamp := range []uint64{0, clock + 1} {
-		bad := slices.Clone(lines)
-		bad[0].Stamp = stamp
-		var e enc
-		encStructLines(&e, clock, stats, bad)
-		edited := append(bytes.Clone(img[:sec+secHdr]), e.b...)
-		edited = append(edited, img[sec+secHdr+n:]...)
-		out = append(out, fixSectionCRC(edited, sec))
-	}
-	return out
 }
 
 // TestImageRefusesImpossibleICacheStamps: an icache line stamped 0 or
@@ -340,6 +391,13 @@ func TestImageVersionSkew(t *testing.T) {
 	if err := read(fixHeaderCRC(corrupt(img, 8))); err == nil || !contains(err, "format version") {
 		t.Errorf("bumped format version: %v", err)
 	}
+	// A version-1 image (it stored the page table this build rebuilds)
+	// is refused with both versions named.
+	v1 := bytes.Clone(img)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	if err := read(fixHeaderCRC(v1)); err == nil || !contains(err, "format version 1 not supported") || !contains(err, fmt.Sprintf("reads version %d", FormatVersion)) {
+		t.Errorf("version-1 image: %v", err)
+	}
 	if err := read(fixHeaderCRC(corrupt(img, 12))); err == nil || !contains(err, "ISA encoding version") {
 		t.Errorf("bumped ISA version: %v", err)
 	}
@@ -365,7 +423,7 @@ func contains(err error, sub string) bool {
 	return err != nil && bytes.Contains([]byte(err.Error()), []byte(sub))
 }
 
-// goldenPath is the checked-in v1 image: a warmed arith machine. It pins
+// goldenPath is the checked-in image: a warmed arith machine. It pins
 // the on-disk layout — if an innocent-looking change to the codec or the
 // machine makes this unreadable or byte-different, the format version
 // needs a bump (or the golden a deliberate regeneration with -update).

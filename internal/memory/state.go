@@ -11,7 +11,7 @@ import (
 )
 
 // This file exposes the memory system as plain data for the persistent
-// image codec: the slab-backed absolute space (slabs, dense page table,
+// image codec: the slab-backed absolute space (slabs, window index,
 // segment-header arena, free lists, scan list), the team's descriptor
 // table, and the physical-space hierarchy. Segments are referred to by
 // their position-stable id, which ImportSpace preserves, so every layer
@@ -47,16 +47,14 @@ type FreeClassState struct {
 	IDs       []int32
 }
 
-// SpaceState is the complete serialisable state of a slab-backed Space.
+// SpaceState is the complete serialisable state of a slab-backed Space,
+// less what ImportSpace derives from the segment headers.
 type SpaceState struct {
 	NextBase  AbsAddr
 	Stats     AllocStats
-	Live      int
 	Compacted bool
-	OrderDead int
 	Slabs     []SlabState
 	Windows   []int32
-	Table     []int32
 	Segments  []SegmentState
 	Free      []FreeClassState
 	Order     []int32 // allocation-order scan list; nil until first compaction
@@ -88,11 +86,8 @@ func (s *Space) ExportState() (*SpaceState, error) {
 	st := &SpaceState{
 		NextBase:  s.nextBase,
 		Stats:     s.Stats,
-		Live:      s.live,
 		Compacted: s.compacted,
-		OrderDead: s.orderDead,
 		Windows:   slices.Clone(s.windows),
-		Table:     slices.Clone(s.table),
 	}
 	st.Slabs = make([]SlabState, len(s.slabs))
 	for i, sl := range s.slabs {
@@ -134,20 +129,20 @@ func (s *Space) ExportState() (*SpaceState, error) {
 
 // ImportSpace rebuilds a slab-backed space, validating every index so a
 // corrupt image errors instead of panicking later. Segment ids are the
-// positions of st.Segments, as ExportState wrote them. The space takes
-// ownership of the state's backing arrays (slab data, page table, window
-// index) — a SpaceState must not be imported twice or mutated afterwards;
-// the image loader builds a fresh one per load and ExportState always
-// returns freshly cloned arrays.
+// positions of st.Segments, as ExportState wrote them. The page table is
+// rebuilt from the live segment headers, sized to the highest live base,
+// and two live segments on one base are refused; the live count and the
+// scan list's dead-entry count are recounted the same way. The space
+// takes ownership of the state's backing arrays (slab data, window index)
+// — a SpaceState must not be imported twice or mutated afterwards; the
+// image loader builds a fresh one per load and ExportState always returns
+// freshly cloned arrays.
 func ImportSpace(st *SpaceState) (*Space, error) {
 	s := &Space{
 		nextBase:  st.NextBase,
 		Stats:     st.Stats,
-		live:      st.Live,
 		compacted: st.Compacted,
-		orderDead: st.OrderDead,
 		windows:   st.Windows,
-		table:     st.Table,
 	}
 	s.slabs = make([]slab, len(st.Slabs))
 	for i, sl := range st.Slabs {
@@ -178,6 +173,7 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 	}
 	arr := make([]Segment, len(st.Segments))
 	var maxEnd AbsAddr
+	var tableLen AbsAddr
 	for id, seg := range st.Segments {
 		if end := seg.Base + AbsAddr(seg.Cap); end > maxEnd {
 			maxEnd = end
@@ -192,6 +188,9 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		off := uint64(seg.Base - sl.base)
 		if seg.Len > seg.Cap || seg.Cap > uint64(len(sl.data)) || off > uint64(len(sl.data))-seg.Cap {
 			return nil, fmt.Errorf("memory: segment %d spans [%d,+%d/%d] outside its %d-word slab", id, off, seg.Len, seg.Cap, len(sl.data))
+		}
+		if !seg.Freed && seg.Base >= tableLen {
+			tableLen = seg.Base + 1
 		}
 		arr[id] = Segment{
 			Base:     seg.Base,
@@ -214,17 +213,17 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		return nil, fmt.Errorf("memory: base high-water mark %#x below segment extent %#x", uint64(st.NextBase), uint64(maxEnd))
 	}
 	s.headers = arr
-	for base, id := range s.table {
-		if id == 0 {
+	s.table = make([]int32, tableLen)
+	for id := range arr {
+		seg := &arr[id]
+		if seg.Freed {
 			continue
 		}
-		seg, ok := s.SegAt(id - 1)
-		if !ok {
-			return nil, fmt.Errorf("memory: page table names segment %d of %d", id-1, len(arr))
+		if prev := s.table[seg.Base]; prev != 0 {
+			return nil, fmt.Errorf("memory: segments %d and %d both live at base %#x", prev-1, id, uint64(seg.Base))
 		}
-		if seg.Base != AbsAddr(base) || seg.Freed {
-			return nil, fmt.Errorf("memory: page table entry %#x names segment based %#x (freed=%v)", base, uint64(seg.Base), seg.Freed)
-		}
+		s.table[seg.Base] = int32(id) + 1
+		s.live++
 	}
 	pooled := make(map[int32]bool)
 	for _, fc := range st.Free {
@@ -262,9 +261,14 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 			}
 			seg.inOrder = true
 			s.order[i] = seg
+			if seg.Freed {
+				s.orderDead++
+			}
 		}
 	} else if len(st.Order) != 0 {
 		return nil, fmt.Errorf("memory: explicit scan list on an uncompacted space")
+	} else {
+		s.orderDead = len(arr) - s.live // the implicit list holds every segment
 	}
 	return s, nil
 }

@@ -47,6 +47,69 @@ func TestImportSpaceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportSpaceRebuildsPageTable: the page table and both counts come
+// from the segment headers, so no image can hide a live segment from
+// ByBase (the collector's marking) or forge the live count. Both scan-list
+// shapes are covered: implicit, and compacted with dead entries listed.
+func TestImportSpaceRebuildsPageTable(t *testing.T) {
+	implicit := NewSpace()
+	compacted := NewSpace()
+	for _, src := range []*Space{implicit, compacted} {
+		var segs []*Segment
+		for i := 0; i < 100; i++ {
+			segs = append(segs, src.Alloc(16, word.Class(7), KindObject))
+		}
+		for i, seg := range segs {
+			if i%3 == 0 || (src == compacted && i < 80) {
+				src.Free(seg)
+			}
+		}
+		if src == compacted {
+			src.Alloc(16, word.Class(7), KindObject) // re-lists a compacted-out segment
+			src.Free(segs[99])
+		}
+	}
+	if implicit.compacted || !compacted.compacted || compacted.orderDead == 0 {
+		t.Fatal("fixture needs an implicit list and a compacted one with dead entries")
+	}
+	for _, src := range []*Space{implicit, compacted} {
+		st, err := src.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ImportSpace(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, sg := range st.Segments {
+			seg, ok := s.ByBase(sg.Base)
+			if sg.Freed && ok {
+				t.Errorf("freed segment %d resolves by base %#x", id, uint64(sg.Base))
+			}
+			if !sg.Freed && (!ok || s.SegIndex(seg) != int32(id)) {
+				t.Errorf("live segment %d at base %#x does not resolve to itself", id, uint64(sg.Base))
+			}
+		}
+		if s.LiveCount() != src.LiveCount() || s.orderDead != src.orderDead {
+			t.Errorf("imported live %d, dead entries %d; want %d, %d", s.LiveCount(), s.orderDead, src.LiveCount(), src.orderDead)
+		}
+	}
+}
+
+// TestImportSpaceRejectsSharedBase: two live segments on one base would
+// leave one of them out of the rebuilt page table, and a collection
+// marking through ByBase would then sweep it while it is still reachable.
+func TestImportSpaceRejectsSharedBase(t *testing.T) {
+	st := exportedSpace(t)
+	if st.Segments[1].Freed || st.Segments[2].Freed || st.Segments[1].Slab != st.Segments[2].Slab {
+		t.Fatal("fixture needs two live segments in one slab")
+	}
+	st.Segments[2].Base = st.Segments[1].Base
+	if _, err := ImportSpace(st); err == nil || !strings.Contains(err.Error(), "both live at base") {
+		t.Fatalf("two live segments on one base imported: %v", err)
+	}
+}
+
 // TestImportSpaceRejectsBadWindows pins the hardening: a window entry
 // whose slab does not cover it must fail the load, not panic the first
 // allocation carved there.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -356,6 +358,48 @@ func TestPoisonedConnections(t *testing.T) {
 	}
 	if st := s.Stats(); st.ProtoErrors != uint64(len(hostile)) {
 		t.Fatalf("proto_errors = %d, want %d", st.ProtoErrors, len(hostile))
+	}
+}
+
+// TestPeerResetIsHangUp: a client that resets its connection — it closes
+// with SO_LINGER 0, leaving its answer unread — has hung up, not broken the
+// protocol. The server counts no protocol error and logs no read failure.
+func TestPeerResetIsHangUp(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	s, _ := startServer(t, serve.Config{Workers: 1}, Options{Logf: func(format string, v ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, v...))
+	}})
+	c := dialRaw(t, s.Addr().String())
+	c.send(serve.Request{Receiver: word.FromInt(1), Selector: "answer"})
+	c.flush(t)
+	// Once the answer reaches the client the server is back reading.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Conn.(*net.TCPConn).SetLinger(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Close() // sends RST
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().ConnsActive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never dropped the reset connection (stats %+v)", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.ProtoErrors != 0 {
+		t.Errorf("proto_errors = %d after a peer reset, want 0", st.ProtoErrors)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "read") {
+			t.Errorf("peer reset logged: %s", line)
+		}
 	}
 }
 

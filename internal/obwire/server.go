@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/serve"
@@ -288,10 +289,11 @@ func (s *Server) serveConn(c net.Conn) {
 	for {
 		buf, err := fr.next()
 		if err != nil {
-			// EOF is the client hanging up; a read cut off during
-			// Shutdown is the drain kicking us out. Neither is a protocol
-			// error; a length prefix out of range always is.
-			if err != io.EOF && (!s.closed.Load() || errors.Is(err, errFrameLength)) {
+			// EOF or a reset is the client hanging up; a read cut off
+			// during Shutdown is the drain kicking us out. Neither is a
+			// protocol error; a length prefix out of range always is.
+			hungUp := err == io.EOF || errors.Is(err, syscall.ECONNRESET)
+			if !hungUp && (!s.closed.Load() || errors.Is(err, errFrameLength)) {
 				s.protoErrors.Add(1)
 				s.logf("obwire: %s: read: %v", c.RemoteAddr(), err)
 			}

@@ -96,32 +96,34 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 
 // TestSlowCapture arms a 1ns threshold so every request is "slow" and
 // checks the capture carries the spans, the per-request stats delta, and
-// the event chain; then that SlowKeep bounds the ring newest-first.
+// the event chain; then that the ring keeps the newest 32 captures.
 func TestSlowCapture(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
 	pool := serve.NewPool(snap, serve.Config{
 		Workers:       1,
 		SlowThreshold: time.Nanosecond,
-		SlowKeep:      2,
 	})
 	defer pool.Close()
 	if pool.SlowThreshold() != time.Nanosecond {
 		t.Fatalf("SlowThreshold = %v", pool.SlowThreshold())
 	}
+	const keep, sent = 32, 34
 	p := progs[0]
-	for i := 0; i < 3; i++ {
+	for i := 0; i < sent; i++ {
 		req := serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry, Key: uint64(i + 1)}
 		if res := pool.Go(req).Wait(); res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
 		}
 	}
 	slow := pool.SlowRequests()
-	if len(slow) != 2 {
-		t.Fatalf("kept %d captures, want SlowKeep=2", len(slow))
+	if len(slow) != keep {
+		t.Fatalf("kept %d captures, want %d", len(slow), keep)
 	}
-	// Newest win: the two survivors are requests 2 and 3, oldest first.
-	if slow[0].Key != 2 || slow[1].Key != 3 {
-		t.Errorf("survivor keys = %d, %d; want 2, 3", slow[0].Key, slow[1].Key)
+	// Newest win: the survivors are requests 3 to 34, oldest first.
+	for i, c := range slow {
+		if want := uint64(sent - keep + 1 + i); c.Key != want {
+			t.Errorf("survivor %d has key %d, want %d", i, c.Key, want)
+		}
 	}
 	for i, c := range slow {
 		if c.ID == 0 || c.Worker != 0 || c.Selector != p.Entry {

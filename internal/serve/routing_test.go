@@ -103,7 +103,7 @@ func TestJSQRoutingStress(t *testing.T) {
 // total latency, ITLB hits ≤ lookups).
 func TestMetricsConsistentSnapshots(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 4, GCEvery: 8, GCChunk: 32})
+	pool := serve.NewPool(snap, serve.Config{Workers: 4, GCEvery: 8})
 	defer pool.Close()
 
 	stop := make(chan struct{})

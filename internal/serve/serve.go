@@ -161,26 +161,18 @@ type Config struct {
 	// Timeout is the default per-request wall-clock bound. 0 means none.
 	Timeout time.Duration
 	// GCEvery starts a garbage collection cycle on a shard's machine
-	// after that many requests, bounding heap growth from request
-	// garbage. 0 uses the default of 512; negative disables collection.
+	// after that many requests; while it sweeps, each request is followed
+	// by a slice of gc.DefaultSweepChunk segments plus those the request
+	// allocated. 0 uses the default of 512; negative disables collection.
 	GCEvery int
-	// GCChunk bounds how many segments one incremental sweep step
-	// retires after a served request while a collection cycle is active,
-	// spreading the sweep across requests instead of pausing a worker
-	// for a full-heap walk. 0 uses gc.DefaultSweepChunk; negative sweeps
-	// the whole heap in one step (the PR 2 stop-the-world behaviour).
-	GCChunk int
 	// FlightRingSize is each shard's event-ring slot count, rounded up
 	// to a power of two. 0 uses flight.DefaultRingSize.
 	FlightRingSize int
 	// SlowThreshold arms the slow-request capture: any request whose
 	// service time reaches it is snapshotted (event chain, spans, and
-	// per-request core.Stats delta) into a ring of SlowKeep captures.
-	// 0 disables the capture.
+	// per-request core.Stats delta) into a ring of the newest slowKeep
+	// captures. 0 disables the capture.
 	SlowThreshold time.Duration
-	// SlowKeep bounds how many slow captures are retained (newest win).
-	// 0 uses the default of 32.
-	SlowKeep int
 	// MaxInFlight caps admitted-but-unfinished requests across the whole
 	// pool; admission past the cap refuses with ErrOverloaded. 0 means
 	// unlimited (the ceiling counter is not even maintained). Negative
@@ -196,8 +188,10 @@ type Config struct {
 }
 
 const (
-	defaultGCEvery  = 512
-	defaultSlowKeep = 32
+	defaultGCEvery = 512
+
+	// slowKeep bounds how many slow captures are retained (newest win).
+	slowKeep = 32
 
 	// drainBatch bounds how many queued requests one worker serves per
 	// wakeup.
@@ -537,7 +531,6 @@ type Pool struct {
 	// definition.
 	rec      *flight.Recorder
 	slowNS   int64
-	slowKeep int
 	slowMu   sync.Mutex
 	slow     []SlowCapture
 	slowNext int
@@ -562,10 +555,6 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 	p := &Pool{cfg: cfg, maxIF: int64(cfg.MaxInFlight)}
 	p.rec = flight.New(cfg.Workers, cfg.FlightRingSize)
 	p.slowNS = int64(cfg.SlowThreshold)
-	p.slowKeep = cfg.SlowKeep
-	if p.slowKeep <= 0 {
-		p.slowKeep = defaultSlowKeep
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		m := snap.NewMachine()
 		s := &shard{
@@ -1063,6 +1052,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 		m.SetDeadline(timeout)
 	}
 	steps0, cycles0 := m.Stats.Instructions, m.Stats.Cycles
+	allocs0 := m.Space.Stats.TotalAllocs()
 
 	v, err, panicked, chaosHit := p.invoke(s, req)
 
@@ -1148,14 +1138,10 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	// Collection work rides between requests in bounded slices: a due
 	// shard runs the mark phase and the first sweep step now, and an
 	// active cycle retires one more slice after every request until the
-	// sweep is done — no request ever waits on a full-heap walk.
+	// sweep is done — no request ever waits on a full-heap walk. Each
+	// slice also covers what the request allocated, so it keeps pace.
 	if p.cfg.GCEvery > 0 && (due || s.col.Active()) {
-		chunk := p.cfg.GCChunk
-		if chunk == 0 {
-			chunk = gc.DefaultSweepChunk
-		} else if chunk < 0 {
-			chunk = 0 // one full sweep per step
-		}
+		chunk := gc.DefaultSweepChunk + int(m.Space.Stats.TotalAllocs()-allocs0)
 		gcStart := time.Now()
 		fr.RecordAt(flight.KindGCStart, 0, uint64(chunk), fr.TS(gcStart))
 		if !s.col.Active() {
@@ -1225,12 +1211,12 @@ func (p *Pool) captureSlow(s *shard, m *core.Machine, req Request, id uint64, wa
 		c.Err = res.Err.Error()
 	}
 	p.slowMu.Lock()
-	if len(p.slow) < p.slowKeep {
+	if len(p.slow) < slowKeep {
 		p.slow = append(p.slow, c)
 	} else {
 		p.slow[p.slowNext] = c
 	}
-	p.slowNext = (p.slowNext + 1) % p.slowKeep
+	p.slowNext = (p.slowNext + 1) % slowKeep
 	p.slowMu.Unlock()
 }
 
@@ -1239,11 +1225,11 @@ func (p *Pool) SlowRequests() []SlowCapture {
 	p.slowMu.Lock()
 	defer p.slowMu.Unlock()
 	out := make([]SlowCapture, 0, len(p.slow))
-	if len(p.slow) < p.slowKeep {
+	if len(p.slow) < slowKeep {
 		return append(out, p.slow...)
 	}
-	for i := 0; i < p.slowKeep; i++ {
-		out = append(out, p.slow[(p.slowNext+i)%p.slowKeep])
+	for i := 0; i < slowKeep; i++ {
+		out = append(out, p.slow[(p.slowNext+i)%slowKeep])
 	}
 	return out
 }

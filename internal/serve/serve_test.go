@@ -1,12 +1,15 @@
 package serve_test
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
+	"repro/internal/image"
 	"repro/internal/serve"
 	"repro/internal/smalltalk"
 	"repro/internal/word"
@@ -216,10 +219,8 @@ func TestPoolPipelinedGoAndClose(t *testing.T) {
 
 func TestPoolGCBoundsHeapGrowth(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	// Collect aggressively so allocation-heavy programs are reclaimed;
-	// GCChunk<0 sweeps whole cycles per request (the stop-the-world
-	// ablation), so completed-cycle counts are deterministic here.
-	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: 4, GCChunk: -1})
+	// Collect aggressively so allocation-heavy programs are reclaimed.
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: 4})
 	p := progs[2] // points: allocates two objects per iteration
 	for i := 0; i < 12; i++ {
 		if res := pool.Do(serve.Request{Receiver: word.FromInt(p.Warm), Selector: p.Entry}); res.Err != nil {
@@ -233,14 +234,14 @@ func TestPoolGCBoundsHeapGrowth(t *testing.T) {
 }
 
 // TestPoolIncrementalGCUnderLoad is the GC-under-serving stress test: an
-// aggressive collection cadence with a tiny sweep chunk, so cycles span
-// many requests and the mutators run between sweep steps, under enough
-// concurrent clients that the race detector gets a real workout. Every
-// answer must still checksum, and the shards must have both completed
-// cycles and accounted their pause time.
+// aggressive collection cadence, so cycles span requests and the mutators
+// run between sweep steps, under enough concurrent clients that the race
+// detector gets a real workout. Every answer must still checksum, the
+// shards must have both completed cycles and accounted their pause time,
+// and the flight rings must show a slice that left sweep work pending.
 func TestPoolIncrementalGCUnderLoad(t *testing.T) {
 	snap, progs := suiteSnapshot(t)
-	pool := serve.NewPool(snap, serve.Config{Workers: 4, GCEvery: 2, GCChunk: 48})
+	pool := serve.NewPool(snap, serve.Config{Workers: 4, GCEvery: 2})
 	defer pool.Close()
 
 	const clients = 8
@@ -283,6 +284,68 @@ func TestPoolIncrementalGCUnderLoad(t *testing.T) {
 	}
 	if met.GCPause == 0 {
 		t.Fatal("collection cycles ran but no pause time was accounted")
+	}
+	spanned := false
+	for _, ev := range pool.FlightRecorder().Events() {
+		if ev.Kind == flight.KindGCEnd && ev.Arg > 0 {
+			spanned = true
+			break
+		}
+	}
+	if !spanned {
+		t.Fatal("no sweep slice left work pending: no cycle spanned requests")
+	}
+}
+
+// TestPoolHeapStaysBounded drives round-robin suite sends through a
+// 1-worker pool on the default collection cadence and checks that a
+// checkpoint stops growing once the paced sweep keeps up: the image after
+// 6000 sends is at most 1.25x the image after 2000, and a cycle completes
+// about every GCEvery sends. A sweep of a fixed chunk per request falls
+// behind the suite's allocation and fails both.
+func TestPoolHeapStaysBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("6000 suite sends take minutes under the race detector")
+	}
+	snap, progs := suiteSnapshot(t)
+	pool := serve.NewPool(snap, serve.Config{Workers: 1})
+	defer pool.Close()
+	imageBytes := func() int {
+		t.Helper()
+		live, err := pool.SnapshotLive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := image.Write(&buf, live); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+
+	const (
+		mid, sends = 2000, 6000
+		gcEvery    = 512 // the pool's default cadence
+	)
+	var atMid int
+	for i := 0; i < sends; i++ {
+		p := progs[i%len(progs)]
+		got, err := pool.Do(serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}).Int()
+		if err != nil || got != p.Check {
+			t.Fatalf("send %d: %s = %d, %v; want %d", i, p.Name, got, err, p.Check)
+		}
+		if i+1 == mid {
+			atMid = imageBytes()
+		}
+	}
+	atEnd := imageBytes()
+	met := pool.Metrics()
+	t.Logf("image %d B at %d sends, %d B at %d (%.2fx); %d cycles", atMid, mid, atEnd, sends, float64(atEnd)/float64(atMid), met.GCs)
+	if float64(atEnd) > 1.25*float64(atMid) {
+		t.Errorf("image grew %.2fx from %d to %d sends, want at most 1.25x", float64(atEnd)/float64(atMid), mid, sends)
+	}
+	if want := uint64(sends/gcEvery - 1); met.GCs < want {
+		t.Errorf("%d collection cycles in %d sends, want at least %d", met.GCs, sends, want)
 	}
 }
 

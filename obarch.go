@@ -205,7 +205,7 @@ func (s *System) ServePoolWith(cfg ServeConfig) (*Pool, error) {
 func (s *System) ITLBHitRatio() float64 { return s.M.ITLB.HitRatio() }
 
 // WriteImage serialises a snapshot to w in the versioned binary image
-// format of package repro/internal/image: slabs, page table, descriptor
+// format of package repro/internal/image: slabs, segment headers, descriptor
 // tables, class/selector tables and warm cache state, each section
 // CRC-protected and gated on a format and ISA-encoding version.
 func WriteImage(w io.Writer, snap *Snapshot) error { return image.Write(w, snap) }
