@@ -228,8 +228,7 @@ func TestHTTPSender(t *testing.T) {
 		t.Cleanup(ts.Close)
 		return ts.URL
 	}
-	refused := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	refused.Close() // the URL now refuses connections
+	refused := refusedURL(t)
 
 	for _, tc := range []struct {
 		name    string
@@ -249,7 +248,7 @@ func TestHTTPSender(t *testing.T) {
 		{"429 undecodable", answer(429, "", `overloaded`), obwire.StatusOverloaded, 0, 0, true, false},
 		{"503", answer(503, "", `{"result":null,"error":"serve: deadline expired before dispatch"}`), obwire.StatusShed, 0, 0, true, false},
 		{"502 spent budget", answer(502, "", `{"result":null,"error":"cluster: no node answered"}`), obwire.StatusMachineError, 0, 0, false, false},
-		{"refused connection", refused.URL, 0, 0, 0, true, true},
+		{"refused connection", refused, 0, 0, 0, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, floor, err := httpSender(tc.url)(req)

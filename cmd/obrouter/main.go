@@ -80,6 +80,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/httpwire"
 	"repro/internal/obwire"
 	"repro/internal/serve"
@@ -250,9 +251,9 @@ func httpStatus(resp obwire.Response, err error) int {
 // send routes one request through the cluster and returns its wire
 // result and HTTP status.
 func (s *routerServer) send(req serve.Request) (httpwire.SendResponse, int) {
-	t0 := time.Now()
+	t0 := core.Monotonic()
 	resp, err := s.route(req)
-	s.sendLat.Observe(time.Since(t0))
+	s.sendLat.Observe(time.Duration(core.Monotonic() - t0))
 	status := httpStatus(resp, err)
 	if err != nil {
 		return httpwire.SendResponse{Error: err.Error()}, status

@@ -340,9 +340,7 @@ func (c *Cache) AllocNext(seg *memory.Segment, rcp word.Word) {
 		panic("context: next context already allocated")
 	}
 	blk := c.takeFreeBlock()
-	for i := range c.blocks[blk] {
-		c.blocks[blk][i] = word.Uninit
-	}
+	clear(c.blocks[blk]) // word.Uninit is the zero Word
 	c.Stats.Clears++
 	c.dir[blk] = seg.Base
 	c.segs[blk] = seg

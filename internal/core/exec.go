@@ -102,6 +102,12 @@ const pollMask = 1023
 // the step limit is reached, or the deadline/interrupt poll fires.
 func (m *Machine) Run() error {
 	maxSteps := m.Cfg.MaxSteps
+	// The step-0 poll of a deadline SetDeadlineAt armed reuses the
+	// reading it was armed from, and the deadline lies after that
+	// reading: the poll passes without reading the clock. A deadline set
+	// any other way is polled against the clock from step 0.
+	armed := m.Deadline != 0 && m.Deadline == m.armed
+	m.armed = 0
 	for steps := uint64(0); !m.halted; steps++ {
 		if steps >= maxSteps {
 			return trapf("resources", "step limit %d exceeded", maxSteps)
@@ -110,7 +116,7 @@ func (m *Machine) Run() error {
 			if atomic.LoadInt32(&m.interrupt) != 0 {
 				return trapf("interrupt", "execution interrupted after %d steps", steps)
 			}
-			if m.Deadline != 0 && Monotonic() > m.Deadline {
+			if m.Deadline != 0 && !(steps == 0 && armed) && Monotonic() > m.Deadline {
 				return trapf("timeout", "deadline exceeded after %d steps", steps)
 			}
 		}

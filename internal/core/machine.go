@@ -297,12 +297,17 @@ type Machine struct {
 	extraRoots     []word.Word
 
 	// Deadline, when nonzero, bounds Run by wall clock: execution traps
-	// with a timeout once the monotonic clock (see Monotonic) passes it.
-	// Polls then compare one int64 instead of calling time.Now().After.
-	// It is checked at every poll point, including before the first step,
-	// and must only be set by the goroutine driving the machine (the
-	// serve pool sets it per request via SetDeadline).
+	// with a timeout once the process monotonic clock (see Monotonic)
+	// passes it, so a poll compares one int64. It is checked at every
+	// poll point, including before the first step, and must only be set
+	// by the goroutine driving the machine (the serve pool arms it per
+	// request with SetDeadlineAt).
 	Deadline int64
+	// armed is the Deadline SetDeadlineAt last armed from a caller's
+	// clock reading, 0 when none. The next Run consumes it: while
+	// Deadline still holds it, the step-0 poll reuses that reading
+	// instead of reading the clock again.
+	armed int64
 	// interrupt is an asynchronous stop request, set from other goroutines
 	// via Interrupt and polled by Run at the deadline cadence.
 	interrupt int32
@@ -325,18 +330,36 @@ type Machine struct {
 var procEpoch = time.Now()
 
 // Monotonic returns the current reading of the process monotonic clock in
-// nanoseconds — the unit Machine.Deadline is expressed in.
+// nanoseconds since process start — one vDSO clock read, no wall time.
+// It is the one clock of the serving path: Machine.Deadline, the flight
+// recorder's timestamps (whose epoch is a reading of it), the pool's
+// queue-wait and service spans and obwire's decode and encode spans all
+// count in it, so a reading taken where one stage ends is reused as the
+// next stage's start.
 func Monotonic() int64 { return int64(time.Since(procEpoch)) }
 
-// SetDeadline arms the wall-clock bound d from now; non-positive d clears
-// it. Like Deadline itself it may only be called by the goroutine driving
-// the machine.
+// SetDeadline arms the wall-clock bound d from a fresh Monotonic reading;
+// non-positive d clears it. Like Deadline itself it may only be called by
+// the goroutine driving the machine.
 func (m *Machine) SetDeadline(d time.Duration) {
+	var now int64
+	if d > 0 {
+		now = Monotonic()
+	}
+	m.SetDeadlineAt(now, d)
+}
+
+// SetDeadlineAt arms the wall-clock bound d from now, a Monotonic reading
+// the caller already took; non-positive d clears it. The next Run's
+// step-0 poll reuses now rather than reading the clock, so arming a
+// deadline and starting the run cost no clock read of their own.
+func (m *Machine) SetDeadlineAt(now int64, d time.Duration) {
 	if d <= 0 {
-		m.Deadline = 0
+		m.Deadline, m.armed = 0, 0
 		return
 	}
-	m.Deadline = Monotonic() + int64(d)
+	m.Deadline = now + int64(d)
+	m.armed = m.Deadline
 }
 
 // Status is the PS register.

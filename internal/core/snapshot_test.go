@@ -185,6 +185,47 @@ func TestDeadlineTrapsAndAbortRecovers(t *testing.T) {
 	}
 }
 
+// TestPastDeadlineTrapsAtStepZero pins the step-0 poll: a deadline that
+// has already passed traps before the first instruction, whether it was
+// written directly or armed by SetDeadlineAt from a reading whose bound
+// is already over — the step-0 poll reuses an armed reading only while
+// Deadline still holds the value armed from it, and only for one Run.
+func TestPastDeadlineTrapsAtStepZero(t *testing.T) {
+	m := New(Config{})
+	install(t, m, m.Image.SmallInt, "spin", 0, 1, `
+	loop:
+		nop
+		rjmp =1, loop
+	`)
+	wantStep0 := func(what string) {
+		t.Helper()
+		_, err := m.Send(word.FromInt(1), "spin")
+		trap, ok := err.(*Trap)
+		if !ok || trap.Kind != "timeout" || trap.Msg != "deadline exceeded after 0 steps" {
+			t.Fatalf("%s: got %v, want a timeout trap at step 0", what, err)
+		}
+		m.Abort()
+	}
+	m.Deadline = Monotonic() - 1
+	wantStep0("deadline written in the past")
+
+	// An armed deadline is consumed by the Run it was armed for: a later
+	// Run with Deadline rewritten into the past polls the clock.
+	m.SetDeadlineAt(Monotonic(), time.Hour)
+	m.Deadline = 1
+	wantStep0("armed deadline overwritten")
+
+	m.SetDeadlineAt(Monotonic()-int64(time.Second), time.Millisecond)
+	if _, err := m.Send(word.FromInt(1), "spin"); err == nil {
+		t.Fatal("spin under an expired armed deadline returned without a trap")
+	}
+	m.Abort()
+	m.SetDeadline(0)
+	if m.Deadline != 0 {
+		t.Fatalf("SetDeadline(0) left Deadline %d", m.Deadline)
+	}
+}
+
 func TestInterruptStopsRun(t *testing.T) {
 	m := New(Config{})
 	install(t, m, m.Image.SmallInt, "spin", 0, 1, `

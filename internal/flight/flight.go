@@ -1,7 +1,9 @@
 // Package flight is an always-on, lock-free flight recorder for the
 // serving pool: a per-shard fixed-size ring of request lifecycle events
 // (enqueue, dispatch, execute start/end, abort, GC slice start/end), each
-// a fixed-width record stamped with a monotonic clock. Writing an event
+// a fixed-width record stamped with the process monotonic clock,
+// core.Monotonic — the clock the serving path already reads, so a hot
+// path records with a reading it took for its own spans. Writing an event
 // is one atomic cursor bump plus a handful of atomic word stores — no
 // allocation, no lock, no syscall — so the recorder can stay enabled on
 // the zero-alloc request path the pool worked for. Old events are simply
@@ -21,7 +23,8 @@ package flight
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/core"
 )
 
 // Kind identifies a lifecycle event.
@@ -128,7 +131,7 @@ func (k Kind) String() string {
 // Event is one recorded lifecycle event, decoded from its slot.
 type Event struct {
 	Seq   uint64 // position in the shard's event stream (monotonic)
-	TS    int64  // nanoseconds since the recorder's epoch (monotonic clock)
+	TS    int64  // nanoseconds since the recorder's epoch (core.Monotonic)
 	Kind  Kind
 	Shard int    // shard whose ring held the event
 	Req   uint64 // request id; 0 for shard-level events (GC slices)
@@ -163,17 +166,17 @@ type Ring struct {
 	slots  []slot
 	mask   uint64
 	shard  int
-	epoch  time.Time
+	epoch  int64
 }
 
 // Record writes one event stamped now.
 func (r *Ring) Record(k Kind, req, arg uint64) {
-	r.RecordAt(k, req, arg, int64(time.Since(r.epoch)))
+	r.RecordAt(k, req, arg, r.Now())
 }
 
 // RecordAt writes one event with a caller-supplied timestamp (nanoseconds
-// since the recorder's epoch), letting hot paths reuse a clock reading
-// they already paid for.
+// since the recorder's epoch; see TS), letting hot paths reuse a clock
+// reading they already paid for.
 func (r *Ring) RecordAt(k Kind, req, arg uint64, ts int64) {
 	c := r.cursor.Add(1) - 1
 	s := &r.slots[c&r.mask]
@@ -186,15 +189,16 @@ func (r *Ring) RecordAt(k Kind, req, arg uint64, ts int64) {
 	s.stamp.Store(c + 1)
 }
 
-// Now returns the current recorder timestamp — nanoseconds since the
-// epoch on the monotonic clock — for pairing with RecordAt.
+// Now reads core.Monotonic once and returns it as a recorder timestamp,
+// for pairing with RecordAt.
 func (r *Ring) Now() int64 {
-	return int64(time.Since(r.epoch))
+	return r.TS(core.Monotonic())
 }
 
-// TS converts an absolute time into a recorder timestamp.
-func (r *Ring) TS(t time.Time) int64 {
-	return int64(t.Sub(r.epoch))
+// TS converts a core.Monotonic reading into a recorder timestamp —
+// nanoseconds since the recorder's epoch — without reading the clock.
+func (r *Ring) TS(mono int64) int64 {
+	return mono - r.epoch
 }
 
 // Snapshot appends every currently valid event to dst, oldest first, and
@@ -250,7 +254,7 @@ func (r *Ring) EventsFor(req uint64) []Event {
 // Recorder is a set of per-shard rings sharing one epoch, so timestamps
 // compare across shards.
 type Recorder struct {
-	epoch time.Time
+	epoch int64
 	rings []*Ring
 }
 
@@ -272,7 +276,7 @@ func New(shards, size int) *Recorder {
 	for n < size {
 		n <<= 1
 	}
-	rec := &Recorder{epoch: time.Now()}
+	rec := &Recorder{epoch: core.Monotonic()}
 	for i := 0; i < shards; i++ {
 		rec.rings = append(rec.rings, &Ring{
 			slots: make([]slot, n),
@@ -290,8 +294,9 @@ func (rec *Recorder) Ring(i int) *Ring { return rec.rings[i] }
 // Shards returns the number of rings.
 func (rec *Recorder) Shards() int { return len(rec.rings) }
 
-// Epoch returns the wall-clock instant recorder timestamps count from.
-func (rec *Recorder) Epoch() time.Time { return rec.epoch }
+// Epoch returns the core.Monotonic reading recorder timestamps count
+// from.
+func (rec *Recorder) Epoch() int64 { return rec.epoch }
 
 // Events snapshots every shard's ring, merged oldest-timestamp first.
 func (rec *Recorder) Events() []Event {

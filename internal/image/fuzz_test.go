@@ -59,6 +59,9 @@ func FuzzReadImage(f *testing.F) {
 	// Two live segments on one base: the page table rebuilt on load
 	// could index only one of them, so the space importer refuses it.
 	f.Add(sharedBaseImage(f, img))
+	// A segment moved inside another's extent: the two would share
+	// backing words, so the space importer refuses it.
+	f.Add(overlapImage(f, img))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))

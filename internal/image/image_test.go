@@ -318,6 +318,42 @@ func sharedBaseImage(tb testing.TB, img []byte) []byte {
 	})
 }
 
+// overlapImage returns img with a live segment moved onto another live
+// one's base + 16, inside that one's extent, its section CRC
+// recomputed: the space importer must refuse the overlap rather than let
+// two objects share backing words.
+func overlapImage(tb testing.TB, img []byte) []byte {
+	tb.Helper()
+	return editSection(img, secSpace, func(d *dec, e *enc) {
+		st := decSpace(d)
+		if d.err != nil {
+			tb.Fatalf("space section: %v", d.err)
+		}
+		first := map[[2]uint64]int{} // slab, capacity → lowest live segment seen
+		for i, sg := range st.Segments {
+			if sg.Freed || sg.Cap < 32 {
+				continue
+			}
+			k := [2]uint64{uint64(sg.Slab), sg.Cap}
+			j, ok := first[k]
+			if !ok {
+				first[k] = i
+				continue
+			}
+			lo, hi := j, i
+			if st.Segments[hi].Base < st.Segments[lo].Base {
+				lo, hi = hi, lo
+			}
+			// hi sat past lo's whole extent, so lo's base + 16 still
+			// keeps hi inside the slab.
+			st.Segments[hi].Base = st.Segments[lo].Base + 16
+			encSpace(e, st)
+			return
+		}
+		tb.Fatal("no two live segments of 32 words or more share a slab and a size")
+	})
+}
+
 // editSection returns a copy of img whose section id is re-encoded by
 // edit, with the section's CRC recomputed, so the edit is judged by the
 // decoder and the importers, not by the checksum.
@@ -343,6 +379,16 @@ func TestImageRefusesSharedBase(t *testing.T) {
 	_, err := Read(bytes.NewReader(sharedBaseImage(t, img)))
 	if err == nil || !contains(err, "both live at base") {
 		t.Fatalf("image with two live segments on one base: %v, want the shared-base refusal", err)
+	}
+}
+
+// TestImageRefusesOverlap: two segments whose extents overlap fail the
+// load with the space importer's refusal.
+func TestImageRefusesOverlap(t *testing.T) {
+	_, img := roundTrip(t, snapshotOf(t, workload.Arith(), core.Config{}))
+	_, err := Read(bytes.NewReader(overlapImage(t, img)))
+	if err == nil || !contains(err, "overlaps segment") {
+		t.Fatalf("image with overlapping segments: %v, want the overlap refusal", err)
 	}
 }
 

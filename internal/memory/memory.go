@@ -263,9 +263,7 @@ func (s *Space) Alloc(size uint64, class word.Class, kind Kind) *Segment {
 		seg.Mark = s.gcActive
 		seg.Data = seg.Data[:size]
 		if kind != KindContext {
-			for i := range seg.Data {
-				seg.Data[i] = word.Uninit
-			}
+			clear(seg.Data) // word.Uninit is the zero Word
 		}
 		s.install(seg)
 		return seg
@@ -752,9 +750,7 @@ func (t *Team) Grow(a fpa.Addr, newSize uint64) (fpa.Addr, error) {
 	// A recycled segment may carry stale words past the copied prefix
 	// (zero-fill elision); a grown object's fresh tail must read as
 	// uninitialised either way.
-	for i := n; i < len(newSeg.Data); i++ {
-		newSeg.Data[i] = word.Uninit
-	}
+	clear(newSeg.Data[n:])
 	old := d.Seg
 	// Both old and new descriptors point at the new segment; the old
 	// name keeps its old length bound and forwards past it.

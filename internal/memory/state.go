@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -224,6 +225,32 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		}
 		s.table[seg.Base] = int32(id) + 1
 		s.live++
+	}
+	// Every extent [Base, Base+Cap), freed ones included, owns its words:
+	// two that overlap would alias storage — a write to one live object
+	// changing another, or a freed segment handing a live one's words out
+	// again when it is recycled. Walked in base order, an extent must
+	// start at or past the furthest end seen so far.
+	ids := make([]int32, len(arr))
+	for id := range ids {
+		ids[id] = int32(id)
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if c := cmp.Compare(arr[a].Base, arr[b].Base); c != 0 {
+			return c
+		}
+		return cmp.Compare(cap(arr[a].Data), cap(arr[b].Data))
+	})
+	var reach AbsAddr
+	reacher := int32(-1)
+	for _, id := range ids {
+		seg := &arr[id]
+		if seg.Base < reach {
+			return nil, fmt.Errorf("memory: segment %d at %#x overlaps segment %d, which runs to %#x", id, uint64(seg.Base), reacher, uint64(reach))
+		}
+		if end := seg.Base + AbsAddr(cap(seg.Data)); end > reach {
+			reach, reacher = end, id
+		}
 	}
 	pooled := make(map[int32]bool)
 	for _, fc := range st.Free {

@@ -110,6 +110,34 @@ func TestImportSpaceRejectsSharedBase(t *testing.T) {
 	}
 }
 
+// TestImportSpaceRejectsOverlap: two segments whose extents overlap at
+// different bases would share backing words, so a write to one object
+// would change another. Moving one live segment onto another's base + 16
+// must fail the load; so must a freed segment over a live one, which
+// would alias it once recycled.
+func TestImportSpaceRejectsOverlap(t *testing.T) {
+	for _, freed := range []bool{false, true} {
+		st := overlappingSpace(t)
+		st.Segments[2].Freed = freed
+		if _, err := ImportSpace(st); err == nil || !strings.Contains(err.Error(), "overlaps segment") {
+			t.Fatalf("freed=%v: overlapping segments imported: %v", freed, err)
+		}
+	}
+}
+
+// overlappingSpace returns exportedSpace with live segment 2 moved onto
+// live segment 1's base + 16, inside segment 1's 32-word extent.
+func overlappingSpace(t *testing.T) *SpaceState {
+	t.Helper()
+	st := exportedSpace(t)
+	a, b := &st.Segments[1], &st.Segments[2]
+	if a.Freed || b.Freed || a.Slab != b.Slab || a.Cap != 32 || b.Cap != 32 {
+		t.Fatal("fixture needs two live 32-word segments in one slab")
+	}
+	b.Base = a.Base + 16
+	return st
+}
+
 // TestImportSpaceRejectsBadWindows pins the hardening: a window entry
 // whose slab does not cover it must fail the load, not panic the first
 // allocation carved there.

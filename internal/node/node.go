@@ -122,6 +122,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/httpwire"
 	"repro/internal/image"
 	"repro/internal/obwire"
@@ -364,7 +365,7 @@ func (n *Node) handleSave(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (n *Node) handleSend(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	start := core.Monotonic()
 	body, err := httpwire.ReadBody(w, r, nil)
 	var req serve.Request
 	if err == nil {
@@ -374,15 +375,15 @@ func (n *Node) handleSend(w http.ResponseWriter, r *http.Request) {
 		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	n.decLat.Observe(time.Since(start))
+	n.decLat.Observe(time.Duration(core.Monotonic() - start))
 	res := n.pool.Do(req)
-	enc := time.Now()
+	enc := core.Monotonic()
 	status := httpwire.Status(obwire.StatusFor(res.Err))
 	httpwire.RetryAfter(w, status)
 	httpwire.WriteJSON(w, status, httpwire.ResultResponse(res))
-	end := time.Now()
-	n.encLat.Observe(end.Sub(enc))
-	n.httpLat.Observe(end.Sub(start))
+	end := core.Monotonic()
+	n.encLat.Observe(time.Duration(end - enc))
+	n.httpLat.Observe(time.Duration(end - start))
 }
 
 // handleBatch executes an array of sends as a sliding window of pool
@@ -391,7 +392,7 @@ func (n *Node) handleSend(w http.ResponseWriter, r *http.Request) {
 // The response preserves request order; per-request failures are reported
 // inline, so the status is 200 whenever the batch itself was well-formed.
 func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	start := core.Monotonic()
 	body, err := httpwire.ReadBody(w, r, nil)
 	var reqs []serve.Request
 	if err == nil {
@@ -401,7 +402,7 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	n.decLat.Observe(time.Since(start))
+	n.decLat.Observe(time.Duration(core.Monotonic() - start))
 	const win = httpwire.BatchWindow
 	var window [win]*serve.Future
 	out := make([]httpwire.SendResponse, len(reqs))
@@ -414,11 +415,11 @@ func (n *Node) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := max(0, len(reqs)-win); i < len(reqs); i++ {
 		out[i] = httpwire.ResultResponse(window[i%win].Wait())
 	}
-	enc := time.Now()
+	enc := core.Monotonic()
 	httpwire.WriteJSON(w, http.StatusOK, out)
-	end := time.Now()
-	n.encLat.Observe(end.Sub(enc))
-	n.httpLat.Observe(end.Sub(start))
+	end := core.Monotonic()
+	n.encLat.Observe(time.Duration(end - enc))
+	n.httpLat.Observe(time.Duration(end - start))
 }
 
 func (n *Node) handlePrograms(w http.ResponseWriter, _ *http.Request) {

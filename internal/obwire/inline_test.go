@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/word"
 	"repro/internal/workload"
 )
@@ -122,6 +123,61 @@ func TestInlineLaneLoneSend(t *testing.T) {
 	}
 	if kinds[flight.KindExecStart] != 1 || kinds[flight.KindEnqueue] != 0 || kinds[flight.KindDispatch] != 0 {
 		t.Fatalf("flight events %v, want one exec_start and no enqueue or dispatch", kinds)
+	}
+}
+
+// TestSpansOnePerFrame pins the transport spans on both paths: every
+// request frame leaves exactly one DecodeLat and one EncodeLat sample,
+// whether the reader ran it inline or the writer answered it after the
+// pool's queue — the stage boundaries share clock readings with the pool,
+// but no span is dropped or counted twice.
+func TestSpansOnePerFrame(t *testing.T) {
+	var dec, enc stats.ConcurrentHistogram
+	s, _ := startServer(t, serve.Config{Workers: 1, QueueDepth: 64}, Options{DecodeLat: &dec, EncodeLat: &enc})
+	c := dialRaw(t, s.Addr().String())
+	req := serve.Request{Receiver: word.FromInt(4), Selector: "answer"}
+	recv := func(n int) {
+		for i := 0; i < n; i++ {
+			if r, _, err := c.recv(); err != nil || !r.OK() || r.Value.Int() != 5 {
+				t.Fatalf("answer %d: %+v, %v", i, r, err)
+			}
+		}
+	}
+	// A lone frame on an idle connection runs inline.
+	c.send(req)
+	c.flush(t)
+	recv(1)
+	if st := s.Stats(); st.FramesInline != 1 {
+		t.Fatalf("stats %+v, want the lone frame inline", st)
+	}
+	// Frames written in one go have others buffered or outstanding
+	// behind them, so they queue — all but, at times, the last, which
+	// may find the ones before it already answered.
+	const burst = 8
+	frames := uint64(1)
+	for s.Stats().FramesInline == frames {
+		if frames > 10*burst {
+			t.Fatalf("no burst frame queued (stats %+v)", s.Stats())
+		}
+		for i := 0; i < burst; i++ {
+			c.send(req)
+		}
+		c.flush(t)
+		recv(burst)
+		frames += burst
+	}
+	if st := s.Stats(); st.FramesIn != frames || st.FramesOut != frames {
+		t.Fatalf("stats %+v, want %d frames in and out", st, frames)
+	}
+	// An encode sample lands just after its answer is flushed, so the
+	// last one may trail the client's read by a moment.
+	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); time.Sleep(time.Millisecond) {
+		if e := enc.Snapshot(); e.Count() >= frames {
+			break
+		}
+	}
+	if d, e := dec.Snapshot(), enc.Snapshot(); d.Count() != frames || e.Count() != frames {
+		t.Fatalf("decode samples %d, encode samples %d, want %d each", d.Count(), e.Count(), frames)
 	}
 }
 

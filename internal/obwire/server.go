@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/word"
@@ -26,7 +27,14 @@ import (
 type Options struct {
 	// DecodeLat and EncodeLat, when set, receive the per-frame decode
 	// and encode+write spans — internal/node passes its HTTP /stats
-	// histograms so both transports share one family.
+	// histograms so both transports share one family. Both count on
+	// core.Monotonic, the clock the pool stamps requests with, and share
+	// readings with the pool at their boundaries: decode runs from the
+	// frame's first decoded byte to the reading that stamps its enqueue
+	// (queued) or starts its execution (inline lane); encode runs from
+	// the writer's reading after the answer is ready (queued) or the
+	// pool's exec-end reading (inline lane) until the answer is in the
+	// connection's write buffer and, when due, flushed.
 	DecodeLat *stats.ConcurrentHistogram
 	EncodeLat *stats.ConcurrentHistogram
 	// Logf, when set, receives connection-level diagnostics (protocol
@@ -231,15 +239,15 @@ func (s *Server) put(o *connOut, b []byte, n *atomic.Uint64, flush bool) bool {
 }
 
 // respond encodes and writes one response, counted in framesOut and
-// timed into EncodeLat. Callers hold o.mu.
-func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool) bool {
+// timed into EncodeLat from t0, the core.Monotonic reading encoding
+// starts at. Callers hold o.mu.
+func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool, t0 int64) bool {
 	if o.broken {
 		return false
 	}
-	t0 := time.Now()
 	ok := s.put(o, appendResponse(o.w.frame(), id, res), &s.framesOut, flush)
 	if s.opts.EncodeLat != nil {
-		s.opts.EncodeLat.Observe(time.Since(t0))
+		s.opts.EncodeLat.Observe(time.Duration(core.Monotonic() - t0))
 	}
 	return ok
 }
@@ -307,10 +315,13 @@ func (s *Server) serveConn(c net.Conn) {
 			continue
 		}
 
-		t0 := time.Now()
+		t0 := core.Monotonic()
 		id, req, err := s.decodeRequest(buf, sels)
+		// One reading ends decode and starts the next stage: the
+		// enqueue stamp, or exec start on the inline lane.
+		t1 := core.Monotonic()
 		if s.opts.DecodeLat != nil {
-			s.opts.DecodeLat.Observe(time.Since(t0))
+			s.opts.DecodeLat.Observe(time.Duration(t1 - t0))
 		}
 		if err != nil {
 			s.protoErrors.Add(1)
@@ -321,10 +332,10 @@ func (s *Server) serveConn(c net.Conn) {
 		// Nothing else in flight on this connection and nothing behind
 		// this frame: run it to completion here if the pool is idle.
 		if out.outstanding.Load() == 0 && fr.buffered() == 0 {
-			if res, ok := s.pool.TryDo(req); ok {
+			if res, done, ok := s.pool.TryDo(req, t1); ok {
 				s.framesInline.Add(1)
 				out.mu.Lock()
-				ok = s.respond(out, id, res, true)
+				ok = s.respond(out, id, res, true, done)
 				out.mu.Unlock()
 				if !ok {
 					break
@@ -337,7 +348,7 @@ func (s *Server) serveConn(c net.Conn) {
 		// writer answers as StatusOverloaded — the same admission story
 		// as HTTP, over a cheaper wire.
 		out.outstanding.Add(1)
-		out.pend.push(pending{id: id, fut: s.pool.Go(req)})
+		out.pend.push(pending{id: id, fut: s.pool.GoAt(req, t1)})
 	}
 	out.pend.close()
 	<-writerDone
@@ -414,7 +425,7 @@ func (s *Server) writeLoop(o *connOut, done chan<- struct{}) {
 				s.put(o, appendPong(o.w.frame(), p.id, depth, notReady), nil, last)
 			}
 		} else {
-			s.respond(o, p.id, res, last)
+			s.respond(o, p.id, res, last, core.Monotonic())
 		}
 		o.outstanding.Add(-1)
 		o.mu.Unlock()

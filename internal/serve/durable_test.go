@@ -47,12 +47,21 @@ func TestRotateUnderTraffic(t *testing.T) {
 	const workers = 4
 	old := answerSnapshot(t, 1)
 	next := answerSnapshot(t, 2)
-	// Rings big enough that the hot clients cannot lap the rotation's
-	// own events before the test counts them.
-	pool := serve.NewPool(old, serve.Config{Workers: workers, FlightRingSize: 1 << 15})
+	// The rotate events must survive until the test counts them, so the
+	// traffic before the count is bounded: a request leaves at most five
+	// events on its shard's ring (enqueue, dispatch, exec_end and a
+	// collection slice's two), so budget requests, however they fall
+	// across shards, cannot lap a ring of ringSize slots. Clients that
+	// find the budget spent wait for the count, then run freely.
+	const ringSize = 1 << 16
+	const budget = ringSize / 8
+	pool := serve.NewPool(old, serve.Config{Workers: workers, FlightRingSize: ringSize})
 
 	req := serve.Request{Receiver: word.FromInt(0), Selector: "answer"}
 	var submitted, failed, sawOld, sawNew atomic.Uint64
+	var tickets atomic.Int64
+	tickets.Store(budget)
+	counted := make(chan struct{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -64,6 +73,9 @@ func TestRotateUnderTraffic(t *testing.T) {
 				case <-stop:
 					return
 				default:
+				}
+				if tickets.Add(-1) < 0 {
+					<-counted
 				}
 				submitted.Add(1)
 				got, err := pool.Do(req).Int()
@@ -83,22 +95,26 @@ func TestRotateUnderTraffic(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(20 * time.Millisecond)
+	// Rotate once a quarter of the budget has run, so the swap lands
+	// mid-traffic with requests still to spend.
+	for submitted.Load() < budget/4 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if err := pool.Rotate(next); err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
-	// Count the rotate events now, before ongoing traffic laps them in
-	// the per-shard rings. Per-ring snapshots: the merged Events() view
-	// sorts, which these traffic-flooded rings are too large for.
-	rotateEvents := 0
+	// Per-ring snapshots: the merged Events() view sorts, which these
+	// rings are too large for.
+	rotateEvents := make([]int, workers)
 	rec := pool.FlightRecorder()
 	for i := 0; i < rec.Shards(); i++ {
 		for _, ev := range rec.Ring(i).Snapshot(nil) {
 			if ev.Kind == flight.KindRotate {
-				rotateEvents++
+				rotateEvents[i]++
 			}
 		}
 	}
+	close(counted)
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -131,8 +147,10 @@ func TestRotateUnderTraffic(t *testing.T) {
 			met.Requests, met.Rejected, met.SheddedExpired, total, want)
 	}
 
-	if rotateEvents != workers {
-		t.Errorf("flight recorder holds %d rotate events, want %d", rotateEvents, workers)
+	for i, n := range rotateEvents {
+		if n != 1 {
+			t.Errorf("shard %d's ring holds %d rotate events, want 1", i, n)
+		}
 	}
 
 	pool.Close()

@@ -140,15 +140,17 @@ func (p *Pool) invoke(s *shard, req Request) (v word.Word, err error, panicked, 
 // is retired (its accounting folded into the shard's accumulators so
 // nothing un-conserves) and a fresh worker is re-stamped from the pool
 // snapshot. Called under execMu, from serveOne's barrier or the driver's.
-func (p *Pool) quarantine(s *shard, id uint64, lat time.Duration, start time.Time, chaosHit bool) {
+// ts is the panicked request's exec-end recorder timestamp; quarantine
+// returns the core.Monotonic reading the re-stamp finished at.
+func (p *Pool) quarantine(s *shard, id uint64, ts int64, chaosHit bool) int64 {
 	s.met.panics.Add(1)
 	s.unhealthy.Store(true)
-	t0 := time.Now()
+	t0 := core.Monotonic()
 	p.restamp(s)
-	cost := time.Since(t0)
-	ts := s.fr.TS(start) + int64(lat)
+	t1 := core.Monotonic()
 	s.fr.RecordAt(flight.KindPanic, id, panicCode(chaosHit), ts)
-	s.fr.RecordAt(flight.KindRestamp, id, uint64(cost), ts+int64(cost))
+	s.fr.RecordAt(flight.KindRestamp, id, uint64(t1-t0), ts+(t1-t0))
+	return t1
 }
 
 // panicCode is a KindPanic event's arg: injected or real.

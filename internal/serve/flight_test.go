@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/serve"
 	"repro/internal/word"
@@ -91,6 +92,75 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	}
 	if ends != 5 {
 		t.Errorf("chained exec_ends = %d, want 5", ends)
+	}
+}
+
+// TestStagesShareStamps pins the one clock: the submitter's core.Monotonic
+// reading is the enqueue stamp (GoAt) or the exec-start stamp (TryDo), a
+// dispatch's queue wait is its own timestamp minus the enqueue's, and a
+// request's service latency is exactly the distance from its dispatch or
+// exec_start event to its exec_end — one reading each, shared by the
+// events, the histograms and the Result.
+func TestStagesShareStamps(t *testing.T) {
+	req := serve.Request{Receiver: word.FromInt(4), Selector: "answer"}
+	// last maps each kind to its newest event on the pool's one shard.
+	last := func(p *serve.Pool) map[flight.Kind]flight.Event {
+		out := map[flight.Kind]flight.Event{}
+		for _, ev := range p.FlightRecorder().Events() {
+			out[ev.Kind] = ev
+		}
+		return out
+	}
+
+	queued := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
+	defer queued.Close()
+	epoch := queued.FlightRecorder().Epoch()
+	now := core.Monotonic()
+	res := queued.GoAt(req, now).Wait()
+	if res.Err != nil || res.Value.Int() != 5 {
+		t.Fatalf("GoAt: %+v", res)
+	}
+	ev := last(queued)
+	enq, disp, end := ev[flight.KindEnqueue], ev[flight.KindDispatch], ev[flight.KindExecEnd]
+	if enq.TS != now-epoch {
+		t.Errorf("enqueue TS = %d, want the submitter's reading %d", enq.TS, now-epoch)
+	}
+	if int64(disp.Arg) != disp.TS-enq.TS {
+		t.Errorf("dispatch Arg = %d, want dispatch TS - enqueue TS = %d", disp.Arg, disp.TS-enq.TS)
+	}
+	if end.TS-disp.TS != int64(res.Latency) {
+		t.Errorf("exec_end - dispatch = %d, want Latency %d", end.TS-disp.TS, res.Latency)
+	}
+	if h := queued.QueueWaitHistogram(); h.Count() != 1 {
+		t.Errorf("queue-wait samples = %d, want 1", h.Count())
+	}
+
+	inline := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
+	defer inline.Close()
+	epoch = inline.FlightRecorder().Epoch()
+	now = core.Monotonic()
+	res, done, ok := inline.TryDo(req, now)
+	if !ok || res.Err != nil || res.Value.Int() != 5 {
+		t.Fatalf("TryDo: %+v, %v", res, ok)
+	}
+	ev = last(inline)
+	start, end := ev[flight.KindExecStart], ev[flight.KindExecEnd]
+	if start.TS != now-epoch {
+		t.Errorf("exec_start TS = %d, want the caller's reading %d", start.TS, now-epoch)
+	}
+	if end.TS-start.TS != int64(res.Latency) {
+		t.Errorf("TryDo: exec_end - exec_start = %d, want Latency %d", end.TS-start.TS, res.Latency)
+	}
+	if done-epoch != end.TS {
+		t.Errorf("TryDo done = %d, want the exec_end reading %d", done-epoch, end.TS)
+	}
+	res = inline.Do(req)
+	ev = last(inline)
+	if start, end := ev[flight.KindExecStart], ev[flight.KindExecEnd]; end.TS-start.TS != int64(res.Latency) {
+		t.Errorf("Do: exec_end - exec_start = %d, want Latency %d", end.TS-start.TS, res.Latency)
+	}
+	if _, ok := ev[flight.KindEnqueue]; ok {
+		t.Errorf("the inline lane recorded an enqueue: %v", ev)
 	}
 }
 

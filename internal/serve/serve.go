@@ -73,7 +73,11 @@
 // at zero allocations and a handful of atomic stores per event.
 // Submitters stamp the enqueue; everything else is written by whoever
 // holds the shard's execMu, reusing clock readings the serving path
-// already takes. On top of the recorder ride the per-request stage spans
+// already takes. There is one clock, core.Monotonic, read once per stage
+// boundary: GoAt and TryDo take the submitter's own reading as the
+// enqueue or exec-start stamp, the deadline is armed from the exec-start
+// reading, and TryDo hands back the reading its request finished at.
+// On top of the recorder ride the per-request stage spans
 // (queue wait via QueueWaitHistogram, service via LatencyHistogram) and
 // the slow-request capture: any request over Config.SlowThreshold is
 // snapshotted — its event chain, spans, and the exact core.Stats delta it
@@ -359,7 +363,7 @@ func (f *Future) complete(res Result) {
 
 // job is one unit of queued work: a request with its result cell. id and
 // enq carry the flight-recorder identity: the request id and the enqueue
-// timestamp in recorder nanoseconds.
+// timestamp in recorder nanoseconds (flight.Ring.TS).
 type job struct {
 	req Request
 	fut *Future
@@ -656,10 +660,11 @@ func (p *Pool) enter(req Request) (*shard, error) {
 
 // reject refuses a request whose shard queue was full: the distinct
 // flight event and counter, on the shard the request would have joined.
-// Written by the submitter — the ring and the counter both allow that.
-func (p *Pool) reject(s *shard, id uint64, depth int64) {
+// Written by the submitter — the ring and the counter both allow that —
+// at ts, the refused enqueue's recorder timestamp.
+func (p *Pool) reject(s *shard, id uint64, depth, ts int64) {
 	s.met.rejected.Add(1)
-	s.fr.Record(flight.KindReject, id, uint64(depth))
+	s.fr.RecordAt(flight.KindReject, id, uint64(depth), ts)
 }
 
 // reqID reserves a pool-unique request id: the shard index in the top
@@ -670,12 +675,13 @@ func (s *shard) reqID() uint64 {
 }
 
 // stampEnqueue reserves a request id and records the enqueue event
-// carrying it; depth is the shard backlog the request joined. The
-// event's timestamp anchors the queue-wait span and the shed path's
+// carrying it at now, a core.Monotonic reading; depth is the shard
+// backlog the request joined. It returns the id and the event's recorder
+// timestamp, which anchors the queue-wait span and the shed path's
 // deadline arithmetic.
-func (s *shard) stampEnqueue(depth int64) (uint64, int64) {
+func (s *shard) stampEnqueue(depth, now int64) (uint64, int64) {
 	id := s.reqID()
-	enq := s.fr.Now()
+	enq := s.fr.TS(now)
 	s.fr.RecordAt(flight.KindEnqueue, id, uint64(depth), enq)
 	return id, enq
 }
@@ -693,20 +699,37 @@ const enqInline = int64(-1)
 func (p *Pool) Go(req Request) *Future {
 	s, err := p.enter(req)
 	if err != nil {
-		f := newFuture()
-		f.complete(Result{Err: err})
-		return f
+		return refused(err)
 	}
-	return p.enqueue(s, req)
+	return p.enqueue(s, req, core.Monotonic())
 }
 
-// enqueue queues a request that passed enter onto its shard and releases
-// the shard's in-flight counter. A full queue completes the returned
-// Future at once with ErrOverloaded.
-func (p *Pool) enqueue(s *shard, req Request) *Future {
+// GoAt is Go for a submitter that has just read the clock: now, a
+// core.Monotonic reading, stamps the request's enqueue, so the stage the
+// submitter timed up to now and the queue wait share one reading.
+func (p *Pool) GoAt(req Request, now int64) *Future {
+	s, err := p.enter(req)
+	if err != nil {
+		return refused(err)
+	}
+	return p.enqueue(s, req, now)
+}
+
+// refused returns a Future already completed with a submission refusal.
+func refused(err error) *Future {
+	f := newFuture()
+	f.complete(Result{Err: err})
+	return f
+}
+
+// enqueue queues a request that passed enter onto its shard, stamped at
+// now (a core.Monotonic reading), and releases the shard's in-flight
+// counter. A full queue completes the returned Future at once with
+// ErrOverloaded.
+func (p *Pool) enqueue(s *shard, req Request, now int64) *Future {
 	f := newFuture()
 	d := s.pending.Add(1)
-	id, enq := s.stampEnqueue(d)
+	id, enq := s.stampEnqueue(d, now)
 	select {
 	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
 	default:
@@ -714,7 +737,7 @@ func (p *Pool) enqueue(s *shard, req Request) *Future {
 		// queue cannot close under this window even though the send lost.
 		s.pending.Add(-1)
 		p.release()
-		p.reject(s, id, d)
+		p.reject(s, id, d, enq)
 		f.complete(Result{Err: ErrOverloaded, Worker: s.id})
 	}
 	s.inflight.Add(-1)
@@ -732,20 +755,22 @@ func (p *Pool) enqueue(s *shard, req Request) *Future {
 // JSQ depth signal sees busy shards whichever path drives them. The
 // caller holds s.inflight for the whole call — so Close, which waits the
 // counters out, still leaves no machine running once it returns — and
-// reports false, having executed nothing, when the shard is busy.
-func (p *Pool) inline(s *shard, req Request) (Result, bool) {
+// reports false, having executed nothing, when the shard is busy. now is
+// the core.Monotonic reading execution starts at; done is the reading
+// serveOne finished at.
+func (p *Pool) inline(s *shard, req Request, now int64) (res Result, done int64, ok bool) {
 	if !s.execMu.TryLock() {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	if s.pending.Load() != 0 {
 		s.execMu.Unlock()
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	s.pending.Add(1)
-	res := p.serveOne(s, req, s.reqID(), enqInline)
+	res, done = p.serveOne(s, req, s.reqID(), enqInline, now)
 	s.pending.Add(-1)
 	s.execMu.Unlock()
-	return res, true
+	return res, done, true
 }
 
 // TryDo executes a request on the caller's goroutine when that costs no
@@ -757,19 +782,23 @@ func (p *Pool) inline(s *shard, req Request) (Result, bool) {
 // work that an idle worker could run beside it.
 // Admission refusals and ErrClosed are answers: they come back with
 // true, as Do would return them.
-func (p *Pool) TryDo(req Request) (Result, bool) {
+//
+// now is a core.Monotonic reading the caller has just taken; an executed
+// request's service span starts there. done is the reading at which the
+// pool finished with the request — its exec end, or the end of the
+// collection slice that rode behind it — so the caller's next stage can
+// start there without reading the clock; it is now when nothing ran.
+func (p *Pool) TryDo(req Request, now int64) (res Result, done int64, ok bool) {
 	s, err := p.enter(req)
 	if err != nil {
-		return Result{Err: err}, true
+		return Result{Err: err}, now, true
 	}
-	var res Result
-	ran := false
 	if !p.otherIdle(s) {
-		res, ran = p.inline(s, req)
+		res, done, ok = p.inline(s, req, now)
 	}
 	s.inflight.Add(-1)
 	p.release()
-	return res, ran
+	return res, done, ok
 }
 
 // otherIdle reports whether any shard but s has no work outstanding.
@@ -789,12 +818,13 @@ func (p *Pool) Do(req Request) Result {
 	if err != nil {
 		return Result{Err: err}
 	}
-	if res, ok := p.inline(s, req); ok {
+	now := core.Monotonic()
+	if res, _, ok := p.inline(s, req, now); ok {
 		s.inflight.Add(-1)
 		p.release()
 		return res
 	}
-	return p.enqueue(s, req).Wait()
+	return p.enqueue(s, req, now).Wait()
 }
 
 // Close drains the queues, stops every worker and waits for them. Requests
@@ -986,7 +1016,7 @@ func (p *Pool) serveJob(s *shard, j job) {
 	if c := s.chaos; c != nil {
 		c.beforeDispatch()
 	}
-	res := p.serveOne(s, j.req, j.id, j.enq)
+	res, _ := p.serveOne(s, j.req, j.id, j.enq, core.Monotonic())
 	// Retire the depth count before publishing the result: once every
 	// submitted request has been collected, QueueDepths is exactly zero.
 	s.pending.Add(-1)
@@ -999,8 +1029,12 @@ func (p *Pool) serveJob(s *shard, j job) {
 // snapshot if "whatever" was a panic. Callers hold execMu, which makes
 // this the shard's single metrics and flight-event writer: id is the
 // request's flight id and enq its enqueue timestamp in recorder
-// nanoseconds (enqInline for Do's never-queued fast path).
-func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
+// nanoseconds (enqInline for Do's never-queued fast path). start is the
+// core.Monotonic reading execution starts at — the dispatch instant, or
+// the inline caller's own reading. serveOne reads the clock once more, at
+// exec end, plus twice around a collection slice when one rides behind
+// the request, and returns the last reading it took.
+func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Result, int64) {
 	m := s.m
 	budget := req.MaxSteps
 	if budget == 0 {
@@ -1010,7 +1044,6 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	if timeout == 0 {
 		timeout = p.cfg.Timeout
 	}
-	start := time.Now()
 	fr := s.fr
 	ts0 := fr.TS(start)
 	if enq > 0 && timeout != 0 {
@@ -1023,7 +1056,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 			s.met.shedExpired.Add(1)
 			fr.RecordAt(flight.KindShed, id, uint64(wait), ts0)
 			s.qlat.Observe(time.Duration(wait))
-			return Result{Err: ErrExpired, Worker: s.id}
+			return Result{Err: ErrExpired, Worker: s.id}, start
 		}
 	}
 	savedMax := m.Cfg.MaxSteps
@@ -1034,8 +1067,9 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	// (pickup and exec start are the same instant here, and the arg
 	// carries the queue wait against the submitter's enqueue stamp),
 	// exec_start for the inline lane, which never queued and so has no
-	// wait to report. All timestamps derive from the start reading above
-	// — the recorder adds no clock reads to the serving path.
+	// wait to report. Every timestamp derives from two core.Monotonic
+	// readings, start and end: the recorder, the deadline and the step-0
+	// deadline poll add no clock reads to the serving path.
 	var wait int64
 	if enq == enqInline {
 		fr.RecordAt(flight.KindExecStart, id, budget, ts0)
@@ -1049,25 +1083,26 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 		preStats = m.Stats
 	}
 	if timeout != 0 {
-		m.SetDeadline(timeout)
+		m.SetDeadlineAt(start, timeout)
 	}
 	steps0, cycles0 := m.Stats.Instructions, m.Stats.Cycles
 	allocs0 := m.Space.Stats.TotalAllocs()
 
 	v, err, panicked, chaosHit := p.invoke(s, req)
 
+	end := core.Monotonic()
 	res := Result{
 		Value:   v,
 		Err:     err,
 		Worker:  s.id,
 		Steps:   m.Stats.Instructions - steps0,
 		Cycles:  m.Stats.Cycles - cycles0,
-		Latency: time.Since(start),
+		Latency: time.Duration(end - start),
 	}
 	timedOut := false
 	if !panicked {
 		m.Cfg.MaxSteps = savedMax
-		m.Deadline = 0
+		m.SetDeadline(0)
 		if err != nil {
 			var trap *core.Trap
 			if errors.As(err, &trap) {
@@ -1078,7 +1113,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 			m.Abort()
 		}
 	}
-	tsEnd := ts0 + int64(res.Latency)
+	tsEnd := fr.TS(end)
 	fr.RecordAt(flight.KindExecEnd, id, res.Steps, tsEnd)
 	if err != nil && !panicked {
 		code := uint64(flight.AbortError)
@@ -1090,7 +1125,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	if panicked {
 		// The interrupted machine is suspect: never restore or Abort it —
 		// quarantine it and re-stamp a fresh worker from the snapshot.
-		p.quarantine(s, id, res.Latency, start, chaosHit)
+		end = p.quarantine(s, id, tsEnd, chaosHit)
 	}
 	if p.slowNS > 0 && int64(res.Latency) >= p.slowNS {
 		p.captureSlow(s, m, req, id, time.Duration(wait), res, preStats)
@@ -1126,7 +1161,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	if panicked {
 		// The re-stamped machine is factory-fresh: no abort garbage to
 		// collect, and the shard's GC cadence restarted with it.
-		return res
+		return res, end
 	}
 
 	s.sinceGC++
@@ -1142,24 +1177,24 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	// slice also covers what the request allocated, so it keeps pace.
 	if p.cfg.GCEvery > 0 && (due || s.col.Active()) {
 		chunk := gc.DefaultSweepChunk + int(m.Space.Stats.TotalAllocs()-allocs0)
-		gcStart := time.Now()
+		gcStart := core.Monotonic()
 		fr.RecordAt(flight.KindGCStart, 0, uint64(chunk), fr.TS(gcStart))
 		if !s.col.Active() {
 			s.col.Start(m)
 		}
 		_, done := s.col.Step(chunk)
-		pause := time.Since(gcStart)
+		end = core.Monotonic()
 		// Arg is the sweep work still pending: 0 means this slice
 		// finished the cycle.
-		fr.RecordAt(flight.KindGCEnd, 0, uint64(s.col.Remaining()), fr.TS(gcStart)+int64(pause))
+		fr.RecordAt(flight.KindGCEnd, 0, uint64(s.col.Remaining()), fr.TS(end))
 		mm.begin()
-		mm.gcPause.Add(int64(pause))
+		mm.gcPause.Add(end - gcStart)
 		if done {
 			mm.gcs.Add(1)
 		}
 		mm.end()
 	}
-	return res
+	return res, end
 }
 
 // SlowCapture is one slow request's story: its identity and spans, the

@@ -464,15 +464,22 @@ func TestCloseWaitsForInlineDo(t *testing.T) {
 
 // TestTryDo pins when TryDo runs a request on the caller: only when the
 // request's shard is idle and no other shard is. Otherwise it executes
-// nothing and reports false; refusals are answers and report true.
+// nothing and reports false; refusals are answers and report true. The
+// reading it hands back is where its service span ended (or now, when
+// nothing ran), so a caller's next stage starts there.
 func TestTryDo(t *testing.T) {
 	req := func(key uint64) serve.Request {
 		return serve.Request{Receiver: word.FromInt(4), Selector: "answer", Key: key}
 	}
 	one := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
 	defer one.Close()
-	if res, ok := one.TryDo(req(0)); !ok || res.Err != nil || res.Value.Int() != 5 {
+	now := core.Monotonic()
+	res, done, ok := one.TryDo(req(0), now)
+	if !ok || res.Err != nil || res.Value.Int() != 5 {
 		t.Fatalf("idle 1-worker pool: %+v, %v; want 5 run inline", res, ok)
+	}
+	if done-now != int64(res.Latency) {
+		t.Fatalf("done - now = %d, want Latency %d", done-now, res.Latency)
 	}
 
 	// Both shards idle: running inline would leave a worker idle beside
@@ -482,7 +489,7 @@ func TestTryDo(t *testing.T) {
 		Faults:  &serve.Faults{StallEvery: 1, Stall: 200 * time.Millisecond},
 	})
 	defer two.Close()
-	if _, ok := two.TryDo(req(2)); ok {
+	if _, _, ok := two.TryDo(req(2), core.Monotonic()); ok {
 		t.Fatal("TryDo ran inline with another shard idle")
 	}
 	if n := two.Metrics().Requests; n != 0 {
@@ -493,7 +500,7 @@ func TestTryDo(t *testing.T) {
 	for two.QueueDepths()[1] == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if res, ok := two.TryDo(req(2)); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
+	if res, _, ok := two.TryDo(req(2), core.Monotonic()); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
 		t.Fatalf("other shard busy: %+v, %v; want 5 from worker 0 inline", res, ok)
 	}
 	if res := busy.Wait(); res.Err != nil {
@@ -502,11 +509,12 @@ func TestTryDo(t *testing.T) {
 
 	closedOff := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1, MaxInFlight: -1})
 	defer closedOff.Close()
-	if res, ok := closedOff.TryDo(req(0)); !ok || !errors.Is(res.Err, serve.ErrOverloaded) {
-		t.Fatalf("closed ceiling: %+v, %v; want ErrOverloaded answered", res, ok)
+	now = core.Monotonic()
+	if res, done, ok := closedOff.TryDo(req(0), now); !ok || !errors.Is(res.Err, serve.ErrOverloaded) || done != now {
+		t.Fatalf("closed ceiling: %+v, %d, %v; want ErrOverloaded answered at %d", res, done, ok, now)
 	}
 	one.Close()
-	if res, ok := one.TryDo(req(0)); !ok || !errors.Is(res.Err, serve.ErrClosed) {
+	if res, _, ok := one.TryDo(req(0), core.Monotonic()); !ok || !errors.Is(res.Err, serve.ErrClosed) {
 		t.Fatalf("closed pool: %+v, %v; want ErrClosed answered", res, ok)
 	}
 }
