@@ -94,19 +94,17 @@ func main() {
 	poll := flag.Duration("poll", 500*time.Millisecond, "health ping interval per node (each pong carries the node's queue depth)")
 	failThreshold := flag.Int("failthreshold", 3, "consecutive hard failures that open a node's breaker")
 	cooldown := flag.Duration("cooldown", 2*time.Second, "breaker-open time before the half-open probe")
-	budget := flag.Int("failover-budget", 0, "max routing attempts per send (0: node count)")
 	vnodes := flag.Int("vnodes", 64, "consistent-hash points per node")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	flag.Parse()
 
 	r, err := newRouter(*nodes, cluster.Config{
-		ConnsPerNode:   *conns,
-		PollInterval:   *poll,
-		FailThreshold:  *failThreshold,
-		Cooldown:       *cooldown,
-		FailoverBudget: *budget,
-		Vnodes:         *vnodes,
-		Logf:           log.Printf,
+		ConnsPerNode:  *conns,
+		PollInterval:  *poll,
+		FailThreshold: *failThreshold,
+		Cooldown:      *cooldown,
+		Vnodes:        *vnodes,
+		Logf:          log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("obrouter: -nodes: %v", err)

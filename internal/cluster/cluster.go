@@ -20,9 +20,9 @@
 // window (obwire.ErrWindowFull — nothing was sent) counts as one,
 // keeping its healthy connection; machine errors never do (the send
 // executed and failed — retrying it elsewhere would be a correctness
-// bug, not resilience). The failover budget bounds the walk, so a
-// cluster-wide brownout degrades into fast refusals instead of retry
-// storms.
+// bug, not resilience). The failover budget, one attempt per node and
+// at least two, bounds the walk, so a cluster-wide brownout degrades
+// into fast refusals instead of retry storms.
 //
 // Delivery contract: Router.Send is at-least-once under transport
 // failover. A transport error leaves unknown whether the node ran the
@@ -92,6 +92,15 @@ func checkHostPort(addr string) error {
 	return nil
 }
 
+const (
+	// pingTimeout bounds every health check: each poll and each
+	// half-open probe is one obwire ping.
+	pingTimeout = time.Second
+	// minFailoverBudget is the least number of routing attempts per
+	// send; a send may try every node, and at least this many.
+	minFailoverBudget = 2
+)
+
 // Config tunes a Router. Zero values take the documented defaults.
 type Config struct {
 	// Nodes is the initial membership.
@@ -108,14 +117,8 @@ type Config struct {
 	// Cooldown is how long a breaker stays open before the half-open
 	// probe (default 2s).
 	Cooldown time.Duration
-	// FailoverBudget caps routing attempts per send (default: the
-	// node count, min 2).
-	FailoverBudget int
 	// Vnodes is the consistent-hash points per node (default 64).
 	Vnodes int
-	// PingTimeout bounds every health check: each poll and each
-	// half-open probe is one obwire ping (default 1s).
-	PingTimeout time.Duration
 	// Logf, when set, receives health transitions and probe errors.
 	Logf func(format string, v ...any)
 }
@@ -135,9 +138,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.Vnodes <= 0 {
 		c.Vnodes = 64
-	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = time.Second
 	}
 }
 
@@ -237,10 +237,7 @@ func (r *Router) Send(req serve.Request) (obwire.Response, error) {
 		r.noBackend.Add(1)
 		return obwire.Response{}, ErrNoBackends
 	}
-	budget := r.cfg.FailoverBudget
-	if budget <= 0 {
-		budget = max(len(view.nodes), 2)
-	}
+	budget := max(len(view.nodes), minFailoverBudget)
 	var lastResp obwire.Response
 	var lastErr error
 	attempts := 0
@@ -277,8 +274,7 @@ func (r *Router) Send(req serve.Request) (obwire.Response, error) {
 		return resp, nil
 	}
 	if lastErr == nil && lastResp == (obwire.Response{}) {
-		// Every candidate was unroutable (or the budget was zero before
-		// the first attempt).
+		// Every candidate was unroutable.
 		r.noBackend.Add(1)
 		return obwire.Response{}, ErrNoBackends
 	}
@@ -444,7 +440,7 @@ func (r *Router) pollOnce(n *Node) {
 	if probe && !n.beginProbe() {
 		return
 	}
-	depth, reason, err := n.ping(r.cfg.PingTimeout)
+	depth, reason, err := n.ping(pingTimeout)
 	if err == nil {
 		n.polledDepth.Store(depth)
 	}

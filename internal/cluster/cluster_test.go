@@ -103,7 +103,6 @@ func testRouter(t *testing.T, backends []*testNode, tune func(*Config)) *Router 
 		PollInterval:  25 * time.Millisecond,
 		FailThreshold: 2,
 		Cooldown:      100 * time.Millisecond,
-		PingTimeout:   time.Second,
 		Vnodes:        16,
 	}
 	for _, b := range backends {

@@ -11,13 +11,12 @@ import (
 // persistent image codec. Pooled segments travel as position-stable
 // segment ids of the exported space; the context cache itself never
 // travels — a frozen machine's cache is empty by construction (Snapshot
-// writes it back and the clone starts fresh), so only its geometry is
-// carried, inside core.Config.
+// writes it back and the clone starts fresh). Geometry is not state: the
+// context size comes from core.Config and the context class from the
+// image, both handed to ImportFreeList.
 
 // FreeListState is the serialisable state of a context free list.
 type FreeListState struct {
-	Words      int
-	Class      word.Class
 	Free       []int32 // pooled segment ids, LIFO order preserved
 	Allocs     uint64
 	Recycles   uint64
@@ -28,8 +27,6 @@ type FreeListState struct {
 // ExportState flattens the free list over its slab-backed space.
 func (f *FreeList) ExportState() (*FreeListState, error) {
 	st := &FreeListState{
-		Words:      f.words,
-		Class:      f.class,
 		Free:       make([]int32, len(f.free)),
 		Allocs:     f.Allocs,
 		Recycles:   f.Recycles,
@@ -46,12 +43,10 @@ func (f *FreeList) ExportState() (*FreeListState, error) {
 	return st, nil
 }
 
-// ImportFreeList rebuilds a free list over an imported space.
-func ImportFreeList(st *FreeListState, space *memory.Space) (*FreeList, error) {
-	if st.Words <= 0 {
-		return nil, fmt.Errorf("context: free list of %d-word contexts", st.Words)
-	}
-	f := NewFreeList(space, st.Words, st.Class)
+// ImportFreeList rebuilds a free list of words-word contexts of the given
+// class over an imported space.
+func ImportFreeList(st *FreeListState, space *memory.Space, words int, class word.Class) (*FreeList, error) {
+	f := NewFreeList(space, words, class)
 	f.Allocs = st.Allocs
 	f.Recycles = st.Recycles
 	f.Frees = st.Frees
@@ -69,8 +64,8 @@ func ImportFreeList(st *FreeListState, space *memory.Space) (*FreeList, error) {
 		// them off the space's own free lists), context-kinded and
 		// exactly context-sized; anything else handed out by Alloc would
 		// alias another allocation or break the fixed frame layout.
-		if seg.Freed || seg.Kind != memory.KindContext || int(seg.Size()) != st.Words {
-			return nil, fmt.Errorf("context: pooled segment %d is not a live %d-word context", id, st.Words)
+		if seg.Freed || seg.Kind != memory.KindContext || int(seg.Size()) != words {
+			return nil, fmt.Errorf("context: pooled segment %d is not a live %d-word context", id, words)
 		}
 		f.free[i] = seg
 		seg.Pooled = true

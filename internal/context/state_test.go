@@ -22,8 +22,8 @@ func TestImportFreeListRejectsBadPooledSegments(t *testing.T) {
 		"object-kinded": space.SegIndex(obj),
 		"space-freed":   space.SegIndex(ctx),
 	} {
-		st := &FreeListState{Words: 32, Class: word.Class(7), Free: []int32{id}}
-		if _, err := ImportFreeList(st, space); err == nil || !strings.Contains(err.Error(), "live") {
+		st := &FreeListState{Free: []int32{id}}
+		if _, err := ImportFreeList(st, space, 32, word.Class(7)); err == nil || !strings.Contains(err.Error(), "live") {
 			t.Fatalf("%s segment pooled: %v", name, err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestFreeListPooledFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ifl, err := ImportFreeList(fst, ispace)
+	ifl, err := ImportFreeList(fst, ispace, DefaultWords, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestFreeListPooledFlag(t *testing.T) {
 func TestImportFreeListRejectsDoublePooling(t *testing.T) {
 	space := memory.NewSpace()
 	id := space.SegIndex(space.Alloc(32, word.Class(7), memory.KindContext))
-	st := &FreeListState{Words: 32, Class: word.Class(7), Free: []int32{id, id}}
-	if _, err := ImportFreeList(st, space); err == nil || !strings.Contains(err.Error(), "pooled twice") {
+	st := &FreeListState{Free: []int32{id, id}}
+	if _, err := ImportFreeList(st, space, 32, word.Class(7)); err == nil || !strings.Contains(err.Error(), "pooled twice") {
 		t.Fatalf("segment pooled twice: %v", err)
 	}
 }

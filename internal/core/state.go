@@ -21,9 +21,14 @@ import (
 // carries: the absolute space, the descriptor table, the static world,
 // the warm ITLB/icache/hierarchy replacement state, the context free
 // list, the registers, the loader's symbol tables and the statistics.
-// Predecoded code (Method.Fast) and the per-site inline caches are
-// machine-local and never serialised, matching Method.Clone; a loaded
-// machine predecodes on first touch, exactly like a cloned one.
+// Each fact travels once. Geometry lives only in Cfg, and ImportSnapshot
+// hands it to each subsystem's importer. The machine's host-side indexes
+// — the code index, the class-object index, the context names and their
+// counter — are not stored: ImportSnapshot rebuilds them from the space,
+// the team and the methods (see indexSegments). Predecoded code
+// (Method.Fast) and the per-site inline caches are machine-local and
+// never serialised, matching Method.Clone; a loaded machine predecodes on
+// first touch, exactly like a cloned one.
 
 // SelOpState is one selector↔opcode binding of the loader's symbol table.
 type SelOpState struct {
@@ -31,29 +36,10 @@ type SelOpState struct {
 	Op  isa.Opcode
 }
 
-// BaseMethodState indexes an installed method by the absolute base of its
-// code segment (RIP decoding).
-type BaseMethodState struct {
-	Base   memory.AbsAddr
-	Method int32
-}
-
-// ClassObjState maps a class object's segment base to its class.
-type ClassObjState struct {
-	Base  memory.AbsAddr
-	Class int32
-}
-
 // ClassAddrState maps a class to its class object's virtual address.
 type ClassAddrState struct {
 	Class int32
 	Addr  fpa.Addr
-}
-
-// CtxAddrState maps a recycled context segment base to its virtual name.
-type CtxAddrState struct {
-	Base memory.AbsAddr
-	Addr fpa.Addr
 }
 
 // MachineState is the complete serialisable state of a frozen machine.
@@ -75,17 +61,13 @@ type MachineState struct {
 	PS      Status
 	Stats   Stats
 
-	SelOps        []SelOpState
-	NextDyn       isa.Opcode
-	MethodsByBase []BaseMethodState
-	ClassObjs     []ClassObjState
-	ClassAddrs    []ClassAddrState
-	CtxAddrs      []CtxAddrState
+	SelOps     []SelOpState
+	NextDyn    isa.Opcode
+	ClassAddrs []ClassAddrState
 
-	CtxNameCounter uint64
-	ExtraRoots     []word.Word
-	Halted         bool
-	Result         word.Word
+	ExtraRoots []word.Word
+	Halted     bool
+	Result     word.Word
 }
 
 // ExportState flattens the snapshot's frozen machine. Map-backed tables
@@ -96,7 +78,8 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 
 	// Methods referenced outside every dictionary — displaced by
 	// redefinition but still held by the code index or a warm ITLB line —
-	// must land in the method table too. Collected in sorted/line order so
+	// must land in the method table too: the loader rebuilds the code
+	// index from the table's code bases. Collected in sorted/line order so
 	// numbering stays deterministic.
 	var extras []*object.Method
 	for _, bs := range sortedBases(m.methodsByBase) {
@@ -145,11 +128,10 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 		SN: m.SN, PS: m.PS,
 		Stats: m.Stats,
 
-		NextDyn:        m.nextDyn,
-		CtxNameCounter: m.ctxNameCounter,
-		ExtraRoots:     slices.Clone(m.extraRoots),
-		Halted:         m.halted,
-		Result:         m.result,
+		NextDyn:    m.nextDyn,
+		ExtraRoots: slices.Clone(m.extraRoots),
+		Halted:     m.halted,
+		Result:     m.result,
 	}
 	st.ICClock, st.ICLines = m.IC.Export()
 
@@ -161,17 +143,6 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 	for _, sel := range sels {
 		st.SelOps = append(st.SelOps, SelOpState{Sel: sel, Op: m.selOp[sel]})
 	}
-	for _, base := range sortedBases(m.methodsByBase) {
-		st.MethodsByBase = append(st.MethodsByBase, BaseMethodState{Base: base, Method: methodID[m.methodsByBase[base]]})
-	}
-	for _, base := range sortedBases(m.classObjs) {
-		cls := m.classObjs[base]
-		id, ok := classID[cls]
-		if !ok {
-			return nil, fmt.Errorf("core: class object at %#x references a class outside the image", uint64(base))
-		}
-		st.ClassObjs = append(st.ClassObjs, ClassObjState{Base: base, Class: id})
-	}
 	classIdxs := make([]ClassAddrState, 0, len(m.classAddr))
 	for cls, addr := range m.classAddr {
 		id, ok := classID[cls]
@@ -182,9 +153,6 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 	}
 	slices.SortFunc(classIdxs, func(a, b ClassAddrState) int { return int(a.Class) - int(b.Class) })
 	st.ClassAddrs = classIdxs
-	for _, base := range sortedBases(m.ctxAddrs) {
-		st.CtxAddrs = append(st.CtxAddrs, CtxAddrState{Base: base, Addr: m.ctxAddrs[base]})
-	}
 	return st, nil
 }
 
@@ -199,7 +167,8 @@ func sortedBases[V any](m map[memory.AbsAddr]V) []memory.AbsAddr {
 }
 
 // validateConfig rejects configurations that would panic a constructor
-// downstream — an imported image is untrusted input.
+// downstream — an imported image is untrusted input, and every importer
+// takes its geometry from the config.
 func validateConfig(cfg Config) error {
 	if err := cfg.Format.Validate(); err != nil {
 		return err
@@ -216,50 +185,36 @@ func validateConfig(cfg Config) error {
 	if err := cfg.ICache.Validate(); err != nil {
 		return fmt.Errorf("core: icache: %w", err)
 	}
+	if err := (cache.Config{Entries: cfg.ATLB.Entries, Assoc: cfg.ATLB.Assoc, HashSets: true}).Validate(); err != nil {
+		return fmt.Errorf("core: ATLB: %w", err)
+	}
+	for i, lv := range cfg.Hierarchy {
+		if err := lv.Validate(); err != nil {
+			return fmt.Errorf("core: hierarchy level %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
 // ImportSnapshot rebuilds a frozen machine and wraps it as a Snapshot.
-// Every cross-reference is validated; malformed state returns an error,
-// never a panic. Like the per-package importers it calls, it takes
-// ownership of the state's backing arrays — a MachineState must not be
-// imported twice. The rebuilt snapshot stamps out machines exactly as the
-// one it was exported from — same modelled statistics on every surface.
+// Every cross-reference is validated, and the indexes the state does not
+// carry are rebuilt and checked (indexSegments); malformed state returns
+// an error, never a panic. Like the per-package importers it calls, it
+// takes ownership of the state's backing arrays — a MachineState must not
+// be imported twice. The rebuilt snapshot stamps out machines exactly as
+// the one it was exported from — same modelled statistics on every
+// surface.
 func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 	cfg := st.Cfg.withDefaults()
 	cfg.OnEvent = nil
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	// Geometry appears both in Cfg and in the owning subsystem's state
-	// (the subsystems are authoritative); a skew between the two copies
-	// means a corrupt or hand-edited image, and would otherwise load a
-	// machine whose Cfg lies about its actual structures.
-	if got, want := st.ITLB.Config, (cache.Config{Entries: cfg.ITLB.Entries, Assoc: cfg.ITLB.Assoc, HashSets: true}); got != want {
-		return nil, fmt.Errorf("core: ITLB geometry %+v disagrees with config %+v", got, want)
-	}
-	if st.Team.Format != cfg.Format {
-		return nil, fmt.Errorf("core: team address format %+v disagrees with config %+v", st.Team.Format, cfg.Format)
-	}
-	if st.Team.ATLBEntries != cfg.ATLB.Entries || st.Team.ATLBAssoc != cfg.ATLB.Assoc {
-		return nil, fmt.Errorf("core: ATLB geometry %d×%d disagrees with config %+v", st.Team.ATLBEntries, st.Team.ATLBAssoc, cfg.ATLB)
-	}
-	if st.Free.Words != cfg.CtxWords {
-		return nil, fmt.Errorf("core: %d-word pooled contexts disagree with %d-word config", st.Free.Words, cfg.CtxWords)
-	}
-	if len(st.Hier.Levels) != len(cfg.Hierarchy) {
-		return nil, fmt.Errorf("core: %d hierarchy levels disagree with config's %d", len(st.Hier.Levels), len(cfg.Hierarchy))
-	}
-	for i, lv := range st.Hier.Levels {
-		if lv.Level != cfg.Hierarchy[i] {
-			return nil, fmt.Errorf("core: hierarchy level %d %+v disagrees with config %+v", i, lv.Level, cfg.Hierarchy[i])
-		}
-	}
 	space, err := memory.ImportSpace(st.Space)
 	if err != nil {
 		return nil, err
 	}
-	team, err := memory.ImportTeam(st.Team, space)
+	team, err := memory.ImportTeam(st.Team, space, cfg.Format, cfg.ATLB)
 	if err != nil {
 		return nil, err
 	}
@@ -273,13 +228,7 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 		}
 		return methods[id], nil
 	}
-	classAt := func(id int32) (*object.Class, error) {
-		if id < 0 || int(id) >= len(classes) {
-			return nil, fmt.Errorf("core: class index %d of %d", id, len(classes))
-		}
-		return classes[id], nil
-	}
-	tlb, err := itlb.ImportState(st.ITLB, methodAt)
+	tlb, err := itlb.ImportState(st.ITLB, cfg.ITLB, methodAt)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +236,11 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: icache: %w", err)
 	}
-	hier, err := memory.ImportHierarchy(st.Hier)
+	hier, err := memory.ImportHierarchy(st.Hier, cfg.Hierarchy)
 	if err != nil {
 		return nil, err
 	}
-	free, err := context.ImportFreeList(st.Free, space)
+	free, err := context.ImportFreeList(st.Free, space, cfg.CtxWords, img.Ctx.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -317,17 +266,16 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 		selOp:         make(map[object.Selector]isa.Opcode, len(st.SelOps)),
 		opSel:         make(map[isa.Opcode]object.Selector, len(st.SelOps)),
 		nextDyn:       st.NextDyn,
-		methodsByBase: make(map[memory.AbsAddr]*object.Method, len(st.MethodsByBase)),
-		classObjs:     make(map[memory.AbsAddr]*object.Class, len(st.ClassObjs)),
+		methodsByBase: make(map[memory.AbsAddr]*object.Method),
+		classObjs:     make(map[memory.AbsAddr]*object.Class, len(st.ClassAddrs)),
 		classAddr:     make(map[*object.Class]fpa.Addr, len(st.ClassAddrs)),
-		ctxAddrs:      make(map[memory.AbsAddr]fpa.Addr, len(st.CtxAddrs)),
+		ctxAddrs:      make(map[memory.AbsAddr]fpa.Addr),
 
 		argBuf: make([]word.Word, 0, cfg.CtxWords),
 
-		ctxNameCounter: st.CtxNameCounter,
-		extraRoots:     st.ExtraRoots,
-		halted:         st.Halted,
-		result:         st.Result,
+		extraRoots: st.ExtraRoots,
+		halted:     st.Halted,
+		result:     st.Result,
 	}
 	for _, so := range st.SelOps {
 		if _, dup := m.selOp[so.Sel]; dup {
@@ -339,29 +287,92 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 		m.selOp[so.Sel] = so.Op
 		m.opSel[so.Op] = so.Sel
 	}
-	for _, bm := range st.MethodsByBase {
-		meth, err := methodAt(bm.Method)
-		if err != nil {
-			return nil, err
-		}
-		m.methodsByBase[bm.Base] = meth
-	}
-	for _, co := range st.ClassObjs {
-		cls, err := classAt(co.Class)
-		if err != nil {
-			return nil, err
-		}
-		m.classObjs[co.Base] = cls
-	}
 	for _, ca := range st.ClassAddrs {
-		cls, err := classAt(ca.Class)
-		if err != nil {
-			return nil, err
+		if ca.Class < 0 || int(ca.Class) >= len(classes) {
+			return nil, fmt.Errorf("core: class index %d of %d", ca.Class, len(classes))
 		}
-		m.classAddr[cls] = ca.Addr
+		m.classAddr[classes[ca.Class]] = ca.Addr
 	}
-	for _, ca := range st.CtxAddrs {
-		m.ctxAddrs[ca.Base] = ca.Addr
+	if err := m.indexSegments(methods); err != nil {
+		return nil, err
 	}
 	return &Snapshot{frozen: m}, nil
+}
+
+// indexSegments rebuilds the indexes an image does not store from the
+// facts it does, and refuses a state from which the running machine could
+// not have built them:
+//   - the code index (RIP decoding): InstallMethod gives each method a
+//     method segment of its own and points the method's code base just
+//     past its literals in it; a code base of 0 marks a method that was
+//     never installed in memory;
+//   - the class-object index: each class address names a live segment,
+//     one segment per class;
+//   - the context names: allocContext binds each context segment exactly
+//     one name, and contexts are recycled, never unbound, so the names
+//     are the contiguous run nextCtxName has handed out, and their count
+//     is its counter.
+//
+// Lookups read the team's table directly, so the ATLB stays cold and the
+// translation counters stay as loaded.
+func (m *Machine) indexSegments(methods []*object.Method) error {
+	segOf := func(a fpa.Addr) (*memory.Segment, bool) {
+		d, ok := m.Team.DescriptorFor(a.Key())
+		if !ok || d.Seg == nil || d.Seg.Freed {
+			return nil, false
+		}
+		return d.Seg, true
+	}
+	for i, meth := range methods {
+		if meth.CodeBase == 0 {
+			continue // never installed in memory (primitives)
+		}
+		a := m.Cfg.Format.Decode32(meth.CodeBase)
+		seg, ok := segOf(a)
+		if !ok || seg.Kind != memory.KindMethod || a.Offset() != uint64(len(meth.Literals)) {
+			return fmt.Errorf("core: method %d's code base %v is not at its literal offset in a method segment", i, a)
+		}
+		if _, dup := m.methodsByBase[seg.Base]; dup {
+			return fmt.Errorf("core: two methods on the method segment at %#x", uint64(seg.Base))
+		}
+		m.methodsByBase[seg.Base] = meth
+	}
+	for cls, a := range m.classAddr {
+		seg, ok := segOf(a)
+		if !ok {
+			return fmt.Errorf("core: class %s's object %v is not a live segment", cls.Name, a)
+		}
+		if other, dup := m.classObjs[seg.Base]; dup {
+			return fmt.Errorf("core: classes %s and %s share the object at %#x", other.Name, cls.Name, uint64(seg.Base))
+		}
+		m.classObjs[seg.Base] = cls
+	}
+	var ctxs []*memory.Segment
+	m.Space.Live(func(seg *memory.Segment) {
+		if seg.Kind == memory.KindContext {
+			ctxs = append(ctxs, seg)
+		}
+	})
+	exp := uint8(fpa.MinExpFor(uint64(m.Cfg.CtxWords)))
+	limit := m.Cfg.Format.SegmentsAt(uint(exp))
+	n := uint64(len(ctxs))
+	for _, seg := range ctxs {
+		names := m.Team.Names(seg)
+		if len(names) != 1 {
+			return fmt.Errorf("core: context segment at %#x has %d names, want 1", uint64(seg.Base), len(names))
+		}
+		// nextCtxName's k-th name is limit−k: with n distinct names in
+		// 1..n, the run is complete.
+		key := names[0]
+		if key.Exp != exp || key.Num >= limit || limit-key.Num > n {
+			return fmt.Errorf("core: context name %v is not among the %d names handed out below %#x at exponent %d", key, n, limit, exp)
+		}
+		a, err := m.Cfg.Format.Make(key, 0)
+		if err != nil {
+			return err
+		}
+		m.ctxAddrs[seg.Base] = a
+	}
+	m.ctxNameCounter = n
+	return nil
 }

@@ -62,6 +62,12 @@ func FuzzReadImage(f *testing.F) {
 	// A segment moved inside another's extent: the two would share
 	// backing words, so the space importer refuses it.
 	f.Add(overlapImage(f, img))
+	// Context names, code bases, class addresses and slabs from which no
+	// running machine could have built its indexes: the loader refuses
+	// to rebuild the indexes from them.
+	for _, fg := range indexForgeries(f, img) {
+		f.Add(fg.img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))

@@ -20,12 +20,21 @@
 // either other version is rejected with a descriptive error, never
 // reinterpreted.
 //
+// Each fact is stored once. Geometry (address format, cache and TLB
+// sizes, hierarchy levels, context size) is in the config section only,
+// and each importer takes it from there. No derivable index is stored:
+// the loader rebuilds the space's window index and page table, and the
+// machine's code index, class-object index and context names, from the
+// slabs, the segment headers, the team's bindings and the methods.
+//
 // The decoder treats input as hostile: slice lengths are capped by the
 // bytes actually present (see dec.sliceLen), section payloads are read
 // incrementally so a forged length cannot force a huge allocation, and
-// every cross-reference (segment ids, class/method indexes, slab offsets)
-// is validated by the per-package importers. FuzzReadImage holds the line:
-// arbitrary bytes and bit-flipped valid images must error, never panic.
+// the per-package importers validate every cross-reference (segment ids,
+// class/method indexes, slab offsets) and refuse a state from which an
+// index cannot be rebuilt the way the running machine builds it.
+// FuzzReadImage holds the line: arbitrary bytes and bit-flipped valid
+// images must error, never panic.
 //
 // Loading reproduces a bit-identical machine: same core.Stats, ITLB/ATLB/
 // icache counters, AllocStats and GC behaviour as the snapshot it came
@@ -55,8 +64,14 @@ import (
 // to the section layout or field encodings must bump it; Read rejects
 // other versions. Version 2 dropped the space section's page table and
 // its live and dead-entry counts, which the loader rebuilds from the
-// segment headers.
-const FormatVersion = 2
+// segment headers. Version 3 stores each fact once: it dropped the
+// geometry copies outside the config section (the team's address format
+// and ATLB geometry, the ITLB's, each hierarchy level's, the free list's
+// context size and class), the space section's window index, the machine
+// section's code index, class-object index, context names and context-name
+// counter, which the loader rebuilds, and the three reserved bytes of the
+// retired ablation switches.
+const FormatVersion = 3
 
 // magic identifies an obarch machine image.
 var magic = [8]byte{'O', 'B', 'A', 'R', 'I', 'M', 'G', 0}
@@ -283,10 +298,6 @@ func encConfig(e *enc, cfg core.Config) {
 	e.u64(cfg.MaxSteps)
 	e.bool(cfg.NoITLB)
 	e.bool(cfg.Privileged)
-	// Two reserved bytes: the retired inline-cache and context zero-fill
-	// ablation switches, always 0.
-	e.u8(0)
-	e.u8(0)
 }
 
 func decConfig(d *dec) core.Config {
@@ -311,8 +322,6 @@ func decConfig(d *dec) core.Config {
 	cfg.MaxSteps = d.u64()
 	cfg.NoITLB = d.bool()
 	cfg.Privileged = d.bool()
-	d.reserved("config's no-inline-cache")
-	d.reserved("config's context zero-fill")
 	return cfg
 }
 
@@ -366,7 +375,6 @@ func decAllocStats(d *dec) memory.AllocStats {
 
 func encSpace(e *enc, st *memory.SpaceState) {
 	e.u64(uint64(st.NextBase))
-	e.u8(0) // reserved: the retired context zero-fill switch
 	encAllocStats(e, st.Stats)
 	e.bool(st.Compacted)
 	e.u32(uint32(len(st.Slabs)))
@@ -374,7 +382,6 @@ func encSpace(e *enc, st *memory.SpaceState) {
 		e.u64(uint64(sl.Base))
 		e.words(sl.Data)
 	}
-	e.i32s(st.Windows)
 	// Segment headers are the bulkiest fixed-width records after the slab
 	// words themselves; both directions handle them as one block.
 	e.u32(uint32(len(st.Segments)))
@@ -402,7 +409,6 @@ func encSpace(e *enc, st *memory.SpaceState) {
 func decSpace(d *dec) *memory.SpaceState {
 	st := &memory.SpaceState{}
 	st.NextBase = memory.AbsAddr(d.u64())
-	d.reserved("space's context zero-fill")
 	st.Stats = decAllocStats(d)
 	st.Compacted = d.bool()
 	n := d.sliceLen(8 + 4)
@@ -411,7 +417,6 @@ func decSpace(d *dec) *memory.SpaceState {
 		base := memory.AbsAddr(d.u64())
 		st.Slabs = append(st.Slabs, memory.SlabState{Base: base, Data: d.words()})
 	}
-	st.Windows = d.i32s()
 	n = d.sliceLen(segRec)
 	if raw := d.take(segRec * n); raw != nil {
 		st.Segments = make([]memory.SegmentState, n)
@@ -450,10 +455,6 @@ func decSpace(d *dec) *memory.SpaceState {
 
 func encTeam(e *enc, st *memory.TeamState) {
 	e.i64(int64(st.SN))
-	e.u32(uint32(st.Format.ExpBits))
-	e.u32(uint32(st.Format.ManBits))
-	e.i64(int64(st.ATLBEntries))
-	e.i64(int64(st.ATLBAssoc))
 	e.u64(st.Stats.Translations)
 	e.u64(st.Stats.ATLBHits)
 	e.u64(st.Stats.Faults)
@@ -482,10 +483,6 @@ func encTeam(e *enc, st *memory.TeamState) {
 func decTeam(d *dec) *memory.TeamState {
 	st := &memory.TeamState{}
 	st.SN = int(d.i64())
-	st.Format.ExpBits = uint(d.u32())
-	st.Format.ManBits = uint(d.u32())
-	st.ATLBEntries = int(d.i64())
-	st.ATLBAssoc = int(d.i64())
 	st.Stats.Translations = d.u64()
 	st.Stats.ATLBHits = d.u64()
 	st.Stats.Faults = d.u64()
@@ -622,7 +619,6 @@ func decCacheStats(d *dec) cache.Stats {
 }
 
 func encITLB(e *enc, st itlb.State) {
-	encCacheConfig(e, st.Config)
 	e.u64(st.Clock)
 	encCacheStats(e, st.CacheStats)
 	e.u64(st.Stats.LookupCycles)
@@ -642,7 +638,6 @@ func encITLB(e *enc, st itlb.State) {
 
 func decITLB(d *dec) itlb.State {
 	st := itlb.State{}
-	st.Config = decCacheConfig(d)
 	st.Clock = d.u64()
 	st.CacheStats = decCacheStats(d)
 	st.Stats.LookupCycles = d.u64()
@@ -714,7 +709,6 @@ func encHier(e *enc, st *memory.HierarchyState) {
 	e.u64(st.Stats.Cycles)
 	e.u32(uint32(len(st.Levels)))
 	for _, lv := range st.Levels {
-		encLevel(e, lv.Level)
 		encStructLines(e, lv.Clock, lv.Stats, lv.Lines)
 	}
 }
@@ -723,9 +717,9 @@ func decHier(d *dec) *memory.HierarchyState {
 	st := &memory.HierarchyState{}
 	st.Stats.Accesses = d.u64()
 	st.Stats.Cycles = d.u64()
-	n := d.sliceLen(4 + 4*8 + 8 + 5*8 + 4)
+	n := d.sliceLen(8 + 5*8 + 4)
 	for i := 0; i < n; i++ {
-		lv := memory.HLevelState{Level: decLevel(d)}
+		var lv memory.HLevelState
 		lv.Clock, lv.Stats, lv.Lines = decStructLines(d)
 		st.Levels = append(st.Levels, lv)
 	}
@@ -735,8 +729,6 @@ func decHier(d *dec) *memory.HierarchyState {
 // --- free list ---
 
 func encFreeList(e *enc, st *context.FreeListState) {
-	e.i64(int64(st.Words))
-	e.u16(uint16(st.Class))
 	e.i32s(st.Free)
 	e.u64(st.Allocs)
 	e.u64(st.Recycles)
@@ -746,8 +738,6 @@ func encFreeList(e *enc, st *context.FreeListState) {
 
 func decFreeList(d *dec) *context.FreeListState {
 	return &context.FreeListState{
-		Words:      int(d.i64()),
-		Class:      word.Class(d.u16()),
 		Free:       d.i32s(),
 		Allocs:     d.u64(),
 		Recycles:   d.u64(),
@@ -794,27 +784,11 @@ func encMachine(e *enc, st *core.MachineState) {
 		e.u8(uint8(so.Op))
 	}
 	e.u8(uint8(st.NextDyn))
-	e.u32(uint32(len(st.MethodsByBase)))
-	for _, bm := range st.MethodsByBase {
-		e.u64(uint64(bm.Base))
-		e.i32(bm.Method)
-	}
-	e.u32(uint32(len(st.ClassObjs)))
-	for _, co := range st.ClassObjs {
-		e.u64(uint64(co.Base))
-		e.i32(co.Class)
-	}
 	e.u32(uint32(len(st.ClassAddrs)))
 	for _, ca := range st.ClassAddrs {
 		e.i32(ca.Class)
 		e.addr(ca.Addr)
 	}
-	e.u32(uint32(len(st.CtxAddrs)))
-	for _, ca := range st.CtxAddrs {
-		e.u64(uint64(ca.Base))
-		e.addr(ca.Addr)
-	}
-	e.u64(st.CtxNameCounter)
 	e.words(st.ExtraRoots)
 	e.bool(st.Halted)
 	e.word(st.Result)
@@ -832,23 +806,10 @@ func decMachine(d *dec, st *core.MachineState) {
 		st.SelOps = append(st.SelOps, core.SelOpState{Sel: object.Selector(d.u32()), Op: isa.Opcode(d.u8())})
 	}
 	st.NextDyn = isa.Opcode(d.u8())
-	n = d.sliceLen(8 + 4)
-	for i := 0; i < n; i++ {
-		st.MethodsByBase = append(st.MethodsByBase, core.BaseMethodState{Base: memory.AbsAddr(d.u64()), Method: d.i32()})
-	}
-	n = d.sliceLen(8 + 4)
-	for i := 0; i < n; i++ {
-		st.ClassObjs = append(st.ClassObjs, core.ClassObjState{Base: memory.AbsAddr(d.u64()), Class: d.i32()})
-	}
 	n = d.sliceLen(4 + 9)
 	for i := 0; i < n; i++ {
 		st.ClassAddrs = append(st.ClassAddrs, core.ClassAddrState{Class: d.i32(), Addr: d.addr()})
 	}
-	n = d.sliceLen(8 + 9)
-	for i := 0; i < n; i++ {
-		st.CtxAddrs = append(st.CtxAddrs, core.CtxAddrState{Base: memory.AbsAddr(d.u64()), Addr: d.addr()})
-	}
-	st.CtxNameCounter = d.u64()
 	st.ExtraRoots = d.words()
 	st.Halted = d.bool()
 	st.Result = d.word()

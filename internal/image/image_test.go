@@ -77,6 +77,12 @@ func runAccounted(t *testing.T, m *core.Machine, p workload.Program) accounted {
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
+	return accountedAfter(m, sum)
+}
+
+// accountedAfter collects the machine and captures its accounting after a
+// run that returned sum.
+func accountedAfter(m *core.Machine, sum int32) accounted {
 	gcStats := gc.Collect(m)
 	return accounted{
 		sum:    sum,
@@ -221,48 +227,12 @@ func TestImageDeterministic(t *testing.T) {
 	}
 }
 
-// reservedBytes returns the offsets of the image's three reserved bytes,
-// each with the offset of its section's header: the config section's last
-// two payload bytes and the byte after the space section's NextBase.
-func reservedBytes(img []byte) (offs, headers []int) {
-	const hdr, secHdr = 24, 16
-	configLen := int(binary.LittleEndian.Uint64(img[hdr+4:]))
-	config := hdr + secHdr
-	space := config + configLen
-	return []int{config + configLen - 2, config + configLen - 1, space + secHdr + 8},
-		[]int{hdr, hdr, space}
-}
-
 // fixSectionCRC recomputes the CRC of the section whose header starts at
 // sec, so a deliberate payload edit is judged by the decoder, not the CRC.
 func fixSectionCRC(img []byte, sec int) []byte {
 	n := int(binary.LittleEndian.Uint64(img[sec+4:]))
 	binary.LittleEndian.PutUint32(img[sec+12:], crc32.ChecksumIEEE(img[sec+16:sec+16+n]))
 	return img
-}
-
-// TestImageRejectsReservedBytes: the bytes that once held the inline-cache
-// and context zero-fill ablation switches are written as 0, and an image
-// that sets any of them is refused with a descriptive error.
-func TestImageRejectsReservedBytes(t *testing.T) {
-	p := workload.Arith()
-	snap := snapshotOf(t, p, core.Config{})
-	_, img := roundTrip(t, snap)
-	offs, headers := reservedBytes(img)
-	for i, off := range offs {
-		if img[off] != 0 {
-			t.Fatalf("reserved byte %d at offset %d is %#x, want 0", i, off, img[off])
-		}
-		if _, err := Read(bytes.NewReader(fixSectionCRC(bytes.Clone(img), headers[i]))); err != nil {
-			t.Fatalf("reserved byte %d: an image with its CRC recomputed unchanged fails: %v", i, err)
-		}
-		set := bytes.Clone(img)
-		set[off] = 1
-		_, err := Read(bytes.NewReader(fixSectionCRC(set, headers[i])))
-		if err == nil || !contains(err, "retired") {
-			t.Errorf("reserved byte %d set: %v, want the retired-switch refusal", i, err)
-		}
-	}
 }
 
 // badStampImages returns two copies of img whose first icache line carries
@@ -437,12 +407,15 @@ func TestImageVersionSkew(t *testing.T) {
 	if err := read(fixHeaderCRC(corrupt(img, 8))); err == nil || !contains(err, "format version") {
 		t.Errorf("bumped format version: %v", err)
 	}
-	// A version-1 image (it stored the page table this build rebuilds)
-	// is refused with both versions named.
-	v1 := bytes.Clone(img)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
-	if err := read(fixHeaderCRC(v1)); err == nil || !contains(err, "format version 1 not supported") || !contains(err, fmt.Sprintf("reads version %d", FormatVersion)) {
-		t.Errorf("version-1 image: %v", err)
+	// Older images are refused with both versions named: version 1
+	// stored the page table, version 2 the geometry copies and the
+	// indexes this build rebuilds.
+	for _, v := range []uint32{1, 2} {
+		old := bytes.Clone(img)
+		binary.LittleEndian.PutUint32(old[8:], v)
+		if err := read(fixHeaderCRC(old)); err == nil || !contains(err, fmt.Sprintf("format version %d not supported", v)) || !contains(err, fmt.Sprintf("reads version %d", FormatVersion)) {
+			t.Errorf("version-%d image: %v", v, err)
+		}
 	}
 	if err := read(fixHeaderCRC(corrupt(img, 12))); err == nil || !contains(err, "ISA encoding version") {
 		t.Errorf("bumped ISA version: %v", err)

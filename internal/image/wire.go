@@ -143,15 +143,6 @@ func (d *dec) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// reserved reads a byte that once held a simulator ablation switch. The
-// switches are gone and every image this build writes stores 0 there, so
-// an image that sets one asks for a machine this build cannot run.
-func (d *dec) reserved(what string) {
-	if v := d.u8(); v != 0 && d.err == nil {
-		d.fail("image: the %s switch is set (byte %#x), but that ablation was retired; this build only loads images that leave it 0", what, v)
-	}
-}
-
 func (d *dec) i32() int32 { return int32(d.u32()) }
 func (d *dec) i64() int64 { return int64(d.u64()) }
 

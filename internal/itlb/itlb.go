@@ -74,7 +74,11 @@ func New(cfg Config) *ITLB {
 	if cfg.Entries == 0 {
 		cfg = DefaultConfig
 	}
-	return &ITLB{c: cache.New[Entry](cache.Config{Entries: cfg.Entries, Assoc: cfg.Assoc, HashSets: true})}
+	return &ITLB{c: cache.New[Entry](cfg.cacheConfig())}
+}
+
+func (cfg Config) cacheConfig() cache.Config {
+	return cache.Config{Entries: cfg.Entries, Assoc: cfg.Assoc, HashSets: true}
 }
 
 // CacheStats exposes hit/miss counters.

@@ -26,9 +26,9 @@ type LineState struct {
 	Method    int32
 }
 
-// State is the ITLB's complete serialisable state.
+// State is the ITLB's serialisable replacement state; its geometry is
+// the machine's configuration, handed to ImportState.
 type State struct {
-	Config     cache.Config
 	Clock      uint64
 	CacheStats cache.Stats
 	Stats      Stats
@@ -41,7 +41,6 @@ type State struct {
 func (t *ITLB) ExportState(methodID func(*object.Method) (int32, error)) (State, error) {
 	clock, lines := t.c.Export()
 	st := State{
-		Config:     t.c.Config(),
 		Clock:      clock,
 		CacheStats: t.c.Stats,
 		Stats:      t.Stats,
@@ -68,9 +67,10 @@ func (t *ITLB) ExportState(methodID func(*object.Method) (int32, error)) (State,
 	return st, nil
 }
 
-// ImportState rebuilds a buffer from exported state. methodOf resolves a
-// method-table index; it is never called for -1.
-func ImportState(st State, methodOf func(int32) (*object.Method, error)) (*ITLB, error) {
+// ImportState rebuilds a buffer of the given geometry from exported
+// state. methodOf resolves a method-table index; it is never called for
+// -1.
+func ImportState(st State, cfg Config, methodOf func(int32) (*object.Method, error)) (*ITLB, error) {
 	lines := make([]cache.LineState[Entry], len(st.Lines))
 	for i, ls := range st.Lines {
 		e := Entry{Primitive: ls.Primitive, PrimID: ls.PrimID}
@@ -83,7 +83,7 @@ func ImportState(st State, methodOf func(int32) (*object.Method, error)) (*ITLB,
 		}
 		lines[i] = cache.LineState[Entry]{Index: ls.Index, Key: ls.Key, Value: e, Stamp: ls.Stamp}
 	}
-	c, err := cache.Import(st.Config, st.CacheStats, st.Clock, lines, nil)
+	c, err := cache.Import(cfg.cacheConfig(), st.CacheStats, st.Clock, lines, nil)
 	if err != nil {
 		return nil, fmt.Errorf("itlb: %w", err)
 	}

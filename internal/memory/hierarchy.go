@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 )
@@ -40,23 +41,33 @@ type hlevel struct {
 	c     *cache.Cache[struct{}]
 }
 
-// NewHierarchy builds a hierarchy from the given levels. An empty level
-// list yields a flat memory with zero-cost accesses.
+// Validate reports a level geometry a hierarchy cannot be built from.
+func (lv Level) Validate() error {
+	if lv.BlockWords <= 0 || lv.BlockWords&(lv.BlockWords-1) != 0 {
+		return fmt.Errorf("memory: block size %d not a power of two", lv.BlockWords)
+	}
+	return lv.cacheConfig().Validate()
+}
+
+func (lv Level) cacheConfig() cache.Config {
+	return cache.Config{Entries: lv.Entries, Assoc: lv.Assoc, HashSets: true}
+}
+
+// newHLevel pairs a validated level with its residency cache.
+func newHLevel(lv Level, c *cache.Cache[struct{}]) *hlevel {
+	return &hlevel{Level: lv, shift: uint(bits.TrailingZeros(uint(lv.BlockWords))), c: c}
+}
+
+// NewHierarchy builds a hierarchy from the given levels, panicking on a
+// geometry Validate refuses. An empty level list yields a flat memory
+// with zero-cost accesses.
 func NewHierarchy(levels ...Level) *Hierarchy {
 	h := &Hierarchy{}
 	for _, lv := range levels {
-		if lv.BlockWords <= 0 || lv.BlockWords&(lv.BlockWords-1) != 0 {
-			panic(fmt.Sprintf("memory: block size %d not a power of two", lv.BlockWords))
+		if err := lv.Validate(); err != nil {
+			panic(err)
 		}
-		shift := uint(0)
-		for 1<<shift < lv.BlockWords {
-			shift++
-		}
-		h.levels = append(h.levels, &hlevel{
-			Level: lv,
-			shift: shift,
-			c:     cache.New[struct{}](cache.Config{Entries: lv.Entries, Assoc: lv.Assoc, HashSets: true}),
-		})
+		h.levels = append(h.levels, newHLevel(lv, cache.New[struct{}](lv.cacheConfig())))
 	}
 	return h
 }

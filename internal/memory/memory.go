@@ -661,6 +661,10 @@ func (t *Team) DescriptorFor(key fpa.SegKey) (*Descriptor, bool) {
 	return d, ok
 }
 
+// Names returns the virtual names bound to a segment. The slice belongs to
+// the team and must not be modified.
+func (t *Team) Names(seg *Segment) []fpa.SegKey { return t.bySeg[seg] }
+
 // Alloc allocates a fresh object of the given size/class/kind, binds a new
 // virtual name with the smallest sufficient exponent, and returns the name.
 func (t *Team) Alloc(size uint64, class word.Class, kind Kind, rights Rights) (fpa.Addr, *Segment, error) {

@@ -12,13 +12,16 @@ import (
 )
 
 // This file exposes the memory system as plain data for the persistent
-// image codec: the slab-backed absolute space (slabs, window index,
-// segment-header arena, free lists, scan list), the team's descriptor
-// table, and the physical-space hierarchy. Segments are referred to by
-// their position-stable id, which ImportSpace preserves, so every layer
-// above (descriptors, context free list) round-trips by index. Importers
-// validate untrusted state and return errors — a corrupt or truncated
-// image must fail loudly, never panic or build an incoherent machine.
+// image codec: the slab-backed absolute space (slabs, segment-header
+// arena, free lists, scan list), the team's descriptor table, and the
+// physical-space hierarchy's replacement state. Geometry — the address
+// format, the ATLB and the hierarchy levels — is not part of any state:
+// the importers take it from the machine's configuration. Segments are
+// referred to by their position-stable id, which ImportSpace preserves, so
+// every layer above (descriptors, context free list) round-trips by index.
+// Importers validate untrusted state and return errors — a corrupt or
+// truncated image must fail loudly, never panic or build an incoherent
+// machine.
 
 // SegmentState is the serialisable header of one segment. Len and Cap are
 // the segment's current and carved (power-of-two rounded) length; Slab
@@ -48,14 +51,15 @@ type FreeClassState struct {
 	IDs       []int32
 }
 
-// SpaceState is the complete serialisable state of a slab-backed Space,
-// less what ImportSpace derives from the segment headers.
+// SpaceState is the serialisable state of a slab-backed Space. It holds
+// no index: ImportSpace rebuilds the window index from the slabs' extents,
+// and the page table, the live count and the scan list's dead-entry count
+// from the segment headers.
 type SpaceState struct {
 	NextBase  AbsAddr
 	Stats     AllocStats
 	Compacted bool
 	Slabs     []SlabState
-	Windows   []int32
 	Segments  []SegmentState
 	Free      []FreeClassState
 	Order     []int32 // allocation-order scan list; nil until first compaction
@@ -88,7 +92,6 @@ func (s *Space) ExportState() (*SpaceState, error) {
 		NextBase:  s.nextBase,
 		Stats:     s.Stats,
 		Compacted: s.compacted,
-		Windows:   slices.Clone(s.windows),
 	}
 	st.Slabs = make([]SlabState, len(s.slabs))
 	for i, sl := range s.slabs {
@@ -130,47 +133,33 @@ func (s *Space) ExportState() (*SpaceState, error) {
 
 // ImportSpace rebuilds a slab-backed space, validating every index so a
 // corrupt image errors instead of panicking later. Segment ids are the
-// positions of st.Segments, as ExportState wrote them. The page table is
-// rebuilt from the live segment headers, sized to the highest live base,
-// and two live segments on one base are refused; the live count and the
-// scan list's dead-entry count are recounted the same way. The space
-// takes ownership of the state's backing arrays (slab data, window index)
-// — a SpaceState must not be imported twice or mutated afterwards; the
-// image loader builds a fresh one per load and ExportState always returns
-// freshly cloned arrays.
+// positions of st.Segments, as ExportState wrote them. The window index is
+// rebuilt from the slabs (see windowsOf). The page table is rebuilt from
+// the live segment headers, sized to the highest live base, and two live
+// segments on one base are refused; the live count and the scan list's
+// dead-entry count are recounted the same way. The space takes ownership
+// of the slab data — a SpaceState must not be imported twice or mutated
+// afterwards; the image loader builds a fresh one per load and ExportState
+// always returns freshly cloned arrays.
 func ImportSpace(st *SpaceState) (*Space, error) {
+	windows, err := windowsOf(st.Slabs)
+	if err != nil {
+		return nil, err
+	}
 	s := &Space{
 		nextBase:  st.NextBase,
 		Stats:     st.Stats,
 		compacted: st.Compacted,
-		windows:   st.Windows,
+		windows:   windows,
 	}
 	s.slabs = make([]slab, len(st.Slabs))
 	for i, sl := range st.Slabs {
 		s.slabs[i] = slab{base: sl.Base, data: sl.Data}
 	}
-	// The window index drives post-load allocation: a corrupt entry or an
-	// absurd base high-water mark would panic (or balloon the index) on
-	// the machine's first Alloc, so both fail the load instead. A listed
-	// slab must actually cover its window — carve() subtracts the slab
-	// base and slices to the rounded size without re-checking, so a slab
-	// based past its window (underflow) or short of covering it (bounds)
-	// would otherwise panic on the first allocation carved there.
-	for i, w := range s.windows {
-		if w < 0 || int(w) > len(s.slabs) {
-			return nil, fmt.Errorf("memory: window %d names slab %d of %d", i, w-1, len(s.slabs))
-		}
-		if w == 0 {
-			continue
-		}
-		sl := &s.slabs[w-1]
-		winStart := AbsAddr(i) << slabShift
-		if sl.base > winStart || uint64(sl.base)+uint64(len(sl.data)) < uint64(winStart)+SlabWords {
-			return nil, fmt.Errorf("memory: window %d not covered by its slab [%#x,+%d)", i, uint64(sl.base), len(sl.data))
-		}
-	}
-	if uint64(st.NextBase)>>slabShift > uint64(len(st.Windows)) {
-		return nil, fmt.Errorf("memory: base high-water mark %#x beyond the %d-window index", uint64(st.NextBase), len(st.Windows))
+	// Fresh allocations grow the window index up to the base high-water
+	// mark; an absurd mark would balloon it on the first Alloc.
+	if uint64(st.NextBase)>>slabShift > uint64(len(windows)) {
+		return nil, fmt.Errorf("memory: base high-water mark %#x beyond the %d-window index", uint64(st.NextBase), len(windows))
 	}
 	arr := make([]Segment, len(st.Segments))
 	var maxEnd AbsAddr
@@ -300,6 +289,42 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 	return s, nil
 }
 
+// windowsOf rebuilds the window index from the slabs' extents. A shared
+// slab covers exactly one SlabWords window and a dedicated slab the whole
+// windows its one segment spans, so a slab that is not window-aligned, or
+// that shares a window with another, is refused. Carving leaves a window
+// empty only in the alignment gap before a dedicated slab, which is
+// shorter than that slab, so a space never spans more than twice the
+// windows its slabs cover; a longer span is refused before the index is
+// allocated, so forged slab bases cannot make the loader allocate an
+// index larger than the slab data it was handed.
+func windowsOf(slabs []SlabState) ([]int32, error) {
+	var span, covered uint64
+	for i, sl := range slabs {
+		n := uint64(len(sl.Data))
+		end := uint64(sl.Base) + n
+		if uint64(sl.Base)%SlabWords != 0 || n == 0 || n%SlabWords != 0 || end < uint64(sl.Base) {
+			return nil, fmt.Errorf("memory: slab %d [%#x,+%d) is not window-aligned", i, uint64(sl.Base), n)
+		}
+		span = max(span, end>>slabShift)
+		covered += n >> slabShift
+	}
+	if span > 2*covered {
+		return nil, fmt.Errorf("memory: slabs covering %d windows span %d", covered, span)
+	}
+	windows := make([]int32, span)
+	for i, sl := range slabs {
+		first := uint64(sl.Base) >> slabShift
+		for w := first; w < first+uint64(len(sl.Data))>>slabShift; w++ {
+			if prev := windows[w]; prev != 0 {
+				return nil, fmt.Errorf("memory: slab %d overlaps slab %d at window %d", i, prev-1, w)
+			}
+			windows[w] = int32(i) + 1
+		}
+	}
+	return windows, nil
+}
+
 // DescriptorState is one exported segment descriptor. Descriptors shared
 // by several names (growth aliasing) are exported once and referenced by
 // index, preserving the sharing. Seg is a segment id, -1 when nil.
@@ -324,14 +349,12 @@ type NextSegState struct {
 	Num uint64
 }
 
-// TeamState is the serialisable state of a team space. The ATLB is not
-// exported: a snapshotted machine's ATLB is cold by construction (see
-// Team.Clone), so only its geometry travels.
+// TeamState is the serialisable state of a team space. Neither the ATLB
+// nor its geometry is exported: a snapshotted machine's ATLB is cold by
+// construction (see Team.Clone), and ImportTeam takes the address format
+// and the ATLB geometry from the machine's configuration.
 type TeamState struct {
 	SN          int
-	Format      fpa.Format
-	ATLBEntries int
-	ATLBAssoc   int
 	Stats       TeamStats
 	NextSeg     []NextSegState
 	Descriptors []DescriptorState
@@ -342,13 +365,9 @@ type TeamState struct {
 // key and descriptors numbered in first-reference order, so identical
 // teams export identical state.
 func (t *Team) ExportState() (*TeamState, error) {
-	cfg := t.atlb.Config()
 	st := &TeamState{
-		SN:          t.SN,
-		Format:      t.Format,
-		ATLBEntries: cfg.Entries,
-		ATLBAssoc:   cfg.Assoc,
-		Stats:       t.Stats,
+		SN:    t.SN,
+		Stats: t.Stats,
 	}
 	exps := make([]uint8, 0, len(t.nextSeg))
 	for exp := range t.nextSeg {
@@ -393,14 +412,12 @@ func (t *Team) ExportState() (*TeamState, error) {
 	return st, nil
 }
 
-// ImportTeam rebuilds a team over an imported space. The ATLB starts cold,
-// exactly as a cloned machine's does.
-func ImportTeam(st *TeamState, space *Space) (*Team, error) {
-	atlb := ATLBConfig{Entries: st.ATLBEntries, Assoc: st.ATLBAssoc}
-	if err := (cache.Config{Entries: atlb.Entries, Assoc: atlb.Assoc, HashSets: true}).Validate(); err != nil {
-		return nil, fmt.Errorf("memory: ATLB: %w", err)
-	}
-	t := NewTeam(st.SN, st.Format, space, atlb)
+// ImportTeam rebuilds a team over an imported space, with the address
+// format and ATLB geometry of the machine's configuration, which the
+// caller has validated. The ATLB starts cold, exactly as a cloned
+// machine's does.
+func ImportTeam(st *TeamState, space *Space, format fpa.Format, atlb ATLBConfig) (*Team, error) {
+	t := NewTeam(st.SN, format, space, atlb)
 	t.Stats = st.Stats
 	for _, ns := range st.NextSeg {
 		t.nextSeg[ns.Exp] = ns.Num
@@ -445,10 +462,9 @@ func ImportTeam(st *TeamState, space *Space) (*Team, error) {
 	return t, nil
 }
 
-// HLevelState is one exported hierarchy level: its configuration plus the
-// residency cache's replacement state.
+// HLevelState is one exported hierarchy level's residency cache
+// replacement state; the level's geometry is the machine's configuration.
 type HLevelState struct {
-	Level Level
 	Clock uint64
 	Stats cache.Stats
 	Lines []cache.LineState[struct{}]
@@ -466,29 +482,25 @@ func (h *Hierarchy) ExportState() *HierarchyState {
 	st := &HierarchyState{Stats: h.Stats}
 	for _, lv := range h.levels {
 		clock, lines := lv.c.Export()
-		st.Levels = append(st.Levels, HLevelState{Level: lv.Level, Clock: clock, Stats: lv.c.Stats, Lines: lines})
+		st.Levels = append(st.Levels, HLevelState{Clock: clock, Stats: lv.c.Stats, Lines: lines})
 	}
 	return st
 }
 
-// ImportHierarchy rebuilds the hierarchy, validating level geometry (which
-// NewHierarchy would enforce by panic).
-func ImportHierarchy(st *HierarchyState) (*Hierarchy, error) {
+// ImportHierarchy rebuilds the hierarchy over the configured levels, one
+// state per level. The caller validates the levels' geometry (NewHierarchy
+// would enforce it by panic).
+func ImportHierarchy(st *HierarchyState, levels []Level) (*Hierarchy, error) {
+	if len(st.Levels) != len(levels) {
+		return nil, fmt.Errorf("memory: %d hierarchy level states for %d configured levels", len(st.Levels), len(levels))
+	}
 	h := &Hierarchy{Stats: st.Stats}
 	for i, ls := range st.Levels {
-		lv := ls.Level
-		if lv.BlockWords <= 0 || lv.BlockWords&(lv.BlockWords-1) != 0 {
-			return nil, fmt.Errorf("memory: level %d block size %d not a power of two", i, lv.BlockWords)
-		}
-		shift := uint(0)
-		for 1<<shift < lv.BlockWords {
-			shift++
-		}
-		c, err := cache.Import(cache.Config{Entries: lv.Entries, Assoc: lv.Assoc, HashSets: true}, ls.Stats, ls.Clock, ls.Lines, nil)
+		c, err := cache.Import(levels[i].cacheConfig(), ls.Stats, ls.Clock, ls.Lines, nil)
 		if err != nil {
 			return nil, fmt.Errorf("memory: level %d: %w", i, err)
 		}
-		h.levels = append(h.levels, &hlevel{Level: lv, shift: shift, c: c})
+		h.levels = append(h.levels, newHLevel(levels[i], c))
 	}
 	return h, nil
 }

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,23 +139,53 @@ func overlappingSpace(t *testing.T) *SpaceState {
 	return st
 }
 
-// TestImportSpaceRejectsBadWindows pins the hardening: a window entry
-// whose slab does not cover it must fail the load, not panic the first
-// allocation carved there.
-func TestImportSpaceRejectsBadWindows(t *testing.T) {
-	st := exportedSpace(t)
-	if len(st.Slabs) < 2 {
-		t.Fatal("fixture needs two slabs")
+// TestImportSpaceRejectsBadSlabs pins the window index rebuilt from the
+// slabs: a slab that is not window-aligned, that shares a window with
+// another, or that sits far past what the slabs cover fails the load
+// instead of corrupting the index the first allocation carves through,
+// or ballooning it.
+func TestImportSpaceRejectsBadSlabs(t *testing.T) {
+	if st := exportedSpace(t); len(st.Slabs) != 2 || st.Slabs[1].Base != 2*SlabWords || len(st.Slabs[1].Data) != 2*SlabWords {
+		t.Fatal("fixture needs a shared slab and a two-window dedicated slab at window 2")
 	}
-	st.Windows[0] = int32(len(st.Slabs)) // big slab, based past window 0
-	if _, err := ImportSpace(st); err == nil || !strings.Contains(err.Error(), "window") {
-		t.Fatalf("mis-covered window imported: %v", err)
+	for _, c := range []struct {
+		name, want string
+		edit       func(st *SpaceState)
+	}{
+		{"unaligned base", "not window-aligned", func(st *SpaceState) { st.Slabs[0].Base += 16 }},
+		{"partial window", "not window-aligned", func(st *SpaceState) { st.Slabs[1].Data = st.Slabs[1].Data[:SlabWords+16] }},
+		{"empty", "not window-aligned", func(st *SpaceState) { st.Slabs[0].Data = nil }},
+		{"past the address space", "not window-aligned", func(st *SpaceState) { st.Slabs[1].Base = ^AbsAddr(0) - SlabWords + 1 }},
+		{"shared window", "overlaps slab 0", func(st *SpaceState) { st.Slabs[1].Base = 0 }},
+		{"far base", "span", func(st *SpaceState) { st.Slabs[1].Base = 1 << 40 }},
+	} {
+		st := exportedSpace(t)
+		c.edit(st)
+		if _, err := ImportSpace(st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
+		}
 	}
+}
 
-	st = exportedSpace(t)
-	st.Windows = append(st.Windows, int32(len(st.Slabs))+7)
-	if _, err := ImportSpace(st); err == nil || !strings.Contains(err.Error(), "window") {
-		t.Fatalf("out-of-range window entry imported: %v", err)
+// TestImportSpaceRebuildsWindows: the window index an import rebuilds is
+// the one the exported space carved, the empty alignment gap before the
+// dedicated slab included.
+func TestImportSpaceRebuildsWindows(t *testing.T) {
+	src := NewSpace()
+	for i := 0; i < 64; i++ {
+		src.Alloc(32, word.Class(7), KindContext)
+	}
+	src.Alloc(8192, 0, KindObject)
+	st, err := src.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ImportSpace(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.windows, src.windows) || !slices.Equal(s.windows, []int32{1, 0, 2, 2}) {
+		t.Fatalf("rebuilt windows %v, carved %v", s.windows, src.windows)
 	}
 }
 
@@ -205,7 +236,7 @@ func TestImportTeamRejectsOverlongDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Descriptors[0].Length = 10000
-	if _, err := ImportTeam(st, loaded); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := ImportTeam(st, loaded, fpa.COM32, ATLBConfig{}); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("over-long descriptor imported: %v", err)
 	}
 }

@@ -93,7 +93,8 @@ type Method struct {
 	// source, used by the §5 comparison. Encoded per package fith.
 	StackCode []uint32
 	// CodeBase is assigned by the loader: the virtual address of the
-	// first code word once the method object is installed in memory.
+	// first code word once the method object is installed in memory, 0
+	// before. The image loader rebuilds the machine's code index from it.
 	CodeBase uint32
 	// Fast caches the interpreter's predecoded form of Code, including
 	// its per-site inline caches. It is owned by package core (which is
