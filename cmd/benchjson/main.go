@@ -1,8 +1,9 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // benchmark report, so CI runs leave machine-readable performance data
-// points behind instead of scrollback:
+// points behind instead of terminal output. The report goes to -out, or
+// to stdout when -out is empty:
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -out BENCH_PR3.json
+//	go test -run '^$' -bench . -benchmem . | benchjson -out new.json
 //
 // Each benchmark line becomes one record carrying the benchmark name (the
 // -8 GOMAXPROCS suffix stripped), iteration count, ns/op, allocs/op and
@@ -14,7 +15,7 @@
 // report and exits non-zero on regression, which is how CI gates a PR on
 // its predecessor's numbers:
 //
-//	... | benchjson -out BENCH_PR3.json -baseline BENCH_PR2.json \
+//	... | benchjson -out new.json -baseline old.json \
 //	        -compare InterpreterInnerLoop:ns/instr \
 //	        -compare PoolThroughput/workers=1:ns_per_op
 //
@@ -28,7 +29,7 @@
 // -benchmem and must report at most max allocs/op. This is how CI holds
 // the serving pool's zero-allocation request lifecycle at exactly 0:
 //
-//	... | benchjson -out BENCH_PR5.json \
+//	... | benchjson -out new.json \
 //	        -assertalloc 'PoolDoParallel/lifecycle=pooled:0' \
 //	        -assertalloc 'PoolGo/lifecycle=pooled:0'
 package main
@@ -83,7 +84,7 @@ func (c *compareList) String() string     { return strings.Join(*c, ",") }
 func (c *compareList) Set(v string) error { *c = append(*c, v); return nil }
 
 func main() {
-	out := flag.String("out", "BENCH_PR3.json", "output file")
+	out := flag.String("out", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "baseline report to diff headline metrics against")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression vs the baseline")
 	var compares compareList
@@ -158,11 +159,18 @@ func main() {
 		os.Exit(1)
 	}
 	enc = append(enc, '\n')
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	dest := *out
+	if dest == "" {
+		_, err = os.Stdout.Write(enc)
+		dest = "stdout"
+	} else {
+		err = os.WriteFile(dest, enc, 0o644)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), dest)
 
 	allocFailed := false
 	for _, spec := range allocAsserts {

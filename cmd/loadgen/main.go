@@ -200,8 +200,8 @@ func main() {
 	}
 	// The rotation drill runs concurrently with the clients: wait until
 	// traffic is demonstrably in flight, then swap the serving image out
-	// from under it. A 409 means something else is mid-swap — back off and
-	// try again; anything else is a verdict.
+	// from under it. The drill starts the node's only rotation, so the
+	// one POST's answer is the verdict.
 	var rot *rotationReport
 	rotDone := make(chan struct{})
 	if *expectRotation {
@@ -310,8 +310,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loadgen: expect-rotation: server reports no completed rotation")
 			failures = true
 		default:
-			fmt.Printf("rotation: swapped onto %s in %.1fms mid-traffic (server rotations: %d, failures: %d)\n",
-				rot.Path, rot.ElapsedMS, srv.Rotations, srv.RotateFailures)
+			fmt.Printf("rotation: swapped onto %s in %.1fms mid-traffic (server rotations: %d)\n",
+				rot.Path, rot.ElapsedMS, srv.Rotations)
 		}
 	}
 
@@ -426,20 +426,19 @@ type stagePercentiles struct {
 // the per-stage spans. Pointers stay nil against servers that predate a
 // field, and omit cleanly from the artifact.
 type serverView struct {
-	StartTime      string            `json:"start_time,omitempty"`
-	UptimeS        float64           `json:"uptime_s,omitempty"`
-	Image          json.RawMessage   `json:"image,omitempty"`
-	Workers        int               `json:"workers,omitempty"`
-	Requests       uint64            `json:"requests,omitempty"`
-	Rotations      uint64            `json:"rotations,omitempty"`
-	RotateFailures uint64            `json:"rotate_failures,omitempty"`
-	Checkpoint     json.RawMessage   `json:"checkpoint,omitempty"`
-	CheckpointAge  *float64          `json:"checkpoint_age_s,omitempty"`
-	ServiceUS      *stagePercentiles `json:"service_us,omitempty"`
-	QueueUS        *stagePercentiles `json:"queue_us,omitempty"`
-	DecodeUS       *stagePercentiles `json:"decode_us,omitempty"`
-	EncodeUS       *stagePercentiles `json:"encode_us,omitempty"`
-	HTTPLatencyUS  *stagePercentiles `json:"http_latency_us,omitempty"`
+	StartTime     string            `json:"start_time,omitempty"`
+	UptimeS       float64           `json:"uptime_s,omitempty"`
+	Image         json.RawMessage   `json:"image,omitempty"`
+	Workers       int               `json:"workers,omitempty"`
+	Requests      uint64            `json:"requests,omitempty"`
+	Rotations     uint64            `json:"rotations,omitempty"`
+	Checkpoint    json.RawMessage   `json:"checkpoint,omitempty"`
+	CheckpointAge *float64          `json:"checkpoint_age_s,omitempty"`
+	ServiceUS     *stagePercentiles `json:"service_us,omitempty"`
+	QueueUS       *stagePercentiles `json:"queue_us,omitempty"`
+	DecodeUS      *stagePercentiles `json:"decode_us,omitempty"`
+	EncodeUS      *stagePercentiles `json:"encode_us,omitempty"`
+	HTTPLatencyUS *stagePercentiles `json:"http_latency_us,omitempty"`
 }
 
 // runArtifact is the -out document: one self-contained record of a run.
@@ -463,37 +462,33 @@ type runArtifact struct {
 }
 
 // postRotate runs the rotation drill's POST /rotate (empty body: the
-// server rotates onto its own -image path). A 409 — something else
-// mid-swap — is retried on a short backoff; every other failure is final.
+// server rotates onto its own -image path). Only a second rotation makes
+// the node answer 409, and the drill never starts one, so every failure
+// is final.
 func postRotate(addr string) *rotationReport {
-	for attempt := 0; ; attempt++ {
-		resp, err := http.Post(addr+"/rotate", "application/json", nil)
-		if err != nil {
-			return &rotationReport{Error: err.Error()}
-		}
-		var out struct {
-			Path      string `json:"path"`
-			Rotations uint64 `json:"rotations"`
-			ElapsedUS int64  `json:"elapsed_us"`
-			Error     string `json:"error"`
-		}
-		decodeErr := json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusConflict && attempt < 10:
-			time.Sleep(50 * time.Millisecond)
-			continue
-		case resp.StatusCode != http.StatusOK:
-			msg := out.Error
-			if msg == "" {
-				msg = fmt.Sprintf("status %d", resp.StatusCode)
-			}
-			return &rotationReport{Error: fmt.Sprintf("POST /rotate: %s", msg)}
-		case decodeErr != nil:
-			return &rotationReport{Error: fmt.Sprintf("decode /rotate: %v", decodeErr)}
-		}
-		return &rotationReport{Path: out.Path, ElapsedMS: float64(out.ElapsedUS) / 1e3, Rotations: out.Rotations}
+	resp, err := http.Post(addr+"/rotate", "application/json", nil)
+	if err != nil {
+		return &rotationReport{Error: err.Error()}
 	}
+	var out struct {
+		Path      string `json:"path"`
+		Rotations uint64 `json:"rotations"`
+		ElapsedUS int64  `json:"elapsed_us"`
+		Error     string `json:"error"`
+	}
+	decodeErr := json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		msg := out.Error
+		if msg == "" {
+			msg = fmt.Sprintf("status %d", resp.StatusCode)
+		}
+		return &rotationReport{Error: fmt.Sprintf("POST /rotate: %s", msg)}
+	case decodeErr != nil:
+		return &rotationReport{Error: fmt.Sprintf("decode /rotate: %v", decodeErr)}
+	}
+	return &rotationReport{Path: out.Path, ElapsedMS: float64(out.ElapsedUS) / 1e3, Rotations: out.Rotations}
 }
 
 // getJSON decodes the answer to GET url into v.

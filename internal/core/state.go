@@ -166,9 +166,22 @@ func sortedBases[V any](m map[memory.AbsAddr]V) []memory.AbsAddr {
 	return out
 }
 
+// Ceilings on the geometry an imported config may ask for, so that a
+// load allocates what its bytes justify. Each sits well above what the
+// machine and the experiments use: figures 10 and 11 sweep caches of up
+// to 4096 entries, the default icache holds 4096 lines, the default
+// hierarchy's main store 65536 blocks, and a context 32 words. At these
+// ceilings every cache an import builds totals under 10 MiB.
+const (
+	maxCacheEntries    = 1 << 16 // the ITLB, the icache, the ATLB and each hierarchy level
+	maxHierarchyLevels = 4
+	maxCtxWords        = 1 << 10
+)
+
 // validateConfig rejects configurations that would panic a constructor
-// downstream — an imported image is untrusted input, and every importer
-// takes its geometry from the config.
+// downstream, or that ask for a cache past its ceiling — an imported
+// image is untrusted input, and every importer takes its geometry from
+// the config. It runs before any cache is built.
 func validateConfig(cfg Config) error {
 	if err := cfg.Format.Validate(); err != nil {
 		return err
@@ -179,19 +192,40 @@ func validateConfig(cfg Config) error {
 	if cfg.CtxBlocks < 3 || cfg.CtxBlocks > 64 {
 		return fmt.Errorf("core: context cache of %d blocks outside 3..64", cfg.CtxBlocks)
 	}
-	if cfg.CtxWords < context.SlotArg2+1 || cfg.CtxWords > 1<<16 {
-		return fmt.Errorf("core: %d-word contexts out of range", cfg.CtxWords)
+	if cfg.CtxWords < context.SlotArg2+1 || cfg.CtxWords > maxCtxWords {
+		return fmt.Errorf("core: %d-word contexts outside %d..%d", cfg.CtxWords, context.SlotArg2+1, maxCtxWords)
 	}
-	if err := cfg.ICache.Validate(); err != nil {
-		return fmt.Errorf("core: icache: %w", err)
+	if err := checkCache("ITLB", cache.Config{Entries: cfg.ITLB.Entries, Assoc: cfg.ITLB.Assoc}); err != nil {
+		return err
 	}
-	if err := (cache.Config{Entries: cfg.ATLB.Entries, Assoc: cfg.ATLB.Assoc, HashSets: true}).Validate(); err != nil {
-		return fmt.Errorf("core: ATLB: %w", err)
+	if err := checkCache("icache", cfg.ICache); err != nil {
+		return err
+	}
+	if err := checkCache("ATLB", cache.Config{Entries: cfg.ATLB.Entries, Assoc: cfg.ATLB.Assoc}); err != nil {
+		return err
+	}
+	if len(cfg.Hierarchy) > maxHierarchyLevels {
+		return fmt.Errorf("core: %d hierarchy levels exceed the ceiling of %d", len(cfg.Hierarchy), maxHierarchyLevels)
 	}
 	for i, lv := range cfg.Hierarchy {
 		if err := lv.Validate(); err != nil {
 			return fmt.Errorf("core: hierarchy level %d: %w", i, err)
 		}
+		if err := checkCache(fmt.Sprintf("hierarchy level %d", i), cache.Config{Entries: lv.Entries, Assoc: lv.Assoc}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCache refuses a cache geometry cache.New would panic on, or one
+// past maxCacheEntries.
+func checkCache(name string, c cache.Config) error {
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", name, err)
+	}
+	if c.Entries > maxCacheEntries {
+		return fmt.Errorf("core: %s of %d entries exceeds the ceiling of %d", name, c.Entries, maxCacheEntries)
 	}
 	return nil
 }

@@ -73,13 +73,14 @@ const (
 	// from the pool snapshot after a panic. Arg is the re-stamp cost in
 	// nanoseconds.
 	KindRestamp
-	// KindCheckpoint is a live pool snapshot being captured at a
-	// quiescence point — the durability path's read side. Arg is the
-	// capture cost in nanoseconds. Req is 0: a pool-level event.
+	// KindCheckpoint is a live pool snapshot being captured from shard
+	// 0 between two of its requests — the durability path's read side.
+	// Arg is the capture cost in nanoseconds. Req is 0: a pool-level
+	// event.
 	KindCheckpoint
 	// KindRotate is a shard's worker being stamped onto a new serving
-	// snapshot during a live image rotation (or back onto the old one
-	// during a rollback). Arg is the stamp cost in nanoseconds.
+	// snapshot during a live image rotation. Arg is the stamp cost in
+	// nanoseconds.
 	KindRotate
 )
 

@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,8 +12,9 @@ import (
 // FuzzReadImage holds the codec's hostile-input line: whatever bytes are
 // thrown at Read — random junk, truncations, bit-flipped valid images,
 // forged section lengths — it must return an error or a working snapshot,
-// and never panic or balloon allocations (section payloads are read
-// incrementally and every slice length is capped by the bytes present).
+// never panic, and allocate at most readAllocBound of its input (section
+// payloads are read incrementally, every slice length is capped by the
+// bytes present, and the config's cache geometry by its ceilings).
 func FuzzReadImage(f *testing.F) {
 	// Seed with a real image so the mutator starts from structurally
 	// valid input, plus targeted corruptions of it: every prefix class,
@@ -68,9 +70,17 @@ func FuzzReadImage(f *testing.F) {
 	for _, fg := range indexForgeries(f, img) {
 		f.Add(fg.img)
 	}
+	// Configs past a ceiling, the 2^20-entry ITLB among them: each would
+	// allocate its cache from a few bytes of config.
+	for _, fg := range oversizedConfigs(f, img) {
+		f.Add(fg.img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := Read(bytes.NewReader(data))
+		snap, n, err := readAlloc(data)
+		if bound := readAllocBound(len(data)); n > bound {
+			t.Fatalf("Read of %d bytes allocated %d bytes, more than the bound %d (err %v)", len(data), n, bound, err)
+		}
 		if err != nil {
 			return
 		}
@@ -80,4 +90,18 @@ func FuzzReadImage(f *testing.F) {
 			t.Fatal("Read returned a snapshot that clones to nil")
 		}
 	})
+}
+
+// readAllocBound is the most a Read of n input bytes may allocate: a
+// fixed multiple of the input, for what the sections decode into, plus
+// room for the caches the config ceilings admit (under 10 MiB together).
+func readAllocBound(n int) uint64 { return 32*uint64(n) + 16<<20 }
+
+// readAlloc runs Read on data and reports the bytes it allocated.
+func readAlloc(data []byte) (*core.Snapshot, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	return snap, after.TotalAlloc - before.TotalAlloc, err
 }

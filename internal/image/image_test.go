@@ -376,6 +376,50 @@ func TestImageRefusesImpossibleICacheStamps(t *testing.T) {
 	}
 }
 
+// oversizedConfigs: a config asking for each cache past its ceiling,
+// for too many hierarchy levels, and for oversized contexts. Loaded as
+// asked, the 2^20-entry ITLB alone allocates about 33 MB from an image of
+// under 27 KB.
+func oversizedConfigs(tb testing.TB, img []byte) []forgery {
+	const huge = 1 << 20
+	level := memory.Level{Name: "l", Entries: 16, Assoc: 2, BlockWords: 4, Penalty: 1}
+	forge := func(edit func(cfg *core.Config)) []byte {
+		return forgeSection(tb, img, secConfig, func(st *core.MachineState) { edit(&st.Cfg) })
+	}
+	return []forgery{
+		{"ITLB", "ITLB of 1048576 entries exceeds the ceiling", forge(func(cfg *core.Config) { cfg.ITLB.Entries = huge })},
+		{"icache", "icache of 1048576 entries exceeds the ceiling", forge(func(cfg *core.Config) { cfg.ICache.Entries = huge })},
+		{"ATLB", "ATLB of 1048576 entries exceeds the ceiling", forge(func(cfg *core.Config) { cfg.ATLB.Entries = huge })},
+		{"hierarchy level", "hierarchy level 0 of 1048576 entries exceeds the ceiling", forge(func(cfg *core.Config) {
+			lv := level
+			lv.Entries = huge
+			cfg.Hierarchy = []memory.Level{lv}
+		})},
+		{"hierarchy levels", "5 hierarchy levels exceed the ceiling", forge(func(cfg *core.Config) {
+			cfg.Hierarchy = []memory.Level{level, level, level, level, level}
+		})},
+		{"context words", "65536-word contexts outside", forge(func(cfg *core.Config) { cfg.CtxWords = 1 << 16 })},
+	}
+}
+
+// TestImageRefusesOversizedConfig: each config past a ceiling is refused
+// before any cache is built, so the refused load allocates far less than
+// the smallest cache it asked for (16 MiB).
+func TestImageRefusesOversizedConfig(t *testing.T) {
+	_, img := roundTrip(t, snapshotOf(t, workload.Arith(), core.Config{}))
+	for _, f := range oversizedConfigs(t, img) {
+		t.Run(f.name, func(t *testing.T) {
+			_, n, err := readAlloc(f.img)
+			if err == nil || !contains(err, f.want) {
+				t.Fatalf("%v, want a refusal containing %q", err, f.want)
+			}
+			if n >= 1<<20 {
+				t.Errorf("the refused load allocated %d bytes, want under 1 MiB", n)
+			}
+		})
+	}
+}
+
 // corrupt returns a copy of img with the byte at off flipped.
 func corrupt(img []byte, off int) []byte {
 	out := bytes.Clone(img)

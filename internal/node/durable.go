@@ -1,6 +1,6 @@
 // The daemon's durability machinery: the background checkpointer, the
 // boot-time recovery ladder, and live image rotation (POST /rotate plus
-// the -watch poller). All of it rides the pool's quiescence primitives —
+// the -watch poller). All of it rides the pool's request boundaries —
 // SnapshotLive and Rotate synchronise on the same per-shard execMu the
 // serving path already holds, so none of this adds locking, branches, or
 // allocations to a request.
@@ -174,8 +174,9 @@ func (n *Node) stageRotate(path string) error {
 // without dropping a request. The body may name the image
 // ({"path": "..."}); an empty body rotates onto the -image path —
 // the "reload what's on disk" operator move. 409 while another rotation
-// is mid-swap, 400 for an unreadable or invalid image (the pool is
-// untouched), 500 for a mid-swap failure (the pool rolled back).
+// is mid-swap, 503 once the pool is closed, and 400 for an unreadable
+// or invalid image (the pool is untouched). A rotation that starts
+// always completes.
 func (n *Node) handleRotate(w http.ResponseWriter, r *http.Request) {
 	path := n.imagePath
 	if r.ContentLength != 0 {
@@ -195,7 +196,6 @@ func (n *Node) handleRotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	failsBefore := n.pool.Metrics().RotateFailures
 	err := n.stageRotate(path)
 	switch {
 	case err == nil:
@@ -205,18 +205,8 @@ func (n *Node) handleRotate(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, serve.ErrClosed):
 		httpwire.Error(w, http.StatusServiceUnavailable, err.Error())
 		return
-	case errors.Is(err, os.ErrNotExist):
-		httpwire.Error(w, http.StatusBadRequest, err.Error())
-		return
 	default:
-		// A staging failure leaves the pool untouched (400); a mid-swap
-		// failure rolled it back (500). Only the latter bumps the
-		// rotate-failure counter, so split on its delta.
-		status := http.StatusBadRequest
-		if n.pool.Metrics().RotateFailures > failsBefore {
-			status = http.StatusInternalServerError
-		}
-		httpwire.Error(w, status, err.Error())
+		httpwire.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	met := n.pool.Metrics()

@@ -32,7 +32,6 @@ func (n *Node) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	httpwire.Counter(&b, "obarch_panics_total", "Worker panics caught by the recovery barriers.", met.Panics)
 	httpwire.Counter(&b, "obarch_restamps_total", "Quarantined machines re-stamped fresh from the serving snapshot.", met.Restamps)
 	httpwire.Counter(&b, "obarch_rotations_total", "Completed live image rotations (every shard swapped, zero dropped requests).", met.Rotations)
-	httpwire.Counter(&b, "obarch_rotate_failures_total", "Rotations that failed mid-swap and were rolled back.", met.RotateFailures)
 	httpwire.Counter(&b, "obarch_instructions_total", "Interpreted machine instructions across all shards.", met.Instructions)
 	httpwire.Counter(&b, "obarch_cycles_total", "Simulated machine cycles across all shards.", met.Cycles)
 	httpwire.Counter(&b, "obarch_itlb_hits_total", "Instruction-TLB (method cache) hits.", met.ITLB.Hits)

@@ -15,15 +15,15 @@
 // staging-dir + fsync + rename; CRC-protected manifest), prunes to the
 // newest -checkpoint-keep, and takes a final checkpoint during the
 // drain. POST /save persists the live state to the -image path
-// atomically, via a temp file and rename. Both capture at a
-// request-boundary quiescence, so traffic delays a save by at most one
-// request and never tears it.
+// atomically, via a temp file and rename. Both capture shard 0's
+// machine between two of its requests, so traffic on shard 0 delays a
+// save by at most one request and never tears it.
 //
 // Live rotation. POST /rotate stages a new image off the hot path
 // (hostile-input validation included) and swaps the pool onto it
 // shard-by-shard between requests, so no request is dropped, failed, or
-// globally paused; a failed stamp rolls the swapped shards back. -watch
-// DUR polls the -image path and rotates when the file changes.
+// globally paused. -watch DUR polls the -image path and rotates when the
+// file changes.
 //
 // Overload and self-healing. Enqueue is bounded (a full shard queue
 // refuses instead of blocking), -maxinflight caps admitted-but-unfinished
@@ -68,12 +68,11 @@
 //	                  router, need concurrent traffic past -queue on one
 //	                  shard (or -maxinflight)
 //	POST /save        persist the pool's live state to the -image path,
-//	                  captured at a request-boundary quiescence
+//	                  captured from shard 0 between two of its requests
 //	POST /rotate      swap the pool onto a new image with zero downtime;
 //	                  optional body {"path": "..."} (default: the -image
 //	                  path); 409 while another rotation is mid-swap, 400
-//	                  for an invalid image (pool untouched), 500 for a
-//	                  mid-swap failure (pool rolled back)
+//	                  for an unreadable or invalid image (pool untouched)
 //	GET  /programs    the loaded workload programs (name, size, entry, check)
 //	GET  /stats       aggregated pool metrics (add ?format=text for a table):
 //	                  per-shard queue depths, node identity and image
@@ -333,11 +332,11 @@ func (n *Node) handleReady(w http.ResponseWriter, _ *http.Request) {
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHTTP(w, r) }
 
 // handleSave persists the pool's live state to the configured image
-// path. The snapshot is captured through SnapshotLive — the pool
-// quiesces to a request boundary, so the image reflects every mutation
-// traffic has made, and a save under concurrent load can never catch a
-// machine mid-send (the race the old boot-snapshot save only avoided by
-// never saving live state at all). image.WriteFile replaces the file
+// path. The snapshot is captured through SnapshotLive — shard 0's
+// machine is frozen between two of its requests while the other shards
+// keep serving, so the image reflects every mutation traffic has made
+// to it, and a save under concurrent load can never catch a machine
+// mid-send. image.WriteFile replaces the file
 // durably (temp file, fsync, rename, directory fsync), so a crash mid-save
 // can never leave a truncated image where the next boot would read it,
 // and a 200 means the new image survives power loss.
@@ -490,7 +489,6 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		"panics":           met.Panics,
 		"restamps":         met.Restamps,
 		"rotations":        met.Rotations,
-		"rotate_failures":  met.RotateFailures,
 		"mean_latency_us":  met.MeanLatency().Microseconds(),
 		"max_latency_us":   met.MaxLatency.Microseconds(),
 		"instructions":     met.Instructions,

@@ -16,10 +16,9 @@ import (
 	"repro/internal/flight"
 )
 
-// ErrRotating is returned by Rotate when another rotation — or a live
-// snapshot capture, which holds the same lock so it can never persist a
-// half-rotated image — is already in progress. Rotations are operator
-// actions; two at once is a mistake, not a queue.
+// ErrRotating is returned by Rotate when another rotation is already
+// in progress. Rotations are operator actions; two at once is a
+// mistake, not a queue.
 var ErrRotating = errors.New("serve: rotation already in progress")
 
 // Quiesce brings the pool to a global request boundary: it acquires
@@ -41,35 +40,31 @@ func (p *Pool) Quiesce() (release func()) {
 	}
 }
 
-// SnapshotLive captures a consistent snapshot of the pool's live state
-// at a request boundary. The pool is quiesced, shard 0's machine —
-// idle, like every machine at a quiescence point — is frozen, and the
-// pool resumes. The capture cost is recorded as a KindCheckpoint flight
-// event. Unlike the boot snapshot, the result reflects every mutation
-// traffic has made to shard 0's image, which is what a checkpoint is
-// for.
+// SnapshotLive captures a snapshot of the pool's live state at a
+// request boundary: it freezes shard 0's machine under shard 0's execMu,
+// the lock every request on that shard holds, so the machine is idle
+// and its state is committed. The other shards keep serving. The
+// capture cost is recorded as a KindCheckpoint flight event. Unlike the
+// boot snapshot, the result reflects every mutation traffic has made to
+// shard 0's image, which is what a checkpoint is for.
 //
-// Captures serialize with rotation: SnapshotLive holds rotMu for the
-// duration (the same rotMu -> execMu order Rotate uses). Without it a
-// capture could land inside a mid-swap Rotate — after shard 0 was
-// stamped onto the next image but before a later shard's failure rolled
-// everything back — and persist state the operator believes was
-// reverted. A Rotate issued while a capture is in flight returns
-// ErrRotating, exactly as if it had collided with another rotation.
+// A capture does not hold off a rotation. One taken while Rotate runs
+// sees shard 0 on either the old or the new image, and both are
+// committed states: Rotate stamps each shard under the same execMu and
+// cannot fail part-way.
 func (p *Pool) SnapshotLive() (*core.Snapshot, error) {
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	p.rotMu.Lock()
-	defer p.rotMu.Unlock()
-	release := p.Quiesce()
-	defer release()
+	s := p.shards[0]
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
 	t0 := time.Now()
-	snap, err := p.shards[0].m.Snapshot()
+	snap, err := s.m.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("serve: live snapshot: %w", err)
 	}
-	p.shards[0].fr.Record(flight.KindCheckpoint, 0, uint64(time.Since(t0)))
+	s.fr.Record(flight.KindCheckpoint, 0, uint64(time.Since(t0)))
 	return snap, nil
 }
 
@@ -85,15 +80,13 @@ func (p *Pool) Rotating() bool { return p.rotating.Load() }
 // which is what makes the rotation zero-downtime. Retired-machine
 // accounting folds into the shard accumulators exactly as panic
 // re-stamps do, so MachineStats and the ITLB ratio conserve across the
-// swap.
+// swap. Each shard's src advances to next as it is stamped, so later
+// panic re-stamps clone the new image, and Rotations is bumped once
+// every shard is swapped.
 //
-// If any shard's stamp fails (only injectable today, via
-// Faults.RotateFailAt — stamping is a clone and does not otherwise
-// fail), the shards already swapped are rolled back onto their previous
-// sources, RotateFailures is bumped, and the error is returned: the
-// pool is left exactly as found. On success each shard's src advances
-// to next, so later panic re-stamps clone the new image, and Rotations
-// is bumped.
+// A stamp is a clone and cannot fail, so once Rotate starts swapping it
+// finishes: it returns an error only for a nil snapshot, a closed pool
+// (ErrClosed), or a rotation already in progress (ErrRotating).
 func (p *Pool) Rotate(next *core.Snapshot) error {
 	if next == nil {
 		return errors.New("serve: rotate: nil snapshot")
@@ -108,16 +101,8 @@ func (p *Pool) Rotate(next *core.Snapshot) error {
 	p.rotating.Store(true)
 	defer p.rotating.Store(false)
 
-	prev := make([]*core.Snapshot, len(p.shards))
-	for i, s := range p.shards {
+	for _, s := range p.shards {
 		s.execMu.Lock()
-		prev[i] = s.src
-		if f := p.cfg.Faults; f != nil && f.RotateFailAt == i+1 {
-			s.execMu.Unlock()
-			p.rollback(prev[:i])
-			p.rotateFailures.Add(1)
-			return fmt.Errorf("serve: rotate: chaos-injected stamp failure on shard %d; rolled back", i)
-		}
 		t0 := time.Now()
 		s.swapMachine(next)
 		s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
@@ -125,19 +110,4 @@ func (p *Pool) Rotate(next *core.Snapshot) error {
 	}
 	p.rotations.Add(1)
 	return nil
-}
-
-// rollback re-stamps the first len(prev) shards back onto their
-// pre-rotation sources after a mid-swap failure. Rollback stamps are
-// never failure-injected: a rollback that could wedge would be a worse
-// failure mode than the one it repairs.
-func (p *Pool) rollback(prev []*core.Snapshot) {
-	for i, snap := range prev {
-		s := p.shards[i]
-		s.execMu.Lock()
-		t0 := time.Now()
-		s.swapMachine(snap)
-		s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
-		s.execMu.Unlock()
-	}
 }

@@ -3,6 +3,8 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,8 +139,8 @@ func TestRotateUnderTraffic(t *testing.T) {
 	}
 
 	met := pool.Metrics()
-	if met.Rotations != 1 || met.RotateFailures != 0 {
-		t.Errorf("rotations = %d, failures = %d; want 1, 0", met.Rotations, met.RotateFailures)
+	if met.Rotations != 1 {
+		t.Errorf("rotations = %d, want 1", met.Rotations)
 	}
 	total := met.Requests + met.Rejected + met.SheddedExpired
 	want := submitted.Load() + uint64(workers) // the keyed probes above
@@ -158,46 +160,6 @@ func TestRotateUnderTraffic(t *testing.T) {
 	// the totals — at least one instruction per served request.
 	if ms := pool.MachineStats(); ms.Instructions < met.Requests {
 		t.Errorf("MachineStats lost work across rotation: %d instructions for %d requests", ms.Instructions, met.Requests)
-	}
-}
-
-// TestRotateRollback injects a stamp failure on the second shard: the
-// rotation must report the failure, roll the first shard back, leave
-// every shard serving the old image, and count a RotateFailure — the
-// pool exactly as found.
-func TestRotateRollback(t *testing.T) {
-	const workers = 3
-	old := answerSnapshot(t, 1)
-	next := answerSnapshot(t, 2)
-	pool := serve.NewPool(old, serve.Config{
-		Workers: workers,
-		Faults:  &serve.Faults{RotateFailAt: 2},
-	})
-	defer pool.Close()
-
-	req := serve.Request{Receiver: word.FromInt(0), Selector: "answer"}
-	if got, err := pool.Do(req).Int(); err != nil || got != 1 {
-		t.Fatalf("pre-rotation answer: %d, %v; want 1", got, err)
-	}
-
-	if err := pool.Rotate(next); err == nil {
-		t.Fatal("rotate with an injected stamp failure reported success")
-	}
-
-	// All shards still serve the old image, shard 0 (stamped then rolled
-	// back) included.
-	for i := 0; i < workers; i++ {
-		keyed := req
-		keyed.Key = uint64(workers + i)
-		got, err := pool.Do(keyed).Int()
-		if err != nil || got != 1 {
-			t.Fatalf("shard %d after rollback: got %d, %v; want 1", i, got, err)
-		}
-	}
-
-	met := pool.Metrics()
-	if met.Rotations != 0 || met.RotateFailures != 1 {
-		t.Errorf("rotations = %d, failures = %d; want 0, 1", met.Rotations, met.RotateFailures)
 	}
 }
 
@@ -302,52 +264,23 @@ func TestSnapshotLiveReflectsTraffic(t *testing.T) {
 	}
 }
 
-// TestSnapshotLiveRotateRace pins the capture/rotation exclusion rule:
-// a live snapshot must never observe a mid-swap pool. The chaos fault
-// makes every rotation swap shard 0 onto the new image and then roll it
-// back (the stamp of the last shard fails), so the pool's durable state
-// is always the old image — yet before SnapshotLive serialized with
-// Rotate via rotMu, a capture could quiesce inside the swap window and
-// freeze the new image: a checkpoint of state the operator believes was
-// reverted. Concurrent SnapshotLive/Rotate/Do loops drive the window;
-// every captured snapshot must answer as the old image.
+// TestSnapshotLiveRotateRace drives SnapshotLive, Rotate and Do loops
+// at once. None of the three may fail (an overload refusal excepted),
+// every capture answers as the old or the new image, both committed, and
+// every capture taken after the last rotation returns answers as the
+// new one.
 func TestSnapshotLiveRotateRace(t *testing.T) {
 	const workers = 2
 	old := answerSnapshot(t, 1)
 	next := answerSnapshot(t, 2)
-	pool := serve.NewPool(old, serve.Config{
-		Workers: workers,
-		// Fail the forward stamp of the last shard: shard 0 swaps to
-		// next, then the whole rotation rolls back to old.
-		Faults: &serve.Faults{RotateFailAt: workers},
-	})
+	pool := serve.NewPool(old, serve.Config{Workers: workers})
 	defer pool.Close()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Rotation loop: every attempt either loses rotMu to a capture
-	// (ErrRotating) or runs the swap-then-rollback sequence. Neither may
-	// ever commit.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := pool.Rotate(next); err == nil {
-				t.Error("chaos-injected rotation reported success")
-				return
-			}
-		}
-	}()
-
-	// Traffic loop: requests may transiently see the new image inside
-	// the swap window (zero-downtime rotation serves shard-by-shard),
-	// but must never fail outright.
+	// Traffic loop: requests see either image while rotations swap the
+	// shards one at a time, and never fail.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -359,15 +292,11 @@ func TestSnapshotLiveRotateRace(t *testing.T) {
 			default:
 			}
 			got, err := pool.Do(req).Int()
+			if errors.Is(err, serve.ErrOverloaded) {
+				continue
+			}
 			if err != nil {
-				if errors.Is(err, serve.ErrOverloaded) {
-					continue
-				}
-				// ErrClosed means the main goroutine already failed and
-				// its deferred Close won; don't bury the real assertion.
-				if !errors.Is(err, serve.ErrClosed) {
-					t.Errorf("traffic: %v", err)
-				}
+				t.Errorf("traffic: %v", err)
 				return
 			}
 			if got != 1 && got != 2 {
@@ -377,32 +306,178 @@ func TestSnapshotLiveRotateRace(t *testing.T) {
 		}
 	}()
 
-	// Capture loop, on the test goroutine: every snapshot must reflect
-	// the old image — a capture answering 2 froze a rolled-back swap.
-	deadline := time.Now().Add(500 * time.Millisecond)
-	captures := 0
-	for time.Now().Before(deadline) {
+	// Rotation loop: alternate between the images for the race window,
+	// ending on next. rotations is read only after rotated closes.
+	rotated := make(chan struct{})
+	var rotations uint64
+	go func() {
+		defer close(rotated)
+		deadline := time.Now().Add(300 * time.Millisecond)
+		for i := 0; ; i++ {
+			target := next
+			if i%2 == 1 {
+				target = old
+			}
+			if err := pool.Rotate(target); err != nil {
+				t.Errorf("rotation %d: %v", i, err)
+				return
+			}
+			rotations++
+			if target == next && !time.Now().Before(deadline) {
+				return
+			}
+		}
+	}()
+
+	// Capture loop, on the test goroutine, until three captures have
+	// been taken after the last rotation returned.
+	racing, settled := 0, 0
+	for settled < 3 {
+		after := false
+		select {
+		case <-rotated:
+			after = true
+		default:
+		}
 		snap, err := pool.SnapshotLive()
 		if err != nil {
-			t.Fatalf("SnapshotLive: %v", err)
+			t.Errorf("SnapshotLive: %v", err)
+			break
 		}
-		captures++
-		m := snap.NewMachine()
-		got, err := m.Send(word.FromInt(0), "answer")
+		got, err := snap.NewMachine().Send(word.FromInt(0), "answer")
 		if err != nil {
-			t.Fatalf("capture %d: %v", captures, err)
+			t.Errorf("capture: %v", err)
+			break
 		}
-		if v := got.Int(); v != 1 {
-			t.Fatalf("capture %d answered %d, want 1 — snapshot persisted a mid-swap image the rotation rolled back", captures, v)
+		if v := got.Int(); v != 2 && (after || v != 1) {
+			t.Errorf("capture answered %d (taken after the last rotation: %v), want 2 or, while rotating, 1", v, after)
+			break
+		}
+		if after {
+			settled++
+		} else {
+			racing++
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if captures < 3 {
-		t.Fatalf("only %d captures in the race window; too few to exercise the interleaving", captures)
+	<-rotated
+	if racing < 3 {
+		t.Errorf("only %d captures raced the rotations; too few to exercise the interleaving", racing)
 	}
-	if met := pool.Metrics(); met.Rotations != 0 {
-		t.Fatalf("rotations = %d, want 0 (every attempt was chaos-failed)", met.Rotations)
+	if met := pool.Metrics(); met.Rotations != rotations {
+		t.Errorf("rotations = %d, want the %d the loop made", met.Rotations, rotations)
+	}
+}
+
+// blockedIn reports whether some goroutine is waiting for a sync.Mutex
+// inside fn, a function name as goroutine stack dumps print it.
+func blockedIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// waitBlocked waits until a goroutine is waiting for a sync.Mutex inside
+// fn. It fails the test if early (which may be nil) receives first, or
+// after 5 s.
+func waitBlocked(t *testing.T, fn string, early <-chan error) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !blockedIn(fn); {
+		select {
+		case err := <-early:
+			t.Fatalf("%s returned %v instead of waiting for its lock", fn, err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never waited for its lock", fn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRotateDuringSnapshotLive: a Rotate issued while a capture waits for
+// shard 0 waits its turn and succeeds, and the capture answers as one of
+// the two images.
+func TestRotateDuringSnapshotLive(t *testing.T) {
+	const workers = 2
+	next := answerSnapshot(t, 2)
+	pool := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: workers})
+	defer pool.Close()
+
+	release := sync.OnceFunc(pool.Quiesce())
+	defer release()
+	type capture struct {
+		snap *core.Snapshot
+		err  error
+	}
+	captured := make(chan capture, 1)
+	go func() {
+		snap, err := pool.SnapshotLive()
+		captured <- capture{snap, err}
+	}()
+	waitBlocked(t, "serve.(*Pool).SnapshotLive", nil)
+	rotated := make(chan error, 1)
+	go func() { rotated <- pool.Rotate(next) }()
+	waitBlocked(t, "serve.(*Pool).Rotate", rotated)
+	release()
+
+	if err := <-rotated; err != nil {
+		t.Fatalf("Rotate issued during a capture: %v, want success", err)
+	}
+	c := <-captured
+	if c.err != nil {
+		t.Fatalf("SnapshotLive: %v", c.err)
+	}
+	got, err := c.snap.NewMachine().Send(word.FromInt(0), "answer")
+	if v := got.Int(); err != nil || (v != 1 && v != 2) {
+		t.Fatalf("capture answered %d, %v; want 1 or 2", v, err)
+	}
+	for i := 0; i < workers; i++ {
+		req := serve.Request{Receiver: word.FromInt(0), Selector: "answer", Key: uint64(workers + i)}
+		if got, err := pool.Do(req).Int(); err != nil || got != 2 {
+			t.Fatalf("shard %d after the rotation: %d, %v; want 2", i, got, err)
+		}
+	}
+}
+
+// TestSnapshotLiveLeavesOtherShards: a capture freezes shard 0 only, so
+// it returns while shard 1 is still running a request.
+func TestSnapshotLiveLeavesOtherShards(t *testing.T) {
+	const stall = time.Second
+	pool := serve.NewPool(answerSnapshot(t, 1), serve.Config{
+		Workers: 2,
+		Faults:  &serve.Faults{StallEvery: 1, Stall: stall},
+	})
+	defer pool.Close()
+
+	start := time.Now()
+	busy := pool.Go(serve.Request{Receiver: word.FromInt(0), Selector: "answer", Key: 3})
+	// Shard 1 holds its execMu from the request's dispatch event until
+	// the stall and the send are done.
+	for executing := false; !executing; {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("shard 1's request never began executing")
+		}
+		time.Sleep(time.Millisecond)
+		for _, ev := range pool.FlightRecorder().Ring(1).Snapshot(nil) {
+			executing = executing || ev.Kind == flight.KindDispatch
+		}
+	}
+	if _, err := pool.SnapshotLive(); err != nil {
+		t.Fatalf("SnapshotLive: %v", err)
+	}
+	if d := time.Since(start); d >= stall {
+		t.Errorf("SnapshotLive returned %v after shard 1's request was submitted, so it waited out that request's %v stall", d, stall)
+	}
+	if got, err := busy.Wait().Int(); err != nil || got != 1 {
+		t.Fatalf("shard 1's request: %d, %v; want 1", got, err)
 	}
 }
 

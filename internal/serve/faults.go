@@ -47,13 +47,6 @@ type Faults struct {
 	// frame reaching an idle pool) never queues, so it never clogs.
 	ClogEvery int
 	Clog      time.Duration
-	// RotateFailAt fails the forward stamp of shard index RotateFailAt-1
-	// during every live rotation (Rotate), exercising the rollback path:
-	// shards stamped before it are rolled back onto the old snapshot.
-	// Rollback stamps themselves are never failed — a rollback that could
-	// wedge would be a worse failure mode than the one it repairs. 0
-	// disables.
-	RotateFailAt int
 }
 
 // chaosState is one shard's arm of the fault plan. All fields are only

@@ -250,12 +250,9 @@ type Metrics struct {
 	Restamps uint64 `json:"restamps"`
 
 	// Rotations counts completed live image rotations — every shard
-	// stamped onto a new serving snapshot with zero dropped requests.
-	// RotateFailures counts rotation attempts that failed mid-swap and
-	// were rolled back onto the previous snapshot. Pool-level counters;
-	// per-shard metrics report them as zero.
-	Rotations      uint64 `json:"rotations"`
-	RotateFailures uint64 `json:"rotate_failures"`
+	// stamped onto a new serving snapshot with zero dropped requests. A
+	// pool-level counter; per-shard metrics report it as zero.
+	Rotations uint64 `json:"rotations"`
 
 	TotalLatency time.Duration `json:"total_latency_ns"`
 	MaxLatency   time.Duration `json:"max_latency_ns"`
@@ -314,7 +311,6 @@ func (m Metrics) Report() *stats.Table {
 	t.AddRow("panics", fmt.Sprintf("%d", m.Panics))
 	t.AddRow("restamps", fmt.Sprintf("%d", m.Restamps))
 	t.AddRow("rotations", fmt.Sprintf("%d", m.Rotations))
-	t.AddRow("rotate failures", fmt.Sprintf("%d", m.RotateFailures))
 	t.AddRow("mean latency", m.MeanLatency().String())
 	t.AddRow("max latency", m.MaxLatency.String())
 	t.AddRow("instructions", fmt.Sprintf("%d", m.Instructions))
@@ -486,9 +482,9 @@ type shard struct {
 
 	// Recovery state. src is the shard's stamping source: the snapshot a
 	// panic re-stamp clones a fresh machine from. It starts as the pool's
-	// boot snapshot and is advanced by live rotation — per shard, so a
-	// half-finished rotation that must roll back leaves every shard with
-	// a source consistent with its machine. Only touched under execMu.
+	// boot snapshot and is advanced by live rotation — per shard, so
+	// while a rotation is part-way through, a shard re-stamps from the
+	// image its own machine came from. Only touched under execMu.
 	// retired accumulates the machine-level stats of quarantined (and
 	// rotated-out) machines so MachineStats conserves across re-stamps;
 	// itlbHitAcc/itlbTotalAcc do the same for the ITLB ratio (all under
@@ -510,13 +506,12 @@ type Pool struct {
 
 	// Rotation machinery: rotMu serialises rotations (and keeps two
 	// operators from interleaving half-swaps), rotating is the /readyz
-	// signal, and the counter pair feeds Metrics. Checkpoint/rotation
-	// work never touches serveOne — it synchronises on the same per-shard
-	// execMu the serving path already holds.
-	rotMu          sync.Mutex
-	rotating       atomic.Bool
-	rotations      atomic.Uint64
-	rotateFailures atomic.Uint64
+	// signal, and rotations feeds Metrics. Checkpoint/rotation work never
+	// touches serveOne — it synchronises on the same per-shard execMu the
+	// serving path already holds.
+	rotMu     sync.Mutex
+	rotating  atomic.Bool
+	rotations atomic.Uint64
 
 	// maxIF/ifTotal are the pool-wide in-flight ceiling and its counter
 	// (only maintained when a ceiling is set); rejectedPool counts
@@ -862,7 +857,6 @@ func (p *Pool) Metrics() Metrics {
 	}
 	out.Rejected += p.rejectedPool.Load()
 	out.Rotations = p.rotations.Load()
-	out.RotateFailures = p.rotateFailures.Load()
 	return out
 }
 
