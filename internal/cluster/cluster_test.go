@@ -789,10 +789,15 @@ func TestRouterWindowFullIsRefusal(t *testing.T) {
 			t.Errorf("send %d: %+v, %v; want %d", recv, resp, err, recv+1)
 		}
 	}
+	// The pool is held until the node has read the first send, so that
+	// send queues however many Ps run the test, and its stall runs on a
+	// worker, not on the connection's reader.
+	release := slow.pool.Quiesce()
 	start := time.Now()
 	wg.Add(1)
 	go send(0)
 	waitFramesIn(1)
+	release()
 	for i := int32(1); i < obwire.DefaultWindow; i++ {
 		wg.Add(1)
 		go send(i)

@@ -160,6 +160,13 @@ func newFrameReader(r io.Reader) *frameReader {
 // frame handed out.
 func (f *frameReader) buffered() int { return f.end - f.off }
 
+// framed reports whether the next frame is already read in full behind
+// the last one handed out, so next answers it without reading.
+func (f *frameReader) framed() bool {
+	k := f.end - f.off
+	return k >= 4 && uint64(k-4) >= uint64(binary.LittleEndian.Uint32(f.buf[f.off:]))
+}
+
 // next answers the next frame's payload, valid until the following call.
 // The error is io.EOF when the stream ends cleanly between frames,
 // io.ErrUnexpectedEOF when it ends inside one, and wraps errFrameLength
@@ -184,8 +191,13 @@ func (f *frameReader) next() ([]byte, error) {
 // with io.ReadFull's errors: io.EOF when nothing of them arrived,
 // io.ErrUnexpectedEOF when some did.
 func (f *frameReader) read(n int) ([]byte, error) {
-	if len(f.buf) > connBufSize && f.off == f.end {
-		f.buf, f.off, f.end = make([]byte, scratchSize), 0, 0
+	if f.off == f.end {
+		// Nothing unread: read from the front, so a burst lands in one
+		// read however far the last one reached.
+		if len(f.buf) > connBufSize {
+			f.buf = make([]byte, scratchSize)
+		}
+		f.off, f.end = 0, 0
 	}
 	for f.end-f.off < n {
 		if f.off+n > len(f.buf) {

@@ -97,7 +97,7 @@ func TestConnFootprint(t *testing.T) {
 	// has DefaultWindow sends in flight and each server reader fills its
 	// window before anything is answered.
 	const grown, stall = 4, time.Second
-	bs, req := stallingServer(t, 2*grown*DefaultWindow, stall)
+	bs, req, unhold := stallingServer(t, 2*grown*DefaultWindow, stall)
 	// The runtime keeps every goroutine descriptor it has made; making
 	// the bursts' callers once beforehand keeps them out of the count.
 	var spawn sync.WaitGroup
@@ -129,6 +129,8 @@ func TestConnFootprint(t *testing.T) {
 			}(int32(i))
 		}
 	}
+	waitFramesIn(t, bs, 1, time.Now().Add(stall))
+	unhold()
 	wg.Wait()
 	for p, m := range bursting {
 		if n := len(m.waiters.ring); n != DefaultWindow {

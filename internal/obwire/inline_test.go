@@ -130,10 +130,12 @@ func TestInlineLaneLoneSend(t *testing.T) {
 // request frame leaves exactly one DecodeLat and one EncodeLat sample,
 // whether the reader ran it inline or the writer answered it after the
 // pool's queue — the stage boundaries share clock readings with the pool,
-// but no span is dropped or counted twice.
+// and with one P a burst the reader answers itself shares one reading
+// between each answer's encode and the next frame's decode, but no span
+// is dropped or counted twice.
 func TestSpansOnePerFrame(t *testing.T) {
 	var dec, enc stats.ConcurrentHistogram
-	s, _ := startServer(t, serve.Config{Workers: 1, QueueDepth: 64}, Options{DecodeLat: &dec, EncodeLat: &enc})
+	s, pool := startServer(t, serve.Config{Workers: 1, QueueDepth: 64}, Options{DecodeLat: &dec, EncodeLat: &enc})
 	c := dialRaw(t, s.Addr().String())
 	req := serve.Request{Receiver: word.FromInt(4), Selector: "answer"}
 	recv := func(n int) {
@@ -150,22 +152,30 @@ func TestSpansOnePerFrame(t *testing.T) {
 	if st := s.Stats(); st.FramesInline != 1 {
 		t.Fatalf("stats %+v, want the lone frame inline", st)
 	}
-	// Frames written in one go have others buffered or outstanding
-	// behind them, so they queue — all but, at times, the last, which
-	// may find the ones before it already answered.
+	// Frames written in one go while the pool is held queue, however
+	// many Ps run the test: the first finds its shard busy, and the rest
+	// find a frame outstanding ahead of them.
 	const burst = 8
-	frames := uint64(1)
-	for s.Stats().FramesInline == frames {
-		if frames > 10*burst {
-			t.Fatalf("no burst frame queued (stats %+v)", s.Stats())
-		}
+	burstOf := func() {
 		for i := 0; i < burst; i++ {
 			c.send(req)
 		}
 		c.flush(t)
-		recv(burst)
-		frames += burst
 	}
+	release := pool.Quiesce()
+	burstOf()
+	waitFramesIn(t, s, 1+burst, time.Now().Add(5*time.Second))
+	release()
+	recv(burst)
+	if st := s.Stats(); st.FramesInline != 1 {
+		t.Fatalf("a burst frame ran inline on a held pool (stats %+v)", st)
+	}
+	// The same burst into an idle pool: with one P the reader answers
+	// every frame itself; with two, a frame with others buffered behind
+	// it or outstanding ahead of it queues.
+	burstOf()
+	recv(burst)
+	frames := uint64(1 + 2*burst)
 	if st := s.Stats(); st.FramesIn != frames || st.FramesOut != frames {
 		t.Fatalf("stats %+v, want %d frames in and out", st, frames)
 	}

@@ -34,7 +34,9 @@ type Options struct {
 	// (queued) or starts its execution (inline lane); encode runs from
 	// the writer's reading after the answer is ready (queued) or the
 	// pool's exec-end reading (inline lane) until the answer is in the
-	// connection's write buffer and, when due, flushed.
+	// connection's write buffer and, when due, flushed. When the reader
+	// answered a frame with the next one already buffered, the reading
+	// that ends the answer's encode also starts the next frame's decode.
 	DecodeLat *stats.ConcurrentHistogram
 	EncodeLat *stats.ConcurrentHistogram
 	// Logf, when set, receives connection-level diagnostics (protocol
@@ -56,8 +58,8 @@ const DefaultDrainGrace = 200 * time.Millisecond
 // Prometheus family. FramesOut counts responses once they are in a
 // connection's write buffer, ahead of the flush that sends them.
 // FramesInline counts the request frames a connection's reader answered
-// itself on the pool's inline lane; the rest of FramesIn went through
-// the pool's queues and the writer.
+// itself on the pool's inline lane (see Server for when it does); the
+// rest of FramesIn went through the pool's queues and the writer.
 type Stats struct {
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   uint64 `json:"conns_active"`
@@ -71,15 +73,21 @@ type Stats struct {
 // Server accepts obwire connections and feeds their frames to a
 // serve.Pool. Every connection runs one reader goroutine, which decodes
 // each frame in place in its input buffer, and one writer goroutine;
-// both encode answers into the connection's one output buffer. A frame
-// that finds its connection with nothing outstanding, no further bytes
-// buffered behind it, and the pool idle (Pool.TryDo) is run to
-// completion by the reader: execute, encode, write, flush — one
-// goroutine per send. Every other frame takes the pipelined path: the
-// reader submits it with Pool.Go and queues its future on an ordered
-// in-flight window, and the writer awaits each future in turn, encodes
-// and writes. Either way responses go out in request order, many
-// requests deep.
+// both encode answers into the connection's one output buffer. The
+// reader offers every frame that finds its connection with nothing
+// outstanding to Pool.TryDo, which runs it on the reader when no worker
+// could run it sooner: with two or more Ps, only when no further bytes
+// are buffered behind the frame and no other shard is idle; with one P,
+// whenever the frame's shard is idle, so the reader serves a whole
+// burst itself. Such a frame is run to completion by the reader:
+// execute, encode, write — one goroutine per send. The reader flushes
+// its answers once no complete frame is buffered behind them, so no
+// answer waits on a read for the rest of a partial frame, and a burst
+// that arrived in one read is answered in one write. Every other frame
+// takes the pipelined path: the reader submits it with Pool.GoAt and
+// queues its future on an ordered in-flight window, and the writer
+// awaits each future in turn, encodes and writes. Either way responses
+// go out in request order, many requests deep.
 type Server struct {
 	pool *serve.Pool
 	ln   net.Listener
@@ -240,16 +248,18 @@ func (s *Server) put(o *connOut, b []byte, n *atomic.Uint64, flush bool) bool {
 
 // respond encodes and writes one response, counted in framesOut and
 // timed into EncodeLat from t0, the core.Monotonic reading encoding
-// starts at. Callers hold o.mu.
-func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool, t0 int64) bool {
+// starts at. It answers the reading encoding ended at, 0 when EncodeLat
+// is unset and no reading was taken. Callers hold o.mu.
+func (s *Server) respond(o *connOut, id uint64, res serve.Result, flush bool, t0 int64) (end int64, ok bool) {
 	if o.broken {
-		return false
+		return 0, false
 	}
-	ok := s.put(o, appendResponse(o.w.frame(), id, res), &s.framesOut, flush)
+	ok = s.put(o, appendResponse(o.w.frame(), id, res), &s.framesOut, flush)
 	if s.opts.EncodeLat != nil {
-		s.opts.EncodeLat.Observe(time.Duration(core.Monotonic() - t0))
+		end = core.Monotonic()
+		s.opts.EncodeLat.Observe(time.Duration(end - t0))
 	}
-	return ok
+	return end, ok
 }
 
 // serveConn is the per-connection reader: validate the magic, then read
@@ -293,6 +303,10 @@ func (s *Server) serveConn(c net.Conn) {
 	// Selectors are interned so repeat sends of the same message cost no
 	// allocation.
 	sels := make(map[string]string)
+	// next is the reading that starts the next frame's decode when the
+	// reader's last answer was encoded with that frame already buffered;
+	// 0 otherwise.
+	var next int64
 
 	for {
 		buf, err := fr.next()
@@ -309,13 +323,18 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 
 		if len(buf) == 9 && buf[0] == framePing {
+			next = 0 // the frame after this one may not be buffered yet
 			s.pings.Add(1)
 			out.outstanding.Add(1)
 			out.pend.push(pending{id: binary.LittleEndian.Uint64(buf[1:])})
 			continue
 		}
 
-		t0 := core.Monotonic()
+		t0 := next
+		if t0 == 0 {
+			t0 = core.Monotonic()
+		}
+		next = 0
 		id, req, err := s.decodeRequest(buf, sels)
 		// One reading ends decode and starts the next stage: the
 		// enqueue stamp, or exec start on the inline lane.
@@ -329,16 +348,21 @@ func (s *Server) serveConn(c net.Conn) {
 			break
 		}
 		s.framesIn.Add(1)
-		// Nothing else in flight on this connection and nothing behind
-		// this frame: run it to completion here if the pool is idle.
-		if out.outstanding.Load() == 0 && fr.buffered() == 0 {
-			if res, done, ok := s.pool.TryDo(req, t1); ok {
+		// Nothing else in flight on this connection: run the frame to
+		// completion here if no worker could run it sooner. Flush unless
+		// a whole frame waits behind it, whose answer can join this one.
+		if out.outstanding.Load() == 0 {
+			if res, done, ok := s.pool.TryDo(req, t1, fr.buffered() != 0); ok {
 				s.framesInline.Add(1)
+				more := fr.framed()
 				out.mu.Lock()
-				ok = s.respond(out, id, res, true, done)
+				end, ok := s.respond(out, id, res, !more, done)
 				out.mu.Unlock()
 				if !ok {
 					break
+				}
+				if more {
+					next = end
 				}
 				continue
 			}

@@ -12,12 +12,13 @@ import (
 
 // stallingServer starts a two-worker server whose pool sleeps for stall
 // before every every-th execution on a shard, and warms the shard that
-// answers key 1 so that its next execution stalls. Every frame sent with
-// key 1 then queues behind that one: two workers keep frames off the
-// inline lane, because TryDo runs a frame on the connection's reader only
-// while no other shard is idle, and the other shard always is. The
-// shard's queue holds every frame up to the next stall.
-func stallingServer(t *testing.T, every int, stall time.Duration) (*Server, serve.Request) {
+// answers key 1 so that its next execution stalls. It returns the pool
+// held (Pool.Quiesce), so the first frame sent with key 1 queues however
+// many Ps run the test; the caller releases the pool once the server has
+// read that frame. Its execution stalls on the shard's worker, and every
+// later frame queues behind it, because the connection has a frame
+// outstanding. The shard's queue holds every frame up to the next stall.
+func stallingServer(t *testing.T, every int, stall time.Duration) (*Server, serve.Request, func()) {
 	t.Helper()
 	s, pool := startServer(t, serve.Config{Workers: 2, QueueDepth: every, Timeout: 30 * time.Second,
 		Faults: &serve.Faults{StallEvery: every, Stall: stall}}, Options{})
@@ -27,7 +28,7 @@ func stallingServer(t *testing.T, every int, stall time.Duration) (*Server, serv
 			t.Fatalf("warm-up send %d: %v", i, res.Err)
 		}
 	}
-	return s, req
+	return s, req, pool.Quiesce()
 }
 
 // waitFramesIn waits until the server has read at least n request
@@ -48,7 +49,7 @@ func waitFramesIn(t *testing.T, s *Server, n uint64, deadline time.Time) {
 // gets its own answer and the connection still serves.
 func TestMuxWindowFull(t *testing.T) {
 	const stall = 3 * time.Second
-	s, req := stallingServer(t, 2*DefaultWindow, stall)
+	s, req, release := stallingServer(t, 2*DefaultWindow, stall)
 	m, err := DialMux(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +72,8 @@ func TestMuxWindowFull(t *testing.T) {
 	// A waiter is queued before its frame is written, and the server
 	// answers nothing while the first frame it read is stalled: once it
 	// has read DefaultWindow frames, exactly DefaultWindow are in flight.
+	waitFramesIn(t, s, 1, start.Add(stall))
+	release()
 	waitFramesIn(t, s, DefaultWindow, start.Add(stall))
 	if _, err := m.Do(req); !errors.Is(err, ErrWindowFull) {
 		t.Errorf("send into a full window: err = %v, want ErrWindowFull", err)
@@ -95,7 +98,7 @@ func TestMuxWindowFull(t *testing.T) {
 // more. Then every frame is answered, in order.
 func TestServerWindowFull(t *testing.T) {
 	const stall, extra = 2 * time.Second, 16
-	s, req := stallingServer(t, 2*DefaultWindow, stall)
+	s, req, release := stallingServer(t, 2*DefaultWindow, stall)
 	c := dialRaw(t, s.Addr().String())
 	start := time.Now()
 	for i := 0; i < DefaultWindow+extra; i++ {
@@ -104,6 +107,8 @@ func TestServerWindowFull(t *testing.T) {
 		c.send(r)
 	}
 	c.flush(t)
+	waitFramesIn(t, s, 1, start.Add(stall))
+	release()
 
 	const capped = DefaultWindow + 2
 	waitFramesIn(t, s, capped, start.Add(stall))

@@ -59,8 +59,10 @@
 //
 // The server runs each request frame at most once. The connection
 // reader decodes a frame once and hands it to the pool once — Pool.TryDo
-// when the pool is idle, Pool.Go otherwise — and the pool never retries
-// it; the frame's one response carries that outcome, and frames
+// while nothing is outstanding on the connection and TryDo takes it
+// (with one P, whenever the frame's shard is idle; see Server),
+// Pool.GoAt otherwise — and the pool never retries it; the frame's one
+// response carries that outcome, and frames
 // dispatched before a drain are still answered
 // (TestShutdownAnswersInFlight). A malformed frame runs nothing.
 //

@@ -44,7 +44,10 @@ type Faults struct {
 	// driver serves the job, with the queue backing up behind it — the
 	// reproducible way to build queue pressure. 0 disables. Clogs fire on
 	// queue dispatches only: the inline lane (Do, TryDo, and so an obwire
-	// frame reaching an idle pool) never queues, so it never clogs.
+	// frame its connection's reader runs itself) never queues, so it
+	// never clogs. With one P an obwire reader runs every frame itself
+	// while its shard is idle, so a connection's frames queue, and can
+	// clog, only behind one that found its shard busy.
 	ClogEvery int
 	Clog      time.Duration
 }

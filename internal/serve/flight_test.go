@@ -139,7 +139,7 @@ func TestStagesShareStamps(t *testing.T) {
 	defer inline.Close()
 	epoch = inline.FlightRecorder().Epoch()
 	now = core.Monotonic()
-	res, done, ok := inline.TryDo(req, now)
+	res, done, ok := inline.TryDo(req, now, false)
 	if !ok || res.Err != nil || res.Value.Int() != 5 {
 		t.Fatalf("TryDo: %+v, %v", res, ok)
 	}

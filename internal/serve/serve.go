@@ -7,7 +7,10 @@
 // sharding: a per-shard mutex serialises execution, normally held by the
 // worker, but a caller hitting an idle shard drives the machine inline on
 // its own goroutine (the inline lane behind Do and TryDo), skipping the
-// queue's two scheduler round-trips entirely.
+// queue's two scheduler round-trips entirely. With two or more Ps, TryDo
+// never takes on work that an idle worker could run beside its caller;
+// with one P no worker runs beside anything, so TryDo runs on any idle
+// shard.
 //
 // The request lifecycle is zero-allocation and lock-light end to end:
 //
@@ -513,6 +516,11 @@ type Pool struct {
 	rotating  atomic.Bool
 	rotations atomic.Uint64
 
+	// multiP records whether GOMAXPROCS was above one at NewPool: only
+	// then can a worker run beside a TryDo caller. Sampled once, since
+	// reading GOMAXPROCS takes the scheduler lock.
+	multiP bool
+
 	// maxIF/ifTotal are the pool-wide in-flight ceiling and its counter
 	// (only maintained when a ceiling is set); rejectedPool counts
 	// refusals made before a shard was even chosen, folded into Metrics.
@@ -551,7 +559,7 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 		f := *cfg.Faults // callers must not mutate an armed plan
 		cfg.Faults = &f
 	}
-	p := &Pool{cfg: cfg, maxIF: int64(cfg.MaxInFlight)}
+	p := &Pool{cfg: cfg, maxIF: int64(cfg.MaxInFlight), multiP: runtime.GOMAXPROCS(0) > 1}
 	p.rec = flight.New(cfg.Workers, cfg.FlightRingSize)
 	p.slowNS = int64(cfg.SlowThreshold)
 	for i := 0; i < cfg.Workers; i++ {
@@ -768,13 +776,19 @@ func (p *Pool) inline(s *shard, req Request, now int64) (res Result, done int64,
 	return res, done, true
 }
 
-// TryDo executes a request on the caller's goroutine when that costs no
-// parallelism, and otherwise executes nothing and reports false, leaving
-// the caller to submit with Go. It runs the request through the same
-// inline lane as Do, but only when the request's shard is idle and no
-// other shard is — always the case on a one-worker pool — so a caller
-// feeding a pipeline, like an obwire connection reader, never takes on
-// work that an idle worker could run beside it.
+// TryDo executes a request on the caller's goroutine when no worker
+// could run it sooner, and otherwise executes nothing and reports false,
+// leaving the caller to submit with Go. It runs the request through the
+// same inline lane as Do, and only when the request's shard is idle.
+// behind tells it whether the caller has more work waiting behind this
+// request, as an obwire connection reader does when further bytes are
+// buffered behind a frame. With two or more Ps, sampled once at
+// NewPool, TryDo also needs nothing behind and no other shard idle —
+// always the case on a one-worker pool — so a caller feeding a pipeline
+// never takes on work that an idle worker could run beside it. With one
+// P nothing runs beside the caller, so any idle shard runs the request
+// inline, whatever waits behind it, and the caller skips the hand-off
+// to a worker that could only run once the caller stops.
 // Admission refusals and ErrClosed are answers: they come back with
 // true, as Do would return them.
 //
@@ -782,13 +796,17 @@ func (p *Pool) inline(s *shard, req Request, now int64) (res Result, done int64,
 // request's service span starts there. done is the reading at which the
 // pool finished with the request — its exec end, or the end of the
 // collection slice that rode behind it — so the caller's next stage can
-// start there without reading the clock; it is now when nothing ran.
-func (p *Pool) TryDo(req Request, now int64) (res Result, done int64, ok bool) {
+// start there without reading the clock; it is now for an answered
+// refusal, and means nothing when TryDo declines.
+func (p *Pool) TryDo(req Request, now int64, behind bool) (res Result, done int64, ok bool) {
+	if behind && p.multiP {
+		return Result{}, 0, false
+	}
 	s, err := p.enter(req)
 	if err != nil {
 		return Result{Err: err}, now, true
 	}
-	if !p.otherIdle(s) {
+	if !p.multiP || !p.otherIdle(s) {
 		res, done, ok = p.inline(s, req, now)
 	}
 	s.inflight.Add(-1)

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -462,24 +463,31 @@ func TestCloseWaitsForInlineDo(t *testing.T) {
 	}
 }
 
-// TestTryDo pins when TryDo runs a request on the caller: only when the
-// request's shard is idle and no other shard is. Otherwise it executes
-// nothing and reports false; refusals are answers and report true. The
-// reading it hands back is where its service span ended (or now, when
-// nothing ran), so a caller's next stage starts there.
+// TestTryDo pins when TryDo runs a request on the caller. In a pool
+// built with two Ps: only when nothing waits behind the request, its
+// shard is idle and no other shard is. In one built with one P: whenever
+// its shard is idle. Otherwise it executes nothing and reports false;
+// refusals are answers and report true. The reading it hands back is
+// where its service span ended (or now, for an answered refusal), so a
+// caller's next stage starts there.
 func TestTryDo(t *testing.T) {
 	req := func(key uint64) serve.Request {
 		return serve.Request{Receiver: word.FromInt(4), Selector: "answer", Key: key}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	one := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1})
 	defer one.Close()
 	now := core.Monotonic()
-	res, done, ok := one.TryDo(req(0), now)
+	res, done, ok := one.TryDo(req(0), now, false)
 	if !ok || res.Err != nil || res.Value.Int() != 5 {
 		t.Fatalf("idle 1-worker pool: %+v, %v; want 5 run inline", res, ok)
 	}
 	if done-now != int64(res.Latency) {
 		t.Fatalf("done - now = %d, want Latency %d", done-now, res.Latency)
+	}
+	// Work behind the request: the caller hands this one off and moves on.
+	if _, _, ok := one.TryDo(req(0), core.Monotonic(), true); ok {
+		t.Fatal("TryDo ran inline with work behind the request")
 	}
 
 	// Both shards idle: running inline would leave a worker idle beside
@@ -489,7 +497,7 @@ func TestTryDo(t *testing.T) {
 		Faults:  &serve.Faults{StallEvery: 1, Stall: 200 * time.Millisecond},
 	})
 	defer two.Close()
-	if _, _, ok := two.TryDo(req(2), core.Monotonic()); ok {
+	if _, _, ok := two.TryDo(req(2), core.Monotonic(), false); ok {
 		t.Fatal("TryDo ran inline with another shard idle")
 	}
 	if n := two.Metrics().Requests; n != 0 {
@@ -500,7 +508,10 @@ func TestTryDo(t *testing.T) {
 	for two.QueueDepths()[1] == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if res, _, ok := two.TryDo(req(2), core.Monotonic()); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
+	if _, _, ok := two.TryDo(req(2), core.Monotonic(), true); ok {
+		t.Fatal("TryDo ran inline with work behind the request")
+	}
+	if res, _, ok := two.TryDo(req(2), core.Monotonic(), false); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
 		t.Fatalf("other shard busy: %+v, %v; want 5 from worker 0 inline", res, ok)
 	}
 	if res := busy.Wait(); res.Err != nil {
@@ -510,11 +521,33 @@ func TestTryDo(t *testing.T) {
 	closedOff := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 1, MaxInFlight: -1})
 	defer closedOff.Close()
 	now = core.Monotonic()
-	if res, done, ok := closedOff.TryDo(req(0), now); !ok || !errors.Is(res.Err, serve.ErrOverloaded) || done != now {
+	if res, done, ok := closedOff.TryDo(req(0), now, false); !ok || !errors.Is(res.Err, serve.ErrOverloaded) || done != now {
 		t.Fatalf("closed ceiling: %+v, %d, %v; want ErrOverloaded answered at %d", res, done, ok, now)
 	}
 	one.Close()
-	if res, _, ok := one.TryDo(req(0), core.Monotonic()); !ok || !errors.Is(res.Err, serve.ErrClosed) {
+	if res, _, ok := one.TryDo(req(0), core.Monotonic(), false); !ok || !errors.Is(res.Err, serve.ErrClosed) {
 		t.Fatalf("closed pool: %+v, %v; want ErrClosed answered", res, ok)
+	}
+
+	// One P: no worker could run the request before the caller is done
+	// with it, so an idle shard runs it inline, whatever waits behind it
+	// and however many shards are idle.
+	runtime.GOMAXPROCS(1)
+	oneP := serve.NewPool(answerSnapshot(t, 1), serve.Config{Workers: 2})
+	defer oneP.Close()
+	for _, behind := range []bool{false, true} {
+		if res, _, ok := oneP.TryDo(req(2), core.Monotonic(), behind); !ok || res.Err != nil || res.Worker != 0 || res.Value.Int() != 5 {
+			t.Fatalf("one P, both shards idle, behind %v: %+v, %v; want 5 from worker 0 inline", behind, res, ok)
+		}
+	}
+	// A held shard is busy: the request is left to the queue.
+	release := oneP.Quiesce()
+	_, _, ok = oneP.TryDo(req(2), core.Monotonic(), false)
+	release()
+	if ok {
+		t.Fatal("one P: TryDo ran inline on a held shard")
+	}
+	if n := oneP.Metrics().Requests; n != 2 {
+		t.Fatalf("one P: %d requests executed, want the 2 run inline", n)
 	}
 }
