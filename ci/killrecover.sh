@@ -2,10 +2,11 @@
 # Kill-and-recover drill: prove the durability story end to end, the ugly
 # way. A race-built obarchd serves real loadgen traffic — over the obwire
 # binary transport, so the drill covers both wires — while the
-# background checkpointer writes generations; we SIGKILL it mid-flight (no
-# drain, no final checkpoint), corrupt the newest generation's image to
-# force the recovery ladder to actually reject a rung, restart from the
-# same checkpoint directory, and assert from /stats that the reborn node:
+# background checkpointer writes generations (one image file each); we
+# SIGKILL it mid-flight (no drain, no final checkpoint), corrupt the
+# newest generation's file to force the recovery ladder to actually
+# reject a rung, restart from the same checkpoint directory, and assert
+# from /stats that the reborn node:
 #
 #   - booted from a checkpoint (mode == "checkpoint"),
 #   - skipped the corrupted generation (recovered_generation < newest,
@@ -70,7 +71,7 @@ wait_ready
 # Wait until at least two complete generations exist, so corrupting the
 # newest still leaves a valid one to recover.
 for _ in $(seq 1 100); do
-  COUNT=$(ls -d "$CKPT"/gen-* 2>/dev/null | wc -l)
+  COUNT=$(ls "$CKPT"/gen-*.img 2>/dev/null | wc -l)
   [ "$COUNT" -ge 2 ] && break
   sleep 0.1
 done
@@ -81,11 +82,12 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
-NEWEST=$(ls -d "$CKPT"/gen-* | sort | tail -1)
-OLDER=$(ls -d "$CKPT"/gen-* | sort | tail -2 | head -1)
-OLDER_GEN=$((10#${OLDER##*gen-}))
-echo "killrecover: corrupting $NEWEST/image.img (newest must be rejected, gen $OLDER_GEN must boot)"
-python3 - "$NEWEST/image.img" <<'EOF'
+NEWEST=$(ls "$CKPT"/gen-*.img | sort | tail -1)
+OLDER=$(ls "$CKPT"/gen-*.img | sort | tail -2 | head -1)
+OLDER_GEN=${OLDER##*gen-}
+OLDER_GEN=$((10#${OLDER_GEN%.img}))
+echo "killrecover: corrupting $NEWEST (newest must be rejected, gen $OLDER_GEN must boot)"
+python3 - "$NEWEST" <<'EOF'
 import sys
 path = sys.argv[1]
 b = bytearray(open(path, "rb").read())

@@ -433,7 +433,6 @@ type serverView struct {
 	Requests      uint64            `json:"requests,omitempty"`
 	Rotations     uint64            `json:"rotations,omitempty"`
 	Checkpoint    json.RawMessage   `json:"checkpoint,omitempty"`
-	CheckpointAge *float64          `json:"checkpoint_age_s,omitempty"`
 	ServiceUS     *stagePercentiles `json:"service_us,omitempty"`
 	QueueUS       *stagePercentiles `json:"queue_us,omitempty"`
 	DecodeUS      *stagePercentiles `json:"decode_us,omitempty"`

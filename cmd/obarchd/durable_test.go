@@ -51,7 +51,7 @@ func TestRecoveryLadderBoot(t *testing.T) {
 		}
 	}
 	// Bit-flip generation 2's image so its CRC fails.
-	imgPath := filepath.Join(ckptDir, "gen-000000000002", image.ImageName)
+	imgPath := filepath.Join(ckptDir, "gen-000000000002.img")
 	img, err := os.ReadFile(imgPath)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestRecoveryLadderBoot(t *testing.T) {
 	raw, _ := os.ReadFile(imagePath)
 	raw[len(raw)/2] ^= 0x01
 	os.WriteFile(imagePath, raw, 0o644)
-	os.RemoveAll(ckptDir + "/gen-000000000001") // leave only the corrupt gen
+	os.Remove(filepath.Join(ckptDir, "gen-000000000001.img")) // leave only the corrupt gen
 	_, _, boot, err = node.Boot(imagePath, ckptDir, true, nil)
 	if err != nil {
 		t.Fatalf("compile-rung boot: %v", err)
@@ -344,8 +344,8 @@ func TestCheckpointerLoop(t *testing.T) {
 	}
 
 	// A restarted checkpointer primes the age gauge from the newest
-	// manifest instead of reporting "never", and continues the numbering:
-	// its drain writes the next generation.
+	// generation file instead of reporting "never", and continues the
+	// numbering: its drain writes the next generation.
 	cfg.Checkpoint = time.Hour
 	n2 := startNode(t, snap, workload.Suite(), cfg)
 	if st := checkpointBlock(t, n2); st.Generation != int64(taken) || st.AgeS < 0 || st.Taken != 0 {
@@ -362,10 +362,10 @@ func TestCheckpointerLoop(t *testing.T) {
 func TestCheckpointAgeSentinel(t *testing.T) {
 	n := startSuiteNode(t, serve.Config{Workers: 1, Timeout: 30 * time.Second})
 	var st struct {
-		AgeS       float64 `json:"checkpoint_age_s"`
 		Checkpoint struct {
-			Enabled    bool  `json:"enabled"`
-			Generation int64 `json:"generation"`
+			AgeS       float64 `json:"age_s"`
+			Enabled    bool    `json:"enabled"`
+			Generation int64   `json:"generation"`
 		} `json:"checkpoint"`
 		Image struct {
 			RecoveredGeneration int64 `json:"recovered_generation"`
@@ -373,7 +373,7 @@ func TestCheckpointAgeSentinel(t *testing.T) {
 		} `json:"image"`
 	}
 	getJSON(t, n, "/stats", &st)
-	if st.AgeS != -1 || st.Checkpoint.Enabled || st.Checkpoint.Generation != -1 {
+	if st.Checkpoint.AgeS != -1 || st.Checkpoint.Enabled || st.Checkpoint.Generation != -1 {
 		t.Fatalf("stats checkpoint block = %+v, want disabled sentinels", st)
 	}
 	if st.Image.RecoveredGeneration != 0 && st.Image.RecoveredGeneration != -1 {

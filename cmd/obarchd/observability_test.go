@@ -343,7 +343,7 @@ func TestServerStatsLatencyFields(t *testing.T) {
 			Count uint64 `json:"count"`
 			P50   int64  `json:"p50"`
 			P99   int64  `json:"p99"`
-		} `json:"latency_us"`
+		} `json:"service_us"`
 		HTTPLatency struct {
 			Count uint64 `json:"count"`
 			P99   int64  `json:"p99"`

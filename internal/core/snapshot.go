@@ -38,14 +38,9 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // for concurrent use.
 func (s *Snapshot) NewMachine() *Machine { return s.frozen.clone() }
 
-// Stats returns the frozen machine's accounting at capture time — what a
-// checkpoint manifest records so recovered state can be cross-checked
-// against the image it booted from. The snapshot is immutable, so this is
-// safe for concurrent use.
+// Stats returns the frozen machine's accounting at capture time. The
+// snapshot is immutable, so this is safe for concurrent use.
 func (s *Snapshot) Stats() Stats { return s.frozen.Stats }
-
-// FromSnapshot is a package-level alias for Snapshot.NewMachine.
-func FromSnapshot(s *Snapshot) *Machine { return s.NewMachine() }
 
 // clone deep-copies the machine. The receiver must be idle and coherent
 // (context cache written back); Snapshot enforces both.

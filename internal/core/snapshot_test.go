@@ -39,7 +39,7 @@ func TestSnapshotCloneRunsIndependently(t *testing.T) {
 	}
 	snapInstrs := m.Stats.Instructions
 	c1 := snap.NewMachine()
-	c2 := FromSnapshot(snap)
+	c2 := snap.NewMachine()
 
 	// All three machines answer correctly and accumulate stats
 	// independently.

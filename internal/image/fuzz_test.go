@@ -18,8 +18,8 @@ import (
 func FuzzReadImage(f *testing.F) {
 	// Seed with a real image so the mutator starts from structurally
 	// valid input, plus targeted corruptions of it: every prefix class,
-	// flipped version fields with repaired CRCs, and a flipped byte in
-	// each section region.
+	// two bytes appended, flipped version fields with repaired CRCs, and
+	// a flipped byte in each section region.
 	p := workload.Arith()
 	m, err := workload.NewCOM(p, core.Config{})
 	if err != nil {
@@ -42,6 +42,7 @@ func FuzzReadImage(f *testing.F) {
 	f.Add([]byte("OBARIMG\x00"))
 	f.Add(img[:24])
 	f.Add(img[:len(img)/2])
+	f.Add(append(bytes.Clone(img), 0, 0))
 	f.Add(fixHeaderCRC(corrupt(img, 8)))
 	f.Add(fixHeaderCRC(corrupt(img, 12)))
 	for off := 24; off < len(img); off += len(img) / 16 {

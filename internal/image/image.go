@@ -5,7 +5,8 @@
 //
 // # Format
 //
-// An image is a fixed header followed by nine length-prefixed sections:
+// An image is a fixed header followed by nine length-prefixed sections,
+// and nothing after them:
 //
 //	magic "OBARIMG\0" | format version | ISA-encoding version | section count | header CRC32
 //	for each section: id | payload length | payload CRC32 | payload
@@ -145,7 +146,8 @@ func Write(w io.Writer, snap *core.Snapshot) error {
 }
 
 // Read deserialises a snapshot from r, validating versions, CRCs and every
-// cross-reference. The returned snapshot stamps out machines bit-identical
+// cross-reference, and reads r to its end: bytes after the last section
+// are refused. The returned snapshot stamps out machines bit-identical
 // to the one Write was given.
 func Read(r io.Reader) (*core.Snapshot, error) {
 	var hdr [24]byte
@@ -210,6 +212,15 @@ func Read(r io.Reader) (*core.Snapshot, error) {
 		if err := decodeSection(d, id, st); err != nil {
 			return nil, fmt.Errorf("image: %s section: %w", sectionNames[id], err)
 		}
+	}
+	// Every caller hands Read a whole file or buffer, so the image must
+	// end where its last section does.
+	var extra [1]byte
+	switch _, err := io.ReadFull(r, extra[:]); {
+	case err == nil:
+		return nil, fmt.Errorf("image: bytes after the last section")
+	case err != io.EOF:
+		return nil, fmt.Errorf("image: after the last section: %w", err)
 	}
 	snap, err := core.ImportSnapshot(st)
 	if err != nil {

@@ -474,10 +474,11 @@ func TestImageVersionSkew(t *testing.T) {
 	if err := read(corrupt(img, len(img)/2)); err == nil || !contains(err, "CRC") {
 		t.Errorf("payload corruption: %v", err)
 	}
-	// Truncations at every boundary class fail cleanly.
-	for _, n := range []int{0, 7, 23, 30, len(img) / 3, len(img) - 1} {
-		if err := read(img[:n]); err == nil {
-			t.Errorf("truncation to %d bytes loaded successfully", n)
+	// Truncations at every boundary class fail cleanly, and so do bytes
+	// appended after the last section.
+	for _, b := range [][]byte{img[:0], img[:7], img[:23], img[:30], img[:len(img)/3], img[:len(img)-1], append(bytes.Clone(img), 0, 0)} {
+		if err := read(b); err == nil {
+			t.Errorf("%d of the image's %d bytes loaded successfully", len(b), len(img))
 		}
 	}
 }

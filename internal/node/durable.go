@@ -25,7 +25,7 @@ import (
 )
 
 // checkpointer periodically captures the pool's live state into
-// generation-numbered checkpoint directories, pruned to the newest keep.
+// generation-numbered checkpoint files, pruned to the newest keep.
 // One goroutine owns nextGen; the atomic last* fields feed /stats and
 // /metrics from any scrape goroutine.
 type checkpointer struct {
@@ -45,9 +45,9 @@ type checkpointer struct {
 
 // newCheckpointer prepares (but does not start) a checkpointer. The next
 // generation number continues from whatever the directory already holds,
-// and the age gauge is primed from the newest existing generation's
-// manifest so a freshly recovered node reports its checkpoint's real
-// age, not "never".
+// and the age gauge is primed from the newest generation file's mtime,
+// without reading the image, so a freshly recovered node reports its
+// checkpoint's real age, not "never".
 func newCheckpointer(pool *serve.Pool, dir string, keep int, interval time.Duration) (*checkpointer, error) {
 	gens, err := image.ListGenerations(dir)
 	if err != nil {
@@ -66,7 +66,7 @@ func newCheckpointer(pool *serve.Pool, dir string, keep int, interval time.Durat
 	if len(gens) > 0 {
 		newest := gens[len(gens)-1]
 		c.nextGen = newest + 1
-		if _, m, err := image.LoadCheckpoint(dir, newest); err == nil {
+		if m, err := image.StatCheckpoint(dir, newest); err == nil {
 			c.lastNS.Store(m.CreatedUnixNS)
 			c.lastGen.Store(int64(m.Generation))
 		}
@@ -158,12 +158,7 @@ func (n *Node) checkpointStats() ckptStats {
 // decoding, section CRCs, the works — entirely off the serving hot path,
 // then rotates the pool onto it shard-by-shard.
 func (n *Node) stageRotate(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("stage %s: %w", path, err)
-	}
-	defer f.Close()
-	snap, err := obarch.ReadImage(f)
+	snap, err := image.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("stage %s: %w", path, err)
 	}
@@ -301,10 +296,10 @@ func compileBoot(imagePath string) BootInfo {
 // Boot produces the serving snapshot by descending the recovery
 // ladder: the newest valid checkpoint generation under ckptDir first
 // (corrupt or torn generations are rejected and cost one rung each),
-// then the -image file (warm start — no compile, warm ITLB; an
-// unreadable image now falls through instead of failing the boot), then
-// compile-from-source. The returned BootInfo records the rung taken and
-// the rungs rejected.
+// then the -image file (warm start — no compile, warm ITLB; an image
+// that cannot be opened or read, other than an absent one, costs one
+// rung instead of failing the boot), then compile-from-source. The
+// returned BootInfo records the rung taken and the rungs rejected.
 func Boot(imagePath, ckptDir string, suite bool, srcPaths []string) (*obarch.Snapshot, []workload.Program, BootInfo, error) {
 	info := compileBoot(imagePath)
 	var programs []workload.Program
@@ -333,32 +328,25 @@ func Boot(imagePath, ckptDir string, suite bool, srcPaths []string) (*obarch.Sna
 		}
 	}
 	if imagePath != "" {
-		f, err := os.Open(imagePath)
+		start := time.Now()
+		snap, err := image.ReadFile(imagePath)
 		switch {
-		case err == nil:
-			defer f.Close()
+		case errors.Is(err, os.ErrNotExist):
+			log.Printf("obarchd: image %s absent; cold boot (POST /save to create it)", imagePath)
+		case len(srcPaths) != 0:
 			// A warm boot serves exactly what the image holds; silently
 			// dropping extra sources (or advertising programs the image
 			// was saved without) would misrepresent the pool, so refuse
 			// the combination instead.
-			if len(srcPaths) != 0 {
-				return nil, nil, info, fmt.Errorf("cannot load source files over an existing image %s; delete it or drop the file arguments", imagePath)
-			}
-			start := time.Now()
-			snap, err := obarch.ReadImage(f)
-			if err != nil {
-				// The image rung failed: one more rung down, compile.
-				info.RecoveryLadder++
-				log.Printf("obarchd: recovery: image %s rejected (%v); falling to compile", imagePath, err)
-				break
-			}
+			return nil, nil, info, fmt.Errorf("cannot load source files over an existing image %s; delete it or drop the file arguments", imagePath)
+		case err != nil:
+			// The image rung failed: one more rung down, compile.
+			info.RecoveryLadder++
+			log.Printf("obarchd: recovery: image %s rejected (%v); falling to compile", imagePath, err)
+		default:
 			log.Printf("obarchd: warm boot from %s in %v", imagePath, time.Since(start).Round(time.Microsecond))
 			info.Mode = "warm"
 			return snap, programs, info, nil
-		case os.IsNotExist(err):
-			log.Printf("obarchd: image %s absent; cold boot (POST /save to create it)", imagePath)
-		default:
-			return nil, nil, info, err
 		}
 	}
 	sys := obarch.NewSystem(obarch.Options{})

@@ -6,16 +6,16 @@
 // obarchd's flags; Shutdown drains it.
 //
 // Durability. Boot descends a recovery ladder: the newest valid
-// checkpoint generation under -checkpoint-dir first (a generation whose
-// manifest or image fails its CRC is rejected, one rung each), then the
-// -image file (an unreadable image falls through), then
+// checkpoint generation under -checkpoint-dir first (a torn or corrupt
+// generation is rejected by the image's own checks, one rung each),
+// then the -image file (an unreadable image falls through), then
 // compile-from-source; /stats and /metrics export the rung taken. With
 // -checkpoint DUR a background checkpointer captures the pool's live
-// state every DUR into generation-numbered directories (atomic
-// staging-dir + fsync + rename; CRC-protected manifest), prunes to the
+// state every DUR into one image file per generation, prunes to the
 // newest -checkpoint-keep, and takes a final checkpoint during the
-// drain. POST /save persists the live state to the -image path
-// atomically, via a temp file and rename. Both capture shard 0's
+// drain. A checkpoint and POST /save, which persists the live state to
+// the -image path, are both written by image.WriteFile: temp file,
+// fsync, rename, directory fsync. Both capture shard 0's
 // machine between two of its requests, so traffic on shard 0 delays a
 // save by at most one request and never tears it.
 //
@@ -77,7 +77,7 @@
 //	GET  /stats       aggregated pool metrics (add ?format=text for a table):
 //	                  per-shard queue depths, node identity and image
 //	                  provenance, Go runtime gauges, and percentiles per
-//	                  stage — "latency_us"/"service_us" machine service,
+//	                  stage — "service_us" machine service,
 //	                  "queue_us" queue wait, "decode_us"/"encode_us" the
 //	                  codec spans, "http_latency_us" the whole handler
 //	GET  /metrics     Prometheus text exposition of the same counters,
@@ -502,7 +502,6 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		"unhealthy_shards": n.pool.UnhealthyShards(),
 		"ready":            n.notReady() == "",
 		"rotating":         n.pool.Rotating(),
-		"latency_us":       httpwire.Percentiles(service),
 		"service_us":       httpwire.Percentiles(service),
 		"queue_us":         httpwire.Percentiles(qwait),
 		"decode_us":        httpwire.Percentiles(dec),
@@ -515,7 +514,6 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		"runtime":          runtimeGauges(),
 		"slowlog_us":       n.pool.SlowThreshold().Microseconds(),
 		"checkpoint":       ckpt,
-		"checkpoint_age_s": ckpt.AgeS,
 		"binary":           n.binaryStats(),
 	})
 }

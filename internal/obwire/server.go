@@ -34,9 +34,13 @@ type Options struct {
 	// (queued) or starts its execution (inline lane); encode runs from
 	// the writer's reading after the answer is ready (queued) or the
 	// pool's exec-end reading (inline lane) until the answer is in the
-	// connection's write buffer and, when due, flushed. When the reader
-	// answered a frame with the next one already buffered, the reading
-	// that ends the answer's encode also starts the next frame's decode.
+	// connection's write buffer and, when due, flushed. An inline
+	// frame's encode span therefore also covers three steps before the
+	// encode: TryDo's release of the request's in-flight and admission
+	// slots, the framesInline count, and the wait for the connection's
+	// write lock. When the reader answered a frame with the next one
+	// already buffered, the reading that ends the answer's encode also
+	// starts the next frame's decode.
 	DecodeLat *stats.ConcurrentHistogram
 	EncodeLat *stats.ConcurrentHistogram
 	// Logf, when set, receives connection-level diagnostics (protocol

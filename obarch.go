@@ -210,10 +210,11 @@ func (s *System) ITLBHitRatio() float64 { return s.M.ITLB.HitRatio() }
 // CRC-protected and gated on a format and ISA-encoding version.
 func WriteImage(w io.Writer, snap *Snapshot) error { return image.Write(w, snap) }
 
-// ReadImage loads a snapshot previously written with WriteImage. The
-// loaded snapshot stamps out machines bit-identical to the originals —
-// same statistics, same warm ITLB — so a serving pool warm-starts from
-// disk without compile+load.
+// ReadImage loads a snapshot previously written with WriteImage. r must
+// hold exactly one image: bytes after it are refused. The loaded
+// snapshot stamps out machines bit-identical to the originals — same
+// statistics, same warm ITLB — so a serving pool warm-starts from disk
+// without compile+load.
 func ReadImage(r io.Reader) (*Snapshot, error) { return image.Read(r) }
 
 // SaveImage snapshots the system and writes the image to w. The system
@@ -226,10 +227,10 @@ func (s *System) SaveImage(w io.Writer) error {
 	return image.Write(w, snap)
 }
 
-// LoadImage reads an image and replaces the system's machine with one
-// instantiated from it, returning the snapshot so callers can also stamp
-// out pools (ServePool would re-snapshot; using the returned snapshot
-// directly skips that copy).
+// LoadImage reads an image, as ReadImage does, and replaces the system's
+// machine with one instantiated from it, returning the snapshot so
+// callers can also stamp out pools (ServePool would re-snapshot; using
+// the returned snapshot directly skips that copy).
 func (s *System) LoadImage(r io.Reader) (*Snapshot, error) {
 	snap, err := image.Read(r)
 	if err != nil {
