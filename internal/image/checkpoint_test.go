@@ -181,22 +181,22 @@ func TestRecoverLatestSkipsCorrupt(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRefusesCorruption sweeps a written generation file:
-// a flip of each header byte and of each section-header byte, a flip
-// inside every section payload, a truncation at every section boundary,
-// one appended byte and a foreign format version (header CRC repaired)
-// must each be refused, and the untouched file must still load.
-func TestLoadCheckpointRefusesCorruption(t *testing.T) {
-	dir := t.TempDir()
+// writeOneGeneration writes generation 1 under a fresh directory and
+// returns the directory, the file's path and its valid bytes, with a
+// refused helper that installs a corrupted copy and requires
+// LoadCheckpoint to reject it.
+func writeOneGeneration(t *testing.T) (dir, path string, valid []byte, refused func(what string, b []byte)) {
+	t.Helper()
+	dir = t.TempDir()
 	if _, err := WriteCheckpoint(dir, 1, ckptSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, genFileName(1))
+	path = filepath.Join(dir, genFileName(1))
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := func(what string, b []byte) {
+	refused = func(what string, b []byte) {
 		t.Helper()
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -205,7 +205,27 @@ func TestLoadCheckpointRefusesCorruption(t *testing.T) {
 			t.Errorf("%s went undetected", what)
 		}
 	}
+	return dir, path, valid, refused
+}
 
+// restoreLoads puts the valid bytes back and requires the generation to
+// load again, so a refusal above was the corruption's doing.
+func restoreLoads(t *testing.T, dir, path string, valid []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(dir, 1); err != nil {
+		t.Fatalf("restored generation does not load: %v", err)
+	}
+}
+
+// TestManifestRejectsCorruption: a generation file describes itself in
+// its image header and section headers, so those bytes are its
+// manifest. A flip of each of them, a truncation at every section
+// boundary and trailing junk must each be refused.
+func TestManifestRejectsCorruption(t *testing.T) {
+	dir, path, valid, refused := writeOneGeneration(t)
 	for off := 0; off < 24; off++ {
 		refused("header flip at "+strconv.Itoa(off), corrupt(valid, off))
 	}
@@ -220,7 +240,6 @@ func TestLoadCheckpointRefusesCorruption(t *testing.T) {
 		if payLen == 0 {
 			t.Fatalf("section at %d has an empty payload", off)
 		}
-		refused("payload flip at "+strconv.Itoa(off+16+payLen/2), corrupt(valid, off+16+payLen/2))
 		refused("truncation after the section header at "+strconv.Itoa(off), valid[:off+16])
 		off += 16 + payLen
 		if off < len(valid) {
@@ -230,13 +249,37 @@ func TestLoadCheckpointRefusesCorruption(t *testing.T) {
 	if sections != numSections {
 		t.Fatalf("walked %d sections, want %d", sections, numSections)
 	}
-	refused("one appended byte", append(bytes.Clone(valid), 0))
-	refused("foreign format version", fixHeaderCRC(corrupt(valid, 8)))
+	refused("trailing junk", append(bytes.Clone(valid), 0))
+	restoreLoads(t, dir, path, valid)
+}
 
-	if err := os.WriteFile(path, valid, 0o644); err != nil {
+// TestLoadCheckpointCrossChecks: the checks that tie a generation's
+// parts together. A flip inside every section payload dies on that
+// section's CRC, an appended byte on the image length, and a foreign
+// or future format version (header CRC repaired) on the version check.
+// The generation is the file name: a renamed file is that generation,
+// and the old name is gone.
+func TestLoadCheckpointCrossChecks(t *testing.T) {
+	dir, path, valid, refused := writeOneGeneration(t)
+	for off := 24; off < len(valid); {
+		payLen := int(binary.LittleEndian.Uint64(valid[off+4:]))
+		refused("payload flip at "+strconv.Itoa(off+16+payLen/2), corrupt(valid, off+16+payLen/2))
+		off += 16 + payLen
+	}
+	refused("image length mismatch", append(bytes.Clone(valid), 0))
+	refused("foreign format version", fixHeaderCRC(corrupt(valid, 8)))
+	future := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(future[8:], FormatVersion+1)
+	refused("future format version", fixHeaderCRC(future))
+	restoreLoads(t, dir, path, valid)
+
+	if err := os.Rename(path, filepath.Join(dir, genFileName(9))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadCheckpoint(dir, 1); err != nil {
-		t.Fatalf("restored generation does not load: %v", err)
+	if _, _, err := LoadCheckpoint(dir, 1); err == nil {
+		t.Error("a renamed-away generation still loads under its old number")
+	}
+	if _, m, err := LoadCheckpoint(dir, 9); err != nil || m.Generation != 9 {
+		t.Fatalf("renamed generation: generation %d, err %v; want 9, nil", m.Generation, err)
 	}
 }
