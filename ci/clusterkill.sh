@@ -4,7 +4,9 @@
 # image behind a race-built obrouter; race-built loadgen drives keyed +
 # keyless traffic through the router while we SIGKILL one node
 # mid-flight (no drain — its queue, its connections, and its counters
-# all die with it). The drill passes only if:
+# all die with it). Node 3 runs every send behind a 50ms stall, and the
+# kill waits until node 3 holds a send, so a send is in flight when it
+# dies. The drill passes only if:
 #
 #   - the kill is invisible to well-behaved clients: loadgen exits 0,
 #     zero non-retryable failures, every checksum validated — the
@@ -88,13 +90,18 @@ kill "$SEED" && wait "$SEED" 2>/dev/null || true
 [ -s "$IMG" ] || fail "seeder wrote no image at $IMG"
 
 echo "clusterkill: phase 1 — boot 3 nodes from $IMG behind obrouter"
-start_node() { # start_node HTTP_ADDR BIN_ADDR LOG
-  "$WORK/obarchd" -addr "$1" -binary-addr "$2" -image "$IMG" -workers 2 \
-    >>"$WORK/$3" 2>&1 &
+start_node() { # start_node HTTP_ADDR BIN_ADDR LOG [FLAG...]
+  local http="$1" bin="$2" log="$3"
+  shift 3
+  "$WORK/obarchd" -addr "$http" -binary-addr "$bin" -image "$IMG" -workers 2 "$@" \
+    >>"$WORK/$log" 2>&1 &
 }
 start_node "$A1" "$B1" node1.log; P1=$!
 start_node "$A2" "$B2" node2.log; P2=$!
-start_node "$A3" "$B3" node3.log; P3=$!
+# Node 3 stalls 50ms before every send it runs, so that once traffic
+# flows it is almost always mid-send: the kill below lands on a send in
+# flight, which the router must fail over.
+start_node "$A3" "$B3" node3.log -chaos "stall=1:50ms"; P3=$!
 wait_ready "http://$A1" node1
 wait_ready "http://$A2" node2
 wait_ready "http://$A3" node3
@@ -132,6 +139,15 @@ for _ in $(seq 1 200); do
   sleep 0.05
 done
 [ $((NOW - BASE_SENDS)) -ge 150 ] || fail "router saw only $((NOW - BASE_SENDS)) sends; kill would not be mid-traffic"
+# Kill only while node 3 itself holds a send: its own queue depths,
+# which count a send it is running, sum above zero.
+DEPTH=0
+for _ in $(seq 1 250); do
+  DEPTH=$(curl -fsS "http://$A3/stats" | jq '[.queue_depths[]] | add')
+  [ "$DEPTH" -gt 0 ] && break
+  sleep 0.02
+done
+[ "$DEPTH" -gt 0 ] || fail "node 3 held no send in 5s of polling after the router's first 150; kill would not land on a send in flight"
 kill -9 "$P3"
 wait "$P3" 2>/dev/null || true
 P3=""
@@ -177,7 +193,7 @@ GOT=$((AFTER - BEFORE))
 WANT=$((POSTS + REFUSAL_AFTER - REFUSAL_BEFORE))
 [ "$GOT" -eq "$WANT" ] || fail "conservation: survivor deltas $GOT, want $WANT ($POSTS submitted + $((REFUSAL_AFTER - REFUSAL_BEFORE)) refusal failovers)"
 
-echo "clusterkill: phase 4 — restart node 3 and watch the half-open probe recover it"
+echo "clusterkill: phase 4 — restart node 3 (without the stall) and watch the half-open probe recover it"
 start_node "$A3" "$B3" node3.log; P3=$!
 wait_ready "http://$A3" "restarted node3"
 for _ in $(seq 1 150); do

@@ -343,17 +343,75 @@ func TestCheckpointerLoop(t *testing.T) {
 		}
 	}
 
-	// A restarted checkpointer primes the age gauge from the newest
-	// generation file instead of reporting "never", and continues the
-	// numbering: its drain writes the next generation.
+	// A restarted node boots through the recovery ladder. Its
+	// checkpointer primes the age gauge from the generation it recovered
+	// instead of reporting "never", and continues the numbering: its
+	// drain writes the next generation.
 	cfg.Checkpoint = time.Hour
-	n2 := startNode(t, snap, workload.Suite(), cfg)
+	n2 := bootNode(t, cfg)
 	if st := checkpointBlock(t, n2); st.Generation != int64(taken) || st.AgeS < 0 || st.Taken != 0 {
 		t.Fatalf("restarted checkpointer not primed: %+v, want generation %d", st, taken)
 	}
 	n2.Shutdown(t.Context())
 	if gens, err := image.ListGenerations(dir); err != nil || gens[len(gens)-1] != taken+1 {
 		t.Fatalf("restarted checkpointer wrote generations %v (%v), want newest %d", gens, err, taken+1)
+	}
+}
+
+// bootNode boots as obarchd does, through node.Boot's recovery ladder
+// over cfg's checkpoint directory and image with the suite loaded, and
+// serves the result with Boot's provenance.
+func bootNode(t *testing.T, cfg node.Config) *node.Node {
+	t.Helper()
+	snap, programs, boot, err := node.Boot(cfg.ImagePath, cfg.CheckpointDir, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startBootedNode(t, snap, programs, boot, cfg)
+}
+
+// TestRestartReportsRecoveredGeneration restarts a node whose newest
+// generation is corrupt. Recovery falls to generation 1, and the
+// checkpointer reports generation 1 with that file's age, not the
+// rejected newest file's. Its drain numbers on from the newest file, so
+// the rejected one is not overwritten.
+func TestRestartReportsRecoveredGeneration(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	snap := suiteSnapshot(t)
+	for gen := uint64(1); gen <= 2; gen++ {
+		if _, err := image.WriteCheckpoint(dir, gen, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Generation 1 is an hour old; generation 2 is fresh and bit-flipped.
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, "gen-000000000001.img"), hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	gen2 := filepath.Join(dir, "gen-000000000002.img")
+	img, err := os.ReadFile(gen2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)/2] ^= 0x01
+	if err := os.WriteFile(gen2, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	n := bootNode(t, node.Config{
+		Pool:           serve.Config{Workers: 1, Timeout: 30 * time.Second},
+		Checkpoint:     time.Hour,
+		CheckpointDir:  dir,
+		CheckpointKeep: 5,
+	})
+	st := checkpointBlock(t, n)
+	if st.Generation != 1 || st.AgeS < 3590 || st.AgeS > 3700 {
+		t.Fatalf("checkpoint block = %+v, want generation 1 about an hour old", st)
+	}
+	n.Shutdown(t.Context())
+	gens, err := image.ListGenerations(dir)
+	if err != nil || len(gens) != 3 || gens[2] != 3 {
+		t.Fatalf("generations after the drain = %v (%v), want [1 2 3]", gens, err)
 	}
 }
 

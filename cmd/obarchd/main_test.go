@@ -46,8 +46,15 @@ func suiteSnapshot(tb testing.TB, extraSrc ...string) *obarch.Snapshot {
 // drains the node when tb ends.
 func startNode(tb testing.TB, snap *obarch.Snapshot, programs []workload.Program, cfg node.Config) *node.Node {
 	tb.Helper()
+	return startBootedNode(tb, snap, programs, node.BootInfo{}, cfg)
+}
+
+// startBootedNode is startNode for a snapshot with provenance boot, as
+// node.Boot reports it.
+func startBootedNode(tb testing.TB, snap *obarch.Snapshot, programs []workload.Program, boot node.BootInfo, cfg node.Config) *node.Node {
+	tb.Helper()
 	cfg.Addr, cfg.BinaryAddr = "127.0.0.1:0", "127.0.0.1:0"
-	n, err := node.New(snap, programs, node.BootInfo{}, cfg)
+	n, err := node.New(snap, programs, boot, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

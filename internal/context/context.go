@@ -247,13 +247,6 @@ func (c *Cache) setNxt(blk int) {
 	c.next, c.nxtW = 1<<blk, c.blocks[blk]
 }
 
-func singleton(v uint64) (int, bool) {
-	if v == 0 || v&(v-1) != 0 {
-		return 0, false
-	}
-	return bits.TrailingZeros64(v), true
-}
-
 func (c *Cache) currentBlock() int {
 	if c.curBlk < 0 {
 		panic("context: no current context")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/context"
 	"repro/internal/fpa"
@@ -21,7 +22,26 @@ import (
 // answered with the doesNotUnderstand trap a failed lookup raises,
 // without interning it: a stream of unknown selectors grows neither the
 // atom table nor the dynamic opcode space.
+//
+// Send owns the send's state from start to end. It runs under the bounds
+// Arm set since the previous send, or else the default step budget and
+// no deadline. Whatever it returns — an answer, a trap mid-run, or a
+// refusal before any context exists — it leaves the machine idle: no
+// current or next context, an invalid IP, and no budget or deadline
+// armed. The next Send needs no reset.
 func (m *Machine) Send(receiver word.Word, selector string, args ...word.Word) (word.Word, error) {
+	v, err := m.send(receiver, selector, args)
+	m.budget, m.deadline = 0, 0
+	if err != nil {
+		// A trap can strand the send mid-run: dissolve what it built. A
+		// root return has already dissolved the context pair itself.
+		m.Abort()
+	}
+	return v, err
+}
+
+// send is Send before its reset.
+func (m *Machine) send(receiver word.Word, selector string, args []word.Word) (word.Word, error) {
 	sel, known := m.Image.Atoms.Lookup(selector)
 	var op isa.Opcode
 	if known {
@@ -59,14 +79,20 @@ func (m *Machine) Send(receiver word.Word, selector string, args ...word.Word) (
 	}
 
 	// Root context: its uninitialised RIP is the halt sentinel.
-	rootSeg, rootAddr := m.allocContext()
+	rootSeg, rootAddr, err := m.allocContext()
+	if err != nil {
+		return word.Word{}, err
+	}
 	m.Ctx.AllocNext(rootSeg, word.Nil)
 	m.Ctx.Call()
 	m.CP = rootAddr
 
 	// Staging context, RCP already pointing back at the root (§3.6:
 	// "CP is already stored as RCP in the next context").
-	stagSeg, stagAddr := m.allocContext()
+	stagSeg, stagAddr, err := m.allocContext()
+	if err != nil {
+		return word.Word{}, err
+	}
 	m.Ctx.AllocNext(stagSeg, m.pointerWord(rootAddr))
 	m.NCP = stagAddr
 
@@ -92,22 +118,33 @@ func (m *Machine) Send(receiver word.Word, selector string, args ...word.Word) (
 	return m.result, nil
 }
 
-// pollMask sets how often Run polls the wall-clock deadline and the
-// asynchronous interrupt flag: at step 0 and then every pollMask+1 steps.
-// Polling before the first step means an already-exhausted budget traps
-// immediately instead of after a poll interval's worth of work.
+// Arm bounds the next Send: at most steps interpreted steps (0: the
+// config's MaxSteps) and, when d > 0, a wall-clock deadline d after now,
+// a Monotonic reading the caller already took. That Send consumes both.
+// Its step-0 poll stands for the reading now, which precedes the
+// deadline, so arming and starting the run cost no clock read of their
+// own. Like every Machine method but Interrupt, Arm may only be called by
+// the goroutine driving the machine.
+func (m *Machine) Arm(now int64, steps uint64, d time.Duration) {
+	m.budget, m.deadline = steps, 0
+	if d > 0 {
+		m.deadline = now + int64(d)
+	}
+}
+
+// pollMask sets how often Run polls the asynchronous interrupt flag and
+// the wall-clock deadline: every pollMask+1 steps, the interrupt from
+// step 0 on. The deadline's step-0 poll is the reading Arm took, so the
+// clock is first read at step pollMask+1.
 const pollMask = 1023
 
 // Run executes instructions until the root send returns, a trap surfaces,
-// the step limit is reached, or the deadline/interrupt poll fires.
+// the armed step budget is spent, or the deadline/interrupt poll fires.
 func (m *Machine) Run() error {
-	maxSteps := m.Cfg.MaxSteps
-	// The step-0 poll of a deadline SetDeadlineAt armed reuses the
-	// reading it was armed from, and the deadline lies after that
-	// reading: the poll passes without reading the clock. A deadline set
-	// any other way is polled against the clock from step 0.
-	armed := m.Deadline != 0 && m.Deadline == m.armed
-	m.armed = 0
+	maxSteps := m.budget
+	if maxSteps == 0 {
+		maxSteps = m.Cfg.MaxSteps
+	}
 	for steps := uint64(0); !m.halted; steps++ {
 		if steps >= maxSteps {
 			return trapf("resources", "step limit %d exceeded", maxSteps)
@@ -116,7 +153,7 @@ func (m *Machine) Run() error {
 			if atomic.LoadInt32(&m.interrupt) != 0 {
 				return trapf("interrupt", "execution interrupted after %d steps", steps)
 			}
-			if m.Deadline != 0 && !(steps == 0 && armed) && Monotonic() > m.Deadline {
+			if m.deadline != 0 && steps != 0 && Monotonic() > m.deadline {
 				return trapf("timeout", "deadline exceeded after %d steps", steps)
 			}
 		}
@@ -136,15 +173,18 @@ func (m *Machine) Interrupt() { atomic.StoreInt32(&m.interrupt, 1) }
 // ClearInterrupt rearms the machine after an interrupt.
 func (m *Machine) ClearInterrupt() { atomic.StoreInt32(&m.interrupt, 0) }
 
-// Abort abandons an in-flight send after a trap, returning the machine to
-// an idle, reusable state. The abandoned context chain stays allocated but
-// unreachable; the next garbage collection reclaims it. Calling Abort on
-// an idle machine is a no-op.
+// Abort returns the machine to idle: it dissolves the context pair,
+// invalidates the IP and disarms the bounds Arm set. The abandoned
+// context chain stays allocated but unreachable; the next garbage
+// collection reclaims it. Send calls it whenever it returns a trap, so
+// only callers that drive Step or Run themselves need it, after a trap.
+// On an idle machine it changes nothing a later send depends on.
 func (m *Machine) Abort() {
 	m.Ctx.Deactivate()
 	m.CP, m.NCP = fpa.Addr{}, fpa.Addr{}
 	m.IP = CodePtr{}
 	m.halted = false
+	m.budget, m.deadline = 0, 0
 }
 
 // Step interprets one instruction: the five-step sequence of §3.6
@@ -527,7 +567,10 @@ func (m *Machine) enterMethod(meth *object.Method, flushCycles uint64) error {
 	m.Ctx.Call()
 	m.CP = m.NCP
 
-	seg, addr := m.allocContext()
+	seg, addr, err := m.allocContext()
+	if err != nil {
+		return err
+	}
 	m.Ctx.AllocNext(seg, m.pointerWord(m.CP))
 	m.NCP = addr
 

@@ -91,13 +91,18 @@ func (m *Machine) decodeRIP(w word.Word) (CodePtr, error) {
 
 // allocContext produces a context segment plus its (stable) virtual
 // address. Recycled contexts keep the virtual name bound when they were
-// first created.
-func (m *Machine) allocContext() (*memory.Segment, fpa.Addr) {
+// first created. A fresh context needs a fresh name: once nextCtxName
+// has handed out every name at the context exponent, and the free list
+// holds no named context to recycle, the allocation traps instead.
+func (m *Machine) allocContext() (*memory.Segment, fpa.Addr, error) {
+	if m.Free.Len() == 0 && m.ctxNameCounter >= m.Cfg.Format.SegmentsAt(fpa.MinExpFor(uint64(m.Cfg.CtxWords))) {
+		return nil, fpa.Addr{}, trapf("resources", "context names exhausted (%d handed out)", m.ctxNameCounter)
+	}
 	m.Stats.CtxAllocs++
 	seg := m.Free.Alloc()
 	if a, ok := m.ctxAddrs[seg.Base]; ok {
 		seg.Captured = false
-		return seg, a
+		return seg, a, nil
 	}
 	// First use: bind a virtual name covering the whole context.
 	exp := uint8(fpa.MinExpFor(uint64(m.Cfg.CtxWords)))
@@ -113,7 +118,7 @@ func (m *Machine) allocContext() (*memory.Segment, fpa.Addr) {
 		panic(err)
 	}
 	m.ctxAddrs[seg.Base] = a
-	return seg, a
+	return seg, a, nil
 }
 
 // nextCtxName hands out fresh integer parts for context names at the

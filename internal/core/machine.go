@@ -94,7 +94,7 @@ type Config struct {
 	ATLB       memory.ATLBConfig
 	Hierarchy  []memory.Level
 	Penalties  Penalties
-	MaxSteps   uint64 // safety limit per Run; 0 means the default
+	MaxSteps   uint64 // step budget of a Send that Arm did not bound; 0 means the default
 	NoITLB     bool   // ablation: perform full method lookup on every dispatch
 	Privileged bool   // initial PS privilege (allows the as instruction)
 
@@ -296,18 +296,11 @@ type Machine struct {
 	ctxNameCounter uint64
 	extraRoots     []word.Word
 
-	// Deadline, when nonzero, bounds Run by wall clock: execution traps
-	// with a timeout once the process monotonic clock (see Monotonic)
-	// passes it, so a poll compares one int64. It is checked at every
-	// poll point, including before the first step, and must only be set
-	// by the goroutine driving the machine (the serve pool arms it per
-	// request with SetDeadlineAt).
-	Deadline int64
-	// armed is the Deadline SetDeadlineAt last armed from a caller's
-	// clock reading, 0 when none. The next Run consumes it: while
-	// Deadline still holds it, the step-0 poll reuses that reading
-	// instead of reading the clock again.
-	armed int64
+	// budget and deadline are the bounds Arm set for the next Send: its
+	// step budget (0: Cfg.MaxSteps) and its wall-clock deadline as a
+	// Monotonic reading (0: none). Abort clears both.
+	budget   uint64
+	deadline int64
 	// interrupt is an asynchronous stop request, set from other goroutines
 	// via Interrupt and polled by Run at the deadline cadence.
 	interrupt int32
@@ -331,36 +324,12 @@ var procEpoch = time.Now()
 
 // Monotonic returns the current reading of the process monotonic clock in
 // nanoseconds since process start — one vDSO clock read, no wall time.
-// It is the one clock of the serving path: Machine.Deadline, the flight
-// recorder's timestamps (whose epoch is a reading of it), the pool's
-// queue-wait and service spans and obwire's decode and encode spans all
-// count in it, so a reading taken where one stage ends is reused as the
-// next stage's start.
+// It is the one clock of the serving path: the deadline Machine.Arm
+// sets, the flight recorder's timestamps (whose epoch is a reading of
+// it), the pool's queue-wait and service spans and obwire's decode and
+// encode spans all count in it, so a reading taken where one stage ends
+// is reused as the next stage's start.
 func Monotonic() int64 { return int64(time.Since(procEpoch)) }
-
-// SetDeadline arms the wall-clock bound d from a fresh Monotonic reading;
-// non-positive d clears it. Like Deadline itself it may only be called by
-// the goroutine driving the machine.
-func (m *Machine) SetDeadline(d time.Duration) {
-	var now int64
-	if d > 0 {
-		now = Monotonic()
-	}
-	m.SetDeadlineAt(now, d)
-}
-
-// SetDeadlineAt arms the wall-clock bound d from now, a Monotonic reading
-// the caller already took; non-positive d clears it. The next Run's
-// step-0 poll reuses now rather than reading the clock, so arming a
-// deadline and starting the run cost no clock read of their own.
-func (m *Machine) SetDeadlineAt(now int64, d time.Duration) {
-	if d <= 0 {
-		m.Deadline, m.armed = 0, 0
-		return
-	}
-	m.Deadline = now + int64(d)
-	m.armed = m.Deadline
-}
 
 // Status is the PS register.
 type Status struct {
@@ -439,23 +408,6 @@ func (m *Machine) OpcodeFor(sel object.Selector) (isa.Opcode, error) {
 	m.selOp[sel] = op
 	m.opSel[op] = sel
 	return op, nil
-}
-
-// SelectorFor returns the selector bound to an opcode.
-func (m *Machine) SelectorFor(op isa.Opcode) (object.Selector, bool) {
-	sel, ok := m.opSel[op]
-	return sel, ok
-}
-
-// OpcodeNames returns mnemonics for dynamic opcodes, for the disassembler.
-func (m *Machine) OpcodeNames() map[isa.Opcode]string {
-	out := make(map[isa.Opcode]string, len(m.opSel))
-	for op, sel := range m.opSel {
-		if !op.IsFixed() {
-			out[op] = m.Image.Atoms.Name(sel)
-		}
-	}
-	return out
 }
 
 // installPrimitives populates the bootstrap classes' message dictionaries
@@ -599,9 +551,3 @@ func (m *Machine) classFor(id word.Class) *object.Class {
 	}
 	return m.Image.Object
 }
-
-// Halted reports whether the machine has returned from its root send.
-func (m *Machine) Halted() bool { return m.halted }
-
-// Result returns the value delivered by the root return.
-func (m *Machine) Result() word.Word { return m.result }

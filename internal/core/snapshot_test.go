@@ -168,9 +168,8 @@ func TestDeadlineTrapsAndAbortRecovers(t *testing.T) {
 		add c4, c3, c3
 		ret c4
 	`)
-	m.SetDeadline(20 * time.Millisecond)
+	m.Arm(Monotonic(), 0, 20*time.Millisecond)
 	_, err := m.Send(word.FromInt(1), "spin")
-	m.Deadline = 0
 	if err == nil {
 		t.Fatalf("spin returned without a deadline trap")
 	}
@@ -178,51 +177,91 @@ func TestDeadlineTrapsAndAbortRecovers(t *testing.T) {
 	if !ok || trap.Kind != "timeout" {
 		t.Fatalf("expected timeout trap, got %v", err)
 	}
-	// The wedged machine recovers with Abort and serves again.
+	// Send left the machine idle, so Abort has nothing left to do, and
+	// the machine serves again.
 	m.Abort()
 	if got := sendInt(t, m, 21, "double"); got != word.FromInt(42) {
 		t.Fatalf("post-abort 21 double = %v", got)
 	}
 }
 
-// TestPastDeadlineTrapsAtStepZero pins the step-0 poll: a deadline that
-// has already passed traps before the first instruction, whether it was
-// written directly or armed by SetDeadlineAt from a reading whose bound
-// is already over — the step-0 poll reuses an armed reading only while
-// Deadline still holds the value armed from it, and only for one Run.
-func TestPastDeadlineTrapsAtStepZero(t *testing.T) {
+// TestSendLeavesMachineIdle pins Send's contract: whatever a send ends
+// in, the machine is left idle — no current or next context, an invalid
+// IP, no budget or deadline armed — and the next send runs with the
+// default budget and no deadline. The bounds Arm sets last one send,
+// and a deadline armed from a reading whose bound is already over traps
+// at the first poll that reads the clock.
+func TestSendLeavesMachineIdle(t *testing.T) {
 	m := New(Config{})
 	install(t, m, m.Image.SmallInt, "spin", 0, 1, `
 	loop:
 		nop
 		rjmp =1, loop
 	`)
-	wantStep0 := func(what string) {
-		t.Helper()
-		_, err := m.Send(word.FromInt(1), "spin")
-		trap, ok := err.(*Trap)
-		if !ok || trap.Kind != "timeout" || trap.Msg != "deadline exceeded after 0 steps" {
-			t.Fatalf("%s: got %v, want a timeout trap at step 0", what, err)
-		}
-		m.Abort()
+	install(t, m, m.Image.SmallInt, "boom", 0, 1, `
+		zork c4, c3
+		ret  c4
+	`)
+	install(t, m, m.Image.SmallInt, "double", 0, 1, `
+		add c4, c3, c3
+		ret c4
+	`)
+	// sumTo: sum of 1..receiver, about four steps a term. 1000 of them
+	// outrun every budget below and poll the clock several times.
+	install(t, m, m.Image.SmallInt, "sumTo", 0, 4, `
+		move c4, =0
+		move c5, =1
+	loop:
+		add  c4, c4, c5
+		add  c5, c5, =1
+		le   c6, c5, c3
+		rjmp c6, loop
+		ret  c4
+	`)
+	cases := []struct {
+		name     string
+		recv     int32
+		sel      string
+		args     []word.Word
+		steps    uint64
+		d        time.Duration
+		stale    bool // arm from a reading a second old
+		wantTrap string
+		want     int32
+	}{
+		{name: "mid-run trap", recv: 1, sel: "boom", wantTrap: "doesNotUnderstand"},
+		{name: "step limit", recv: 1, sel: "spin", steps: 100, wantTrap: "resources"},
+		{name: "deadline", recv: 1, sel: "spin", d: 5 * time.Millisecond, wantTrap: "timeout"},
+		{name: "stale deadline", recv: 1, sel: "spin", d: time.Millisecond, stale: true, wantTrap: "timeout"},
+		{name: "root primitive", recv: 3, sel: "+", args: []word.Word{word.FromInt(4)}, steps: 1, d: time.Millisecond, stale: true, want: 7},
+		{name: "unknown selector", recv: 1, sel: "nonesuch", steps: 1, d: time.Millisecond, stale: true, wantTrap: "doesNotUnderstand"},
+		{name: "success", recv: 21, sel: "double", steps: 10, d: time.Hour, want: 42},
 	}
-	m.Deadline = Monotonic() - 1
-	wantStep0("deadline written in the past")
-
-	// An armed deadline is consumed by the Run it was armed for: a later
-	// Run with Deadline rewritten into the past polls the clock.
-	m.SetDeadlineAt(Monotonic(), time.Hour)
-	m.Deadline = 1
-	wantStep0("armed deadline overwritten")
-
-	m.SetDeadlineAt(Monotonic()-int64(time.Second), time.Millisecond)
-	if _, err := m.Send(word.FromInt(1), "spin"); err == nil {
-		t.Fatal("spin under an expired armed deadline returned without a trap")
-	}
-	m.Abort()
-	m.SetDeadline(0)
-	if m.Deadline != 0 {
-		t.Fatalf("SetDeadline(0) left Deadline %d", m.Deadline)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			now := Monotonic()
+			if tc.stale {
+				now -= int64(time.Second)
+			}
+			m.Arm(now, tc.steps, tc.d)
+			v, err := m.Send(word.FromInt(tc.recv), tc.sel, tc.args...)
+			if tc.wantTrap != "" {
+				if trap, ok := err.(*Trap); !ok || trap.Kind != tc.wantTrap {
+					t.Fatalf("got %v, %v; want a %s trap", v, err, tc.wantTrap)
+				}
+			} else if err != nil || v != word.FromInt(tc.want) {
+				t.Fatalf("got %v, %v; want %d", v, err, tc.want)
+			}
+			if m.Ctx.HasCurrent() || m.Ctx.HasNext() || m.IP.Valid() {
+				t.Fatalf("not idle: current %v next %v IP %+v", m.Ctx.HasCurrent(), m.Ctx.HasNext(), m.IP)
+			}
+			if m.budget != 0 || m.deadline != 0 {
+				t.Fatalf("bounds still armed: budget %d deadline %d", m.budget, m.deadline)
+			}
+			if got := sendInt(t, m, 1000, "sumTo"); got != word.FromInt(500500) {
+				t.Fatalf("next send: 1000 sumTo = %v", got)
+			}
+		})
 	}
 }
 

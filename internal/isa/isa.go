@@ -200,17 +200,6 @@ func FixedByName(name string) (Opcode, bool) {
 	return 0, false
 }
 
-// FixedBySelector resolves a message name (e.g. "+", "at:put:") to the
-// well-known opcode answering it.
-func FixedBySelector(sel string) (Opcode, bool) {
-	for op := Opcode(0); op < numFixed; op++ {
-		if fixedInfo[op].selector == sel && sel != "" {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
 // FixedOpcodes calls fn for every well-known opcode.
 func FixedOpcodes(fn func(Opcode)) {
 	for op := Opcode(0); op < numFixed; op++ {

@@ -134,13 +134,6 @@ func TestFixedByNameAndSelector(t *testing.T) {
 	if _, ok := FixedByName("bogus"); ok {
 		t.Fatal("resolved bogus mnemonic")
 	}
-	op, ok = FixedBySelector("<")
-	if !ok || op != Lt {
-		t.Fatalf("FixedBySelector(<) = %v,%v", op, ok)
-	}
-	if _, ok := FixedBySelector(""); ok {
-		t.Fatal("empty selector resolved")
-	}
 }
 
 func TestFixedOpcodesEnumeratesAll(t *testing.T) {

@@ -72,15 +72,6 @@ func NewHierarchy(levels ...Level) *Hierarchy {
 	return h
 }
 
-// DefaultHierarchy models the COM block diagram: a fast primary store
-// backed by main memory.
-func DefaultHierarchy() *Hierarchy {
-	return NewHierarchy(
-		Level{Name: "primary", Entries: 1024, Assoc: 2, BlockWords: 4, Penalty: 4},
-		Level{Name: "main", Entries: 65536, Assoc: 4, BlockWords: 16, Penalty: 40},
-	)
-}
-
 // Access charges one reference to the absolute address: each level is
 // offered the address in turn, and every miss adds that level's penalty
 // before the next level is consulted. The returned value is the total

@@ -143,16 +143,6 @@ func (s AllocStats) TotalAllocs() uint64 {
 	return t
 }
 
-// ContextShare returns the fraction of all allocations that were contexts —
-// the paper's 85% figure.
-func (s AllocStats) ContextShare() float64 {
-	t := s.TotalAllocs()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Allocs[KindContext]) / float64(t)
-}
-
 const (
 	slabShift = 12
 	// SlabWords is the capacity of one slab of absolute space: segments

@@ -119,9 +119,6 @@ func TestAllocStats(t *testing.T) {
 	s.Alloc(32, 0, KindContext)
 	s.Alloc(32, 0, KindContext)
 	s.Alloc(10, 0, KindObject)
-	if got := s.Stats.ContextShare(); got != 0.75 {
-		t.Fatalf("context share = %v", got)
-	}
 	if s.Stats.TotalAllocs() != 4 {
 		t.Fatalf("total allocs = %d", s.Stats.TotalAllocs())
 	}
@@ -449,11 +446,4 @@ func TestHierarchyBadBlockPanics(t *testing.T) {
 		}
 	}()
 	NewHierarchy(Level{Name: "x", Entries: 4, Assoc: 1, BlockWords: 3, Penalty: 1})
-}
-
-func TestDefaultHierarchy(t *testing.T) {
-	h := DefaultHierarchy()
-	if len(h.LevelNames()) != 2 {
-		t.Fatalf("default levels = %v", h.LevelNames())
-	}
 }

@@ -44,11 +44,13 @@ type checkpointer struct {
 }
 
 // newCheckpointer prepares (but does not start) a checkpointer. The next
-// generation number continues from whatever the directory already holds,
-// and the age gauge is primed from the newest generation file's mtime,
-// without reading the image, so a freshly recovered node reports its
-// checkpoint's real age, not "never".
-func newCheckpointer(pool *serve.Pool, dir string, keep int, interval time.Duration) (*checkpointer, error) {
+// generation number continues from the newest file the directory holds,
+// so a file that recovery rejected is never overwritten. The generation
+// and age gauges start at recovered, the generation Boot recovered, the
+// age from its file's mtime without reading the image: a freshly
+// recovered node reports the checkpoint it holds and that checkpoint's
+// real age, and both read -1 when the boot took a lower rung.
+func newCheckpointer(pool *serve.Pool, dir string, keep int, interval time.Duration, recovered int64) (*checkpointer, error) {
 	gens, err := image.ListGenerations(dir)
 	if err != nil {
 		return nil, err
@@ -64,11 +66,12 @@ func newCheckpointer(pool *serve.Pool, dir string, keep int, interval time.Durat
 	}
 	c.lastGen.Store(-1)
 	if len(gens) > 0 {
-		newest := gens[len(gens)-1]
-		c.nextGen = newest + 1
-		if m, err := image.StatCheckpoint(dir, newest); err == nil {
+		c.nextGen = gens[len(gens)-1] + 1
+	}
+	if recovered >= 0 {
+		if m, err := image.StatCheckpoint(dir, uint64(recovered)); err == nil {
 			c.lastNS.Store(m.CreatedUnixNS)
-			c.lastGen.Store(int64(m.Generation))
+			c.lastGen.Store(recovered)
 		}
 	}
 	return c, nil

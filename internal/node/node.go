@@ -215,7 +215,7 @@ func New(snap *obarch.Snapshot, programs []workload.Program, boot BootInfo, cfg 
 	}
 	var err error
 	if cfg.Checkpoint > 0 {
-		if n.ckpt, err = newCheckpointer(n.pool, cfg.CheckpointDir, cfg.CheckpointKeep, cfg.Checkpoint); err != nil {
+		if n.ckpt, err = newCheckpointer(n.pool, cfg.CheckpointDir, cfg.CheckpointKeep, cfg.Checkpoint, boot.RecoveredGeneration); err != nil {
 			n.pool.Close()
 			return nil, fmt.Errorf("-checkpoint-dir %s: %w", cfg.CheckpointDir, err)
 		}

@@ -113,10 +113,6 @@ func (m *Method) String() string {
 	return fmt.Sprintf("%s>>#%d", cls, m.Selector)
 }
 
-// FrameWords returns the number of context words the method needs:
-// RCP, RIP, arg0 (result pointer), receiver, args, temps (§4 figure 8).
-func (m *Method) FrameWords() int { return 4 + m.NumArgs + m.NumTemps }
-
 // Class is a COM class: a name, a superclass link, named instance fields,
 // and a message dictionary.
 type Class struct {

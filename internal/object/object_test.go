@@ -282,14 +282,6 @@ func TestImageDefine(t *testing.T) {
 	})
 }
 
-func TestMethodFrameWords(t *testing.T) {
-	m := &Method{NumArgs: 2, NumTemps: 3}
-	// RCP + RIP + result + receiver + 2 args + 3 temps = 9
-	if got := m.FrameWords(); got != 9 {
-		t.Fatalf("FrameWords = %d, want 9", got)
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	c := NewClass("Point", nil)
 	m := &Method{Selector: 42}

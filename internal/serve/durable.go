@@ -10,7 +10,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -59,12 +58,13 @@ func (p *Pool) SnapshotLive() (*core.Snapshot, error) {
 	s := p.shards[0]
 	s.execMu.Lock()
 	defer s.execMu.Unlock()
-	t0 := time.Now()
+	t0 := core.Monotonic()
 	snap, err := s.m.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("serve: live snapshot: %w", err)
 	}
-	s.fr.Record(flight.KindCheckpoint, 0, uint64(time.Since(t0)))
+	t1 := core.Monotonic()
+	s.fr.RecordAt(flight.KindCheckpoint, 0, uint64(t1-t0), s.fr.TS(t1))
 	return snap, nil
 }
 
@@ -77,12 +77,11 @@ func (p *Pool) Rotating() bool { return p.rotating.Load() }
 // at a time, between requests. Each shard is stamped under its own
 // execMu while the other shards keep serving and the stamping shard's
 // queue buffers — no request is failed, shed, or paused pool-wide,
-// which is what makes the rotation zero-downtime. Retired-machine
-// accounting folds into the shard accumulators exactly as panic
-// re-stamps do, so MachineStats and the ITLB ratio conserve across the
-// swap. Each shard's src advances to next as it is stamped, so later
-// panic re-stamps clone the new image, and Rotations is bumped once
-// every shard is swapped.
+// which is what makes the rotation zero-downtime. Retired-machine stats
+// fold into the shard's retired total exactly as panic re-stamps do, so
+// MachineStats conserves across the swap. Each shard's src advances to
+// next as it is stamped, so later panic re-stamps clone the new image,
+// and Rotations is bumped once every shard is swapped.
 //
 // A stamp is a clone and cannot fail, so once Rotate starts swapping it
 // finishes: it returns an error only for a nil snapshot, a closed pool
@@ -103,9 +102,10 @@ func (p *Pool) Rotate(next *core.Snapshot) error {
 
 	for _, s := range p.shards {
 		s.execMu.Lock()
-		t0 := time.Now()
+		t0 := core.Monotonic()
 		s.swapMachine(next)
-		s.fr.Record(flight.KindRotate, 0, uint64(time.Since(t0)))
+		t1 := core.Monotonic()
+		s.fr.RecordAt(flight.KindRotate, 0, uint64(t1-t0), s.fr.TS(t1))
 		s.execMu.Unlock()
 	}
 	p.rotations.Add(1)

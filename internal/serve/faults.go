@@ -133,8 +133,8 @@ func (p *Pool) invoke(s *shard, req Request) (v word.Word, err error, panicked, 
 }
 
 // quarantine handles a caught panic on a shard: the interrupted machine
-// is retired (its accounting folded into the shard's accumulators so
-// nothing un-conserves) and a fresh worker is re-stamped from the pool
+// is retired (its stats folded into the shard's retired total so
+// MachineStats conserves) and a fresh worker is re-stamped from the pool
 // snapshot. Called under execMu, from serveOne's barrier or the driver's.
 // ts is the panicked request's exec-end recorder timestamp; quarantine
 // returns the core.Monotonic reading the re-stamp finished at.
@@ -167,19 +167,14 @@ func (p *Pool) restamp(s *shard) {
 
 // swapMachine retires the shard's machine and stamps a fresh one from
 // snap, recording snap as the shard's stamping source. The retired
-// machine's stats move into the shard's accumulators first — MachineStats
-// and the ITLB ratio conserve across the swap — and the collector and GC
+// machine's stats move into the shard's retired total first, so
+// MachineStats conserves across the swap, and the collector and GC
 // cadence restart with the clean heap. The shared mechanism under panic
 // re-stamps and live rotation. Called under execMu.
 func (s *shard) swapMachine(snap *core.Snapshot) {
 	s.retired.Add(s.m.Stats)
-	cs := s.m.ITLB.CacheStats()
-	s.itlbHitAcc += cs.Hits - s.itlbHitBase
-	s.itlbTotalAcc += (cs.Hits - s.itlbHitBase) + (cs.Misses - s.itlbMissBase)
 	s.m = snap.NewMachine()
 	s.src = snap
-	ncs := s.m.ITLB.CacheStats()
-	s.itlbHitBase, s.itlbMissBase = ncs.Hits, ncs.Misses
 	s.col = gc.Collector{}
 	s.sinceGC = 0
 }

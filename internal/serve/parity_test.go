@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/word"
 )
 
@@ -348,4 +350,66 @@ func TestAccountingGolden(t *testing.T) {
 		assertParity(t, got[i].Name+" (fixture vs now)", want[i].Stats, got[i].Stats, want[i].Answers, got[i].Answers)
 	}
 	t.Fatal("fixture bytes differ from a fresh encoding of equal rows")
+}
+
+// TestPoolITLBTotals pins the pool's ITLB totals against a replay. A
+// one-worker pool serves the fixed sequence with one injected panic and
+// one rotation between requests, and Metrics().ITLB must equal the hits
+// and lookups of the same sends on machines stamped as the shard stamps
+// them: a clone of the boot snapshot at start and after the panic's
+// re-stamp, a clone of the rotation's snapshot after Rotate. The
+// injected panic fires before Send, so its request makes no lookups.
+func TestPoolITLBTotals(t *testing.T) {
+	snap, steps := sequenceSteps(t, false)
+	var reqs []serve.Request
+	for _, st := range steps {
+		for k := 0; k < st.n; k++ {
+			reqs = append(reqs, st.req)
+		}
+	}
+	// The panic fires on the panicAt-th execution, and only there: twice
+	// panicAt exceeds the sequence. The rotation comes after it, so the
+	// re-stamp clones the boot snapshot.
+	panicAt, rotateAt := len(reqs)/2+1, len(reqs)*3/4
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, Faults: &serve.Faults{PanicEvery: panicAt}})
+	defer pool.Close()
+
+	m := snap.NewMachine()
+	var want stats.Ratio
+	for i, req := range reqs {
+		if i == rotateAt {
+			next, err := pool.SnapshotLive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Rotate(next); err != nil {
+				t.Fatal(err)
+			}
+			m = next.NewMachine()
+			if cs := m.ITLB.CacheStats(); cs.Hits == 0 || cs.Misses == 0 {
+				t.Fatalf("rotation target stamps with ITLB counters %+v, want both nonzero", cs)
+			}
+		}
+		res := pool.Do(req)
+		if i+1 == panicAt {
+			if !errors.Is(res.Err, serve.ErrPanic) {
+				t.Fatalf("request %d: %v, want the injected panic", i, res.Err)
+			}
+			m = snap.NewMachine()
+			continue
+		}
+		if res.Err != nil {
+			t.Fatalf("request %d (%s): %v", i, req.Selector, res.Err)
+		}
+		pre := m.ITLB.CacheStats()
+		if _, err := m.Send(req.Receiver, req.Selector, req.Args...); err != nil {
+			t.Fatalf("replay %d (%s): %v", i, req.Selector, err)
+		}
+		post := m.ITLB.CacheStats()
+		want.Hits += post.Hits - pre.Hits
+		want.Total += post.Hits + post.Misses - pre.Hits - pre.Misses
+	}
+	if got := pool.Metrics().ITLB; got != want || want.Total == 0 {
+		t.Fatalf("pool ITLB %+v, replay %+v", got, want)
+	}
 }

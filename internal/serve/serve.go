@@ -41,9 +41,11 @@
 // amortising the channel receive and scheduler round-trip across queued
 // work. A caller with many requests pipelines them through Go and waits
 // each Future in turn. Each request carries an optional step budget and
-// wall-clock timeout; a request that traps, times out or exhausts its
-// budget is aborted and the machine is reused, with the abandoned context
-// chain reclaimed by a periodic per-shard garbage collection.
+// wall-clock timeout, which the pool arms on the machine for that one
+// send (core.Machine.Arm). A send that traps, times out or exhausts its
+// budget leaves the machine idle, as every send does, so the next
+// request runs on it at once; a periodic per-shard garbage collection
+// reclaims the context chain the trap abandoned.
 //
 // The pool degrades instead of collapsing when pushed past capacity,
 // and heals itself when a worker is lost:
@@ -476,12 +478,9 @@ type shard struct {
 	reqSeq atomic.Uint64
 	qlat   stats.ConcurrentHistogram
 
-	// Driver-private GC cadence and ITLB baselines: sinceGC is only
-	// touched under execMu; the baselines are reset at every (re)stamp so
-	// aggregates report only traffic served by this pool.
-	sinceGC      int
-	itlbHitBase  uint64
-	itlbMissBase uint64
+	// sinceGC is the driver-private GC cadence, only touched under
+	// execMu.
+	sinceGC int
 
 	// Recovery state. src is the shard's stamping source: the snapshot a
 	// panic re-stamp clones a fresh machine from. It starts as the pool's
@@ -489,17 +488,14 @@ type shard struct {
 	// while a rotation is part-way through, a shard re-stamps from the
 	// image its own machine came from. Only touched under execMu.
 	// retired accumulates the machine-level stats of quarantined (and
-	// rotated-out) machines so MachineStats conserves across re-stamps;
-	// itlbHitAcc/itlbTotalAcc do the same for the ITLB ratio (all under
-	// execMu). unhealthy is set when the shard's last execution panicked
-	// and cleared by its next success — the readiness signal. chaos is
-	// the shard's arm of the fault plan (nil when unarmed).
-	src          *core.Snapshot
-	retired      core.Stats
-	itlbHitAcc   uint64
-	itlbTotalAcc uint64
-	unhealthy    atomic.Bool
-	chaos        *chaosState
+	// rotated-out) machines so MachineStats conserves across re-stamps
+	// (under execMu). unhealthy is set when the shard's last execution
+	// panicked and cleared by its next success — the readiness signal.
+	// chaos is the shard's arm of the fault plan (nil when unarmed).
+	src       *core.Snapshot
+	retired   core.Stats
+	unhealthy atomic.Bool
+	chaos     *chaosState
 }
 
 // Pool is a sharded serving pool over machines cloned from one snapshot.
@@ -563,16 +559,13 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 	p.rec = flight.New(cfg.Workers, cfg.FlightRingSize)
 	p.slowNS = int64(cfg.SlowThreshold)
 	for i := 0; i < cfg.Workers; i++ {
-		m := snap.NewMachine()
 		s := &shard{
 			id:    i,
-			m:     m,
+			m:     snap.NewMachine(),
 			src:   snap,
 			queue: make(chan job, cfg.QueueDepth),
 			fr:    p.rec.Ring(i),
 		}
-		cs := m.ITLB.CacheStats()
-		s.itlbHitBase, s.itlbMissBase = cs.Hits, cs.Misses
 		if cfg.Faults != nil {
 			s.chaos = newChaosState(*cfg.Faults, i)
 		}
@@ -1036,16 +1029,16 @@ func (p *Pool) serveJob(s *shard, j job) {
 	j.fut.complete(res)
 }
 
-// serveOne executes a request on the shard's machine, restoring the
-// machine to an idle state whatever happens — by re-stamping it from the
-// snapshot if "whatever" was a panic. Callers hold execMu, which makes
-// this the shard's single metrics and flight-event writer: id is the
-// request's flight id and enq its enqueue timestamp in recorder
-// nanoseconds (enqInline for Do's never-queued fast path). start is the
-// core.Monotonic reading execution starts at — the dispatch instant, or
-// the inline caller's own reading. serveOne reads the clock once more, at
-// exec end, plus twice around a collection slice when one rides behind
-// the request, and returns the last reading it took.
+// serveOne executes a request on the shard's machine under the
+// request's bounds. The send leaves the machine idle whatever it returns;
+// a panic instead re-stamps the machine from the snapshot. Callers hold
+// execMu, which makes this the shard's single metrics and flight-event
+// writer: id is the request's flight id and enq its enqueue timestamp in
+// recorder nanoseconds (enqInline for Do's never-queued fast path).
+// start is the core.Monotonic reading execution starts at — the dispatch
+// instant, or the inline caller's own reading. serveOne reads the clock
+// once more, at exec end, plus twice around a collection slice when one
+// rides behind the request, and returns the last reading it took.
 func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Result, int64) {
 	m := s.m
 	budget := req.MaxSteps
@@ -1071,10 +1064,6 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Res
 			return Result{Err: ErrExpired, Worker: s.id}, start
 		}
 	}
-	savedMax := m.Cfg.MaxSteps
-	if budget != 0 {
-		m.Cfg.MaxSteps = budget
-	}
 	// One event marks execution beginning: dispatch for a queued request
 	// (pickup and exec start are the same instant here, and the arg
 	// carries the queue wait against the submitter's enqueue stamp),
@@ -1094,10 +1083,9 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Res
 	if p.slowNS > 0 {
 		preStats = m.Stats
 	}
-	if timeout != 0 {
-		m.SetDeadlineAt(start, timeout)
-	}
+	m.Arm(start, budget, timeout)
 	steps0, cycles0 := m.Stats.Instructions, m.Stats.Cycles
+	itlb0 := m.ITLB.CacheStats()
 	allocs0 := m.Space.Stats.TotalAllocs()
 
 	v, err, panicked, chaosHit := p.invoke(s, req)
@@ -1111,18 +1099,12 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Res
 		Cycles:  m.Stats.Cycles - cycles0,
 		Latency: time.Duration(end - start),
 	}
+	itlb := m.ITLB.CacheStats()
 	timedOut := false
-	if !panicked {
-		m.Cfg.MaxSteps = savedMax
-		m.SetDeadline(0)
-		if err != nil {
-			var trap *core.Trap
-			if errors.As(err, &trap) {
-				timedOut = trap.Kind == "timeout" || trap.Kind == "interrupt"
-			}
-			// A trap mid-run leaves the context pair live; reset so the
-			// machine can serve the next request.
-			m.Abort()
+	if err != nil && !panicked {
+		var trap *core.Trap
+		if errors.As(err, &trap) {
+			timedOut = trap.Kind == "timeout" || trap.Kind == "interrupt"
 		}
 	}
 	tsEnd := fr.TS(end)
@@ -1135,8 +1117,8 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Res
 		fr.RecordAt(flight.KindAbort, id, code, tsEnd)
 	}
 	if panicked {
-		// The interrupted machine is suspect: never restore or Abort it —
-		// quarantine it and re-stamp a fresh worker from the snapshot.
+		// The interrupted machine is suspect: quarantine it and re-stamp
+		// a fresh worker from the snapshot.
 		end = p.quarantine(s, id, tsEnd, chaosHit)
 	}
 	if p.slowNS > 0 && int64(res.Latency) >= p.slowNS {
@@ -1159,12 +1141,8 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq, start int64) (Res
 	}
 	mm.instructions.Add(res.Steps)
 	mm.cycles.Add(res.Cycles)
-	// s.m, not m: after a quarantine the live machine (and the bases) are
-	// the re-stamped one's, with the retired machine's traffic carried in
-	// the accumulators.
-	cs := s.m.ITLB.CacheStats()
-	mm.itlbHits.Store(s.itlbHitAcc + cs.Hits - s.itlbHitBase)
-	mm.itlbTotal.Store(s.itlbTotalAcc + (cs.Hits - s.itlbHitBase) + (cs.Misses - s.itlbMissBase))
+	mm.itlbHits.Add(itlb.Hits - itlb0.Hits)
+	mm.itlbTotal.Add(itlb.Hits + itlb.Misses - itlb0.Hits - itlb0.Misses)
 	mm.end()
 	s.lat.Observe(res.Latency)
 	if err == nil && s.unhealthy.Load() {

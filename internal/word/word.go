@@ -216,15 +216,6 @@ func (w Word) Pointer() uint32 {
 	return w.Bits
 }
 
-// Instruction returns the instruction encoding payload. It panics if the
-// word is not an instruction.
-func (w Word) Instruction() uint32 {
-	if w.Tag != TagInstruction {
-		panic(fmt.Sprintf("word: Instruction on %v", w.Tag))
-	}
-	return w.Bits
-}
-
 // NumberAsFloat widens a small integer or float word to float32 for the
 // mixed-mode primitives of §3.3. The second result reports whether the word
 // was numeric at all.

@@ -83,7 +83,6 @@ func TestAccessorPanics(t *testing.T) {
 		{"Float on int", func() { FromInt(1).Float() }},
 		{"Atom on int", func() { FromInt(1).Atom() }},
 		{"Pointer on atom", func() { FromAtom(3).Pointer() }},
-		{"Instruction on int", func() { FromInt(1).Instruction() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -266,13 +266,3 @@ extend SmallInt [
 		Check: 45255,
 	}
 }
-
-// ByName finds a program in the suite.
-func ByName(name string) (Program, bool) {
-	for _, p := range Suite() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Program{}, false
-}

@@ -68,13 +68,7 @@ func TestWarmupSmallerThanMeasured(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, ok := ByName("tree"); !ok {
-		t.Error("tree missing")
-	}
-	if _, ok := ByName("nonesuch"); ok {
-		t.Error("found phantom program")
-	}
+func TestSuiteNamesUnique(t *testing.T) {
 	names := map[string]bool{}
 	for _, p := range Suite() {
 		if names[p.Name] {

@@ -20,6 +20,24 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestSendAfterTrap sends to a System whose last send trapped mid-run:
+// the machine is ready again without any reset by the caller.
+func TestSendAfterTrap(t *testing.T) {
+	sys := NewSystem(Options{})
+	if err := sys.Load(`extend SmallInt [
+		method boom [ ^self zork ]
+		method double [ ^self + self ]
+	]`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SendInt(1, "boom"); err == nil || !strings.Contains(err.Error(), "doesNotUnderstand") {
+		t.Fatalf("1 boom = %v, want a doesNotUnderstand trap", err)
+	}
+	if got, err := sys.SendInt(21, "double"); err != nil || got != 42 {
+		t.Fatalf("21 double after a trap = %d, %v", got, err)
+	}
+}
+
 func TestValuesAndInstances(t *testing.T) {
 	sys := NewSystem(Options{})
 	arr, err := sys.NewInstanceOf("Array", 5)
