@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fith"
 	"repro/internal/flight"
+	"repro/internal/gc"
 	"repro/internal/image"
 	"repro/internal/memory"
 	"repro/internal/serve"
@@ -212,46 +213,6 @@ func BenchmarkAlloc(b *testing.B) {
 					space.Free(seg)
 				}
 				segs = segs[:0]
-			}
-		}
-	})
-}
-
-// BenchmarkClone measures Space.Clone on an image-shaped heap: thousands
-// of live segments of mixed sizes and kinds plus pooled free segments.
-// The measured space is itself a clone, exactly as in serving — a
-// snapshot freezes one clone and workers are stamped from it — which is
-// the layout the slab space is built for: whole-slab memcpy, verbatim
-// page table, one bulk copy of the contiguous segment-header arena.
-func BenchmarkClone(b *testing.B) {
-	b.Run("slab", func(b *testing.B) {
-		space := memory.NewSpace()
-		// A served heap's shape: pooled contexts (32 words), a majority
-		// of small live objects (the suite's Points are 2 words, its
-		// arrays 8), and method/table segments.
-		sizes := []uint64{2, 32, 4, 8, 2, 32, 8, 16, 2, 64}
-		kinds := []memory.Kind{
-			memory.KindObject, memory.KindContext, memory.KindObject,
-			memory.KindObject, memory.KindObject, memory.KindContext,
-			memory.KindObject, memory.KindMethod, memory.KindObject,
-			memory.KindTable,
-		}
-		var dead []*memory.Segment
-		for i := 0; i < 16384; i++ {
-			seg := space.Alloc(sizes[i%len(sizes)], 0, kinds[i%len(kinds)])
-			if i%5 == 4 {
-				dead = append(dead, seg)
-			}
-		}
-		for _, seg := range dead {
-			space.Free(seg)
-		}
-		snap, _ := space.Clone()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if ns, _ := snap.Clone(); ns == nil {
-				b.Fatal("nil clone")
 			}
 		}
 	})
@@ -527,9 +488,12 @@ func BenchmarkRoutingSkewed(b *testing.B) {
 }
 
 // BenchmarkWarmStart compares the two ways to stand up a worker machine
-// holding the full workload suite: cloning a snapshot versus re-running
-// compile+load for every program. The ratio is the pool's whole reason to
-// exist — and only the clone starts with a warm ITLB.
+// holding the full workload suite: stamping one out of a snapshot versus
+// re-running compile+load for every program. The ratio is the pool's
+// whole reason to exist — and only the stamp starts with a warm ITLB.
+// stamp-served stamps from a snapshot of a machine that has served the
+// suite 40 times and collected, the heap a checkpoint or rotation stamps
+// from in serving.
 func BenchmarkWarmStart(b *testing.B) {
 	build := func(b *testing.B) *core.Machine {
 		m := core.New(core.Config{})
@@ -538,18 +502,31 @@ func BenchmarkWarmStart(b *testing.B) {
 		}
 		return m
 	}
-	b.Run("clone", func(b *testing.B) {
-		m := build(b)
+	stamp := func(b *testing.B, m *core.Machine) {
 		snap, err := m.Snapshot()
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if c := snap.NewMachine(); c == nil {
-				b.Fatal("nil clone")
+				b.Fatal("nil machine")
 			}
 		}
+	}
+	b.Run("stamp", func(b *testing.B) { stamp(b, build(b)) })
+	b.Run("stamp-served", func(b *testing.B) {
+		m := build(b)
+		for round := 0; round < 40; round++ {
+			for _, p := range workload.Suite() {
+				if _, err := workload.RunCOM(m, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		gc.Collect(m)
+		stamp(b, m)
 	})
 	b.Run("compile+load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -243,7 +243,7 @@ func TestReadyzRotating(t *testing.T) {
 
 // TestSaveCapturesLiveState pins the /save fix: the persisted image is
 // the pool's live state at a request boundary — including the
-// instructions traffic executed — not the frozen boot snapshot.
+// instructions traffic executed — not the captured boot snapshot.
 func TestSaveCapturesLiveState(t *testing.T) {
 	imagePath := filepath.Join(t.TempDir(), "com.img")
 	snap := suiteSnapshot(t)

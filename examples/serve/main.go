@@ -1,5 +1,5 @@
 // Serving: compile and load the workload suite once, snapshot the image,
-// clone it into a sharded pool of worker machines, and replay the suite as
+// stamp a sharded pool of worker machines out of it, and replay the suite as
 // concurrent traffic from eight clients — the paper's single processor
 // scaled out the way Givelberg's object-system-as-fleet argument suggests.
 package main
@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer pool.Close()
-	fmt.Printf("pool: %d workers cloned from one %d-program image\n", pool.Workers(), len(progs))
+	fmt.Printf("pool: %d workers stamped from one %d-program image\n", pool.Workers(), len(progs))
 
 	const clients = 8
 	var wg sync.WaitGroup

@@ -114,25 +114,6 @@ func (c *Cache[V]) Entries() int { return c.cfg.Entries }
 // Config returns the configuration the cache was built with.
 func (c *Cache[V]) Config() Config { return c.cfg }
 
-// Clone returns an independent copy of the cache: same geometry, same
-// lines, same recency order and statistics. When mapVal is non-nil it is
-// applied to every held line's value, letting callers rewrite pointers
-// into a cloned object graph (the machine snapshot facility does this for
-// ITLB method fields). A nil mapVal copies values as-is.
-func (c *Cache[V]) Clone(mapVal func(V) V) *Cache[V] {
-	nc := *c
-	nc.lines = make([]Line[V], len(c.lines))
-	copy(nc.lines, c.lines)
-	if mapVal != nil {
-		for i := range nc.lines {
-			if nc.lines[i].stamp != 0 {
-				nc.lines[i].value = mapVal(nc.lines[i].value)
-			}
-		}
-	}
-	return &nc
-}
-
 // Assoc returns the effective associativity.
 func (c *Cache[V]) Assoc() int { return 1 << c.shift }
 

@@ -294,22 +294,27 @@ func TestImportRefusesImpossibleStamps(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependent: Clone maps the held lines' values, and only
-// those, into a copy that shares no lines with its source.
+// TestCloneIsIndependent: a cache rebuilt by Import from another's
+// Export has the held lines' values, and only those, mapped, and shares
+// no lines with its source.
 func TestCloneIsIndependent(t *testing.T) {
 	c := New[int](Config{Entries: 8, Assoc: 2})
 	c.Insert(1, 10)
 	c.Insert(2, 20)
 	mapped := 0
-	nc := c.Clone(func(v int) int { mapped++; return v + 1 })
+	clock, lines := c.Export()
+	nc, err := Import(c.Config(), c.Stats, clock, lines, func(v int) (int, error) { mapped++; return v + 1, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := nc.Peek(1); v != 11 || mapped != 2 {
-		t.Fatalf("mapped clone value = %d after %d calls, want 11 after 2", v, mapped)
+		t.Fatalf("mapped import value = %d after %d calls, want 11 after 2", v, mapped)
 	}
 	nc.Flush()
 	if v, ok := c.Peek(2); !ok || v != 20 {
-		t.Fatalf("source after clone flush: %d,%v", v, ok)
+		t.Fatalf("source after import flush: %d,%v", v, ok)
 	}
 	if nc.Stats.Inserts != 2 || nc.Len() != 0 {
-		t.Fatalf("clone stats %+v len %d", nc.Stats, nc.Len())
+		t.Fatalf("import stats %+v len %d", nc.Stats, nc.Len())
 	}
 }

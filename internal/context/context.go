@@ -100,27 +100,6 @@ func (f *FreeList) Free(seg *memory.Segment) {
 // Contains reports whether the segment is currently pooled.
 func (f *FreeList) Contains(seg *memory.Segment) bool { return seg.Pooled }
 
-// Clone returns an independent copy of the free list over a cloned space:
-// pooled segments are rewritten through segMap (their Pooled flags
-// travelled with the space clone), statistics carry over. Part of the
-// machine snapshot facility.
-func (f *FreeList) Clone(space *memory.Space, segMap memory.SegMap) *FreeList {
-	nf := &FreeList{
-		space:      space,
-		words:      f.words,
-		class:      f.class,
-		free:       make([]*memory.Segment, len(f.free)),
-		Allocs:     f.Allocs,
-		Recycles:   f.Recycles,
-		Frees:      f.Frees,
-		MemoryRefs: f.MemoryRefs,
-	}
-	for i, seg := range f.free {
-		nf.free[i] = segMap.Of(seg)
-	}
-	return nf
-}
-
 // Len returns the number of contexts waiting on the list.
 func (f *FreeList) Len() int { return len(f.free) }
 

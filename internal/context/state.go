@@ -10,10 +10,10 @@ import (
 // This file exposes the context free list as plain data for the
 // persistent image codec. Pooled segments travel as position-stable
 // segment ids of the exported space; the context cache itself never
-// travels — a frozen machine's cache is empty by construction (Snapshot
-// writes it back and the clone starts fresh). Geometry is not state: the
-// context size comes from core.Config and the context class from the
-// image, both handed to ImportFreeList.
+// travels — Snapshot writes it back before export, and every imported
+// machine's cache starts empty. Geometry is not state: the context size
+// comes from core.Config and the context class from the image, both
+// handed to ImportFreeList.
 
 // FreeListState is the serialisable state of a context free list.
 type FreeListState struct {

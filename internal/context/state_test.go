@@ -30,9 +30,9 @@ func TestImportFreeListRejectsBadPooledSegments(t *testing.T) {
 }
 
 // TestFreeListPooledFlag pins free-list membership, which lives on the
-// segments' Pooled flag: a second Free is ignored, membership survives a
-// snapshot clone and an export/import round trip of space and list, and
-// Alloc clears it when it pops the segment.
+// segments' Pooled flag: a second Free is ignored, membership survives an
+// export/import round trip of space and list, two imports of the same
+// states are independent, and Alloc clears it when it pops the segment.
 func TestFreeListPooledFlag(t *testing.T) {
 	space, fl, _ := newRig(8)
 	a, b := fl.Alloc(), fl.Alloc()
@@ -43,38 +43,33 @@ func TestFreeListPooledFlag(t *testing.T) {
 		t.Fatalf("after a double free: len %d, frees %d, refs %d; want 2, 2, 4", fl.Len(), fl.Frees, fl.MemoryRefs)
 	}
 
-	cspace, segMap := space.Clone()
-	cfl := fl.Clone(cspace, segMap)
-
-	sst, err := space.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sst := space.ExportState()
 	fst, err := fl.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ispace, err := memory.ImportSpace(sst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ifl, err := ImportFreeList(fst, ispace, DefaultWords, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ia, _ := ispace.SegAt(space.SegIndex(a))
-	ib, _ := ispace.SegAt(space.SegIndex(b))
-
-	// The clone and the import pop first: the source must not see it.
-	for _, c := range []struct {
+	type rig struct {
 		name string
 		fl   *FreeList
 		a, b *memory.Segment
-	}{
-		{"clone", cfl, segMap.Of(a), segMap.Of(b)},
-		{"imported", ifl, ia, ib},
-		{"source", fl, a, b},
-	} {
+	}
+	imported := func(name string) rig {
+		ispace, err := memory.ImportSpace(sst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifl, err := ImportFreeList(fst, ispace, DefaultWords, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ia, _ := ispace.SegAt(space.SegIndex(a))
+		ib, _ := ispace.SegAt(space.SegIndex(b))
+		return rig{name, ifl, ia, ib}
+	}
+
+	// Each import pops first: neither the source nor the import after it
+	// may see it.
+	for _, c := range []rig{imported("imported"), imported("imported again"), {"source", fl, a, b}} {
 		if !c.fl.Contains(c.a) || !c.fl.Contains(c.b) {
 			t.Fatalf("%s: pooled segments not contained", c.name)
 		}

@@ -716,7 +716,6 @@ func (m *Machine) execReturn(s *site) error {
 		return trapf("control", "RCP does not translate: %v", fault)
 	}
 
-	curBase := m.Ctx.CurrentBase()
 	if m.Ctx.CurrentSegment().Captured {
 		m.Stats.NonLIFO++
 		m.Ctx.ReturnNonLIFO(callerSeg.Base)
@@ -730,9 +729,9 @@ func (m *Machine) execReturn(s *site) error {
 		if !hit {
 			m.Stats.Cycles += uint64(m.Cfg.Penalties.CtxFault)
 		}
-		m.NCP = m.ctxAddrs[curBase]
+		m.NCP = m.CP // the returning context stages the next send
 	}
-	m.CP = m.ctxAddrs[callerSeg.Base]
+	m.CP = callerAddr
 
 	// Deliver the result through the result pointer.
 	if resPtr.Tag == word.TagPointer {

@@ -62,8 +62,8 @@ type site struct {
 }
 
 // mcode is the predecoded form of one method, hung off Method.Fast. It is
-// machine-local: object.Method.Clone drops it, so inline-cache line
-// pointers never escape into another machine's caches.
+// machine-local: a machine's state is exported without it, so inline-cache
+// line pointers never escape into another machine's caches.
 type mcode struct {
 	sites []site
 }

@@ -90,34 +90,35 @@ func (m *Machine) decodeRIP(w word.Word) (CodePtr, error) {
 }
 
 // allocContext produces a context segment plus its (stable) virtual
-// address. Recycled contexts keep the virtual name bound when they were
-// first created. A fresh context needs a fresh name: once nextCtxName
-// has handed out every name at the context exponent, and the free list
-// holds no named context to recycle, the allocation traps instead.
+// address. Recycled contexts keep the one virtual name bound when they
+// were first created. A fresh context needs a fresh name: once
+// nextCtxName has handed out every name at the context exponent, and the
+// free list holds no named context to recycle, the allocation traps
+// instead.
 func (m *Machine) allocContext() (*memory.Segment, fpa.Addr, error) {
 	if m.Free.Len() == 0 && m.ctxNameCounter >= m.Cfg.Format.SegmentsAt(fpa.MinExpFor(uint64(m.Cfg.CtxWords))) {
 		return nil, fpa.Addr{}, trapf("resources", "context names exhausted (%d handed out)", m.ctxNameCounter)
 	}
 	m.Stats.CtxAllocs++
 	seg := m.Free.Alloc()
-	if a, ok := m.ctxAddrs[seg.Base]; ok {
+	var key fpa.SegKey
+	if names := m.Team.Names(seg); len(names) != 0 {
 		seg.Captured = false
-		return seg, a, nil
+		key = names[0]
+	} else {
+		// First use: bind a virtual name covering the whole context.
+		key = fpa.SegKey{Exp: uint8(fpa.MinExpFor(uint64(m.Cfg.CtxWords))), Num: m.nextCtxName()}
+		m.Team.Bind(key, &memory.Descriptor{
+			Seg:    seg,
+			Length: uint64(m.Cfg.CtxWords),
+			Class:  m.Image.Ctx.ID,
+			Rights: memory.RW,
+		})
 	}
-	// First use: bind a virtual name covering the whole context.
-	exp := uint8(fpa.MinExpFor(uint64(m.Cfg.CtxWords)))
-	key := fpa.SegKey{Exp: exp, Num: m.nextCtxName()}
-	m.Team.Bind(key, &memory.Descriptor{
-		Seg:    seg,
-		Length: uint64(m.Cfg.CtxWords),
-		Class:  m.Image.Ctx.ID,
-		Rights: memory.RW,
-	})
 	a, err := m.Cfg.Format.Make(key, 0)
 	if err != nil {
 		panic(err)
 	}
-	m.ctxAddrs[seg.Base] = a
 	return seg, a, nil
 }
 

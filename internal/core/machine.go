@@ -290,9 +290,6 @@ type Machine struct {
 	classObjs     map[memory.AbsAddr]*object.Class
 	classAddr     map[*object.Class]fpa.Addr
 
-	// Virtual names of recycled context segments.
-	ctxAddrs map[memory.AbsAddr]fpa.Addr
-
 	ctxNameCounter uint64
 	extraRoots     []word.Word
 
@@ -369,7 +366,6 @@ func New(cfg Config) *Machine {
 		methodsByBase: make(map[memory.AbsAddr]*object.Method),
 		classObjs:     make(map[memory.AbsAddr]*object.Class),
 		classAddr:     make(map[*object.Class]fpa.Addr),
-		ctxAddrs:      make(map[memory.AbsAddr]fpa.Addr),
 		argBuf:        make([]word.Word, 0, cfg.CtxWords),
 	}
 	m.Free = context.NewFreeList(space, cfg.CtxWords, img.Ctx.ID)

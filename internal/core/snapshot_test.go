@@ -1,16 +1,18 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/itlb"
 	"repro/internal/word"
 )
 
 // factMachine builds a machine with the recursive factorial method
 // installed — enough dispatch traffic to warm the ITLB and exercise
-// contexts, classes and method segments through a clone.
+// contexts, classes and method segments through a stamp.
 func factMachine(t *testing.T) *Machine {
 	t.Helper()
 	m := New(Config{})
@@ -44,27 +46,27 @@ func TestSnapshotCloneRunsIndependently(t *testing.T) {
 	// All three machines answer correctly and accumulate stats
 	// independently.
 	if got := sendInt(t, c1, 5, "fact"); got != word.FromInt(120) {
-		t.Fatalf("clone1 5 fact = %v", got)
+		t.Fatalf("stamp1 5 fact = %v", got)
 	}
 	if got := sendInt(t, c2, 7, "fact"); got != word.FromInt(5040) {
-		t.Fatalf("clone2 7 fact = %v", got)
+		t.Fatalf("stamp2 7 fact = %v", got)
 	}
 	if got := sendInt(t, m, 6, "fact"); got != word.FromInt(720) {
-		t.Fatalf("original after clones 6 fact = %v", got)
+		t.Fatalf("original after stamps 6 fact = %v", got)
 	}
 	if c1.Stats.Instructions == c2.Stats.Instructions {
-		t.Fatalf("clones shared stats: %d == %d", c1.Stats.Instructions, c2.Stats.Instructions)
+		t.Fatalf("stamps shared stats: %d == %d", c1.Stats.Instructions, c2.Stats.Instructions)
 	}
 
-	// The snapshot is frozen: machines stamped out later start from the
-	// capture point, not from the mutated original.
+	// The snapshot is immutable: machines stamped out later start from
+	// the capture point, not from the mutated original.
 	c3 := snap.NewMachine()
 	if c3.Stats.Instructions != snapInstrs {
-		t.Fatalf("late clone starts at %d instructions, want the capture point %d",
+		t.Fatalf("late stamp starts at %d instructions, want the capture point %d",
 			c3.Stats.Instructions, snapInstrs)
 	}
 	if got := sendInt(t, c3, 3, "fact"); got != word.FromInt(6) {
-		t.Fatalf("clone3 3 fact = %v", got)
+		t.Fatalf("stamp3 3 fact = %v", got)
 	}
 }
 
@@ -78,21 +80,44 @@ func TestSnapshotSharesNoMutableState(t *testing.T) {
 	c := snap.NewMachine()
 	if c.Space == m.Space || c.Team == m.Team || c.Image == m.Image ||
 		c.ITLB == m.ITLB || c.Ctx == m.Ctx || c.Free == m.Free || c.Hier == m.Hier {
-		t.Fatalf("clone shares a subsystem with the original")
+		t.Fatalf("stamp shares a subsystem with the original")
 	}
 	if c.Image.SmallInt == m.Image.SmallInt {
-		t.Fatalf("clone shares class objects with the original")
+		t.Fatalf("stamp shares class objects with the original")
 	}
 	cm, _, ok := c.Image.SmallInt.LocalLookup(c.Image.Atoms.Intern("fact"))
 	om, _, okO := m.Image.SmallInt.LocalLookup(m.Image.Atoms.Intern("fact"))
 	if !ok || !okO || cm == om {
-		t.Fatalf("clone shares method objects with the original (%v, %v)", ok, okO)
+		t.Fatalf("stamp shares method objects with the original (%v, %v)", ok, okO)
 	}
-	// Interning on the clone must not leak into the original.
-	before := m.Image.Atoms.Len()
-	c.Image.Atoms.Intern("cloneOnlySelector")
-	if m.Image.Atoms.Len() != before {
-		t.Fatalf("intern on clone mutated original atom table")
+	// Interning on a stamp must not leak into the original, the state or
+	// another stamp, and neither may its heap writes.
+	other := snap.NewMachine()
+	before, atoms := m.Image.Atoms.Len(), len(snap.State().Image.AtomNames)
+	sel := c.Image.Atoms.Intern("stampOnlySelector")
+	if m.Image.Atoms.Len() != before || other.Image.Atoms.Len() != before || len(snap.State().Image.AtomNames) != atoms {
+		t.Fatalf("intern on a stamp mutated another atom table")
+	}
+	// Two stamps interning the same next id must not write one array.
+	if other.Image.Atoms.Intern("otherSelector") != sel || c.Image.Atoms.Name(sel) != "stampOnlySelector" {
+		t.Fatalf("two stamps' interns share storage: id %d names %q", sel, c.Image.Atoms.Name(sel))
+	}
+	seg := c.Space.AppendLive(nil)[0]
+	w := seg.Data[0]
+	seg.Data[0] = word.FromInt(12345)
+	for name, stamp := range map[string]*Machine{"another stamp": other, "the snapshot's state": snap.NewMachine()} {
+		if got, _ := stamp.Space.ByBase(seg.Base); got.Data[0] != w {
+			t.Fatalf("a stamp's heap write reached %s", name)
+		}
+	}
+}
+
+// TestSnapshotRefusesUnloadableConfig: a configuration an image load
+// would refuse is refused at capture, so every captured state stamps.
+func TestSnapshotRefusesUnloadableConfig(t *testing.T) {
+	m := New(Config{ITLB: itlb.Config{Entries: 1 << 17, Assoc: 2}})
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "ceiling") {
+		t.Fatalf("snapshot of a machine whose ITLB exceeds the import ceiling: %v", err)
 	}
 }
 
@@ -107,7 +132,7 @@ func TestSnapshotPreservesWarmITLB(t *testing.T) {
 	missesBefore := c.ITLB.CacheStats().Misses
 	sendInt(t, c, 8, "fact")
 	if misses := c.ITLB.CacheStats().Misses - missesBefore; misses != 0 {
-		t.Fatalf("warm-started clone took %d ITLB misses", misses)
+		t.Fatalf("warm-started stamp took %d ITLB misses", misses)
 	}
 }
 
@@ -144,11 +169,11 @@ func TestConcurrentClonesRace(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				res, err := c.Send(word.FromInt(6), "fact")
 				if err != nil {
-					t.Errorf("clone send: %v", err)
+					t.Errorf("stamp send: %v", err)
 					return
 				}
 				if res != word.FromInt(720) {
-					t.Errorf("clone 6 fact = %v", res)
+					t.Errorf("stamp 6 fact = %v", res)
 					return
 				}
 			}

@@ -14,21 +14,21 @@ import (
 	"repro/internal/word"
 )
 
-// This file exposes a frozen machine (a core.Snapshot) as plain data for
-// the persistent image codec in package image. A snapshot is idle by
-// construction — no current/next context, no IP, context cache written
-// back and empty, ATLB cold — so what travels is exactly what a clone
-// carries: the absolute space, the descriptor table, the static world,
-// the warm ITLB/icache/hierarchy replacement state, the context free
-// list, the registers, the loader's symbol tables and the statistics.
-// Each fact travels once. Geometry lives only in Cfg, and ImportSnapshot
+// This file exposes an idle machine as plain data: the state a Snapshot
+// holds, which the image codec in package image encodes and every
+// machine not built by New is imported from. An idle machine has no
+// current/next context and no IP, and Snapshot writes its context cache
+// back first, so what travels is the absolute space, the descriptor
+// table, the static world, the warm ITLB/icache/hierarchy replacement
+// state, the context free list, the registers, the loader's symbol tables
+// and the statistics; the context cache starts empty and the ATLB cold.
+// Each fact travels once. Geometry lives only in Cfg, and importMachine
 // hands it to each subsystem's importer. The machine's host-side indexes
-// — the code index, the class-object index, the context names and their
-// counter — are not stored: ImportSnapshot rebuilds them from the space,
-// the team and the methods (see indexSegments). Predecoded code
-// (Method.Fast) and the per-site inline caches are machine-local and
-// never serialised, matching Method.Clone; a loaded machine predecodes on
-// first touch, exactly like a cloned one.
+// — the code index, the class-object index and the context-name counter —
+// are not stored: importMachine rebuilds them from the space, the team
+// and the methods (see indexSegments). Predecoded code (Method.Fast) and
+// the per-site inline caches are machine-local and never exported; an
+// imported machine predecodes on first touch.
 
 // SelOpState is one selector↔opcode binding of the loader's symbol table.
 type SelOpState struct {
@@ -42,7 +42,7 @@ type ClassAddrState struct {
 	Addr  fpa.Addr
 }
 
-// MachineState is the complete serialisable state of a frozen machine.
+// MachineState is the complete serialisable state of an idle machine.
 type MachineState struct {
 	Cfg   Config // OnEvent is dropped: host hooks cannot travel
 	Space *memory.SpaceState
@@ -70,12 +70,11 @@ type MachineState struct {
 	Result     word.Word
 }
 
-// ExportState flattens the snapshot's frozen machine. Map-backed tables
-// are exported in sorted order, so identical snapshots export identical
-// state (the golden-image and determinism tests lean on this).
-func (s *Snapshot) ExportState() (*MachineState, error) {
-	m := s.frozen
-
+// exportState flattens the idle machine into arrays of its own, so the
+// machine can go on running without touching the state. Map-backed
+// tables are exported in sorted order, so identical machines export
+// identical state (the golden-image and determinism tests lean on this).
+func (m *Machine) exportState() (*MachineState, error) {
 	// Methods referenced outside every dictionary — displaced by
 	// redefinition but still held by the code index or a warm ITLB line —
 	// must land in the method table too: the loader rebuilds the code
@@ -88,14 +87,6 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 	m.ITLB.EachMethod(func(meth *object.Method) { extras = append(extras, meth) })
 
 	imgState, classID, methodID := m.Image.ExportState(extras)
-	spaceState, err := m.Space.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	teamState, err := m.Team.ExportState()
-	if err != nil {
-		return nil, err
-	}
 	freeState, err := m.Free.ExportState()
 	if err != nil {
 		return nil, err
@@ -115,8 +106,8 @@ func (s *Snapshot) ExportState() (*MachineState, error) {
 	cfg.OnEvent = nil
 	st := &MachineState{
 		Cfg:   cfg,
-		Space: spaceState,
-		Team:  teamState,
+		Space: m.Space.ExportState(),
+		Team:  m.Team.ExportState(),
 		Image: imgState,
 		ITLB:  itlbState,
 		Hier:  m.Hier.ExportState(),
@@ -230,15 +221,25 @@ func checkCache(name string, c cache.Config) error {
 	return nil
 }
 
-// ImportSnapshot rebuilds a frozen machine and wraps it as a Snapshot.
-// Every cross-reference is validated, and the indexes the state does not
-// carry are rebuilt and checked (indexSegments); malformed state returns
-// an error, never a panic. Like the per-package importers it calls, it
-// takes ownership of the state's backing arrays — a MachineState must not
-// be imported twice. The rebuilt snapshot stamps out machines exactly as
-// the one it was exported from — same modelled statistics on every
-// surface.
+// ImportSnapshot validates a state by importing it once, and wraps it
+// as a Snapshot. Every cross-reference is validated, and the indexes the
+// state does not carry are rebuilt and checked (indexSegments); malformed
+// state returns an error, never a panic. The snapshot keeps st itself, so
+// the caller must not modify it afterwards. Machines stamped from the
+// snapshot model exactly the machine the state was exported from — same
+// modelled statistics on every surface.
 func ImportSnapshot(st *MachineState) (*Snapshot, error) {
+	if _, err := importMachine(st); err != nil {
+		return nil, err
+	}
+	return &Snapshot{state: st}, nil
+}
+
+// importMachine builds a machine from a state: the one importer behind
+// image loads and every stamp. It never keeps an array of st that the
+// machine writes, so st stays as it was and any number of goroutines may
+// import it at once.
+func importMachine(st *MachineState) (*Machine, error) {
 	cfg := st.Cfg.withDefaults()
 	cfg.OnEvent = nil
 	if err := validateConfig(cfg); err != nil {
@@ -303,11 +304,10 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 		methodsByBase: make(map[memory.AbsAddr]*object.Method),
 		classObjs:     make(map[memory.AbsAddr]*object.Class, len(st.ClassAddrs)),
 		classAddr:     make(map[*object.Class]fpa.Addr, len(st.ClassAddrs)),
-		ctxAddrs:      make(map[memory.AbsAddr]fpa.Addr),
 
 		argBuf: make([]word.Word, 0, cfg.CtxWords),
 
-		extraRoots: st.ExtraRoots,
+		extraRoots: slices.Clone(st.ExtraRoots),
 		halted:     st.Halted,
 		result:     st.Result,
 	}
@@ -330,7 +330,7 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 	if err := m.indexSegments(methods); err != nil {
 		return nil, err
 	}
-	return &Snapshot{frozen: m}, nil
+	return m, nil
 }
 
 // indexSegments rebuilds the indexes an image does not store from the
@@ -342,10 +342,10 @@ func ImportSnapshot(st *MachineState) (*Snapshot, error) {
 //     never installed in memory;
 //   - the class-object index: each class address names a live segment,
 //     one segment per class;
-//   - the context names: allocContext binds each context segment exactly
-//     one name, and contexts are recycled, never unbound, so the names
-//     are the contiguous run nextCtxName has handed out, and their count
-//     is its counter.
+//   - the context-name counter: allocContext binds each context segment
+//     exactly one name, and contexts are recycled, never unbound, so the
+//     names are the contiguous run nextCtxName has handed out, and their
+//     count is its counter.
 //
 // Lookups read the team's table directly, so the ATLB stays cold and the
 // translation counters stay as loaded.
@@ -401,11 +401,6 @@ func (m *Machine) indexSegments(methods []*object.Method) error {
 		if key.Exp != exp || key.Num >= limit || limit-key.Num > n {
 			return fmt.Errorf("core: context name %v is not among the %d names handed out below %#x at exponent %d", key, n, limit, exp)
 		}
-		a, err := m.Cfg.Format.Make(key, 0)
-		if err != nil {
-			return err
-		}
-		m.ctxAddrs[seg.Base] = a
 	}
 	m.ctxNameCounter = n
 	return nil

@@ -38,7 +38,7 @@ func TestWriteLoadCheckpoint(t *testing.T) {
 		t.Errorf("recovered snapshot lost accounting")
 	}
 	if got.NewMachine() == nil {
-		t.Fatal("recovered snapshot clones to nil")
+		t.Fatal("recovered snapshot stamps nil")
 	}
 	// One file, its length the manifest's, and no temp file left behind.
 	ents, _ := os.ReadDir(dir)
@@ -157,7 +157,7 @@ func TestRecoverLatestSkipsCorrupt(t *testing.T) {
 		t.Fatalf("rejected = %v, want [3 2] (newest-first)", rejected)
 	}
 	if got.NewMachine() == nil {
-		t.Fatal("recovered snapshot clones to nil")
+		t.Fatal("recovered snapshot stamps nil")
 	}
 
 	// All generations bad: ErrNoCheckpoint, with every reject reported.

@@ -88,7 +88,7 @@ func FuzzReadImage(f *testing.F) {
 		// The rare mutation that still parses must yield a machine that
 		// can at least be instantiated without panicking.
 		if snap.NewMachine() == nil {
-			t.Fatal("Read returned a snapshot that clones to nil")
+			t.Fatal("Read returned a snapshot that stamps nil")
 		}
 	})
 }

@@ -1,5 +1,5 @@
 // Package image implements persistent machine images: a versioned binary
-// codec that serialises a core.Snapshot — the frozen machine the serving
+// codec that serialises a core.Snapshot — the captured machine state the serving
 // pool stamps workers from — to disk and back, so obarchd restarts and new
 // hosts skip compile+load entirely and boot with the snapshot's warm ITLB.
 //
@@ -113,12 +113,9 @@ func b2u(v bool) uint8 {
 
 func u2b(v uint8) (bool, bool) { return v == 1, v <= 1 }
 
-// Write serialises the snapshot to w.
+// Write serialises the snapshot to w, encoding its state directly.
 func Write(w io.Writer, snap *core.Snapshot) error {
-	st, err := snap.ExportState()
-	if err != nil {
-		return err
-	}
+	st := snap.State()
 	var he enc
 	he.b = append(he.b, magic[:]...)
 	he.u32(FormatVersion)
@@ -147,8 +144,9 @@ func Write(w io.Writer, snap *core.Snapshot) error {
 
 // Read deserialises a snapshot from r, validating versions, CRCs and every
 // cross-reference, and reads r to its end: bytes after the last section
-// are refused. The returned snapshot stamps out machines bit-identical
-// to the one Write was given.
+// are refused. The decoded state is validated by one import
+// (core.ImportSnapshot) and kept as the snapshot, which stamps out
+// machines bit-identical to the one Write was given.
 func Read(r io.Reader) (*core.Snapshot, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -133,8 +133,8 @@ func diffAccounted(t *testing.T, want int32, a, b accounted, aName, bName string
 }
 
 // TestImageRoundTripParity is the codec's correctness oracle: for every
-// workload, a machine cloned from the written-and-reloaded snapshot must
-// model the exact machine a clone of the in-memory snapshot models —
+// workload, a machine stamped from the written-and-reloaded snapshot must
+// model the exact machine a stamp of the in-memory snapshot models —
 // identical checksums and identical statistics on every accounting
 // surface, through a full collection.
 func TestImageRoundTripParity(t *testing.T) {
@@ -146,10 +146,10 @@ func TestImageRoundTripParity(t *testing.T) {
 			mem := snap.NewMachine()
 			disk := loaded.NewMachine()
 			if mem.Stats != disk.Stats {
-				t.Errorf("frozen core.Stats diverge before any send:\n mem  %+v\n disk %+v", mem.Stats, disk.Stats)
+				t.Errorf("captured core.Stats diverge before any send:\n mem  %+v\n disk %+v", mem.Stats, disk.Stats)
 			}
 			if a, b := mem.ITLB.CacheStats(), disk.ITLB.CacheStats(); a != b {
-				t.Errorf("frozen ITLB stats diverge: mem %+v, disk %+v", a, b)
+				t.Errorf("captured ITLB stats diverge: mem %+v, disk %+v", a, b)
 			}
 			diffAccounted(t, p.Check, runAccounted(t, mem, p), runAccounted(t, disk, p), "mem", "disk")
 		})
@@ -183,7 +183,7 @@ func TestImageRoundTripAfterCollection(t *testing.T) {
 
 // TestImageWarmITLBAfterLoad pins the acceptance claim: a machine booted
 // from disk serves its first request with a warm ITLB — zero misses, like
-// a machine cloned in-process.
+// a machine stamped in-process.
 func TestImageWarmITLBAfterLoad(t *testing.T) {
 	p := workload.Arith()
 	snap := snapshotOf(t, p, core.Config{})

@@ -194,7 +194,7 @@ func TestImageRefusesBadSlabs(t *testing.T) { testRefusals(t, slabForgeries) }
 // installed methods, 19 class objects, freed segments and a compacted
 // scan list are on the wire. The next run of each program on a
 // machine stamped from the loaded image must account exactly as on a
-// clone of the in-memory snapshot, and leave the same live bases in scan
+// stamp of the in-memory snapshot, and leave the same live bases in scan
 // order.
 func TestImageRoundTripServedSuite(t *testing.T) {
 	m := core.New(core.Config{})

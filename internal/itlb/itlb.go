@@ -139,22 +139,6 @@ func (t *ITLB) FillMiss(key Key, e Entry, cycles int, lookupErr error) *Line {
 	return t.c.InsertLine(key.Pack(), e)
 }
 
-// Clone returns an independent copy of the buffer with every cached
-// translation intact. remap rewrites each entry's method field into the
-// cloned machine's object graph; passing the identity keeps the original
-// pointers. Cloning preserves the warm state, so machines started from a
-// snapshot dispatch at full speed immediately — no relearning of the hot
-// (selector, class) working set.
-func (t *ITLB) Clone(remap func(*object.Method) *object.Method) *ITLB {
-	mapVal := func(e Entry) Entry {
-		if e.Method != nil && remap != nil {
-			e.Method = remap(e.Method)
-		}
-		return e
-	}
-	return &ITLB{c: t.c.Clone(mapVal), Stats: t.Stats}
-}
-
 // Preload inserts an entry without going through the miss path, used by
 // tests and by the loader when warming the machine deterministically.
 func (t *ITLB) Preload(key Key, e Entry) { t.c.Insert(key.Pack(), e) }

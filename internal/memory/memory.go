@@ -31,12 +31,9 @@
 //   - size-class free lists (one LIFO stack per power-of-two class)
 //     replacing the map[uint64][]*Segment reuse map;
 //   - segment headers addressed by a per-space id: a contiguous arena laid
-//     down by Clone plus an individually allocated tail for segments carved
-//     afterwards. That split is what makes Clone a bulk operation — copy
-//     each slab with one memcpy, copy the page table verbatim (ids are
-//     position-stable), bulk-copy the header arena and re-point each
-//     header's Data by offset — and since a snapshot's space is itself a
-//     clone, the serving warm-start path always gets the bulk copy.
+//     down by ImportSpace plus an individually allocated tail for segments
+//     carved afterwards. Every stamped worker's space is imported, so its
+//     headers come in one allocation rather than one per segment.
 //
 // Context segments recycled through the free lists skip the zero-fill the
 // allocator otherwise performs: the machine initialises a fresh context by
@@ -106,7 +103,7 @@ type Segment struct {
 	Captured bool
 	// Pooled marks a context segment waiting on the context free list.
 	// Like Captured it lives on the segment, so the free list keeps no
-	// side table and the flag travels with a space clone.
+	// side table; ImportFreeList sets it on an imported space.
 	Pooled bool
 
 	// id is the segment's index in the space's all-segments slice; slab
@@ -148,7 +145,7 @@ const (
 	// SlabWords is the capacity of one slab of absolute space: segments
 	// with rounded size up to this are carved from shared slabs; larger
 	// ones get a dedicated slab. The quantum is deliberately modest so a
-	// small image's clone cost tracks its heap, not the slab size.
+	// small image's stamping cost tracks its heap, not the slab size.
 	SlabWords = 1 << slabShift
 
 	// compactMin is the scan-list length below which dead-entry
@@ -171,12 +168,10 @@ const numFreeClasses = 64
 // rounded) size, as §3.1 requires, so base|offset == base+offset. See the
 // package comment for the slab layout.
 type Space struct {
-	// Segment headers live in two stores: headers,
-	// a contiguous arena laid down by Clone (position == id), and extra,
-	// individually allocated headers for segments carved after the space
-	// was cloned (ids continue past the arena). A snapshot's space is
-	// itself a clone, so the serving-path clone copies the whole arena
-	// with one bulk copy instead of chasing per-segment pointers.
+	// Segment headers live in two stores: headers, a contiguous arena
+	// laid down by ImportSpace (position == id), and extra, individually
+	// allocated headers for segments carved after the import (ids
+	// continue past the arena).
 	slabs   []slab
 	windows []int32 // SlabWords-window → slabs index + 1; 0 = no slab yet
 	table   []int32 // absolute base address → segment id + 1; 0 = no live segment
@@ -349,7 +344,7 @@ func (s *Space) growWindows(n int) {
 // growTable extends the page table to cover n entries, doubling so the
 // amortised cost per fresh base stays O(1). The table tracks the base-
 // address high-water mark, not the slab extent, so a small image keeps a
-// small table (and a cheap clone).
+// small table.
 func (s *Space) growTable(n uint64) {
 	grown := uint64(len(s.table)) * 2
 	if grown < n {

@@ -17,7 +17,7 @@ import (
 // and with the statistics, that the map-backed allocator it replaced did.
 // These tests drive it through the fixture's sequences and compare, plus
 // cover the slab machinery itself (dedicated slabs, page-table growth,
-// scan-list compaction, bulk clone).
+// scan-list compaction, export and import).
 
 // step is one allocator operation in a generated sequence: allocate a
 // segment of Size words, or free the (Index mod live)th live segment.
@@ -48,10 +48,10 @@ func drive(s *Space, steps []step) []AbsAddr {
 
 // driveGoldenPath pins what drive() observes for a fixed set of seeded
 // step sequences — every base address handed out, the AllocStats and the
-// live count — plus the tail a clone produces after a fixed history. It
-// was generated while the map-backed allocator the slab one replaced
-// still existed and matched it exactly, so it is the reference the slab
-// allocator answers to. Regenerate only on a deliberate allocator change:
+// live count — plus the tail an imported space produces after a fixed
+// history. It was generated while the map-backed allocator the slab one
+// replaced still existed and matched it exactly, so it is the reference
+// the slab allocator answers to. Regenerate only on a deliberate allocator change:
 //
 //	go test ./internal/memory -run TestSlabLegacyBaseParity -update
 const driveGoldenPath = "testdata/drive.golden.json"
@@ -73,8 +73,8 @@ type driveRow struct {
 
 type driveFixture struct {
 	Sequences []driveRow `json:"sequences"`
-	// CloneTail is cloneTail run on a clone of a space that ran
-	// cloneHistory.
+	// CloneTail is cloneTail run on a space imported from the exported
+	// state of a space that ran cloneHistory.
 	CloneTail driveRun `json:"clone_tail"`
 }
 
@@ -124,9 +124,18 @@ func buildDriveFixture() driveFixture {
 	}
 	s := NewSpace()
 	drive(s, cloneHistory)
-	c, _ := s.Clone()
-	f.CloneTail = runSteps(c, cloneTail)
+	f.CloneTail = runSteps(reimport(s), cloneTail)
 	return f
+}
+
+// reimport rebuilds a space from its exported state, as every stamped
+// machine's space is built.
+func reimport(s *Space) *Space {
+	ns, err := ImportSpace(s.ExportState())
+	if err != nil {
+		panic(err)
+	}
+	return ns
 }
 
 // loadDriveFixture reads the fixture, first rewriting it under -update.
@@ -372,65 +381,85 @@ func TestAllocateBlackDuringGC(t *testing.T) {
 	s.SetGCActive(false)
 }
 
+// TestSlabCloneIndependence: two spaces imported from one exported state
+// share no storage with each other, with the state or with the source,
+// and each carries the source's segments, free lists and page table.
+// Words past the base high-water mark are never carved, so an import
+// leaves them zero whatever the state holds there.
 func TestSlabCloneIndependence(t *testing.T) {
 	s := NewSpace()
+	huge := s.Alloc(SlabWords+1, 0, KindObject)
+	huge.Data[SlabWords] = word.FromInt(9)
 	live := s.Alloc(40, 7, KindObject)
 	live.Data[0] = word.FromInt(1)
 	pooled := s.Alloc(16, 0, KindObject)
 	s.Free(pooled)
-	huge := s.Alloc(SlabWords+1, 0, KindObject)
-	huge.Data[SlabWords] = word.FromInt(9)
 
-	ns, segMap := s.Clone()
+	st := s.ExportState()
+	last := len(st.Slabs) - 1
+	tail := st.Slabs[last].Data
+	tail[len(tail)-1] = word.FromInt(5) // past NextBase: never carved
+	ns, err := ImportSpace(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := ImportSpace(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ns.LiveCount() != s.LiveCount() || ns.Stats != s.Stats {
-		t.Fatalf("clone counts diverge: %d/%d", ns.LiveCount(), s.LiveCount())
+		t.Fatalf("import counts diverge: %d/%d", ns.LiveCount(), s.LiveCount())
 	}
-	cl := segMap.Of(live)
-	if cl == live || cl.Base != live.Base || cl.Data[0] != word.FromInt(1) {
-		t.Fatal("clone of live segment wrong")
+	if !ns.slabs[last].data[len(tail)-1].IsUninit() {
+		t.Fatal("import copied a word past the base high-water mark")
 	}
-	if got := segMap.Of(huge); got.Data[SlabWords] != word.FromInt(9) {
-		t.Fatal("clone of huge segment lost data")
+	cl, ok := ns.ByBase(live.Base)
+	if !ok || cl == live || cl.Data[0] != word.FromInt(1) {
+		t.Fatal("import of live segment wrong")
 	}
-	// Mutating the original is invisible to the clone and vice versa.
+	if got, ok := ns.ByBase(huge.Base); !ok || got.Data[SlabWords] != word.FromInt(9) {
+		t.Fatal("import of huge segment lost data")
+	}
+	// Mutating the source, one import or the other is invisible to the
+	// rest and to the state.
 	live.Data[0] = word.FromInt(2)
 	if cl.Data[0] != word.FromInt(1) {
-		t.Fatal("clone shares backing store with the original")
+		t.Fatal("import shares backing store with the source")
 	}
 	cl.Data[1] = word.FromInt(3)
 	if live.Data[1] == word.FromInt(3) {
-		t.Fatal("original shares backing store with the clone")
+		t.Fatal("source shares backing store with the import")
 	}
-	// The clone's free lists were carried over: both spaces recycle the
-	// same pooled base, independently.
-	ra, rb := s.Alloc(16, 0, KindObject), ns.Alloc(16, 0, KindObject)
-	if ra.Base != pooled.Base || rb.Base != pooled.Base {
-		t.Fatalf("free lists not cloned: %#x / %#x, want %#x", ra.Base, rb.Base, pooled.Base)
+	if oc, _ := other.ByBase(live.Base); oc.Data[0] != word.FromInt(1) || oc.Data[1] == word.FromInt(3) {
+		t.Fatal("two imports of one state share backing store")
 	}
-	if got, ok := ns.ByBase(live.Base); !ok || got != cl {
-		t.Fatal("clone's page table does not resolve its own segments")
+	if w := st.Slabs[live.slab].Data[live.Base-st.Slabs[live.slab].Base+1]; w == word.FromInt(3) {
+		t.Fatal("import shares backing store with the state")
 	}
-	if segMap.Of(nil) != nil {
-		t.Fatal("SegMap.Of(nil) != nil")
+	// The free lists were carried over: every space recycles the same
+	// pooled base, independently.
+	ra, rb, rc := s.Alloc(16, 0, KindObject), ns.Alloc(16, 0, KindObject), other.Alloc(16, 0, KindObject)
+	if ra.Base != pooled.Base || rb.Base != pooled.Base || rc.Base != pooled.Base {
+		t.Fatalf("free lists not imported: %#x / %#x / %#x, want %#x", ra.Base, rb.Base, rc.Base, pooled.Base)
 	}
 }
 
 func TestCloneParityBothPaths(t *testing.T) {
-	// After a fixed history, a clone and the space it was cloned from
-	// must each go on exactly as the fixture recorded: same future bases,
-	// same stats, same live count.
+	// After a fixed history, a space imported from its exported state and
+	// the space it was exported from must each go on exactly as the
+	// fixture recorded: same future bases, same stats, same live count.
 	want := loadDriveFixture(t).CloneTail
 	s := NewSpace()
 	drive(s, cloneHistory)
-	c, _ := s.Clone()
+	c := reimport(s)
 	for _, path := range []struct {
 		name  string
 		space *Space
-	}{{"clone", c}, {"source", s}} {
+	}{{"import", c}, {"source", s}} {
 		got := runSteps(path.space, cloneTail)
-		diffBases(t, path.name+" post-clone", want.Bases, got.Bases)
+		diffBases(t, path.name+" post-import", want.Bases, got.Bases)
 		if got.Stats != want.Stats || got.Live != want.Live {
-			t.Errorf("%s post-clone: stats %+v live %d, fixture %+v live %d", path.name, got.Stats, got.Live, want.Stats, want.Live)
+			t.Errorf("%s post-import: stats %+v live %d, fixture %+v live %d", path.name, got.Stats, got.Live, want.Stats, want.Live)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package memory
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -82,12 +81,11 @@ func (s *Space) SegAt(id int32) (*Segment, bool) {
 	return s.segByID(id), true
 }
 
-// ExportState flattens the space. A space mid-collection is refused
-// because the sweeper's snapshot cannot travel.
-func (s *Space) ExportState() (*SpaceState, error) {
-	if s.gcActive {
-		return nil, fmt.Errorf("memory: space has an incremental collection in progress")
-	}
+// ExportState flattens the space into arrays of its own. A collection in
+// progress does not travel: the sweeper's list belongs to the collector,
+// so the state keeps the mark bits as they are and an imported space has
+// no collection active.
+func (s *Space) ExportState() *SpaceState {
 	st := &SpaceState{
 		NextBase:  s.nextBase,
 		Stats:     s.Stats,
@@ -128,7 +126,7 @@ func (s *Space) ExportState() (*SpaceState, error) {
 			st.Order[i] = seg.id
 		}
 	}
-	return st, nil
+	return st
 }
 
 // ImportSpace rebuilds a slab-backed space, validating every index so a
@@ -137,10 +135,9 @@ func (s *Space) ExportState() (*SpaceState, error) {
 // rebuilt from the slabs (see windowsOf). The page table is rebuilt from
 // the live segment headers, sized to the highest live base, and two live
 // segments on one base are refused; the live count and the scan list's
-// dead-entry count are recounted the same way. The space takes ownership
-// of the slab data — a SpaceState must not be imported twice or mutated
-// afterwards; the image loader builds a fresh one per load and ExportState
-// always returns freshly cloned arrays.
+// dead-entry count are recounted the same way. The space copies the slab
+// words and keeps no array of st, so one state can be imported any number
+// of times, concurrently.
 func ImportSpace(st *SpaceState) (*Space, error) {
 	windows, err := windowsOf(st.Slabs)
 	if err != nil {
@@ -154,7 +151,7 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 	}
 	s.slabs = make([]slab, len(st.Slabs))
 	for i, sl := range st.Slabs {
-		s.slabs[i] = slab{base: sl.Base, data: sl.Data}
+		s.slabs[i] = slab{base: sl.Base, data: carvedCopy(sl, st.NextBase)}
 	}
 	// Fresh allocations grow the window index up to the base high-water
 	// mark; an absurd mark would balloon it on the first Alloc.
@@ -162,11 +159,26 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		return nil, fmt.Errorf("memory: base high-water mark %#x beyond the %d-window index", uint64(st.NextBase), len(windows))
 	}
 	arr := make([]Segment, len(st.Segments))
-	var maxEnd AbsAddr
-	var tableLen AbsAddr
-	for id, seg := range st.Segments {
-		if end := seg.Base + AbsAddr(seg.Cap); end > maxEnd {
-			maxEnd = end
+	var maxEnd, tableLen AbsAddr
+	reacher := -1 // the segment that runs to maxEnd
+	var liveIDs []int32
+	// Every extent [Base, Base+Cap), freed ones included, owns its words:
+	// two that overlap would alias storage — a write to one live object
+	// changing another, or a freed segment handing a live one's words out
+	// again when it is recycled. A space carves each new segment past the
+	// last at a rising frontier and recycles a freed one under its own id,
+	// so in id order every extent starts at or past the end of the one
+	// before. The first break of that order is refused once the page
+	// table below has had its say about two live segments on one base.
+	var overlap error
+	for id := range st.Segments {
+		seg := &st.Segments[id]
+		end := seg.Base + AbsAddr(seg.Cap)
+		if seg.Base < maxEnd && overlap == nil {
+			overlap = fmt.Errorf("memory: segment %d at %#x overlaps segment %d, which runs to %#x", id, uint64(seg.Base), reacher, uint64(maxEnd))
+		}
+		if end > maxEnd {
+			maxEnd, reacher = end, id
 		}
 		if seg.Slab < 0 || int(seg.Slab) >= len(s.slabs) {
 			return nil, fmt.Errorf("memory: segment %d names slab %d of %d", id, seg.Slab, len(s.slabs))
@@ -179,79 +191,55 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		if seg.Len > seg.Cap || seg.Cap > uint64(len(sl.data)) || off > uint64(len(sl.data))-seg.Cap {
 			return nil, fmt.Errorf("memory: segment %d spans [%d,+%d/%d] outside its %d-word slab", id, off, seg.Len, seg.Cap, len(sl.data))
 		}
-		if !seg.Freed && seg.Base >= tableLen {
-			tableLen = seg.Base + 1
+		if !seg.Freed {
+			liveIDs = append(liveIDs, int32(id))
+			tableLen = max(tableLen, seg.Base+1)
 		}
-		arr[id] = Segment{
-			Base:     seg.Base,
-			Data:     sl.data[off : off+seg.Len : off+seg.Cap],
-			Class:    seg.Class,
-			Kind:     seg.Kind,
-			Mark:     seg.Mark,
-			Freed:    seg.Freed,
-			Captured: seg.Captured,
-			id:       int32(id),
-			slab:     seg.Slab,
-			inOrder:  !st.Compacted, // listed implicitly until first compaction
-		}
+		// Field by field: a composite literal would be built aside and
+		// copied in with a bulk write barrier, per segment.
+		h := &arr[id]
+		h.Base = seg.Base
+		h.Data = sl.data[off : off+seg.Len : off+seg.Cap]
+		h.Class = seg.Class
+		h.Kind = seg.Kind
+		h.Mark = seg.Mark
+		h.Freed = seg.Freed
+		h.Captured = seg.Captured
+		h.id = int32(id)
+		h.slab = seg.Slab
+		h.inOrder = !st.Compacted // listed implicitly until first compaction
 	}
 	// The allocation frontier must clear every carved segment: a forged
 	// low NextBase would make the allocator carve fresh segments on top
-	// of live ones, and Clone treats words at or past it as never carved
-	// (zero-truncating live data in every stamped worker).
+	// of live ones, and carvedCopy treats words at or past it as never
+	// carved (zero-truncating live data in every stamped worker).
 	if st.NextBase < maxEnd {
 		return nil, fmt.Errorf("memory: base high-water mark %#x below segment extent %#x", uint64(st.NextBase), uint64(maxEnd))
 	}
 	s.headers = arr
 	s.table = make([]int32, tableLen)
-	for id := range arr {
-		seg := &arr[id]
-		if seg.Freed {
-			continue
+	for _, id := range liveIDs {
+		base := arr[id].Base
+		if prev := s.table[base]; prev != 0 {
+			return nil, fmt.Errorf("memory: segments %d and %d both live at base %#x", prev-1, id, uint64(base))
 		}
-		if prev := s.table[seg.Base]; prev != 0 {
-			return nil, fmt.Errorf("memory: segments %d and %d both live at base %#x", prev-1, id, uint64(seg.Base))
-		}
-		s.table[seg.Base] = int32(id) + 1
-		s.live++
+		s.table[base] = id + 1
 	}
-	// Every extent [Base, Base+Cap), freed ones included, owns its words:
-	// two that overlap would alias storage — a write to one live object
-	// changing another, or a freed segment handing a live one's words out
-	// again when it is recycled. Walked in base order, an extent must
-	// start at or past the furthest end seen so far.
-	ids := make([]int32, len(arr))
-	for id := range ids {
-		ids[id] = int32(id)
+	s.live = len(liveIDs)
+	if overlap != nil {
+		return nil, overlap
 	}
-	slices.SortFunc(ids, func(a, b int32) int {
-		if c := cmp.Compare(arr[a].Base, arr[b].Base); c != 0 {
-			return c
-		}
-		return cmp.Compare(cap(arr[a].Data), cap(arr[b].Data))
-	})
-	var reach AbsAddr
-	reacher := int32(-1)
-	for _, id := range ids {
-		seg := &arr[id]
-		if seg.Base < reach {
-			return nil, fmt.Errorf("memory: segment %d at %#x overlaps segment %d, which runs to %#x", id, uint64(seg.Base), reacher, uint64(reach))
-		}
-		if end := seg.Base + AbsAddr(cap(seg.Data)); end > reach {
-			reach, reacher = end, id
-		}
-	}
-	pooled := make(map[int32]bool)
+	pooled := make([]bool, len(arr))
 	for _, fc := range st.Free {
 		if fc.SizeClass >= numFreeClasses {
 			return nil, fmt.Errorf("memory: free size-class %d out of range", fc.SizeClass)
 		}
 		list := make([]*Segment, len(fc.IDs))
 		for i, id := range fc.IDs {
-			seg, ok := s.SegAt(id)
-			if !ok {
+			if id < 0 || int(id) >= len(arr) {
 				return nil, fmt.Errorf("memory: free list names segment %d of %d", id, len(arr))
 			}
+			seg := &arr[id]
 			if !seg.Freed {
 				return nil, fmt.Errorf("memory: free list holds live segment %d", id)
 			}
@@ -287,6 +275,23 @@ func ImportSpace(st *SpaceState) (*Space, error) {
 		s.orderDead = len(arr) - s.live // the implicit list holds every segment
 	}
 	return s, nil
+}
+
+// carvedCopy copies a slab's words for an importing space. Words at or
+// past the base high-water mark were never carved, so they are zero in a
+// space's own slabs; only the carved prefix is copied, and the rest of
+// the copy is left zero whatever the state holds there. A fully carved
+// slab is copied without the pre-zeroing make would do (word.Word is
+// pointer-free).
+func carvedCopy(sl SlabState, nextBase AbsAddr) []word.Word {
+	if end := sl.Base + AbsAddr(len(sl.Data)); nextBase >= end {
+		return slices.Clone(sl.Data)
+	}
+	data := make([]word.Word, len(sl.Data))
+	if nextBase > sl.Base {
+		copy(data, sl.Data[:nextBase-sl.Base])
+	}
+	return data
 }
 
 // windowsOf rebuilds the window index from the slabs' extents. A shared
@@ -350,9 +355,9 @@ type NextSegState struct {
 }
 
 // TeamState is the serialisable state of a team space. Neither the ATLB
-// nor its geometry is exported: a snapshotted machine's ATLB is cold by
-// construction (see Team.Clone), and ImportTeam takes the address format
-// and the ATLB geometry from the machine's configuration.
+// nor its geometry is exported: ImportTeam starts the ATLB cold and takes
+// the address format and the ATLB geometry from the machine's
+// configuration.
 type TeamState struct {
 	SN          int
 	Stats       TeamStats
@@ -364,7 +369,7 @@ type TeamState struct {
 // ExportState flattens the team's descriptor table. Bindings are sorted by
 // key and descriptors numbered in first-reference order, so identical
 // teams export identical state.
-func (t *Team) ExportState() (*TeamState, error) {
+func (t *Team) ExportState() *TeamState {
 	st := &TeamState{
 		SN:    t.SN,
 		Stats: t.Stats,
@@ -409,16 +414,19 @@ func (t *Team) ExportState() (*TeamState, error) {
 		}
 		st.Bindings = append(st.Bindings, BindingState{Key: key, Desc: id})
 	}
-	return st, nil
+	return st
 }
 
 // ImportTeam rebuilds a team over an imported space, with the address
 // format and ATLB geometry of the machine's configuration, which the
-// caller has validated. The ATLB starts cold, exactly as a cloned
-// machine's does.
+// caller has validated. The ATLB starts cold: its lines would hold
+// another machine's descriptor pointers, and rewarming costs only a
+// handful of table walks.
 func ImportTeam(st *TeamState, space *Space, format fpa.Format, atlb ATLBConfig) (*Team, error) {
 	t := NewTeam(st.SN, format, space, atlb)
 	t.Stats = st.Stats
+	t.table = make(map[fpa.SegKey]*Descriptor, len(st.Bindings))
+	t.bySeg = make(map[*Segment][]fpa.SegKey, len(st.Descriptors))
 	for _, ns := range st.NextSeg {
 		t.nextSeg[ns.Exp] = ns.Num
 	}

@@ -25,10 +25,7 @@ func exportedSpace(t *testing.T) *SpaceState {
 	for _, seg := range dead {
 		s.Free(seg)
 	}
-	st, err := s.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.ExportState()
 	return st
 }
 
@@ -74,10 +71,7 @@ func TestImportSpaceRebuildsPageTable(t *testing.T) {
 		t.Fatal("fixture needs an implicit list and a compacted one with dead entries")
 	}
 	for _, src := range []*Space{implicit, compacted} {
-		st, err := src.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := src.ExportState()
 		s, err := ImportSpace(st)
 		if err != nil {
 			t.Fatal(err)
@@ -176,10 +170,7 @@ func TestImportSpaceRebuildsWindows(t *testing.T) {
 		src.Alloc(32, word.Class(7), KindContext)
 	}
 	src.Alloc(8192, 0, KindObject)
-	st, err := src.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := src.ExportState()
 	s, err := ImportSpace(st)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +196,7 @@ func TestImportSpaceRejectsDoubledFreeEntry(t *testing.T) {
 
 // TestImportSpaceRejectsLowWaterMark pins the hardening: a forged
 // allocation frontier below the carved extent would alias fresh
-// allocations onto live segments (and zero-truncate them on Clone).
+// allocations onto live segments (and zero-truncate them on import).
 func TestImportSpaceRejectsLowWaterMark(t *testing.T) {
 	st := exportedSpace(t)
 	st.NextBase = 1
@@ -223,14 +214,8 @@ func TestImportTeamRejectsOverlongDescriptor(t *testing.T) {
 	if _, _, err := team.Alloc(16, word.Class(7), KindObject, RWX); err != nil {
 		t.Fatal(err)
 	}
-	st, err := team.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spaceState, err := space.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := team.ExportState()
+	spaceState := space.ExportState()
 	loaded, err := ImportSpace(spaceState)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
 // Package node is one obarchd node: a Caltech Object Machine image
-// snapshotted and cloned into a sharded pool of worker machines, each
+// snapshotted and stamped into a sharded pool of worker machines, each
 // executing message sends on its own goroutine, behind an HTTP/JSON
 // control plane and, optionally, the obwire binary transport. New builds
 // the whole node from a boot snapshot and a Config whose fields are
@@ -333,7 +333,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) { n.mux.ServeHT
 
 // handleSave persists the pool's live state to the configured image
 // path. The snapshot is captured through SnapshotLive — shard 0's
-// machine is frozen between two of its requests while the other shards
+// machine is held between two of its requests while the other shards
 // keep serving, so the image reflects every mutation traffic has made
 // to it, and a save under concurrent load can never catch a machine
 // mid-send. image.WriteFile replaces the file

@@ -98,9 +98,9 @@ type Method struct {
 	CodeBase uint32
 	// Fast caches the interpreter's predecoded form of Code, including
 	// its per-site inline caches. It is owned by package core (which is
-	// the only writer) and holds machine-local state, so Clone drops it:
-	// every machine predecodes its own copy and no inline-cache line
-	// pointer ever crosses a snapshot boundary.
+	// the only writer) and holds machine-local state, so it is never
+	// exported: every machine predecodes its own copy and no inline-cache
+	// line pointer ever crosses a snapshot boundary.
 	Fast any
 }
 

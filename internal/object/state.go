@@ -132,16 +132,17 @@ func (img *Image) ExportState(extras []*Method) (*ImageState, map[*Class]int32, 
 
 // ImportImage rebuilds an image from exported state, returning the class
 // and method tables in export order so the caller can resolve its own
-// indexes. Every index is validated; malformed state errors out. The image
-// takes ownership of the state's backing arrays (atom names, field lists,
-// literal/code slices) — an ImageState must not be imported twice or
-// mutated afterwards.
+// indexes. Every index is validated; malformed state errors out. The
+// atom table, which Intern appends to, is copied; field lists and method
+// literals and code, which nothing writes after compilation, are shared
+// with the state, so one state can be imported any number of times,
+// concurrently.
 func ImportImage(st *ImageState) (*Image, []*Class, []*Method, error) {
 	if n := uint32(len(st.AtomNames)); n < word.FirstUserAtom {
 		return nil, nil, nil, fmt.Errorf("object: atom table of %d names lacks the reserved block", n)
 	}
 	atoms := &Atoms{
-		names: st.AtomNames,
+		names: slices.Clone(st.AtomNames),
 		ids:   make(map[string]Selector, len(st.AtomNames)),
 	}
 	// The ids map holds the three well-known atoms plus every interned

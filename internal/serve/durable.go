@@ -45,7 +45,10 @@ func (p *Pool) Quiesce() (release func()) {
 // and its state is committed. The other shards keep serving. The
 // capture cost is recorded as a KindCheckpoint flight event. Unlike the
 // boot snapshot, the result reflects every mutation traffic has made to
-// shard 0's image, which is what a checkpoint is for.
+// shard 0's image, which is what a checkpoint is for. A capture may land
+// while shard 0's incremental collection is mid-sweep: the state keeps
+// the heap's mark bits as they are and carries no collection, and shard
+// 0's own cycle goes on.
 //
 // A capture does not hold off a rotation. One taken while Rotate runs
 // sees shard 0 on either the old or the new image, and both are
@@ -80,10 +83,11 @@ func (p *Pool) Rotating() bool { return p.rotating.Load() }
 // which is what makes the rotation zero-downtime. Retired-machine stats
 // fold into the shard's retired total exactly as panic re-stamps do, so
 // MachineStats conserves across the swap. Each shard's src advances to
-// next as it is stamped, so later panic re-stamps clone the new image,
+// next as it is stamped, so later panic re-stamps import the new image,
 // and Rotations is bumped once every shard is swapped.
 //
-// A stamp is a clone and cannot fail, so once Rotate starts swapping it
+// A stamp imports a state that its capture or image load already
+// accepted, so it cannot fail, and once Rotate starts swapping it
 // finishes: it returns an error only for a nil snapshot, a closed pool
 // (ErrClosed), or a rotation already in progress (ErrRotating).
 func (p *Pool) Rotate(next *core.Snapshot) error {

@@ -12,9 +12,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/gc"
+	"repro/internal/memory"
 	"repro/internal/serve"
 	"repro/internal/smalltalk"
 	"repro/internal/word"
+	"repro/internal/workload"
 )
 
 // answerSnapshot compiles an image whose answer method adds val — two
@@ -212,7 +215,7 @@ func TestQuiesceBlocksExecution(t *testing.T) {
 }
 
 // TestSnapshotLiveReflectsTraffic captures a live snapshot mid-service
-// and checks it is genuinely live: its frozen accounting includes the
+// and checks it is genuinely live: its captured accounting includes the
 // instructions traffic executed on shard 0 (the boot snapshot's does
 // not), a machine booted from it still serves, and the capture left a
 // checkpoint event in the flight recorder.
@@ -261,6 +264,110 @@ func TestSnapshotLiveReflectsTraffic(t *testing.T) {
 	// The pool kept serving after the capture.
 	if got, err := pool.Do(req).Int(); err != nil || got != 1 {
 		t.Fatalf("post-capture request: %d, %v; want 1", got, err)
+	}
+}
+
+// TestSnapshotLiveMidSweep: a checkpoint can land while shard 0's
+// incremental collection is mid-sweep, since a cycle's sweep spans
+// requests. The capture keeps the heap's mark bits as they are and
+// carries no collection: a stamp has none active, answers every suite
+// program, and accounts exactly as a stamp of the same capture did when
+// stamping deep-copied the machine and dropped the collector's flag (the
+// pinned figures were read from that implementation). Shard 0's own
+// cycle is undisturbed and finishes.
+func TestSnapshotLiveMidSweep(t *testing.T) {
+	snap, progs := suiteSnapshot(t)
+	pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: 2})
+	defer pool.Close()
+	// lastSweep answers the work the latest sweep slice left pending;
+	// quiescing first waits out a slice still riding behind an answer.
+	lastSweep := func() (pending uint64, seen bool) {
+		pool.Quiesce()()
+		for _, ev := range pool.FlightRecorder().Events() {
+			if ev.Kind == flight.KindGCEnd {
+				pending, seen = ev.Arg, true
+			}
+		}
+		return pending, seen
+	}
+	send := func(i int) {
+		t.Helper()
+		p := progs[i%len(progs)]
+		if got, err := pool.Do(serve.Request{Receiver: word.FromInt(p.Size), Selector: p.Entry}).Int(); err != nil || got != p.Check {
+			t.Fatalf("send %d, %s: %d, %v; want %d", i, p.Name, got, err, p.Check)
+		}
+	}
+	sends := 0
+	for ; ; sends++ {
+		if pending, _ := lastSweep(); pending > 0 {
+			break
+		}
+		if sends == 200 {
+			t.Fatal("no sweep slice left work pending after 200 sends")
+		}
+		send(sends)
+	}
+
+	live, err := pool.SnapshotLive()
+	if err != nil {
+		t.Fatalf("SnapshotLive mid-sweep: %v", err)
+	}
+	// The capture keeps the heap's mark bits as the mark phase left them.
+	st := live.State().Space
+	marked := 0
+	for _, seg := range st.Segments {
+		if seg.Mark && !seg.Freed {
+			marked++
+		}
+	}
+	if marked == 0 {
+		t.Fatal("a mid-sweep capture holds no marked segment")
+	}
+	if got := live.Stats().Instructions; got != 1027053 {
+		t.Errorf("captured at %d instructions, want 1027053", got)
+	}
+	m := live.NewMachine()
+	if m.Space.GCActive() {
+		t.Fatal("a stamp of a mid-sweep capture has a collection active")
+	}
+	m.Space.Live(func(seg *memory.Segment) {
+		if seg.Mark != st.Segments[m.Space.SegIndex(seg)].Mark {
+			t.Fatalf("a stamp's segment at %#x does not keep its captured mark bit", uint64(seg.Base))
+		}
+	})
+	for _, p := range progs {
+		if v, err := workload.RunCOM(m, p); err != nil || v != p.Check {
+			t.Fatalf("stamp: %s = %d, %v; want %d", p.Name, v, err, p.Check)
+		}
+	}
+	gcStats := gc.Collect(m)
+	wantStats := core.Stats{
+		Instructions: 1263481, Cycles: 3657294, Sends: 198211, PrimOps: 535496,
+		ControlOps: 529774, Returns: 198225, LIFOReturns: 198225,
+		Branches: 208407, TakenBranches: 109388, CtxOperandRefs: 1933475,
+		MemRefs: 215463, MemRefsToCtx: 198225, CtxAllocs: 198253, ObjAllocs: 1119,
+		SendCycles: 1193868, LookupCycles: 300,
+	}
+	wantAlloc := memory.AllocStats{
+		Allocs: [4]uint64{1119, 304, 34, 19},
+		Frees:  [4]uint64{1119, 0, 0, 0},
+		Words:  [4]uint64{2423, 9728, 619, 19},
+	}
+	wantGC := gc.Stats{Marked: 19, SweptObjects: 950, Live: 357}
+	if m.Stats != wantStats || m.Space.Stats != wantAlloc || gcStats != wantGC || m.Space.LiveCount() != 357 {
+		t.Errorf("stamp accounting diverges:\n core %+v\n want %+v\n alloc %+v\n want %+v\n gc %+v live %d\n want %+v live 357",
+			m.Stats, wantStats, m.Space.Stats, wantAlloc, gcStats, m.Space.LiveCount(), wantGC)
+	}
+
+	// Shard 0's cycle goes on from where the capture found it.
+	for i := 0; ; i++ {
+		if pending, _ := lastSweep(); pending == 0 {
+			break
+		}
+		if i == 200 {
+			t.Fatal("shard 0's sweep never finished after the capture")
+		}
+		send(sends + i)
 	}
 }
 

@@ -3,7 +3,7 @@
 // around machine execution (invoke) plus a second barrier around the
 // shard driver (dispatch) catch the panic, the suspect machine is
 // quarantined, and a fresh worker is re-stamped from the pool snapshot —
-// the same bulk clone that built the pool, now doubling as the repair
+// the same import that built the pool, now doubling as the repair
 // mechanism. The chaos half injects the faults those barriers exist for,
 // at seeded, reproducible points, so the recovery paths are exercised by
 // deterministic tests instead of trusted on faith.
@@ -157,7 +157,7 @@ func panicCode(chaosHit bool) uint64 {
 	return flight.PanicReal
 }
 
-// restamp swaps the shard's machine for a fresh clone of its stamping
+// restamp swaps the shard's machine for a fresh stamp of its stamping
 // source (the boot snapshot, or whatever the last rotation installed).
 // Called under execMu.
 func (p *Pool) restamp(s *shard) {

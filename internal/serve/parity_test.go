@@ -356,8 +356,8 @@ func TestAccountingGolden(t *testing.T) {
 // one-worker pool serves the fixed sequence with one injected panic and
 // one rotation between requests, and Metrics().ITLB must equal the hits
 // and lookups of the same sends on machines stamped as the shard stamps
-// them: a clone of the boot snapshot at start and after the panic's
-// re-stamp, a clone of the rotation's snapshot after Rotate. The
+// them: a stamp of the boot snapshot at start and after the panic's
+// re-stamp, a stamp of the rotation's snapshot after Rotate. The
 // injected panic fires before Send, so its request makes no lookups.
 func TestPoolITLBTotals(t *testing.T) {
 	snap, steps := sequenceSteps(t, false)
@@ -369,7 +369,7 @@ func TestPoolITLBTotals(t *testing.T) {
 	}
 	// The panic fires on the panicAt-th execution, and only there: twice
 	// panicAt exceeds the sequence. The rotation comes after it, so the
-	// re-stamp clones the boot snapshot.
+	// re-stamp stamps the boot snapshot.
 	panicAt, rotateAt := len(reqs)/2+1, len(reqs)*3/4
 	pool := serve.NewPool(snap, serve.Config{Workers: 1, Faults: &serve.Faults{PanicEvery: panicAt}})
 	defer pool.Close()

@@ -2,7 +2,7 @@
 // pool of Caltech Object Machines. The COM of the paper is a single
 // processor; serving heavy traffic means many of them. A Pool stamps N
 // independent machines out of one core.Snapshot — compile and load once,
-// clone cheaply, warm ITLB included — each fronted by its own work queue
+// stamp cheaply, warm ITLB included — each fronted by its own work queue
 // and worker goroutine. The machine, not the goroutine, is the unit of
 // sharding: a per-shard mutex serialises execution, normally held by the
 // worker, but a caller hitting an idle shard drives the machine inline on
@@ -63,7 +63,7 @@
 //     shard driver convert a worker panic into a failed Result
 //     (ErrPanic) instead of a dead process. The possibly-corrupt machine
 //     is quarantined and a fresh worker is re-stamped from the pool
-//     snapshot — the same bulk clone that built the pool (~100µs), now
+//     snapshot — the same import that built the pool (~100µs), now
 //     serving as the recovery mechanism.
 //   - Deterministic chaos: Config.Faults arms a seeded fault plan that
 //     injects panics, execution stalls, and dispatch clogs at
@@ -483,7 +483,7 @@ type shard struct {
 	sinceGC int
 
 	// Recovery state. src is the shard's stamping source: the snapshot a
-	// panic re-stamp clones a fresh machine from. It starts as the pool's
+	// panic re-stamp stamps a fresh machine from. It starts as the pool's
 	// boot snapshot and is advanced by live rotation — per shard, so
 	// while a rotation is part-way through, a shard re-stamps from the
 	// image its own machine came from. Only touched under execMu.
@@ -498,7 +498,7 @@ type shard struct {
 	chaos     *chaosState
 }
 
-// Pool is a sharded serving pool over machines cloned from one snapshot.
+// Pool is a sharded serving pool over machines stamped from one snapshot.
 type Pool struct {
 	cfg    Config
 	shards []*shard
@@ -539,8 +539,8 @@ type Pool struct {
 	slowNext int
 }
 
-// NewPool builds and starts a pool of cfg.Workers machines cloned from the
-// snapshot.
+// NewPool builds and starts a pool of cfg.Workers machines, each
+// stamped from the snapshot by its own import of the snapshot's state.
 func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1

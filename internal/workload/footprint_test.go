@@ -10,7 +10,7 @@ import (
 // TestMachineFootprint bounds what a stamped worker costs: 32 machines
 // stamped from the suite snapshot hold at most 200 KiB of live heap
 // apiece. Most of a worker is its modelled caches (the 4096-line icache
-// tag store alone is 64 KiB) and its clone of object memory, so padding
+// tag store alone is 64 KiB) and its copy of object memory, so padding
 // crept back into a cache line, or a side table grown per machine, shows
 // up here.
 func TestMachineFootprint(t *testing.T) {

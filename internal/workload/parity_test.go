@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/gc"
+	"repro/internal/image"
 	"repro/internal/itlb"
 	"repro/internal/memory"
 	"repro/internal/object"
@@ -15,7 +17,7 @@ import (
 // The interpreter fast path (predecoded code, per-site inline caches in
 // front of the instruction cache and the ITLB, zero-allocation dispatch)
 // and the memory-system fast path (slab-backed absolute space, dense page
-// table, size-class free lists, zero-fill elision, bulk clone) must be
+// table, size-class free lists, zero-fill elision) must be
 // pure simulator accelerations: the machine modelled is the same whatever
 // state they are in. These tests run the full workload suite along
 // different paths through them and assert identical checksums and
@@ -162,11 +164,12 @@ func TestFastPathStatsParity(t *testing.T) {
 	}
 }
 
-// TestMemoryFastPathStatsParity: the two ways a warmed space is copied —
-// Space.Clone's bulk slab and header-arena copy, and a rebuild from its
-// exported state through ImportSpace — leave spaces that allocate,
-// recycle and collect identically. A collection before the snapshot puts
-// freed segments, free lists and a compacted scan list in both copies.
+// TestMemoryFastPathStatsParity: a warmed machine's state reaches a
+// stamp in two ways — straight from the capture, and encoded to an image
+// and decoded — and both stamps hold the source's heap in its scan order,
+// then allocate, recycle and collect identically. A collection before
+// the capture puts freed segments, free lists and a compacted scan list
+// in the state.
 func TestMemoryFastPathStatsParity(t *testing.T) {
 	for _, p := range Suite() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -184,17 +187,22 @@ func TestMemoryFastPathStatsParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := snap.ExportState()
+			var buf bytes.Buffer
+			if err := image.Write(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			read, err := image.Read(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := core.ImportSnapshot(st)
-			if err != nil {
-				t.Fatal(err)
+			captured, decoded := snap.NewMachine(), read.NewMachine()
+			for _, c := range []*core.Machine{captured, decoded} {
+				if a, b := liveBases(m), liveBases(c); !slices.Equal(a, b) {
+					t.Fatalf("stamped heap diverges from its source in base or scan order (%d segments, source %d)", len(b), len(a))
+				}
 			}
-			cloned, rebuilt := snap.NewMachine(), restored.NewMachine()
 			var sums [2]int32
-			for i, m := range []*core.Machine{cloned, rebuilt} {
+			for i, m := range []*core.Machine{captured, decoded} {
 				if sums[i], err = RunCOM(m, p); err != nil {
 					t.Fatal(err)
 				}
@@ -202,10 +210,10 @@ func TestMemoryFastPathStatsParity(t *testing.T) {
 			// The accounting does not see addresses; the heap's bases in
 			// scan order, before the collection, show any difference in
 			// the order segments were reused.
-			if a, b := liveBases(cloned), liveBases(rebuilt); !slices.Equal(a, b) {
-				t.Errorf("live heaps diverge in base or scan order (cloned %d segments, restored %d)", len(a), len(b))
+			if a, b := liveBases(captured), liveBases(decoded); !slices.Equal(a, b) {
+				t.Errorf("live heaps diverge in base or scan order (captured %d segments, decoded %d)", len(a), len(b))
 			}
-			diffAccounted(t, p.Check, account(cloned, sums[0]), account(rebuilt, sums[1]), "cloned", "restored")
+			diffAccounted(t, p.Check, account(captured, sums[0]), account(decoded, sums[1]), "captured", "decoded")
 		})
 	}
 }

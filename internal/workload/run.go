@@ -24,7 +24,7 @@ func NewCOM(p Program, cfg core.Config) (*core.Machine, error) {
 }
 
 // LoadSuite compiles and loads every suite program onto one machine — the
-// multi-tenant image the serving subsystem snapshots and clones. It
+// multi-tenant image the serving subsystem snapshots and stamps. It
 // returns the programs loaded.
 func LoadSuite(m *core.Machine) ([]Program, error) {
 	progs := Suite()

@@ -12,13 +12,13 @@
 //	v, _ := sys.SendInt(21, "double") // 42
 //
 // For serving, a loaded System is captured once with Snapshot and cheaply
-// cloned into a sharded pool of independent machines, each on its own
+// stamped into a sharded pool of independent machines, each on its own
 // goroutine behind its own work queue — compile and load once, serve
 // concurrently:
 //
 //	sys := obarch.NewSystem(obarch.Options{})
 //	sys.Load(src)
-//	pool, _ := sys.ServePool(8) // 8 workers cloned from one image
+//	pool, _ := sys.ServePool(8) // 8 workers stamped from one image
 //	defer pool.Close()
 //	res := pool.Do(obarch.Request{Receiver: obarch.Int(21), Selector: "double"})
 //	v, _ := res.Int() // 42
@@ -116,14 +116,22 @@ func (s *System) Load(src string) error {
 	return smalltalk.LoadCOM(s.M, c)
 }
 
-// Send performs a message send and runs to completion.
+// Send performs a message send and runs to completion. A send that
+// fails is followed by a garbage collection, as a serving pool's failed
+// request is: a trap abandons the send's contexts, and a runaway send may
+// have spent every context name on them. Values the host holds across a
+// failed send must be pinned with AddRoot.
 func (s *System) Send(receiver Value, selector string, args ...Value) (Value, error) {
-	return s.M.Send(receiver, selector, args...)
+	res, err := s.M.Send(receiver, selector, args...)
+	if err != nil {
+		gc.Collect(s.M)
+	}
+	return res, err
 }
 
 // SendInt sends to an integer receiver and expects an integer answer.
 func (s *System) SendInt(receiver int32, selector string, args ...Value) (int32, error) {
-	res, err := s.M.Send(word.FromInt(receiver), selector, args...)
+	res, err := s.Send(word.FromInt(receiver), selector, args...)
 	if err != nil {
 		return 0, err
 	}
@@ -146,7 +154,7 @@ func (s *System) NewInstanceOf(className string, indexed int) (Value, error) {
 		sel = "new:"
 		args = append(args, Int(int32(indexed)))
 	}
-	return s.M.Send(s.M.ClassPointer(cls), sel, args...)
+	return s.Send(s.M.ClassPointer(cls), sel, args...)
 }
 
 // Collect runs a garbage collection and reports what it did.
@@ -161,7 +169,7 @@ func (s *System) ClearRoots() { s.M.ClearRoots() }
 // Stats returns the machine's cycle and reference accounting.
 func (s *System) Stats() core.Stats { return s.M.Stats }
 
-// Snapshot is a frozen machine image: capture a compiled and loaded
+// Snapshot is a captured machine state: capture a compiled and loaded
 // System once, then stamp out any number of independent machines.
 type Snapshot = core.Snapshot
 
@@ -186,7 +194,7 @@ type ServeConfig = serve.Config
 func (s *System) Snapshot() (*Snapshot, error) { return s.M.Snapshot() }
 
 // ServePool snapshots the system and starts a pool of n worker machines
-// cloned from the image, each serving requests on its own goroutine.
+// stamped from the image, each serving requests on its own goroutine.
 func (s *System) ServePool(n int) (*Pool, error) {
 	return s.ServePoolWith(ServeConfig{Workers: n})
 }

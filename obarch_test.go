@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fpa"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -35,6 +38,28 @@ func TestSendAfterTrap(t *testing.T) {
 	}
 	if got, err := sys.SendInt(21, "double"); err != nil || got != 42 {
 		t.Fatalf("21 double after a trap = %d, %v", got, err)
+	}
+}
+
+// TestRunawaySendCollects: a runaway send spends every context name of a
+// small address format and traps; the System collects after it, so the
+// next send answers without the caller running Collect.
+func TestRunawaySendCollects(t *testing.T) {
+	sys := &System{M: core.New(core.Config{Format: fpa.Format{ExpBits: 5, ManBits: 20}})}
+	if err := sys.Load(`extend SmallInt [
+		method loop [ ^self loop ]
+		method double [ ^self + self ]
+	]`); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		_, err := sys.SendInt(1, "loop")
+		if trap, ok := err.(*core.Trap); !ok || trap.Kind != "resources" {
+			t.Fatalf("round %d: runaway send returned %v, want a resources trap", round, err)
+		}
+		if got, err := sys.SendInt(21, "double"); err != nil || got != 42 {
+			t.Fatalf("round %d: 21 double after the trap = %d, %v", round, got, err)
+		}
 	}
 }
 
