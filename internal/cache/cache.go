@@ -3,12 +3,21 @@
 // instruction cache, and the trace-driven cache simulations of §5 all share
 // this model.
 //
-// A cache is organised as Entries/Assoc sets of Assoc lines each, held in
-// one flat line array: way w of set s is line s*Assoc + w. Keys are opaque
-// 64-bit values; the set index is derived from a mixed hash of the key so
-// that structured keys (opcode×class, segment names, instruction
-// addresses) spread evenly, mirroring the hashed associative memories the
-// paper assumes.
+// A cache is organised as Entries/Assoc sets of Assoc lines each: way w
+// of set s is line s*Assoc + w. Keys are opaque 64-bit values; the set
+// index is derived from a mixed hash of the key so that structured keys
+// (opcode×class, segment names, instruction addresses) spread evenly,
+// mirroring the hashed associative memories the paper assumes.
+//
+// The lines are held in fixed-size pages of pageLines lines, or of Assoc
+// lines when the associativity is larger, so a set never straddles two
+// pages and a fully associative cache is one page. A page is allocated by
+// the first write into it (TouchLine, Insert, InsertLine, Import); a read
+// probe of an unallocated page misses without allocating. A cache's host
+// footprint therefore follows the sets its traffic touches, while every
+// modelled hit, miss, victim and stamp is that of the full geometry. A
+// page is never freed or moved: Flush and the invalidations clear lines
+// in place.
 //
 // A line carries no valid bit: it is empty exactly when its recency stamp
 // is 0. Every placement and hit advances the LRU clock before stamping, so
@@ -70,41 +79,53 @@ func (s Stats) HitRatio() float64 {
 }
 
 // Line is one cache line. Lines are exposed (opaquely) so that callers can
-// hold stable references to them: the line array never reallocates, so a
-// *Line taken from LookupLine or InsertLine stays valid for the cache's
-// lifetime and can back an inline cache in front of the associative probe
-// (see HitLine). All fields stay private; a line's contents are only
-// reachable through cache methods. A stamp of 0 marks the line empty.
+// hold stable references to them: a page, once allocated, is never freed
+// or moved, so a *Line taken from LookupLine, TouchLine or InsertLine
+// stays valid for the cache's lifetime and can back an inline cache in
+// front of the associative probe (see HitLine). All fields stay private;
+// a line's contents are only reachable through cache methods. A stamp of
+// 0 marks the line empty.
 type Line[V any] struct {
 	key   uint64
 	value V
 	stamp uint64
 }
 
+// pageLines is the line count of a page when the associativity is at
+// most that: 1 KiB of struct{} lines.
+const pageLines = 64
+
 // Cache is a set-associative cache mapping uint64 keys to values of type V.
 // The zero value is not usable; construct with New.
 type Cache[V any] struct {
-	cfg   Config
-	lines []Line[V]
-	mask  uint64 // sets - 1
-	shift uint   // log2(assoc)
-	clock uint64
-	Stats Stats
+	cfg Config
+	// pages holds line i at pages[i>>pageShift][i&pageMask]; a nil page
+	// has never been written, and all its lines are empty.
+	pages     [][]Line[V]
+	pageShift uint   // log2(lines per page)
+	pageMask  uint64 // lines per page - 1
+	mask      uint64 // sets - 1
+	shift     uint   // log2(assoc)
+	clock     uint64
+	Stats     Stats
 }
 
-// New builds a cache from the configuration: one zeroed line array of
-// Entries lines, every line empty. It panics on an invalid configuration,
-// which is always a programming error in this codebase.
+// New builds a cache from the configuration, every line empty and no page
+// allocated. It panics on an invalid configuration, which is always a
+// programming error in this codebase.
 func New[V any](cfg Config) *Cache[V] {
 	sets, assoc, err := cfg.normalize()
 	if err != nil {
 		panic(err)
 	}
+	per := min(max(pageLines, assoc), cfg.Entries)
 	return &Cache[V]{
-		cfg:   cfg,
-		lines: make([]Line[V], sets*assoc),
-		mask:  uint64(sets - 1),
-		shift: uint(bits.TrailingZeros(uint(assoc))),
+		cfg:       cfg,
+		pages:     make([][]Line[V], cfg.Entries/per),
+		pageShift: uint(bits.TrailingZeros(uint(per))),
+		pageMask:  uint64(per - 1),
+		mask:      uint64(sets - 1),
+		shift:     uint(bits.TrailingZeros(uint(assoc))),
 	}
 }
 
@@ -131,17 +152,48 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// setFor returns the lines of the key's set. Associativity is a power of
-// two (it divides the power-of-two Entries), so the set's first line is a
-// shift away from its index.
-func (c *Cache[V]) setFor(key uint64) []Line[V] {
+// place returns the index of the key's set's first line. Associativity
+// is a power of two (it divides the power-of-two Entries), so that line
+// is a shift away from the set index.
+func (c *Cache[V]) place(key uint64) uint64 {
 	idx := key
 	if c.cfg.HashSets {
 		idx = mix(key)
 	}
-	lo := (idx & c.mask) << c.shift
+	return (idx & c.mask) << c.shift
+}
+
+// setFor returns the lines of the key's set for a read probe: nil when
+// the set's page was never written, which holds only empty lines.
+func (c *Cache[V]) setFor(key uint64) []Line[V] {
+	first := c.place(key)
+	pg := c.pages[first>>c.pageShift]
+	if pg == nil {
+		return nil
+	}
+	lo := first & c.pageMask
 	hi := lo + 1<<c.shift
-	return c.lines[lo:hi:hi]
+	return pg[lo:hi:hi]
+}
+
+// setForWrite is setFor for a placement: it allocates the set's page on
+// the first write into it.
+func (c *Cache[V]) setForWrite(key uint64) []Line[V] {
+	first := c.place(key)
+	pg := c.page(first >> c.pageShift)
+	lo := first & c.pageMask
+	hi := lo + 1<<c.shift
+	return pg[lo:hi:hi]
+}
+
+// page returns page p, allocating it if it was never written.
+func (c *Cache[V]) page(p uint64) []Line[V] {
+	pg := c.pages[p]
+	if pg == nil {
+		pg = make([]Line[V], c.pageMask+1)
+		c.pages[p] = pg
+	}
+	return pg
 }
 
 // Lookup probes the cache. On a hit it refreshes the line's recency and
@@ -179,7 +231,7 @@ func (c *Cache[V]) Insert(key uint64, v V) (evictedKey uint64, evictedVal V, evi
 // else the least recently used one. It answers the line now holding the
 // key and the other key's line it displaced (stamp 0 when none was).
 func (c *Cache[V]) insert(key uint64, v V) (*Line[V], Line[V]) {
-	set := c.setFor(key)
+	set := c.setForWrite(key)
 	c.clock++
 	c.Stats.Inserts++
 	victim := 0
@@ -222,7 +274,7 @@ func (c *Cache[V]) Touch(key uint64) bool {
 // displaced), and the relative recency order — all the LRU replacement
 // ever consults — is identical.
 func (c *Cache[V]) TouchLine(key uint64) (*Line[V], bool) {
-	set := c.setFor(key)
+	set := c.setForWrite(key)
 	c.clock++
 	victim := 0
 	for i := range set {
@@ -245,9 +297,9 @@ func (c *Cache[V]) TouchLine(key uint64) (*Line[V], bool) {
 }
 
 // LookupLine is Lookup returning also a stable reference to the hit line.
-// The line array never reallocates, so the pointer stays valid for the
-// cache's lifetime; pair it with HitLine to build an inline cache in front
-// of the associative probe.
+// Pages never move, so the pointer stays valid for the cache's lifetime;
+// pair it with HitLine to build an inline cache in front of the
+// associative probe.
 func (c *Cache[V]) LookupLine(key uint64) (V, *Line[V], bool) {
 	set := c.setFor(key)
 	c.clock++
@@ -305,18 +357,22 @@ func (c *Cache[V]) Invalidate(key uint64) bool {
 // It is used when segment descriptors are rebound (object growth aliasing).
 func (c *Cache[V]) InvalidateIf(drop func(key uint64, v V) bool) int {
 	n := 0
-	for i := range c.lines {
-		if ln := &c.lines[i]; ln.stamp != 0 && drop(ln.key, ln.value) {
-			*ln = Line[V]{}
-			n++
+	for _, pg := range c.pages {
+		for i := range pg {
+			if ln := &pg[i]; ln.stamp != 0 && drop(ln.key, ln.value) {
+				*ln = Line[V]{}
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// Flush empties the cache but keeps statistics.
+// Flush empties the cache but keeps statistics. Its pages stay allocated.
 func (c *Cache[V]) Flush() {
-	clear(c.lines)
+	for _, pg := range c.pages {
+		clear(pg)
+	}
 	c.Stats.Flushes++
 }
 
@@ -327,9 +383,11 @@ func (c *Cache[V]) ResetStats() { c.Stats = Stats{} }
 // Len returns the number of lines currently held.
 func (c *Cache[V]) Len() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].stamp != 0 {
-			n++
+	for _, pg := range c.pages {
+		for i := range pg {
+			if pg[i].stamp != 0 {
+				n++
+			}
 		}
 	}
 	return n

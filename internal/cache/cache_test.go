@@ -135,11 +135,12 @@ func TestInsertFindsKeyPastEmptyLine(t *testing.T) {
 		c.Insert(1, 11)
 		c.Insert(2, 2)
 		c.Invalidate(1) // way 0 is now empty, key 2 sits in way 1
+		_, held, _ := c.LookupLine(2)
 		if name == "Insert" {
 			if _, _, evicted := c.Insert(2, 22); evicted {
 				t.Errorf("%s: re-inserting a held key evicted a line", name)
 			}
-		} else if ln := c.InsertLine(2, 22); ln != &c.lines[1] {
+		} else if ln := c.InsertLine(2, 22); ln != held {
 			t.Errorf("%s: answered a line other than the one holding key 2", name)
 		}
 		if n := c.Len(); n != 1 {

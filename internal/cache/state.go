@@ -9,10 +9,11 @@ import "fmt"
 // survives a restart bit-identically.
 
 // LineState is the serialisable state of one held cache line. Index is
-// its position in the line array (set*assoc + way); empty lines carry no
-// state (Invalidate zeroes them), so exports are sparse — an icache that has
-// only seen a loader touch a fraction of its 4096 lines serialises just
-// that fraction.
+// its line number in the full geometry (set*assoc + way), whichever page
+// holds it; empty lines carry no state (Invalidate zeroes them), so
+// exports are sparse — an icache that has only seen a loader touch a
+// fraction of its 4096 lines serialises just that fraction, and importing
+// it allocates only the pages those lines sit on.
 type LineState[V any] struct {
 	Index uint32
 	Key   uint64
@@ -28,13 +29,17 @@ func (c Config) Validate() error {
 	return err
 }
 
-// Export returns the LRU clock and every held line in set-major order.
-// Together with Config and Stats this is the cache's complete observable
-// state.
+// Export returns the LRU clock and every held line in set-major order:
+// it walks the pages in index order, so each line's Index is its line
+// number in the full geometry. Together with Config and Stats this is the
+// cache's complete observable state.
 func (c *Cache[V]) Export() (clock uint64, lines []LineState[V]) {
-	for i := range c.lines {
-		if ln := &c.lines[i]; ln.stamp != 0 {
-			lines = append(lines, LineState[V]{Index: uint32(i), Key: ln.key, Value: ln.value, Stamp: ln.stamp})
+	for p, pg := range c.pages {
+		base := p << c.pageShift
+		for i := range pg {
+			if ln := &pg[i]; ln.stamp != 0 {
+				lines = append(lines, LineState[V]{Index: uint32(base + i), Key: ln.key, Value: ln.value, Stamp: ln.stamp})
+			}
 		}
 	}
 	return c.clock, lines
@@ -55,8 +60,8 @@ func Import[V any](cfg Config, stats Stats, clock uint64, lines []LineState[V], 
 	c := New[V](cfg)
 	last := -1
 	for _, ls := range lines {
-		if int(ls.Index) <= last || int(ls.Index) >= len(c.lines) {
-			return nil, fmt.Errorf("cache: line index %d out of order or beyond %d lines", ls.Index, len(c.lines))
+		if int(ls.Index) <= last || int(ls.Index) >= cfg.Entries {
+			return nil, fmt.Errorf("cache: line index %d out of order or beyond %d lines", ls.Index, cfg.Entries)
 		}
 		if ls.Stamp == 0 || ls.Stamp > clock {
 			return nil, fmt.Errorf("cache: line %d has stamp %d outside 1..%d", ls.Index, ls.Stamp, clock)
@@ -69,7 +74,8 @@ func Import[V any](cfg Config, stats Stats, clock uint64, lines []LineState[V], 
 				return nil, err
 			}
 		}
-		c.lines[ls.Index] = Line[V]{key: ls.Key, value: v, stamp: ls.Stamp}
+		i := uint64(ls.Index)
+		c.page(i >> c.pageShift)[i&c.pageMask] = Line[V]{key: ls.Key, value: v, stamp: ls.Stamp}
 	}
 	c.clock = clock
 	c.Stats = stats

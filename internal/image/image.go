@@ -125,14 +125,17 @@ func Write(w io.Writer, snap *core.Snapshot) error {
 	if _, err := w.Write(he.b); err != nil {
 		return err
 	}
+	// One payload buffer serves all sections, as in Read, reset between
+	// them so only the largest section grows it.
+	var e enc
+	var sh [16]byte
 	for id := 1; id <= numSections; id++ {
-		var e enc
+		e.b = e.b[:0]
 		encodeSection(&e, id, st)
-		var sh enc
-		sh.u32(uint32(id))
-		sh.u64(uint64(len(e.b)))
-		sh.u32(crc32.ChecksumIEEE(e.b))
-		if _, err := w.Write(sh.b); err != nil {
+		binary.LittleEndian.PutUint32(sh[0:], uint32(id))
+		binary.LittleEndian.PutUint64(sh[4:], uint64(len(e.b)))
+		binary.LittleEndian.PutUint32(sh[12:], crc32.ChecksumIEEE(e.b))
+		if _, err := w.Write(sh[:]); err != nil {
 			return err
 		}
 		if _, err := w.Write(e.b); err != nil {

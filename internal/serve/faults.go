@@ -181,19 +181,19 @@ func (s *shard) swapMachine(snap *core.Snapshot) {
 
 // driverPanic is the shard driver's last-resort barrier handler: a panic
 // that escaped serveOne's own barrier (so the serving path's bookkeeping
-// never ran for this job) still answers the job, retires its counters,
-// and re-stamps the machine, keeping the worker goroutine alive. Called
-// under execMu.
-func (p *Pool) driverPanic(s *shard, j job, r any) {
+// never ran for this request) still answers the request's cell, retires
+// its counters, and re-stamps the machine, keeping the worker goroutine
+// alive. Called under execMu.
+func (p *Pool) driverPanic(s *shard, f *Future, r any) {
 	s.met.panics.Add(1)
 	s.unhealthy.Store(true)
 	p.restamp(s)
 	err := fmt.Errorf("%w: %v", ErrPanic, r)
 	_, chaosHit := r.(chaosPanic)
 	now := s.fr.Now()
-	s.fr.RecordAt(flight.KindPanic, j.id, panicCode(chaosHit), now)
-	s.fr.RecordAt(flight.KindRestamp, j.id, 0, now)
+	s.fr.RecordAt(flight.KindPanic, f.id, panicCode(chaosHit), now)
+	s.fr.RecordAt(flight.KindRestamp, f.id, 0, now)
 	s.pending.Add(-1)
 	p.release()
-	j.fut.complete(Result{Err: err, Worker: s.id})
+	f.complete(Result{Err: err, Worker: s.id})
 }

@@ -17,7 +17,8 @@
 //   - Results travel in pooled Futures — a reusable result cell with a
 //     reusable done-signal channel, recycled through a sync.Pool when the
 //     caller collects the result — instead of a fresh chan Result per
-//     call.
+//     call. A queued request rides in its cell, so a shard queue holds
+//     8-byte cell pointers rather than request copies.
 //   - The submission path is guarded by an atomic closed flag plus a
 //     per-shard in-flight counter instead of a pool-wide RWMutex; Close
 //     flips the flag and waits the counters out, so a submission that saw
@@ -330,9 +331,18 @@ func (m Metrics) Report() *stats.Table {
 // cell with a reusable done-signal. Wait must be called exactly once; it
 // returns the cell to the pool, after which the Future must not be
 // touched again.
+//
+// While the request waits in its shard's queue, the cell also carries it:
+// the queue holds the cell's pointer, not a copy of the request. id and
+// enq are its flight-recorder identity: the request id and the enqueue
+// timestamp in recorder nanoseconds (flight.Ring.TS).
 type Future struct {
 	res  Result
 	done chan struct{}
+
+	req Request
+	id  uint64
+	enq int64
 }
 
 // Wait blocks for the request's result and recycles the cell.
@@ -355,22 +365,14 @@ var futurePool = sync.Pool{
 // newFuture hands out a result cell from the pool.
 func newFuture() *Future { return futurePool.Get().(*Future) }
 
-// complete delivers a result into a future. The buffered send never
-// blocks: each future receives exactly one completion.
+// complete delivers a result into a future. It drops the request the
+// cell carried, so a pooled cell keeps no arguments or selector alive.
+// The buffered send never blocks: each future receives exactly one
+// completion.
 func (f *Future) complete(res Result) {
+	f.req = Request{}
 	f.res = res
 	f.done <- struct{}{}
-}
-
-// job is one unit of queued work: a request with its result cell. id and
-// enq carry the flight-recorder identity: the request id and the enqueue
-// timestamp in recorder nanoseconds (flight.Ring.TS).
-type job struct {
-	req Request
-	fut *Future
-
-	id  uint64
-	enq int64
 }
 
 // metricsPad keeps one shard's writer-hot counters off the cache lines of
@@ -450,15 +452,17 @@ func (mm *shardMetrics) snapshot() Metrics {
 // shard is one worker: a private machine behind a private queue. Machine
 // execution is serialised by execMu — normally held by the shard's worker
 // goroutine, but an idle shard's machine may be driven directly by a
-// caller (see Pool.inline). pending counts queued-but-
-// unfinished jobs plus any inline execution — the JSQ depth signal.
+// caller (see Pool.inline). The queue holds the queued requests' result
+// cells, each carrying its request (see Future): 8 bytes a slot. pending
+// counts queued-but-unfinished requests plus any inline execution — the
+// JSQ depth signal.
 // inflight counts submitters inside the enqueue window (and inline
 // drivers for their whole execution), so Close can wait them out after
 // flipping the closed flag.
 type shard struct {
 	id       int
 	m        *core.Machine
-	queue    chan job
+	queue    chan *Future
 	execMu   sync.Mutex
 	pending  atomic.Int64
 	inflight atomic.Int64
@@ -563,7 +567,7 @@ func NewPool(snap *core.Snapshot, cfg Config) *Pool {
 			id:    i,
 			m:     snap.NewMachine(),
 			src:   snap,
-			queue: make(chan job, cfg.QueueDepth),
+			queue: make(chan *Future, cfg.QueueDepth),
 			fr:    p.rec.Ring(i),
 		}
 		if cfg.Faults != nil {
@@ -725,15 +729,16 @@ func refused(err error) *Future {
 func (p *Pool) enqueue(s *shard, req Request, now int64) *Future {
 	f := newFuture()
 	d := s.pending.Add(1)
-	id, enq := s.stampEnqueue(d, now)
+	f.req = req
+	f.id, f.enq = s.stampEnqueue(d, now)
 	select {
-	case s.queue <- job{req: req, fut: f, id: id, enq: enq}:
+	case s.queue <- f:
 	default:
 		// Queue full: shed at the door. s.inflight is still held, so the
 		// queue cannot close under this window even though the send lost.
 		s.pending.Add(-1)
 		p.release()
-		p.reject(s, id, d, enq)
+		p.reject(s, f.id, d, f.enq)
 		f.complete(Result{Err: ErrOverloaded, Worker: s.id})
 	}
 	s.inflight.Add(-1)
@@ -977,22 +982,23 @@ func (p *Pool) MachineStats() core.Stats {
 	return out
 }
 
-// worker drains one shard's queue. Each wakeup serves the job that woke
-// it and then drains up to drainBatch-1 more without blocking, amortising
-// the channel receive and scheduler round-trip across queued work.
+// worker drains one shard's queue. Each wakeup serves the request that
+// woke it and then drains up to drainBatch-1 more without blocking,
+// amortising the channel receive and scheduler round-trip across queued
+// work.
 func (p *Pool) worker(s *shard) {
 	defer p.wg.Done()
-	for j := range s.queue {
+	for f := range s.queue {
 		s.execMu.Lock()
-		p.dispatch(s, j)
+		p.dispatch(s, f)
 		for n := 1; n < drainBatch; n++ {
 			select {
-			case j2, ok := <-s.queue:
+			case f2, ok := <-s.queue:
 				if !ok {
 					s.execMu.Unlock()
 					return // closed and drained
 				}
-				p.dispatch(s, j2)
+				p.dispatch(s, f2)
 			default:
 				n = drainBatch // queue momentarily empty; block in range again
 			}
@@ -1004,29 +1010,29 @@ func (p *Pool) worker(s *shard) {
 // dispatch runs one queue entry behind the shard driver's recovery
 // barrier: serveOne's own barrier catches machine-execution panics, so
 // anything arriving here escaped the serving path's bookkeeping — the
-// handler still answers the job, retires its counters and re-stamps the
-// machine, keeping the driver goroutine (and the process) alive.
-func (p *Pool) dispatch(s *shard, j job) {
+// handler still answers the request, retires its counters and re-stamps
+// the machine, keeping the driver goroutine (and the process) alive.
+func (p *Pool) dispatch(s *shard, f *Future) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.driverPanic(s, j, r)
+			p.driverPanic(s, f, r)
 		}
 	}()
-	p.serveJob(s, j)
+	p.serveJob(s, f)
 }
 
-// serveJob dispatches one queue entry and retires its pending count and
-// ceiling slot. Callers hold the shard's execMu.
-func (p *Pool) serveJob(s *shard, j job) {
+// serveJob serves the request one queue entry carries and retires its
+// pending count and ceiling slot. Callers hold the shard's execMu.
+func (p *Pool) serveJob(s *shard, f *Future) {
 	if c := s.chaos; c != nil {
 		c.beforeDispatch()
 	}
-	res, _ := p.serveOne(s, j.req, j.id, j.enq, core.Monotonic())
+	res, _ := p.serveOne(s, f.req, f.id, f.enq, core.Monotonic())
 	// Retire the depth count before publishing the result: once every
 	// submitted request has been collected, QueueDepths is exactly zero.
 	s.pending.Add(-1)
 	p.release()
-	j.fut.complete(res)
+	f.complete(res)
 }
 
 // serveOne executes a request on the shard's machine under the

@@ -8,13 +8,15 @@ import (
 )
 
 // TestMachineFootprint bounds what a stamped worker costs: 32 machines
-// stamped from the suite snapshot hold at most 200 KiB of live heap
-// apiece. Most of a worker is its modelled caches (the 4096-line icache
-// tag store alone is 64 KiB) and its copy of object memory, so padding
-// crept back into a cache line, or a side table grown per machine, shows
-// up here.
+// stamped from the suite snapshot hold at most 120 KiB of live heap
+// apiece. Most of a worker is its copy of object memory and the pages of
+// its modelled caches that hold lines (a cache allocates its lines a page
+// at a time, so the 4096-line icache of a machine that has run nothing
+// holds no page at all), so padding crept back into a cache line, a
+// cache allocated whole, or a side table grown per machine, shows up
+// here.
 func TestMachineFootprint(t *testing.T) {
-	const machines, bound = 32, 200 << 10
+	const machines, bound = 32, 120 << 10
 	m := core.New(core.Config{})
 	if _, err := LoadSuite(m); err != nil {
 		t.Fatal(err)
